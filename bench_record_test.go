@@ -1,7 +1,8 @@
 package rpol_test
 
-// Guards the committed benchmark records (BENCH_pr3.json, BENCH_pr8.json):
-// the files are the evidence trail for the performance PRs' claims, so they
+// Guards the committed benchmark records (BENCH_pr3.json, BENCH_pr8.json,
+// BENCH_pr9.json, and the end-to-end records listed in e2eGates): the files
+// are the evidence trail for the performance PRs' claims, so they
 // must stay parseable and structurally sound. The tests use only the
 // standard library and fail on a malformed file — missing fields, unknown
 // keys, non-positive measurements, or entries whose names no longer look
@@ -13,7 +14,9 @@ package rpol_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -277,5 +280,202 @@ func TestBenchRecordPR9Gates(t *testing.T) {
 		if e.After.AllocsOp != 0 {
 			t.Errorf("%s: %d allocs/op recorded, want 0 (warm reused buffer)", name, e.After.AllocsOp)
 		}
+	}
+}
+
+// e2eRuns is one side's runs of one end-to-end metric, with the summary the
+// record claims for them.
+type e2eRuns struct {
+	Median float64   `json:"median"`
+	Q1     float64   `json:"q1"`
+	Q3     float64   `json:"q3"`
+	Runs   []float64 `json:"runs"`
+}
+
+// e2eRecord is a record of the repo benchmark (benchmark/run.sh --trace 0):
+// alternating pairs of the parent commit and the change on one host.
+type e2eRecord struct {
+	PR      int    `json:"pr"`
+	Parent  string `json:"parent"`
+	Command string `json:"command"`
+	Host    struct {
+		GOOS   string `json:"goos"`
+		GOARCH string `json:"goarch"`
+		CPU    string `json:"cpu"`
+		NumCPU int    `json:"num_cpu"`
+		Go     string `json:"go"`
+		Note   string `json:"note"`
+	} `json:"host"`
+	Workloads []struct {
+		Name      string         `json:"name"`
+		Pairs     int            `json:"pairs"`
+		Attempted map[string]int `json:"attempted"`
+		Failed    map[string]int `json:"failed"`
+		Metrics   []struct {
+			Name   string  `json:"name"`
+			Unit   string  `json:"unit"`
+			Better string  `json:"better"`
+			Parent e2eRuns `json:"parent"`
+			Change e2eRuns `json:"change"`
+			Wins   int     `json:"wins"`
+			Ties   int     `json:"ties"`
+		} `json:"metrics"`
+	} `json:"workloads"`
+	// Traced is one traced pair on the claimed workload: the per-layer
+	// numbers that show where the saving sits. Informational, not gated.
+	Traced struct {
+		Workload string `json:"workload"`
+		Seed     int64  `json:"seed"`
+		Layers   []struct {
+			Name   string  `json:"name"`
+			Parent float64 `json:"parent"`
+			Change float64 `json:"change"`
+		} `json:"layers"`
+	} `json:"traced"`
+}
+
+// e2eGate is one row of a record's comparator: on workload ("*" for each),
+// the change's median of metric must stand in relation to factor × the
+// parent's median. The relation "claim<=" is "<=" for a claimed gain, which
+// must also satisfy the paired-run rule: the change better on at least nine
+// tenths of the pairs, and the medians further apart than the parent's own
+// quartiles.
+type e2eGate struct {
+	workload, metric, relation string
+	factor                     float64
+}
+
+// e2eGates lists every end-to-end record and its rows. A later PR adds a
+// file and rows here, not a gate function.
+var e2eGates = []struct {
+	file     string
+	pr       int
+	minPairs map[string]int
+	rows     []e2eGate
+}{
+	{
+		file:     "BENCH_pr15.json",
+		pr:       15,
+		minPairs: map[string]int{"ref10_v2_tcp": 5, "proofs4_v2_tcp": 1, "wide16_v1_tcp": 1, "durable8_v2_disk": 1},
+		rows: []e2eGate{
+			// The claim: remote workers, probes and replay on the batched
+			// runtime take at least 35 % off the reference epoch.
+			{"ref10_v2_tcp", "epoch_s_p50", "claim<=", 0.65},
+			// Co-movers the issue predicted.
+			{"wide16_v1_tcp", "epoch_s_p50", "<=", 0.75},
+			{"proofs4_v2_tcp", "epoch_s_p50", "<=", 0.90},
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "<=", 0.50},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
+}
+
+// quantileOf is the linear-interpolation quantile benchmark/stats.go uses.
+func quantileOf(runs []float64, q float64) float64 {
+	s := append([]float64(nil), runs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	hi := min(lo+1, len(s)-1)
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+// TestBenchRecordE2EGates validates every end-to-end benchmark record and
+// enforces its rows on the recorded runs themselves.
+func TestBenchRecordE2EGates(t *testing.T) {
+	for _, g := range e2eGates {
+		t.Run(g.file, func(t *testing.T) {
+			data, err := os.ReadFile(g.file)
+			if err != nil {
+				t.Fatalf("benchmark record missing: %v", err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			var rec e2eRecord
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("%s malformed: %v", g.file, err)
+			}
+			if rec.PR != g.pr || rec.Parent == "" || !strings.Contains(rec.Command, "benchmark/run.sh") {
+				t.Errorf("header incomplete: pr %d, parent %q, command %q", rec.PR, rec.Parent, rec.Command)
+			}
+			if rec.Host.NumCPU < 1 || rec.Host.CPU == "" || rec.Host.Go == "" || rec.Host.Note == "" {
+				t.Errorf("host block incomplete: %+v", rec.Host)
+			}
+			type key struct{ workload, metric string }
+			type pair struct {
+				parent, change e2eRuns
+				pairs, wins    int
+			}
+			metrics := make(map[key]pair)
+			var workloads []string
+			for _, w := range rec.Workloads {
+				workloads = append(workloads, w.Name)
+				if w.Pairs < g.minPairs[w.Name] || g.minPairs[w.Name] == 0 {
+					t.Errorf("%s: %d pairs, want a known workload with at least %d", w.Name, w.Pairs, g.minPairs[w.Name])
+				}
+				for _, side := range []string{"parent", "change"} {
+					if w.Attempted[side] < 1 || w.Failed[side] != 0 {
+						t.Errorf("%s %s: %d of %d operations failed", w.Name, side, w.Failed[side], w.Attempted[side])
+					}
+				}
+				if len(w.Metrics) != 7 {
+					t.Errorf("%s: %d end-to-end metrics, want all 7", w.Name, len(w.Metrics))
+				}
+				for _, m := range w.Metrics {
+					for side, r := range map[string]e2eRuns{"parent": m.Parent, "change": m.Change} {
+						if len(r.Runs) != w.Pairs {
+							t.Fatalf("%s %s %s: %d runs, want %d", w.Name, m.Name, side, len(r.Runs), w.Pairs)
+						}
+						for q, claimed := range map[float64]float64{0.25: r.Q1, 0.5: r.Median, 0.75: r.Q3} {
+							if got := quantileOf(r.Runs, q); math.Abs(got-claimed) > 1e-9*math.Abs(got) {
+								t.Errorf("%s %s %s: quantile %.2f recorded as %v, runs give %v", w.Name, m.Name, side, q, claimed, got)
+							}
+						}
+					}
+					metrics[key{w.Name, m.Name}] = pair{m.Parent, m.Change, w.Pairs, m.Wins}
+				}
+			}
+			if len(workloads) != len(g.minPairs) {
+				t.Errorf("workloads %v, want one entry for each of %d", workloads, len(g.minPairs))
+			}
+			for _, row := range g.rows {
+				names := []string{row.workload}
+				if row.workload == "*" {
+					names = workloads
+				}
+				for _, name := range names {
+					m, ok := metrics[key{name, row.metric}]
+					if !ok {
+						t.Errorf("%s: no metric %s", name, row.metric)
+						continue
+					}
+					limit := row.factor * m.parent.Median
+					held := m.change.Median <= limit
+					if row.relation == ">=" {
+						held = m.change.Median >= limit
+					}
+					if !held {
+						t.Errorf("%s %s: change median %v, want %s %v (%.2f × parent median %v)",
+							name, row.metric, m.change.Median, strings.TrimPrefix(row.relation, "claim"), limit, row.factor, m.parent.Median)
+					}
+					if row.relation != "claim<=" {
+						continue
+					}
+					if 10*m.wins < 9*m.pairs {
+						t.Errorf("%s %s: change won %d of %d pairs, a claim needs nine tenths", name, row.metric, m.wins, m.pairs)
+					}
+					if gap, iqr := m.parent.Median-m.change.Median, m.parent.Q3-m.parent.Q1; gap <= iqr {
+						t.Errorf("%s %s: medians %v apart, inside the parent's own quartile spread %v", name, row.metric, gap, iqr)
+					}
+				}
+			}
+		})
 	}
 }

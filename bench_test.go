@@ -264,8 +264,9 @@ func BenchmarkVerifierPoolParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStep measures one batch optimization step: the historical
-// serial path ("serial") against the chunked deterministic runtime
+// BenchmarkTrainStep measures one batch optimization step: the per-example
+// Network.TrainBatch oracle ("serial", which no protocol path runs on a dense
+// network any more) against the chunked deterministic runtime
 // (internal/parallel) at 1 and NumCPU workers. The chunked variants are
 // bit-identical to each other for any worker count; on a multi-core host the
 // per-example forward/backward work spreads across cores (up to the

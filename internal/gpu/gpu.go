@@ -84,8 +84,8 @@ type Device struct {
 	deviceBias map[int]tensor.Vector
 	runBias    map[int]tensor.Vector
 
-	// noiseBuf is the reusable white-noise scratch for Perturb, sized to the
-	// last weight dimension seen.
+	// noiseBuf is the reusable white-noise scratch for Perturb, grown to the
+	// largest weight dimension seen.
 	noiseBuf tensor.Vector
 }
 
@@ -166,21 +166,29 @@ func (d *Device) StepNoise(dim int) tensor.Vector {
 
 // Perturb applies one step of hardware noise to weights in place. It draws
 // the identical noise sequence StepNoise produces but reuses an internal
-// scratch buffer, so the per-step cost is allocation-free after the first
-// call at a given dimension.
+// scratch buffer, so the per-step cost is allocation-free once every
+// dimension in the caller's rotation (W, b, W, b, …) has been seen.
 func (d *Device) Perturb(weights tensor.Vector) {
 	dim := len(weights)
-	if len(d.noiseBuf) != dim {
-		d.noiseBuf = tensor.NewVector(dim)
-	}
-	d.rng.FillNormal(d.noiseBuf, 0, d.runScale*whiteFraction)
+	noise := d.whiteNoise(dim)
 	dev := d.deviceBiasFor(dim)
 	run := d.runBiasFor(dim)
 	for i := range weights {
 		// Grouped exactly as StepNoise does (noise += dev + run, then
 		// weights += noise) so the float result is bit-identical.
-		weights[i] += d.noiseBuf[i] + (dev[i] + run[i])
+		weights[i] += noise[i] + (dev[i] + run[i])
 	}
+}
+
+// whiteNoise draws one step's white component into the scratch buffer,
+// growing it only when dim exceeds its capacity.
+func (d *Device) whiteNoise(dim int) tensor.Vector {
+	if cap(d.noiseBuf) < dim {
+		d.noiseBuf = tensor.NewVector(dim)
+	}
+	d.noiseBuf = d.noiseBuf[:dim]
+	d.rng.FillNormal(d.noiseBuf, 0, d.runScale*whiteFraction)
+	return d.noiseBuf
 }
 
 // SkipPerturb advances the device's noise stream past one Perturb call at
@@ -190,10 +198,7 @@ func (d *Device) Perturb(weights tensor.Vector) {
 // lazy run bias exactly when Perturb would) leaves the device in the
 // bit-identical state a live run would have reached.
 func (d *Device) SkipPerturb(dim int) {
-	if len(d.noiseBuf) != dim {
-		d.noiseBuf = tensor.NewVector(dim)
-	}
-	d.rng.FillNormal(d.noiseBuf, 0, d.runScale*whiteFraction)
+	d.whiteNoise(dim)
 	d.runBiasFor(dim)
 }
 

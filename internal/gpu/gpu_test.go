@@ -261,3 +261,52 @@ func TestSkipPerturbMatchesPerturbStream(t *testing.T) {
 		t.Error("SkipPerturb desynchronized the noise stream")
 	}
 }
+
+// alternatingDims is the rotation a trainer perturbs in: each layer's weight
+// matrix, then its bias (W, b, W, b, …), every step.
+var alternatingDims = []int{48 * 64, 64, 64 * 32, 32, 32 * 10, 10}
+
+func TestPerturbMatchesStepNoiseAcrossAlternatingDims(t *testing.T) {
+	// The reused scratch must not move a bit of the noise stream: Perturb
+	// over a rotation of tensor sizes adds exactly what StepNoise returns.
+	a, err := NewDevice(G3090, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDevice(G3090, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		for _, dim := range alternatingDims {
+			got := tensor.NewVector(dim)
+			a.Perturb(got)
+			if want := b.StepNoise(dim); !got.Equal(want, 0) {
+				t.Fatalf("step %d dim %d: Perturb diverged from StepNoise", step, dim)
+			}
+		}
+	}
+}
+
+func TestPerturbAllocFreeAcrossAlternatingDims(t *testing.T) {
+	d, err := NewDevice(G3090, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]tensor.Vector, len(alternatingDims))
+	for i, dim := range alternatingDims {
+		weights[i] = tensor.NewVector(dim)
+	}
+	step := func() {
+		for _, w := range weights {
+			d.Perturb(w)
+		}
+		for _, w := range weights {
+			d.SkipPerturb(len(w))
+		}
+	}
+	step() // first sight of each dimension builds its bias vectors
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("Perturb/SkipPerturb allocate %.0f times per step over alternating dimensions, want 0", allocs)
+	}
+}

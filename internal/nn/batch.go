@@ -33,9 +33,9 @@ const maxBatchChunks = 16
 // chunked fallback may differ from serial in low-order float bits on layers
 // that accumulate several gradient terms per parameter per example (Conv2D):
 // the serial loop folds those terms into the running cross-example total,
-// while the chunked merge folds per-chunk subtotals. Callers choose one
-// semantics and stay with it (rpol gates on Workers == 0 for the legacy
-// path).
+// while the chunked merge folds per-chunk subtotals. So rpol drives every
+// BatchCapable network through this trainer at any worker count, and keeps
+// Network.TrainBatch only for a conv stack at Workers ≤ 0.
 //
 // The trainer snapshots the network's layer graph and parameter layout at
 // construction; mutate the architecture afterwards and the trainer is stale.
@@ -76,14 +76,7 @@ func NewBatchTrainer(net *Network, pool *parallel.Pool) (*BatchTrainer, error) {
 		params: net.Params(),
 		grads:  net.Grads(),
 	}
-	allBatch := true
-	for _, l := range net.Layers {
-		if !batchCapable(l) {
-			allBatch = false
-			break
-		}
-	}
-	if allBatch {
+	if net.BatchCapable() {
 		rep, err := net.Replicate(true)
 		if err != nil {
 			return nil, err

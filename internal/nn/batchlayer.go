@@ -46,6 +46,17 @@ func batchCapable(l Layer) bool {
 	return false
 }
 
+// BatchCapable reports whether every layer runs the whole-batch GEMM path,
+// i.e. whether BatchTrainer is bit-identical to TrainBatch on this network.
+func (n *Network) BatchCapable() bool {
+	for _, l := range n.Layers {
+		if !batchCapable(l) {
+			return false
+		}
+	}
+	return true
+}
+
 // ForwardBatch computes W·x + b for every row of x in one GEMM call. The
 // pack scratch (arena-recycled) unlocks the SIMD kernel where the host has
 // one; the result is bit-identical with or without it.

@@ -151,5 +151,5 @@ func SetDefaultWorkers(n int) {
 }
 
 // DefaultWorkers returns the process-wide worker budget; 0 means "no
-// parallel runtime requested" (legacy serial paths).
+// goroutines requested" (the same kernels on the calling goroutine).
 func DefaultWorkers() int { return int(defaultWorkers.Load()) }

@@ -68,8 +68,9 @@ type Config struct {
 	// an execution knob, not a protocol parameter: results are bit-identical
 	// for any value ≥ 1 (see internal/parallel). 0 falls back to the
 	// process-wide default (parallel.DefaultWorkers, set by the -jobs flag),
-	// which itself defaults to the historical serial paths; negative forces
-	// serial regardless of the process default.
+	// which itself defaults to no goroutines: the same training kernels on
+	// the calling goroutine, sampled intervals verified one after another.
+	// Negative forces that regardless of the process default.
 	Workers int
 	// Seed makes the whole pool construction and run reproducible.
 	Seed int64

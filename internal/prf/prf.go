@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 )
 
 // Nonce is the per-(worker, epoch) seed issued by the pool manager before
@@ -26,9 +27,17 @@ type Nonce uint64
 var ErrEmptyDataset = errors.New("prf: empty dataset")
 
 // PRF is a keyed pseudo-random function based on HMAC-SHA256. The zero value
-// is not usable; construct with New.
+// is not usable; construct with New. Eval, EvalBytes and DataIndex are safe
+// for concurrent use; the batch-schedule methods share scratch and are not.
 type PRF struct {
 	key []byte
+
+	// mac is the one keyed HMAC the batch schedule reuses (Reset returns it
+	// to the keyed state), built on the first batch; in and sum are its
+	// input and output scratch.
+	mac hash.Hash
+	in  [8]byte
+	sum [sha256.Size]byte
 }
 
 // New returns a PRF keyed with key. The key is copied.
@@ -73,9 +82,11 @@ func (p *PRF) DataIndex(step, n, datasetSize int) (int, error) {
 	if datasetSize <= 0 {
 		return 0, ErrEmptyDataset
 	}
-	x := uint64(step)*uint64(batchStride) + uint64(n)
-	return int(p.Eval(x) % uint64(datasetSize)), nil
+	return int(p.Eval(scheduleInput(step, n)) % uint64(datasetSize)), nil
 }
+
+// scheduleInput is the PRF input selecting the n-th element of step m's batch.
+func scheduleInput(step, n int) uint64 { return uint64(step)*batchStride + uint64(n) }
 
 // batchStride separates the PRF input domains of distinct steps. The paper
 // writes PRF(N×m + n); using a large constant stride keeps step domains
@@ -87,18 +98,30 @@ const batchStride = 1 << 20
 // The same (PRF, step) always produces the same batch, which is what lets the
 // manager re-execute sampled steps bit-for-bit.
 func (p *PRF) BatchIndices(step, batchSize, datasetSize int) ([]int, error) {
-	if datasetSize <= 0 {
-		return nil, ErrEmptyDataset
-	}
 	out := make([]int, batchSize)
-	for n := range out {
-		idx, err := p.DataIndex(step, n, datasetSize)
-		if err != nil {
-			return nil, err
-		}
-		out[n] = idx
+	if err := p.FillBatchIndices(out, step, datasetSize); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// FillBatchIndices is BatchIndices into a caller-owned slice whose length is
+// the batch size: out[n] = DataIndex(step, n, datasetSize), computed without
+// keying a fresh HMAC per index and without allocating after the first call.
+func (p *PRF) FillBatchIndices(out []int, step, datasetSize int) error {
+	if datasetSize <= 0 {
+		return ErrEmptyDataset
+	}
+	if p.mac == nil {
+		p.mac = hmac.New(sha256.New, p.key)
+	}
+	for n := range out {
+		binary.BigEndian.PutUint64(p.in[:], scheduleInput(step, n))
+		p.mac.Reset()
+		p.mac.Write(p.in[:])
+		out[n] = int(binary.BigEndian.Uint64(p.mac.Sum(p.sum[:0])) % uint64(datasetSize))
+	}
+	return nil
 }
 
 // DeriveNonce deterministically derives a per-(worker, epoch) nonce from a

@@ -190,3 +190,58 @@ func TestEvalBytes(t *testing.T) {
 		t.Error("EvalBytes must differ across inputs")
 	}
 }
+
+// TestBatchScheduleGolden pins the batch schedule, which is protocol: a
+// worker and the manager replaying it must select the same examples, across
+// versions as well as within one. Each row was produced by DataIndex before
+// BatchIndices shared one keyed HMAC; both forms must keep reproducing it.
+func TestBatchScheduleGolden(t *testing.T) {
+	golden := []struct {
+		nonce      Nonce
+		step, size int
+		want       []int
+	}{
+		{0x0, 0, 1, []int{0, 0, 0}},
+		{0x1, 0, 200, []int{189, 164, 7, 35}},
+		{0x3039, 7, 400, []int{81, 89, 162, 177}},
+		{0x3039, 8, 400, []int{298, 4, 272, 153}},
+		{0xdeadbeefcafef00d, 39, 181, []int{44, 145, 138, 39}},
+		{0xffffffffffffffff, 1 << 20, 1 << 30, []int{721255651, 495102747, 447636028, 1013268791}},
+		{0x2a, 1000003, 7, []int{6, 4, 0, 0}},
+	}
+	for _, g := range golden {
+		p := NewFromNonce(g.nonce)
+		got, err := p.BatchIndices(g.step, len(g.want), g.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, want := range g.want {
+			if got[n] != want {
+				t.Errorf("nonce %#x step %d size %d: BatchIndices[%d] = %d, want %d",
+					uint64(g.nonce), g.step, g.size, n, got[n], want)
+			}
+			if idx, err := p.DataIndex(g.step, n, g.size); err != nil || idx != want {
+				t.Errorf("nonce %#x step %d size %d: DataIndex(%d) = %d, %v, want %d",
+					uint64(g.nonce), g.step, g.size, n, idx, err, want)
+			}
+		}
+	}
+}
+
+// TestFillBatchIndicesAllocFree guards the step loop: after the first call
+// keyed the HMAC, scheduling a batch allocates nothing.
+func TestFillBatchIndicesAllocFree(t *testing.T) {
+	p := NewFromNonce(7)
+	out := make([]int, 32)
+	step := 0
+	fill := func() {
+		step++
+		if err := p.FillBatchIndices(out, step, 181); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(50, fill); allocs != 0 {
+		t.Errorf("FillBatchIndices allocates %.0f times per call, want 0", allocs)
+	}
+}

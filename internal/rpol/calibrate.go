@@ -41,6 +41,10 @@ type Calibrator struct {
 	// manager's epoch span) and may be nil.
 	Obs   *obs.Observer
 	Trace *obs.Span
+
+	// trainer runs every probe for the calibrator's lifetime: its runtime is
+	// built once, on the first step.
+	trainer *Trainer
 }
 
 // reproErrorBuckets are the fixed histogram bounds for measured
@@ -111,26 +115,25 @@ func (c *Calibrator) Calibrate(p TaskParams, top1, top2 gpu.Profile, probeSeeds 
 // returns the Euclidean reproduction errors of all comparable checkpoints.
 func (c *Calibrator) MeasureErrors(p TaskParams, top1, top2 gpu.Profile, probeSeeds [2]int64) ([]float64, error) {
 	o := c.Obs.OrDefault()
-	run := func(profile gpu.Profile, seed int64) (*Trace, error) {
-		device, err := gpu.NewDevice(profile, seed)
+	if c.trainer == nil || c.trainer.Net != c.Net {
+		c.trainer = &Trainer{Net: c.Net}
+	}
+	c.trainer.Shard, c.trainer.Steps = c.Shard, o.Counter("rpol_probe_steps_total")
+	var traces [2]*Trace
+	for i, profile := range [2]gpu.Profile{top1, top2} {
+		device, err := gpu.NewDevice(profile, probeSeeds[i])
 		if err != nil {
 			return nil, fmt.Errorf("rpol calibrate: %w", err)
 		}
+		c.trainer.Device = device
 		probeSpan := o.Start(c.Trace, "calibrate.probe", obs.String("gpu", profile.Name))
-		defer probeSpan.End()
-		trainer := &Trainer{Net: c.Net, Shard: c.Shard, Device: device,
-			Steps: o.Counter("rpol_probe_steps_total")}
-		return trainer.RunEpoch(p)
+		traces[i], err = c.trainer.RunEpoch(p)
+		probeSpan.End()
+		if err != nil {
+			return nil, err
+		}
 	}
-	t1, err := run(top1, probeSeeds[0])
-	if err != nil {
-		return nil, err
-	}
-	t2, err := run(top2, probeSeeds[1])
-	if err != nil {
-		return nil, err
-	}
-	return TraceDistances(t1, t2)
+	return TraceDistances(traces[0], traces[1])
 }
 
 // TraceDistances returns the per-checkpoint Euclidean distances between two

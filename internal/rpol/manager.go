@@ -10,7 +10,6 @@ import (
 	"rpol/internal/fsio"
 	"rpol/internal/gpu"
 	"rpol/internal/journal"
-	"rpol/internal/lsh"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
 	"rpol/internal/prf"
@@ -75,10 +74,11 @@ type ManagerConfig struct {
 	// Workers sizes the deterministic compute pool threaded through the
 	// epoch: workers' batch training and commitment hashing (via
 	// TaskParams.Workers) and the manager's own interval verification. 0
-	// keeps the historical serial paths; any n ≥ 1 yields bit-identical
-	// protocol results for every n (see internal/parallel). Distinct from
-	// ParallelVerifiers, which fans independent submissions across verifier
-	// instances rather than parallelizing one submission's compute.
+	// runs the same kernels without goroutines; any n ≥ 1 yields
+	// bit-identical protocol results for every n (see internal/parallel).
+	// Distinct from ParallelVerifiers, which fans independent submissions
+	// across verifier instances rather than parallelizing one submission's
+	// compute.
 	Workers int
 	// Journal, when set, makes the manager log every protocol transition
 	// (task announced, commitment received, samples drawn, verdict recorded)
@@ -102,14 +102,17 @@ type ManagerConfig struct {
 type Manager struct {
 	cfg     ManagerConfig
 	global  tensor.Vector
-	net     *nn.Network // architecture for verification re-execution
 	workers []Worker
 	shards  map[string]*dataset.Dataset
-	probe   *dataset.Dataset
 	device  *gpu.Device
 	rng     *tensor.RNG
 	epoch   int
 	obs     *obs.Observer
+
+	// verifier and calibrator live as long as the manager, so the training
+	// runtime each builds on its first step serves every later epoch.
+	verifier   *Verifier
+	calibrator *Calibrator
 
 	// lastCal is the most recent calibration (nil before the first
 	// calibrated epoch or under the baseline scheme).
@@ -168,16 +171,19 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 	if err != nil {
 		return nil, fmt.Errorf("rpol manager: %w", err)
 	}
+	o := cfg.Obs.OrDefault()
 	return &Manager{
 		cfg:     cfg,
 		global:  net.ParamVector(),
-		net:     net,
 		workers: workers,
 		shards:  shards,
-		probe:   probe,
 		device:  device,
 		rng:     tensor.NewRNG(cfg.Seed),
-		obs:     cfg.Obs.OrDefault(),
+		obs:     o,
+		verifier: &Verifier{Scheme: cfg.Scheme, Net: net, Samples: cfg.Samples,
+			Obs: o, Workers: cfg.Workers},
+		calibrator: &Calibrator{Net: net, Shard: probe, XFactor: cfg.XFactor,
+			YOffset: cfg.YOffset, KLsh: cfg.KLsh, Obs: o},
 	}, nil
 }
 
@@ -271,18 +277,18 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		MerkleCommit:    m.cfg.MerkleCommit,
 	}
 
-	verifier := &Verifier{
-		Scheme:  m.cfg.Scheme,
-		Net:     m.net,
-		Device:  m.device,
-		Samples: m.cfg.Samples,
-		Sampler: m.rng,
-		Obs:     m.obs,
-		Workers: m.cfg.Workers,
-	}
+	// The device and sampler are re-derived per epoch under a journal.
+	verifier := m.verifier
+	verifier.Device, verifier.Sampler = m.device, m.rng
 
 	if m.cfg.Scheme != SchemeBaseline {
-		cal, fam, err := m.calibrate(baseParams, epochSpan)
+		// Adaptive calibration for the upcoming epoch. The probe's results
+		// could be aggregated too (the paper notes the probe is not wasted
+		// work); here it is used purely for measurement.
+		top1, top2 := m.topTwoProfiles()
+		m.calibrator.Trace = epochSpan
+		probeSeeds := [2]int64{m.rng.Int63(), m.rng.Int63()}
+		cal, fam, err := m.calibrator.Calibrate(baseParams, top1, top2, probeSeeds, m.rng.Int63())
 		if err != nil {
 			return nil, err
 		}
@@ -559,24 +565,4 @@ func (m *Manager) verifyAll(verifier *Verifier, subs []Submission) ([]*VerifyOut
 		outcomes = append(outcomes, outcome)
 	}
 	return outcomes, nil
-}
-
-// calibrate runs the adaptive calibration for the upcoming epoch. The probe
-// sub-task's results could be aggregated too (the paper notes the probe is
-// not wasted work); here it is used purely for measurement. parent is the
-// epoch span the calibration spans nest under.
-func (m *Manager) calibrate(p TaskParams, parent *obs.Span) (*Calibration, *lsh.Family, error) {
-	top1, top2 := m.topTwoProfiles()
-	calibrator := &Calibrator{
-		Net:     m.net,
-		Shard:   m.probe,
-		XFactor: m.cfg.XFactor,
-		YOffset: m.cfg.YOffset,
-		KLsh:    m.cfg.KLsh,
-		Obs:     m.obs,
-		Trace:   parent,
-	}
-	probeSeeds := [2]int64{m.rng.Int63(), m.rng.Int63()}
-	lshSeed := m.rng.Int63()
-	return calibrator.Calibrate(p, top1, top2, probeSeeds, lshSeed)
 }

@@ -7,7 +7,6 @@ import (
 	"rpol/internal/gpu"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
-	"rpol/internal/parallel"
 	"rpol/internal/prf"
 	"rpol/internal/tensor"
 )
@@ -37,11 +36,12 @@ type Trainer struct {
 	// rpol_probe_steps_total for calibration probes — so one trainer type
 	// serves all three without double counting.
 	Steps *obs.Counter
-	// Workers selects the training runtime: 0 keeps the historical serial
-	// TrainBatch path, any n ≥ 1 trains each batch through the chunked
-	// deterministic runtime of internal/parallel (nn.BatchTrainer), whose
-	// results are bit-identical for every n. RunEpoch adopts the task's
-	// TaskParams.Workers; verification sets the field directly.
+	// Workers sizes the compute pool, never the kernels: a GEMM-capable
+	// network (nn.Network.BatchCapable — every dense zoo proxy) always steps
+	// through nn.BatchTrainer, at 0 without goroutines, and produces the same
+	// bits at every value. Only a conv stack still forks on it: per-example
+	// TrainBatch at 0, the chunked runtime at n ≥ 1. RunEpoch adopts the
+	// task's TaskParams.Workers; verification sets the field directly.
 	Workers int
 	// Sink, when set, receives every checkpoint the moment RunEpoch snapshots
 	// it (index 0 carries the initial weights). Workers use it to stream
@@ -49,55 +49,58 @@ type Trainer struct {
 	// at most the interval in flight. A Sink error aborts the epoch.
 	Sink func(idx, step int, w tensor.Vector) error
 
-	// Lazily-built parallel runtime (first parallel training step).
-	pool *parallel.Pool
-	bt   *nn.BatchTrainer
+	// Runtime and per-step batch buffers, built on the first training step
+	// and reused for the trainer's lifetime.
+	bt     *nn.BatchTrainer
+	idxs   []int
+	xs     []tensor.Vector
+	labels []int
 }
 
-// SetWorkers reconfigures the training runtime, discarding any replicas
-// built for a previous worker count. Results are unchanged for any n ≥ 1.
+// SetWorkers reconfigures the compute pool, discarding the runtime built for
+// a previous worker count.
 func (t *Trainer) SetWorkers(n int) {
-	if n == t.Workers {
-		return
+	if n != t.Workers {
+		t.Workers, t.bt = n, nil
 	}
-	t.Workers = n
-	t.pool = nil
-	t.bt = nil
 }
 
-// trainStep runs one optimization step through the runtime Workers selects.
-func (t *Trainer) trainStep(xs []tensor.Vector, labels []int, opt nn.Optimizer) (float64, error) {
-	if t.Workers <= 0 {
-		return t.Net.TrainBatch(xs, labels, opt)
-	}
+// trainStep runs one optimization step on the runtime the network's layers
+// select; only a conv stack still looks at Workers (see the field).
+func (t *Trainer) trainStep(opt nn.Optimizer) (float64, error) {
 	if t.bt == nil {
-		t.pool = parallel.New(t.Workers)
-		bt, err := nn.NewBatchTrainer(t.Net, t.pool)
+		if t.Workers <= 0 && !t.Net.BatchCapable() {
+			return t.Net.TrainBatch(t.xs, t.labels, opt)
+		}
+		bt, err := nn.NewBatchTrainer(t.Net, poolFor(t.Workers))
 		if err != nil {
-			return 0, fmt.Errorf("rpol parallel trainer: %w", err)
+			return 0, fmt.Errorf("rpol trainer: %w", err)
 		}
 		t.bt = bt
 	}
-	return t.bt.TrainBatch(xs, labels, opt)
+	return t.bt.TrainBatch(t.xs, t.labels, opt)
 }
 
-// batch materializes the deterministic batch for the given step.
-func (t *Trainer) batch(p *prf.PRF, step, batchSize int) ([]tensor.Vector, []int, error) {
-	idxs, err := p.BatchIndices(step, batchSize, t.Shard.Len())
-	if err != nil {
-		return nil, nil, fmt.Errorf("rpol batch at step %d: %w", step, err)
+// batch materializes the deterministic batch for the given step into the
+// trainer's reused buffers.
+func (t *Trainer) batch(p *prf.PRF, step, batchSize int) error {
+	if cap(t.idxs) < batchSize {
+		t.idxs = make([]int, batchSize)
+		t.xs = make([]tensor.Vector, batchSize)
+		t.labels = make([]int, batchSize)
 	}
-	xs := make([]tensor.Vector, len(idxs))
-	labels := make([]int, len(idxs))
-	for i, idx := range idxs {
+	t.idxs, t.xs, t.labels = t.idxs[:batchSize], t.xs[:batchSize], t.labels[:batchSize]
+	if err := p.FillBatchIndices(t.idxs, step, t.Shard.Len()); err != nil {
+		return fmt.Errorf("rpol batch at step %d: %w", step, err)
+	}
+	for i, idx := range t.idxs {
 		ex, err := t.Shard.At(idx)
 		if err != nil {
-			return nil, nil, fmt.Errorf("rpol batch at step %d: %w", step, err)
+			return fmt.Errorf("rpol batch at step %d: %w", step, err)
 		}
-		xs[i] = ex.Features
-		labels[i] = ex.Label
+		t.xs[i], t.labels[i] = ex.Features, ex.Label
 	}
-	return xs, labels, nil
+	return nil
 }
 
 // ExecuteInterval trains from `start` weights for `steps` steps beginning at
@@ -113,16 +116,16 @@ func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h H
 		return nil, fmt.Errorf("rpol interval: %w", err)
 	}
 	schedule := prf.NewFromNonce(nonce)
+	params := t.Net.Params()
 	for s := 0; s < steps; s++ {
-		xs, labels, err := t.batch(schedule, startStep+s, h.BatchSize)
-		if err != nil {
+		if err := t.batch(schedule, startStep+s, h.BatchSize); err != nil {
 			return nil, err
 		}
-		if _, err := t.trainStep(xs, labels, opt); err != nil {
+		if _, err := t.trainStep(opt); err != nil {
 			return nil, fmt.Errorf("rpol interval step %d: %w", startStep+s, err)
 		}
 		if t.Device != nil {
-			for _, param := range t.Net.Params() {
+			for _, param := range params {
 				t.Device.Perturb(param)
 			}
 		}

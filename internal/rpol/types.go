@@ -97,12 +97,12 @@ type TaskParams struct {
 	// manager → worker → verify span hierarchy.
 	Trace *obs.Span
 	// Workers sizes the deterministic compute pool for this task's batch
-	// training and commitment hashing: 0 keeps the historical serial code
-	// paths, and any n ≥ 1 runs the chunked runtime of internal/parallel,
-	// whose results are bit-identical for every n. Like Trace it is a
-	// process-local execution knob, never transmitted (the wire encoding
-	// drops it) — it configures how a machine computes, not what the
-	// protocol computes.
+	// training and commitment hashing: 0 runs the same kernels without
+	// goroutines, any n ≥ 1 spreads them over n, and the results are
+	// bit-identical at every value (conv stacks excepted — see
+	// Trainer.Workers). Like Trace it is a process-local execution knob,
+	// never transmitted (the wire encoding drops it) — it configures how a
+	// machine computes, not what the protocol computes.
 	Workers int
 }
 

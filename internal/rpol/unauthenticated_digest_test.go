@@ -1,6 +1,7 @@
 package rpol
 
 import (
+	"strings"
 	"testing"
 
 	"rpol/internal/commitment"
@@ -29,10 +30,14 @@ func (o *forgedDigestOpener) OpenProof(idx int) (LeafProof, error) {
 	return lp, nil
 }
 
-func TestPoCCompareLSHAcceptsUnauthenticatedDigest(t *testing.T) {
-	worker, result, p, verifier, ds := buildMerkleSetup(t, SchemeV2)
-	_ = ds
-	// Sanity: the garbage proof must fail root verification.
+// TestCompareLSHRejectsUnauthenticatedDigest is the regression for the hole
+// PR 9's review found: under the Merkle commitment compareLSH decoded and
+// fuzzy-matched the digest riding with a pulled proof without ever checking
+// the proof against the root, so a worker could commit garbage and answer
+// the sampled output leaves adaptively. No byte of the digest may reach the
+// verdict — or the byte tallies — before VerifyMerkle accepts it.
+func TestCompareLSHRejectsUnauthenticatedDigest(t *testing.T) {
+	worker, result, _, verifier, _ := buildMerkleSetup(t, SchemeV2)
 	opener := &forgedDigestOpener{inner: worker}
 	lp, err := opener.OpenProof(1)
 	if err != nil {
@@ -41,7 +46,8 @@ func TestPoCCompareLSHAcceptsUnauthenticatedDigest(t *testing.T) {
 	if err := commitment.VerifyMerkle(result.MerkleRoot, result.NumCheckpoints, lp.Digest, lp.Proof); err == nil {
 		t.Fatal("sanity: zeroed-sibling proof unexpectedly verifies")
 	}
-	// Re-execute interval 0 honestly so compareLSH's reexec matches.
+	// The honest output checkpoint stands in for a perfect re-execution, so
+	// the forged proof is the only thing wrong with this interval.
 	reexec, err := worker.OpenCheckpoint(1)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +59,12 @@ func TestPoCCompareLSHAcceptsUnauthenticatedDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ok {
-		t.Log("VULNERABILITY CONFIRMED: compareLSH accepted a digest whose Merkle proof does not verify against the committed root")
-		t.Fail()
+		t.Fatal("compareLSH accepted a digest whose Merkle proof does not verify against the committed root")
 	}
-	_ = p
+	if !strings.Contains(out.FailReason, "digest not committed") {
+		t.Errorf("FailReason = %q, want the digest reported as not committed", out.FailReason)
+	}
+	if out.CommBytes != 0 || out.CommitBytes != 0 {
+		t.Errorf("unauthenticated pull tallied %d comm / %d commit bytes, want 0", out.CommBytes, out.CommitBytes)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rpol/internal/commitment"
 	"rpol/internal/dataset"
@@ -43,18 +44,22 @@ type Verifier struct {
 	// rewards for honesty; this switch exists for the ablation that
 	// quantifies exactly that.
 	DisableDoubleCheck bool
-	// Workers sizes the deterministic compute pool for verification: 0 keeps
-	// the historical serial path; any n ≥ 1 re-executes the sampled
-	// intervals concurrently, each on a detached replica of Net and a forked
-	// Device, and runs each replay through the chunked training runtime.
-	// Outcomes merge in sampled order, so the verdict is deterministic for
-	// every n ≥ 1. Openers must then tolerate concurrent OpenCheckpoint
-	// calls (all in-process workers, adversaries and stores do; a worker
-	// multiplexed over a single sequential wire transport does not).
+	// Workers sizes the deterministic compute pool for verification. Replay
+	// runs the same kernels at every value (see Trainer.Workers): 0 replays
+	// the sampled intervals in turn on Net and Device; any n ≥ 1 replays
+	// them concurrently, each on a detached replica of Net and a forked
+	// Device. Outcomes merge in sampled order, so the verdict is
+	// deterministic for every n ≥ 1. Openers must then tolerate concurrent
+	// OpenCheckpoint calls (all in-process workers, adversaries and stores
+	// do; a worker multiplexed over a single sequential wire transport does not).
 	Workers int
 	// Obs routes verification metrics and spans; nil falls back to the
 	// process default observer.
 	Obs *obs.Observer
+
+	// trainer replays every interval the serial loop verifies, for the
+	// verifier's lifetime: its runtime is built once, on the first step.
+	trainer *Trainer
 }
 
 // observer resolves the verifier's observer against the process default.
@@ -212,10 +217,14 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 		return out, nil
 	}
 
-	trainer := &Trainer{Net: v.Net, Shard: shard, Device: v.Device,
-		Steps: v.observer().Counter("rpol_reexec_steps_total"), Workers: v.Workers}
+	if v.trainer == nil || v.trainer.Net != v.Net {
+		v.trainer = &Trainer{Net: v.Net}
+	}
+	v.trainer.Shard, v.trainer.Device = shard, v.Device
+	v.trainer.Steps = v.observer().Counter("rpol_reexec_steps_total")
+	v.trainer.SetWorkers(v.Workers)
 	for _, c := range out.SampledCheckpoints {
-		ok, err := v.verifyInterval(trainer, opener, result, p, c, out, span, &encBuf)
+		ok, err := v.verifyInterval(v.trainer, opener, result, p, c, out, span, &encBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -269,12 +278,10 @@ func (v *Verifier) verifyIntervalsParallel(opener ProofOpener, shard *dataset.Da
 			if v.Device != nil {
 				device = v.Device.Fork(int64(c))
 			}
-			// Workers: 1 runs the replay through the chunked training
-			// runtime (bit-identical to any n ≥ 1 a worker trained with)
-			// without nesting a second level of goroutines under the
-			// interval-level pool. Steps land in the interval's private
-			// tally; the merge loop below credits the accepted prefix to
-			// the global counter.
+			// Workers: 1 keeps a conv stack on the runtime workers at n ≥ 1
+			// trained with, without nesting goroutines under the interval
+			// pool. Steps land in the interval's private tally; the merge
+			// loop below credits the accepted prefix to the global counter.
 			var tally obs.Counter
 			trainer := &Trainer{Net: net, Shard: shard, Device: device, Steps: &tally, Workers: 1}
 			sub := &VerifyOutcome{WorkerID: out.WorkerID, Epoch: out.Epoch}
@@ -385,11 +392,8 @@ func (v *Verifier) checkOpening(opener ProofOpener, result *EpochResult, idx int
 			return buf, err
 		}
 	} else {
-		// v2: the proof authenticates the committed digest encoding; the
+		// v2: pullProof authenticated the committed digest encoding; the
 		// opened weights must hash to exactly that digest.
-		if err := commitment.VerifyMerkle(result.MerkleRoot, result.NumCheckpoints, lp.Digest, lp.Proof); err != nil {
-			return buf, err
-		}
 		d, err := fam.Hash(weights)
 		if err != nil {
 			return buf, fmt.Errorf("rpol opening %d: %w", idx, err)
@@ -405,9 +409,10 @@ func (v *Verifier) checkOpening(opener ProofOpener, result *EpochResult, idx int
 
 // pullProof requests the inclusion proof for leaf idx from the opener and
 // performs the checks every pull needs: the worker answered for the leaf that
-// was asked, and under v2 a committed digest rides along. Authentication
-// against the root is the caller's job (the authenticated payload differs
-// between v1 and v2).
+// was asked, and under v2 a digest rides along and is the leaf the proof
+// authenticates against the root — no byte of it reaches a caller before
+// that. Under v1 the leaf is the weight encoding, which the caller holds and
+// authenticates.
 func (v *Verifier) pullProof(opener ProofOpener, result *EpochResult, idx int) (LeafProof, error) {
 	lp, err := opener.OpenProof(idx)
 	if err != nil {
@@ -416,8 +421,14 @@ func (v *Verifier) pullProof(opener ProofOpener, result *EpochResult, idx int) (
 	if lp.Proof.Index != idx {
 		return LeafProof{}, fmt.Errorf("proof answers leaf %d, want %d", lp.Proof.Index, idx)
 	}
-	if v.lshFamily() != nil && len(lp.Digest) == 0 {
+	if v.lshFamily() == nil {
+		return lp, nil
+	}
+	if len(lp.Digest) == 0 {
 		return LeafProof{}, fmt.Errorf("proof %d carries no digest", idx)
+	}
+	if err := commitment.VerifyMerkle(result.MerkleRoot, result.NumCheckpoints, lp.Digest, lp.Proof); err != nil {
+		return LeafProof{}, err
 	}
 	return lp, nil
 }
@@ -427,19 +438,6 @@ func tallyPull(out *VerifyOutcome, lp LeafProof) {
 	n := int64(lp.Size())
 	out.CommitBytes += n
 	out.CommBytes += n
-}
-
-// digestsEqual reports exact (not fuzzy) digest equality.
-func digestsEqual(a, b lsh.Digest) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // compareRaw is RPoLv1: fetch the raw output weights and compare Euclidean
@@ -472,9 +470,9 @@ func (v *Verifier) compareRaw(opener ProofOpener, result *EpochResult, c int, re
 func (v *Verifier) compareLSH(opener ProofOpener, result *EpochResult, c int, reexec tensor.Vector, out *VerifyOutcome, encBuf *[]byte) (bool, error) {
 	var committed lsh.Digest
 	if result.HasRoot {
-		// The digest rides with its inclusion proof: pull, authenticate
-		// against the root, then decode. Only this pull costs bytes — the
-		// legacy scheme already shipped every digest with the submission.
+		// The digest rides with its inclusion proof: pullProof authenticates
+		// it against the root, then it is decoded. Only this pull costs bytes
+		// — the legacy scheme already shipped every digest with the submission.
 		lp, err := v.pullProof(opener, result, c+1)
 		if err != nil {
 			out.FailReason = fmt.Sprintf("checkpoint %d digest not committed: %v", c+1, err)
@@ -524,7 +522,7 @@ func (v *Verifier) compareLSH(opener ProofOpener, result *EpochResult, c int, re
 		if err != nil {
 			return false, fmt.Errorf("rpol verify double-check lsh: %w", err)
 		}
-		if !digestsEqual(d, committed) {
+		if !slices.Equal(d, committed) {
 			out.FailReason = fmt.Sprintf("double-check %d opening rejected: %v", c+1, commitment.ErrMismatch)
 			return false, nil
 		}

@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +17,37 @@ import (
 // TestManagerOverTCPEndToEnd runs the full manager/worker protocol through
 // the real TCP hub: the same rpol.Manager, the same WorkerServer, just a
 // socket fabric instead of the in-memory bus.
+//
+// Each case's fingerprint — every verdict's tallies and the global model
+// after two epochs — is pinned from the commit before remote workers, probes
+// and replay moved onto the batched training runtime (TaskParams.Workers is
+// not transmitted, so they all run at Workers 0): the runtime changed, no
+// protocol bit did. The second epoch re-enters the manager's long-lived
+// verifier and calibrator trainers.
 func TestManagerOverTCPEndToEnd(t *testing.T) {
+	cases := []struct {
+		name   string
+		scheme rpol.Scheme
+		merkle bool
+		want   string
+	}{
+		{"v1-hashlist", rpol.SchemeV1, false, "1b3a37fdcd4088cfbe4164ad434fb984"},
+		{"v2-merkle", rpol.SchemeV2, true, "72ef35a56a6bb940037358ad5c434e2d"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := tcpEpochsFingerprint(t, c.scheme, c.merkle)
+			if runtime.GOARCH != "amd64" {
+				t.Skipf("fingerprint %s pinned on amd64 only: other targets may fuse multiply-adds", got)
+			}
+			if got != c.want {
+				t.Errorf("fingerprint %s, want %s", got, c.want)
+			}
+		})
+	}
+}
+
+func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) string {
 	hub, err := netsim.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +109,8 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 	managerNet, _ := wireTask(t, 50)
 	manager, err := rpol.NewManager(rpol.ManagerConfig{
 		Address:         "tcp-manager",
-		Scheme:          rpol.SchemeV1,
+		Scheme:          scheme,
+		MerkleCommit:    merkle,
 		Hyper:           rpol.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: 8},
 		StepsPerEpoch:   10,
 		CheckpointEvery: 5,
@@ -88,18 +123,21 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := manager.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Accepted != n || report.Rejected != 0 {
+	h := sha256.New()
+	for epoch := 0; epoch < 2; epoch++ {
+		report, err := manager.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, o := range report.Outcomes {
 			if !o.Accepted {
-				t.Logf("%s: %s", o.WorkerID, o.FailReason)
+				t.Errorf("epoch %d: %s rejected: %s", epoch, o.WorkerID, o.FailReason)
 			}
+			fmt.Fprintf(h, "%s/%v/%v/%d/%d/%d/%d/%d;", o.WorkerID, o.Accepted, o.SampledCheckpoints,
+				o.CommBytes, o.CommitBytes, o.ReexecSteps, o.LSHMisses, o.DoubleChecks)
 		}
-		t.Fatalf("accepted %d rejected %d", report.Accepted, report.Rejected)
 	}
+	h.Write(manager.Global().Encode())
 	if hub.Meter().Total() == 0 {
 		t.Error("no bytes metered over TCP")
 	}
@@ -107,4 +145,5 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 	// Shut the servers down cleanly.
 	hub.Close()
 	wg.Wait()
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
