@@ -1,0 +1,194 @@
+package rpol_test
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	rpolapi "rpol"
+	"rpol/internal/adversary"
+	"rpol/internal/checkpoint"
+	"rpol/internal/tensor"
+)
+
+// TestEpochAllocationBudget is the standing guard on what an epoch
+// allocates: a seeded four-worker RPoLv2 Merkle pool over a loopback TCP hub,
+// assembled the way benchmark/ assembles ref10_v2_tcp, must stay under a
+// budget counted in model vectors — the checkpoints it produces, the vectors
+// it decodes off the wire, and a stated slack — so a buffer that loses its
+// owner (a clone per checkpoint, optimizer state per interval, a family per
+// task decode, a replica per sampled interval, a second copy of every hub
+// frame) fails here instead of rotting the benchmark.
+func TestEpochAllocationBudget(t *testing.T) {
+	const (
+		workers = 4 // three honest, one Adv2
+		steps   = 20
+		every   = 5
+		samples = 3
+		lshK    = 16 // the calibrator's K·L: projection vectors per family
+	)
+	spec, err := rpolapi.Task("resnet18-cifar10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, train, _, err := spec.BuildProxy(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := train.Partition(workers + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := rpolapi.NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var servers sync.WaitGroup
+	defer func() {
+		hub.Close()
+		servers.Wait()
+	}()
+	managerConn, err := rpolapi.DialHub(hub.Addr(), "manager")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = managerConn.Close() }()
+	port, err := rpolapi.NewManagerPort(managerConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := rpolapi.GPUProfiles()
+	remotes := make([]rpolapi.ProtocolWorker, 0, workers)
+	shardMap := make(map[string]*rpolapi.Dataset, workers)
+	for i := 0; i < workers; i++ {
+		net, err := spec.BuildProxyNet(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var local rpolapi.ProtocolWorker
+		if i == 0 {
+			local, err = adversary.NewAdv2("adv2-0", profiles[0], 1000, net, shards[i], 0.1, 0.5)
+		} else {
+			var hw *rpolapi.HonestWorker
+			hw, err = rpolapi.NewHonestWorker(fmt.Sprintf("worker-%d", i), profiles[i%len(profiles)], int64(1000+i), net, shards[i])
+			if err == nil {
+				hw.SetStore(checkpoint.NewMemoryStore())
+				local = hw
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := rpolapi.DialHub(hub.Addr(), local.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		server, err := rpolapi.NewWorkerServer(conn, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers.Add(1)
+		go func() {
+			defer servers.Done()
+			if err := server.Run(); err != nil {
+				t.Errorf("server %s: %v", local.ID(), err)
+			}
+		}()
+		remote, err := rpolapi.NewRemoteWorker(local.ID(), profiles[i%len(profiles)], port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remotes = append(remotes, remote)
+		shardMap[local.ID()] = shards[i]
+	}
+	managerNet, err := spec.BuildProxyNet(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manager, err := rpolapi.NewManager(rpolapi.ManagerConfig{
+		Address:         "pool-manager",
+		Scheme:          rpolapi.SchemeV2,
+		MerkleCommit:    true,
+		Hyper:           rpolapi.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: 16},
+		StepsPerEpoch:   steps,
+		CheckpointEvery: every,
+		Samples:         samples,
+		GPU:             profiles[0],
+		MasterKey:       []byte("alloc-budget"),
+		Seed:            12,
+	}, managerNet, remotes, shardMap, shards[workers])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	totalAlloc := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	const measured = 3
+	var start uint64
+	doubleChecks := 0
+	for epoch := 0; epoch <= measured; epoch++ {
+		if epoch == 1 {
+			start = totalAlloc() // epoch 0 warmed every lazily built buffer
+		}
+		report, err := manager.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range report.Outcomes {
+			if o.Accepted == (o.WorkerID == "adv2-0") {
+				t.Errorf("epoch %d: %s accepted = %v (%s)", epoch, o.WorkerID, o.Accepted, o.FailReason)
+			}
+			if epoch > 0 {
+				doubleChecks += o.DoubleChecks
+			}
+		}
+	}
+	perEpoch := float64(totalAlloc()-start) / measured / float64(tensor.EncodedSize(len(manager.Global())))
+
+	// The budget, in model vectors per epoch. Every line is a buffer some
+	// layer owns and must produce; nothing on it is a second copy.
+	const (
+		checkpoints = steps/every + 1
+		spoofed     = checkpoints - 2 // Adv2 trains one interval and extrapolates the rest
+		honest      = workers - 1
+	)
+	opened := float64(workers*samples) + float64(doubleChecks)/measured
+	honestOpened := float64(honest*samples) + float64(doubleChecks)/measured
+	routed := 2*workers + opened // tasks, results, opened checkpoints
+	items := []struct {
+		what    string
+		vectors float64
+	}{
+		{"traces: one vector per checkpoint, every worker and both calibration probes", (workers + 2) * checkpoints},
+		{"wire: each task, result and opened checkpoint is one endpoint frame and one decoded vector", 2 * routed},
+		{"manager: the task's global model once and once per worker, the claimed final per submission, the replayed output per sample", 1 + 2*workers + workers*samples},
+		{"manager: the epoch's fresh LSH family, and each probe device's two bias vectors", lshK + 4},
+		{"workers: the update and the bound final checkpoint, and the store's copy-out per honest opening", 2*workers + honestOpened},
+		{"adversary: Spoof's momentum per extrapolated checkpoint", spoofed},
+		{"aggregation: the weighted sum and the next global model", 2},
+	}
+	// Everything smaller than a model vector — proofs, digests, RNG sources,
+	// spans, slice headers — and the hub frames the collector evicts from
+	// the pool mid-run.
+	budget := 24.0
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts under the race detector, so
+		// allow every routed frame its hub-side buffer again.
+		budget += routed
+	}
+	for _, item := range items {
+		budget += item.vectors
+	}
+	t.Logf("epoch allocates %.1f model vectors, budget %.1f", perEpoch, budget)
+	if perEpoch > budget {
+		for _, item := range items {
+			t.Logf("%6.1f  %s", item.vectors, item.what)
+		}
+		t.Errorf("epoch allocates %.1f model vectors, over the budget of %.1f: a model-sized buffer is being allocated per use instead of kept by its owner", perEpoch, budget)
+	}
+}

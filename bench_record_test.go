@@ -321,6 +321,20 @@ type e2eRecord struct {
 			Ties   int     `json:"ties"`
 		} `json:"metrics"`
 	} `json:"workloads"`
+	// Fixed lists one run per side and workload whose time box admits
+	// exactly one task (--seconds below a task's length), so both sides do
+	// the same work from the same seed: the basis of the "==" rows. Absent
+	// from records that claim no equality.
+	Fixed []struct {
+		Workload string         `json:"workload"`
+		Command  string         `json:"command"`
+		Tasks    map[string]int `json:"tasks"`
+		Metrics  []struct {
+			Name   string  `json:"name"`
+			Parent float64 `json:"parent"`
+			Change float64 `json:"change"`
+		} `json:"metrics"`
+	} `json:"fixed,omitempty"`
 	// Traced is one traced pair on the claimed workload: the per-layer
 	// numbers that show where the saving sits. Informational, not gated.
 	Traced struct {
@@ -339,7 +353,9 @@ type e2eRecord struct {
 // parent's median. The relation "claim<=" is "<=" for a claimed gain, which
 // must also satisfy the paired-run rule: the change better on at least nine
 // tenths of the pairs, and the medians further apart than the parent's own
-// quartiles.
+// quartiles. The relation "==" ignores factor and reads the record's
+// fixed-size runs instead: at equal task counts the two sides' values must be
+// equal to the digit.
 type e2eGate struct {
 	workload, metric, relation string
 	factor                     float64
@@ -371,6 +387,31 @@ var e2eGates = []struct {
 			{"*", "submissions_per_s", ">=", 0.75},
 			{"*", "io_bytes_per_epoch", "<=", 1.05},
 			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
+	{
+		file:     "BENCH_pr22.json",
+		pr:       22,
+		minPairs: map[string]int{"ref10_v2_tcp": 10, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 3, "durable8_v2_disk": 3},
+		rows: []e2eGate{
+			// The claim: with one owner per model-sized buffer the reference
+			// epoch allocates at most 0.65 × what it did.
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "claim<=", 0.65},
+			// The same owners serve the other workloads: none allocates more.
+			{"proofs4_v2_tcp", "alloc_mb_per_epoch", "<=", 1},
+			{"wide16_v1_tcp", "alloc_mb_per_epoch", "<=", 1},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 1},
+			// Reuse moves no bit: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
 			{"*", "adv_detect_rate", ">=", 0.85},
 			{"*", "final_accuracy", ">=", 0.90},
 		},
@@ -442,6 +483,19 @@ func TestBenchRecordE2EGates(t *testing.T) {
 					metrics[key{w.Name, m.Name}] = pair{m.Parent, m.Change, w.Pairs, m.Wins}
 				}
 			}
+			type fixedRun struct {
+				parent, change float64
+				tasks          map[string]int
+			}
+			fixed := make(map[key]fixedRun)
+			for _, f := range rec.Fixed {
+				if !strings.Contains(f.Command, "benchmark/run.sh") {
+					t.Errorf("%s: fixed-size run has no command", f.Workload)
+				}
+				for _, m := range f.Metrics {
+					fixed[key{f.Workload, m.Name}] = fixedRun{m.Parent, m.Change, f.Tasks}
+				}
+			}
 			if len(workloads) != len(g.minPairs) {
 				t.Errorf("workloads %v, want one entry for each of %d", workloads, len(g.minPairs))
 			}
@@ -451,6 +505,18 @@ func TestBenchRecordE2EGates(t *testing.T) {
 					names = workloads
 				}
 				for _, name := range names {
+					if row.relation == "==" {
+						f, ok := fixed[key{name, row.metric}]
+						switch {
+						case !ok:
+							t.Errorf("%s: no fixed-size run of %s", name, row.metric)
+						case f.tasks["parent"] < 1 || f.tasks["parent"] != f.tasks["change"]:
+							t.Errorf("%s %s: fixed-size runs did %d and %d tasks, want the same work on both sides", name, row.metric, f.tasks["parent"], f.tasks["change"])
+						case f.parent != f.change:
+							t.Errorf("%s %s: change %v, parent %v at equal task counts, want equal to the digit", name, row.metric, f.change, f.parent)
+						}
+						continue
+					}
 					m, ok := metrics[key{name, row.metric}]
 					if !ok {
 						t.Errorf("%s: no metric %s", name, row.metric)

@@ -62,12 +62,14 @@ func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 		if k == 0 {
 			break
 		}
-		delta, err := newer.Sub(older)
-		if err != nil {
-			return nil, fmt.Errorf("adversary spoof: %w", err)
+		if len(newer) != len(last) || len(older) != len(last) {
+			return nil, fmt.Errorf("adversary spoof: checkpoints %d and %d vs %d: %w",
+				len(newer), len(older), len(last), tensor.ErrShapeMismatch)
 		}
-		if err := momentum.AXPY(k, delta); err != nil {
-			return nil, fmt.Errorf("adversary spoof: %w", err)
+		// Sub then AXPY in one pass: the same two roundings per element,
+		// without a model-sized delta vector per history term.
+		for i := range momentum {
+			momentum[i] += k * (newer[i] - older[i])
 		}
 		weightSum += k
 	}
@@ -279,7 +281,6 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		Checkpoints: []tensor.Vector{p.Global.Clone()},
 		Steps:       []int{0},
 	}
-	cur := p.Global.Clone()
 	step := 0
 	// Honest prefix.
 	for i := 0; i < honest; i++ {
@@ -290,13 +291,12 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		if interval <= 0 {
 			break
 		}
-		next, err := a.trainer.ExecuteInterval(cur, step, interval, p.Hyper, p.Nonce)
+		next, err := a.trainer.ExecuteInterval(trace.Final(), step, interval, p.Hyper, p.Nonce)
 		if err != nil {
 			return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 		}
 		step += interval
-		cur = next
-		trace.Checkpoints = append(trace.Checkpoints, cur.Clone())
+		trace.Checkpoints = append(trace.Checkpoints, next)
 		trace.Steps = append(trace.Steps, step)
 	}
 	// Spoofed suffix.

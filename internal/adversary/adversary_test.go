@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"rpol/internal/dataset"
@@ -70,6 +72,49 @@ func TestSpoofLambdaWeighting(t *testing.T) {
 	}
 	if !next.Equal(tensor.Vector{16.5}, 1e-12) {
 		t.Errorf("λ=1 spoof = %v, want [16.5]", next)
+	}
+}
+
+// TestSpoofMatchesTwoCallForm pins the fused delta loop to the form it
+// replaced — Sub into a temporary, then AXPY — bit for bit.
+func TestSpoofMatchesTwoCallForm(t *testing.T) {
+	rng := tensor.NewRNG(12)
+	history := make([]tensor.Vector, 6)
+	for i := range history {
+		history[i] = rng.NormalVector(257, 0, 1)
+	}
+	for _, lambda := range []float64{0, 0.5, 1} {
+		last := history[len(history)-1]
+		want := last.Clone()
+		momentum := tensor.NewVector(len(last))
+		var weightSum float64
+		for j := 0; j+1 < len(history); j++ {
+			k := math.Pow(lambda, float64(j))
+			if k == 0 {
+				break
+			}
+			delta, err := history[len(history)-1-j].Sub(history[len(history)-2-j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := momentum.AXPY(k, delta); err != nil {
+				t.Fatal(err)
+			}
+			weightSum += k
+		}
+		if err := want.AXPY(1/weightSum, momentum); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Spoof(history, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want, 0) {
+			t.Errorf("λ=%v: fused spoof differs from Sub+AXPY", lambda)
+		}
+	}
+	if _, err := Spoof([]tensor.Vector{{1, 2}, {3}, {4, 5}}, 0.5); !errors.Is(err, tensor.ErrShapeMismatch) {
+		t.Errorf("ragged history: err = %v, want ErrShapeMismatch", err)
 	}
 }
 

@@ -45,16 +45,21 @@ var (
 	ErrCorruptCheckpoint = errors.New("checkpoint: corrupt snapshot")
 )
 
-// MemoryStore keeps snapshots in process memory.
+// MemoryStore keeps snapshots in process memory. It owns every snapshot
+// buffer: Put copies in, Get copies out, and Clear parks the buffers for the
+// next epoch's Puts at the same indices to copy into, so a store cleared and
+// refilled every epoch allocates its snapshots once. At most the last
+// cleared epoch's snapshots are parked.
 type MemoryStore struct {
-	snaps map[int]tensor.Vector
+	snaps  map[int]tensor.Vector
+	parked map[int]tensor.Vector
 }
 
 var _ Store = (*MemoryStore)(nil)
 
 // NewMemoryStore returns an empty in-memory store.
 func NewMemoryStore() *MemoryStore {
-	return &MemoryStore{snaps: make(map[int]tensor.Vector)}
+	return &MemoryStore{snaps: make(map[int]tensor.Vector), parked: make(map[int]tensor.Vector)}
 }
 
 // Put saves a copy of the snapshot.
@@ -62,7 +67,16 @@ func (s *MemoryStore) Put(idx int, w tensor.Vector) error {
 	if idx < 0 {
 		return fmt.Errorf("index %d: %w", idx, ErrBadIndex)
 	}
-	s.snaps[idx] = w.Clone()
+	buf, ok := s.snaps[idx]
+	if !ok {
+		buf = s.parked[idx]
+		delete(s.parked, idx)
+	}
+	if len(buf) != len(w) {
+		buf = make(tensor.Vector, len(w))
+	}
+	copy(buf, w)
+	s.snaps[idx] = buf
 	return nil
 }
 
@@ -88,9 +102,10 @@ func (s *MemoryStore) Bytes() int64 {
 	return total
 }
 
-// Clear removes all snapshots.
+// Clear removes all snapshots, parking their buffers for the next Puts.
 func (s *MemoryStore) Clear() error {
-	s.snaps = make(map[int]tensor.Vector)
+	clear(s.parked)
+	s.snaps, s.parked = s.parked, s.snaps
 	return nil
 }
 

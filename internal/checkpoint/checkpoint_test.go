@@ -109,6 +109,82 @@ func TestMemoryStoreCopies(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreRecyclesOnlyItsOwnBuffers pins the store's ownership across
+// epochs: a vector Get returned is never written by a later Clear + Put
+// cycle, and recycled buffers round-trip whatever shape comes next.
+func TestMemoryStoreRecyclesOnlyItsOwnBuffers(t *testing.T) {
+	s := NewMemoryStore()
+	epoch := func(vals ...tensor.Vector) {
+		t.Helper()
+		if err := s.Clear(); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range vals {
+			if err := s.Put(i, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Len() != len(vals) {
+			t.Fatalf("Len = %d after %d puts", s.Len(), len(vals))
+		}
+		for i, w := range vals {
+			got, err := s.Get(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(w, 0) {
+				t.Fatalf("Get(%d) = %v, want %v", i, got, w)
+			}
+		}
+	}
+	epoch(tensor.Vector{1, 2, 3}, tensor.Vector{4, 5, 6})
+	held, err := s.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch(tensor.Vector{7, 8, 9}, tensor.Vector{10, 11, 12}) // same shape: buffers recycled
+	epoch(tensor.Vector{13, 14})                             // fewer and shorter
+	epoch(tensor.Vector{15, 16, 17, 18}, tensor.Vector{19}, tensor.Vector{20, 21, 22})
+	if !held.Equal(tensor.Vector{1, 2, 3}, 0) {
+		t.Errorf("a vector returned by Get was rewritten by later epochs: %v", held)
+	}
+	// Put over an existing index, same length and another.
+	for _, w := range []tensor.Vector{{23}, {24, 25}} {
+		if err := s.Put(1, w); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get(1); err != nil || !got.Equal(w, 0) {
+			t.Errorf("overwrite with %v read back %v, %v", w, got, err)
+		}
+	}
+	if s.Len() != 3 {
+		t.Errorf("Len = %d after overwrites, want 3", s.Len())
+	}
+}
+
+// TestMemoryStoreSteadyStateAllocatesNothing guards the epoch cycle a worker
+// runs: Clear, then Put every checkpoint at the previous epoch's shape.
+func TestMemoryStoreSteadyStateAllocatesNothing(t *testing.T) {
+	s := NewMemoryStore()
+	ckpts := make([]tensor.Vector, 5)
+	for i := range ckpts {
+		ckpts[i] = tensor.NewRNG(int64(i)).NormalVector(256, 0, 1)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Clear(); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range ckpts {
+			if err := s.Put(i, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Clear + Put cycle allocates %.0f times at steady state, want 0", allocs)
+	}
+}
+
 func TestDiskStoreBitExactRoundTrip(t *testing.T) {
 	// Verification demands bit-identical openings: the disk round trip must
 	// preserve every float exactly.

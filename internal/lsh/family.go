@@ -61,24 +61,45 @@ func DecodeDigest(buf []byte) (Digest, error) {
 
 // NewFamily constructs the family for vectors of length dim.
 func NewFamily(dim int, params Params, seed int64) (*Family, error) {
+	return RebuildFamily(nil, dim, params, seed)
+}
+
+// RebuildFamily constructs the family NewFamily(dim, params, seed) would —
+// same RNG draw order, same bits — refilling prev's projection and offset
+// storage instead of allocating it when prev hashes the same dim with the
+// same K and L (storage of any other shape is discarded, never resliced).
+// prev is consumed: it must not be used, by anyone, once this is called. A
+// nil prev allocates.
+func RebuildFamily(prev *Family, dim int, params Params, seed int64) (*Family, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("lsh: dimension %d", dim)
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(seed)
-	proj := make([][]tensor.Vector, params.L)
-	offs := make([][]float64, params.L)
-	for g := 0; g < params.L; g++ {
-		proj[g] = make([]tensor.Vector, params.K)
-		offs[g] = make([]float64, params.K)
-		for f := 0; f < params.K; f++ {
-			proj[g][f] = rng.NormalVector(dim, 0, 1)
-			offs[g][f] = rng.Uniform(0, params.R)
+	f := prev
+	if f == nil || f.dim != dim || f.params.K != params.K || f.params.L != params.L {
+		f = &Family{
+			projections: make([][]tensor.Vector, params.L),
+			offsets:     make([][]float64, params.L),
+		}
+		for g := range f.projections {
+			f.projections[g] = make([]tensor.Vector, params.K)
+			f.offsets[g] = make([]float64, params.K)
+			for fn := range f.projections[g] {
+				f.projections[g][fn] = tensor.NewVector(dim)
+			}
 		}
 	}
-	return &Family{dim: dim, params: params, seed: seed, projections: proj, offsets: offs}, nil
+	f.dim, f.params, f.seed = dim, params, seed
+	rng := tensor.NewRNG(seed)
+	for g := 0; g < params.L; g++ {
+		for fn := 0; fn < params.K; fn++ {
+			rng.FillNormal(f.projections[g][fn], 0, 1)
+			f.offsets[g][fn] = rng.Uniform(0, params.R)
+		}
+	}
+	return f, nil
 }
 
 // Dim returns the vector dimension the family hashes.

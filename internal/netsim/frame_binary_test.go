@@ -18,13 +18,13 @@ func TestFrameBinaryRoundTrip(t *testing.T) {
 	}
 	for _, msg := range msgs {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, msg); err != nil {
+		if err := writeFrameTo(&buf, msg); err != nil {
 			t.Fatalf("%+v: %v", msg, err)
 		}
 		if body := buf.Bytes()[4:]; body[0] == '{' {
 			t.Fatal("binary frame body starts with '{' — collides with the JSON sniff")
 		}
-		got, err := readFrame(&buf)
+		got, err := readFrame(&buf, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", msg, err)
 		}
@@ -50,7 +50,7 @@ func TestReadFrameLegacyJSON(t *testing.T) {
 	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
 	buf.Write(prefix[:])
 	buf.Write(body)
-	got, err := readFrame(&buf)
+	got, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestReadFrameLegacyJSON(t *testing.T) {
 // TestDecodeFrameMalformed walks the truncation points of the binary body.
 func TestDecodeFrameMalformed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, Message{From: "a", To: "b", Kind: "k", Seq: 9, Payload: []byte("p")}); err != nil {
+	if err := writeFrameTo(&buf, Message{From: "a", To: "b", Kind: "k", Seq: 9, Payload: []byte("p")}); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.Bytes()[4:]

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -9,15 +10,62 @@ import (
 	"testing"
 )
 
+// writeFrameTo frames msg into buf through a bufio.Writer and flushes, as
+// the hub's and the endpoint's writers do.
+func writeFrameTo(buf *bytes.Buffer, msg Message) error {
+	w := bufio.NewWriter(buf)
+	if err := writeFrame(w, msg); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
 func TestWriteFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
-	msg := Message{From: "a", To: "b", Kind: "k", Payload: make([]byte, maxFrameSize+1)}
-	err := writeFrame(&buf, msg)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	w := bufio.NewWriter(&buf)
+	// One byte over with the header counted, and one byte over on the
+	// payload alone: neither may leave anything buffered or written.
+	payload := make([]byte, maxFrameSize+1)
+	for _, n := range []int{maxFrameSize - 4, maxFrameSize + 1} {
+		msg := Message{From: "a", To: "b", Kind: "k", Payload: payload[:n]}
+		err := writeFrame(w, msg)
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("%d payload bytes: err = %v, want ErrFrameTooLarge", n, err)
+		}
+		if w.Buffered() != 0 || buf.Len() != 0 {
+			t.Fatalf("oversized frame left %d bytes buffered, %d written", w.Buffered(), buf.Len())
+		}
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("oversized frame wrote %d bytes before failing", buf.Len())
+}
+
+// TestWriteFrameWireBytes pins the frame bytes on the wire against the
+// header built by hand, and that building it allocates nothing.
+func TestWriteFrameWireBytes(t *testing.T) {
+	msg := Message{From: "manager", To: "worker-03", Kind: "task", Seq: 300, Payload: []byte("payload")}
+	want := []byte{0, 0, 0, 0, frameMagic, frameVersion}
+	want = appendFrameString(want, msg.From)
+	want = appendFrameString(want, msg.To)
+	want = appendFrameString(want, msg.Kind)
+	want = binary.AppendUvarint(want, msg.Seq)
+	want = append(want, msg.Payload...)
+	binary.BigEndian.PutUint32(want[:4], uint32(len(want)-4))
+	var buf bytes.Buffer
+	if err := writeFrameTo(&buf, msg); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("frame bytes\n got %x\nwant %x", buf.Bytes(), want)
+	}
+	w := bufio.NewWriter(io.Discard)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := writeFrame(w, msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("writeFrame allocates %v times per frame, want 0", allocs)
 	}
 }
 
@@ -64,7 +112,7 @@ func TestTCPOversizedSendDoesNotPoisonConnection(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	// Valid frame.
 	var valid bytes.Buffer
-	if err := writeFrame(&valid, Message{From: "a", To: "b", Kind: "k", Payload: []byte("p")}); err != nil {
+	if err := writeFrameTo(&valid, Message{From: "a", To: "b", Kind: "k", Payload: []byte("p")}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -82,7 +130,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, '{', 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := readFrame(bytes.NewReader(data))
+		msg, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			if strings.Contains(err.Error(), "netsim") ||
 				errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
@@ -93,7 +141,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// A decoded frame must round-trip.
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, msg); err != nil {
+		if err := writeFrameTo(&buf, msg); err != nil {
 			t.Fatalf("re-encode of decoded frame failed: %v", err)
 		}
 	})

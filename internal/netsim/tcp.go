@@ -39,13 +39,34 @@ type TCPHub struct {
 	linkSeq map[string]uint64
 	events  *obs.Events
 
+	// frames recycles the read buffers of routed frames (*[]byte). The hub
+	// never hands a frame body to anyone but its own writer, so a buffer
+	// goes back once the destination's writer has flushed it, or on any
+	// path that drops the frame.
+	frames sync.Pool
+
 	wg sync.WaitGroup
 }
 
 type hubClient struct {
 	name string
 	conn net.Conn
-	out  chan Message
+	out  chan hubFrame
+}
+
+// hubFrame is a queued message and the pooled buffer its payload aliases
+// (nil for the hub's own messages, which carry none).
+type hubFrame struct {
+	msg Message
+	buf *[]byte
+}
+
+// release returns a routed frame's buffer to the pool; the frame's payload
+// must not be read afterwards.
+func (h *TCPHub) release(f hubFrame) {
+	if f.buf != nil {
+		h.frames.Put(f.buf)
+	}
 }
 
 // Reserved message kinds for the registration handshake.
@@ -151,7 +172,7 @@ func (h *TCPHub) acceptLoop() {
 func (h *TCPHub) serveConn(conn net.Conn) {
 	defer h.wg.Done()
 	reader := bufio.NewReader(conn)
-	reg, err := readFrame(reader)
+	reg, err := readFrame(reader, nil)
 	if err != nil || reg.Kind != KindRegister || reg.From == "" {
 		_ = conn.Close()
 		return
@@ -159,7 +180,7 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	// The registration handshake is real traffic too: without this the
 	// hub's accounting silently understates every connection by two frames.
 	h.meter.Record(reg.From, "hub", KindRegister, reg.Size())
-	client := &hubClient{name: reg.From, conn: conn, out: make(chan Message, busQueueDepth)}
+	client := &hubClient{name: reg.From, conn: conn, out: make(chan hubFrame, busQueueDepth)}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -184,7 +205,7 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	// concurrent Close cannot close the queue first.
 	ack := Message{To: client.name, Kind: KindRegistered}
 	//rpolvet:ignore locksend the queue was created above with busQueueDepth capacity and is not yet visible to any other goroutine, so this send cannot block; the lock orders it before a concurrent Close can close the queue
-	client.out <- ack
+	client.out <- hubFrame{msg: ack}
 	h.meter.Record("hub", client.name, KindRegistered, ack.Size())
 	h.mu.Unlock()
 
@@ -193,11 +214,13 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	go func() {
 		defer h.wg.Done()
 		w := bufio.NewWriter(conn)
-		for msg := range client.out {
-			if err := writeFrame(w, msg); err != nil {
-				return
+		for f := range client.out {
+			err := writeFrame(w, f.msg)
+			if err == nil {
+				err = w.Flush()
 			}
-			if err := w.Flush(); err != nil {
+			h.release(f)
+			if err != nil {
 				return
 			}
 		}
@@ -205,17 +228,29 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 
 	// Reader: route inbound frames until the connection drops.
 	for {
-		msg, err := readFrame(reader)
+		buf, _ := h.frames.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		msg, err := readFrame(reader, buf)
 		if err != nil {
+			h.frames.Put(buf)
 			break
 		}
 		msg.From = client.name // the hub authenticates the sender
-		h.route(msg)
+		f := hubFrame{msg: msg, buf: buf}
+		if !h.route(f) {
+			h.release(f)
+		}
 	}
 	h.dropClient(client.name)
 }
 
-func (h *TCPHub) route(msg Message) {
+// route meters f and enqueues it for its destination's writer, which then
+// owns f's buffer; false means the frame was dropped and the caller still
+// does.
+func (h *TCPHub) route(f hubFrame) bool {
+	msg := f.msg
 	// Fault events publish only after the critical section: this defer is
 	// registered before the Lock below, so LIFO ordering runs it after the
 	// deferred Unlock, keeping the observer fan-out outside the lock.
@@ -237,7 +272,7 @@ func (h *TCPHub) route(msg Message) {
 		if fault.Drop {
 			h.meter.RecordInjectedDrop(msg.From, msg.To, msg.Kind, msg.Size())
 			pendingFaults = append(pendingFaults, "drop")
-			return
+			return false
 		}
 		if fault.Delay > 0 {
 			h.meter.RecordInjectedDelay()
@@ -252,15 +287,17 @@ func (h *TCPHub) route(msg Message) {
 		// Unknown destination: drop (as a datagram fabric would), but keep
 		// the bytes in the accounting.
 		h.meter.RecordDrop(msg.From, msg.To, msg.Kind, msg.Size())
-		return
+		return false
 	}
 	select {
-	case dst.out <- msg:
+	case dst.out <- f:
 		h.meter.Record(msg.From, msg.To, msg.Kind, msg.Size())
+		return true
 	default:
 		// Destination queue full: drop rather than block the router — but
 		// never silently lose the size accounting.
 		h.meter.RecordDrop(msg.From, msg.To, msg.Kind, msg.Size())
+		return false
 	}
 }
 
@@ -297,22 +334,23 @@ func appendFrameString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func writeFrame(w io.Writer, msg Message) error {
-	// Fast pre-check so the header below is never written for a frame that
+// writeFrame buffers one frame on w; the caller flushes. The header is built
+// in w's own spare buffer space, so a frame costs no allocation.
+func writeFrame(w *bufio.Writer, msg Message) error {
+	// Fast pre-check so the header below is never built for a frame that
 	// cannot fit.
 	if len(msg.Payload) > maxFrameSize {
 		return fmt.Errorf("%d payload bytes: %w", len(msg.Payload), ErrFrameTooLarge)
 	}
-	hdr := make([]byte, 4, 64)
-	hdr = append(hdr, frameMagic, frameVersion)
+	hdr := append(w.AvailableBuffer(), 0, 0, 0, 0, frameMagic, frameVersion)
 	hdr = appendFrameString(hdr, msg.From)
 	hdr = appendFrameString(hdr, msg.To)
 	hdr = appendFrameString(hdr, msg.Kind)
 	hdr = binary.AppendUvarint(hdr, msg.Seq)
 	// Reject oversized frames before writing a single byte: maxFrameSize is
 	// well under math.MaxUint32, so this one check also rules out silently
-	// truncating the uint32 length prefix — and because nothing has hit the
-	// socket yet, the connection stays usable after the error.
+	// truncating the uint32 length prefix — and because nothing has been
+	// handed to w yet, the connection stays usable after the error.
 	total := len(hdr) - 4 + len(msg.Payload)
 	if total > maxFrameSize {
 		return fmt.Errorf("%d bytes: %w", total, ErrFrameTooLarge)
@@ -328,7 +366,11 @@ func writeFrame(w io.Writer, msg Message) error {
 	return err
 }
 
-func readFrame(r io.Reader) (Message, error) {
+// readFrame reads one frame. With a nil buf the body is freshly allocated
+// and the returned payload, which aliases it, belongs to the caller; with a
+// caller-owned buf the body is read into *buf (grown when too small) and the
+// payload is valid only until the caller reuses it.
+func readFrame(r io.Reader, buf *[]byte) (Message, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return Message{}, err
@@ -337,7 +379,16 @@ func readFrame(r io.Reader) (Message, error) {
 	if size > maxFrameSize {
 		return Message{}, fmt.Errorf("%d bytes: %w", size, ErrFrameTooLarge)
 	}
-	data := make([]byte, size)
+	var data []byte
+	switch {
+	case buf == nil:
+		data = make([]byte, size)
+	case uint32(cap(*buf)) < size:
+		*buf = make([]byte, size)
+		data = *buf
+	default:
+		data = (*buf)[:size]
+	}
 	if _, err := io.ReadFull(r, data); err != nil {
 		return Message{}, err
 	}
@@ -352,8 +403,8 @@ func readFrame(r io.Reader) (Message, error) {
 	return decodeFrame(data)
 }
 
-// decodeFrame parses a binary frame body. The payload aliases data, which is
-// freshly allocated per frame by readFrame.
+// decodeFrame parses a binary frame body. The payload aliases data; sender,
+// destination and kind are copied out.
 func decodeFrame(data []byte) (Message, error) {
 	if len(data) < 2 || data[0] != frameMagic {
 		return Message{}, fmt.Errorf("netsim frame: unrecognized format: %w", errBadFrame)
@@ -434,7 +485,7 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("netsim register: %w", err)
 	}
-	ack, err := readFrame(ep.reader)
+	ack, err := readFrame(ep.reader, nil)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("netsim register: %w", err)
@@ -452,7 +503,7 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 // happens-before the receive that observes it, so readers need no lock).
 func (e *TCPEndpoint) pump() {
 	for {
-		msg, err := readFrame(e.reader)
+		msg, err := readFrame(e.reader, nil)
 		if err != nil {
 			e.readErr = err
 			close(e.inbox)

@@ -103,7 +103,13 @@ func (n *Network) ParamVector() tensor.Vector {
 // the extended slice — the buffer-reusing form of ParamVector for callers
 // that snapshot weights every step (verifier replay, distance checks).
 func (n *Network) AppendParams(dst tensor.Vector) tensor.Vector {
-	for _, p := range n.Params() {
+	return FlattenParams(dst, n.Params())
+}
+
+// FlattenParams is AppendParams over tensors a caller already holds from
+// Params, for loops that would otherwise re-collect them per snapshot.
+func FlattenParams(dst tensor.Vector, params []tensor.Vector) tensor.Vector {
+	for _, p := range params {
 		dst = append(dst, p...)
 	}
 	return dst
@@ -112,11 +118,21 @@ func (n *Network) AppendParams(dst tensor.Vector) tensor.Vector {
 // SetParamVector loads a flattened parameter vector produced by
 // ParamVector back into the network.
 func (n *Network) SetParamVector(v tensor.Vector) error {
-	if len(v) != n.NumParams() {
-		return fmt.Errorf("param vector %d, want %d: %w", len(v), n.NumParams(), tensor.ErrShapeMismatch)
+	return LoadParams(n.Params(), v)
+}
+
+// LoadParams is SetParamVector over tensors a caller already holds from
+// Params.
+func LoadParams(params []tensor.Vector, v tensor.Vector) error {
+	total := 0
+	for _, p := range params {
+		total += len(p)
+	}
+	if len(v) != total {
+		return fmt.Errorf("param vector %d, want %d: %w", len(v), total, tensor.ErrShapeMismatch)
 	}
 	off := 0
-	for _, p := range n.Params() {
+	for _, p := range params {
 		copy(p, v[off:off+len(p)])
 		off += len(p)
 	}

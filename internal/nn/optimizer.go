@@ -15,7 +15,11 @@ import (
 type Optimizer interface {
 	// Step updates params in place from grads.
 	Step(params, grads []tensor.Vector) error
-	// Reset clears any accumulated state (momentum buffers etc.).
+	// Reset clears any accumulated state (momentum buffers etc.) in place:
+	// the buffers are zeroed and kept, so an optimizer reset at every
+	// checkpoint boundary allocates its state once. The parameter layout may
+	// change across a Reset (the first Step after it re-sizes the state);
+	// without one a layout change is ErrStateMismatch.
 	Reset()
 	// Name identifies the optimizer ("sgd", "sgdm", "rmsprop", "adam").
 	Name() string
@@ -36,6 +40,45 @@ func checkPairs(params, grads []tensor.Vector) error {
 		}
 	}
 	return nil
+}
+
+// optState is one positional set of per-tensor state buffers (a velocity, a
+// moment). It is owned by its optimizer for the optimizer's lifetime.
+type optState struct {
+	bufs []tensor.Vector
+	// pinned is set by the first Step after construction or Reset; until
+	// then the state follows whatever layout that Step brings.
+	pinned bool
+}
+
+// fit returns the state buffers for params: allocated on first use, reused
+// (already zeroed by reset) when the layout is the one they were built for,
+// rebuilt when the layout changed across a reset, ErrStateMismatch when it
+// changed without one.
+func (s *optState) fit(params []tensor.Vector) ([]tensor.Vector, error) {
+	match := len(s.bufs) == len(params)
+	for i := 0; match && i < len(params); i++ {
+		match = len(s.bufs[i]) == len(params[i])
+	}
+	if !match {
+		if s.pinned {
+			return nil, fmt.Errorf("parameter layout changed without Reset: %w", ErrStateMismatch)
+		}
+		s.bufs = make([]tensor.Vector, len(params))
+		for i := range params {
+			s.bufs[i] = tensor.NewVector(len(params[i]))
+		}
+	}
+	s.pinned = true
+	return s.bufs, nil
+}
+
+// reset zeroes the buffers in place and unpins the layout.
+func (s *optState) reset() {
+	for _, b := range s.bufs {
+		b.Zero()
+	}
+	s.pinned = false
 }
 
 // SGD is plain stochastic gradient descent: θ ← θ − lr·g.
@@ -70,7 +113,7 @@ type SGDM struct {
 	LR       float64
 	Momentum float64
 
-	velocity []tensor.Vector
+	velocity optState
 }
 
 var _ Optimizer = (*SGDM)(nil)
@@ -80,21 +123,12 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 	if err := checkPairs(params, grads); err != nil {
 		return err
 	}
-	if o.velocity == nil {
-		o.velocity = make([]tensor.Vector, len(params))
-		for i := range params {
-			o.velocity[i] = tensor.NewVector(len(params[i]))
-		}
-	}
-	if len(o.velocity) != len(params) {
-		return fmt.Errorf("velocity %d vs params %d: %w", len(o.velocity), len(params), ErrStateMismatch)
+	velocity, err := o.velocity.fit(params)
+	if err != nil {
+		return err
 	}
 	for i := range params {
-		v := o.velocity[i]
-		if len(v) != len(params[i]) {
-			return fmt.Errorf("velocity tensor %d size changed: %w", i, ErrStateMismatch)
-		}
-		g := grads[i]
+		v, g := velocity[i], grads[i]
 		for j := range v {
 			v[j] = o.Momentum*v[j] + g[j]
 			params[i][j] -= o.LR * v[j]
@@ -103,8 +137,8 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 	return nil
 }
 
-// Reset drops the momentum buffers.
-func (o *SGDM) Reset() { o.velocity = nil }
+// Reset zeroes the momentum buffers.
+func (o *SGDM) Reset() { o.velocity.reset() }
 
 // Name returns "sgdm".
 func (o *SGDM) Name() string { return "sgdm" }
@@ -115,7 +149,7 @@ type RMSprop struct {
 	Decay float64 // typically 0.99
 	Eps   float64 // typically 1e-8
 
-	sq []tensor.Vector
+	sq optState
 }
 
 var _ Optimizer = (*RMSprop)(nil)
@@ -125,25 +159,16 @@ func (o *RMSprop) Step(params, grads []tensor.Vector) error {
 	if err := checkPairs(params, grads); err != nil {
 		return err
 	}
-	if o.sq == nil {
-		o.sq = make([]tensor.Vector, len(params))
-		for i := range params {
-			o.sq[i] = tensor.NewVector(len(params[i]))
-		}
-	}
-	if len(o.sq) != len(params) {
-		return fmt.Errorf("state %d vs params %d: %w", len(o.sq), len(params), ErrStateMismatch)
+	sq, err := o.sq.fit(params)
+	if err != nil {
+		return err
 	}
 	eps := o.Eps
 	if eps == 0 {
 		eps = 1e-8
 	}
 	for i := range params {
-		s := o.sq[i]
-		if len(s) != len(params[i]) {
-			return fmt.Errorf("state tensor %d size changed: %w", i, ErrStateMismatch)
-		}
-		g := grads[i]
+		s, g := sq[i], grads[i]
 		for j := range s {
 			s[j] = o.Decay*s[j] + (1-o.Decay)*g[j]*g[j]
 			params[i][j] -= o.LR * g[j] / (math.Sqrt(s[j]) + eps)
@@ -152,8 +177,8 @@ func (o *RMSprop) Step(params, grads []tensor.Vector) error {
 	return nil
 }
 
-// Reset drops the running squared-gradient buffers.
-func (o *RMSprop) Reset() { o.sq = nil }
+// Reset zeroes the running squared-gradient buffers.
+func (o *RMSprop) Reset() { o.sq.reset() }
 
 // Name returns "rmsprop".
 func (o *RMSprop) Name() string { return "rmsprop" }
@@ -166,7 +191,7 @@ type Adam struct {
 	Eps      float64 // typically 1e-8
 	timestep int
 
-	m, v []tensor.Vector
+	m, v optState
 }
 
 var _ Optimizer = (*Adam)(nil)
@@ -176,16 +201,13 @@ func (o *Adam) Step(params, grads []tensor.Vector) error {
 	if err := checkPairs(params, grads); err != nil {
 		return err
 	}
-	if o.m == nil {
-		o.m = make([]tensor.Vector, len(params))
-		o.v = make([]tensor.Vector, len(params))
-		for i := range params {
-			o.m[i] = tensor.NewVector(len(params[i]))
-			o.v[i] = tensor.NewVector(len(params[i]))
-		}
+	ms, err := o.m.fit(params)
+	if err != nil {
+		return err
 	}
-	if len(o.m) != len(params) {
-		return fmt.Errorf("state %d vs params %d: %w", len(o.m), len(params), ErrStateMismatch)
+	vs, err := o.v.fit(params)
+	if err != nil {
+		return err
 	}
 	eps := o.Eps
 	if eps == 0 {
@@ -195,11 +217,7 @@ func (o *Adam) Step(params, grads []tensor.Vector) error {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.timestep))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.timestep))
 	for i := range params {
-		m, v := o.m[i], o.v[i]
-		if len(m) != len(params[i]) {
-			return fmt.Errorf("state tensor %d size changed: %w", i, ErrStateMismatch)
-		}
-		g := grads[i]
+		m, v, g := ms[i], vs[i], grads[i]
 		for j := range m {
 			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g[j]
 			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g[j]*g[j]
@@ -211,8 +229,12 @@ func (o *Adam) Step(params, grads []tensor.Vector) error {
 	return nil
 }
 
-// Reset drops moment buffers and the timestep.
-func (o *Adam) Reset() { o.m, o.v, o.timestep = nil, nil, 0 }
+// Reset zeroes the moment buffers and the timestep.
+func (o *Adam) Reset() {
+	o.m.reset()
+	o.v.reset()
+	o.timestep = 0
+}
 
 // Name returns "adam".
 func (o *Adam) Name() string { return "adam" }

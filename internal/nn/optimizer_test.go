@@ -87,33 +87,96 @@ func TestOptimizerShapeErrors(t *testing.T) {
 	}
 }
 
+// statefulOptimizers returns one fresh instance of every optimizer that keeps
+// per-tensor state.
+func statefulOptimizers(t *testing.T) []Optimizer {
+	t.Helper()
+	var opts []Optimizer
+	for _, name := range []string{"sgdm", "rmsprop", "adam"} {
+		opt, err := NewOptimizer(name, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts = append(opts, opt)
+	}
+	return opts
+}
+
 func TestStatefulOptimizerLayoutChange(t *testing.T) {
-	opt := &SGDM{LR: 0.1, Momentum: 0.9}
-	if err := opt.Step([]tensor.Vector{{1, 2}}, []tensor.Vector{{1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// Different tensor count after state init must error, not corrupt.
-	err := opt.Step([]tensor.Vector{{1, 2}, {3}}, []tensor.Vector{{1, 1}, {1}})
-	if !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("err = %v, want ErrStateMismatch", err)
-	}
-	// Same count but different size must error too.
-	err = opt.Step([]tensor.Vector{{1, 2, 3}}, []tensor.Vector{{1, 1, 1}})
-	if !errors.Is(err, ErrStateMismatch) {
-		t.Errorf("err = %v, want ErrStateMismatch", err)
+	for _, opt := range statefulOptimizers(t) {
+		if err := opt.Step([]tensor.Vector{{1, 2}}, []tensor.Vector{{1, 1}}); err != nil {
+			t.Fatal(err)
+		}
+		// Different tensor count after state init must error, not corrupt.
+		err := opt.Step([]tensor.Vector{{1, 2}, {3}}, []tensor.Vector{{1, 1}, {1}})
+		if !errors.Is(err, ErrStateMismatch) {
+			t.Errorf("%s: err = %v, want ErrStateMismatch", opt.Name(), err)
+		}
+		// Same count but different size must error too.
+		err = opt.Step([]tensor.Vector{{1, 2, 3}}, []tensor.Vector{{1, 1, 1}})
+		if !errors.Is(err, ErrStateMismatch) {
+			t.Errorf("%s: err = %v, want ErrStateMismatch", opt.Name(), err)
+		}
+		// The original layout still steps: a refused Step leaves the state alone.
+		if err := opt.Step([]tensor.Vector{{1, 2}}, []tensor.Vector{{1, 1}}); err != nil {
+			t.Errorf("%s: original layout after refused steps: %v", opt.Name(), err)
+		}
 	}
 }
 
 func TestResetClearsState(t *testing.T) {
-	opt := &SGDM{LR: 1, Momentum: 0.9}
-	p := []tensor.Vector{{0}}
-	if err := opt.Step(p, []tensor.Vector{{1}}); err != nil {
-		t.Fatal(err)
+	for _, opt := range statefulOptimizers(t) {
+		p := []tensor.Vector{{0}}
+		if err := opt.Step(p, []tensor.Vector{{1}}); err != nil {
+			t.Fatal(err)
+		}
+		opt.Reset()
+		// After reset, state layout may change freely...
+		if err := opt.Step([]tensor.Vector{{0, 0}}, []tensor.Vector{{1, 1}}); err != nil {
+			t.Errorf("%s: step after reset: %v", opt.Name(), err)
+		}
+		// ...once: the first Step after a Reset pins the new layout.
+		if err := opt.Step(p, []tensor.Vector{{1}}); !errors.Is(err, ErrStateMismatch) {
+			t.Errorf("%s: layout change without reset: err = %v, want ErrStateMismatch", opt.Name(), err)
+		}
 	}
-	opt.Reset()
-	// After reset, state layout may change freely.
-	if err := opt.Step([]tensor.Vector{{0, 0}}, []tensor.Vector{{1, 1}}); err != nil {
-		t.Errorf("step after reset: %v", err)
+}
+
+// TestResetInPlaceMatchesFreshOptimizer drives two intervals through one
+// optimizer reset in place between them and through two fresh NewOptimizer
+// instances: the parameters must agree bit for bit, or a checkpoint interval
+// would stop being a pure function of its starting weights.
+func TestResetInPlaceMatchesFreshOptimizer(t *testing.T) {
+	interval := func(opt Optimizer, p []tensor.Vector, seed int64) {
+		rng := tensor.NewRNG(seed)
+		for step := 0; step < 7; step++ {
+			g := []tensor.Vector{rng.NormalVector(len(p[0]), 0, 1), rng.NormalVector(len(p[1]), 0, 1)}
+			if err := opt.Step(p, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, name := range []string{"sgd", "sgdm", "rmsprop", "adam"} {
+		reused, err := NewOptimizer(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []tensor.Vector{{1, -2, 3}, {0.5, 4}}
+		want := []tensor.Vector{got[0].Clone(), got[1].Clone()}
+		for i := int64(0); i < 2; i++ {
+			reused.Reset()
+			interval(reused, got, 40+i)
+			fresh, err := NewOptimizer(name, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			interval(fresh, want, 40+i)
+		}
+		for i := range got {
+			if !got[i].Equal(want[i], 0) {
+				t.Errorf("%s: tensor %d after reset-in-place %v, fresh optimizers %v", name, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -181,9 +181,10 @@ func TestConvProxyRuntimesUnchanged(t *testing.T) {
 }
 
 // TestExecuteIntervalAllocsIndependentOfSteps guards the step loop at
-// Workers 0: once the runtime is built an interval allocates its optimizer
-// state, its PRF and the returned vector — the same count for 2 steps as for
-// 40, so nothing per step and nothing per example.
+// Workers 0: once the runtime is built an interval allocates the returned
+// vector and nothing else (optimizer state is reset in place, the PRF is
+// kept per nonce) — the same count for 2 steps as for 40, so nothing per
+// step and nothing per example.
 func TestExecuteIntervalAllocsIndependentOfSteps(t *testing.T) {
 	spec, err := modelzoo.Get("resnet18-cifar10")
 	if err != nil {
@@ -201,7 +202,7 @@ func TestExecuteIntervalAllocsIndependentOfSteps(t *testing.T) {
 	if short != long {
 		t.Errorf("ExecuteInterval allocates %.0f times over 2 steps but %.0f over 40: the step loop allocates", short, long)
 	}
-	if long > 64 {
-		t.Errorf("ExecuteInterval allocates %.0f times per interval, want a small constant", long)
+	if long > 4 {
+		t.Errorf("ExecuteInterval allocates %.0f times per interval, want its output vector and little else", long)
 	}
 }

@@ -20,7 +20,8 @@ import (
 // boundary so that each checkpoint interval is a self-contained function of
 // its starting weights — otherwise the manager could not re-execute a
 // sampled interval without also receiving the optimizer state. This is the
-// one protocol detail the paper leaves implicit; see DESIGN.md.
+// one protocol detail the paper leaves implicit; see DESIGN.md. The reset is
+// in place: the trainer owns one optimizer for its lifetime.
 type Trainer struct {
 	// Net is the model architecture; its parameters are overwritten by the
 	// weights being trained.
@@ -46,15 +47,23 @@ type Trainer struct {
 	// Sink, when set, receives every checkpoint the moment RunEpoch snapshots
 	// it (index 0 carries the initial weights). Workers use it to stream
 	// checkpoints to durable storage as they are produced, so a crash loses
-	// at most the interval in flight. A Sink error aborts the epoch.
+	// at most the interval in flight. A Sink error aborts the epoch. The
+	// vector is the trace's own buffer, not a copy: consume it or copy it
+	// before returning, never retain and mutate it.
 	Sink func(idx, step int, w tensor.Vector) error
 
-	// Runtime and per-step batch buffers, built on the first training step
-	// and reused for the trainer's lifetime.
-	bt     *nn.BatchTrainer
-	idxs   []int
-	xs     []tensor.Vector
-	labels []int
+	// Runtime, parameter tensors, optimizer, batch schedule and per-step
+	// batch buffers, built on first use and reused for the trainer's
+	// lifetime.
+	bt       *nn.BatchTrainer
+	params   []tensor.Vector // Net.Params()
+	opt      nn.Optimizer
+	optFor   Hyper // the Optimizer and LR opt was built from
+	schedule *prf.PRF
+	nonce    prf.Nonce // the nonce schedule is keyed with
+	idxs     []int
+	xs       []tensor.Vector
+	labels   []int
 }
 
 // SetWorkers reconfigures the compute pool, discarding the runtime built for
@@ -81,6 +90,20 @@ func (t *Trainer) trainStep(opt nn.Optimizer) (float64, error) {
 	return t.bt.TrainBatch(t.xs, t.labels, opt)
 }
 
+// optimizer returns the trainer's optimizer for h with its state reset,
+// building one only when the optimizer name or learning rate changes.
+func (t *Trainer) optimizer(h Hyper) (nn.Optimizer, error) {
+	if t.opt == nil || t.optFor.Optimizer != h.Optimizer || t.optFor.LR != h.LR {
+		opt, err := nn.NewOptimizer(h.Optimizer, h.LR)
+		if err != nil {
+			return nil, err
+		}
+		t.opt, t.optFor = opt, h
+	}
+	t.opt.Reset()
+	return t.opt, nil
+}
+
 // batch materializes the deterministic batch for the given step into the
 // trainer's reused buffers.
 func (t *Trainer) batch(p *prf.PRF, step, batchSize int) error {
@@ -104,34 +127,39 @@ func (t *Trainer) batch(p *prf.PRF, step, batchSize int) error {
 }
 
 // ExecuteInterval trains from `start` weights for `steps` steps beginning at
-// training step startStep, returning the resulting weights. It is used both
-// by workers (per checkpoint interval) and by the manager when re-executing
-// a sampled interval during verification.
+// training step startStep, returning the resulting weights in a vector the
+// caller owns. start is only read. It is used both by workers (per
+// checkpoint interval) and by the manager when re-executing a sampled
+// interval during verification.
 func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
-	if err := t.Net.SetParamVector(start); err != nil {
+	if t.params == nil {
+		t.params = t.Net.Params()
+	}
+	if err := nn.LoadParams(t.params, start); err != nil {
 		return nil, fmt.Errorf("rpol interval: %w", err)
 	}
-	opt, err := nn.NewOptimizer(h.Optimizer, h.LR)
+	opt, err := t.optimizer(h)
 	if err != nil {
 		return nil, fmt.Errorf("rpol interval: %w", err)
 	}
-	schedule := prf.NewFromNonce(nonce)
-	params := t.Net.Params()
+	if t.schedule == nil || t.nonce != nonce {
+		t.schedule, t.nonce = prf.NewFromNonce(nonce), nonce
+	}
 	for s := 0; s < steps; s++ {
-		if err := t.batch(schedule, startStep+s, h.BatchSize); err != nil {
+		if err := t.batch(t.schedule, startStep+s, h.BatchSize); err != nil {
 			return nil, err
 		}
 		if _, err := t.trainStep(opt); err != nil {
 			return nil, fmt.Errorf("rpol interval step %d: %w", startStep+s, err)
 		}
 		if t.Device != nil {
-			for _, param := range params {
+			for _, param := range t.params {
 				t.Device.Perturb(param)
 			}
 		}
 	}
 	t.Steps.Add(int64(steps))
-	return t.Net.ParamVector(), nil
+	return nn.FlattenParams(make(tensor.Vector, 0, len(start)), t.params), nil
 }
 
 // RunEpoch trains a full epoch per the task parameters, snapshotting
@@ -154,7 +182,8 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 		return nil, err
 	}
 	t.SetWorkers(p.Workers)
-	trace := &Trace{}
+	n := p.NumCheckpoints()
+	trace := &Trace{Checkpoints: make([]tensor.Vector, 0, n), Steps: make([]int, 0, n)}
 	if prefix != nil && len(prefix.Checkpoints) > 0 {
 		if len(prefix.Checkpoints) != len(prefix.Steps) {
 			return nil, fmt.Errorf("rpol resume: prefix has %d checkpoints, %d steps",
@@ -165,26 +194,26 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 			trace.Steps = append(trace.Steps, prefix.Steps[i])
 		}
 	} else {
-		trace.Checkpoints = []tensor.Vector{p.Global.Clone()}
-		trace.Steps = []int{0}
+		trace.Checkpoints = append(trace.Checkpoints, p.Global.Clone())
+		trace.Steps = append(trace.Steps, 0)
 		if err := t.emit(trace); err != nil {
 			return nil, err
 		}
 	}
-	cur := trace.Checkpoints[len(trace.Checkpoints)-1].Clone()
+	// Each interval's output is the next checkpoint and the next interval's
+	// (read-only) input: one vector per checkpoint, owned by the trace.
 	step := trace.Steps[len(trace.Steps)-1]
 	for step < p.Steps {
 		interval := p.CheckpointEvery
 		if step+interval > p.Steps {
 			interval = p.Steps - step
 		}
-		next, err := t.ExecuteInterval(cur, step, interval, p.Hyper, p.Nonce)
+		next, err := t.ExecuteInterval(trace.Final(), step, interval, p.Hyper, p.Nonce)
 		if err != nil {
 			return nil, err
 		}
 		step += interval
-		cur = next
-		trace.Checkpoints = append(trace.Checkpoints, cur.Clone())
+		trace.Checkpoints = append(trace.Checkpoints, next)
 		trace.Steps = append(trace.Steps, step)
 		if err := t.emit(trace); err != nil {
 			return nil, err

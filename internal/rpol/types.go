@@ -79,7 +79,9 @@ type TaskParams struct {
 	// Sec. VII-A).
 	CheckpointEvery int
 	// LSH carries the calibrated family for RPoLv2 commitments; nil under
-	// RPoLv1 or the baseline.
+	// RPoLv1 or the baseline. It is the worker's for the duration of
+	// RunEpoch only: a family decoded by a wire.WorkerServer is valid until
+	// that server decodes its next task, whose decode refills it.
 	LSH *lsh.Family
 	// MerkleCommit selects the streaming Merkle commitment: the worker
 	// builds a Merkle tree over the checkpoint leaves incrementally during

@@ -60,6 +60,12 @@ type Verifier struct {
 	// trainer replays every interval the serial loop verifies, for the
 	// verifier's lifetime: its runtime is built once, on the first step.
 	trainer *Trainer
+	// slots[j] replays the j-th sampled interval of every submission the
+	// parallel loop verifies: a detached replica of slotsNet and the runtime
+	// built on it, kept for the verifier's lifetime like trainer. Slot j is
+	// only ever touched by chunk j.
+	slots    []*Trainer
+	slotsNet *nn.Network
 }
 
 // observer resolves the verifier's observer against the process default.
@@ -238,8 +244,10 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 }
 
 // verifyIntervalsParallel re-executes every sampled interval concurrently.
-// Each interval gets a detached clone of the verifier's network and a fork
-// of its device, so concurrent replays share no mutable state; per-interval
+// Each interval runs on its slot's detached clone of the verifier's network
+// and a fresh fork of its device, so concurrent replays share no mutable
+// state (a replay overwrites every trainable weight, so a slot carries
+// nothing from one interval into the next); per-interval
 // results land in private VerifyOutcome scratch and merge into out in
 // sampled order, up to and including the first failing interval — exactly
 // the prefix the serial path would have accounted. The verdict and the
@@ -262,6 +270,18 @@ func (v *Verifier) verifyIntervalsParallel(opener ProofOpener, shard *dataset.Da
 	subs := make([]*VerifyOutcome, len(sampled))
 	oks := make([]bool, len(sampled))
 	errs := make([]error, len(sampled))
+	if v.slotsNet != v.Net {
+		v.slots, v.slotsNet = nil, v.Net
+	}
+	for len(v.slots) < len(sampled) {
+		net, err := v.Net.Replicate(false)
+		if err != nil {
+			return false, fmt.Errorf("rpol verify replica: %w", err)
+		}
+		// Workers: 1 keeps a conv stack on the runtime workers at n ≥ 1
+		// trained with, without nesting goroutines under the interval pool.
+		v.slots = append(v.slots, &Trainer{Net: net, Workers: 1})
+	}
 	pool := parallel.New(v.Workers)
 	pool.ForChunks(len(sampled), 1, func(_, lo, hi int) {
 		// Each chunk owns a private leaf-encode scratch, reused across its
@@ -269,21 +289,14 @@ func (v *Verifier) verifyIntervalsParallel(opener ProofOpener, shard *dataset.Da
 		var encBuf []byte
 		for j := lo; j < hi; j++ {
 			c := sampled[j]
-			net, err := v.Net.Replicate(false)
-			if err != nil {
-				errs[j] = fmt.Errorf("rpol verify replica: %w", err)
-				continue
-			}
-			var device *gpu.Device
-			if v.Device != nil {
-				device = v.Device.Fork(int64(c))
-			}
-			// Workers: 1 keeps a conv stack on the runtime workers at n ≥ 1
-			// trained with, without nesting goroutines under the interval
-			// pool. Steps land in the interval's private tally; the merge
-			// loop below credits the accepted prefix to the global counter.
+			// Steps land in the interval's private tally; the merge loop
+			// below credits the accepted prefix to the global counter.
 			var tally obs.Counter
-			trainer := &Trainer{Net: net, Shard: shard, Device: device, Steps: &tally, Workers: 1}
+			trainer := v.slots[j]
+			trainer.Shard, trainer.Device, trainer.Steps = shard, nil, &tally
+			if v.Device != nil {
+				trainer.Device = v.Device.Fork(int64(c))
+			}
 			sub := &VerifyOutcome{WorkerID: out.WorkerID, Epoch: out.Epoch}
 			oks[j], errs[j] = v.verifyInterval(trainer, opener, result, p, c, sub, parent, &encBuf)
 			subs[j] = sub

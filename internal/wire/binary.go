@@ -235,8 +235,9 @@ func AppendTask(dst []byte, p rpol.TaskParams) ([]byte, error) {
 	return p.Global.AppendEncode(dst), nil
 }
 
-// decodeTaskBinary parses a task produced by AppendTask.
-func decodeTaskBinary(data []byte) (rpol.TaskParams, error) {
+// decodeTaskBinary parses a task produced by AppendTask, rebuilding its LSH
+// family into prev's storage when prev is non-nil.
+func decodeTaskBinary(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
 	r, err := newBinReader(data, binKindTask)
 	if err != nil {
 		return rpol.TaskParams{}, fmt.Errorf("wire task: %w", err)
@@ -281,7 +282,7 @@ func decodeTaskBinary(data []byte) (rpol.TaskParams, error) {
 	}
 	p.Global = global
 	if hasLSH == 1 {
-		fam, err := lsh.NewFamily(lshDim, lsh.Params{R: lshR, K: lshK, L: lshL}, lshSeed)
+		fam, err := lsh.RebuildFamily(prev, lshDim, lsh.Params{R: lshR, K: lshK, L: lshL}, lshSeed)
 		if err != nil {
 			return rpol.TaskParams{}, fmt.Errorf("wire task lsh: %w", err)
 		}

@@ -67,10 +67,16 @@ func EncodeTask(p rpol.TaskParams) ([]byte, error) {
 // from its derivation inputs. Both the binary format and the legacy JSON
 // format are accepted: a payload starting with '{' takes the JSON path.
 func DecodeTask(data []byte) (rpol.TaskParams, error) {
+	return decodeTask(data, nil)
+}
+
+// decodeTask is DecodeTask with the binary format's LSH family rebuilt into
+// prev's storage (lsh.RebuildFamily: prev is consumed; nil allocates).
+func decodeTask(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
 	if len(data) > 0 && data[0] == '{' {
 		return decodeTaskJSON(data)
 	}
-	return decodeTaskBinary(data)
+	return decodeTaskBinary(data, prev)
 }
 
 // decodeTaskJSON is the legacy decode path for pre-binary peers.

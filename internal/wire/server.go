@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 
+	"rpol/internal/lsh"
 	"rpol/internal/netsim"
 	"rpol/internal/obs"
 	"rpol/internal/rpol"
@@ -13,7 +14,9 @@ import (
 
 // WorkerServer hosts an rpol.Worker behind a bus endpoint: it receives task
 // assignments and checkpoint-opening requests and answers them. Run it in
-// its own goroutine; it returns when the bus closes.
+// its own goroutine; it returns when the bus closes. The LSH family in the
+// TaskParams it hands the worker is the server's own, refilled by the next
+// task's decode: a worker uses it during RunEpoch and does not keep it.
 type WorkerServer struct {
 	worker rpol.Worker
 	ep     Transport
@@ -24,6 +27,10 @@ type WorkerServer struct {
 	// handles requests sequentially, so one buffer suffices.
 	encBuf []byte
 	reuse  bool
+
+	// fam is the LSH family of the last v2 task decoded; the next one's
+	// decode refills its K·L projection vectors instead of allocating them.
+	fam *lsh.Family
 }
 
 // NewWorkerServer registers the worker's endpoint on the in-memory bus
@@ -116,9 +123,12 @@ func (s *WorkerServer) Run() error {
 func (s *WorkerServer) handle(msg netsim.Message) error {
 	switch msg.Kind {
 	case KindTask:
-		p, err := DecodeTask(msg.Payload)
+		p, err := decodeTask(msg.Payload, s.fam)
 		if err != nil {
 			return err
+		}
+		if p.LSH != nil {
+			s.fam = p.LSH
 		}
 		result, err := s.worker.RunEpoch(p)
 		if err != nil {
