@@ -416,6 +416,36 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr23.json",
+		pr:       23,
+		minPairs: map[string]int{"ref10_v2_tcp": 3, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 3, "durable8_v2_disk": 10},
+		rows: []e2eGate{
+			// The claim: one sync per protocol phase instead of two per
+			// checkpoint and one per record takes at least a fifth off the
+			// durable epoch.
+			{"durable8_v2_disk", "epoch_s_p50", "claim<=", 0.80},
+			// Each checkpoint is written once and checkpoint 0 not at all;
+			// no per-frame or per-record buffer is allocated anew.
+			{"durable8_v2_disk", "io_bytes_per_epoch", "<=", 0.85},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 1},
+			// No bit moves: the wire carries the same bytes, and every
+			// workload reaches the same verdicts and model at equal work.
+			{"ref10_v2_tcp", "io_bytes_per_epoch", "==", 0},
+			{"proofs4_v2_tcp", "io_bytes_per_epoch", "==", 0},
+			{"wide16_v1_tcp", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

@@ -133,16 +133,10 @@ var _ Store = (*DiskStore)(nil)
 // NewDiskStore creates (if needed) and uses the given directory on the
 // production filesystem.
 func NewDiskStore(dir string) (*DiskStore, error) {
-	return NewDiskStoreFS(fsio.OS, dir)
-}
-
-// NewDiskStoreFS is NewDiskStore over an injected filesystem (fault
-// injection in crash-recovery tests).
-func NewDiskStoreFS(fs fsio.FS, dir string) (*DiskStore, error) {
-	if err := fs.MkdirAll(dir); err != nil {
+	if err := fsio.OS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("checkpoint dir: %w", err)
 	}
-	return &DiskStore{fs: fs, dir: dir}, nil
+	return &DiskStore{fs: fsio.OS, dir: dir}, nil
 }
 
 // Dir returns the backing directory.

@@ -20,7 +20,8 @@ var ErrInjectedCrash = errors.New("fsio: injected crash")
 // write ordinal) — never of goroutine scheduling or the wall clock — so a
 // seeded crash replays bit-identically, which is what lets the recovery
 // tests crash a run at every write ordinal and compare resumed state
-// against the crash-free run.
+// against the crash-free run. A write ordinal is one durable operation:
+// one WriteFileAtomic, one Appender.Write or one Appender.Sync.
 //
 // A nil *FaultPlan is valid and injects nothing.
 type FaultPlan struct {
@@ -32,9 +33,11 @@ type FaultPlan struct {
 // a zero config injects nothing even with a non-zero seed.
 type FaultConfig struct {
 	// CrashAtWrite, when non-zero, kills the write stream at exactly the
-	// (CrashAtWrite−1)-th write ordinal (so 1 crashes the first write). The
-	// dying write persists a deterministic prefix of its bytes — appends
-	// leave a torn tail; atomic writes leave the old file — and every
+	// (CrashAtWrite−1)-th write ordinal (so 1 crashes the first write). A
+	// dying atomic write leaves the old file; every appended-to file — the
+	// dying operation's included — keeps only a deterministic prefix of the
+	// bytes written since its last successful Sync, so an append that was
+	// never synced may vanish whole, survive whole, or end in a torn tail. Every
 	// subsequent operation fails with ErrInjectedCrash.
 	CrashAtWrite uint64
 	// CrashRate is the per-write probability of the same death, for
@@ -58,7 +61,7 @@ func NewFaultPlan(seed int64, cfg FaultConfig) *FaultPlan {
 
 // CrashAtWrite is the exhaustive-sweep constructor: a plan whose only fault
 // is a crash at the given 0-based write ordinal. seed still individualizes
-// the dying write's persisted prefix length.
+// how much of each file's un-synced tail survives.
 func CrashAtWrite(seed int64, ordinal uint64) *FaultPlan {
 	return NewFaultPlan(seed, FaultConfig{CrashAtWrite: ordinal + 1})
 }
@@ -133,13 +136,18 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// FaultFS wraps an FS with a FaultPlan. Every data write — one
-// WriteFileAtomic call or one Appender.Write call — consumes one
-// process-global write ordinal; the plan maps (path, ordinal) to a fault.
-// After an injected crash the FaultFS is permanently down: every operation,
-// reads included, fails with ErrInjectedCrash, exactly as the filesystem
-// looks to a process that just died. A nil plan counts ordinals without
-// injecting — the recovery sweep uses that to size its crash schedule.
+// FaultFS wraps an FS with a FaultPlan. Every durable operation — one
+// WriteFileAtomic call, one Appender.Write call or one Appender.Sync call —
+// consumes one process-global write ordinal; the plan maps (path, ordinal) to
+// a fault. Appended bytes are durable only once a Sync on their file has
+// succeeded after them — closing the handle is not a barrier — and an
+// injected crash cuts every file with an un-synced tail back to a seeded
+// prefix of that tail (see unsyncedKeep): what a missing fsync loses on a
+// real disk. After an injected crash the FaultFS is permanently down: every
+// operation, reads included, fails with ErrInjectedCrash, exactly as the
+// filesystem looks to a process that just died. A nil plan counts ordinals
+// without injecting — the recovery sweep uses that to size its crash
+// schedule.
 type FaultFS struct {
 	inner FS
 	plan  *FaultPlan
@@ -147,13 +155,16 @@ type FaultFS struct {
 	mu   sync.Mutex
 	ord  uint64
 	down bool
+	// unsynced counts, per path, the trailing bytes appended since the last
+	// successful Sync on that file.
+	unsynced map[string]int
 }
 
 var _ FS = (*FaultFS)(nil)
 
 // NewFaultFS wraps inner with the plan.
 func NewFaultFS(inner FS, plan *FaultPlan) *FaultFS {
-	return &FaultFS{inner: inner, plan: plan}
+	return &FaultFS{inner: inner, plan: plan, unsynced: make(map[string]int)}
 }
 
 // Writes returns the number of write ordinals consumed so far.
@@ -180,6 +191,21 @@ func prefixLen(frac float64, n int) int {
 		keep = 0
 	}
 	return keep
+}
+
+// unsyncedKeep maps a crash's fraction to how many of a file's n un-synced
+// bytes survive it. The outer quarters of the range are the two boundary
+// outcomes — nothing reached the disk, everything did — so an exhaustive
+// sweep meets both often; the middle half is a torn tail.
+func unsyncedKeep(frac float64, n int) int {
+	switch {
+	case frac < 0.25:
+		return 0
+	case frac >= 0.75:
+		return n
+	default:
+		return int((frac - 0.25) * 2 * float64(n))
+	}
 }
 
 // corrupt applies a short-write or bit-flip fault to data, returning the
@@ -211,20 +237,33 @@ func (f *FaultFS) guard() error {
 	return nil
 }
 
-// decide consumes one write ordinal and, on a crash fault, marks the
-// filesystem down.
-func (f *FaultFS) decide(path string) (WriteFault, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.down {
-		return WriteFault{}, ErrInjectedCrash
-	}
-	fault := f.plan.Decide(path, f.ord)
+// nextLocked consumes one write ordinal and returns the fault the plan
+// injects into it. f.mu must be held and the filesystem up.
+func (f *FaultFS) nextLocked(path string) (WriteFault, uint64) {
+	ord := f.ord
 	f.ord++
-	if fault.Crash {
-		f.down = true
+	return f.plan.Decide(path, ord), ord
+}
+
+// crashLocked carries out a crash fault at ordinal ord: it marks the
+// filesystem down and cuts every un-synced tail back to what the crash
+// spares, each file's share a pure function of (seed, base name, ordinal).
+// The returned error wraps ErrInjectedCrash. f.mu must be held.
+func (f *FaultFS) crashLocked(op, path string, ord uint64) error {
+	f.down = true
+	for file, n := range f.unsynced {
+		lost := n - unsyncedKeep(f.plan.uniform("crash-unsynced", filepath.Base(file), ord), n)
+		if lost == 0 {
+			continue
+		}
+		// The FS surface has no truncate; rewriting the survivor through the
+		// inner filesystem is the same thing to whoever reads it next.
+		if data, err := f.inner.ReadFile(file); err == nil && len(data) >= lost {
+			_ = f.inner.WriteFileAtomic(file, data[:len(data)-lost])
+		}
 	}
-	return fault, nil
+	clear(f.unsynced)
+	return fmt.Errorf("%s %s at ordinal %d: %w", op, path, ord, ErrInjectedCrash)
 }
 
 // MkdirAll passes through (directory creation is not a data write).
@@ -240,13 +279,16 @@ func (f *FaultFS) MkdirAll(dir string) error {
 // leaves the previous file — while short writes and bit flips corrupt the
 // payload that lands, modelling storage that lies about durability.
 func (f *FaultFS) WriteFileAtomic(path string, data []byte) error {
-	fault, err := f.decide(path)
-	if err != nil {
-		return err
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.down {
+		return ErrInjectedCrash
 	}
+	fault, ord := f.nextLocked(path)
 	if fault.Crash {
-		return fmt.Errorf("atomic write %s at ordinal %d: %w", path, f.ord-1, ErrInjectedCrash)
+		return f.crashLocked("atomic write", path, ord)
 	}
+	delete(f.unsynced, path) // the file is replaced whole
 	return f.inner.WriteFileAtomic(path, corrupt(fault, data))
 }
 
@@ -272,9 +314,12 @@ func (f *FaultFS) Append(path string) (Appender, error) {
 
 // Remove passes through unless the filesystem is down.
 func (f *FaultFS) Remove(path string) error {
-	if err := f.guard(); err != nil {
-		return err
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.down {
+		return ErrInjectedCrash
 	}
+	delete(f.unsynced, path)
 	return f.inner.Remove(path)
 }
 
@@ -294,48 +339,61 @@ func (f *FaultFS) Size(path string) (int64, error) {
 	return f.inner.Size(path)
 }
 
-// faultAppender applies the plan to each append. A crash mid-append
-// persists a deterministic prefix — the torn tail journal recovery must
-// discard — then kills the filesystem.
+// faultAppender applies the plan to each append and each sync, and keeps
+// the file's un-synced byte count current: a crash anywhere leaves only a
+// seeded prefix of those bytes — the torn or missing tail recovery must cope
+// with — before killing the filesystem.
 type faultAppender struct {
 	fs    *FaultFS
 	path  string
 	inner Appender
 }
 
+// Write consumes one write ordinal. The bytes of a dying write join the
+// un-synced tail before the crash settles it, so they may survive in full
+// although the call reports failure.
 func (a *faultAppender) Write(data []byte) (int, error) {
-	fault, err := a.fs.decide(a.path)
-	if err != nil {
-		return 0, err
+	a.fs.mu.Lock()
+	defer a.fs.mu.Unlock()
+	if a.fs.down {
+		return 0, ErrInjectedCrash
 	}
-	if fault.Crash {
-		keep := prefixLen(fault.Fraction, len(data))
-		if keep > 0 {
-			if _, err := a.inner.Write(data[:keep]); err != nil {
-				return 0, err
-			}
-			_ = a.inner.Sync()
-		}
-		return keep, fmt.Errorf("append %s at ordinal %d: %w", a.path, a.fs.Writes()-1, ErrInjectedCrash)
-	}
+	fault, ord := a.fs.nextLocked(a.path)
 	persisted := corrupt(fault, data)
 	if _, err := a.inner.Write(persisted); err != nil {
 		return 0, err
+	}
+	a.fs.unsynced[a.path] += len(persisted)
+	if fault.Crash {
+		return 0, a.fs.crashLocked("append", a.path, ord)
 	}
 	// Short writes and bit flips report full success: the caller learns
 	// about them at read time, through the checksum layer.
 	return len(data), nil
 }
 
+// Sync consumes one write ordinal — a crash can land on the barrier itself,
+// before anything it covers is durable — and otherwise makes every byte
+// appended to the file so far durable.
 func (a *faultAppender) Sync() error {
-	if err := a.fs.guard(); err != nil {
+	a.fs.mu.Lock()
+	defer a.fs.mu.Unlock()
+	if a.fs.down {
+		return ErrInjectedCrash
+	}
+	if fault, ord := a.fs.nextLocked(a.path); fault.Crash {
+		return a.fs.crashLocked("sync", a.path, ord)
+	}
+	if err := a.inner.Sync(); err != nil {
 		return err
 	}
-	return a.inner.Sync()
+	delete(a.fs.unsynced, a.path)
+	return nil
 }
 
+// Close releases the handle. It is not a barrier: bytes no Sync covered stay
+// un-synced. Closing must work even when down, so crashed runs can release
+// their handles before the recovery process takes over.
 func (a *faultAppender) Close() error {
-	// Closing must work even when down, so crashed runs can release their
-	// handles before the recovery process takes over.
 	return a.inner.Close()
 }

@@ -140,10 +140,136 @@ func TestFaultFSCrashAtAtomicWrite(t *testing.T) {
 }
 
 func TestFaultFSCrashMidAppendLeavesTornPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.wal")
 	payload := bytes.Repeat([]byte("0123456789"), 20)
+	// Ordinals: write 0, sync 1, write 2 (dies). The synced first payload
+	// survives every crash; of the dying write a seeded prefix does, and
+	// across seeds that prefix is sometimes empty, sometimes torn and
+	// sometimes the whole payload.
+	var sawNone, sawTorn, sawAll bool
+	for seed := int64(1); seed <= 64; seed++ {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		ffs := NewFaultFS(OS, CrashAtWrite(seed, 2))
+		ap, err := ffs.Append(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ap.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := ap.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ap.Write(payload); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatalf("seed %d: second write err = %v", seed, err)
+		}
+		if err := ap.Sync(); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatalf("seed %d: sync after crash: %v", seed, err)
+		}
+		if err := ap.Close(); err != nil {
+			t.Fatalf("seed %d: close after crash: %v", seed, err)
+		}
+		data, err := OS.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < len(payload) || len(data) > 2*len(payload) {
+			t.Fatalf("seed %d: persisted %d bytes", seed, len(data))
+		}
+		if !bytes.Equal(data, append(append([]byte(nil), payload...), payload...)[:len(data)]) {
+			t.Fatalf("seed %d: survivor is not a prefix of what was written", seed)
+		}
+		switch len(data) {
+		case len(payload):
+			sawNone = true
+		case 2 * len(payload):
+			sawAll = true
+		default:
+			sawTorn = true
+		}
+	}
+	if !sawNone || !sawTorn || !sawAll {
+		t.Fatalf("64 seeds reached none=%t torn=%t all=%t of the dying write", sawNone, sawTorn, sawAll)
+	}
+}
 
-	ffs := NewFaultFS(OS, CrashAtWrite(11, 1))
+// TestFaultFSCrashLosesUnsyncedTails is the rule the group-committed journal
+// and the checkpoint segments are tested against: a crash anywhere costs
+// every open appender the bytes it wrote since its last successful Sync,
+// down to a seeded prefix — not only the appender whose operation died.
+func TestFaultFSCrashLosesUnsyncedTails(t *testing.T) {
+	synced, tail := []byte("synced-part|"), bytes.Repeat([]byte("unsynced"), 16)
+	run := func(seed int64) (a, b []byte) {
+		dir := t.TempDir()
+		pa, pb := filepath.Join(dir, "a.seg"), filepath.Join(dir, "b.seg")
+		// Ordinals: a.write 0, a.sync 1, a.write 2, b.write 3, atomic 4 (dies).
+		ffs := NewFaultFS(OS, CrashAtWrite(seed, 4))
+		apA, err := ffs.Append(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apB, err := ffs.Append(pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer apA.Close()
+		defer apB.Close()
+		for _, step := range []func() error{
+			func() error { _, err := apA.Write(synced); return err },
+			apA.Sync,
+			func() error { _, err := apA.Write(tail); return err },
+			func() error { _, err := apB.Write(tail); return err },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The running process sees its own un-synced bytes.
+		if data, err := ffs.ReadFile(pa); err != nil || len(data) != len(synced)+len(tail) {
+			t.Fatalf("read before crash: %d bytes, %v", len(data), err)
+		}
+		if size, err := ffs.Size(pb); err != nil || size != int64(len(tail)) {
+			t.Fatalf("size before crash: %d, %v", size, err)
+		}
+		if err := ffs.WriteFileAtomic(filepath.Join(dir, "state.bin"), []byte("x")); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatalf("atomic write err = %v", err)
+		}
+		if a, err = OS.ReadFile(pa); err != nil {
+			t.Fatal(err)
+		}
+		if b, err = OS.ReadFile(pb); err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}
+	var lostA, keptA, lostB, keptB bool
+	for seed := int64(1); seed <= 64; seed++ {
+		a, b := run(seed)
+		if !bytes.HasPrefix(a, synced) || !bytes.HasPrefix(append(append([]byte(nil), synced...), tail...), a) {
+			t.Fatalf("seed %d: a.seg kept %q", seed, a)
+		}
+		if !bytes.HasPrefix(tail, b) {
+			t.Fatalf("seed %d: b.seg kept %q", seed, b)
+		}
+		lostA = lostA || len(a) == len(synced)
+		keptA = keptA || len(a) == len(synced)+len(tail)
+		lostB = lostB || len(b) == 0
+		keptB = keptB || len(b) == len(tail)
+		if a2, b2 := run(seed); !bytes.Equal(a, a2) || !bytes.Equal(b, b2) {
+			t.Fatalf("seed %d: the surviving prefix is not a function of the seed", seed)
+		}
+	}
+	if !lostA || !keptA || !lostB || !keptB {
+		t.Fatalf("64 seeds: a lost-all=%t kept-all=%t, b lost-all=%t kept-all=%t; both ends must be reachable", lostA, keptA, lostB, keptB)
+	}
+}
+
+func TestFaultFSSyncIsACrashPointAndCloseIsNoBarrier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	payload := []byte("a record nobody synced")
+
+	// Ordinals: write 0, sync 1 (dies): the barrier itself can be the
+	// operation that never happens.
+	ffs := NewFaultFS(OS, CrashAtWrite(3, 1))
 	ap, err := ffs.Append(path)
 	if err != nil {
 		t.Fatal(err)
@@ -151,25 +277,52 @@ func TestFaultFSCrashMidAppendLeavesTornPrefix(t *testing.T) {
 	if _, err := ap.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ap.Write(payload)
-	if !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("second write err = %v", err)
+	if err := ap.Sync(); !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("sync err = %v", err)
 	}
-	if n >= len(payload) {
-		t.Fatalf("crash persisted all %d bytes", n)
+	if !ffs.Down() || ffs.Writes() != 2 {
+		t.Fatalf("down=%t after %d ordinals", ffs.Down(), ffs.Writes())
 	}
 	if err := ap.Close(); err != nil {
-		t.Fatalf("close after crash: %v", err)
-	}
-	data, err := OS.ReadFile(path)
-	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(payload) + n; len(data) != want {
-		t.Fatalf("persisted %d bytes, want %d", len(data), want)
+	data, err := OS.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(payload, data) {
+		t.Fatalf("after a dying sync: %q, %v", data, err)
 	}
-	if !bytes.Equal(data[:len(payload)], payload) {
-		t.Fatal("intact prefix corrupted")
+
+	// Closing a handle makes nothing durable: a later crash elsewhere still
+	// costs the closed file its un-synced bytes (under some seed, all of
+	// them), while a run that never crashes loses nothing.
+	lost := false
+	for seed := int64(1); seed <= 32 && !lost; seed++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "closed.seg")
+		ffs := NewFaultFS(OS, CrashAtWrite(seed, 1))
+		ap, err := ffs.Append(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ap.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := ap.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := OS.ReadFile(path); err != nil || !bytes.Equal(data, payload) {
+			t.Fatalf("before the crash: %q, %v", data, err)
+		}
+		if err := ffs.WriteFileAtomic(filepath.Join(dir, "state.bin"), nil); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatalf("atomic write err = %v", err)
+		}
+		data, err := OS.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(payload, data) {
+			t.Fatalf("seed %d: after the crash: %q, %v", seed, data, err)
+		}
+		lost = len(data) == 0
+	}
+	if !lost {
+		t.Fatal("no seed in 32 lost a closed, never-synced file's bytes")
 	}
 }
 

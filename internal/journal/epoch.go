@@ -11,9 +11,6 @@ const (
 	KindTask = "task"
 	// KindCommit — a worker's commitment arrived at the manager.
 	KindCommit = "commit"
-	// KindCheckpoint — a worker durably stored checkpoint (index, digest);
-	// resume adopts a stored checkpoint only when its digest matches.
-	KindCheckpoint = "ckpt"
 	// KindSamples — the manager drew a submission's sample indices.
 	KindSamples = "samples"
 	// KindVerdict — the manager recorded a submission's verification
@@ -46,19 +43,6 @@ type Commit struct {
 	Root []byte `json:"root,omitempty"`
 	// NumCheckpoints is the committed snapshot count.
 	NumCheckpoints int `json:"numCheckpoints"`
-}
-
-// Checkpoint records that a worker durably persisted one training
-// checkpoint of the in-flight epoch.
-type Checkpoint struct {
-	Epoch  int    `json:"epoch"`
-	Worker string `json:"worker"`
-	// Index is the checkpoint's position in the epoch's trace.
-	Index int `json:"index"`
-	// Step is the training step the snapshot was taken at.
-	Step int `json:"step"`
-	// Digest is fsio.Checksum over the snapshot's wire encoding.
-	Digest uint64 `json:"digest"`
 }
 
 // Samples records the sample indices drawn for one submission.
@@ -98,7 +82,7 @@ type Seal struct {
 	AcceptedWorkers []string `json:"acceptedWorkers,omitempty"`
 }
 
-// logJSON marshals v and appends it under kind.
+// logJSON marshals v and appends it under kind (pending until Sync).
 func (j *Journal) logJSON(kind string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -115,9 +99,6 @@ func (j *Journal) LogTask(t Task) error { return j.logJSON(KindTask, t) }
 
 // LogCommit appends a commitment-received record.
 func (j *Journal) LogCommit(c Commit) error { return j.logJSON(KindCommit, c) }
-
-// LogCheckpoint appends a checkpoint-persisted record.
-func (j *Journal) LogCheckpoint(c Checkpoint) error { return j.logJSON(KindCheckpoint, c) }
 
 // LogSamples appends a samples-drawn record.
 func (j *Journal) LogSamples(s Samples) error { return j.logJSON(KindSamples, s) }
@@ -140,12 +121,11 @@ type State struct {
 	InFlight int
 	// Task is the in-flight epoch's announcement (nil when InFlight < 0).
 	Task *Task
-	// Commits, Checkpoints, Samples, Verdicts are the in-flight epoch's
-	// durable transitions, in journal order.
-	Commits     []Commit
-	Checkpoints []Checkpoint
-	Samples     []Samples
-	Verdicts    []Verdict
+	// Commits, Samples, Verdicts are the in-flight epoch's durable
+	// transitions, in journal order.
+	Commits  []Commit
+	Samples  []Samples
+	Verdicts []Verdict
 }
 
 // ClearInFlight drops the in-flight epoch's partial transitions (used when
@@ -153,23 +133,7 @@ type State struct {
 func (s *State) ClearInFlight() {
 	s.InFlight = -1
 	s.Task = nil
-	s.Commits, s.Checkpoints, s.Samples, s.Verdicts = nil, nil, nil, nil
-}
-
-// CheckpointDigests returns the in-flight epoch's durable checkpoint
-// digests for one worker, by index; later records win. Resume adopts a
-// stored snapshot only when its bytes still hash to the journaled digest —
-// equality of weights alone cannot distinguish this epoch's checkpoint 0
-// from a stale file of a previous epoch that ended in the same global
-// model.
-func (s *State) CheckpointDigests(worker string) map[int]uint64 {
-	out := make(map[int]uint64)
-	for _, c := range s.Checkpoints {
-		if c.Worker == worker {
-			out[c.Index] = c.Digest
-		}
-	}
-	return out
+	s.Commits, s.Samples, s.Verdicts = nil, nil, nil
 }
 
 // NextEpoch returns the epoch a resumed run should execute next: the
@@ -214,14 +178,6 @@ func Reconstruct(recs []Record) (*State, error) {
 			if c.Epoch == st.InFlight {
 				st.Commits = append(st.Commits, c)
 			}
-		case KindCheckpoint:
-			var c Checkpoint
-			if err := json.Unmarshal(rec.Data, &c); err != nil {
-				return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind, err)
-			}
-			if c.Epoch == st.InFlight {
-				st.Checkpoints = append(st.Checkpoints, c)
-			}
 		case KindSamples:
 			var s Samples
 			if err := json.Unmarshal(rec.Data, &s); err != nil {
@@ -256,7 +212,9 @@ func Reconstruct(recs []Record) (*State, error) {
 			}
 		default:
 			// Unknown kinds are skipped, not fatal: a newer writer may add
-			// record types an older reader can ignore.
+			// record types an older reader can ignore, and an older one
+			// (the per-checkpoint "ckpt" records workers once wrote here)
+			// may have left some this reader no longer needs.
 		}
 	}
 	return st, nil

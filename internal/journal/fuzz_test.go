@@ -28,6 +28,17 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("not a journal"))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
+	// A phase's batch goes out as one append, so a crash tears it anywhere:
+	// inside the first record, on a record boundary, inside the last one.
+	var batch []byte
+	for seq := uint64(3); seq <= 6; seq++ {
+		batch, _ = encodeRecord(batch, Record{Seq: seq, Kind: KindCommit, Data: []byte(`{"epoch":1,"worker":"w"}`)})
+	}
+	whole := append(append([]byte(nil), intact...), batch...)
+	f.Add(whole)
+	f.Add(whole[:len(intact)+5])
+	f.Add(whole[:len(intact)+len(batch)/4])
+	f.Add(whole[:len(whole)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, torn, dups := Replay(data)

@@ -1,11 +1,15 @@
-// Package journal is the protocol's write-ahead epoch journal: an
-// append-only file of checksummed records the manager and workers write
-// every durable protocol transition into — task announced, commitment
-// received, sample indices drawn, verdicts recorded, epoch sealed — before
-// acting on it. After a crash, recovery replays the intact prefix, discards
-// the torn tail (a record half-written when the process died), and
-// reconstructs the pool's position mid-epoch, so a resumed run continues
-// from the last durable transition instead of restarting the epoch.
+// Package journal is the manager's write-ahead epoch journal: an
+// append-only file of checksummed records holding every durable protocol
+// transition — task announced, commitment received, sample indices drawn,
+// verdicts recorded, epoch sealed. Writing and syncing are separate: Append
+// (and the Log* helpers) frame a record into the journal's pending batch,
+// and Sync writes the batch and makes it durable, so the manager pays one
+// barrier per protocol phase — before it acts on what the phase recorded —
+// instead of one per record. After a crash, recovery replays the intact
+// prefix, discards the torn tail (a batch half-written when the process
+// died), and reconstructs the pool's position mid-epoch, so a resumed run
+// continues from the last durable transition instead of restarting the
+// epoch.
 //
 // Each record is one fsio frame whose payload carries a monotonically
 // increasing sequence number, a record kind, and the kind's JSON body. The
@@ -45,18 +49,23 @@ const recHeaderSize = 9
 // errBadRecord marks a frame whose payload is not a well-formed record.
 var errBadRecord = errors.New("journal: malformed record")
 
-// encodeRecord serializes a record into an fsio frame appended to dst.
-func encodeRecord(dst []byte, r Record) ([]byte, error) {
+// appendPayload appends a record's frame payload to dst.
+func appendPayload(dst []byte, r Record) ([]byte, error) {
 	if len(r.Kind) == 0 || len(r.Kind) > 255 {
 		return nil, fmt.Errorf("kind %q: %w", r.Kind, errBadRecord)
 	}
-	payload := make([]byte, 0, recHeaderSize+len(r.Kind)+len(r.Data))
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], r.Seq)
-	payload = append(payload, seq[:]...)
-	payload = append(payload, byte(len(r.Kind)))
-	payload = append(payload, r.Kind...)
-	payload = append(payload, r.Data...)
+	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
+	dst = append(dst, byte(len(r.Kind)))
+	dst = append(dst, r.Kind...)
+	return append(dst, r.Data...), nil
+}
+
+// encodeRecord serializes a record into an fsio frame appended to dst.
+func encodeRecord(dst []byte, r Record) ([]byte, error) {
+	payload, err := appendPayload(make([]byte, 0, recHeaderSize+len(r.Kind)+len(r.Data)), r)
+	if err != nil {
+		return nil, err
+	}
 	return fsio.AppendFrame(dst, payload), nil
 }
 
@@ -117,9 +126,7 @@ type Recovery struct {
 	SkippedDuplicates int
 }
 
-// Journal is an open append-only journal file. Append is safe for
-// concurrent use: the manager and concurrently-training workers log through
-// one Journal.
+// Journal is an open append-only journal file, safe for concurrent use.
 type Journal struct {
 	fs   fsio.FS
 	path string
@@ -128,7 +135,11 @@ type Journal struct {
 	mu      sync.Mutex
 	ap      fsio.Appender
 	nextSeq uint64
-	encBuf  []byte
+	// pending holds the records framed since the last Sync, back to back;
+	// payload is the scratch one record is laid out in before framing. Both
+	// buffers are reused from batch to batch.
+	pending []byte
+	payload []byte
 }
 
 // Create truncates (or creates) the journal at path and opens it for
@@ -190,9 +201,9 @@ func Open(fs fsio.FS, path string, o *obs.Observer) (*Journal, *Recovery, error)
 	return j, &Recovery{Records: recs, DiscardedTailBytes: torn, SkippedDuplicates: dups}, nil
 }
 
-// Append durably writes one record of the given kind and returns its
-// sequence number. The record is synced before Append returns: when the
-// caller acts on a transition, the transition is already on disk.
+// Append frames one record of the given kind into the pending batch and
+// returns its sequence number. Nothing reaches the file before Sync: a caller
+// must Sync before it acts on the transition the record describes.
 func (j *Journal) Append(kind string, data []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -200,33 +211,64 @@ func (j *Journal) Append(kind string, data []byte) (uint64, error) {
 		return 0, errors.New("journal: closed")
 	}
 	seq := j.nextSeq
-	frame, err := encodeRecord(j.encBuf[:0], Record{Seq: seq, Kind: kind, Data: data})
+	payload, err := appendPayload(j.payload[:0], Record{Seq: seq, Kind: kind, Data: data})
 	if err != nil {
 		return 0, err
 	}
-	j.encBuf = frame
-	if _, err := j.ap.Write(frame); err != nil {
-		return 0, fmt.Errorf("journal append: %w", err)
-	}
-	if err := j.ap.Sync(); err != nil {
-		return 0, fmt.Errorf("journal append: %w", err)
-	}
+	j.payload = payload
+	j.pending = fsio.AppendFrame(j.pending, payload)
 	j.nextSeq++
 	j.obs.Counter("journal_records_total").Inc()
 	return seq, nil
 }
 
+// Sync writes the pending batch in one append and makes it durable. When it
+// returns nil, every record appended so far survives a crash.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.ap == nil {
+		return errors.New("journal: closed")
+	}
+	if err := j.flushLocked(); err != nil {
+		return err
+	}
+	if err := j.ap.Sync(); err != nil {
+		return fmt.Errorf("journal sync: %w", err)
+	}
+	return nil
+}
+
+// flushLocked hands the pending batch to the file. j.mu must be held.
+func (j *Journal) flushLocked() error {
+	if len(j.pending) == 0 {
+		return nil
+	}
+	_, err := j.ap.Write(j.pending)
+	j.pending = j.pending[:0]
+	if err != nil {
+		return fmt.Errorf("journal append: %w", err)
+	}
+	return nil
+}
+
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Close releases the append handle. Further Appends fail.
+// Close writes any batch still pending (without a barrier: a clean stop
+// loses nothing, a crash right after it may) and releases the append handle.
+// Further Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.ap == nil {
 		return nil
 	}
+	err := j.flushLocked()
 	ap := j.ap
 	j.ap = nil
-	return ap.Close()
+	if cerr := ap.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

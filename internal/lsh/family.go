@@ -127,8 +127,13 @@ func (f *Family) HashPool(p *parallel.Pool, x tensor.Vector) (Digest, error) {
 	}
 	d := make(Digest, f.params.L)
 	if p.Workers() <= 1 {
-		// Serial fast path shares one bucket buffer across groups.
-		buf := make([]byte, 8*f.params.K)
+		// Serial fast path: one bucket buffer for all K·L projections, on
+		// the stack at the usual budget of 16.
+		var stack [8 * 16]byte
+		buf := stack[:]
+		if need := 8 * f.params.K * f.params.L; need > len(buf) {
+			buf = make([]byte, need)
+		}
 		if err := f.hashGroups(d, buf, x, 0, f.params.L); err != nil {
 			return nil, err
 		}
@@ -147,20 +152,52 @@ func (f *Family) HashPool(p *parallel.Pool, x tensor.Vector) (Digest, error) {
 	return d, nil
 }
 
-// hashGroups fills digest slots lo..hi. Every group writes only its own
-// slot, and each group hash is a pure function of x and the family, so any
-// partition of the groups yields identical digests.
+// hashGroups fills digest slots lo..hi; buf holds 8 bytes per projection of
+// those groups. Every group writes only its own slot, and each group hash is
+// a pure function of x and the family, so any partition of the groups yields
+// identical digests.
+//
+// The projections of the range are taken four at a time: one pass over x
+// advances four dot products, each still a single accumulation in ascending
+// index order (the bits Vector.Dot produces), so four independent add chains
+// overlap where one would wait out the adder's latency at every element.
 func (f *Family) hashGroups(d Digest, buf []byte, x tensor.Vector, lo, hi int) error {
-	for g := lo; g < hi; g++ {
-		for fn := 0; fn < f.params.K; fn++ {
-			dot, err := f.projections[g][fn].Dot(x)
-			if err != nil {
-				return err
-			}
-			bucket := int64(math.Floor((dot + f.offsets[g][fn]) / f.params.R))
-			binary.LittleEndian.PutUint64(buf[8*fn:], uint64(bucket))
+	k := f.params.K
+	n := (hi - lo) * k
+	proj := func(j int) tensor.Vector { return f.projections[lo+j/k][j%k] }
+	bucket := func(j int, dot float64) {
+		b := int64(math.Floor((dot + f.offsets[lo+j/k][j%k]) / f.params.R))
+		binary.LittleEndian.PutUint64(buf[8*j:], uint64(b))
+	}
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		a0, a1, a2, a3 := proj(j), proj(j+1), proj(j+2), proj(j+3)
+		if len(a0) != len(x) || len(a1) != len(x) || len(a2) != len(x) || len(a3) != len(x) {
+			return fmt.Errorf("lsh: projection of %d weights, input %d: %w", len(a0), len(x), tensor.ErrShapeMismatch)
 		}
-		sum := sha256.Sum256(buf)
+		// Equal lengths, restated so the loop indexes without bounds checks.
+		a0, a1, a2, a3 = a0[:len(x)], a1[:len(x)], a2[:len(x)], a3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			s0 += a0[i] * xi
+			s1 += a1[i] * xi
+			s2 += a2[i] * xi
+			s3 += a3[i] * xi
+		}
+		bucket(j, s0)
+		bucket(j+1, s1)
+		bucket(j+2, s2)
+		bucket(j+3, s3)
+	}
+	for ; j < n; j++ {
+		dot, err := proj(j).Dot(x)
+		if err != nil {
+			return err
+		}
+		bucket(j, dot)
+	}
+	for g := lo; g < hi; g++ {
+		sum := sha256.Sum256(buf[8*k*(g-lo) : 8*k*(g-lo+1)])
 		d[g] = binary.LittleEndian.Uint64(sum[:8])
 	}
 	return nil

@@ -1,11 +1,15 @@
 package lsh
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
@@ -248,5 +252,62 @@ func TestMatchEdgeCases(t *testing.T) {
 	}
 	if !Match(Digest{1, 9}, Digest{7, 9}) {
 		t.Error("one agreeing group suffices")
+	}
+}
+
+// TestHashMatchesOneChainReference holds the four-at-a-time projection loop
+// to the definition it replaced — every projection's dot product taken on its
+// own with Vector.Dot — at projection counts that leave every remainder
+// (K·L = 1, 3, 4, 5, 16, 17, with groups both wider and narrower than four),
+// through Hash and through HashPool at 1, 2 and 4 workers.
+func TestHashMatchesOneChainReference(t *testing.T) {
+	const dim = 257
+	x := tensor.NewRNG(11).NormalVector(dim, 0, 3)
+	for _, kl := range [][2]int{{1, 1}, {3, 1}, {1, 3}, {4, 1}, {2, 2}, {5, 1}, {1, 5}, {4, 4}, {2, 8}, {16, 1}, {1, 16}, {17, 1}, {1, 17}} {
+		params := Params{R: 1.5, K: kl[0], L: kl[1]}
+		f, err := NewFamily(dim, params, 29)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(Digest, params.L)
+		for g := range want {
+			buf := make([]byte, 8*params.K)
+			for fn := 0; fn < params.K; fn++ {
+				dot, err := f.projections[g][fn].Dot(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bucket := int64(math.Floor((dot + f.offsets[g][fn]) / params.R))
+				binary.LittleEndian.PutUint64(buf[8*fn:], uint64(bucket))
+			}
+			sum := sha256.Sum256(buf)
+			want[g] = binary.LittleEndian.Uint64(sum[:8])
+		}
+		check := func(how string, got Digest, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("K=%d L=%d %s: %v", params.K, params.L, how, err)
+			}
+			for g := range want {
+				if got[g] != want[g] {
+					t.Errorf("K=%d L=%d %s: group %d = %#x, reference %#x", params.K, params.L, how, g, got[g], want[g])
+				}
+			}
+		}
+		got, err := f.Hash(x)
+		check("Hash", got, err)
+		for _, workers := range []int{1, 2, 4} {
+			got, err := f.HashPool(parallel.New(workers), x)
+			check(fmt.Sprintf("HashPool(%d)", workers), got, err)
+		}
+	}
+	// The serial path's bucket buffer stays off the heap at the usual budget:
+	// the digest is the only allocation.
+	f, err := NewFamily(dim, Params{R: 1.5, K: 4, L: 4}, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = f.Hash(x) }); allocs > 1 {
+		t.Errorf("Hash allocates %.0f times, want only the digest", allocs)
 	}
 }

@@ -283,3 +283,56 @@ func TestBatchTrainerErrors(t *testing.T) {
 		t.Error("bad example accepted")
 	}
 }
+
+// TestReLUBatchMatchesOracleOnSpecialValues holds the branch-free batch ReLU
+// to the per-example Forward/Backward bit for bit on the inputs where a mask
+// trick could slip: signed zeros, denormals, infinities and NaNs of both
+// signs, as activations and as incoming gradients.
+func TestReLUBatchMatchesOracleOnSpecialValues(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	special := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		1, -1, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1),
+		math.NaN(), negNaN,
+	}
+	n := len(special)
+	// Row r pairs activation special[c] with gradient special[(c+r) % n], so
+	// the rows together cover every (activation, gradient) pair.
+	x, grad := tensor.NewMatrix(n, n), tensor.NewMatrix(n, n)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			x.Row(r)[c] = special[c]
+			grad.Row(r)[c] = special[(c+r)%n]
+		}
+	}
+	batch := NewReLU(n)
+	out, err := batch.ForwardBatch(nil, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := batch.BackwardBatch(nil, grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		oracle := NewReLU(n)
+		wantOut, err := oracle.Forward(x.Row(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBack, err := oracle.Backward(grad.Row(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < n; c++ {
+			if got, want := math.Float64bits(out.Row(r)[c]), math.Float64bits(wantOut[c]); got != want {
+				t.Errorf("forward(%v) = %#x, oracle %#x", special[c], got, want)
+			}
+			if got, want := math.Float64bits(back.Row(r)[c]), math.Float64bits(wantBack[c]); got != want {
+				t.Errorf("backward(activation %v, gradient %v) = %#x, oracle %#x", special[c], special[(c+r)%n], got, want)
+			}
+		}
+	}
+}

@@ -127,11 +127,15 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 	if err != nil {
 		return err
 	}
-	for i := range params {
-		v, g := velocity[i], grads[i]
-		for j := range v {
-			v[j] = o.Momentum*v[j] + g[j]
-			params[i][j] -= o.LR * v[j]
+	mu, lr := o.Momentum, o.LR
+	for i, p := range params {
+		// checkPairs and fit established equal lengths; saying so once lets
+		// the inner loop run without a bounds check per access.
+		v, g := velocity[i][:len(p)], grads[i][:len(p)]
+		for j := range p {
+			vj := mu*v[j] + g[j]
+			v[j] = vj
+			p[j] -= lr * vj
 		}
 	}
 	return nil

@@ -95,13 +95,13 @@ type Config struct {
 	// one). Instrumentation does not change protocol results: a seeded run
 	// with and without an observer produces identical EpochStats.
 	Obs *obs.Observer
-	// Journal is a directory for the pool's durability layer: an
+	// Journal is a directory for the pool's durability layer: the manager's
 	// append-only epoch journal (epoch.wal), a per-epoch state snapshot
-	// (state.bin), and one on-disk checkpoint store per honest worker.
-	// Empty disables journaling. With a journal, the manager derives its
-	// per-epoch randomness from (Seed, epoch) — a seeded journaled run is
-	// still fully deterministic, but its sampling stream differs from the
-	// same seed without a journal.
+	// (state.bin), and one append-only checkpoint segment per honest worker
+	// (ckpt-<id>/segment.bin). Empty disables journaling. With a journal, the
+	// manager derives its per-epoch randomness from (Seed, epoch) — a seeded
+	// journaled run is still fully deterministic, but its sampling stream
+	// differs from the same seed without a journal.
 	Journal string
 	// Resume, with Journal set, recovers the pool's position from the
 	// journal instead of starting fresh: sealed epochs are replayed from
@@ -422,8 +422,8 @@ func New(cfg Config) (*Pool, error) {
 		shardMap[w.ID()] = shard
 	}
 
-	// Durability layer: open (or create) the epoch journal and give every
-	// honest worker a disk-backed checkpoint store that streams through it.
+	// Durability layer: open (or create) the manager's epoch journal and give
+	// every honest worker its own append-only checkpoint segment.
 	var (
 		j   *journal.Journal
 		st  *journal.State
@@ -454,12 +454,11 @@ func New(cfg Config) (*Pool, error) {
 			if !ok {
 				continue
 			}
-			store, err := checkpoint.NewDiskStoreFS(cfg.FS, filepath.Join(cfg.Journal, "ckpt-"+hw.ID()))
+			seg, err := checkpoint.NewSegment(cfg.FS, filepath.Join(cfg.Journal, "ckpt-"+hw.ID()))
 			if err != nil {
 				return nil, fmt.Errorf("pool journal: %w", err)
 			}
-			hw.SetStore(store)
-			hw.SetJournal(j)
+			hw.SetSegment(seg)
 		}
 	}
 
@@ -487,7 +486,8 @@ func New(cfg Config) (*Pool, error) {
 		// In-process workers each own their network and trainer, so the
 		// collection phase can safely run them concurrently — except under a
 		// journal, where serial collection keeps the order of durable writes
-		// (checkpoint streams, commit records) a pure function of the seed.
+		// (the workers' segment appends and syncs) a pure function of the
+		// seed, which the process-global FaultFS ordinal relies on.
 		ConcurrentCollection: cfg.Journal == "",
 	}, managerNet, workers, shardMap, shards[cfg.NumWorkers])
 	if err != nil {
@@ -561,7 +561,7 @@ func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
 		switch {
 		case ds.Epoch == len(st.Sealed)+1 && ds.LastSeal != nil:
 			// Crashed between writing state.bin and journaling the seal.
-			if err := p.journal.LogSeal(*ds.LastSeal); err != nil {
+			if err := p.logSeal(*ds.LastSeal); err != nil {
 				return fmt.Errorf("pool resume: %w", err)
 			}
 			st.Sealed = append(st.Sealed, *ds.LastSeal)
@@ -625,12 +625,8 @@ func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
 	if st.InFlight == completed && st.Task != nil &&
 		st.Task.GlobalDigest == fsio.Checksum(p.encBuf) {
 		for _, w := range raw {
-			hw, ok := w.(*rpol.HonestWorker)
-			if !ok {
-				continue
-			}
-			if digests := st.CheckpointDigests(hw.ID()); len(digests) > 0 {
-				hw.PrepareResume(completed, digests)
+			if hw, ok := w.(*rpol.HonestWorker); ok {
+				hw.PrepareResume(completed)
 			}
 		}
 	}
@@ -823,10 +819,19 @@ func (p *Pool) sealEpoch(stats *EpochStats, report *rpol.EpochReport) error {
 	if err := p.fs.WriteFileAtomic(filepath.Join(p.cfg.Journal, stateFile), fsio.EncodeFile(payload)); err != nil {
 		return fmt.Errorf("pool seal: %w", err)
 	}
-	if err := p.journal.LogSeal(seal); err != nil {
+	if err := p.logSeal(seal); err != nil {
 		return fmt.Errorf("pool seal: %w", err)
 	}
 	return nil
+}
+
+// logSeal journals a seal record and makes it durable: the next epoch's task
+// is announced on top of it.
+func (p *Pool) logSeal(seal journal.Seal) error {
+	if err := p.journal.LogSeal(seal); err != nil {
+		return err
+	}
+	return p.journal.Sync()
 }
 
 // RunEpochs runs n epochs and returns the stats history.

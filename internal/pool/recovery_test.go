@@ -3,10 +3,15 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"rpol/internal/checkpoint"
 	"rpol/internal/fsio"
 	"rpol/internal/journal"
+	"rpol/internal/obs"
 	"rpol/internal/rpol"
 )
 
@@ -20,7 +25,7 @@ func journaledConfig(workers int, dir string, fs fsio.FS) Config {
 		Scheme:          rpol.SchemeV2,
 		NumWorkers:      2,
 		StepsPerEpoch:   6,
-		CheckpointEvery: 3,
+		CheckpointEvery: 2,
 		Samples:         2,
 		Seed:            99,
 		Workers:         workers,
@@ -60,14 +65,29 @@ func sameRewards(a, b map[string]float64) bool {
 	return true
 }
 
-// runBaseline runs the uninterrupted journaled pool and returns its ground
-// truth: per-epoch summaries, the final global model digest, the reward
-// ledger, and the total number of durable writes the run issued (the crash
-// sweep's schedule size).
-func runBaseline(t *testing.T, workers, epochs int) ([]epochSummary, uint64, map[string]float64, uint64) {
+// baseline is the uninterrupted journaled run's ground truth: per-epoch
+// summaries, the final global model digest, the reward ledger, the model's
+// dimension, and the total number of durable operations the run issued (the
+// crash sweep's schedule size).
+type baseline struct {
+	summaries []epochSummary
+	digest    uint64
+	rewards   map[string]float64
+	dim       int
+	ops       uint64
+}
+
+// runBaseline runs the uninterrupted journaled pool. wrap, when non-nil,
+// layers a test filesystem between the pool and the counting FaultFS, the
+// same way crashAndRecover layers it over the crashing one.
+func runBaseline(t *testing.T, workers, epochs int, wrap func(fsio.FS) fsio.FS) baseline {
 	t.Helper()
 	counter := fsio.NewFaultFS(fsio.OS, nil)
-	p, err := New(journaledConfig(workers, t.TempDir(), counter))
+	var fs fsio.FS = counter
+	if wrap != nil {
+		fs = wrap(fs)
+	}
+	p, err := New(journaledConfig(workers, t.TempDir(), fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +100,7 @@ func runBaseline(t *testing.T, workers, epochs int) ([]epochSummary, uint64, map
 	for i, s := range history {
 		summaries[i] = summarize(s)
 	}
-	return summaries, globalDigest(p), p.Rewards(), counter.Writes()
+	return baseline{summaries, globalDigest(p), p.Rewards(), len(p.Manager().Global()), counter.Writes()}
 }
 
 // TestJournaledRunMatchesPlainSchedule sanity-checks the baseline itself:
@@ -88,21 +108,20 @@ func runBaseline(t *testing.T, workers, epochs int) ([]epochSummary, uint64, map
 // bit-identical, and journaling leaves the zero-false-rejection invariant
 // intact.
 func TestJournaledRunIsDeterministic(t *testing.T) {
-	first, firstDigest, _, writes := runBaseline(t, 1, 2)
-	second, secondDigest, _, _ := runBaseline(t, 1, 2)
-	for e := range first {
-		if first[e] != second[e] {
-			t.Fatalf("epoch %d diverged between journaled runs:\n  %+v\n  %+v", e, first[e], second[e])
+	first, second := runBaseline(t, 1, 2, nil), runBaseline(t, 1, 2, nil)
+	for e := range first.summaries {
+		if first.summaries[e] != second.summaries[e] {
+			t.Fatalf("epoch %d diverged between journaled runs:\n  %+v\n  %+v", e, first.summaries[e], second.summaries[e])
 		}
-		if first[e].FalseRejections != 0 {
-			t.Fatalf("epoch %d: journaled honest pool rejected %d honest workers", e, first[e].FalseRejections)
+		if first.summaries[e].FalseRejections != 0 {
+			t.Fatalf("epoch %d: journaled honest pool rejected %d honest workers", e, first.summaries[e].FalseRejections)
 		}
 	}
-	if firstDigest != secondDigest {
-		t.Fatalf("global digests diverged: %x vs %x", firstDigest, secondDigest)
+	if first.digest != second.digest {
+		t.Fatalf("global digests diverged: %x vs %x", first.digest, second.digest)
 	}
-	if writes < 20 {
-		t.Fatalf("only %d durable writes across 2 epochs; the crash sweep needs a denser schedule", writes)
+	if first.ops != second.ops || first.ops < 20 {
+		t.Fatalf("%d and %d durable operations across 2 epochs; the crash sweep needs one dense, repeatable schedule", first.ops, second.ops)
 	}
 }
 
@@ -111,7 +130,8 @@ func TestJournaledRunIsDeterministic(t *testing.T) {
 // history must be bit-identical to the uninterrupted run.
 func TestResumeAfterCleanStop(t *testing.T) {
 	const epochs = 2
-	want, wantDigest, wantRewards, _ := runBaseline(t, 1, epochs)
+	base := runBaseline(t, 1, epochs, nil)
+	want, wantDigest, wantRewards := base.summaries, base.digest, base.rewards
 
 	dir := t.TempDir()
 	p, err := New(journaledConfig(1, dir, nil))
@@ -161,18 +181,20 @@ func TestResumeAfterCleanStop(t *testing.T) {
 }
 
 // TestCrashRecoveryEquivalence is the exhaustive crash sweep: for every
-// durable-write ordinal in the baseline schedule, run the pool with a fault
-// plan that kills the filesystem at exactly that write, then resume from
-// whatever survived on disk and finish the run. Every crash point must
-// recover to EpochStats, a reward ledger, and a global model bit-identical
-// to the uninterrupted run.
+// durable-operation ordinal in the baseline schedule — every append, every
+// sync, every atomic write — run the pool with a fault plan that kills the
+// filesystem at exactly that operation (costing every open file its
+// un-synced tail), check that what survived on disk still honours the sync
+// points' promises, then resume from it and finish the run. Every crash
+// point must recover to EpochStats, a reward ledger, and a global model
+// bit-identical to the uninterrupted run.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	const epochs = 2
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			t.Parallel()
-			want, wantDigest, wantRewards, total := runBaseline(t, workers, epochs)
+			base := runBaseline(t, workers, epochs, nil)
 
 			// -short keeps a representative stride through the schedule;
 			// the full sweep (CI's crash-soak step) hits every ordinal.
@@ -180,37 +202,125 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			if testing.Short() {
 				stride = 7
 			}
-			for ord := uint64(0); ord < total; ord += stride {
-				if !crashAndRecover(t, workers, epochs, ord, want, wantDigest, wantRewards) {
-					return
+			var adopted int64
+			for ord := uint64(0); ord < base.ops; ord += stride {
+				n, err := crashAndRecover(t.TempDir(), workers, epochs, ord, base, nil)
+				if err != nil {
+					t.Fatalf("ordinal %d of %d: %v", ord, base.ops, err)
 				}
+				adopted += n
+			}
+			// Retraining everything is always safe, so equivalence alone
+			// would pass with recovery doing nothing.
+			if adopted == 0 {
+				t.Errorf("no crash point among %d resumed from a durable checkpoint", base.ops)
 			}
 		})
 	}
 }
 
+// dropSegmentSyncFS is the sweep's negative control: a filesystem on which a
+// worker's pre-commit barrier never happens. Syncs on files under a ckpt-*
+// directory are swallowed before they reach the FaultFS below, so the bytes
+// they should have covered stay un-synced there.
+type dropSegmentSyncFS struct{ fsio.FS }
+
+func (f dropSegmentSyncFS) Append(path string) (fsio.Appender, error) {
+	ap, err := f.FS.Append(path)
+	if err != nil || !strings.HasPrefix(filepath.Base(filepath.Dir(path)), "ckpt-") {
+		return ap, err
+	}
+	return noSyncAppender{ap}, nil
+}
+
+type noSyncAppender struct{ fsio.Appender }
+
+func (noSyncAppender) Sync() error { return nil }
+
+// TestCrashSweepCatchesMissingWorkerSync shows the sweep bites: with the
+// worker's pre-commit Sync removed, some crash point leaves a journaled
+// commitment whose checkpoints are not all on disk, and the sweep says so.
+func TestCrashSweepCatchesMissingWorkerSync(t *testing.T) {
+	const epochs = 2
+	wrap := func(fs fsio.FS) fsio.FS { return dropSegmentSyncFS{fs} }
+	base := runBaseline(t, 1, epochs, wrap)
+	caught := 0
+	for ord := uint64(0); ord < base.ops; ord++ {
+		_, err := crashAndRecover(t.TempDir(), 1, epochs, ord, base, wrap)
+		switch {
+		case err == nil:
+		case errors.Is(err, errDurability):
+			caught++
+		default:
+			// Losing checkpoints costs retraining, never correctness.
+			t.Fatalf("ordinal %d: %v", ord, err)
+		}
+	}
+	if caught == 0 {
+		t.Fatalf("no crash point among %d exposed the missing pre-commit sync", base.ops)
+	}
+	t.Logf("%d of %d crash points exposed the missing pre-commit sync", caught, base.ops)
+}
+
+// errDurability marks a crash survivor that breaks a sync point's promise.
+var errDurability = errors.New("durability invariant violated")
+
+// checkDurable reads what a crash left in dir and checks the promises the
+// protocol's sync points make about it: a journaled commitment implies its
+// worker's segment holds every committed checkpoint intact (the worker
+// synced before it answered), and a journaled seal implies a state snapshot
+// at least that recent (state.bin lands before the seal).
+func checkDurable(dir string, dim int) error {
+	data, err := fsio.OS.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	recs, _, _ := journal.Replay(data)
+	st, err := journal.Reconstruct(recs)
+	if err != nil {
+		return fmt.Errorf("surviving journal: %v: %w", err, errDurability)
+	}
+	if len(st.Sealed) > 0 {
+		if _, err := fsio.OS.ReadFile(filepath.Join(dir, stateFile)); err != nil {
+			return fmt.Errorf("%d epochs sealed but no state snapshot: %w", len(st.Sealed), errDurability)
+		}
+	}
+	for _, c := range st.Commits {
+		seg, err := fsio.OS.ReadFile(filepath.Join(dir, "ckpt-"+c.Worker, "segment.bin"))
+		if err != nil {
+			return fmt.Errorf("epoch %d: %s committed, segment unreadable (%v): %w", c.Epoch, c.Worker, err, errDurability)
+		}
+		frames, _, stop := checkpoint.ScanSegment(seg, c.Epoch, st.Task.GlobalDigest, dim, c.NumCheckpoints)
+		if len(frames) != c.NumCheckpoints-1 || stop != nil {
+			return fmt.Errorf("epoch %d: %s committed %d checkpoints, segment holds %d after the header (%v): %w",
+				c.Epoch, c.Worker, c.NumCheckpoints, len(frames), stop, errDurability)
+		}
+	}
+	return nil
+}
+
 // crashAndRecover replays one crash point: run against a FaultFS that dies
-// at write ordinal ord, then resume on the real filesystem and compare the
-// spliced history against the baseline. Returns false once the subtest has
-// failed fatally enough to stop the sweep.
-func crashAndRecover(t *testing.T, workers, epochs int, ord uint64, want []epochSummary, wantDigest uint64, wantRewards map[string]float64) bool {
-	t.Helper()
-	dir := t.TempDir()
-	crashFS := fsio.NewFaultFS(fsio.OS, fsio.CrashAtWrite(int64(ord)+1, ord))
+// at durable-operation ordinal ord, check the survivor's durability
+// invariants, then resume on the real filesystem and compare the spliced
+// history against the baseline. It returns how many durable checkpoints the
+// resumed workers adopted.
+func crashAndRecover(dir string, workers, epochs int, ord uint64, base baseline, wrap func(fsio.FS) fsio.FS) (int64, error) {
+	var crashFS fsio.FS = fsio.NewFaultFS(fsio.OS, fsio.CrashAtWrite(int64(ord)+1, ord))
+	if wrap != nil {
+		crashFS = wrap(crashFS)
+	}
 	sawCrash := false
 	crashed, err := New(journaledConfig(workers, dir, crashFS))
 	if err != nil {
 		if !errors.Is(err, fsio.ErrInjectedCrash) {
-			t.Errorf("ordinal %d: New failed with non-injected error: %v", ord, err)
-			return false
+			return 0, fmt.Errorf("New failed with non-injected error: %w", err)
 		}
 		sawCrash = true
 	} else {
 		for e := 0; e < epochs; e++ {
 			if _, err := crashed.RunEpoch(); err != nil {
 				if !errors.Is(err, fsio.ErrInjectedCrash) {
-					t.Errorf("ordinal %d: epoch failed with non-injected error: %v", ord, err)
-					return false
+					return 0, fmt.Errorf("epoch failed with non-injected error: %w", err)
 				}
 				sawCrash = true
 				break
@@ -219,16 +329,18 @@ func crashAndRecover(t *testing.T, workers, epochs int, ord uint64, want []epoch
 		_ = crashed.Close() // the handle may already be down; release it regardless
 	}
 	if !sawCrash {
-		t.Errorf("ordinal %d: run completed without hitting the injected crash (write schedule drifted from the baseline count)", ord)
-		return false
+		return 0, errors.New("run completed without hitting the injected crash (write schedule drifted from the baseline count)")
+	}
+	if err := checkDurable(dir, base.dim); err != nil {
+		return 0, err
 	}
 
 	rcfg := journaledConfig(workers, dir, nil)
 	rcfg.Resume = true
+	rcfg.Obs = obs.NewObserver(obs.NewRegistry(), nil)
 	resumed, err := New(rcfg)
 	if err != nil {
-		t.Errorf("ordinal %d: resume: %v", ord, err)
-		return false
+		return 0, fmt.Errorf("resume: %w", err)
 	}
 	defer resumed.Close()
 	got := make([]epochSummary, 0, epochs)
@@ -238,31 +350,25 @@ func crashAndRecover(t *testing.T, workers, epochs int, ord uint64, want []epoch
 	for resumed.CompletedEpochs() < epochs {
 		stats, err := resumed.RunEpoch()
 		if err != nil {
-			t.Errorf("ordinal %d: resumed epoch: %v", ord, err)
-			return false
+			return 0, fmt.Errorf("resumed epoch: %w", err)
 		}
 		got = append(got, summarize(stats))
 	}
-	if len(got) != len(want) {
-		t.Errorf("ordinal %d: recovered %d epochs, want %d", ord, len(got), len(want))
-		return false
+	if len(got) != len(base.summaries) {
+		return 0, fmt.Errorf("recovered %d epochs, want %d", len(got), len(base.summaries))
 	}
-	ok := true
-	for e := range want {
-		if got[e] != want[e] {
-			t.Errorf("ordinal %d: epoch %d diverged after crash recovery:\n  want %+v\n  got  %+v", ord, e, want[e], got[e])
-			ok = false
+	for e, want := range base.summaries {
+		if got[e] != want {
+			return 0, fmt.Errorf("epoch %d diverged after crash recovery:\n  want %+v\n  got  %+v", e, want, got[e])
 		}
 	}
-	if d := globalDigest(resumed); d != wantDigest {
-		t.Errorf("ordinal %d: global digest %x after recovery, want %x", ord, d, wantDigest)
-		ok = false
+	if d := globalDigest(resumed); d != base.digest {
+		return 0, fmt.Errorf("global digest %x after recovery, want %x", d, base.digest)
 	}
-	if !sameRewards(resumed.Rewards(), wantRewards) {
-		t.Errorf("ordinal %d: rewards %v after recovery, want %v", ord, resumed.Rewards(), wantRewards)
-		ok = false
+	if !sameRewards(resumed.Rewards(), base.rewards) {
+		return 0, fmt.Errorf("rewards %v after recovery, want %v", resumed.Rewards(), base.rewards)
 	}
-	return ok
+	return rcfg.Obs.Counter("rpol_resumed_checkpoints_total").Value(), nil
 }
 
 // TestResumeMerkleCommit replays the clean-stop resume under streaming

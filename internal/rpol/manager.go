@@ -86,8 +86,11 @@ type ManagerConfig struct {
 	// verification device freshly at each epoch start as a pure function of
 	// (Seed, epoch) — so a resumed run re-enters any epoch with bit-identical
 	// randomness instead of depending on a cross-epoch stream position no
-	// crash survivor can reconstruct. Journal append failures abort the
-	// epoch: an unrecorded transition must not take effect.
+	// crash survivor can reconstruct. Records are synced once per phase, at
+	// the point where the manager acts on them: the task before the first
+	// worker is called, the commitments before the first challenge leaves,
+	// the samples and verdicts before aggregation. Journal failures abort
+	// the epoch: an unrecorded transition must not take effect.
 	Journal *journal.Journal
 	// Obs routes the manager's metrics and spans. Nil falls back to the
 	// process-wide default observer (disabled unless a command installed
@@ -265,6 +268,11 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("rpol manager: %w", err)
 		}
+		// Workers are about to persist checkpoints tagged with this epoch:
+		// the announcement they answer must outlive them.
+		if err := m.cfg.Journal.Sync(); err != nil {
+			return nil, fmt.Errorf("rpol manager: %w", err)
+		}
 	}
 
 	baseParams := TaskParams{
@@ -410,6 +418,13 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		}
 	}
 
+	if m.cfg.Journal != nil {
+		// Commit-and-prove: no sample index is revealed before every
+		// commitment it is drawn against is on disk.
+		if err := m.cfg.Journal.Sync(); err != nil {
+			return nil, fmt.Errorf("rpol manager: %w", err)
+		}
+	}
 	verified, err := m.verifyAll(verifier, live)
 	if err != nil {
 		return nil, fmt.Errorf("rpol manager: %w", err)
@@ -490,6 +505,12 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 			})
 		}
 		workerSpans[i].End(obs.Bool("accepted", outcome.Accepted))
+	}
+	if m.cfg.Journal != nil {
+		// The verdicts decide what enters the global model.
+		if err := m.cfg.Journal.Sync(); err != nil {
+			return nil, fmt.Errorf("rpol manager: %w", err)
+		}
 	}
 	report.Phases.Add(obs.PhaseVerdict, obs.PhaseTotals{Count: int64(len(verified))})
 	m.obs.Counter("rpol_accepted_total").Add(int64(report.Accepted))

@@ -1,6 +1,7 @@
 package rpol
 
 import (
+	"errors"
 	"fmt"
 
 	"rpol/internal/checkpoint"
@@ -8,7 +9,6 @@ import (
 	"rpol/internal/dataset"
 	"rpol/internal/fsio"
 	"rpol/internal/gpu"
-	"rpol/internal/journal"
 	"rpol/internal/lsh"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
@@ -24,13 +24,14 @@ type HonestWorker struct {
 	trainer *Trainer
 	store   checkpoint.Store
 	obs     *obs.Observer
-	journal *journal.Journal
+	// segment, when set, is the worker's durable checkpoint log: every
+	// checkpoint of the epoch in flight is appended to it as training
+	// produces it and synced once, before the commitment is returned.
+	segment *checkpoint.Segment
 
-	// One-shot resume state installed by PrepareResume: the epoch whose
-	// durable checkpoint prefix may be adopted, and the journaled digest of
-	// each stored snapshot. -1 means no resume pending.
-	resumeEpoch   int
-	resumeDigests map[int]uint64
+	// resumeEpoch is the one-shot state PrepareResume installs: the epoch
+	// whose durable checkpoint prefix may be adopted, -1 when none is.
+	resumeEpoch int
 
 	lastTrace  *Trace
 	lastResult *EpochResult
@@ -42,9 +43,8 @@ type HonestWorker struct {
 	// checkpoint's leaf is pushed as it is produced.
 	stream *streamCommit
 
-	// encBuf is the reused checkpoint-digest encode scratch; RunEpoch (and
-	// the resume path before it) runs sequentially per worker, so one
-	// buffer serves every durable-checkpoint checksum.
+	// encBuf is the reused encode scratch behind the segment header's
+	// global-model checksum.
 	encBuf []byte
 }
 
@@ -84,22 +84,18 @@ func (w *HonestWorker) ShardSize() int { return w.trainer.Shard.Len() }
 // a real worker whose checkpoints exceed RAM does.
 func (w *HonestWorker) SetStore(st checkpoint.Store) { w.store = st }
 
-// SetJournal directs the worker to log every durably stored checkpoint to
-// j. Requires a store (SetStore): the journal records promises about files
-// on disk. With a journal set, checkpoints stream to the store as training
-// produces them (instead of in one batch after the epoch), so a crash loses
-// at most the interval in flight.
-func (w *HonestWorker) SetJournal(j *journal.Journal) { w.journal = j }
+// SetSegment makes the worker crash-recoverable: each checkpoint streams
+// into seg as training produces it (so a crash loses at most the interval
+// in flight), and RunEpoch syncs seg once before it returns — a commitment
+// the manager has seen always has its checkpoints on disk. Openings are
+// served from the trace in memory; the segment is read only by a resume.
+// It replaces a store: set one or the other.
+func (w *HonestWorker) SetSegment(seg *checkpoint.Segment) { w.segment = seg }
 
-// PrepareResume arms the worker to adopt the durable checkpoint prefix of
-// the given epoch on its next RunEpoch call. digests maps checkpoint index
-// to the journaled fsio.Checksum of its stored bytes; a snapshot is adopted
-// only while its on-disk bytes still hash to the journaled digest. One-shot:
+// PrepareResume arms the worker to adopt, on its next RunEpoch call, the
+// intact checkpoint prefix its segment holds for the given epoch. One-shot:
 // the armed state clears on the next RunEpoch whether or not it applies.
-func (w *HonestWorker) PrepareResume(epoch int, digests map[int]uint64) {
-	w.resumeEpoch = epoch
-	w.resumeDigests = digests
-}
+func (w *HonestWorker) PrepareResume(epoch int) { w.resumeEpoch = epoch }
 
 // FastForwardEpochs advances the worker's device noise stream past epochs
 // it trained before a crash (each epoch draws stepsPerEpoch perturbations
@@ -122,6 +118,9 @@ func (w *HonestWorker) StorageBytes() int64 {
 	if w.store != nil {
 		return w.store.Bytes()
 	}
+	if w.segment != nil {
+		return w.segment.Bytes()
+	}
 	if w.lastTrace == nil {
 		return 0
 	}
@@ -134,6 +133,10 @@ func (w *HonestWorker) StorageBytes() int64 {
 
 // RunEpoch trains the sub-task and submits the update with its commitment.
 func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
+	if w.segment != nil {
+		// No file handle outlives the epoch, whichever way it ends.
+		defer w.segment.Close()
+	}
 	trainSpan := w.obs.Start(p.Trace, "worker.train",
 		obs.String("worker", w.id), obs.Int("steps", int64(p.Steps)))
 	trace, err := w.runTraining(p)
@@ -147,11 +150,15 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}
-	if w.journal != nil && w.store != nil {
-		// BindFinalCheckpoint rewrote the final snapshot; re-persist and
-		// re-journal it (the later record's digest wins on replay).
+	if w.segment != nil {
+		// The final checkpoint is persisted once, as bound, and one barrier
+		// covers the whole epoch: commit sent ⇒ every committed checkpoint
+		// is durable.
 		last := len(trace.Checkpoints) - 1
-		if err := w.persistCheckpoint(p.Epoch, last, trace.Steps[last], trace.Checkpoints[last]); err != nil {
+		if err := w.segment.Append(p.Epoch, last, trace.Steps[last], trace.Checkpoints[last]); err != nil {
+			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
+		}
+		if err := w.segment.Sync(); err != nil {
 			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 		}
 	}
@@ -170,9 +177,7 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 	if len(ec.Digests) > 0 {
 		w.obs.Counter("rpol_lsh_digests_total").Add(int64(len(ec.Digests)))
 	}
-	if w.store != nil && w.journal == nil {
-		// Historical batch persistence; the journaled path streamed every
-		// checkpoint to the store during training instead.
+	if w.store != nil {
 		if err := w.store.Clear(); err != nil {
 			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 		}
@@ -219,15 +224,15 @@ func (w *HonestWorker) finishCommitment(p TaskParams, trace *Trace) (*EpochCommi
 }
 
 // runTraining executes the epoch's training through whichever persistence
-// mode is configured: plain (in-memory trace), or journaled streaming with
-// optional crash-resume from the durable checkpoint prefix.
+// mode is configured: plain (in-memory trace), or streaming into the
+// worker's segment with optional crash-resume from its intact prefix.
 func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
 	if p.MerkleCommit {
 		w.stream = newStreamCommit(p)
 	} else {
 		w.stream = nil
 	}
-	if w.journal == nil || w.store == nil {
+	if w.segment == nil {
 		if w.stream == nil {
 			return w.trainer.RunEpoch(p)
 		}
@@ -235,17 +240,21 @@ func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
 		defer func() { w.trainer.Sink = nil }()
 		return w.trainer.RunEpoch(p)
 	}
-	prefix, err := w.loadResumePrefix(p)
+	w.encBuf = p.Global.AppendEncode(w.encBuf[:0])
+	globalDigest := fsio.Checksum(w.encBuf)
+	prefix, err := w.loadResumePrefix(p, globalDigest)
 	if err != nil {
 		return nil, err
 	}
 	if prefix == nil {
-		// Fresh epoch: drop the previous epoch's snapshots before streaming.
-		if err := w.store.Clear(); err != nil {
+		// Fresh epoch: the header replaces the previous epoch's frames and
+		// stands in for checkpoint 0, the global model the manager holds.
+		if err := w.segment.Begin(p.Epoch, globalDigest); err != nil {
 			return nil, err
 		}
 	} else {
-		w.obs.Counter("rpol_resumed_checkpoints_total").Add(int64(len(prefix.Checkpoints)))
+		// The prefix opens with checkpoint 0, which came from the task.
+		w.obs.Counter("rpol_resumed_checkpoints_total").Add(int64(len(prefix.Checkpoints) - 1))
 		if w.stream != nil {
 			// Prefix adoption bypasses the trainer's Sink; rebuild the
 			// incremental Merkle state over the adopted snapshots so the
@@ -258,8 +267,14 @@ func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
 			}
 		}
 	}
+	final := p.NumCheckpoints() - 1
 	persist := func(idx, step int, cp tensor.Vector) error {
-		return w.persistCheckpoint(p.Epoch, idx, step, cp)
+		if idx == 0 || idx == final {
+			// Checkpoint 0 is the header; the final one is written by
+			// RunEpoch once BindFinalCheckpoint has settled its bytes.
+			return nil
+		}
+		return w.segment.Append(p.Epoch, idx, step, cp)
 	}
 	if w.stream != nil {
 		w.trainer.Sink = w.stream.sink(persist)
@@ -270,88 +285,55 @@ func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
 	return w.trainer.ResumeEpoch(p, prefix)
 }
 
-// persistCheckpoint makes one snapshot durable: the store write lands first
-// (atomic), then the journal records its digest. A crash between the two
-// leaves an unrecorded file, which resume simply retrains over.
-func (w *HonestWorker) persistCheckpoint(epoch, idx, step int, cp tensor.Vector) error {
-	if err := w.store.Put(idx, cp); err != nil {
-		return err
-	}
-	w.encBuf = cp.AppendEncode(w.encBuf[:0])
-	return w.journal.LogCheckpoint(journal.Checkpoint{
-		Epoch:  epoch,
-		Worker: w.id,
-		Index:  idx,
-		Step:   step,
-		Digest: fsio.Checksum(w.encBuf),
-	})
-}
-
 // loadResumePrefix adopts the longest intact prefix of the armed epoch's
-// durable checkpoints: indices must be journaled, their stored bytes must
-// hash to the journaled digest, and checkpoint 0 must be bit-identical to
-// the distributed global model (a stale store from an earlier run fails
-// one of these). The final checkpoint is never adopted — BindFinalCheckpoint
-// rewrites it after training, so its journaled digest does not match the
-// trained weights the last interval must resume from; retraining the last
-// interval is always safe. The device noise stream is fast-forwarded past
-// the adopted steps so the retrained suffix draws the exact noise an
+// segment: its header must name this epoch and the distributed global model
+// (the previous epoch's leftovers fail that), and every adopted frame must
+// have survived intact, in order, at the step this task takes it. The final
+// checkpoint is never adopted — what the segment holds is the bound final,
+// not the trained weights the last interval must resume from, and retraining
+// the last interval is always safe. The device noise stream is fast-forwarded
+// past the adopted steps so the retrained suffix draws the exact noise an
 // uninterrupted run would.
-func (w *HonestWorker) loadResumePrefix(p TaskParams) (*Trace, error) {
-	if w.resumeEpoch != p.Epoch || len(w.resumeDigests) == 0 {
-		w.resumeEpoch = -1
-		w.resumeDigests = nil
+func (w *HonestWorker) loadResumePrefix(p TaskParams, globalDigest uint64) (*Trace, error) {
+	armed := w.resumeEpoch == p.Epoch
+	w.resumeEpoch = -1
+	if !armed {
 		return nil, nil
 	}
-	digests := w.resumeDigests
-	w.resumeEpoch = -1
-	w.resumeDigests = nil
-
-	prefix := &Trace{}
-	final := p.NumCheckpoints() - 1
-	for idx := 0; idx < final; idx++ {
-		want, ok := digests[idx]
-		if !ok {
-			break
-		}
-		cp, err := w.store.Get(idx)
-		if err != nil {
-			// Missing or corrupt snapshot: fall back to the prefix before it.
-			w.obs.Counter("rpol_resume_corrupt_checkpoints_total").Inc()
-			w.obs.Publish(obs.StreamEvent{
-				Kind:   obs.EventCheckpointCorrupt,
-				Worker: w.id,
-				Epoch:  int64(p.Epoch),
-				Detail: fmt.Sprintf("checkpoint %d unreadable: %v", idx, err),
-			})
-			break
-		}
-		w.encBuf = cp.AppendEncode(w.encBuf[:0])
-		if fsio.Checksum(w.encBuf) != want {
-			w.obs.Counter("rpol_resume_corrupt_checkpoints_total").Inc()
-			w.obs.Publish(obs.StreamEvent{
-				Kind:   obs.EventCheckpointCorrupt,
-				Worker: w.id,
-				Epoch:  int64(p.Epoch),
-				Detail: fmt.Sprintf("checkpoint %d digest mismatch", idx),
-			})
-			break
-		}
-		if idx == 0 && !cp.Equal(p.Global, 0) {
-			return nil, nil // stale store from a different epoch
-		}
-		step := idx * p.CheckpointEvery
-		if step > p.Steps {
-			step = p.Steps
-		}
-		prefix.Checkpoints = append(prefix.Checkpoints, cp)
-		prefix.Steps = append(prefix.Steps, step)
+	frames, stop, err := w.segment.Resume(p.Epoch, globalDigest, len(p.Global), p.NumCheckpoints()-2)
+	if err != nil {
+		return nil, err
 	}
-	if len(prefix.Checkpoints) == 0 {
+	if stop != nil && !errors.Is(stop, checkpoint.ErrSegmentStale) {
+		w.corruptCheckpoint(p.Epoch, fmt.Sprintf("segment scan stopped after %d checkpoints: %v", len(frames), stop))
+	}
+	prefix := &Trace{Checkpoints: []tensor.Vector{p.Global}, Steps: []int{0}}
+	for _, f := range frames {
+		if f.Step != min(f.Index*p.CheckpointEvery, p.Steps) {
+			// Frames of a differently-shaped task: none of them is ours.
+			w.corruptCheckpoint(p.Epoch, fmt.Sprintf("checkpoint %d taken at step %d", f.Index, f.Step))
+			return nil, nil
+		}
+		prefix.Checkpoints = append(prefix.Checkpoints, f.Weights)
+		prefix.Steps = append(prefix.Steps, f.Step)
+	}
+	if len(frames) == 0 {
 		return nil, nil
 	}
 	w.trainer.FastForward(prefix.Steps[len(prefix.Steps)-1])
 	return prefix, nil
+}
+
+// corruptCheckpoint records durable checkpoint bytes that failed
+// verification during a resume.
+func (w *HonestWorker) corruptCheckpoint(epoch int, detail string) {
+	w.obs.Counter("rpol_resume_corrupt_checkpoints_total").Inc()
+	w.obs.Publish(obs.StreamEvent{
+		Kind:   obs.EventCheckpointCorrupt,
+		Worker: w.id,
+		Epoch:  int64(epoch),
+		Detail: detail,
+	})
 }
 
 // OpenCheckpoint serves the raw weights of checkpoint idx from the last
