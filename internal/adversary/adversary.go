@@ -16,7 +16,10 @@
 //   - WrongInit trains honestly from a substituted initialization (caught
 //     by the trace-origin binding), and
 //   - UpdateScaler trains and commits honestly but submits a scaled update
-//     (caught by the update-to-trace binding).
+//     (caught by the update-to-trace binding), and
+//   - Truncator trains only the first intervals, honestly, and commits that
+//     short trace as if it were the whole epoch (caught by holding the
+//     committed checkpoint count to the task's).
 //
 // All of them satisfy rpol.Worker, so they drop into the pool next to
 // honest workers. Each is internally consistent: it really commits to the
@@ -535,6 +538,109 @@ func (a *UpdateScaler) OpenCheckpoint(idx int) (tensor.Vector, error) {
 
 // OpenProof serves Merkle proof pulls over the honestly built commitment.
 func (a *UpdateScaler) OpenProof(idx int) (rpol.LeafProof, error) {
+	return openProofFrom(a.lastCommit, a.id, idx)
+}
+
+// Truncator is the lazy worker: it trains the first Intervals checkpoint
+// intervals of its task fully honestly, then commits and submits that short
+// trace — Intervals+1 leaves, its real final checkpoint, the matching update
+// — as the whole epoch. Every interval it committed re-executes, the trace
+// starts at the global model and the update reaches its end, so only the
+// verifier's check of the leaf count against the task's stands between it and
+// a full reward for a fraction of the work. With Intervals beyond the task's
+// it over-claims instead: the honest trace padded with repeats of its final
+// checkpoint.
+type Truncator struct {
+	id      string
+	profile gpu.Profile
+	trainer *rpol.Trainer
+	// Intervals is the number of checkpoint intervals the committed trace
+	// claims (at least 1).
+	Intervals int
+
+	lastTrace  *rpol.Trace
+	lastCommit *rpol.EpochCommitment
+	dataSize   int
+}
+
+var _ rpol.Worker = (*Truncator)(nil)
+
+// NewTruncator builds the trace-truncating attacker.
+func NewTruncator(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, intervals int) (*Truncator, error) {
+	if shard == nil || shard.Len() == 0 {
+		return nil, fmt.Errorf("adversary %s: empty shard", id)
+	}
+	if intervals < 1 {
+		return nil, fmt.Errorf("adversary %s: %d intervals", id, intervals)
+	}
+	device, err := gpu.NewDevice(profile, runSeed)
+	if err != nil {
+		return nil, fmt.Errorf("adversary %s: %w", id, err)
+	}
+	return &Truncator{
+		id:        id,
+		profile:   profile,
+		trainer:   &rpol.Trainer{Net: net, Shard: shard, Device: device},
+		Intervals: intervals,
+		dataSize:  shard.Len(),
+	}, nil
+}
+
+// ID returns the attacker's identifier.
+func (a *Truncator) ID() string { return a.id }
+
+// GPUProfile returns the registered hardware profile.
+func (a *Truncator) GPUProfile() gpu.Profile { return a.profile }
+
+// RunEpoch trains the claimed prefix honestly and submits it as the epoch.
+func (a *Truncator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	trace := &rpol.Trace{
+		Checkpoints: []tensor.Vector{p.Global.Clone()},
+		Steps:       []int{0},
+	}
+	for step := 0; len(trace.Checkpoints) <= a.Intervals; {
+		interval := minInt(p.CheckpointEvery, p.Steps-step)
+		next := trace.Final()
+		if interval > 0 {
+			var err error
+			if next, err = a.trainer.ExecuteInterval(next, step, interval, p.Hyper, p.Nonce); err != nil {
+				return nil, fmt.Errorf("adversary %s: %w", a.id, err)
+			}
+			step += interval
+		}
+		trace.Checkpoints = append(trace.Checkpoints, next)
+		trace.Steps = append(trace.Steps, step)
+	}
+	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
+	if err != nil {
+		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
+	}
+	result := &rpol.EpochResult{
+		WorkerID:       a.id,
+		Epoch:          p.Epoch,
+		Update:         update,
+		DataSize:       a.dataSize,
+		NumCheckpoints: len(trace.Checkpoints),
+	}
+	ec, err := stampCommitment(a.id, p, trace, result)
+	if err != nil {
+		return nil, err
+	}
+	a.lastTrace = trace
+	a.lastCommit = ec
+	return result, nil
+}
+
+// OpenCheckpoint serves the genuinely trained prefix.
+func (a *Truncator) OpenCheckpoint(idx int) (tensor.Vector, error) {
+	return openFrom(a.lastTrace, a.id, idx)
+}
+
+// OpenProof serves Merkle proof pulls over the short commitment.
+func (a *Truncator) OpenProof(idx int) (rpol.LeafProof, error) {
 	return openProofFrom(a.lastCommit, a.id, idx)
 }
 

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rpol/internal/gpu"
@@ -221,5 +223,76 @@ func TestUpdateScalerWithFactorOnePasses(t *testing.T) {
 	}
 	if !out.Accepted {
 		t.Errorf("factor-1 scaler rejected: %s", out.FailReason)
+	}
+}
+
+// callCounter counts every request a verifier makes of a worker.
+type callCounter struct {
+	rpol.Worker
+	calls int
+}
+
+func (c *callCounter) OpenCheckpoint(idx int) (tensor.Vector, error) {
+	c.calls++
+	return c.Worker.OpenCheckpoint(idx)
+}
+
+func (c *callCounter) OpenProof(idx int) (rpol.LeafProof, error) {
+	c.calls++
+	return c.Worker.OpenProof(idx)
+}
+
+// TestVerifierCatchesTruncator: a worker that trains only the first k
+// intervals honestly and commits that (k+1)-leaf trace passes the origin
+// binding, the update binding and every interval a verifier could sample from
+// it — before the leaf count was held to the task's it was accepted with
+// probability 1, full reward for k/n of the work. It, and its over-claiming
+// twin, must be rejected under every scheme, commitment and verifier loop
+// before a single request is made or a byte tallied.
+func TestVerifierCatchesTruncator(t *testing.T) {
+	for _, scheme := range []rpol.Scheme{rpol.SchemeV1, rpol.SchemeV2} {
+		for _, merkle := range []bool{false, true} {
+			for _, workers := range []int{0, 2} {
+				net, ds := advTask(t, 40)
+				p := advParams(net.ParamVector())
+				p.MerkleCommit = merkle
+				intervals := p.NumCheckpoints() - 1
+				verifier := buildVerifier(t, scheme, &p)
+				verifier.Workers = workers
+				for _, claimed := range []int{1, intervals - 1, intervals + 1} {
+					name := fmt.Sprintf("%s/merkle=%v/workers=%d/intervals=%d", scheme, merkle, workers, claimed)
+					t.Run(name, func(t *testing.T) {
+						netA, _ := advTask(t, 40)
+						adv, err := NewTruncator("lazy", gpu.GT4, 71, netA, ds, claimed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := adv.RunEpoch(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.NumCheckpoints != claimed+1 {
+							t.Fatalf("committed %d leaves, want %d", res.NumCheckpoints, claimed+1)
+						}
+						counter := &callCounter{Worker: adv}
+						out, err := verifier.VerifySubmission(counter, ds, res, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if out.Accepted {
+							t.Fatalf("a %d-interval trace of a %d-interval task accepted (re-executed %d of %d steps)",
+								claimed, intervals, out.ReexecSteps, p.Steps)
+						}
+						if !strings.Contains(out.FailReason, rpol.ErrLeafCount.Error()) {
+							t.Errorf("FailReason = %q, want the leaf-count rejection", out.FailReason)
+						}
+						if counter.calls != 0 || out.CommBytes != 0 || out.CommitBytes != 0 || out.ReexecSteps != 0 {
+							t.Errorf("rejected after %d requests, (%d, %d) bytes and %d replayed steps, want none",
+								counter.calls, out.CommBytes, out.CommitBytes, out.ReexecSteps)
+						}
+					})
+				}
+			}
+		}
 	}
 }

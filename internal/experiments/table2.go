@@ -62,9 +62,39 @@ type EpochCost struct {
 	ManagerComp time.Duration // verification re-execution + calibration probe
 	WorkerComp  time.Duration // one worker's training time
 	CommBytes   int64         // total epoch traffic: result uploads + verification
+	// CommBytesElided is CommBytes for a verifier that never pulls a leaf it
+	// holds or can compute (ExpectedOpenings instead of the q × {2, 1} bound).
+	CommBytesElided int64
 	// StorageBytes is one worker's checkpoint archive (plus LSH projections
 	// under v2).
 	StorageBytes int64
+}
+
+// ExpectedOpenings is the number of checkpoint vectors a verifier pulls per
+// submission, in expectation over its uniform choice of `samples` of the
+// epoch's `intervals`, when it pulls each committed leaf at most once and
+// never the two it can compute — leaf 0 is the distributed global model,
+// leaf n is θ_t plus the submitted update. RPoLv1 needs every interior leaf
+// next to a sampled interval: each of the n−1, unless neither neighbour is
+// drawn. RPoLv2 needs each sampled interval's input, unless it is leaf 0
+// (double-checks aside, as in ComputeEpochCost). The paper's accounting —
+// q × 2 and q × 1, what ComputeEpochCost bills as CommBytes — is the upper
+// bound both approach as the trace grows.
+func ExpectedOpenings(scheme string, intervals, samples int) (float64, error) {
+	if intervals < 1 || samples < 1 {
+		return 0, fmt.Errorf("experiments: %d samples of %d intervals", samples, intervals)
+	}
+	n, q := float64(intervals), float64(min(samples, intervals))
+	switch scheme {
+	case "RPoLv1":
+		if intervals == 1 {
+			return 0, nil
+		}
+		return (n - 1) * (1 - (n-q)*(n-q-1)/(n*(n-1))), nil
+	case "RPoLv2":
+		return q * (1 - 1/n), nil
+	}
+	return 0, fmt.Errorf("experiments: no openings under scheme %q", scheme)
 }
 
 // ComputeEpochCost evaluates the cost model for one (task, scheme, pool
@@ -105,6 +135,7 @@ func ComputeEpochCost(taskName, scheme string, workers int, opts CostModelOption
 	// 8.8 GB for 100 ResNet50 workers matches uploads only; the global
 	// model download is amortized/cached).
 	c.CommBytes = int64(workers) * modelBytes
+	c.CommBytesElided = c.CommBytes
 
 	steps := spec.StepsPerShardEpoch(workers)
 	numCheckpoints := steps/opts.CheckpointEvery + 1
@@ -134,6 +165,11 @@ func ComputeEpochCost(taskName, scheme string, workers int, opts CostModelOption
 			return nil, err
 		}
 		c.CommBytes += int64(workers) * verifyBytesPerWorker
+		openings, err := ExpectedOpenings(scheme, numCheckpoints-1, opts.Samples)
+		if err != nil {
+			return nil, err
+		}
+		c.CommBytesElided += int64(float64(workers) * openings * float64(modelBytes))
 
 		// Manager re-execution: q × interval steps per worker.
 		flopsPerStep := spec.FLOPsPerExample * float64(spec.BatchSize)

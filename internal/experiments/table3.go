@@ -32,8 +32,11 @@ type Table3Row struct {
 	Scheme string
 	// ManagerComp and WorkerComp are per-epoch computation times.
 	ManagerComp, WorkerComp time.Duration
-	// CommGB is the epoch's total WAN traffic.
-	CommGB float64
+	// CommGB is the epoch's total WAN traffic under the paper's accounting
+	// (q × 2 vectors per submission under v1, q × 1 under v2); CommElidedGB
+	// is what a verifier moves that never pulls a leaf it holds or can
+	// compute (ExpectedOpenings).
+	CommGB, CommElidedGB float64
 	// StorageGB is one worker's checkpoint archive.
 	StorageGB float64
 	// CapitalCost is the epoch's dollar bill under the pricing card: all
@@ -54,7 +57,7 @@ func Table3(opts Table3Options) (*Table3Result, error) {
 	opts.defaults()
 	res := &Table3Result{Table: Table{
 		Caption: "Table III — per-epoch overhead (ResNet50 + ImageNet cost model)",
-		Headers: []string{"scheme", "mgr comp (s)", "worker comp (s)", "comm (GB)", "storage/worker (GB)", "capital cost ($)"},
+		Headers: []string{"scheme", "mgr comp (s)", "worker comp (s)", "comm (GB)", "comm, known-leaf elision (GB)", "storage/worker (GB)", "capital cost ($)"},
 	}}
 	const gb = 1e9
 	for _, scheme := range []string{"baseline", "RPoLv1", "RPoLv2"} {
@@ -75,16 +78,17 @@ func Table3(opts Table3Options) (*Table3Result, error) {
 			StorageMonths: epochMonths,
 		}
 		row := Table3Row{
-			Scheme:      scheme,
-			ManagerComp: cell.ManagerComp,
-			WorkerComp:  cell.WorkerComp,
-			CommGB:      float64(cell.CommBytes) / gb,
-			StorageGB:   float64(cell.StorageBytes) / gb,
-			CapitalCost: economics.CapitalCost(usage, opts.Pricing),
+			Scheme:       scheme,
+			ManagerComp:  cell.ManagerComp,
+			WorkerComp:   cell.WorkerComp,
+			CommGB:       float64(cell.CommBytes) / gb,
+			CommElidedGB: float64(cell.CommBytesElided) / gb,
+			StorageGB:    float64(cell.StorageBytes) / gb,
+			CapitalCost:  economics.CapitalCost(usage, opts.Pricing),
 		}
 		res.Rows = append(res.Rows, row)
 		res.Table.Add(scheme, row.ManagerComp.Seconds(), row.WorkerComp.Seconds(),
-			row.CommGB, row.StorageGB, row.CapitalCost)
+			row.CommGB, row.CommElidedGB, row.StorageGB, row.CapitalCost)
 	}
 	return res, nil
 }

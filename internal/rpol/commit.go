@@ -30,36 +30,19 @@ func poolFor(n int) *parallel.Pool {
 // them during verification (the manager checks a revealed digest against the
 // commitment before fuzzy-matching it).
 func BuildCommitment(checkpoints []tensor.Vector, fam *lsh.Family) (*commitment.HashList, []lsh.Digest, error) {
-	return BuildCommitmentPool(nil, checkpoints, fam)
-}
-
-// BuildCommitmentPool is BuildCommitment with the per-checkpoint work —
-// wire-encoding + leaf hashing under v1, LSH hashing under v2 — chunked
-// across the pool. Each checkpoint's leaf depends only on that checkpoint
-// and is written to its own slot, so the commitment is bit-identical to the
-// serial construction for any worker count. A nil pool runs serially.
-//
-// Checkpoints are never copied: each chunk streams its leaf payloads — raw
-// weight encodings under v1, LSH digest encodings under v2 — through a
-// reused encode buffer straight into SHA-256, so building the commitment
-// costs one encode-buffer per chunk instead of one payload copy per
-// checkpoint.
-func BuildCommitmentPool(p *parallel.Pool, checkpoints []tensor.Vector, fam *lsh.Family) (*commitment.HashList, []lsh.Digest, error) {
-	leaves, digests, err := commitLeaves(p, checkpoints, fam)
+	ec, err := CommitTrace(nil, checkpoints, fam, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	commit, err := commitment.NewLeafList(leaves)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rpol commitment: %w", err)
-	}
-	return commit, digests, nil
+	return ec.Commit, ec.Digests, nil
 }
 
 // commitLeaves digests every checkpoint into its commitment leaf — the raw
 // weight encoding under v1, the LSH digest encoding under v2 — chunked across
 // the pool with per-slot writes, so the leaves are bit-identical to the
-// serial construction for any worker count.
+// serial construction for any worker count. Checkpoints are never copied:
+// each chunk streams its leaf payloads through a reused encode buffer
+// straight into SHA-256.
 func commitLeaves(p *parallel.Pool, checkpoints []tensor.Vector, fam *lsh.Family) ([]commitment.Hash, []lsh.Digest, error) {
 	if len(checkpoints) == 0 {
 		return nil, nil, commitment.ErrEmpty
@@ -168,32 +151,18 @@ func (c *EpochCommitment) OpenProof(idx int) (LeafProof, error) {
 	return lp, nil
 }
 
-// VerifyOpening checks that an opened raw checkpoint is consistent with the
-// worker's commitment: under v1 the weights must hash to the committed leaf;
-// under v2 the weights' LSH digest must equal the committed digest exactly
-// (a worker opening the very bytes it hashed always passes; any substitution
-// that changes the digest fails).
+// VerifyOpening checks that an opened raw checkpoint is what a hash-list
+// submission committed at leaf idx, by the leaf store's own rule: under v1
+// the weights must hash to the committed leaf; under v2 their LSH digest must
+// equal the committed digest exactly.
 func VerifyOpening(result *EpochResult, fam *lsh.Family, idx int, weights tensor.Vector) error {
-	_, err := verifyOpening(result, fam, idx, weights, nil)
-	return err
-}
-
-// verifyOpening is VerifyOpening threading a caller-owned scratch encode
-// buffer; it returns the (possibly grown) buffer so verification loops reuse
-// one allocation across every opened checkpoint instead of copying the full
-// weight vector per leaf check.
-func verifyOpening(result *EpochResult, fam *lsh.Family, idx int, weights tensor.Vector, buf []byte) ([]byte, error) {
 	if result.Commit == nil {
-		return buf, fmt.Errorf("rpol: submission carries no commitment")
+		return errors.New("rpol: submission carries no hash-list commitment")
 	}
-	if fam == nil {
-		buf = weights.AppendEncode(buf[:0])
-		return buf, result.Commit.VerifyLeaf(idx, buf)
+	if idx < 0 || idx >= result.Commit.Len() || (fam != nil && idx >= len(result.LSHDigests)) {
+		return fmt.Errorf("rpol opening %d: %w", idx, commitment.ErrOutOfRange)
 	}
-	d, err := fam.Hash(weights)
-	if err != nil {
-		return buf, fmt.Errorf("rpol opening %d: %w", idx, err)
-	}
-	buf = d.AppendEncode(buf[:0])
-	return buf, result.Commit.VerifyLeaf(idx, buf)
+	var s leafStore
+	s.reset(nil, result, fam, result.Commit.Len(), nil)
+	return s.admit(idx, weights)
 }

@@ -129,6 +129,12 @@ func TestAggregateErrors(t *testing.T) {
 // buildPool assembles a manager over n honest workers on a shared task.
 func buildPool(t *testing.T, scheme Scheme, n int) *Manager {
 	t.Helper()
+	return buildPoolShape(t, scheme, n, 15, 5, 16)
+}
+
+// buildPoolShape is buildPool at a chosen epoch shape and hidden width.
+func buildPoolShape(t *testing.T, scheme Scheme, n, steps, every, hidden int) *Manager {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
 		Name: "pool", NumClasses: 4, Dim: 8, Size: 1200, ClusterStd: 0.4, Seed: 55,
 	})
@@ -143,7 +149,7 @@ func buildPool(t *testing.T, scheme Scheme, n int) *Manager {
 	workers := make([]Worker, n)
 	shardMap := make(map[string]*dataset.Dataset, n)
 	for i := 0; i < n; i++ {
-		net, _ := testTask(t, 30) // same seed ⇒ same initial weights everywhere
+		net := testNet(t, 30, hidden) // same seed ⇒ same initial weights everywhere
 		id := "w" + string(rune('A'+i))
 		w, err := NewHonestWorker(id, profiles[i%len(profiles)], int64(1000+i), net, shards[i])
 		if err != nil {
@@ -152,13 +158,13 @@ func buildPool(t *testing.T, scheme Scheme, n int) *Manager {
 		workers[i] = w
 		shardMap[id] = shards[i]
 	}
-	managerNet, _ := testTask(t, 30)
+	managerNet := testNet(t, 30, hidden)
 	mgr, err := NewManager(ManagerConfig{
 		Address:         "pool-manager",
 		Scheme:          scheme,
 		Hyper:           Hyper{Optimizer: "sgdm", LR: 0.05, BatchSize: 8},
-		StepsPerEpoch:   15,
-		CheckpointEvery: 5,
+		StepsPerEpoch:   steps,
+		CheckpointEvery: every,
 		Samples:         3,
 		GPU:             gpu.G3090,
 		MasterKey:       []byte("master"),
@@ -234,24 +240,32 @@ func TestManagerGlobalModelImproves(t *testing.T) {
 	}
 }
 
+// TestManagerV2CommCheaperThanV1 is the paper's Table III headline at a
+// paper-shaped point: 24 intervals, q = 3. RPoLv1 opens both ends of each
+// sampled interval, RPoLv2 its input and a digest, so v2 moves about half
+// the bytes once the vectors outweigh the commitment (here 13 KB against the
+// hash list's 800 B). (At a 3-interval shape the claim does not hold: every leaf v1
+// would open at an interval's end is the next one's input or a bound leaf,
+// so both schemes open the same two vectors and v2 adds its digests.)
 func TestManagerV2CommCheaperThanV1(t *testing.T) {
-	v1 := buildPool(t, SchemeV1, 3)
-	v2 := buildPool(t, SchemeV2, 3)
-	r1, err := v1.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
+	var comm [2]int64
+	for i, scheme := range []Scheme{SchemeV1, SchemeV2} {
+		mgr := buildPoolShape(t, scheme, 6, 48, 2, 128)
+		for epoch := 0; epoch < 2; epoch++ {
+			r, err := mgr.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Rejected != 0 {
+				t.Fatalf("%s: %d honest workers rejected", scheme, r.Rejected)
+			}
+			comm[i] += r.VerifyCommBytes
+		}
 	}
-	r2, err := v2.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.VerifyCommBytes >= r1.VerifyCommBytes {
-		t.Errorf("v2 comm %d not below v1 comm %d", r2.VerifyCommBytes, r1.VerifyCommBytes)
-	}
-	// The headline claim: excluding double-checks, v2 halves verification
-	// communication. Allow slack for digest overhead and double-checks.
-	if r2.VerifyCommBytes > r1.VerifyCommBytes*3/4 {
-		t.Errorf("v2 comm %d not ≈50%% of v1 comm %d", r2.VerifyCommBytes, r1.VerifyCommBytes)
+	ratio := float64(comm[1]) / float64(comm[0])
+	t.Logf("v2 %d B / v1 %d B = %.3f", comm[1], comm[0], ratio)
+	if ratio < 0.45 || ratio > 0.60 {
+		t.Errorf("v2 comm %d is %.3f of v1 comm %d, want ≈ half (0.45–0.60)", comm[1], ratio, comm[0])
 	}
 }
 

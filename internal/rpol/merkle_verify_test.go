@@ -36,20 +36,22 @@ func TestVerifyHonestWorkerMerkleV1(t *testing.T) {
 	if !out.Accepted {
 		t.Fatalf("honest merkle worker rejected under v1: %s", out.FailReason)
 	}
-	// Commitment share: the root plus one validated pull per opening — two
-	// binding checks and two (input, output) per sampled interval.
+	// Commitment share: the root plus one validated proof per leaf used —
+	// with all three intervals sampled, each of the four leaves exactly once
+	// (the two bindings, and interior leaves 1 and 2 shared by adjacent
+	// intervals).
 	lp, err := worker.OpenProof(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := int64(len(out.SampledCheckpoints))
-	wantCommit := int64(commitment.HashSize) + (2+2*q)*int64(lp.Size())
+	wantCommit := int64(commitment.HashSize) + 4*int64(lp.Size())
 	if out.CommitBytes != wantCommit {
 		t.Errorf("CommitBytes = %d, want %d", out.CommitBytes, wantCommit)
 	}
-	// Raw openings on top: input and output weights per sampled interval.
+	// Raw openings on top: the two interior leaves; the bound leaves 0 and 3
+	// are the manager's own vectors.
 	ws := int64(tensor.EncodedSize(len(p.Global)))
-	if got, want := out.CommBytes, wantCommit+2*q*ws; got != want {
+	if got, want := out.CommBytes, wantCommit+2*ws; got != want {
 		t.Errorf("CommBytes = %d, want %d", got, want)
 	}
 }
@@ -72,38 +74,22 @@ func TestVerifyHonestWorkerMerkleV2(t *testing.T) {
 	if len(lp.Digest) == 0 {
 		t.Fatal("v2 proof pull carries no digest")
 	}
-	q := int64(len(out.SampledCheckpoints))
-	wantCommit := int64(commitment.HashSize) + (2+2*q)*int64(lp.Size())
+	// All three intervals sampled: every one of the four leaves is proven
+	// once and inputs 1 and 2 are opened (input 0 is the global model). A
+	// double-check lands on leaf 1 or 2 — an input, pulled once either way —
+	// or on the bound leaf 3, so it never adds a transfer at this shape.
+	wantCommit := int64(commitment.HashSize) + 4*int64(lp.Size())
 	if out.CommitBytes != wantCommit {
 		t.Errorf("CommitBytes = %d, want %d", out.CommitBytes, wantCommit)
 	}
 	ws := int64(tensor.EncodedSize(len(p.Global)))
-	if got, want := out.CommBytes, wantCommit+(q+int64(out.DoubleChecks))*ws; got != want {
+	if got, want := out.CommBytes, wantCommit+2*ws; got != want {
 		t.Errorf("CommBytes = %d, want %d", got, want)
 	}
 }
 
 func TestVerifyMerkleRejectsForgedOpening(t *testing.T) {
-	worker, result, p, verifier, ds := buildMerkleSetup(t, SchemeV1)
-	forged := tensor.NewRNG(1).NormalVector(len(p.Global), 0, 1)
-	for target := 0; target < result.NumCheckpoints; target++ {
-		opener := &forgingOpener{inner: worker, target: target, forged: forged}
-		out, err := verifier.VerifySubmission(opener, ds, result, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Accepted {
-			sampledForged := false
-			for _, c := range out.SampledCheckpoints {
-				if c == target || c+1 == target {
-					sampledForged = true
-				}
-			}
-			if sampledForged || target == 0 || target == result.NumCheckpoints-1 {
-				t.Errorf("forged checkpoint %d accepted under merkle commitment", target)
-			}
-		}
-	}
+	testRejectsForgedOpening(t, true)
 }
 
 // wrongLeafOpener answers every proof pull with the proof for a different
@@ -181,12 +167,13 @@ func buildHonestSetupMerkle(t *testing.T, scheme Scheme, merkle bool) (*HonestWo
 	return worker, result, p, verifier, ds
 }
 
-// tamperedSubmission rebuilds an honest worker's trace with one mid-trace
-// checkpoint replaced by random weights and re-commits it. The trace still
+// tamperedSubmission rebuilds an honest worker's trace with checkpoint `at`
+// replaced by random weights and re-commits it. Tampered mid-trace it still
 // starts at the global model and ends at the claimed final checkpoint, so
 // both binding checks pass and rejection happens mid-sampling — exactly the
-// shape that exercises the post-failure interval accounting.
-func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult, p TaskParams, fam *lsh.Family, merkle bool) (*traceOpener, *EpochResult) {
+// shape that exercises the post-failure interval accounting; tampered at
+// either end it forges the commitment under a binding.
+func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult, p TaskParams, fam *lsh.Family, merkle bool, at int) (*traceOpener, *EpochResult) {
 	t.Helper()
 	fake := &Trace{}
 	for i := 0; i < result.NumCheckpoints; i++ {
@@ -197,7 +184,7 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 		fake.Checkpoints = append(fake.Checkpoints, cp.Clone())
 		fake.Steps = append(fake.Steps, i*p.CheckpointEvery)
 	}
-	fake.Checkpoints[2] = tensor.NewRNG(9).NormalVector(len(p.Global), 0, 1)
+	fake.Checkpoints[at] = tensor.NewRNG(9).NormalVector(len(p.Global), 0, 1)
 	ec, err := CommitTrace(nil, fake.Checkpoints, fam, merkle)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +203,11 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 // CommBytes, CommitBytes, LSHMisses, DoubleChecks), and the global
 // rpol_reexec_steps_total / rpol_verify_comm_bytes_total counters must be
 // identical — the parallel path must not account intervals that execute
-// past the first failure.
+// past the first failure. The per-leaf opener calls are held to the same
+// contract: no leaf twice and the bound leaves never on either path,
+// identical calls for an accepted submission, and for a rejected one the
+// serial calls (which stop at the failing interval) a subset of the parallel
+// ones (which fetched every input before the fan-out).
 func TestVerifyMetricsParitySerialParallel(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
 		for _, merkle := range []bool{false, true} {
@@ -236,9 +227,9 @@ func TestVerifyMetricsParitySerialParallel(t *testing.T) {
 					worker, result, p, ref, ds := buildHonestSetupMerkle(t, scheme, merkle)
 					var opener ProofOpener = worker
 					if tampered {
-						opener, result = tamperedSubmission(t, worker, result, p, ref.LSH, merkle)
+						opener, result = tamperedSubmission(t, worker, result, p, ref.LSH, merkle, 2)
 					}
-					run := func(workers int) (*VerifyOutcome, int64, int64) {
+					run := func(workers int) (*VerifyOutcome, int64, int64, *countingOpener) {
 						netV, _ := testTask(t, 10)
 						device, err := gpu.NewDevice(gpu.G3090, 999)
 						if err != nil {
@@ -250,16 +241,40 @@ func TestVerifyMetricsParitySerialParallel(t *testing.T) {
 							LSH: ref.LSH, Samples: 3, Sampler: tensor.NewRNG(42),
 							Workers: workers, Obs: observer,
 						}
-						out, err := v.VerifySubmission(opener, ds, result, p)
+						counting := &countingOpener{inner: opener}
+						out, err := v.VerifySubmission(counting, ds, result, p)
 						if err != nil {
 							t.Fatal(err)
 						}
 						return out,
 							observer.Counter("rpol_reexec_steps_total").Value(),
-							observer.Counter("rpol_verify_comm_bytes_total").Value()
+							observer.Counter("rpol_verify_comm_bytes_total").Value(),
+							counting
 					}
-					serial, serialSteps, serialBytes := run(0)
-					par, parSteps, parBytes := run(4)
+					serial, serialSteps, serialBytes, serialCalls := run(0)
+					par, parSteps, parBytes, parCalls := run(4)
+					for _, calls := range []struct{ serial, par map[int]int }{
+						{serialCalls.opens, parCalls.opens}, {serialCalls.proofs, parCalls.proofs},
+					} {
+						for idx, n := range calls.par {
+							if n != 1 || calls.serial[idx] > 1 {
+								t.Errorf("leaf %d requested %d times serially, %d in parallel", idx, calls.serial[idx], n)
+							}
+						}
+						for idx := range calls.serial {
+							if calls.par[idx] == 0 {
+								t.Errorf("leaf %d requested serially but not in parallel", idx)
+							}
+						}
+						if !tampered && len(calls.serial) != len(calls.par) {
+							t.Errorf("accepted submission: serial asked for %v, parallel for %v",
+								leavesOf(calls.serial), leavesOf(calls.par))
+						}
+					}
+					last := result.NumCheckpoints - 1
+					if parCalls.opens[0]+parCalls.opens[last]+serialCalls.opens[0]+serialCalls.opens[last] != 0 {
+						t.Error("a bound leaf was opened")
+					}
 					if tampered == serial.Accepted {
 						t.Fatalf("serial verdict accepted=%v for tampered=%v (%s)",
 							serial.Accepted, tampered, serial.FailReason)

@@ -114,7 +114,7 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, tampered := tamperedSubmission(t, worker, honest, p, fam, true)
+	forged, tampered := tamperedSubmission(t, worker, honest, p, fam, true, 2)
 
 	newVerifier := func(net *nn.Network) *Verifier {
 		device, err := gpu.NewDevice(gpu.G3090, 999)

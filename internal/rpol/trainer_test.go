@@ -19,16 +19,22 @@ func testTask(t *testing.T, netSeed int64) (*nn.Network, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return testNet(t, netSeed, 16), ds
+}
+
+// testNet is testTask's network at a chosen hidden width.
+func testNet(t *testing.T, netSeed int64, hidden int) *nn.Network {
+	t.Helper()
 	rng := tensor.NewRNG(netSeed)
 	net, err := nn.NewNetwork(
-		nn.NewDense(8, 16, rng),
-		nn.NewReLU(16),
-		nn.NewDense(16, 4, rng),
+		nn.NewDense(8, hidden, rng),
+		nn.NewReLU(hidden),
+		nn.NewDense(hidden, 4, rng),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, ds
+	return net
 }
 
 func testParams(global tensor.Vector) TaskParams {

@@ -187,13 +187,13 @@ func (lp LeafProof) Size() int { return lp.Proof.Size() + len(lp.Digest) }
 // ProofOpener serves checkpoint-opening requests during verification. The
 // honest implementation returns the stored trace snapshots; adversaries may
 // return forgeries — the commitment check catches any snapshot that differs
-// from what was committed.
+// from what was committed. A verifier asks for each leaf at most once per
+// submission and never opens the first or last checkpoint.
 type ProofOpener interface {
 	// OpenCheckpoint returns the raw model weights of checkpoint idx.
 	OpenCheckpoint(idx int) (tensor.Vector, error)
 	// OpenProof returns the Merkle inclusion proof for leaf idx (plus the
-	// committed digest under v2). Only meaningful for Merkle-committed
-	// epochs; legacy hash-list epochs never ask.
+	// committed digest under v2); hash-list epochs never ask.
 	OpenProof(idx int) (LeafProof, error)
 }
 
@@ -286,9 +286,9 @@ type VerifyOutcome struct {
 	FailReason string
 	// Comm tallies verification-only traffic in bytes, for Table III: the
 	// commitment material (CommitBytes) plus every validated opening the
-	// verifier pulled. Openings are counted only after they validate against
-	// the commitment, so serial, parallel, and proof-pull verifiers report
-	// identical bytes for the same verdict.
+	// verifier pulled, each leaf once, counted at its first use by the
+	// intervals up to the failing one — the same bytes from the serial and
+	// the parallel loop for the same verdict.
 	CommBytes int64
 	// CommitBytes is the commitment share of CommBytes: the full hash list
 	// plus all inline LSH digests under the legacy scheme, or the 32-byte

@@ -31,7 +31,7 @@ func (o *forgedDigestOpener) OpenProof(idx int) (LeafProof, error) {
 }
 
 // TestCompareLSHRejectsUnauthenticatedDigest is the regression for the hole
-// PR 9's review found: under the Merkle commitment compareLSH decoded and
+// PR 9's review found: under the Merkle commitment the v2 compare decoded and
 // fuzzy-matched the digest riding with a pulled proof without ever checking
 // the proof against the root, so a worker could commit garbage and answer
 // the sampled output leaves adaptively. No byte of the digest may reach the
@@ -52,14 +52,22 @@ func TestCompareLSHRejectsUnauthenticatedDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := &VerifyOutcome{}
-	var encBuf []byte
-	ok, err := verifier.compareLSH(opener, result, 0, reexec, out, &encBuf)
+	mine, err := verifier.LSH.Hash(reexec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := &VerifyOutcome{}
+	st := &verifier.store
+	st.reset(opener, result, verifier.LSH, result.NumCheckpoints, out)
+	ok, err := verifier.compare(st, 0, replayed{weights: reexec, digest: mine}, out, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.leaves[1].digest != nil || st.leaves[1].proofBytes != 0 {
+		t.Error("the store remembered an unauthenticated digest")
+	}
 	if ok {
-		t.Fatal("compareLSH accepted a digest whose Merkle proof does not verify against the committed root")
+		t.Fatal("compare accepted a digest whose Merkle proof does not verify against the committed root")
 	}
 	if !strings.Contains(out.FailReason, "digest not committed") {
 		t.Errorf("FailReason = %q, want the digest reported as not committed", out.FailReason)

@@ -3,6 +3,7 @@ package rpol
 import (
 	"testing"
 
+	"rpol/internal/commitment"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/lsh"
@@ -69,9 +70,11 @@ func TestVerifyHonestWorkerV1(t *testing.T) {
 	if len(out.SampledCheckpoints) != 3 {
 		t.Errorf("sampled = %v", out.SampledCheckpoints)
 	}
-	// v1 transfers the commitment plus input and output weights per sample.
-	perSample := int64(2 * tensor.EncodedSize(len(p.Global)))
-	want := int64(result.Commit.Size()) + perSample*int64(len(out.SampledCheckpoints))
+	// v1 transfers the commitment plus every interior leaf a sampled interval
+	// touches, once: with all three intervals sampled that is leaves 1 and 2
+	// — leaf 0 is the distributed global model and leaf 3 is θ_t + update,
+	// both bound without a transfer.
+	want := int64(result.Commit.Size()) + 2*int64(tensor.EncodedSize(len(p.Global)))
 	if out.CommBytes != want {
 		t.Errorf("CommBytes = %d, want %d", out.CommBytes, want)
 	}
@@ -121,10 +124,12 @@ type forgingOpener struct {
 	inner  ProofOpener
 	target int
 	forged tensor.Vector
+	served int // forged answers handed out
 }
 
 func (f *forgingOpener) OpenCheckpoint(idx int) (tensor.Vector, error) {
 	if idx == f.target {
+		f.served++
 		return f.forged, nil
 	}
 	return f.inner.OpenCheckpoint(idx)
@@ -135,27 +140,64 @@ func (f *forgingOpener) OpenProof(idx int) (LeafProof, error) {
 }
 
 func TestVerifyRejectsForgedOpening(t *testing.T) {
-	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV1)
+	testRejectsForgedOpening(t, false)
+}
+
+// testRejectsForgedOpening forges, in turn, the opener's answer for every
+// leaf and then the commitment itself at the two bound leaves. All three
+// intervals are sampled, so an interior forgery is always requested and
+// always rejected; the bound leaves are never requested, so forging the
+// opener there changes nothing; forging the commitment there is rejected at
+// binding, before anything is pulled.
+func testRejectsForgedOpening(t *testing.T, merkle bool) {
+	worker, result, p, verifier, ds := buildHonestSetupMerkle(t, SchemeV1, merkle)
 	forged := tensor.NewRNG(1).NormalVector(len(p.Global), 0, 1)
-	// Forge every opening the verifier might request.
-	for target := 0; target < result.NumCheckpoints; target++ {
+	last := result.NumCheckpoints - 1
+	for target := 0; target <= last; target++ {
 		opener := &forgingOpener{inner: worker, target: target, forged: forged}
 		out, err := verifier.VerifySubmission(opener, ds, result, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if bound := target == 0 || target == last; bound {
+			if opener.served != 0 {
+				t.Errorf("bound leaf %d was requested %d times", target, opener.served)
+			}
+			if !out.Accepted {
+				t.Errorf("honest submission rejected (%s) over a leaf the verifier never asks for", out.FailReason)
+			}
+		} else if out.Accepted || opener.served != 1 {
+			t.Errorf("forged checkpoint %d: accepted=%v after %d forged answers", target, out.Accepted, opener.served)
+		}
+	}
+	for _, target := range []int{0, last} {
+		opener, bad := tamperedSubmission(t, worker, result, p, nil, merkle, target)
+		counting := &countingOpener{inner: opener}
+		out, err := verifier.VerifySubmission(counting, ds, bad, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if out.Accepted {
-			// The verifier might not have sampled the forged index; only
-			// fail when it did.
-			sampledForged := false
-			for _, c := range out.SampledCheckpoints {
-				if c == target || c+1 == target {
-					sampledForged = true
-				}
+			t.Errorf("commitment forged at bound leaf %d accepted", target)
+		}
+		if n := counting.total(counting.opens); n != 0 {
+			t.Errorf("commitment forged at leaf %d: %d checkpoints opened before the binding rejected", target, n)
+		}
+		// Nothing beyond the commitment that arrived with the submission —
+		// and, when the origin binding passed first, its one valid proof.
+		base := int64(commitment.HashSize)
+		if !merkle {
+			base = int64(bad.Commit.Size())
+		} else if target == last {
+			lp, err := opener.OpenProof(0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sampledForged {
-				t.Errorf("forged checkpoint %d accepted", target)
-			}
+			base += int64(lp.Size())
+		}
+		if out.CommBytes != base || out.CommitBytes != base {
+			t.Errorf("commitment forged at leaf %d: tallied (%d, %d) bytes, want %d: the rejected proof must not count",
+				target, out.CommBytes, out.CommitBytes, base)
 		}
 	}
 }

@@ -193,8 +193,19 @@ func (m *Matrix) MulMatTInto(dst, x *Matrix) error {
 	if err := m.checkMulMatT(dst, x); err != nil {
 		return err
 	}
-	m.mulMatTRange(dst, x, 0, dst.Rows)
+	m.mulMatTRows(dst, x, 0, dst.Rows)
 	return nil
+}
+
+// mulMatTRows fills dst rows [lo, hi) of dst = x·m on the SIMD row kernel
+// where the host and shape allow — at least one whole vector of columns, as
+// for AddOuterBatch — and on the portable kernel otherwise.
+func (m *Matrix) mulMatTRows(dst, x *Matrix, lo, hi int) {
+	if useAVX && m.Cols >= gemmTile && m.Rows > 0 {
+		m.mulMatTRangeAVX(dst, x, lo, hi)
+	} else {
+		m.mulMatTRange(dst, x, lo, hi)
+	}
 }
 
 func (m *Matrix) checkMulMatT(dst, x *Matrix) error {
@@ -240,11 +251,11 @@ func (m *Matrix) MulMatTPool(p *parallel.Pool, dst, x *Matrix) error {
 		return err
 	}
 	if p.Workers() <= 1 {
-		m.mulMatTRange(dst, x, 0, dst.Rows)
+		m.mulMatTRows(dst, x, 0, dst.Rows)
 		return nil
 	}
 	grain := tileGrain(dst.Rows, m.Rows*m.Cols)
-	p.For(dst.Rows, grain, func(lo, hi int) { m.mulMatTRange(dst, x, lo, hi) })
+	p.For(dst.Rows, grain, func(lo, hi int) { m.mulMatTRows(dst, x, lo, hi) })
 	return nil
 }
 

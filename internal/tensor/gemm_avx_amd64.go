@@ -66,6 +66,30 @@ func (m *Matrix) mulMatRangeAVX(dst, x *Matrix, pack Vector, lo, hi int) {
 	}
 }
 
+// mulMatTRangeAVX is mulMatTRange on the accumulation kernel: row b of x·m is
+// the zero-started, ascending-i sum of m's rows scaled by x_b[i] — exactly
+// addOuterRowAVX's chain over a "batch" of m's rows with alpha = 1 (1·x is x
+// for every float64, and the products commute), so every element keeps the
+// one chain the portable kernel gives it. The column tail (cols % 4) runs
+// that chain in scalar code.
+func (m *Matrix) mulMatTRangeAVX(dst, x *Matrix, lo, hi int) {
+	cols4 := m.Cols &^ (gemmTile - 1)
+	for b := lo; b < hi; b++ {
+		d, xb := dst.Row(b), x.Row(b)
+		clear(d)
+		addOuterRowAVX(&d[0], &xb[0], &m.Data[0], m.Rows, m.Cols, 1, m.Cols, 1)
+		if cols4 == m.Cols {
+			continue
+		}
+		tail := d[cols4:]
+		for i, g := range xb {
+			for j, wv := range m.Row(i)[cols4:] {
+				tail[j] += wv * g
+			}
+		}
+	}
+}
+
 // addOuterBatchRangeAVX is addOuterBatchRange with each m row's column
 // vectors accumulated in registers across the ascending batch loop. The
 // column tail (cols % 4) runs the scalar chain per row.

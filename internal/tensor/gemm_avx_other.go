@@ -16,6 +16,10 @@ func (m *Matrix) mulMatRangeAVX(dst, x *Matrix, pack Vector, lo, hi int) {
 	panic("tensor: mulMatRangeAVX without SIMD support")
 }
 
+func (m *Matrix) mulMatTRangeAVX(dst, x *Matrix, lo, hi int) {
+	panic("tensor: mulMatTRangeAVX without SIMD support")
+}
+
 func (m *Matrix) addOuterBatchRangeAVX(alpha float64, x, y *Matrix, lo, hi int) {
 	panic("tensor: addOuterBatchRangeAVX without SIMD support")
 }

@@ -60,25 +60,77 @@ func TestMulMatIntoMatchesPerExample(t *testing.T) {
 	}
 }
 
-func TestMulMatTIntoMatchesPerExample(t *testing.T) {
+// mulMatTCases spans the column vector/tail split of the SIMD row kernel
+// (cols below, at and past one and several vectors) against batch sizes
+// around the portable kernel's row tile, with the values whose arithmetic is
+// easiest to get wrong — ±0, ±Inf (whose products with 0 are NaN) and
+// denormals — planted in both operands.
+func mulMatTCases(f func(m, x *Matrix)) {
 	rng := NewRNG(12)
-	for _, s := range gemmShapes {
-		m := randMatrix(rng, s.rows, s.cols)
-		x := randMatrix(rng, s.batch, s.rows)
-		got := NewMatrix(s.batch, s.cols)
-		if err := m.MulMatTInto(got, x); err != nil {
-			t.Fatalf("%+v: %v", s, err)
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+	}
+	plant := func(v Vector) {
+		for i, s := range special {
+			v[(i*7+len(v)/3)%len(v)] = s
 		}
-		want := NewMatrix(s.batch, s.cols)
-		for b := 0; b < s.batch; b++ {
+	}
+	for _, rows := range []int{1, 6} {
+		for _, cols := range []int{1, 3, 4, 5, 16, 17, 33} {
+			for _, batch := range []int{1, 3, 4, 8, 9} {
+				m, x := randMatrix(rng, rows, cols), randMatrix(rng, batch, rows)
+				f(m, x)
+				plant(m.Data)
+				plant(x.Data)
+				f(m, x)
+			}
+		}
+	}
+	for _, s := range gemmShapes {
+		f(randMatrix(rng, s.rows, s.cols), randMatrix(rng, s.batch, s.rows))
+	}
+}
+
+func TestMulMatTIntoMatchesPerExample(t *testing.T) {
+	mulMatTCases(func(m, x *Matrix) {
+		got := NewMatrix(x.Rows, m.Cols)
+		// Stale contents must not leak into the zero-started chains.
+		for i := range got.Data {
+			got.Data[i] = math.NaN()
+		}
+		if err := m.MulMatTInto(got, x); err != nil {
+			t.Fatalf("%dx%d by batch %d: %v", m.Rows, m.Cols, x.Rows, err)
+		}
+		want := NewMatrix(x.Rows, m.Cols)
+		for b := 0; b < x.Rows; b++ {
 			if err := m.MulVecTInto(want.Row(b), x.Row(b)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !bitEqual(got.Data, want.Data) {
-			t.Errorf("%+v: batched result differs from per-example MulVecTInto", s)
+			t.Errorf("%dx%d by batch %d: batched result differs from per-example MulVecTInto", m.Rows, m.Cols, x.Rows)
 		}
+	})
+}
+
+// TestMulMatTPortableVsSIMD holds the SIMD row kernel against the portable
+// tiled kernel it replaces on AVX hosts, bit for bit.
+func TestMulMatTPortableVsSIMD(t *testing.T) {
+	if !useAVX {
+		t.Skip("no SIMD kernels on this host")
 	}
+	mulMatTCases(func(m, x *Matrix) {
+		simd := NewMatrix(x.Rows, m.Cols)
+		if err := m.MulMatTInto(simd, x); err != nil {
+			t.Fatal(err)
+		}
+		portable := NewMatrix(x.Rows, m.Cols)
+		m.mulMatTRange(portable, x, 0, x.Rows)
+		if !bitEqual(simd.Data, portable.Data) {
+			t.Errorf("%dx%d by batch %d: SIMD result differs from portable kernel", m.Rows, m.Cols, x.Rows)
+		}
+	})
 }
 
 func TestAddOuterBatchMatchesPerExample(t *testing.T) {
@@ -132,7 +184,7 @@ func TestGEMMPoolBitIdentical(t *testing.T) {
 	}
 
 	base := run(nil)
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 4, 8} {
 		got := run(parallel.New(workers))
 		if !bitEqual(got.fwd, base.fwd) {
 			t.Errorf("workers=%d: MulMatPool differs from serial", workers)
@@ -144,6 +196,23 @@ func TestGEMMPoolBitIdentical(t *testing.T) {
 			t.Errorf("workers=%d: AddOuterBatchPool differs from serial", workers)
 		}
 	}
+	// The backward kernel again across its vector/tail and tile/remainder
+	// splits, special values included.
+	mulMatTCases(func(m, x *Matrix) {
+		serial := NewMatrix(x.Rows, m.Cols)
+		if err := m.MulMatTPool(nil, serial, x); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			pooled := NewMatrix(x.Rows, m.Cols)
+			if err := m.MulMatTPool(parallel.New(workers), pooled, x); err != nil {
+				t.Fatal(err)
+			}
+			if !bitEqual(pooled.Data, serial.Data) {
+				t.Errorf("%dx%d by batch %d: MulMatTPool at %d workers differs from serial", m.Rows, m.Cols, x.Rows, workers)
+			}
+		}
+	})
 }
 
 // TestMulMatScratchSIMDBitIdentical drives the pack-scratch (SIMD) forward

@@ -18,27 +18,36 @@ import (
 // the real TCP hub: the same rpol.Manager, the same WorkerServer, just a
 // socket fabric instead of the in-memory bus.
 //
-// Each case's fingerprint — every verdict's tallies and the global model
-// after two epochs — is pinned from the commit before remote workers, probes
-// and replay moved onto the batched training runtime (TaskParams.Workers is
-// not transmitted, so they all run at Workers 0): the runtime changed, no
-// protocol bit did. The second epoch re-enters the manager's long-lived
-// verifier and calibrator trainers.
+// Each case's fingerprint is every verdict's tallies and the global model
+// after two epochs; the second epoch re-enters the manager's long-lived
+// verifier and calibrator trainers. wantProtocol is the same fingerprint
+// without the two byte tallies (CommBytes, CommitBytes): every sampled index,
+// verdict, replayed step, LSH miss, double-check and global-model bit is in
+// it. (Both cases share it: honest workers, no LSH miss, and the scheme does
+// not enter the training.) It was pinned on the commit before the verifier
+// stopped pulling leaves it holds or can compute, and want re-pinned once on
+// the commit after — a change to what is pulled moves want and must leave
+// wantProtocol alone. Remote workers run at Workers 0 (TaskParams.Workers is
+// not transmitted).
 func TestManagerOverTCPEndToEnd(t *testing.T) {
 	cases := []struct {
-		name   string
-		scheme rpol.Scheme
-		merkle bool
-		want   string
+		name         string
+		scheme       rpol.Scheme
+		merkle       bool
+		want         string
+		wantProtocol string
 	}{
-		{"v1-hashlist", rpol.SchemeV1, false, "1b3a37fdcd4088cfbe4164ad434fb984"},
-		{"v2-merkle", rpol.SchemeV2, true, "72ef35a56a6bb940037358ad5c434e2d"},
+		{"v1-hashlist", rpol.SchemeV1, false, "70c90ed58f7fd320d91a3ae2ed17291f", "f465b1b9702fe118cfb3672e71ab25dd"},
+		{"v2-merkle", rpol.SchemeV2, true, "000094987d5bd87c3aa986415b95f1db", "f465b1b9702fe118cfb3672e71ab25dd"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := tcpEpochsFingerprint(t, c.scheme, c.merkle)
+			got, gotProtocol := tcpEpochsFingerprint(t, c.scheme, c.merkle)
 			if runtime.GOARCH != "amd64" {
-				t.Skipf("fingerprint %s pinned on amd64 only: other targets may fuse multiply-adds", got)
+				t.Skipf("fingerprints %s / %s pinned on amd64 only: other targets may fuse multiply-adds", got, gotProtocol)
+			}
+			if gotProtocol != c.wantProtocol {
+				t.Errorf("protocol fingerprint %s, want %s", gotProtocol, c.wantProtocol)
 			}
 			if got != c.want {
 				t.Errorf("fingerprint %s, want %s", got, c.want)
@@ -47,7 +56,9 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 	}
 }
 
-func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) string {
+// tcpEpochsFingerprint returns the full fingerprint and the one that omits
+// the verdicts' byte tallies.
+func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) (full, protocol string) {
 	hub, err := netsim.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +134,7 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) string 
 		t.Fatal(err)
 	}
 
-	h := sha256.New()
+	h, hp := sha256.New(), sha256.New()
 	for epoch := 0; epoch < 2; epoch++ {
 		report, err := manager.RunEpoch()
 		if err != nil {
@@ -135,9 +146,13 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) string 
 			}
 			fmt.Fprintf(h, "%s/%v/%v/%d/%d/%d/%d/%d;", o.WorkerID, o.Accepted, o.SampledCheckpoints,
 				o.CommBytes, o.CommitBytes, o.ReexecSteps, o.LSHMisses, o.DoubleChecks)
+			fmt.Fprintf(hp, "%s/%v/%v/%d/%d/%d;", o.WorkerID, o.Accepted, o.SampledCheckpoints,
+				o.ReexecSteps, o.LSHMisses, o.DoubleChecks)
 		}
 	}
-	h.Write(manager.Global().Encode())
+	global := manager.Global().Encode()
+	h.Write(global)
+	hp.Write(global)
 	if hub.Meter().Total() == 0 {
 		t.Error("no bytes metered over TCP")
 	}
@@ -145,5 +160,5 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) string 
 	// Shut the servers down cleanly.
 	hub.Close()
 	wg.Wait()
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return hex.EncodeToString(h.Sum(nil)[:16]), hex.EncodeToString(hp.Sum(nil)[:16])
 }

@@ -396,9 +396,10 @@ func TestNonceSurvivesWire(t *testing.T) {
 
 func TestMeteredTrafficMatchesProtocolAccounting(t *testing.T) {
 	// The verifier's CommBytes counts raw proof payloads; the bus meters
-	// the JSON/base64-framed bytes actually moved. The metered
-	// open-response traffic must be the accounted payloads inflated only by
-	// the encoding overhead (≈4/3 for base64) plus small headers.
+	// the framed bytes actually moved. The metered open-response traffic
+	// must be the accounted openings — CommBytes less the commitment, which
+	// arrived with the result — inflated only by the framing: every opened
+	// checkpoint crossed the wire, and none the verifier did not account.
 	bus := netsim.NewBus()
 	var wg sync.WaitGroup
 	defer func() {
@@ -444,10 +445,15 @@ func TestMeteredTrafficMatchesProtocolAccounting(t *testing.T) {
 	}
 
 	metered := bus.Meter().ByKind()[KindOpenResponse]
-	if metered < out.CommBytes {
-		t.Errorf("metered %d below accounted payloads %d", metered, out.CommBytes)
+	opened := out.CommBytes - out.CommitBytes
+	if opened <= 0 {
+		t.Fatalf("no opening accounted: CommBytes %d, CommitBytes %d", out.CommBytes, out.CommitBytes)
 	}
-	if metered > out.CommBytes*3/2+4096 {
-		t.Errorf("metered %d far above accounted payloads %d (+encoding)", metered, out.CommBytes)
+	if metered < opened {
+		t.Errorf("metered %d below accounted openings %d", metered, opened)
 	}
+	if metered > opened*3/2 {
+		t.Errorf("metered %d far above accounted openings %d (+framing)", metered, opened)
+	}
+	t.Logf("metered %d, accounted openings %d", metered, opened)
 }
