@@ -110,7 +110,6 @@ func TestEpochAllocationBudget(t *testing.T) {
 	manager, err := rpolapi.NewManager(rpolapi.ManagerConfig{
 		Address:         "pool-manager",
 		Scheme:          rpolapi.SchemeV2,
-		MerkleCommit:    true,
 		Hyper:           rpolapi.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: 16},
 		StepsPerEpoch:   steps,
 		CheckpointEvery: every,

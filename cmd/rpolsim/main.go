@@ -30,7 +30,6 @@ func main() {
 		epochs  = flag.Int("epochs", 5, "epochs to run")
 		steps   = flag.Int("steps", 10, "training steps per epoch per worker")
 		amlayer = flag.Bool("amlayer", true, "prepend the address-encoded mapping layer")
-		merkle  = flag.Bool("merkle", false, "use streaming Merkle commitments (32-byte roots, on-demand proof pulls)")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 		jdir    = flag.String("journal", "", "directory for the durable epoch journal (empty disables journaling)")
 		resume  = flag.Bool("resume", false, "recover the pool's position from -journal before running (requires -journal)")
@@ -48,7 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rpolsim:", err)
 		os.Exit(1)
 	}
-	if err := run(*task, *scheme, *workers, *adv1, *adv2, *epochs, *steps, *amlayer, *merkle, *seed, *jdir, *resume, observer, obsOpts.Table); err != nil {
+	if err := run(*task, *scheme, *workers, *adv1, *adv2, *epochs, *steps, *amlayer, *seed, *jdir, *resume, observer, obsOpts.Table); err != nil {
 		fmt.Fprintln(os.Stderr, "rpolsim:", err)
 		os.Exit(1)
 	}
@@ -75,7 +74,7 @@ func parseScheme(s string) (rpol.Scheme, error) {
 	}
 }
 
-func run(task, schemeName string, workers int, adv1, adv2 float64, epochs, steps int, useAMLayer, merkle bool, seed int64, jdir string, resume bool, observer *obs.Observer, phaseTable bool) error {
+func run(task, schemeName string, workers int, adv1, adv2 float64, epochs, steps int, useAMLayer bool, seed int64, jdir string, resume bool, observer *obs.Observer, phaseTable bool) error {
 	scheme, err := parseScheme(schemeName)
 	if err != nil {
 		return err
@@ -87,7 +86,6 @@ func run(task, schemeName string, workers int, adv1, adv2 float64, epochs, steps
 		Adv1Fraction:  adv1,
 		Adv2Fraction:  adv2,
 		StepsPerEpoch: steps,
-		MerkleCommit:  merkle,
 		UseAMLayer:    useAMLayer,
 		Seed:          seed,
 		Obs:           observer,

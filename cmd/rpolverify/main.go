@@ -20,7 +20,6 @@ import (
 	"rpol/internal/adversary"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
-	"rpol/internal/lsh"
 	"rpol/internal/modelzoo"
 	"rpol/internal/prf"
 	"rpol/internal/rpol"
@@ -205,7 +204,7 @@ func verifyTrace(path, schemeName string) error {
 	if err != nil {
 		return err
 	}
-	commit, digests, err := rpol.BuildCommitment(trace.Checkpoints, p.LSH)
+	ec, err := rpol.CommitTrace(nil, trace.Checkpoints, p.LSH)
 	if err != nil {
 		return err
 	}
@@ -214,10 +213,9 @@ func verifyTrace(path, schemeName string) error {
 		Epoch:          p.Epoch,
 		Update:         update,
 		DataSize:       work.Len(),
-		Commit:         commit,
-		LSHDigests:     digests,
 		NumCheckpoints: len(trace.Checkpoints),
 	}
+	ec.Apply(result)
 
 	verifyNet, err := spec.BuildProxyNet(file.Seed + 1)
 	if err != nil {
@@ -236,7 +234,7 @@ func verifyTrace(path, schemeName string) error {
 		Samples: 3,
 		Sampler: tensor.NewRNG(file.Seed + 600),
 	}
-	outcome, err := verifier.VerifySubmission(&traceOpener{trace: trace, fam: p.LSH}, work, result, p)
+	outcome, err := verifier.VerifySubmission(&traceOpener{trace: trace, ec: ec}, work, result, p)
 	if err != nil {
 		return err
 	}
@@ -255,12 +253,10 @@ func verifyTrace(path, schemeName string) error {
 	return nil
 }
 
-// traceOpener serves checkpoints from a decoded trace. Trace files record
-// hash-list submissions, so Merkle proof pulls are answered by rebuilding
-// the tree over the recorded checkpoints on first use.
+// traceOpener serves checkpoints from a decoded trace and proof pulls from
+// the commitment rebuilt over it.
 type traceOpener struct {
 	trace *rpol.Trace
-	fam   *lsh.Family
 	ec    *rpol.EpochCommitment
 }
 
@@ -271,13 +267,4 @@ func (o *traceOpener) OpenCheckpoint(idx int) (tensor.Vector, error) {
 	return o.trace.Checkpoints[idx], nil
 }
 
-func (o *traceOpener) OpenProof(idx int) (rpol.LeafProof, error) {
-	if o.ec == nil {
-		ec, err := rpol.CommitTrace(nil, o.trace.Checkpoints, o.fam, true)
-		if err != nil {
-			return rpol.LeafProof{}, err
-		}
-		o.ec = ec
-	}
-	return o.ec.OpenProof(idx)
-}
+func (o *traceOpener) OpenProof(idx int) (rpol.LeafProof, error) { return o.ec.OpenProof(idx) }

@@ -177,13 +177,12 @@ func openFrom(trace *rpol.Trace, id string, idx int) (tensor.Vector, error) {
 	return trace.Checkpoints[idx], nil
 }
 
-// stampCommitment builds the commitment over the (possibly forged) trace in
-// whichever form the task demands — legacy hash list or streaming Merkle
-// root — stamps it onto the submission, and returns it for proof serving.
-// Adversaries forge checkpoints, not the commitment construction itself:
-// they always commit to exactly what they will open.
+// stampCommitment builds the Merkle commitment over the (possibly forged)
+// trace, stamps its root onto the submission, and returns it for proof
+// serving. Adversaries forge checkpoints, not the commitment construction
+// itself: they always commit to exactly what they will open.
 func stampCommitment(id string, p rpol.TaskParams, trace *rpol.Trace, r *rpol.EpochResult) (*rpol.EpochCommitment, error) {
-	ec, err := rpol.CommitTrace(nil, trace.Checkpoints, p.LSH, p.MerkleCommit)
+	ec, err := rpol.CommitTrace(nil, trace.Checkpoints, p.LSH)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", id, err)
 	}

@@ -1,10 +1,13 @@
 package adversary
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"rpol/internal/commitment"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/lsh"
@@ -159,6 +162,31 @@ func TestAdv1SubmitsZeroUpdate(t *testing.T) {
 	}
 }
 
+// openingCommitted checks that w is what the submission's root commits at
+// leaf idx, by the verifier's rule — the leaf is w's encoding under v1 and
+// its LSH digest encoding under v2, the digest riding with the proof —
+// against the opener's own inclusion proof.
+func openingCommitted(res *rpol.EpochResult, opener rpol.ProofOpener, fam *lsh.Family, idx int, w tensor.Vector) error {
+	lp, err := opener.OpenProof(idx)
+	if err != nil {
+		return err
+	}
+	if lp.Proof.Index != idx {
+		return fmt.Errorf("proof answers leaf %d, want %d", lp.Proof.Index, idx)
+	}
+	payload := w.Encode()
+	if fam != nil {
+		d, err := fam.Hash(w)
+		if err != nil {
+			return err
+		}
+		if payload = d.Encode(); !bytes.Equal(lp.Digest, payload) {
+			return errors.New("riding digest is not the opened checkpoint's")
+		}
+	}
+	return commitment.VerifyMerkle(res.MerkleRoot, res.NumCheckpoints, payload, lp.Proof)
+}
+
 func TestAdv1ConsistentWithCommitment(t *testing.T) {
 	net, _ := advTask(t, 2)
 	adv := NewAdv1("adv1", gpu.GT4, 10)
@@ -172,7 +200,7 @@ func TestAdv1ConsistentWithCommitment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rpol.VerifyOpening(res, nil, i, w); err != nil {
+		if err := openingCommitted(res, adv, nil, i, w); err != nil {
 			t.Errorf("Adv1 opening %d inconsistent with its own commitment: %v", i, err)
 		}
 	}
@@ -320,15 +348,12 @@ func TestFabricatorCommitsConsistently(t *testing.T) {
 	if res.DataSize != 50 {
 		t.Errorf("claimed data size = %d", res.DataSize)
 	}
-	if len(res.LSHDigests) != res.NumCheckpoints {
-		t.Errorf("digests = %d", len(res.LSHDigests))
-	}
 	for i := 0; i < res.NumCheckpoints; i++ {
 		w, err := fab.OpenCheckpoint(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rpol.VerifyOpening(res, fam, i, w); err != nil {
+		if err := openingCommitted(res, fab, fam, i, w); err != nil {
 			t.Errorf("fabricator opening %d inconsistent: %v", i, err)
 		}
 	}

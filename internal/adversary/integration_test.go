@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rpol/internal/commitment"
 	"rpol/internal/gpu"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
@@ -247,18 +248,18 @@ func (c *callCounter) OpenProof(idx int) (rpol.LeafProof, error) {
 // binding, the update binding and every interval a verifier could sample from
 // it — before the leaf count was held to the task's it was accepted with
 // probability 1, full reward for k/n of the work. It, and its over-claiming
-// twin, must be rejected under every scheme, commitment and verifier loop
-// before a single request is made or a byte tallied.
+// twin, must be rejected under every scheme and verifier loop before a single
+// request is made or a byte tallied. merkle=false strips the root from the
+// submission: the leaf-count rejection must not lean on the commitment.
 func TestVerifierCatchesTruncator(t *testing.T) {
 	for _, scheme := range []rpol.Scheme{rpol.SchemeV1, rpol.SchemeV2} {
-		for _, merkle := range []bool{false, true} {
-			for _, workers := range []int{0, 2} {
-				net, ds := advTask(t, 40)
-				p := advParams(net.ParamVector())
-				p.MerkleCommit = merkle
-				intervals := p.NumCheckpoints() - 1
-				verifier := buildVerifier(t, scheme, &p)
-				verifier.Workers = workers
+		for _, workers := range []int{0, 2} {
+			net, ds := advTask(t, 40)
+			p := advParams(net.ParamVector())
+			intervals := p.NumCheckpoints() - 1
+			verifier := buildVerifier(t, scheme, &p)
+			verifier.Workers = workers
+			for _, merkle := range []bool{false, true} {
 				for _, claimed := range []int{1, intervals - 1, intervals + 1} {
 					name := fmt.Sprintf("%s/merkle=%v/workers=%d/intervals=%d", scheme, merkle, workers, claimed)
 					t.Run(name, func(t *testing.T) {
@@ -273,6 +274,9 @@ func TestVerifierCatchesTruncator(t *testing.T) {
 						}
 						if res.NumCheckpoints != claimed+1 {
 							t.Fatalf("committed %d leaves, want %d", res.NumCheckpoints, claimed+1)
+						}
+						if !merkle {
+							res.MerkleRoot = commitment.Hash{}
 						}
 						counter := &callCounter{Worker: adv}
 						out, err := verifier.VerifySubmission(counter, ds, res, p)

@@ -63,8 +63,7 @@ func Load(path string) (*Chain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockchain load: %w", err)
 	}
-	// Pre-fsio chain files are raw JSON; DecodeFile passes them through.
-	payload, _, err := fsio.DecodeFile(data)
+	payload, err := fsio.DecodeFile(data)
 	if err != nil {
 		return nil, fmt.Errorf("blockchain load: %v: %w", err, ErrCorruptChain)
 	}

@@ -113,8 +113,7 @@ func (s *MemoryStore) Clear() error {
 // directory. Each file is a checksummed fsio frame around the canonical
 // wire encoding, written atomically (temp file + rename), so a crash
 // mid-Put leaves the previous snapshot rather than a torn hybrid and Get
-// detects any corruption instead of decoding garbage weights. Files
-// written before the framed format (raw wire encoding) still load.
+// detects any corruption instead of decoding garbage weights.
 //
 // Put reuses internal encode buffers under a mutex (checkpoints land every
 // interval, and re-encoding a full weight vector per Put doubled the
@@ -161,8 +160,8 @@ func (s *DiskStore) Put(idx int, w tensor.Vector) error {
 	return nil
 }
 
-// Get reads, verifies, and decodes the snapshot from disk. Corrupt or torn
-// files fail with ErrCorruptCheckpoint.
+// Get reads, verifies, and decodes the snapshot from disk. Corrupt, torn or
+// unframed files fail with ErrCorruptCheckpoint.
 func (s *DiskStore) Get(idx int) (tensor.Vector, error) {
 	data, err := s.fs.ReadFile(s.path(idx))
 	if errors.Is(err, os.ErrNotExist) {
@@ -171,7 +170,7 @@ func (s *DiskStore) Get(idx int) (tensor.Vector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint get %d: %w", idx, err)
 	}
-	payload, _, err := fsio.DecodeFile(data)
+	payload, err := fsio.DecodeFile(data)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint get %d: %v: %w", idx, err, ErrCorruptCheckpoint)
 	}

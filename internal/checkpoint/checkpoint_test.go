@@ -296,9 +296,10 @@ func TestDiskStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDiskStoreReadsLegacyFiles: snapshots written by the pre-fsio format
-// (raw wire encoding, no checksum frame) still load.
-func TestDiskStoreReadsLegacyFiles(t *testing.T) {
+// TestDiskStoreRejectsUnframedFiles: a snapshot without the checksummed
+// frame — the pre-fsio format among them (raw wire encoding) — is refused as
+// corrupt rather than decoded, since nothing vouches for its bytes.
+func TestDiskStoreRejectsUnframedFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDiskStore(dir)
 	if err != nil {
@@ -309,14 +310,8 @@ func TestDiskStoreReadsLegacyFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := s.Get(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(w, 0) {
-		t.Fatalf("legacy read = %v", got)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if !errors.Is(err, ErrCorruptCheckpoint) || got != nil {
+		t.Fatalf("unframed snapshot read as %v, err = %v, want ErrCorruptCheckpoint", got, err)
 	}
 }
 

@@ -5,10 +5,13 @@
 //
 // Both constructions from the paper are provided:
 //
-//   - HashList: the ordered list of SHA-256 digests of the checkpoint
-//     payloads (the paper's primary construction), and
 //   - MerkleTree: a Merkle hash tree whose leaves are the checkpoint
-//     payloads, yielding O(log n) inclusion proofs (Merkle 1980).
+//     payloads, yielding O(log n) inclusion proofs (Merkle 1980) — the
+//     protocol's commitment, built incrementally by IncrementalMerkle as
+//     training produces checkpoints; and
+//   - HashList: the ordered list of SHA-256 digests of the checkpoint
+//     payloads (the paper's primary construction), kept for the commitment
+//     ablation that compares the two.
 //
 // The worker publishes the commitment *before* the manager reveals its
 // sampling decisions — the "commit-and-prove" paradigm that prevents lazy
@@ -58,37 +61,19 @@ var (
 )
 
 // HashList is the paper's primary commitment construction: the ordered
-// SHA-256 digests of all checkpoint payloads.
+// SHA-256 digests of all checkpoint payloads. The protocol commits with the
+// Merkle root; the hash list remains as the comparison arm of the commitment
+// ablation, which sizes both constructions.
 type HashList struct {
 	Leaves []Hash
 }
 
 // NewHashList commits to the ordered payloads.
 func NewHashList(payloads [][]byte) (*HashList, error) {
-	return NewHashListPool(nil, payloads)
-}
-
-// NewHashListPool is NewHashList with leaf hashing chunked across the pool.
-// Leaf i's digest depends only on payload i and is written to slot i, so the
-// commitment is identical to the serial construction for any worker count. A
-// nil pool runs serially.
-func NewHashListPool(p *parallel.Pool, payloads [][]byte) (*HashList, error) {
 	if len(payloads) == 0 {
 		return nil, ErrEmpty
 	}
-	return &HashList{Leaves: hashLeaves(p, payloads)}, nil
-}
-
-// NewLeafList wraps pre-computed leaf digests as a HashList commitment.
-// Callers that stream payloads through a reused encode buffer hash each
-// leaf themselves with HashLeaf and commit the digests without ever
-// retaining a payload copy; the result is identical to NewHashList over
-// the same payload bytes.
-func NewLeafList(leaves []Hash) (*HashList, error) {
-	if len(leaves) == 0 {
-		return nil, ErrEmpty
-	}
-	return &HashList{Leaves: leaves}, nil
+	return &HashList{Leaves: hashLeaves(nil, payloads)}, nil
 }
 
 // hashLeaves digests every payload, chunked across the pool when one is
@@ -101,23 +86,6 @@ func hashLeaves(p *parallel.Pool, payloads [][]byte) []Hash {
 		}
 	})
 	return leaves
-}
-
-// Len returns the number of committed leaves.
-func (h *HashList) Len() int { return len(h.Leaves) }
-
-// Root condenses the list into a single digest (hash of the concatenated
-// leaf digests), used when a compact identifier of the whole commitment is
-// needed.
-func (h *HashList) Root() Hash {
-	hs := sha256.New()
-	hs.Write([]byte{0x02})
-	for _, l := range h.Leaves {
-		hs.Write(l[:])
-	}
-	var out Hash
-	copy(out[:], hs.Sum(nil))
-	return out
 }
 
 // VerifyLeaf checks that payload is exactly what was committed at index i.
@@ -134,52 +102,8 @@ func (h *HashList) VerifyLeaf(i int, payload []byte) error {
 // Size returns the commitment's wire size in bytes.
 func (h *HashList) Size() int { return HashSize * len(h.Leaves) }
 
-// Encode serializes the commitment.
-func (h *HashList) Encode() []byte {
-	return h.AppendEncode(make([]byte, 0, h.Size()))
-}
-
-// AppendEncode appends the Encode representation to dst and returns the
-// extended slice, so wire paths can serialize into a reused buffer.
-func (h *HashList) AppendEncode(dst []byte) []byte {
-	for _, l := range h.Leaves {
-		dst = append(dst, l[:]...)
-	}
-	return dst
-}
-
-// DecodeHashList parses a commitment previously produced by Encode.
-//
-// The leaf count is taken from the buffer length, so callers decoding
-// attacker-controlled bytes should prefer DecodeHashListN, which bounds the
-// allocation by an independently declared leaf count.
-func DecodeHashList(buf []byte) (*HashList, error) {
-	if len(buf) == 0 || len(buf)%HashSize != 0 {
-		return nil, fmt.Errorf("commitment: bad encoding length %d", len(buf))
-	}
-	return DecodeHashListN(buf, len(buf)/HashSize)
-}
-
-// DecodeHashListN parses a commitment previously produced by Encode,
-// requiring it to hold exactly n leaves. Decoding attacker-controlled bytes
-// through this form bounds the leaf allocation by the declared checkpoint
-// count instead of whatever length the peer chose to send.
-func DecodeHashListN(buf []byte, n int) (*HashList, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("commitment: bad leaf count %d", n)
-	}
-	if len(buf) != n*HashSize {
-		return nil, fmt.Errorf("commitment: encoding length %d, want %d for %d leaves",
-			len(buf), n*HashSize, n)
-	}
-	leaves := make([]Hash, n)
-	for i := range leaves {
-		copy(leaves[i][:], buf[i*HashSize:])
-	}
-	return &HashList{Leaves: leaves}, nil
-}
-
-// MerkleTree is the alternative O(log n)-proof construction.
+// MerkleTree is the protocol's commitment: O(log n) inclusion proofs against
+// a 32-byte root.
 type MerkleTree struct {
 	levels [][]Hash // levels[0] = leaves, last level = [root]
 }
@@ -207,10 +131,9 @@ func NewMerkleTreePool(p *parallel.Pool, payloads [][]byte) (*MerkleTree, error)
 	return NewMerkleFromLeaves(hashLeaves(p, payloads))
 }
 
-// NewMerkleFromLeaves builds the tree over pre-computed leaf digests, the
-// counterpart of NewLeafList for callers that hash streamed payloads
-// themselves. The result is identical to NewMerkleTree over the same payload
-// bytes.
+// NewMerkleFromLeaves builds the tree over pre-computed leaf digests, for
+// callers that hash streamed payloads themselves. The result is identical to
+// NewMerkleTree over the same payload bytes.
 func NewMerkleFromLeaves(leaves []Hash) (*MerkleTree, error) {
 	if len(leaves) == 0 {
 		return nil, ErrEmpty

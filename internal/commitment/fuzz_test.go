@@ -2,38 +2,6 @@ package commitment
 
 import "testing"
 
-// FuzzDecodeHashList drives the commitment decoder with arbitrary bytes.
-func FuzzDecodeHashList(f *testing.F) {
-	hl, err := NewHashList([][]byte{[]byte("a"), []byte("b")})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(hl.Encode())
-	f.Add([]byte{})
-	f.Add(make([]byte, HashSize-1))
-	f.Add(make([]byte, HashSize*3))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeHashList(data)
-		if err != nil {
-			return
-		}
-		re := got.Encode()
-		if len(re) != len(data) {
-			t.Fatalf("round trip length %d != %d", len(re), len(data))
-		}
-		for i := range re {
-			if re[i] != data[i] {
-				t.Fatalf("round trip byte %d differs", i)
-			}
-		}
-		// Any decoded commitment must support leaf verification without
-		// panicking, even on out-of-range indices.
-		_ = got.VerifyLeaf(-1, nil)
-		_ = got.VerifyLeaf(got.Len(), nil)
-		_ = got.VerifyLeaf(0, []byte("probe"))
-	})
-}
-
 // FuzzVerifyMerkle drives Merkle proof verification with hostile proofs.
 func FuzzVerifyMerkle(f *testing.F) {
 	tree, err := NewMerkleTree([][]byte{[]byte("x"), []byte("y"), []byte("z")})

@@ -216,32 +216,3 @@ func TestDecodeProofBounds(t *testing.T) {
 		t.Error("want error for trailing bytes")
 	}
 }
-
-func TestDecodeHashListN(t *testing.T) {
-	hl, err := NewHashList(payloads(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := hl.Encode()
-	got, err := DecodeHashListN(enc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Root() != hl.Root() {
-		t.Error("round trip changed root")
-	}
-	// The declared count must match the buffer exactly: a peer cannot force
-	// a larger allocation than its checkpoint claim justifies.
-	if _, err := DecodeHashListN(enc, 5); err == nil {
-		t.Error("want error for count > buffer")
-	}
-	if _, err := DecodeHashListN(enc, 3); err == nil {
-		t.Error("want error for count < buffer")
-	}
-	if _, err := DecodeHashListN(enc, 0); err == nil {
-		t.Error("want error for zero count")
-	}
-	if _, err := DecodeHashListN(nil, 1); err == nil {
-		t.Error("want error for empty buffer")
-	}
-}

@@ -25,9 +25,8 @@ const (
 // per persisted file.
 const FileOverhead = len(fileMagic) + frameOverhead
 
-// fileMagic marks a checksummed single-frame file written by EncodeFile. The
-// leading byte is outside ASCII so no legacy format (JSON, base64, or the
-// tensor wire encoding of any plausibly-sized vector) collides with it.
+// fileMagic marks a checksummed single-frame file written by EncodeFile; its
+// leading byte is outside ASCII, so no text file passes for one.
 const fileMagic = "\x93RPoLfs1"
 
 // Checksum returns the FNV-1a/SplitMix64 digest of data — the same hash
@@ -77,8 +76,7 @@ func ReadFrame(data []byte) (payload, rest []byte, err error) {
 }
 
 // EncodeFile wraps payload as a checksummed single-frame file: magic header
-// plus one frame. Readers use DecodeFile, which also accepts pre-fsio files
-// (no magic) for upgrade compatibility.
+// plus one frame. Readers use DecodeFile.
 func EncodeFile(payload []byte) []byte {
 	out := make([]byte, 0, FileOverhead+len(payload))
 	return AppendFile(out, payload)
@@ -93,19 +91,17 @@ func AppendFile(dst, payload []byte) []byte {
 }
 
 // DecodeFile returns the payload of a file written by EncodeFile, verifying
-// its checksum. Files without the magic header are returned verbatim with
-// legacy=true: the pre-fsio formats carried no checksum, so the caller's own
-// validation is all the protection they ever had.
-func DecodeFile(data []byte) (payload []byte, legacy bool, err error) {
+// its checksum. A file without the magic header is ErrUnframed.
+func DecodeFile(data []byte) ([]byte, error) {
 	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
-		return data, true, nil
+		return nil, ErrUnframed
 	}
 	payload, rest, err := ReadFrame(data[len(fileMagic):])
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if len(rest) != 0 {
-		return nil, false, fmt.Errorf("%d trailing bytes: %w", len(rest), ErrChecksum)
+		return nil, fmt.Errorf("%d trailing bytes: %w", len(rest), ErrChecksum)
 	}
-	return payload, false, nil
+	return payload, nil
 }

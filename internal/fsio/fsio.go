@@ -38,6 +38,9 @@ var (
 	// ErrChecksum marks a frame whose payload bytes do not hash to the
 	// recorded checksum: a bit flip or an overwrite, not a truncation.
 	ErrChecksum = errors.New("fsio: checksum mismatch")
+	// ErrUnframed marks a whole file that does not start with the framed
+	// file magic: not written by EncodeFile, so nothing vouches for it.
+	ErrUnframed = errors.New("fsio: file is not framed")
 )
 
 // Appender is an open append-only file handle. Write appends at the end;

@@ -60,33 +60,31 @@ func TestReadFrameDetectsBitFlips(t *testing.T) {
 func TestEncodeDecodeFile(t *testing.T) {
 	payload := []byte(`{"kind":"state"}`)
 	enc := EncodeFile(payload)
-	got, legacy, err := DecodeFile(enc)
-	if err != nil || legacy {
-		t.Fatalf("DecodeFile: legacy=%v err=%v", legacy, err)
+	got, err := DecodeFile(enc)
+	if err != nil {
+		t.Fatalf("DecodeFile: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload = %q", got)
 	}
 
-	// Pre-fsio files carry no magic and pass through verbatim.
-	raw := []byte(`{"version":1}`)
-	got, legacy, err = DecodeFile(raw)
-	if err != nil || !legacy {
-		t.Fatalf("legacy DecodeFile: legacy=%v err=%v", legacy, err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatalf("legacy payload = %q", got)
+	// Unframed files — the pre-fsio formats among them — carry no magic and
+	// are refused: nothing vouches for their bytes.
+	for _, raw := range [][]byte{[]byte(`{"version":1}`), nil, []byte(fileMagic[:4])} {
+		if got, err := DecodeFile(raw); !errors.Is(err, ErrUnframed) || got != nil {
+			t.Fatalf("unframed %q: payload %q, err = %v", raw, got, err)
+		}
 	}
 
 	// A flipped payload bit fails the checksum.
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)/2] ^= 0x10
-	if _, _, err := DecodeFile(bad); err == nil {
+	if _, err := DecodeFile(bad); err == nil {
 		t.Fatal("corrupted file decoded")
 	}
 
 	// Trailing garbage after the frame is corruption, not extra frames.
-	if _, _, err := DecodeFile(append(append([]byte(nil), enc...), 0xEE)); !errors.Is(err, ErrChecksum) {
+	if _, err := DecodeFile(append(append([]byte(nil), enc...), 0xEE)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("trailing garbage: err = %v", err)
 	}
 }

@@ -34,12 +34,11 @@ type Task struct {
 type Commit struct {
 	Epoch  int    `json:"epoch"`
 	Worker string `json:"worker"`
-	// Digest is fsio.Checksum over the commitment's wire encoding — the hash
-	// list under the legacy scheme, the 32-byte root under a Merkle
-	// commitment (zero when the scheme carries no commitment).
+	// Digest is fsio.Checksum over the 32-byte Merkle root. (Journals of
+	// builds that committed with an inline hash list hold its checksum, and
+	// no Root.)
 	Digest uint64 `json:"digest"`
-	// Root is the submitted Merkle root for a root-committed submission
-	// (empty under the legacy hash-list scheme).
+	// Root is the submitted Merkle root.
 	Root []byte `json:"root,omitempty"`
 	// NumCheckpoints is the committed snapshot count.
 	NumCheckpoints int `json:"numCheckpoints"`

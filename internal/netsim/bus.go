@@ -19,7 +19,7 @@ type Message struct {
 	// layer stamps requests with a fresh Seq and workers echo it, so a
 	// retrying caller can discard stale replies to earlier attempts. Zero
 	// for callers that don't correlate.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 }
 
 // Size returns the accounted wire size of the message: payload plus a small

@@ -3,12 +3,12 @@ package netsim
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"testing"
 )
 
 // TestFrameBinaryRoundTrip pins the binary frame codec: every field survives
-// and the body does not start with '{' (the legacy-JSON sniff byte).
+// and the body starts with the frame magic.
 func TestFrameBinaryRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{},
@@ -21,8 +21,8 @@ func TestFrameBinaryRoundTrip(t *testing.T) {
 		if err := writeFrameTo(&buf, msg); err != nil {
 			t.Fatalf("%+v: %v", msg, err)
 		}
-		if body := buf.Bytes()[4:]; body[0] == '{' {
-			t.Fatal("binary frame body starts with '{' — collides with the JSON sniff")
+		if body := buf.Bytes()[4:]; body[0] != frameMagic {
+			t.Fatalf("frame body starts with 0x%02x, want the magic 0x%02x", body[0], frameMagic)
 		}
 		got, err := readFrame(&buf, nil)
 		if err != nil {
@@ -37,26 +37,22 @@ func TestFrameBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadFrameLegacyJSON feeds a frame in the pre-binary JSON encoding and
-// requires the reader to fall back to it.
+// TestReadFrameLegacyJSON feeds frames in the pre-binary JSON encoding:
+// the reader refuses each with errBadFrame instead of decoding it.
 func TestReadFrameLegacyJSON(t *testing.T) {
-	msg := Message{From: "m", To: "w", Kind: "task", Seq: 3, Payload: []byte{1, 2, 3}}
-	body, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
-	buf.Write(prefix[:])
-	buf.Write(body)
-	got, err := readFrame(&buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.From != msg.From || got.To != msg.To || got.Kind != msg.Kind ||
-		got.Seq != msg.Seq || !bytes.Equal(got.Payload, msg.Payload) {
-		t.Errorf("legacy frame decode = %+v, want %+v", got, msg)
+	for _, body := range []string{
+		`{"From":"m","To":"w","Kind":"task","Payload":"AQID","seq":3}`,
+		`{}`,
+		`{`,
+	} {
+		var buf bytes.Buffer
+		var prefix [4]byte
+		binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
+		buf.Write(prefix[:])
+		buf.WriteString(body)
+		if got, err := readFrame(&buf, nil); !errors.Is(err, errBadFrame) {
+			t.Errorf("JSON frame %s: decoded %+v, err = %v, want errBadFrame", body, got, err)
+		}
 	}
 }
 

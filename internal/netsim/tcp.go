@@ -3,7 +3,6 @@ package netsim
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -21,7 +20,7 @@ import (
 // actual network stack as well as in memory.
 //
 // Frame format: 4-byte big-endian length prefix followed by a binary
-// Message body (see writeFrame; legacy JSON bodies are still decoded). The
+// Message body (see writeFrame). The
 // first frame a client sends is its registration: a Message whose Kind is
 // "register" and whose From is the client's name.
 type TCPHub struct {
@@ -83,8 +82,7 @@ const maxFrameSize = 64 << 20
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("netsim: frame too large")
 
-// errBadFrame is returned when a frame body parses as neither the binary
-// format nor legacy JSON.
+// errBadFrame is returned when a frame body is not the binary frame format.
 var errBadFrame = errors.New("netsim: malformed frame")
 
 // NewTCPHub starts a hub listening on addr (e.g. "127.0.0.1:0").
@@ -316,14 +314,14 @@ func (h *TCPHub) dropClient(name string) {
 
 // Binary frame body format (after the 4-byte big-endian length prefix):
 //
-//	[0] magic 0xBF — distinct from '{' (0x7B), so readFrame can sniff the
-//	    first body byte and fall back to the legacy JSON encoding
+//	[0] magic 0xBF
 //	[1] version 1
 //	from, to, kind as uvarint-length-prefixed strings, seq as uvarint,
 //	then the payload as the remainder of the frame — written straight from
 //	the caller's buffer and aliased out of the read buffer on receive, so a
-//	bulky payload is never copied into an intermediate frame encoding (the
-//	JSON format base64-expanded it by 4/3 and marshalled a full copy).
+//	bulky payload is never copied into an intermediate frame encoding.
+//
+// Any other body — a JSON one included — is errBadFrame.
 const (
 	frameMagic   = 0xBF
 	frameVersion = 1
@@ -391,14 +389,6 @@ func readFrame(r io.Reader, buf *[]byte) (Message, error) {
 	}
 	if _, err := io.ReadFull(r, data); err != nil {
 		return Message{}, err
-	}
-	if len(data) > 0 && data[0] == '{' {
-		// Legacy JSON frame from a pre-binary peer.
-		var msg Message
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return Message{}, fmt.Errorf("netsim frame: %w", err)
-		}
-		return msg, nil
 	}
 	return decodeFrame(data)
 }

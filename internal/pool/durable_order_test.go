@@ -127,7 +127,6 @@ func TestDurableEpochSyncsOncePerPhase(t *testing.T) {
 		StepsPerEpoch:   8,
 		CheckpointEvery: 2,
 		Samples:         2,
-		MerkleCommit:    true,
 		Seed:            31,
 		Journal:         dir,
 		FS:              recordingFS{fsio.OS, log},

@@ -52,10 +52,6 @@ type Config struct {
 	StepsPerEpoch   int
 	CheckpointEvery int
 	Samples         int
-	// MerkleCommit switches submissions to the streaming Merkle commitment:
-	// 32-byte roots on the wire, O(log n) proof pulls during verification,
-	// bit-identical verdicts (see rpol.ManagerConfig.MerkleCommit).
-	MerkleCommit bool
 	// ManagerAddress is the pool's blockchain address, encoded in the
 	// AMLayer when UseAMLayer is set.
 	ManagerAddress string
@@ -473,7 +469,6 @@ func New(cfg Config) (*Pool, error) {
 		StepsPerEpoch:     cfg.StepsPerEpoch,
 		CheckpointEvery:   cfg.CheckpointEvery,
 		Samples:           cfg.Samples,
-		MerkleCommit:      cfg.MerkleCommit,
 		GPU:               gpu.G3090,
 		MasterKey:         []byte(cfg.ManagerAddress + "/nonce-master"),
 		Seed:              cfg.Seed + 7,
@@ -540,7 +535,7 @@ func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
 	stateData, err := p.fs.ReadFile(filepath.Join(p.cfg.Journal, stateFile))
 	switch {
 	case err == nil:
-		payload, _, err := fsio.DecodeFile(stateData)
+		payload, err := fsio.DecodeFile(stateData)
 		if err != nil {
 			return fmt.Errorf("pool resume: state file: %w", err)
 		}

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -276,59 +275,5 @@ func TestPoolDeterministicGivenSeed(t *testing.T) {
 	acc2, det2 := run()
 	if acc1 != acc2 || det1 != det2 {
 		t.Errorf("same seed diverged: (%v, %d) vs (%v, %d)", acc1, det1, acc2, det2)
-	}
-}
-
-// TestMerkleCommitParity is the acceptance test for the streaming Merkle
-// commitment scheme at pool level: a seeded run with adversaries must produce
-// bit-identical verdicts, accuracy, and global models whether submissions
-// carry the legacy inline hash list or only a 32-byte Merkle root with
-// on-demand proof pulls. Only the wire/commitment format — and therefore the
-// verification communication bill — may differ.
-func TestMerkleCommitParity(t *testing.T) {
-	type epochDigest struct {
-		Accepted, Rejected, Detected, Missed, FalseRej, Absent int
-		Accuracy                                               float64
-		Reexec                                                 int
-		Global                                                 [sha256.Size]byte
-	}
-	run := func(merkle bool) ([]epochDigest, int64) {
-		cfg := baseConfig(rpol.SchemeV2)
-		cfg.Adv2Fraction = 0.2
-		cfg.MerkleCommit = merkle
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []epochDigest
-		var commBytes int64
-		for i := 0; i < 2; i++ {
-			s, err := p.RunEpoch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, epochDigest{
-				Accepted: s.Accepted, Rejected: s.Rejected,
-				Detected: s.DetectedAdversaries, Missed: s.MissedAdversaries,
-				FalseRej: s.FalseRejections, Absent: s.AbsentWorkers,
-				Accuracy: s.TestAccuracy, Reexec: s.ReexecSteps,
-				Global: sha256.Sum256(p.Manager().Global().Encode()),
-			})
-			commBytes += s.VerifyCommBytes
-		}
-		return out, commBytes
-	}
-	legacy, legacyBytes := run(false)
-	merkle, merkleBytes := run(true)
-	for i := range legacy {
-		if legacy[i] != merkle[i] {
-			t.Errorf("epoch %d diverged:\n  legacy %+v\n  merkle %+v", i, legacy[i], merkle[i])
-		}
-	}
-	if legacy[len(legacy)-1].Rejected == 0 {
-		t.Error("adversarial run saw no rejections; parity test lost its teeth")
-	}
-	if legacyBytes == merkleBytes {
-		t.Errorf("comm bytes identical (%d); merkle accounting not in effect", legacyBytes)
 	}
 }

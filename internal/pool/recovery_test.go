@@ -1,6 +1,8 @@
 package pool
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"rpol/internal/checkpoint"
+	"rpol/internal/commitment"
 	"rpol/internal/fsio"
 	"rpol/internal/journal"
 	"rpol/internal/obs"
@@ -75,6 +78,7 @@ type baseline struct {
 	rewards   map[string]float64
 	dim       int
 	ops       uint64
+	roots     map[string][]byte // journaled Merkle root per epoch/worker
 }
 
 // runBaseline runs the uninterrupted journaled pool. wrap, when non-nil,
@@ -87,7 +91,8 @@ func runBaseline(t *testing.T, workers, epochs int, wrap func(fsio.FS) fsio.FS) 
 	if wrap != nil {
 		fs = wrap(fs)
 	}
-	p, err := New(journaledConfig(workers, t.TempDir(), fs))
+	dir := t.TempDir()
+	p, err := New(journaledConfig(workers, dir, fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,38 @@ func runBaseline(t *testing.T, workers, epochs int, wrap func(fsio.FS) fsio.FS) 
 	for i, s := range history {
 		summaries[i] = summarize(s)
 	}
-	return baseline{summaries, globalDigest(p), p.Rewards(), len(p.Manager().Global()), counter.Writes()}
+	roots, err := journalRoots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return baseline{summaries, globalDigest(p), p.Rewards(), len(p.Manager().Global()), counter.Writes(), roots}
+}
+
+// journalRoots collects the Merkle root of every commit record in dir's
+// journal, keyed by epoch and worker; records of one key — a crashed
+// attempt's and its retry's — must agree.
+func journalRoots(dir string) (map[string][]byte, error) {
+	wal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		return nil, err
+	}
+	recs, _, _ := journal.Replay(wal)
+	roots := make(map[string][]byte)
+	for _, r := range recs {
+		if r.Kind != journal.KindCommit {
+			continue
+		}
+		var c journal.Commit
+		if err := json.Unmarshal(r.Data, &c); err != nil {
+			return nil, err
+		}
+		key := fmt.Sprintf("%d/%s", c.Epoch, c.Worker)
+		if prev, ok := roots[key]; ok && !bytes.Equal(prev, c.Root) {
+			return nil, fmt.Errorf("%s committed root %x, then %x", key, prev, c.Root)
+		}
+		roots[key] = c.Root
+	}
+	return roots, nil
 }
 
 // TestJournaledRunMatchesPlainSchedule sanity-checks the baseline itself:
@@ -211,7 +247,9 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				adopted += n
 			}
 			// Retraining everything is always safe, so equivalence alone
-			// would pass with recovery doing nothing.
+			// would pass with recovery doing nothing. An adopted prefix is
+			// re-pushed into the streaming tree, and crashAndRecover holds
+			// the root the resumed epoch commits to the uncrashed one.
 			if adopted == 0 {
 				t.Errorf("no crash point among %d resumed from a durable checkpoint", base.ops)
 			}
@@ -365,23 +403,29 @@ func crashAndRecover(dir string, workers, epochs int, ord uint64, base baseline,
 	if d := globalDigest(resumed); d != base.digest {
 		return 0, fmt.Errorf("global digest %x after recovery, want %x", d, base.digest)
 	}
+	roots, err := journalRoots(dir)
+	if err != nil {
+		return 0, err
+	}
+	for key, want := range base.roots {
+		if !bytes.Equal(roots[key], want) {
+			return 0, fmt.Errorf("%s committed root %x after recovery, want %x", key, roots[key], want)
+		}
+	}
 	if !sameRewards(resumed.Rewards(), base.rewards) {
 		return 0, fmt.Errorf("rewards %v after recovery, want %v", resumed.Rewards(), base.rewards)
 	}
 	return rcfg.Obs.Counter("rpol_resumed_checkpoints_total").Value(), nil
 }
 
-// TestResumeMerkleCommit replays the clean-stop resume under streaming
-// Merkle commitments: the journal's commit records carry the 32-byte root
-// instead of a digest over the inline hash list, and a resumed pool must
-// splice into a history bit-identical to the uninterrupted merkle run.
+// TestResumeMerkleCommit replays the clean-stop resume and holds the
+// journal to what it promises about commitments: every commit record carries
+// the worker's 32-byte Merkle root, its digest the root's checksum and its
+// leaf count the task's, and a resumed pool splices into a history
+// bit-identical to the uninterrupted run.
 func TestResumeMerkleCommit(t *testing.T) {
 	const epochs = 2
-	merkled := func(dir string) Config {
-		cfg := journaledConfig(1, dir, nil)
-		cfg.MerkleCommit = true
-		return cfg
-	}
+	merkled := func(dir string) Config { return journaledConfig(1, dir, nil) }
 
 	base, err := New(merkled(t.TempDir()))
 	if err != nil {
@@ -411,6 +455,28 @@ func TestResumeMerkleCommit(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	wal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _ := journal.Replay(wal)
+	commits := 0
+	for _, r := range recs {
+		if r.Kind != journal.KindCommit {
+			continue
+		}
+		var c journal.Commit
+		if err := json.Unmarshal(r.Data, &c); err != nil {
+			t.Fatal(err)
+		}
+		commits++
+		if len(c.Root) != commitment.HashSize || c.Digest != fsio.Checksum(c.Root) || c.NumCheckpoints != (rpol.TaskParams{Steps: p.cfg.StepsPerEpoch, CheckpointEvery: p.cfg.CheckpointEvery}).NumCheckpoints() {
+			t.Errorf("commit record %+v: want a %d-byte root, its checksum and the task's leaf count", c, commitment.HashSize)
+		}
+	}
+	if commits != p.cfg.NumWorkers {
+		t.Errorf("%d commit records for %d workers", commits, p.cfg.NumWorkers)
+	}
 
 	rcfg := merkled(dir)
 	rcfg.Resume = true
@@ -431,10 +497,10 @@ func TestResumeMerkleCommit(t *testing.T) {
 	}
 	for e := range want {
 		if got[e] != want[e] {
-			t.Fatalf("epoch %d diverged after merkle resume:\n  want %+v\n  got  %+v", e, want[e], got[e])
+			t.Fatalf("epoch %d diverged after resume:\n  want %+v\n  got  %+v", e, want[e], got[e])
 		}
 	}
 	if d := globalDigest(resumed); d != wantDigest {
-		t.Fatalf("global digest %x after merkle resume, want %x", d, wantDigest)
+		t.Fatalf("global digest %x after resume, want %x", d, wantDigest)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"testing"
 
+	"rpol/internal/commitment"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
+	"rpol/internal/lsh"
 )
 
 // epochFingerprints runs one full RPoLv2 epoch — training, commitment,
@@ -25,7 +27,7 @@ import (
 // intervals; parallel verification forks one per interval), so they are
 // only comparable within the chunked runtime (workers ≥ 1), while the
 // training-side artifacts must agree everywhere.
-func epochFingerprints(t *testing.T, workers int, merkle bool) (train, verify string) {
+func epochFingerprints(t *testing.T, workers int) (train, verify string) {
 	t.Helper()
 	const n = 4
 	ds, err := dataset.Generate(dataset.Config{
@@ -65,7 +67,6 @@ func epochFingerprints(t *testing.T, workers int, merkle bool) (train, verify st
 		MasterKey:       []byte("master"),
 		Seed:            99,
 		Workers:         workers,
-		MerkleCommit:    merkle,
 	}, managerNet, workerIfs, shardMap, shards[n])
 	if err != nil {
 		t.Fatal(err)
@@ -81,20 +82,11 @@ func epochFingerprints(t *testing.T, workers int, merkle bool) (train, verify st
 			ht.Write(c.Encode())
 		}
 		res := w.lastResult
-		if res.HasRoot {
-			// Merkle submissions carry only the root; the retained epoch
-			// commitment still exposes the per-leaf digests for hashing.
-			ht.Write(res.MerkleRoot[:])
-			for _, d := range w.lastCommit.Digests {
-				ht.Write(d.Encode())
-			}
-		} else {
-			root := res.Commit.Root()
-			ht.Write(root[:])
-			ht.Write(res.Commit.Encode())
-			for _, d := range res.LSHDigests {
-				ht.Write(d.Encode())
-			}
+		// The submission carries only the root; the retained epoch commitment
+		// still exposes the per-leaf digests for hashing.
+		ht.Write(res.MerkleRoot[:])
+		for _, d := range w.lastCommit.Digests {
+			ht.Write(d.Encode())
 		}
 		ht.Write(res.Update.Encode())
 	}
@@ -119,9 +111,9 @@ func epochFingerprints(t *testing.T, workers int, merkle bool) (train, verify st
 // reduction sneaking into a hot path fails this test (and trips the race
 // detector in the -race CI job).
 func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
-	baseTrain, baseVerify := epochFingerprints(t, 1, false)
+	baseTrain, baseVerify := epochFingerprints(t, 1)
 	for _, w := range []int{2, 8} {
-		train, verify := epochFingerprints(t, w, false)
+		train, verify := epochFingerprints(t, w)
 		if train != baseTrain {
 			t.Errorf("workers=%d: training artifacts differ from workers=1", w)
 		}
@@ -137,31 +129,49 @@ func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
 	// stream through all sampled intervals while parallel verification
 	// forks a stream per interval, so only the protocol artifacts and
 	// verdicts must agree.
-	serialTrain, _ := epochFingerprints(t, 0, false)
+	serialTrain, _ := epochFingerprints(t, 0)
 	if serialTrain != baseTrain {
-		t.Errorf("workers=0 (legacy serial) training artifacts differ from chunked runtime")
+		t.Errorf("workers=0 (serial) training artifacts differ from chunked runtime")
 	}
 }
 
-// TestEpochBitIdenticalAcrossWorkersMerkle re-runs the determinism sweep with
-// streaming Merkle commitments enabled: the wire format changes (32-byte root
-// plus on-demand proof pulls instead of an inline hash list) but every
-// protocol artifact — checkpoints, per-leaf digests, submitted updates,
-// verdicts, global model — must stay bit-identical across Workers = 0/1/2/8,
-// exactly as in the legacy sweep.
+// TestEpochBitIdenticalAcrossWorkersMerkle: the root an honest worker
+// streams while it trains is, at every Workers value, the root CommitTrace
+// builds in one batch over the same trace with leaf hashing chunked across a
+// pool of that size — under v1 (raw-weight leaves) and v2 (digest leaves).
 func TestEpochBitIdenticalAcrossWorkersMerkle(t *testing.T) {
-	baseTrain, baseVerify := epochFingerprints(t, 1, true)
-	for _, w := range []int{2, 8} {
-		train, verify := epochFingerprints(t, w, true)
-		if train != baseTrain {
-			t.Errorf("merkle workers=%d: training artifacts differ from workers=1", w)
-		}
-		if verify != baseVerify {
-			t.Errorf("merkle workers=%d: verification outcomes differ from workers=1", w)
+	net0, _ := testTask(t, 10)
+	p := testParams(net0.ParamVector())
+	fam, err := lsh.NewFamily(len(p.Global), lsh.Params{R: 1, K: 4, L: 4}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []commitment.Hash
+	for _, f := range []*lsh.Family{nil, fam} {
+		for _, workers := range []int{0, 1, 2, 8} {
+			net, ds := testTask(t, 10)
+			w, err := NewHonestWorker("w", gpu.GA10, 101, net, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.LSH, p.Workers = f, workers
+			res, err := w.RunEpoch(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := CommitTrace(poolFor(workers), w.LastTrace().Checkpoints, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MerkleRoot != batch.Root {
+				t.Errorf("lsh=%t workers=%d: streamed root differs from the batch root", f != nil, workers)
+			}
+			roots = append(roots, res.MerkleRoot)
 		}
 	}
-	serialTrain, _ := epochFingerprints(t, 0, true)
-	if serialTrain != baseTrain {
-		t.Errorf("merkle workers=0 (legacy serial) training artifacts differ from chunked runtime")
+	for i, r := range roots {
+		if r != roots[i/4*4] {
+			t.Errorf("root %d differs from its scheme's workers=0 root", i)
+		}
 	}
 }

@@ -23,7 +23,7 @@ var (
 // leafStore is the only way verifier code obtains a committed checkpoint or
 // digest of the submission under verification: weights and (v2) digest pull
 // a leaf, bind the answer to the index asked, authenticate it against the
-// commitment and remember it, so every leaf crosses the wire at most once per
+// Merkle root and remember it, so every leaf crosses the wire at most once per
 // submission and nothing unauthenticated ever reaches a caller. The two bound
 // leaves — 0, the distributed global model, and n−1, θ_t plus the submitted
 // update — are seeded by bind from the manager's own vectors, never requested.
@@ -58,19 +58,11 @@ func (s *leafStore) reset(opener ProofOpener, result *EpochResult, fam *lsh.Fami
 	clear(s.leaves)
 }
 
-// authenticate checks payload against the commitment's leaf idx: a hash-list
-// comparison, or under the Merkle commitment the one proof pull a leaf ever
-// costs. A nil payload asks for the worker's own — the v2 digest encoding,
-// shipped inline by a hash-list submission and riding with the proof under
-// Merkle. It returns the authenticated payload.
+// authenticate checks payload against the root's leaf idx with the one proof
+// pull a leaf ever costs. A nil payload asks for the worker's own — the v2
+// digest encoding riding with the proof. It returns the authenticated
+// payload.
 func (s *leafStore) authenticate(idx int, payload []byte) ([]byte, error) {
-	if !s.result.HasRoot {
-		if payload == nil {
-			s.enc = s.result.LSHDigests[idx].AppendEncode(s.enc[:0])
-			payload = s.enc
-		}
-		return payload, s.result.Commit.VerifyLeaf(idx, payload)
-	}
 	lp, err := s.opener.OpenProof(idx)
 	if err != nil {
 		return nil, fmt.Errorf("proof not opened: %w", err)

@@ -66,9 +66,11 @@ func leavesOf(calls map[int]int) []int {
 }
 
 // storeSetup is one honest submission of a task with the given number of
-// intervals, with what a verifier of it needs.
+// intervals, with what a verifier of it needs. opener answers the verifier's
+// pulls: the worker itself, or the worker's trace committed whole.
 type storeSetup struct {
 	worker *HonestWorker
+	opener ProofOpener
 	result *EpochResult
 	p      TaskParams
 	ds     *dataset.Dataset
@@ -76,6 +78,11 @@ type storeSetup struct {
 	beta   float64
 }
 
+// newStoreSetup trains the submission. merkle selects which construction of
+// its root answers the pulls: true, the tree the worker streamed while it
+// trained; false, the finished trace committed whole by CommitTrace, the
+// path of a worker that keeps no tree while training. Both must yield the
+// same root, and the verifier must not tell them apart.
 func newStoreSetup(t *testing.T, scheme Scheme, merkle bool, intervals int) *storeSetup {
 	t.Helper()
 	netW, ds := testTask(t, 10)
@@ -84,7 +91,7 @@ func newStoreSetup(t *testing.T, scheme Scheme, merkle bool, intervals int) *sto
 		t.Fatal(err)
 	}
 	p := testParams(netW.ParamVector())
-	p.CheckpointEvery, p.Steps, p.MerkleCommit = 2, 2*intervals, merkle
+	p.CheckpointEvery, p.Steps = 2, 2*intervals
 	s := &storeSetup{worker: worker, ds: ds, beta: 0.05}
 	if scheme == SchemeV2 {
 		netC, _ := testTask(t, 10)
@@ -98,7 +105,10 @@ func newStoreSetup(t *testing.T, scheme Scheme, merkle bool, intervals int) *sto
 	if s.result, err = worker.RunEpoch(p); err != nil {
 		t.Fatal(err)
 	}
-	s.p = p
+	s.p, s.opener = p, worker
+	if !merkle {
+		s.opener = commitWhole(t, worker.LastTrace(), p.LSH, s.result)
+	}
 	return s
 }
 
@@ -119,9 +129,8 @@ func (s *storeSetup) verifier(t *testing.T, scheme Scheme, workers int, samplerS
 // protocol needs: the bound leaves are never opened, no leaf is asked for
 // twice, the opened leaves are exactly the interior leaves the sampled
 // intervals touch (v1) or their interior inputs plus at most one leaf per
-// double-check (v2), every leaf used is proven exactly once under Merkle and
-// never under the hash list, and the outcome's tallies are the bytes those
-// calls returned.
+// double-check (v2), every leaf used is proven exactly once, and the
+// outcome's tallies are the bytes those calls returned.
 func checkPulls(t *testing.T, scheme Scheme, s *storeSetup, o *countingOpener, out *VerifyOutcome) {
 	t.Helper()
 	last := s.result.NumCheckpoints - 1
@@ -174,25 +183,15 @@ func checkPulls(t *testing.T, scheme Scheme, s *storeSetup, o *countingOpener, o
 				out.SampledCheckpoints, opened, want, out.DoubleChecks)
 		}
 	}
-	base := int64(commitment.HashSize)
-	if s.result.HasRoot {
-		wantProved := append([]int{0, last}, ends...)
-		if scheme == SchemeV1 {
-			wantProved = append([]int{0, last}, opened...)
-		}
-		slices.Sort(wantProved)
-		if got := leavesOf(o.proofs); !slices.Equal(got, slices.Compact(wantProved)) {
-			t.Errorf("sampled %v: proved %v, want %v", out.SampledCheckpoints, got, slices.Compact(wantProved))
-		}
-	} else {
-		if len(o.proofs) != 0 {
-			t.Errorf("sampled %v: %d proof pulls under the hash list", out.SampledCheckpoints, len(o.proofs))
-		}
-		base = int64(s.result.Commit.Size())
-		for _, d := range s.result.LSHDigests {
-			base += int64(d.Size())
-		}
+	wantProved := append([]int{0, last}, ends...)
+	if scheme == SchemeV1 {
+		wantProved = append([]int{0, last}, opened...)
 	}
+	slices.Sort(wantProved)
+	if got := leavesOf(o.proofs); !slices.Equal(got, slices.Compact(wantProved)) {
+		t.Errorf("sampled %v: proved %v, want %v", out.SampledCheckpoints, got, slices.Compact(wantProved))
+	}
+	const base = int64(commitment.HashSize)
 	if out.CommitBytes != base+o.proofBytes || out.CommBytes != out.CommitBytes+o.openBytes {
 		t.Errorf("sampled %v: tallied (%d, %d) bytes, the calls returned %d of commitment, %d proof, %d checkpoint",
 			out.SampledCheckpoints, out.CommBytes, out.CommitBytes, base, o.proofBytes, o.openBytes)
@@ -249,17 +248,9 @@ func TestLeafStoreAsksOnceAndOnlyForInteriorLeaves(t *testing.T) {
 						var opened, inputs, runs int
 						orderedSubsets(intervals, q, func(sampled []int) {
 							for _, v := range []*Verifier{serial, par} {
-								o := &countingOpener{inner: s.worker}
-								out := &VerifyOutcome{SampledCheckpoints: sampled}
-								if s.result.HasRoot {
-									out.CommitBytes = commitment.HashSize
-								} else {
-									out.CommitBytes = int64(s.result.Commit.Size())
-									for _, d := range s.result.LSHDigests {
-										out.CommitBytes += int64(d.Size())
-									}
-								}
-								out.CommBytes = out.CommitBytes
+								o := &countingOpener{inner: s.opener}
+								out := &VerifyOutcome{SampledCheckpoints: sampled,
+									CommitBytes: commitment.HashSize, CommBytes: commitment.HashSize}
 								st := &v.store
 								st.reset(o, s.result, s.fam, s.result.NumCheckpoints, out)
 								if err := errors.Join(st.bind(0, s.p.Global), st.bind(intervals, claimedFinal)); err != nil {
@@ -306,7 +297,7 @@ func TestLeafStoreSeededSamples33(t *testing.T) {
 				for seed := int64(0); seed < 12; seed++ {
 					var outs [2]*VerifyOutcome
 					for i, workers := range []int{0, 2} {
-						o := &countingOpener{inner: s.worker}
+						o := &countingOpener{inner: s.opener}
 						out, err := s.verifier(t, scheme, workers, seed).VerifySubmission(o, s.ds, s.result, s.p)
 						if err != nil {
 							t.Fatal(err)
@@ -413,7 +404,7 @@ func driftedTrace(t *testing.T, s *storeSetup, at int) (*traceOpener, *EpochResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := CommitTrace(nil, trace.Checkpoints, s.fam, s.p.MerkleCommit)
+	ec, err := CommitTrace(nil, trace.Checkpoints, s.fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,17 +418,23 @@ func driftedTrace(t *testing.T, s *storeSetup, at int) (*traceOpener, *EpochResu
 // TestLeafStoreNeverAsksAnAdaptiveOpenerTwice: a worker that would answer a
 // second request for a leaf with a different vector never gets one — not
 // when adjacent sampled intervals share the leaf (v1), not when a
-// double-check and a later or earlier input do (v2).
+// double-check and a later or earlier input do (v2). The drifted trace has no
+// streamed tree: under merkle=true it is re-committed at each proof pull,
+// under merkle=false once, whole.
 func TestLeafStoreNeverAsksAnAdaptiveOpenerTwice(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
 		for _, merkle := range []bool{false, true} {
 			for _, workers := range []int{0, 2} {
 				t.Run(fmt.Sprintf("%s/merkle=%v/workers=%d", scheme, merkle, workers), func(t *testing.T) {
 					s := newStoreSetup(t, scheme, merkle, 3)
-					var opener ProofOpener = s.worker
-					result := s.result
+					opener, result := s.opener, s.result
 					if scheme == SchemeV2 {
-						opener, result = driftedTrace(t, s, 2)
+						var drifted *traceOpener
+						drifted, result = driftedTrace(t, s, 2)
+						opener = drifted
+						if !merkle {
+							opener = commitWhole(t, drifted.trace, s.fam, result)
+						}
 					}
 					adaptive := &adaptiveOpener{inner: opener, fam: s.fam}
 					out, err := s.verifier(t, scheme, workers, 1).VerifySubmission(adaptive, s.ds, result, s.p)

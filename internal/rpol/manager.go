@@ -32,12 +32,6 @@ type ManagerConfig struct {
 	// Samples is q, sampled checkpoints per submission (3 in the
 	// evaluation).
 	Samples int
-	// MerkleCommit switches submissions from the legacy inline hash list to
-	// the streaming Merkle commitment: workers submit only the 32-byte root
-	// and the verifier pulls O(log n) inclusion proofs for the checkpoints it
-	// samples. Verdicts and the aggregated model are bit-identical to the
-	// legacy scheme; only the commitment wire format changes.
-	MerkleCommit bool
 	// GPU is the manager's own verification hardware.
 	GPU gpu.Profile
 	// MasterKey derives per-(worker, epoch) nonces.
@@ -282,7 +276,6 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		Steps:           m.cfg.StepsPerEpoch,
 		CheckpointEvery: m.cfg.CheckpointEvery,
 		Workers:         m.cfg.Workers,
-		MerkleCommit:    m.cfg.MerkleCommit,
 	}
 
 	// The device and sampler are re-derived per epoch under a journal.
@@ -393,24 +386,12 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		live = append(live, subs[i])
 		liveIdx = append(liveIdx, i)
 		report.Phases.Add(obs.PhaseCommitment, obs.PhaseTotals{Count: 1, Bytes: submissionBytes(result)})
-		if n := len(result.LSHDigests); n > 0 {
-			report.Phases.Add(obs.PhaseLSH, obs.PhaseTotals{Count: int64(n)})
-		}
 		if m.cfg.Journal != nil {
-			var digest uint64
-			var root []byte
-			if result.HasRoot {
-				root = result.MerkleRoot[:]
-				digest = fsio.Checksum(root)
-			} else if result.Commit != nil {
-				m.encBuf = result.Commit.AppendEncode(m.encBuf[:0])
-				digest = fsio.Checksum(m.encBuf)
-			}
 			if err := m.cfg.Journal.LogCommit(journal.Commit{
 				Epoch:          epoch,
 				Worker:         result.WorkerID,
-				Digest:         digest,
-				Root:           root,
+				Digest:         fsio.Checksum(result.MerkleRoot[:]),
+				Root:           result.MerkleRoot[:],
 				NumCheckpoints: result.NumCheckpoints,
 			}); err != nil {
 				return nil, fmt.Errorf("rpol manager: %w", err)
@@ -544,24 +525,10 @@ func (m *Manager) absentErr(err error) bool {
 }
 
 // submissionBytes is the modelled fan-in size of one epoch submission: the
-// update vector plus the commitment share — under Merkle a constant 32-byte
-// root and an 8-byte leaf count, under the legacy scheme the full hash list
-// and any inline LSH digests.
+// update vector plus the commitment share, a constant 32-byte root and an
+// 8-byte leaf count.
 func submissionBytes(r *EpochResult) int64 {
-	if r == nil {
-		return 0
-	}
-	total := int64(tensor.EncodedSize(len(r.Update)))
-	if r.HasRoot {
-		return total + commitment.HashSize + 8
-	}
-	if r.Commit != nil {
-		total += int64(r.Commit.Size())
-	}
-	for _, d := range r.LSHDigests {
-		total += int64(d.Size())
-	}
-	return total
+	return int64(tensor.EncodedSize(len(r.Update))) + commitment.HashSize + 8
 }
 
 // verifyAll checks every submission: concurrently through a VerifierPool

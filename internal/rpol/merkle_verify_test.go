@@ -5,30 +5,14 @@ import (
 	"testing"
 
 	"rpol/internal/commitment"
-	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/lsh"
 	"rpol/internal/obs"
 	"rpol/internal/tensor"
 )
 
-// buildMerkleSetup is buildHonestSetup with the streaming Merkle commitment
-// switched on: the worker submits only the 32-byte root and serves inclusion
-// proofs on demand.
-func buildMerkleSetup(t *testing.T, scheme Scheme) (*HonestWorker, *EpochResult, TaskParams, *Verifier, *dataset.Dataset) {
-	t.Helper()
-	worker, result, p, verifier, ds := buildHonestSetupMerkle(t, scheme, true)
-	return worker, result, p, verifier, ds
-}
-
 func TestVerifyHonestWorkerMerkleV1(t *testing.T) {
-	worker, result, p, verifier, ds := buildMerkleSetup(t, SchemeV1)
-	if !result.HasRoot {
-		t.Fatal("merkle submission carries no root")
-	}
-	if result.Commit != nil || result.LSHDigests != nil {
-		t.Fatal("merkle submission must not ship the inline hash list")
-	}
+	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV1)
 	out, err := verifier.VerifySubmission(worker, ds, result, p)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +41,7 @@ func TestVerifyHonestWorkerMerkleV1(t *testing.T) {
 }
 
 func TestVerifyHonestWorkerMerkleV2(t *testing.T) {
-	worker, result, p, verifier, ds := buildMerkleSetup(t, SchemeV2)
+	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV2)
 	out, err := verifier.VerifySubmission(worker, ds, result, p)
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +72,6 @@ func TestVerifyHonestWorkerMerkleV2(t *testing.T) {
 	}
 }
 
-func TestVerifyMerkleRejectsForgedOpening(t *testing.T) {
-	testRejectsForgedOpening(t, true)
-}
-
 // wrongLeafOpener answers every proof pull with the proof for a different
 // committed leaf — a worker trying to reuse a valid proof must be caught by
 // the index binding, not just by hash mismatch.
@@ -106,7 +86,7 @@ func (o *wrongLeafOpener) OpenProof(idx int) (LeafProof, error) {
 }
 
 func TestVerifyMerkleRejectsWrongProofIndex(t *testing.T) {
-	worker, result, p, verifier, ds := buildMerkleSetup(t, SchemeV1)
+	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV1)
 	out, err := verifier.VerifySubmission(&wrongLeafOpener{inner: worker}, ds, result, p)
 	if err != nil {
 		t.Fatal(err)
@@ -119,61 +99,13 @@ func TestVerifyMerkleRejectsWrongProofIndex(t *testing.T) {
 	}
 }
 
-// buildHonestSetupMerkle generalizes buildHonestSetup over the commitment
-// scheme knob.
-func buildHonestSetupMerkle(t *testing.T, scheme Scheme, merkle bool) (*HonestWorker, *EpochResult, TaskParams, *Verifier, *dataset.Dataset) {
-	t.Helper()
-	netW, ds := testTask(t, 10)
-	worker, err := NewHonestWorker("w1", gpu.GA10, 101, netW, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testParams(netW.ParamVector())
-	p.MerkleCommit = merkle
-
-	var fam *lsh.Family
-	beta := 0.05
-	if scheme == SchemeV2 {
-		netC, _ := testTask(t, 10)
-		cal := &Calibrator{Net: netC, Shard: ds, XFactor: 5, KLsh: 16}
-		calOut, f, err := cal.Calibrate(p, gpu.G3090, gpu.GA10, [2]int64{5, 6}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fam = f
-		beta = calOut.Beta
-		p.LSH = fam
-	}
-
-	result, err := worker.RunEpoch(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	netV, _ := testTask(t, 10)
-	device, err := gpu.NewDevice(gpu.G3090, 999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifier := &Verifier{
-		Scheme:  scheme,
-		Net:     netV,
-		Device:  device,
-		Beta:    beta,
-		LSH:     fam,
-		Samples: 3,
-		Sampler: tensor.NewRNG(42),
-	}
-	return worker, result, p, verifier, ds
-}
-
 // tamperedSubmission rebuilds an honest worker's trace with checkpoint `at`
 // replaced by random weights and re-commits it. Tampered mid-trace it still
 // starts at the global model and ends at the claimed final checkpoint, so
 // both binding checks pass and rejection happens mid-sampling — exactly the
 // shape that exercises the post-failure interval accounting; tampered at
 // either end it forges the commitment under a binding.
-func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult, p TaskParams, fam *lsh.Family, merkle bool, at int) (*traceOpener, *EpochResult) {
+func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult, p TaskParams, fam *lsh.Family, at int) (*traceOpener, *EpochResult) {
 	t.Helper()
 	fake := &Trace{}
 	for i := 0; i < result.NumCheckpoints; i++ {
@@ -185,7 +117,7 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 		fake.Steps = append(fake.Steps, i*p.CheckpointEvery)
 	}
 	fake.Checkpoints[at] = tensor.NewRNG(9).NormalVector(len(p.Global), 0, 1)
-	ec, err := CommitTrace(nil, fake.Checkpoints, fam, merkle)
+	ec, err := CommitTrace(nil, fake.Checkpoints, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +130,7 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 }
 
 // TestVerifyMetricsParitySerialParallel pins the serial/parallel accounting
-// contract across every scheme and commitment form, for accepted and
-// rejected submissions: the verdict, the outcome tallies (ReexecSteps,
+// contract across every scheme, for accepted and rejected submissions: the verdict, the outcome tallies (ReexecSteps,
 // CommBytes, CommitBytes, LSHMisses, DoubleChecks), and the global
 // rpol_reexec_steps_total / rpol_verify_comm_bytes_total counters must be
 // identical — the parallel path must not account intervals that execute
@@ -208,127 +139,137 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 // identical calls for an accepted submission, and for a rejected one the
 // serial calls (which stop at the failing interval) a subset of the parallel
 // ones (which fetched every input before the fan-out).
+//
+// The merkle arm serves the honest worker's streamed tree, and the tampered
+// trace re-committed at each proof pull. The legacy arm serves either trace
+// committed whole, once, after training: the pre-streaming path.
 func TestVerifyMetricsParitySerialParallel(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
-		for _, merkle := range []bool{false, true} {
+		for _, form := range []string{"legacy", "merkle"} {
 			for _, tampered := range []bool{false, true} {
-				name := scheme.String()
-				if merkle {
-					name += "/merkle"
-				} else {
-					name += "/legacy"
-				}
+				name := scheme.String() + "/" + form
 				if tampered {
 					name += "/tampered"
 				} else {
 					name += "/honest"
 				}
 				t.Run(name, func(t *testing.T) {
-					worker, result, p, ref, ds := buildHonestSetupMerkle(t, scheme, merkle)
-					var opener ProofOpener = worker
-					if tampered {
-						opener, result = tamperedSubmission(t, worker, result, p, ref.LSH, merkle, 2)
-					}
-					run := func(workers int) (*VerifyOutcome, int64, int64, *countingOpener) {
-						netV, _ := testTask(t, 10)
-						device, err := gpu.NewDevice(gpu.G3090, 999)
-						if err != nil {
-							t.Fatal(err)
-						}
-						observer := obs.NewObserver(obs.NewRegistry(), nil)
-						v := &Verifier{
-							Scheme: scheme, Net: netV, Device: device, Beta: ref.Beta,
-							LSH: ref.LSH, Samples: 3, Sampler: tensor.NewRNG(42),
-							Workers: workers, Obs: observer,
-						}
-						counting := &countingOpener{inner: opener}
-						out, err := v.VerifySubmission(counting, ds, result, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return out,
-							observer.Counter("rpol_reexec_steps_total").Value(),
-							observer.Counter("rpol_verify_comm_bytes_total").Value(),
-							counting
-					}
-					serial, serialSteps, serialBytes, serialCalls := run(0)
-					par, parSteps, parBytes, parCalls := run(4)
-					for _, calls := range []struct{ serial, par map[int]int }{
-						{serialCalls.opens, parCalls.opens}, {serialCalls.proofs, parCalls.proofs},
-					} {
-						for idx, n := range calls.par {
-							if n != 1 || calls.serial[idx] > 1 {
-								t.Errorf("leaf %d requested %d times serially, %d in parallel", idx, calls.serial[idx], n)
-							}
-						}
-						for idx := range calls.serial {
-							if calls.par[idx] == 0 {
-								t.Errorf("leaf %d requested serially but not in parallel", idx)
-							}
-						}
-						if !tampered && len(calls.serial) != len(calls.par) {
-							t.Errorf("accepted submission: serial asked for %v, parallel for %v",
-								leavesOf(calls.serial), leavesOf(calls.par))
-						}
-					}
-					last := result.NumCheckpoints - 1
-					if parCalls.opens[0]+parCalls.opens[last]+serialCalls.opens[0]+serialCalls.opens[last] != 0 {
-						t.Error("a bound leaf was opened")
-					}
-					if tampered == serial.Accepted {
-						t.Fatalf("serial verdict accepted=%v for tampered=%v (%s)",
-							serial.Accepted, tampered, serial.FailReason)
-					}
-					if serial.Accepted != par.Accepted {
-						t.Fatalf("verdicts diverge: serial=%v parallel=%v (%s / %s)",
-							serial.Accepted, par.Accepted, serial.FailReason, par.FailReason)
-					}
-					if serial.ReexecSteps != par.ReexecSteps {
-						t.Errorf("ReexecSteps: serial=%d parallel=%d", serial.ReexecSteps, par.ReexecSteps)
-					}
-					if serialSteps != parSteps {
-						t.Errorf("rpol_reexec_steps_total: serial=%d parallel=%d", serialSteps, parSteps)
-					}
-					if int64(serial.ReexecSteps) != serialSteps {
-						t.Errorf("outcome steps %d diverge from counter %d", serial.ReexecSteps, serialSteps)
-					}
-					if serial.CommBytes != par.CommBytes || serial.CommitBytes != par.CommitBytes {
-						t.Errorf("bytes: serial=(%d,%d) parallel=(%d,%d)",
-							serial.CommBytes, serial.CommitBytes, par.CommBytes, par.CommitBytes)
-					}
-					if serialBytes != parBytes {
-						t.Errorf("rpol_verify_comm_bytes_total: serial=%d parallel=%d", serialBytes, parBytes)
-					}
-					if serial.LSHMisses != par.LSHMisses || serial.DoubleChecks != par.DoubleChecks {
-						t.Errorf("lsh tallies: serial=(%d,%d) parallel=(%d,%d)",
-							serial.LSHMisses, serial.DoubleChecks, par.LSHMisses, par.DoubleChecks)
-					}
+					checkMetricsParity(t, scheme, form == "legacy", tampered)
 				})
 			}
 		}
 	}
 }
 
-// TestVerifyRawOpeningBytesSchemeParity pins satellite accounting across
-// commitment forms: for the same verdict, the raw weight bytes a verifier
-// moves (CommBytes minus the commitment share) are identical whether the
-// commitment was the legacy hash list or the streaming Merkle root.
+func checkMetricsParity(t *testing.T, scheme Scheme, legacy, tampered bool) {
+	worker, result, p, ref, ds := buildHonestSetup(t, scheme)
+	var opener ProofOpener = worker
+	trace := worker.LastTrace()
+	if tampered {
+		var forged *traceOpener
+		forged, result = tamperedSubmission(t, worker, result, p, ref.LSH, 2)
+		opener, trace = forged, forged.trace
+	}
+	if legacy {
+		opener = commitWhole(t, trace, ref.LSH, result)
+	}
+	run := func(workers int) (*VerifyOutcome, int64, int64, *countingOpener) {
+		netV, _ := testTask(t, 10)
+		device, err := gpu.NewDevice(gpu.G3090, 999)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observer := obs.NewObserver(obs.NewRegistry(), nil)
+		v := &Verifier{
+			Scheme: scheme, Net: netV, Device: device, Beta: ref.Beta,
+			LSH: ref.LSH, Samples: 3, Sampler: tensor.NewRNG(42),
+			Workers: workers, Obs: observer,
+		}
+		counting := &countingOpener{inner: opener}
+		out, err := v.VerifySubmission(counting, ds, result, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out,
+			observer.Counter("rpol_reexec_steps_total").Value(),
+			observer.Counter("rpol_verify_comm_bytes_total").Value(),
+			counting
+	}
+	serial, serialSteps, serialBytes, serialCalls := run(0)
+	par, parSteps, parBytes, parCalls := run(4)
+	for _, calls := range []struct{ serial, par map[int]int }{
+		{serialCalls.opens, parCalls.opens}, {serialCalls.proofs, parCalls.proofs},
+	} {
+		for idx, n := range calls.par {
+			if n != 1 || calls.serial[idx] > 1 {
+				t.Errorf("leaf %d requested %d times serially, %d in parallel", idx, calls.serial[idx], n)
+			}
+		}
+		for idx := range calls.serial {
+			if calls.par[idx] == 0 {
+				t.Errorf("leaf %d requested serially but not in parallel", idx)
+			}
+		}
+		if !tampered && len(calls.serial) != len(calls.par) {
+			t.Errorf("accepted submission: serial asked for %v, parallel for %v",
+				leavesOf(calls.serial), leavesOf(calls.par))
+		}
+	}
+	last := result.NumCheckpoints - 1
+	if parCalls.opens[0]+parCalls.opens[last]+serialCalls.opens[0]+serialCalls.opens[last] != 0 {
+		t.Error("a bound leaf was opened")
+	}
+	if tampered == serial.Accepted {
+		t.Fatalf("serial verdict accepted=%v for tampered=%v (%s)",
+			serial.Accepted, tampered, serial.FailReason)
+	}
+	if serial.Accepted != par.Accepted {
+		t.Fatalf("verdicts diverge: serial=%v parallel=%v (%s / %s)",
+			serial.Accepted, par.Accepted, serial.FailReason, par.FailReason)
+	}
+	if serial.ReexecSteps != par.ReexecSteps {
+		t.Errorf("ReexecSteps: serial=%d parallel=%d", serial.ReexecSteps, par.ReexecSteps)
+	}
+	if serialSteps != parSteps {
+		t.Errorf("rpol_reexec_steps_total: serial=%d parallel=%d", serialSteps, parSteps)
+	}
+	if int64(serial.ReexecSteps) != serialSteps {
+		t.Errorf("outcome steps %d diverge from counter %d", serial.ReexecSteps, serialSteps)
+	}
+	if serial.CommBytes != par.CommBytes || serial.CommitBytes != par.CommitBytes {
+		t.Errorf("bytes: serial=(%d,%d) parallel=(%d,%d)",
+			serial.CommBytes, serial.CommitBytes, par.CommBytes, par.CommitBytes)
+	}
+	if serialBytes != parBytes {
+		t.Errorf("rpol_verify_comm_bytes_total: serial=%d parallel=%d", serialBytes, parBytes)
+	}
+	if serial.LSHMisses != par.LSHMisses || serial.DoubleChecks != par.DoubleChecks {
+		t.Errorf("lsh tallies: serial=(%d,%d) parallel=(%d,%d)",
+			serial.LSHMisses, serial.DoubleChecks, par.LSHMisses, par.DoubleChecks)
+	}
+}
+
+// TestVerifyRawOpeningBytesSchemeParity pins the raw weight bytes a
+// verifier moves (CommBytes minus the commitment share) across schemes: with
+// all three intervals sampled, RPoLv1 opens the two interior leaves it
+// compares and RPoLv2 the two interior inputs it replays — the same two
+// checkpoints, whatever the double-check does at this shape.
 func TestVerifyRawOpeningBytesSchemeParity(t *testing.T) {
+	raw := map[Scheme]int64{}
+	var want int64
 	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
-		raw := map[bool]int64{}
-		for _, merkle := range []bool{false, true} {
-			worker, result, p, verifier, ds := buildHonestSetupMerkle(t, scheme, merkle)
-			out, err := verifier.VerifySubmission(worker, ds, result, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !out.Accepted {
-				t.Fatalf("%s merkle=%v rejected: %s", scheme, merkle, out.FailReason)
-			}
-			raw[merkle] = out.CommBytes - out.CommitBytes
+		worker, result, p, verifier, ds := buildHonestSetup(t, scheme)
+		out, err := verifier.VerifySubmission(worker, ds, result, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if raw[false] != raw[true] {
-			t.Errorf("%s: raw opening bytes legacy=%d merkle=%d", scheme, raw[false], raw[true])
+		if !out.Accepted {
+			t.Fatalf("%s rejected: %s", scheme, out.FailReason)
 		}
+		raw[scheme] = out.CommBytes - out.CommitBytes
+		want = 2 * int64(tensor.EncodedSize(len(p.Global)))
+	}
+	if raw[SchemeV1] != want || raw[SchemeV2] != want {
+		t.Errorf("raw opening bytes v1=%d v2=%d, want %d each", raw[SchemeV1], raw[SchemeV2], want)
 	}
 }

@@ -102,7 +102,7 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams(netW.ParamVector())
-	p.Steps, p.MerkleCommit = 30, true
+	p.Steps = 30
 	netC, _ := testTask(t, 10)
 	cal := &Calibrator{Net: netC, Shard: ds, XFactor: 5, KLsh: 16}
 	calOut, fam, err := cal.Calibrate(p, gpu.G3090, gpu.GA10, [2]int64{5, 6}, 7)
@@ -114,7 +114,7 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, tampered := tamperedSubmission(t, worker, honest, p, fam, true, 2)
+	forged, tampered := tamperedSubmission(t, worker, honest, p, fam, 2)
 
 	newVerifier := func(net *nn.Network) *Verifier {
 		device, err := gpu.NewDevice(gpu.G3090, 999)

@@ -83,15 +83,6 @@ type TaskParams struct {
 	// RunEpoch only: a family decoded by a wire.WorkerServer is valid until
 	// that server decodes its next task, whose decode refills it.
 	LSH *lsh.Family
-	// MerkleCommit selects the streaming Merkle commitment: the worker
-	// builds a Merkle tree over the checkpoint leaves incrementally during
-	// training, submits only the 32-byte root plus the leaf count, and
-	// serves O(log n) inclusion proofs on demand through OpenProof. When
-	// false the legacy hash-list commitment ships all n leaf digests (and,
-	// under v2, all n LSH digests) inline with the submission. The flag is
-	// transmitted with the task so remote workers commit in the form the
-	// manager will verify.
-	MerkleCommit bool
 	// Trace is the observability span covering this worker's epoch — a
 	// process-local handle, never transmitted (the wire encoding drops it).
 	// Workers nest their training and commitment spans under it; the
@@ -99,7 +90,7 @@ type TaskParams struct {
 	// manager → worker → verify span hierarchy.
 	Trace *obs.Span
 	// Workers sizes the deterministic compute pool for this task's batch
-	// training and commitment hashing: 0 runs the same kernels without
+	// training: 0 runs the same kernels without
 	// goroutines, any n ≥ 1 spreads them over n, and the results are
 	// bit-identical at every value (conv stacks excepted — see
 	// Trainer.Workers). Like Trace it is a process-local execution knob,
@@ -153,29 +144,20 @@ type EpochResult struct {
 	Update tensor.Vector
 	// DataSize is |D_w|, the worker's shard size, for Eq. (1) weighting.
 	DataSize int
-	// Commit binds the checkpoint payloads (raw-weight hashes under v1,
-	// LSH digests under v2) in the legacy hash-list form; nil under the
-	// streaming Merkle commitment.
-	Commit *commitment.HashList
-	// LSHDigests are the per-checkpoint digests under RPoLv2 (nil under v1);
-	// Commit's leaves are their hashes, so revealing a digest is verifiable.
-	// Nil under the Merkle commitment, where each sampled digest instead
-	// rides along with its inclusion proof.
-	LSHDigests []lsh.Digest
 	// NumCheckpoints is the committed snapshot count (including the initial
 	// weights).
 	NumCheckpoints int
-	// MerkleRoot is the 32-byte streaming commitment root; meaningful only
-	// when HasRoot is set, in which case Commit and LSHDigests are nil.
+	// MerkleRoot is the commitment: the root of the Merkle tree whose leaves
+	// are the checkpoint payloads (raw-weight encodings under v1, LSH digest
+	// encodings under v2). Every leaf the verifier uses is authenticated
+	// against it by an inclusion proof pulled on demand.
 	MerkleRoot commitment.Hash
-	// HasRoot marks a Merkle-committed submission.
-	HasRoot bool
 }
 
-// LeafProof is a worker's answer to an on-demand proof pull under the Merkle
-// commitment: the inclusion proof of the sampled leaf plus, under RPoLv2,
-// the committed digest encoding the proof authenticates (nil under v1, where
-// the leaf is the raw weight encoding the verifier recomputes itself).
+// LeafProof is a worker's answer to an on-demand proof pull: the inclusion
+// proof of the sampled leaf plus, under RPoLv2, the committed digest encoding
+// the proof authenticates (nil under v1, where the leaf is the raw weight
+// encoding the verifier recomputes itself).
 type LeafProof struct {
 	Proof  commitment.MerkleProof
 	Digest []byte
@@ -193,7 +175,7 @@ type ProofOpener interface {
 	// OpenCheckpoint returns the raw model weights of checkpoint idx.
 	OpenCheckpoint(idx int) (tensor.Vector, error)
 	// OpenProof returns the Merkle inclusion proof for leaf idx (plus the
-	// committed digest under v2); hash-list epochs never ask.
+	// committed digest under v2).
 	OpenProof(idx int) (LeafProof, error)
 }
 
@@ -290,10 +272,8 @@ type VerifyOutcome struct {
 	// intervals up to the failing one — the same bytes from the serial and
 	// the parallel loop for the same verdict.
 	CommBytes int64
-	// CommitBytes is the commitment share of CommBytes: the full hash list
-	// plus all inline LSH digests under the legacy scheme, or the 32-byte
-	// root plus the pulled proofs (and their riding digests) under the
-	// streaming Merkle scheme.
+	// CommitBytes is the commitment share of CommBytes: the 32-byte root plus
+	// the pulled proofs (and their riding digests).
 	CommitBytes int64
 	// ReexecSteps counts training steps the manager re-executed, for the
 	// computation-overhead accounting.

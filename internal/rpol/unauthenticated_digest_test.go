@@ -37,7 +37,7 @@ func (o *forgedDigestOpener) OpenProof(idx int) (LeafProof, error) {
 // the sampled output leaves adaptively. No byte of the digest may reach the
 // verdict — or the byte tallies — before VerifyMerkle accepts it.
 func TestCompareLSHRejectsUnauthenticatedDigest(t *testing.T) {
-	worker, result, _, verifier, _ := buildMerkleSetup(t, SchemeV2)
+	worker, result, _, verifier, _ := buildHonestSetup(t, SchemeV2)
 	opener := &forgedDigestOpener{inner: worker}
 	lp, err := opener.OpenProof(1)
 	if err != nil {

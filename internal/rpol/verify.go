@@ -115,7 +115,6 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 				out.Outcome = OutcomeRejected
 			}
 		}
-		v.observer().Counter("rpol_submissions_verified_total").Inc()
 		if out.Accepted {
 			v.observer().Counter("rpol_verify_accept_total").Inc()
 		} else {
@@ -155,27 +154,10 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 		out.FailReason = fmt.Sprintf("%v: submission commits %d, the task has %d", ErrLeafCount, result.NumCheckpoints, n)
 		return out, nil
 	}
-	if result.HasRoot {
-		// Streaming Merkle commitment: the submission carries only the
-		// 32-byte root; every leaf the verifier uses is authenticated by a
-		// proof pulled on demand (and, under v2, the digest riding with it).
-		out.CommitBytes = commitment.HashSize
-	} else {
-		if result.Commit == nil || result.Commit.Len() != n {
-			out.FailReason = "commitment missing or inconsistent with checkpoint count"
-			return out, nil
-		}
-		out.CommitBytes = int64(result.Commit.Size())
-		if v.Scheme == SchemeV2 {
-			if len(result.LSHDigests) != n {
-				out.FailReason = "LSH digest count inconsistent with checkpoint count"
-				return out, nil
-			}
-			for _, d := range result.LSHDigests {
-				out.CommitBytes += int64(d.Size())
-			}
-		}
-	}
+	// The submission carries only the 32-byte root; every leaf the verifier
+	// uses is authenticated by a proof pulled on demand (and, under v2, the
+	// digest riding with it).
+	out.CommitBytes = commitment.HashSize
 	out.CommBytes = out.CommitBytes
 	st := &v.store
 	st.reset(opener, result, fam, n, out)

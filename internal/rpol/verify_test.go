@@ -70,16 +70,12 @@ func TestVerifyHonestWorkerV1(t *testing.T) {
 	if len(out.SampledCheckpoints) != 3 {
 		t.Errorf("sampled = %v", out.SampledCheckpoints)
 	}
-	// v1 transfers the commitment plus every interior leaf a sampled interval
-	// touches, once: with all three intervals sampled that is leaves 1 and 2
-	// — leaf 0 is the distributed global model and leaf 3 is θ_t + update,
-	// both bound without a transfer.
-	want := int64(result.Commit.Size()) + 2*int64(tensor.EncodedSize(len(p.Global)))
-	if out.CommBytes != want {
-		t.Errorf("CommBytes = %d, want %d", out.CommBytes, want)
-	}
-	if out.CommitBytes != int64(result.Commit.Size()) {
-		t.Errorf("CommitBytes = %d, want %d", out.CommitBytes, result.Commit.Size())
+	// v1 transfers, beyond the commitment share, every interior leaf a
+	// sampled interval touches, once: with all three intervals sampled that
+	// is leaves 1 and 2 — leaf 0 is the distributed global model and leaf 3
+	// is θ_t + update, both bound without a transfer.
+	if got, want := out.CommBytes-out.CommitBytes, 2*int64(tensor.EncodedSize(len(p.Global))); got != want {
+		t.Errorf("raw opening bytes = %d, want %d", got, want)
 	}
 	if out.ReexecSteps == 0 {
 		t.Error("verification must have re-executed steps")
@@ -139,18 +135,12 @@ func (f *forgingOpener) OpenProof(idx int) (LeafProof, error) {
 	return f.inner.OpenProof(idx)
 }
 
+// TestVerifyRejectsForgedOpening forges, in turn, the opener's answer for
+// every leaf. All three intervals are sampled, so an interior forgery is
+// always requested and always rejected; the bound leaves are never requested,
+// so forging the opener there changes nothing.
 func TestVerifyRejectsForgedOpening(t *testing.T) {
-	testRejectsForgedOpening(t, false)
-}
-
-// testRejectsForgedOpening forges, in turn, the opener's answer for every
-// leaf and then the commitment itself at the two bound leaves. All three
-// intervals are sampled, so an interior forgery is always requested and
-// always rejected; the bound leaves are never requested, so forging the
-// opener there changes nothing; forging the commitment there is rejected at
-// binding, before anything is pulled.
-func testRejectsForgedOpening(t *testing.T, merkle bool) {
-	worker, result, p, verifier, ds := buildHonestSetupMerkle(t, SchemeV1, merkle)
+	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV1)
 	forged := tensor.NewRNG(1).NormalVector(len(p.Global), 0, 1)
 	last := result.NumCheckpoints - 1
 	for target := 0; target <= last; target++ {
@@ -170,8 +160,16 @@ func testRejectsForgedOpening(t *testing.T, merkle bool) {
 			t.Errorf("forged checkpoint %d: accepted=%v after %d forged answers", target, out.Accepted, opener.served)
 		}
 	}
+}
+
+// TestVerifyMerkleRejectsForgedOpening forges the committed root itself at
+// the two bound leaves: rejected at binding, before any checkpoint is
+// pulled, with nothing tallied beyond the root and the proofs that verified.
+func TestVerifyMerkleRejectsForgedOpening(t *testing.T) {
+	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV1)
+	last := result.NumCheckpoints - 1
 	for _, target := range []int{0, last} {
-		opener, bad := tamperedSubmission(t, worker, result, p, nil, merkle, target)
+		opener, bad := tamperedSubmission(t, worker, result, p, nil, target)
 		counting := &countingOpener{inner: opener}
 		out, err := verifier.VerifySubmission(counting, ds, bad, p)
 		if err != nil {
@@ -186,9 +184,7 @@ func testRejectsForgedOpening(t *testing.T, merkle bool) {
 		// Nothing beyond the commitment that arrived with the submission —
 		// and, when the origin binding passed first, its one valid proof.
 		base := int64(commitment.HashSize)
-		if !merkle {
-			base = int64(bad.Commit.Size())
-		} else if target == last {
+		if target == last {
 			lp, err := opener.OpenProof(0)
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +210,21 @@ func TestVerifyRejectsLazyTrace(t *testing.T) {
 		fake.Checkpoints = append(fake.Checkpoints, rng.NormalVector(len(p.Global), 0, 1))
 		fake.Steps = append(fake.Steps, i*p.CheckpointEvery)
 	}
-	commit, _, err := BuildCommitment(fake.Checkpoints, nil)
+	result := lazySubmission(t, fake, nil, ds)
+	out, err := verifier.VerifySubmission(&traceOpener{trace: fake}, ds, result, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Accepted {
+		t.Error("random-weights trace accepted under v1")
+	}
+}
+
+// lazySubmission commits a fabricated trace the way a worker would and
+// returns its submission.
+func lazySubmission(t *testing.T, fake *Trace, fam *lsh.Family, ds *dataset.Dataset) *EpochResult {
+	t.Helper()
+	ec, err := CommitTrace(nil, fake.Checkpoints, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,16 +233,10 @@ func TestVerifyRejectsLazyTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	result := &EpochResult{
-		WorkerID: "lazy", Update: update, DataSize: ds.Len(),
-		Commit: commit, NumCheckpoints: n,
+		WorkerID: "lazy", Update: update, DataSize: ds.Len(), NumCheckpoints: len(fake.Checkpoints),
 	}
-	out, err := verifier.VerifySubmission(&traceOpener{trace: fake}, ds, result, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Accepted {
-		t.Error("random-weights trace accepted under v1")
-	}
+	ec.Apply(result)
+	return result
 }
 
 // traceOpener serves checkpoints straight from a trace. Merkle proof pulls
@@ -251,12 +255,40 @@ func (o *traceOpener) OpenCheckpoint(idx int) (tensor.Vector, error) {
 }
 
 func (o *traceOpener) OpenProof(idx int) (LeafProof, error) {
-	ec, err := CommitTrace(nil, o.trace.Checkpoints, o.fam, true)
+	ec, err := CommitTrace(nil, o.trace.Checkpoints, o.fam)
 	if err != nil {
 		return LeafProof{}, err
 	}
 	return ec.OpenProof(idx)
 }
+
+// batchOpener serves a finished trace committed whole, once, by CommitTrace
+// — the batch construction, beside the tree an HonestWorker streams while it
+// trains.
+type batchOpener struct {
+	trace *Trace
+	ec    *EpochCommitment
+}
+
+// commitWhole commits trace whole and requires the root result carries: the
+// batch and the streamed construction of one trace must agree.
+func commitWhole(t *testing.T, trace *Trace, fam *lsh.Family, result *EpochResult) *batchOpener {
+	t.Helper()
+	ec, err := CommitTrace(nil, trace.Checkpoints, fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ec.Root != result.MerkleRoot {
+		t.Fatalf("whole-trace root %x, submitted root %x", ec.Root, result.MerkleRoot)
+	}
+	return &batchOpener{trace: trace, ec: ec}
+}
+
+func (o *batchOpener) OpenCheckpoint(idx int) (tensor.Vector, error) {
+	return (&traceOpener{trace: o.trace}).OpenCheckpoint(idx)
+}
+
+func (o *batchOpener) OpenProof(idx int) (LeafProof, error) { return o.ec.OpenProof(idx) }
 
 func TestVerifyRejectsLazyTraceV2(t *testing.T) {
 	_, _, p, verifier, ds := buildHonestSetup(t, SchemeV2)
@@ -267,19 +299,8 @@ func TestVerifyRejectsLazyTraceV2(t *testing.T) {
 		fake.Checkpoints = append(fake.Checkpoints, rng.NormalVector(len(p.Global), 0, 1))
 		fake.Steps = append(fake.Steps, i*p.CheckpointEvery)
 	}
-	commit, digests, err := BuildCommitment(fake.Checkpoints, verifier.LSH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	update, err := fake.Update()
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := &EpochResult{
-		WorkerID: "lazy", Update: update, DataSize: ds.Len(),
-		Commit: commit, LSHDigests: digests, NumCheckpoints: n,
-	}
-	out, err := verifier.VerifySubmission(&traceOpener{trace: fake}, ds, result, p)
+	result := lazySubmission(t, fake, verifier.LSH, ds)
+	out, err := verifier.VerifySubmission(&traceOpener{trace: fake, fam: verifier.LSH}, ds, result, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +309,12 @@ func TestVerifyRejectsLazyTraceV2(t *testing.T) {
 	}
 }
 
+// TestVerifyMissingCommitment: a submission whose root was never set (all
+// zero) authenticates no leaf.
 func TestVerifyMissingCommitment(t *testing.T) {
 	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV1)
-	_ = worker
 	bad := *result
-	bad.Commit = nil
+	bad.MerkleRoot = commitment.Hash{}
 	out, err := verifier.VerifySubmission(worker, ds, &bad, p)
 	if err != nil {
 		t.Fatal(err)
@@ -302,11 +324,19 @@ func TestVerifyMissingCommitment(t *testing.T) {
 	}
 }
 
+// TestVerifyDigestCountMismatch: a v2 root over fewer digests than the
+// declared checkpoint count authenticates none of the digests its proofs
+// carry.
 func TestVerifyDigestCountMismatch(t *testing.T) {
 	worker, result, p, verifier, ds := buildHonestSetup(t, SchemeV2)
+	short := &traceOpener{trace: &Trace{Checkpoints: worker.LastTrace().Checkpoints[:1]}, fam: verifier.LSH}
+	ec, err := CommitTrace(nil, short.trace.Checkpoints, verifier.LSH)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := *result
-	bad.LSHDigests = bad.LSHDigests[:1]
-	out, err := verifier.VerifySubmission(worker, ds, &bad, p)
+	ec.Apply(&bad)
+	out, err := verifier.VerifySubmission(short, ds, &bad, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,41 +390,44 @@ func TestSampleIntervalsDistinct(t *testing.T) {
 	}
 }
 
+// TestVerifyOpeningV1V2 holds the leaf store's opening rule against a
+// one-leaf root: under v1 the opened weights must be the committed leaf
+// encoding, under v2 their LSH digest must equal the committed digest.
 func TestVerifyOpeningV1V2(t *testing.T) {
 	w := tensor.Vector{1, 2, 3}
-	commit, _, err := BuildCommitment([]tensor.Vector{w}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &EpochResult{Commit: commit}
-	if err := VerifyOpening(res, nil, 0, w); err != nil {
-		t.Errorf("genuine v1 opening rejected: %v", err)
-	}
-	if err := VerifyOpening(res, nil, 0, tensor.Vector{9, 9, 9}); err == nil {
-		t.Error("forged v1 opening accepted")
-	}
-
 	fam, err := lsh.NewFamily(3, lsh.Params{R: 1, K: 2, L: 2}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit2, digests, err := BuildCommitment([]tensor.Vector{w}, fam)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		fam    *lsh.Family
+		forged tensor.Vector
+	}{
+		{nil, tensor.Vector{9, 9, 9}},
+		{fam, tensor.Vector{100, 100, 100}},
+	} {
+		opener := &traceOpener{trace: &Trace{Checkpoints: []tensor.Vector{w}}, fam: tc.fam}
+		ec, err := CommitTrace(nil, opener.trace.Checkpoints, tc.fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &EpochResult{NumCheckpoints: 1}
+		ec.Apply(res)
+		for _, open := range []struct {
+			weights tensor.Vector
+			genuine bool
+		}{{w, true}, {tc.forged, false}} {
+			var s leafStore
+			s.reset(opener, res, tc.fam, 1, &VerifyOutcome{})
+			if err := s.admit(0, open.weights); (err == nil) != open.genuine {
+				t.Errorf("lsh=%t genuine=%t: admit err = %v", tc.fam != nil, open.genuine, err)
+			}
+		}
 	}
-	if len(digests) != 1 {
-		t.Fatalf("digests = %d", len(digests))
-	}
-	res2 := &EpochResult{Commit: commit2, LSHDigests: digests}
-	if err := VerifyOpening(res2, fam, 0, w); err != nil {
-		t.Errorf("genuine v2 opening rejected: %v", err)
-	}
-	if err := VerifyOpening(res2, fam, 0, tensor.Vector{100, 100, 100}); err == nil {
-		t.Error("distant forged v2 opening accepted")
-	}
-	noCommit := &EpochResult{}
-	if err := VerifyOpening(noCommit, nil, 0, w); err == nil {
-		t.Error("opening without commitment accepted")
+	var s leafStore
+	s.reset(&traceOpener{trace: &Trace{Checkpoints: []tensor.Vector{w}}}, &EpochResult{NumCheckpoints: 1}, nil, 1, &VerifyOutcome{})
+	if err := s.admit(0, w); err == nil {
+		t.Error("opening against a zero root accepted")
 	}
 }
 

@@ -38,10 +38,6 @@ type HonestWorker struct {
 	// lastCommit retains the last epoch's commitment so OpenProof can serve
 	// the verifier's on-demand Merkle pulls.
 	lastCommit *EpochCommitment
-	// stream is the in-flight streaming Merkle state while a MerkleCommit
-	// epoch trains: runTraining wires it into the trainer's Sink so each
-	// checkpoint's leaf is pushed as it is produced.
-	stream *streamCommit
 
 	// encBuf is the reused encode scratch behind the segment header's
 	// global-model checksum.
@@ -139,7 +135,8 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 	}
 	trainSpan := w.obs.Start(p.Trace, "worker.train",
 		obs.String("worker", w.id), obs.Int("steps", int64(p.Steps)))
-	trace, err := w.runTraining(p)
+	stream := newStreamCommit(p)
+	trace, err := w.runTraining(p, stream)
 	if err != nil {
 		trainSpan.End(obs.String("error", err.Error()))
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
@@ -163,17 +160,12 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 		}
 	}
 	commitSpan := w.obs.Start(p.Trace, "worker.commit", obs.String("worker", w.id))
-	ec, err := w.finishCommitment(p, trace)
+	ec, err := stream.finish(trace)
 	commitSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}
 	w.obs.Counter("rpol_commitments_total").Inc()
-	if ec.HasRoot {
-		w.obs.Counter("rpol_commit_bytes_total").Add(commitment.HashSize)
-	} else if ec.Commit != nil {
-		w.obs.Counter("rpol_commit_bytes_total").Add(int64(ec.Commit.Size()))
-	}
 	if len(ec.Digests) > 0 {
 		w.obs.Counter("rpol_lsh_digests_total").Add(int64(len(ec.Digests)))
 	}
@@ -201,43 +193,14 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 	return w.lastResult, nil
 }
 
-// finishCommitment produces the epoch commitment after training: under
-// MerkleCommit it completes the streamed incremental state by pushing the
-// bound final checkpoint's leaf (every earlier leaf was pushed as training
-// produced it); otherwise it builds the legacy hash list over the full trace.
-func (w *HonestWorker) finishCommitment(p TaskParams, trace *Trace) (*EpochCommitment, error) {
-	if !p.MerkleCommit {
-		return CommitTrace(poolFor(p.Workers), trace.Checkpoints, p.LSH, false)
-	}
-	st := w.stream
-	w.stream = nil
-	if st == nil {
-		// Defensive: a merkle epoch that somehow trained without streaming
-		// state commits from the full trace; the root is identical.
-		return CommitTrace(poolFor(p.Workers), trace.Checkpoints, p.LSH, true)
-	}
-	last := len(trace.Checkpoints) - 1
-	if err := st.push(last, trace.Checkpoints[last]); err != nil {
-		return nil, err
-	}
-	return st.commitment()
-}
-
-// runTraining executes the epoch's training through whichever persistence
-// mode is configured: plain (in-memory trace), or streaming into the
-// worker's segment with optional crash-resume from its intact prefix.
-func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
-	if p.MerkleCommit {
-		w.stream = newStreamCommit(p)
-	} else {
-		w.stream = nil
-	}
+// runTraining executes the epoch's training, pushing each checkpoint's leaf
+// into stream as it is produced, through whichever persistence mode is
+// configured: plain (in-memory trace), or streaming into the worker's segment
+// with optional crash-resume from its intact prefix.
+func (w *HonestWorker) runTraining(p TaskParams, stream *streamCommit) (*Trace, error) {
+	defer func() { w.trainer.Sink = nil }()
 	if w.segment == nil {
-		if w.stream == nil {
-			return w.trainer.RunEpoch(p)
-		}
-		w.trainer.Sink = w.stream.sink(nil)
-		defer func() { w.trainer.Sink = nil }()
+		w.trainer.Sink = stream.sink(nil)
 		return w.trainer.RunEpoch(p)
 	}
 	w.encBuf = p.Global.AppendEncode(w.encBuf[:0])
@@ -255,15 +218,13 @@ func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
 	} else {
 		// The prefix opens with checkpoint 0, which came from the task.
 		w.obs.Counter("rpol_resumed_checkpoints_total").Add(int64(len(prefix.Checkpoints) - 1))
-		if w.stream != nil {
-			// Prefix adoption bypasses the trainer's Sink; rebuild the
-			// incremental Merkle state over the adopted snapshots so the
-			// streamed root covers them too. The prefix never includes the
-			// final checkpoint, whose leaf is pushed after binding.
-			for i, cp := range prefix.Checkpoints {
-				if err := w.stream.push(i, cp); err != nil {
-					return nil, err
-				}
+		// Prefix adoption bypasses the trainer's Sink; rebuild the
+		// incremental Merkle state over the adopted snapshots so the streamed
+		// root covers them too. The prefix never includes the final
+		// checkpoint, whose leaf is pushed after binding.
+		for i, cp := range prefix.Checkpoints {
+			if err := stream.push(i, cp); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -276,12 +237,7 @@ func (w *HonestWorker) runTraining(p TaskParams) (*Trace, error) {
 		}
 		return w.segment.Append(p.Epoch, idx, step, cp)
 	}
-	if w.stream != nil {
-		w.trainer.Sink = w.stream.sink(persist)
-	} else {
-		w.trainer.Sink = persist
-	}
-	defer func() { w.trainer.Sink = nil }()
+	w.trainer.Sink = stream.sink(persist)
 	return w.trainer.ResumeEpoch(p, prefix)
 }
 
@@ -381,7 +337,7 @@ type streamCommit struct {
 	buf     []byte // reused leaf-encode scratch
 }
 
-// newStreamCommit starts the streaming state for one MerkleCommit epoch.
+// newStreamCommit starts the streaming state for one epoch.
 func newStreamCommit(p TaskParams) *streamCommit {
 	return &streamCommit{fam: p.LSH, final: p.NumCheckpoints() - 1}
 }
@@ -425,10 +381,15 @@ func (s *streamCommit) push(idx int, cp tensor.Vector) error {
 	return nil
 }
 
-// commitment finalizes the stream into a servable EpochCommitment,
-// materializing the proof tree eagerly so concurrent OpenProof calls share a
-// read-only structure.
-func (s *streamCommit) commitment() (*EpochCommitment, error) {
+// finish completes the stream with the bound final checkpoint's leaf (every
+// earlier leaf was pushed as training produced it) and returns a servable
+// EpochCommitment, materializing the proof tree eagerly so concurrent
+// OpenProof calls share a read-only structure.
+func (s *streamCommit) finish(trace *Trace) (*EpochCommitment, error) {
+	last := len(trace.Checkpoints) - 1
+	if err := s.push(last, trace.Checkpoints[last]); err != nil {
+		return nil, err
+	}
 	root, err := s.inc.Root()
 	if err != nil {
 		return nil, err
@@ -437,5 +398,5 @@ func (s *streamCommit) commitment() (*EpochCommitment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &EpochCommitment{Root: root, HasRoot: true, Digests: s.digests, tree: tree}, nil
+	return &EpochCommitment{Root: root, Digests: s.digests, tree: tree}, nil
 }

@@ -147,14 +147,14 @@ func (f *File) Write(path string) error {
 	return nil
 }
 
-// Read parses a trace file from path. Checksum failures surface as
-// ErrCorrupt; files written before the framed format (raw JSON) still load.
+// Read parses a trace file from path. Checksum failures and unframed files
+// surface as ErrCorrupt.
 func Read(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("tracefile read: %w", err)
 	}
-	payload, _, err := fsio.DecodeFile(data)
+	payload, err := fsio.DecodeFile(data)
 	if err != nil {
 		return nil, fmt.Errorf("tracefile read: %v: %w", err, ErrCorrupt)
 	}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/base64"
 	"testing"
 
 	"rpol/internal/commitment"
@@ -34,25 +33,17 @@ func benchTaskParams(b *testing.B) rpol.TaskParams {
 
 func benchEpochResult(b *testing.B) *rpol.EpochResult {
 	b.Helper()
-	payloads := make([][]byte, 5)
-	digests := make([]lsh.Digest, 5)
-	for i := range payloads {
-		digests[i] = lsh.Digest{uint64(i), uint64(i * 3)}
-		payloads[i] = digests[i].Encode()
-	}
-	commit, err := commitment.NewHashList(payloads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &rpol.EpochResult{
+	res := &rpol.EpochResult{
 		WorkerID:       "w-bench",
 		Epoch:          3,
 		Update:         tensor.NewRNG(22).NormalVector(benchDim, 0, 1),
 		DataSize:       256,
-		Commit:         commit,
-		LSHDigests:     digests,
-		NumCheckpoints: 5,
+		NumCheckpoints: 64,
 	}
+	for i := range res.MerkleRoot {
+		res.MerkleRoot[i] = byte(i * 7)
+	}
+	return res
 }
 
 // BenchmarkEncodeTask measures the binary task encode with a warm reused
@@ -77,7 +68,7 @@ func BenchmarkEncodeTask(b *testing.B) {
 // BenchmarkDecodeTask measures the binary task decode (the worker's receive
 // path; the trailing weight vector dominates). The task carries no LSH
 // family: rebuilding one regenerates its random projections, which would
-// swamp the codec cost this benchmark (and its legacy-JSON twin) isolates.
+// swamp the codec cost this benchmark isolates.
 func BenchmarkDecodeTask(b *testing.B) {
 	p := benchTaskParams(b)
 	p.LSH = nil
@@ -95,28 +86,10 @@ func BenchmarkDecodeTask(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeTaskLegacyJSON pins the cost of the JSON+base64 fallback
-// the binary codec replaced, on the same LSH-free task as BenchmarkDecodeTask.
-func BenchmarkDecodeTaskLegacyJSON(b *testing.B) {
-	p := benchTaskParams(b)
-	p.LSH = nil
-	data := []byte(`{"epoch":3,"global":"` + base64.StdEncoding.EncodeToString(p.Global.Encode()) +
-		`","optimizer":"sgdm","lr":0.01,"batchSize":8,"steps":40,"checkpointEvery":10,"nonce":7}`)
-	if _, err := DecodeTask(data); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeTask(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEncodeResult measures the binary result encode with a warm reused
-// buffer — the WorkerServer reply steady state.
+// buffer — the WorkerServer reply steady state. The 32-byte root is the whole
+// commitment, so the frame is dominated by the update vector regardless of
+// checkpoint count.
 func BenchmarkEncodeResult(b *testing.B) {
 	res := benchEpochResult(b)
 	buf, err := AppendResult(nil, res)
@@ -138,59 +111,6 @@ func BenchmarkEncodeResult(b *testing.B) {
 // collect path).
 func BenchmarkDecodeResult(b *testing.B) {
 	data, err := AppendResult(nil, benchEpochResult(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeResult(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchRootResult(b *testing.B) *rpol.EpochResult {
-	b.Helper()
-	res := &rpol.EpochResult{
-		WorkerID:       "w-bench",
-		Epoch:          3,
-		Update:         tensor.NewRNG(22).NormalVector(benchDim, 0, 1),
-		DataSize:       256,
-		NumCheckpoints: 64,
-		HasRoot:        true,
-	}
-	for i := range res.MerkleRoot {
-		res.MerkleRoot[i] = byte(i * 7)
-	}
-	return res
-}
-
-// BenchmarkEncodeResultRoot measures the Merkle submission encode: the
-// 32-byte root replaces the inline hash list, so the frame is dominated by
-// the update vector regardless of checkpoint count.
-func BenchmarkEncodeResultRoot(b *testing.B) {
-	res := benchRootResult(b)
-	buf, err := AppendResult(nil, res)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err = AppendResult(buf[:0], res)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeResultRoot measures the manager-side decode of a
-// root-committed submission.
-func BenchmarkDecodeResultRoot(b *testing.B) {
-	data, err := AppendResult(nil, benchRootResult(b))
 	if err != nil {
 		b.Fatal(err)
 	}

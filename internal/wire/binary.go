@@ -13,17 +13,18 @@ import (
 	"rpol/internal/tensor"
 )
 
-// Binary message format. Every message starts with a three-byte header:
+// Binary message format — the only encoding any message has. Every message
+// starts with a three-byte header:
 //
-//	[0] magic     0xB5 — deliberately distinct from '{' (0x7B), so decoders
-//	              can sniff the first byte and fall back to the legacy JSON
-//	              encoding for payloads produced by older peers.
-//	[1] version   1 or 2 — version 2 adds a flags byte to tasks (bit 0 =
-//	              streaming Merkle commitment) and the three Merkle message
-//	              kinds (root-carrying result, proof request/response).
-//	              Encoders emit version 1 bytes whenever no version-2
-//	              feature is used, so legacy peers interoperate unchanged.
+//	[0] magic     0xB5
+//	[1] version   fixed per kind (binVersion): 1 for the open request and
+//	              response, 2 for every other kind
 //	[2] kind      one of the binKind* constants
+//
+// A task carries a flags byte right after its header whose bit 0 (the
+// streaming Merkle commitment) must be set and whose other bits must be
+// clear. Any other header — a JSON body, an unknown magic, version or kind, a
+// flag-free task — is ErrFormat.
 //
 // Fields follow in fixed order: varints (encoding/binary) for integers,
 // 8-byte little-endian IEEE-754 for floats, uvarint-length-prefixed blobs
@@ -32,20 +33,18 @@ import (
 // a reused buffer never copies the vector twice and decoding can alias the
 // tail of the frame.
 const (
-	binMagic    = 0xB5
-	binVersion  = 1
-	binVersion2 = 2
+	binMagic = 0xB5
 
-	binKindTask          = 0x01
-	binKindResult        = 0x02
+	binKindTask = 0x01
+	// 0x02 was the hash-list result; it is retired and never reused.
 	binKindOpenRequest   = 0x03
 	binKindOpenResponse  = 0x04
-	binKindResultRoot    = 0x05
+	binKindResult        = 0x05
 	binKindProofRequest  = 0x06
 	binKindProofResponse = 0x07
 
-	// taskFlagMerkleCommit is bit 0 of the version-2 task flags byte.
-	taskFlagMerkleCommit = 0x01
+	// taskFlagMerkleRoot is bit 0 of the task flags byte, always set.
+	taskFlagMerkleRoot = 0x01
 )
 
 // maxWireCheckpoints bounds the checkpoint count any decoded submission may
@@ -54,13 +53,18 @@ const (
 // cap).
 const maxWireCheckpoints = 1 << 20
 
-var (
-	errBinTruncated = errors.New("wire: truncated binary message")
-	errBinHeader    = errors.New("wire: bad binary header")
-)
+var errBinTruncated = errors.New("wire: truncated binary message")
+
+// binVersion is the header version kind is encoded at.
+func binVersion(kind byte) byte {
+	if kind == binKindOpenRequest || kind == binKindOpenResponse {
+		return 1
+	}
+	return 2
+}
 
 func appendBinHeader(dst []byte, kind byte) []byte {
-	return append(dst, binMagic, binVersion, kind)
+	return append(dst, binMagic, binVersion(kind), kind)
 }
 
 func appendBinFloat(dst []byte, f float64) []byte {
@@ -81,29 +85,26 @@ func appendBinString(dst []byte, s string) []byte {
 // malformed field every subsequent read returns a zero value, and the caller
 // checks r.err once at the end.
 type binReader struct {
-	buf     []byte
-	off     int
-	version byte
-	err     error
+	buf []byte
+	off int
+	err error
 }
 
-// newBinReader validates the three-byte header and positions the reader on
-// the first field. A version above binVersion2 is rejected explicitly — a
-// future encoding must not be misparsed as the current one.
+// newBinReader validates the three-byte header against kind's and positions
+// the reader on the first field. A foreign first byte is ErrFormat however
+// short the payload, so a JSON body never reads as a truncation.
 func newBinReader(data []byte, kind byte) (*binReader, error) {
+	if len(data) > 0 && data[0] != binMagic {
+		return nil, fmt.Errorf("magic 0x%02x: %w", data[0], ErrFormat)
+	}
 	if len(data) < 3 {
 		return nil, errBinTruncated
 	}
-	if data[0] != binMagic {
-		return nil, fmt.Errorf("magic 0x%02x: %w", data[0], errBinHeader)
+	if data[1] != binVersion(kind) || data[2] != kind {
+		return nil, fmt.Errorf("version %d kind 0x%02x, want version %d kind 0x%02x: %w",
+			data[1], data[2], binVersion(kind), kind, ErrFormat)
 	}
-	if data[1] != binVersion && data[1] != binVersion2 {
-		return nil, fmt.Errorf("unsupported binary version %d: %w", data[1], errBinHeader)
-	}
-	if data[2] != kind {
-		return nil, fmt.Errorf("message kind 0x%02x, want 0x%02x: %w", data[2], kind, errBinHeader)
-	}
-	return &binReader{buf: data, off: 3, version: data[1]}, nil
+	return &binReader{buf: data, off: 3}, nil
 }
 
 func (r *binReader) fail() {
@@ -207,13 +208,7 @@ func (r *binReader) rest() []byte {
 // the whole message is one header plus tensor.AppendEncode — no intermediate
 // copy of the weights.
 func AppendTask(dst []byte, p rpol.TaskParams) ([]byte, error) {
-	if p.MerkleCommit {
-		// Version 2 prepends a flags byte; emitted only when a flag is set,
-		// so flag-free tasks stay byte-identical to the version-1 encoding.
-		dst = append(dst, binMagic, binVersion2, binKindTask, taskFlagMerkleCommit)
-	} else {
-		dst = appendBinHeader(dst, binKindTask)
-	}
+	dst = append(appendBinHeader(dst, binKindTask), taskFlagMerkleRoot)
 	dst = binary.AppendVarint(dst, int64(p.Epoch))
 	dst = appendBinString(dst, p.Hyper.Optimizer)
 	dst = appendBinFloat(dst, p.Hyper.LR)
@@ -235,21 +230,17 @@ func AppendTask(dst []byte, p rpol.TaskParams) ([]byte, error) {
 	return p.Global.AppendEncode(dst), nil
 }
 
-// decodeTaskBinary parses a task produced by AppendTask, rebuilding its LSH
-// family into prev's storage when prev is non-nil.
-func decodeTaskBinary(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
+// decodeTask parses a task produced by AppendTask, rebuilding its LSH family
+// into prev's storage (lsh.RebuildFamily: prev is consumed; nil allocates).
+func decodeTask(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
 	r, err := newBinReader(data, binKindTask)
 	if err != nil {
 		return rpol.TaskParams{}, fmt.Errorf("wire task: %w", err)
 	}
-	var p rpol.TaskParams
-	if r.version >= binVersion2 {
-		flags := r.byteVal()
-		if flags&^taskFlagMerkleCommit != 0 {
-			return rpol.TaskParams{}, fmt.Errorf("wire task: unknown flags 0x%02x: %w", flags, errBinHeader)
-		}
-		p.MerkleCommit = flags&taskFlagMerkleCommit != 0
+	if flags := r.byteVal(); r.err == nil && flags != taskFlagMerkleRoot {
+		return rpol.TaskParams{}, fmt.Errorf("wire task: flags 0x%02x, want 0x%02x: %w", flags, taskFlagMerkleRoot, ErrFormat)
 	}
+	var p rpol.TaskParams
 	p.Epoch = int(r.varint())
 	p.Hyper.Optimizer = string(r.blob())
 	p.Hyper.LR = r.float()
@@ -270,7 +261,7 @@ func decodeTaskBinary(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
 		lshL = int(r.varint())
 		lshSeed = r.varint()
 	default:
-		return rpol.TaskParams{}, fmt.Errorf("wire task: lsh presence byte 0x%02x: %w", hasLSH, errBinHeader)
+		return rpol.TaskParams{}, fmt.Errorf("wire task: lsh presence byte 0x%02x: %w", hasLSH, ErrFormat)
 	}
 	rest := r.rest()
 	if r.err != nil {
@@ -295,113 +286,25 @@ func decodeTaskBinary(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
 }
 
 // AppendResult appends the binary encoding of an epoch result to dst and
-// returns the extended slice. The update vector is the final field. A
-// Merkle-committed result (HasRoot) is written in the compact root form —
-// 32 bytes of commitment regardless of checkpoint count; a legacy result
-// ships the full hash list plus inline digests.
+// returns the extended slice: the 32-byte Merkle root regardless of
+// checkpoint count, the update vector last.
 func AppendResult(dst []byte, r *rpol.EpochResult) ([]byte, error) {
 	if r == nil {
-		return nil, errors.New("wire: result needs a commitment")
-	}
-	if r.HasRoot {
-		dst = append(dst, binMagic, binVersion2, binKindResultRoot)
-		dst = appendBinString(dst, r.WorkerID)
-		dst = binary.AppendVarint(dst, int64(r.Epoch))
-		dst = binary.AppendVarint(dst, int64(r.DataSize))
-		dst = binary.AppendVarint(dst, int64(r.NumCheckpoints))
-		dst = append(dst, r.MerkleRoot[:]...)
-		return r.Update.AppendEncode(dst), nil
-	}
-	if r.Commit == nil {
-		return nil, errors.New("wire: result needs a commitment")
+		return nil, errors.New("wire: nil result")
 	}
 	dst = appendBinHeader(dst, binKindResult)
 	dst = appendBinString(dst, r.WorkerID)
 	dst = binary.AppendVarint(dst, int64(r.Epoch))
 	dst = binary.AppendVarint(dst, int64(r.DataSize))
 	dst = binary.AppendVarint(dst, int64(r.NumCheckpoints))
-	dst = binary.AppendUvarint(dst, uint64(r.Commit.Size()))
-	dst = r.Commit.AppendEncode(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(r.LSHDigests)))
-	for _, d := range r.LSHDigests {
-		dst = binary.AppendUvarint(dst, uint64(d.Size()))
-		dst = d.AppendEncode(dst)
-	}
+	dst = append(dst, r.MerkleRoot[:]...)
 	return r.Update.AppendEncode(dst), nil
 }
 
-// checkWireCheckpoints bounds a decoded submission's declared checkpoint
-// count before it sizes any allocation or commitment check.
-func checkWireCheckpoints(n int) error {
-	if n < 1 || n > maxWireCheckpoints {
-		return fmt.Errorf("wire result: claimed checkpoint count %d out of range [1, %d]", n, maxWireCheckpoints)
-	}
-	return nil
-}
-
-// decodeResultBinary parses a result produced by AppendResult, dispatching
-// on the kind byte between the legacy hash-list form and the Merkle root
-// form.
-func decodeResultBinary(data []byte) (*rpol.EpochResult, error) {
-	if len(data) >= 3 && data[2] == binKindResultRoot {
-		return decodeResultRootBinary(data)
-	}
+// DecodeResult parses a result produced by AppendResult. The declared
+// checkpoint count is bounded before anything is sized by it.
+func DecodeResult(data []byte) (*rpol.EpochResult, error) {
 	r, err := newBinReader(data, binKindResult)
-	if err != nil {
-		return nil, fmt.Errorf("wire result: %w", err)
-	}
-	out := &rpol.EpochResult{}
-	out.WorkerID = string(r.blob())
-	out.Epoch = int(r.varint())
-	out.DataSize = int(r.varint())
-	out.NumCheckpoints = int(r.varint())
-	commitBlob := r.blob()
-	nDigests := r.uvarint()
-	if r.err != nil {
-		return nil, fmt.Errorf("wire result: %w", r.err)
-	}
-	if err := checkWireCheckpoints(out.NumCheckpoints); err != nil {
-		return nil, err
-	}
-	// The commitment and digest list must both match the declared checkpoint
-	// count exactly (digests may also be absent entirely under v1); the blob
-	// lengths already on the wire can never force a larger allocation than
-	// the claim the verifier would accept.
-	commit, err := commitment.DecodeHashListN(commitBlob, out.NumCheckpoints)
-	if err != nil {
-		return nil, fmt.Errorf("wire result commit: %w", err)
-	}
-	out.Commit = commit
-	if nDigests != 0 && nDigests != uint64(out.NumCheckpoints) {
-		return nil, fmt.Errorf("wire result: %d digests for %d checkpoints", nDigests, out.NumCheckpoints)
-	}
-	for i := uint64(0); i < nDigests; i++ {
-		raw := r.blob()
-		if r.err != nil {
-			return nil, fmt.Errorf("wire result: %w", r.err)
-		}
-		d, err := lsh.DecodeDigest(raw)
-		if err != nil {
-			return nil, fmt.Errorf("wire result digest %d: %w", i, err)
-		}
-		out.LSHDigests = append(out.LSHDigests, d)
-	}
-	rest := r.rest()
-	if r.err != nil {
-		return nil, fmt.Errorf("wire result: %w", r.err)
-	}
-	update, err := tensor.DecodeVector(rest)
-	if err != nil {
-		return nil, fmt.Errorf("wire result update: %w", err)
-	}
-	out.Update = update
-	return out, nil
-}
-
-// decodeResultRootBinary parses the Merkle root form of a result: fixed
-// 32-byte root in place of the hash list, update vector last.
-func decodeResultRootBinary(data []byte) (*rpol.EpochResult, error) {
-	r, err := newBinReader(data, binKindResultRoot)
 	if err != nil {
 		return nil, fmt.Errorf("wire result: %w", err)
 	}
@@ -416,14 +319,13 @@ func decodeResultRootBinary(data []byte) (*rpol.EpochResult, error) {
 	if r.err == nil {
 		copy(out.MerkleRoot[:], r.buf[r.off:r.off+commitment.HashSize])
 		r.off += commitment.HashSize
-		out.HasRoot = true
 	}
 	rest := r.rest()
 	if r.err != nil {
 		return nil, fmt.Errorf("wire result: %w", r.err)
 	}
-	if err := checkWireCheckpoints(out.NumCheckpoints); err != nil {
-		return nil, err
+	if out.NumCheckpoints < 1 || out.NumCheckpoints > maxWireCheckpoints {
+		return nil, fmt.Errorf("wire result: claimed checkpoint count %d out of range [1, %d]", out.NumCheckpoints, maxWireCheckpoints)
 	}
 	update, err := tensor.DecodeVector(rest)
 	if err != nil {
@@ -440,12 +342,8 @@ func AppendOpenRequest(dst []byte, idx int) []byte {
 	return binary.AppendVarint(dst, int64(idx))
 }
 
-// DecodeOpenRequest parses a checkpoint-opening request, accepting both the
-// binary form and the legacy JSON form.
+// DecodeOpenRequest parses a checkpoint-opening request.
 func DecodeOpenRequest(data []byte) (OpenRequestMsg, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return decodeOpenRequestJSON(data)
-	}
 	r, err := newBinReader(data, binKindOpenRequest)
 	if err != nil {
 		return OpenRequestMsg{}, fmt.Errorf("wire open request: %w", err)
@@ -470,32 +368,20 @@ func AppendOpenResponse(dst []byte, idx int, errMsg string, weights tensor.Vecto
 	return weights.AppendEncode(dst)
 }
 
-// decodedOpenResponse is the parsed form of an open response: Weights stays
-// encoded (the caller decodes it, preserving the legacy path's error text).
-type decodedOpenResponse struct {
-	Idx     int
-	Err     string
-	Weights []byte
-}
-
-// decodeOpenResponse parses an open response, accepting both the binary form
-// and the legacy JSON form.
-func decodeOpenResponse(data []byte) (decodedOpenResponse, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return decodeOpenResponseJSON(data)
-	}
+// decodeOpenResponse parses an open response.
+func decodeOpenResponse(data []byte) (OpenResponseMsg, error) {
 	r, err := newBinReader(data, binKindOpenResponse)
 	if err != nil {
-		return decodedOpenResponse{}, fmt.Errorf("wire open response: %w", err)
+		return OpenResponseMsg{}, fmt.Errorf("wire open response: %w", err)
 	}
-	out := decodedOpenResponse{}
+	out := OpenResponseMsg{}
 	out.Idx = int(r.varint())
 	out.Err = string(r.blob())
 	if out.Err == "" {
 		out.Weights = r.rest()
 	}
 	if r.err != nil {
-		return decodedOpenResponse{}, fmt.Errorf("wire open response: %w", r.err)
+		return OpenResponseMsg{}, fmt.Errorf("wire open response: %w", r.err)
 	}
 	return out, nil
 }
@@ -503,16 +389,12 @@ func decodeOpenResponse(data []byte) (decodedOpenResponse, error) {
 // AppendProofRequest appends the binary encoding of a Merkle proof pull for
 // leaf idx.
 func AppendProofRequest(dst []byte, idx int) []byte {
-	dst = append(dst, binMagic, binVersion2, binKindProofRequest)
+	dst = appendBinHeader(dst, binKindProofRequest)
 	return binary.AppendVarint(dst, int64(idx))
 }
 
-// DecodeProofRequest parses a Merkle proof pull, accepting both the binary
-// form and the JSON form.
+// DecodeProofRequest parses a Merkle proof pull.
 func DecodeProofRequest(data []byte) (ProofRequestMsg, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return decodeProofRequestJSON(data)
-	}
 	r, err := newBinReader(data, binKindProofRequest)
 	if err != nil {
 		return ProofRequestMsg{}, fmt.Errorf("wire proof request: %w", err)
@@ -528,7 +410,7 @@ func DecodeProofRequest(data []byte) (ProofRequestMsg, error) {
 // the inclusion proof plus the committed digest encoding it authenticates
 // (empty under v1) on success, or the error string.
 func AppendProofResponse(dst []byte, idx int, errMsg string, lp rpol.LeafProof) []byte {
-	dst = append(dst, binMagic, binVersion2, binKindProofResponse)
+	dst = appendBinHeader(dst, binKindProofResponse)
 	dst = binary.AppendVarint(dst, int64(idx))
 	dst = appendBinString(dst, errMsg)
 	if errMsg != "" {
@@ -539,13 +421,9 @@ func AppendProofResponse(dst []byte, idx int, errMsg string, lp rpol.LeafProof) 
 	return appendBinBlob(dst, lp.Digest)
 }
 
-// decodeProofResponse parses a proof-pull response, accepting both the
-// binary form and the JSON form. The returned digest is copied out of the
-// frame so callers may reuse the receive buffer.
+// decodeProofResponse parses a proof-pull response. The returned digest is
+// copied out of the frame so callers may reuse the receive buffer.
 func decodeProofResponse(data []byte) (ProofResponseMsg, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return decodeProofResponseJSON(data)
-	}
 	r, err := newBinReader(data, binKindProofResponse)
 	if err != nil {
 		return ProofResponseMsg{}, fmt.Errorf("wire proof response: %w", err)

@@ -1,12 +1,10 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
-	"rpol/internal/commitment"
 	"rpol/internal/lsh"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
@@ -15,121 +13,17 @@ import (
 // testResult builds a small, fully-populated epoch result by hand.
 func testResult(t *testing.T) *rpol.EpochResult {
 	t.Helper()
-	commit, err := commitment.NewHashList([][]byte{[]byte("cp0"), []byte("cp1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rpol.EpochResult{
+	r := &rpol.EpochResult{
 		WorkerID:       "w-bin",
 		Epoch:          4,
 		Update:         tensor.Vector{0.5, -1.25, 3},
 		DataSize:       128,
-		Commit:         commit,
-		LSHDigests:     []lsh.Digest{{1, 2, 3}, {4, 5}},
 		NumCheckpoints: 2,
 	}
-}
-
-// TestGoldenLegacyJSONTask pins the legacy JSON decode fallback against a
-// literal payload in the exact shape pre-binary peers produced (field names,
-// base64 vector encoding). The binary rollout must never break it.
-func TestGoldenLegacyJSONTask(t *testing.T) {
-	golden := `{"epoch":3,"global":"AgAAAAAAAAAAAAAAAADwPwAAAAAAAABA",` +
-		`"optimizer":"sgdm","lr":0.02,"batchSize":4,"steps":10,` +
-		`"checkpointEvery":5,"nonce":7}`
-	p, err := DecodeTask([]byte(golden))
-	if err != nil {
-		t.Fatal(err)
+	for i := range r.MerkleRoot {
+		r.MerkleRoot[i] = byte(3*i + 1)
 	}
-	if !p.Global.Equal(tensor.Vector{1, 2}, 0) {
-		t.Errorf("global = %v, want [1 2]", p.Global)
-	}
-	if p.Epoch != 3 || p.Hyper.Optimizer != "sgdm" || p.Hyper.LR != 0.02 ||
-		p.Hyper.BatchSize != 4 || p.Steps != 10 || p.CheckpointEvery != 5 || p.Nonce != 7 {
-		t.Errorf("decoded params = %+v", p)
-	}
-	if p.LSH != nil {
-		t.Error("LSH family from a task without one")
-	}
-}
-
-// TestLegacyJSONRoundTrips re-encodes each message with the legacy JSON
-// structs (the exact encoder older peers ran) and requires the current
-// decoders to accept the payloads via the first-byte sniff.
-func TestLegacyJSONRoundTrips(t *testing.T) {
-	net, _ := wireTask(t, 40)
-	p := wireParams(net.ParamVector())
-	fam, err := lsh.NewFamily(len(p.Global), lsh.Params{R: 0.5, K: 2, L: 2}, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.LSH = fam
-	taskJSON, err := json.Marshal(TaskMsg{
-		Epoch:           p.Epoch,
-		Global:          p.Global.Encode(),
-		Optimizer:       p.Hyper.Optimizer,
-		LR:              p.Hyper.LR,
-		BatchSize:       p.Hyper.BatchSize,
-		Steps:           p.Steps,
-		CheckpointEvery: p.CheckpointEvery,
-		Nonce:           uint64(p.Nonce),
-		LSH:             &LSHMsg{Dim: fam.Dim(), R: 0.5, K: 2, L: 2, Seed: 12},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTask, err := DecodeTask(taskJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotTask.Global.Equal(p.Global, 0) || gotTask.Hyper != p.Hyper || gotTask.LSH == nil {
-		t.Errorf("legacy task decode lost fields: %+v", gotTask)
-	}
-
-	res := testResult(t)
-	resMsg := ResultMsg{
-		WorkerID:       res.WorkerID,
-		Epoch:          res.Epoch,
-		Update:         res.Update.Encode(),
-		DataSize:       res.DataSize,
-		Commit:         res.Commit.Encode(),
-		NumCheckpoints: res.NumCheckpoints,
-	}
-	for _, d := range res.LSHDigests {
-		resMsg.Digests = append(resMsg.Digests, d.Encode())
-	}
-	resJSON, err := json.Marshal(resMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRes, err := DecodeResult(resJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRes.WorkerID != res.WorkerID || !gotRes.Update.Equal(res.Update, 0) ||
-		gotRes.Commit.Root() != res.Commit.Root() || len(gotRes.LSHDigests) != 2 {
-		t.Errorf("legacy result decode lost fields: %+v", gotRes)
-	}
-
-	reqJSON, err := json.Marshal(OpenRequestMsg{Idx: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := DecodeOpenRequest(reqJSON)
-	if err != nil || req.Idx != 9 {
-		t.Errorf("legacy open request = %+v, err = %v", req, err)
-	}
-	respJSON, err := json.Marshal(OpenResponseMsg{Idx: 9, Weights: tensor.Vector{1}.Encode()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := decodeOpenResponse(respJSON)
-	if err != nil || resp.Idx != 9 || resp.Err != "" {
-		t.Fatalf("legacy open response = %+v, err = %v", resp, err)
-	}
-	if w, err := tensor.DecodeVector(resp.Weights); err != nil || !w.Equal(tensor.Vector{1}, 0) {
-		t.Errorf("legacy open response weights = %v, err = %v", w, err)
-	}
+	return r
 }
 
 func TestBinaryResultRoundTrip(t *testing.T) {
@@ -138,8 +32,8 @@ func TestBinaryResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) > 0 && data[0] == '{' {
-		t.Fatal("binary encoding starts with '{' — collides with the JSON sniff")
+	if data[0] != binMagic || data[1] != 2 || data[2] != binKindResult {
+		t.Fatalf("header % x, want b5 02 05", data[:3])
 	}
 	got, err := DecodeResult(data)
 	if err != nil {
@@ -152,11 +46,8 @@ func TestBinaryResultRoundTrip(t *testing.T) {
 	if !got.Update.Equal(res.Update, 0) {
 		t.Errorf("update = %v, want %v", got.Update, res.Update)
 	}
-	if got.Commit.Root() != res.Commit.Root() {
+	if got.MerkleRoot != res.MerkleRoot {
 		t.Error("commitment changed")
-	}
-	if len(got.LSHDigests) != 2 || got.LSHDigests[0][2] != 3 || got.LSHDigests[1][1] != 5 {
-		t.Errorf("digests changed: %v", got.LSHDigests)
 	}
 }
 
@@ -189,7 +80,7 @@ func TestBinaryHeaderErrors(t *testing.T) {
 	}
 	for name, data := range map[string][]byte{
 		"empty":       nil,
-		"short":       {binMagic, binVersion},
+		"short":       {binMagic, 2},
 		"bad magic":   append([]byte{0x99}, task[1:]...),
 		"bad version": append([]byte{binMagic, 0x7F}, task[2:]...),
 		"wrong kind":  AppendOpenRequest(nil, 1),
@@ -214,8 +105,8 @@ func TestBinaryHeaderErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("future version error = %v, want a version message", err)
 	}
-	if _, err := decodeResultBinary(task); !errors.Is(err, errBinHeader) {
-		t.Errorf("kind mismatch err = %v, want errBinHeader", err)
+	if _, err := DecodeResult(task); !errors.Is(err, ErrFormat) {
+		t.Errorf("kind mismatch err = %v, want ErrFormat", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func (w *familyProbe) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	w.digests = append(w.digests, d)
 	return &rpol.EpochResult{
 		WorkerID: "probe", Epoch: p.Epoch, Update: tensor.NewVector(len(p.Global)),
-		DataSize: 1, NumCheckpoints: 3, HasRoot: true,
+		DataSize: 1, NumCheckpoints: 3,
 	}, nil
 }
 

@@ -1,17 +1,27 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
-	"rpol/internal/commitment"
 	"rpol/internal/lsh"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
 )
 
+// rejectsJSON fails t unless a payload that opens like a JSON body was
+// refused with ErrFormat.
+func rejectsJSON(t *testing.T, data []byte, err error) {
+	t.Helper()
+	if len(data) > 0 && data[0] == '{' && !errors.Is(err, ErrFormat) {
+		t.Fatalf("JSON body: err = %v, want ErrFormat", err)
+	}
+}
+
 // FuzzDecodeTask feeds arbitrary bytes to the task decoder: it must never
-// panic, every accepted task must validate, and every accepted task must
-// survive a binary re-encode round trip.
+// panic, must refuse every JSON body with ErrFormat, every accepted task must
+// validate, and every accepted task must survive a binary re-encode round
+// trip.
 func FuzzDecodeTask(f *testing.F) {
 	good := rpol.TaskParams{
 		Global:          tensor.Vector{1, 2, 3, 4},
@@ -31,13 +41,14 @@ func FuzzDecodeTask(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	// Legacy JSON payloads keep the fallback decoder fuzzed.
+	// JSON bodies, which the decoder must refuse.
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"lsh":{"dim":-1}}`))
 	f.Add([]byte(`{"global":"BAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAAAQQA==",` +
 		`"optimizer":"sgdm","lr":0.02,"batchSize":4,"steps":10,"checkpointEvery":5,"nonce":7}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeTask(data)
+		rejectsJSON(t, data, err)
 		if err != nil {
 			return
 		}
@@ -59,29 +70,24 @@ func FuzzDecodeTask(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult feeds arbitrary bytes to the result decoder; accepted
-// results must survive a binary re-encode round trip.
+// FuzzDecodeResult feeds arbitrary bytes to the result decoder: JSON bodies
+// are ErrFormat, and accepted results must survive a binary re-encode round
+// trip.
 func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"update":"AAAAAAAAAAA=","commit":""}`))
-	if commit, err := commitment.NewHashList([][]byte{[]byte("cp")}); err == nil {
-		res := &rpol.EpochResult{
-			WorkerID: "w", Epoch: 1, Update: tensor.Vector{1, 2},
-			DataSize: 10, NumCheckpoints: 1,
-			Commit:     commit,
-			LSHDigests: []lsh.Digest{{9, 8}},
-		}
-		if data, err := AppendResult(nil, res); err == nil {
-			f.Add(data)
-		}
+	res := &rpol.EpochResult{
+		WorkerID: "w", Epoch: 1, Update: tensor.Vector{1, 2},
+		DataSize: 10, NumCheckpoints: 1, MerkleRoot: [32]byte{9, 8},
+	}
+	if data, err := AppendResult(nil, res); err == nil {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data)
+		rejectsJSON(t, data, err)
 		if err != nil {
 			return
-		}
-		if res.Commit == nil {
-			t.Fatal("decoder accepted result without commitment")
 		}
 		reenc, err := AppendResult(nil, res)
 		if err != nil {
@@ -92,20 +98,24 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("binary round trip failed: %v", err)
 		}
 		if rt.WorkerID != res.WorkerID || !rt.Update.Equal(res.Update, 0) ||
-			rt.Commit.Root() != res.Commit.Root() || len(rt.LSHDigests) != len(res.LSHDigests) {
+			rt.MerkleRoot != res.MerkleRoot || rt.NumCheckpoints != res.NumCheckpoints {
 			t.Fatal("round trip changed result")
 		}
 	})
 }
 
-// FuzzDecodeOpenResponse fuzzes the remaining binary decoder pair.
+// FuzzDecodeOpenResponse fuzzes the remaining binary decoder pair, which
+// must refuse JSON bodies with ErrFormat too.
 func FuzzDecodeOpenResponse(f *testing.F) {
 	f.Add(AppendOpenResponse(nil, 2, "", tensor.Vector{1, 2}))
 	f.Add(AppendOpenResponse(nil, 5, "boom", nil))
 	f.Add([]byte(`{"idx":1,"weights":"AQAAAAAAAAAAAAAAAADwPw=="}`))
 	f.Add(AppendOpenRequest(nil, 3))
+	f.Add([]byte(`{"idx":9}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeOpenResponse(data)
-		_, _ = DecodeOpenRequest(data)
+		_, err := decodeOpenResponse(data)
+		rejectsJSON(t, data, err)
+		_, err = DecodeOpenRequest(data)
+		rejectsJSON(t, data, err)
 	})
 }

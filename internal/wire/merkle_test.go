@@ -2,8 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 
@@ -19,7 +18,7 @@ import (
 func rootResult(t *testing.T) (*rpol.EpochResult, *rpol.EpochCommitment) {
 	t.Helper()
 	checkpoints := []tensor.Vector{{1, 2}, {3, 4}, {5, 6}}
-	ec, err := rpol.CommitTrace(nil, checkpoints, nil, true)
+	ec, err := rpol.CommitTrace(nil, checkpoints, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,57 +33,35 @@ func rootResult(t *testing.T) (*rpol.EpochResult, *rpol.EpochCommitment) {
 	return r, ec
 }
 
-// TestTaskMerkleFlagRoundTrip checks the version-2 flags byte: a flagged
-// task round-trips MerkleCommit through both the binary and JSON encodings,
-// while a flag-free task stays byte-for-byte on the version-1 encoding.
+// TestTaskMerkleFlagRoundTrip checks the task flags byte: every task is
+// written on the version-2 header with bit 0 (the Merkle commitment) set,
+// and a decoder accepts exactly that byte — an unknown bit, or bit 0
+// cleared, is ErrFormat.
 func TestTaskMerkleFlagRoundTrip(t *testing.T) {
 	net, _ := wireTask(t, 50)
 	p := wireParams(net.ParamVector())
 
-	plain, err := EncodeTask(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain[1] != binVersion {
-		t.Fatalf("flag-free task emitted version %d, want %d", plain[1], binVersion)
-	}
-
-	p.MerkleCommit = true
 	flagged, err := EncodeTask(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flagged[1] != binVersion2 {
-		t.Fatalf("merkle task emitted version %d, want %d", flagged[1], binVersion2)
+	if want := []byte{binMagic, 2, binKindTask, taskFlagMerkleRoot}; !bytes.Equal(flagged[:4], want) {
+		t.Fatalf("task header % x, want % x", flagged[:4], want)
 	}
 	got, err := DecodeTask(flagged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.MerkleCommit {
-		t.Error("MerkleCommit flag lost over the binary wire")
-	}
 	if !got.Global.Equal(p.Global, 0) || got.Hyper != p.Hyper {
 		t.Errorf("flagged task lost fields: %+v", got)
 	}
 
-	// Unknown flag bits must be rejected, not silently ignored.
-	bad := append([]byte{}, flagged...)
-	bad[3] |= 0x80
-	if _, err := DecodeTask(bad); err == nil {
-		t.Error("decode accepted unknown task flags")
-	}
-
-	taskJSON, err := json.Marshal(TaskMsg{
-		Epoch: p.Epoch, Global: p.Global.Encode(), Optimizer: p.Hyper.Optimizer,
-		LR: p.Hyper.LR, BatchSize: p.Hyper.BatchSize, Steps: p.Steps,
-		CheckpointEvery: p.CheckpointEvery, Nonce: uint64(p.Nonce), MerkleCommit: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeTask(taskJSON); err != nil || !got.MerkleCommit {
-		t.Errorf("JSON MerkleCommit round trip: %+v, err = %v", got, err)
+	for _, flags := range []byte{taskFlagMerkleRoot | 0x80, 0} {
+		bad := append([]byte{}, flagged...)
+		bad[3] = flags
+		if _, err := DecodeTask(bad); !errors.Is(err, ErrFormat) {
+			t.Errorf("flags 0x%02x: err = %v, want ErrFormat", flags, err)
+		}
 	}
 }
 
@@ -94,18 +71,15 @@ func TestRootResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[2] != binKindResultRoot {
-		t.Fatalf("root result emitted kind 0x%02x, want 0x%02x", data[2], binKindResultRoot)
+	if data[2] != binKindResult {
+		t.Fatalf("root result emitted kind 0x%02x, want 0x%02x", data[2], binKindResult)
 	}
 	got, err := DecodeResult(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasRoot || got.MerkleRoot != res.MerkleRoot {
+	if got.MerkleRoot != res.MerkleRoot {
 		t.Errorf("root changed: %+v", got)
-	}
-	if got.Commit != nil || got.LSHDigests != nil {
-		t.Error("root form decoded inline commitment fields")
 	}
 	if got.WorkerID != res.WorkerID || got.Epoch != res.Epoch ||
 		got.DataSize != res.DataSize || got.NumCheckpoints != res.NumCheckpoints {
@@ -115,104 +89,37 @@ func TestRootResultRoundTrip(t *testing.T) {
 		t.Errorf("update = %v, want %v", got.Update, res.Update)
 	}
 
-	// JSON form.
-	resJSON, err := json.Marshal(ResultMsg{
-		WorkerID: res.WorkerID, Epoch: res.Epoch, Update: res.Update.Encode(),
-		DataSize: res.DataSize, Root: res.MerkleRoot[:], NumCheckpoints: res.NumCheckpoints,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeResult(resJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.HasRoot || got.MerkleRoot != res.MerkleRoot {
-		t.Errorf("JSON root changed: %+v", got)
-	}
 }
 
 // TestDecodeResultBounds is the malformed-submission regression suite: a
-// decoded result's declared checkpoint count must be bounded and must match
-// the commitment (and digest list) it ships, in both wire encodings.
+// decoded result's declared checkpoint count must be bounded, and its root
+// must be whole.
 func TestDecodeResultBounds(t *testing.T) {
-	legacy := testResult(t)
-	goodBin, err := EncodeResult(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	root, _ := rootResult(t)
-	goodRoot, err := EncodeResult(root)
+	good, err := EncodeResult(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	jsonMsg := func(mutate func(*ResultMsg)) []byte {
-		msg := ResultMsg{
-			WorkerID: legacy.WorkerID, Epoch: legacy.Epoch, Update: legacy.Update.Encode(),
-			DataSize: legacy.DataSize, Commit: legacy.Commit.Encode(),
-			NumCheckpoints: legacy.NumCheckpoints,
-		}
-		for _, d := range legacy.LSHDigests {
-			msg.Digests = append(msg.Digests, d.Encode())
-		}
-		mutate(&msg)
-		data, err := json.Marshal(msg)
+	for _, n := range []int{0, -4, maxWireCheckpoints + 1} {
+		claim := *root
+		claim.NumCheckpoints = n
+		bad, err := EncodeResult(&claim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
-	}
-
-	cases := map[string][]byte{
-		// JSON: count/commitment mismatches.
-		"json zero count":     jsonMsg(func(m *ResultMsg) { m.NumCheckpoints = 0 }),
-		"json negative count": jsonMsg(func(m *ResultMsg) { m.NumCheckpoints = -4 }),
-		"json huge count":     jsonMsg(func(m *ResultMsg) { m.NumCheckpoints = maxWireCheckpoints + 1 }),
-		"json short commit":   jsonMsg(func(m *ResultMsg) { m.Commit = m.Commit[:commitment.HashSize] }),
-		"json overlong commit": jsonMsg(func(m *ResultMsg) {
-			m.Commit = append(m.Commit, make([]byte, commitment.HashSize)...)
-		}),
-		"json digest count": jsonMsg(func(m *ResultMsg) { m.Digests = m.Digests[:1] }),
-		"json truncated root": jsonMsg(func(m *ResultMsg) {
-			m.Commit, m.Digests, m.Root = nil, nil, []byte{1, 2, 3}
-		}),
-		"json root plus commit": jsonMsg(func(m *ResultMsg) {
-			m.Root = make([]byte, commitment.HashSize)
-		}),
-	}
-	for name, data := range cases {
-		if _, err := DecodeResult(data); err == nil {
-			t.Errorf("%s: decode accepted malformed payload", name)
+		if _, err := DecodeResult(bad); err == nil {
+			t.Errorf("claimed count %d accepted", n)
 		}
 	}
 
-	// Binary legacy form: a claimed count inconsistent with the shipped
-	// commitment must be rejected. The varint for NumCheckpoints=2 lives
-	// right before the commit blob; rebuild the frame around a wrong claim.
-	bad, err := AppendResult(nil, &rpol.EpochResult{
-		WorkerID: legacy.WorkerID, Epoch: legacy.Epoch, Update: legacy.Update,
-		DataSize: legacy.DataSize, Commit: legacy.Commit,
-		LSHDigests: legacy.LSHDigests, NumCheckpoints: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeResult(bad); err == nil || !strings.Contains(err.Error(), "commit") {
-		t.Errorf("binary count/commit mismatch: err = %v", err)
+	// Truncating the 32-byte root must fail, not misparse the update tail as
+	// root bytes.
+	if _, err := DecodeResult(good[:len(good)-len(root.Update.Encode())-4]); err == nil {
+		t.Error("truncated root accepted")
 	}
 
-	// Binary root form: truncating the 32-byte root must fail, not misparse
-	// the update tail as root bytes.
-	if _, err := DecodeResult(goodRoot[:len(goodRoot)-len(root.Update.Encode())-4]); err == nil {
-		t.Error("binary truncated root accepted")
-	}
-
-	// Sanity: the unmutated frames still decode.
-	if _, err := DecodeResult(goodBin); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeResult(goodRoot); err != nil {
+	// Sanity: the unmutated frame still decodes.
+	if _, err := DecodeResult(good); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -227,13 +134,6 @@ func TestProofMessagesRoundTrip(t *testing.T) {
 	req, err := DecodeProofRequest(AppendProofRequest(nil, 7))
 	if err != nil || req.Idx != 7 {
 		t.Errorf("proof request = %+v, err = %v", req, err)
-	}
-	reqJSON, err := json.Marshal(ProofRequestMsg{Idx: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req, err := DecodeProofRequest(reqJSON); err != nil || req.Idx != 7 {
-		t.Errorf("JSON proof request = %+v, err = %v", req, err)
 	}
 
 	resp, err := decodeProofResponse(AppendProofResponse(nil, 1, "", lp))
@@ -258,18 +158,6 @@ func TestProofMessagesRoundTrip(t *testing.T) {
 		t.Errorf("error response = %+v, err = %v", resp, err)
 	}
 
-	// JSON form.
-	respJSON, err := json.Marshal(ProofResponseMsg{
-		Idx: 1, ProofBytes: lp.Proof.AppendEncode(nil), Digest: lp.Digest,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = decodeProofResponse(respJSON)
-	if err != nil || resp.Proof.Index != lp.Proof.Index {
-		t.Errorf("JSON proof response = %+v, err = %v", resp, err)
-	}
-
 	// A proof blob claiming an absurd depth must be rejected before any
 	// sibling allocation.
 	huge := commitment.MerkleProof{Index: 0, Siblings: make([]commitment.Hash, commitment.MaxProofSiblings+1)}
@@ -280,9 +168,8 @@ func TestProofMessagesRoundTrip(t *testing.T) {
 }
 
 // TestMerkleOverBusEndToEnd drives the full proof-pull protocol over the
-// metered bus: the worker trains under a Merkle-flagged task, submits only
-// the root, and the manager's verifier pulls inclusion proofs through the
-// RemoteWorker proxy.
+// metered bus: the worker trains, submits only the root, and the manager's
+// verifier pulls inclusion proofs through the RemoteWorker proxy.
 func TestMerkleOverBusEndToEnd(t *testing.T) {
 	bus := netsim.NewBus()
 	var wg sync.WaitGroup
@@ -307,7 +194,6 @@ func TestMerkleOverBusEndToEnd(t *testing.T) {
 	}
 
 	p := wireParams(net.ParamVector())
-	p.MerkleCommit = true
 	fam, err := lsh.NewFamily(len(p.Global), lsh.Params{R: 0.5, K: 2, L: 2}, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +203,8 @@ func TestMerkleOverBusEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !result.HasRoot {
-		t.Fatal("merkle task produced a non-root submission")
+	if result.MerkleRoot == (commitment.Hash{}) {
+		t.Fatal("submission carries no root")
 	}
 
 	verifyNet, _ := wireTask(t, 31)

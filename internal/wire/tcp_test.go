@@ -25,24 +25,24 @@ import (
 // verdict, replayed step, LSH miss, double-check and global-model bit is in
 // it. (Both cases share it: honest workers, no LSH miss, and the scheme does
 // not enter the training.) It was pinned on the commit before the verifier
-// stopped pulling leaves it holds or can compute, and want re-pinned once on
-// the commit after — a change to what is pulled moves want and must leave
-// wantProtocol alone. Remote workers run at Workers 0 (TaskParams.Workers is
-// not transmitted).
+// stopped pulling leaves it holds or can compute, and want re-pinned on each
+// change to what is pulled or committed — the verifier's leaf store, then the
+// v1 case's move from an inline hash list to the Merkle root. Such a change
+// moves want and must leave wantProtocol alone. Remote workers run at
+// Workers 0 (TaskParams.Workers is not transmitted).
 func TestManagerOverTCPEndToEnd(t *testing.T) {
 	cases := []struct {
 		name         string
 		scheme       rpol.Scheme
-		merkle       bool
 		want         string
 		wantProtocol string
 	}{
-		{"v1-hashlist", rpol.SchemeV1, false, "70c90ed58f7fd320d91a3ae2ed17291f", "f465b1b9702fe118cfb3672e71ab25dd"},
-		{"v2-merkle", rpol.SchemeV2, true, "000094987d5bd87c3aa986415b95f1db", "f465b1b9702fe118cfb3672e71ab25dd"},
+		{"v1-merkle", rpol.SchemeV1, "c0ec6200887cc86411485f8556c2130b", "f465b1b9702fe118cfb3672e71ab25dd"},
+		{"v2-merkle", rpol.SchemeV2, "000094987d5bd87c3aa986415b95f1db", "f465b1b9702fe118cfb3672e71ab25dd"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, gotProtocol := tcpEpochsFingerprint(t, c.scheme, c.merkle)
+			got, gotProtocol := tcpEpochsFingerprint(t, c.scheme)
 			if runtime.GOARCH != "amd64" {
 				t.Skipf("fingerprints %s / %s pinned on amd64 only: other targets may fuse multiply-adds", got, gotProtocol)
 			}
@@ -58,7 +58,7 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 
 // tcpEpochsFingerprint returns the full fingerprint and the one that omits
 // the verdicts' byte tallies.
-func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) (full, protocol string) {
+func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol string) {
 	hub, err := netsim.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,6 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme, merkle bool) (full, 
 	manager, err := rpol.NewManager(rpol.ManagerConfig{
 		Address:         "tcp-manager",
 		Scheme:          scheme,
-		MerkleCommit:    merkle,
 		Hyper:           rpol.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: 8},
 		StepsPerEpoch:   10,
 		CheckpointEvery: 5,
