@@ -19,7 +19,7 @@ func cannedModel() *model {
 	reg.Counter("rpol_rejected_total").Add(2)
 	reg.Counter("rpol_absent_total").Add(1)
 	reg.Counter("pool_detected_adversaries_total").Add(2)
-	reg.Counter("net_bus_bytes_total").Add(4096)
+	reg.Counter("net_tcp_bytes_total").Add(4096)
 	reg.Counter("net_retries_total").Add(4)
 	reg.Counter("journal_records_total").Add(21)
 	reg.Gauge("pool_test_accuracy").Set(0.8125)
@@ -33,7 +33,7 @@ func cannedModel() *model {
 			Counters: map[string]int64{
 				"pool_epochs_total":   1,
 				"rpol_accepted_total": 5,
-				"net_bus_bytes_total": 1024,
+				"net_tcp_bytes_total": 1024,
 			},
 		},
 		health: &obshttp.HealthResponse{Healthy: true, Epochs: 3, AgeNS: int64(1500 * time.Millisecond)},
@@ -76,8 +76,8 @@ func TestRenderGolden(t *testing.T) {
 		"│ net / journal         │ total │ rate  │\n" +
 		"├───────────────────────┼───────┼───────┤\n" +
 		"│ journal_records_total │ 21    │ -     │\n" +
-		"│ net_bus_bytes_total   │ 4096  │ 512/s │\n" +
 		"│ net_retries_total     │ 4     │ -     │\n" +
+		"│ net_tcp_bytes_total   │ 4096  │ 512/s │\n" +
 		"└───────────────────────┴───────┴───────┘\n" +
 		"\n" +
 		"events:\n" +

@@ -72,7 +72,7 @@ func run() error {
 		return err
 	}
 	defer func() { _ = managerConn.Close() }()
-	port, err := wire.NewManagerPortOver(managerConn)
+	port, err := wire.NewManagerPort(managerConn)
 	if err != nil {
 		return err
 	}
@@ -103,7 +103,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		server, err := wire.NewWorkerServerOver(conn, local)
+		server, err := wire.NewWorkerServer(conn, local)
 		if err != nil {
 			return err
 		}

@@ -75,7 +75,6 @@ var ErrBadProfile = errors.New("gpu: profile needs positive TFLOPS")
 type Device struct {
 	profile Profile
 	rng     *tensor.RNG
-	runSeed int64
 
 	devScale float64
 	runScale float64
@@ -100,30 +99,11 @@ func NewDevice(profile Profile, runSeed int64) (*Device, error) {
 	return &Device{
 		profile:    profile,
 		rng:        tensor.NewRNG(runSeed),
-		runSeed:    runSeed,
 		devScale:   devNoiseBase * perf,
 		runScale:   runNoiseBase * perf,
 		deviceBias: make(map[int]tensor.Vector),
 		runBias:    make(map[int]tensor.Vector),
 	}, nil
-}
-
-// Fork returns a fresh Device on the same hardware profile whose run seed is
-// derived deterministically from (this device's run seed, salt). The fork
-// models an additional independent execution on the same GPU model: the
-// device-systematic bias is shared (it is a pure function of the profile)
-// while the run-specific components are re-drawn. Parallel interval
-// verification forks one device per interval so concurrent replays never
-// interleave draws from a shared RNG — the per-interval noise then depends
-// only on (runSeed, salt), not on scheduling.
-func (d *Device) Fork(salt int64) *Device {
-	seed := prf.SeedFromString(fmt.Sprintf("gpu-fork/%d/%d", d.runSeed, salt))
-	fork, err := NewDevice(d.profile, seed)
-	if err != nil {
-		// Unreachable: d was already validated with the same profile.
-		panic(err)
-	}
-	return fork
 }
 
 // Profile returns the device's hardware profile.

@@ -6,8 +6,8 @@
 //
 //   - a closed-form cost model (TransferTime, FanOutTime, FanInTime) used by
 //     the Table II/III epoch-time and overhead calculations at paper scale,
-//   - an in-memory message Bus with per-endpoint byte metering used by the
-//     runnable pool simulation, so measured traffic and modelled traffic can
+//   - a TCP message hub with per-endpoint byte metering used by the
+//     distributed deployments, so measured traffic and modelled traffic can
 //     be cross-checked.
 package netsim
 

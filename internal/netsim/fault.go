@@ -5,10 +5,12 @@ import (
 	"hash/fnv"
 	"sync/atomic"
 	"time"
+
+	"rpol/internal/obs"
 )
 
 // FaultPlan is a deterministic fault-injection schedule for the message
-// fabrics: per-link drop, delay, and partition decisions, plus per-worker
+// hub: per-link drop, delay, and partition decisions, plus per-worker
 // crash-restart windows. Every decision is a pure function of (seed, link or
 // worker identity, ordinal), never of arrival order, goroutine scheduling,
 // or the wall clock — so two runs with the same seed replay the exact same
@@ -16,7 +18,7 @@ import (
 // fault-tolerance tests assert identical EpochStats across replays.
 //
 // A nil *FaultPlan is valid and injects nothing; every method is nil-safe,
-// so the fabrics pay a single pointer check on the fault-free path.
+// so the hub pays a single pointer check on the fault-free path.
 type FaultPlan struct {
 	seed int64
 	cfg  FaultConfig
@@ -30,7 +32,7 @@ type FaultConfig struct {
 	// the loss is visible only through the meter and the receiver's silence).
 	DropRate float64
 	// DelayRate is the fraction of deliveries that incur injected transit
-	// delay; the delay advances the fabric's logical clock, consuming the
+	// delay; the delay advances the hub's logical clock, consuming the
 	// caller's retry deadline budget.
 	DelayRate float64
 	// MaxDelay bounds one injected transit delay. The actual delay of a
@@ -108,7 +110,7 @@ type Fault struct {
 
 // Decide returns the fault injected into the seq-th message on the from→to
 // link: a partition- or loss-induced drop, an injected delay, or nothing.
-// seq must be a per-link ordinal maintained by the fabric; given the fabric
+// seq must be a per-link ordinal maintained by the hub; given the hub
 // delivers each link's messages in a deterministic order, the whole fault
 // sequence replays identically.
 func (p *FaultPlan) Decide(from, to string, seq uint64) Fault {
@@ -195,11 +197,29 @@ func DefaultFaultPlan() *FaultPlan { return defaultFaultPlan.Load() }
 // SetDefaultFaultPlan installs the process-wide plan; nil disables it.
 func SetDefaultFaultPlan(p *FaultPlan) { defaultFaultPlan.Store(p) }
 
-// advancer is the optional clock surface injected delays act on: the fabric
+// advancer is the optional clock surface injected delays act on: the hub
 // moves logical time forward by the transit delay, so deadline-bounded
 // callers consume their budget deterministically. obs.SimClock implements
 // it; clocks that don't are left untouched (the delay is then accounting
 // only).
 type advancer interface {
 	Advance(d time.Duration)
+}
+
+// publishFault mirrors an injected fault into a live event stream: the
+// hub's explicit log if one was attached with StreamEvents, else the
+// process-wide default observer's log. Unobserved hubs pay only two nil
+// checks on the (already rare) fault path.
+func publishFault(events *obs.Events, what, msgKind, from, to string) {
+	if events == nil {
+		events = obs.Default().Events()
+	}
+	if events == nil {
+		return
+	}
+	events.Publish(obs.StreamEvent{
+		Kind:   obs.EventFaultInjected,
+		Worker: to,
+		Detail: what + " " + msgKind + " " + from + "->" + to,
+	})
 }

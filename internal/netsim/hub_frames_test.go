@@ -68,6 +68,21 @@ func routedBarrier(t *testing.T, sender, probe *TCPEndpoint) {
 	}
 }
 
+// faultedBarrier is routedBarrier on a hub running plan, whose sender→probe
+// link is faulted too: it sends barriers until the plan lets one through and
+// returns how many it dropped.
+func faultedBarrier(t *testing.T, plan *FaultPlan, sender, probe *TCPEndpoint) (dropped int64) {
+	t.Helper()
+	for n := uint64(0); plan.Decide(sender.Name(), probe.Name(), n).Drop; n++ {
+		dropped++
+		if err := sender.Send(probe.Name(), "barrier", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	routedBarrier(t, sender, probe)
+	return dropped
+}
+
 // TestTCPHubQueuedFramesNeverRewritten bursts 64 checksummed messages of
 // mixed sizes at a reader that is not reading, interleaved with frames the
 // hub drops (unknown destination, injected faults) and whose pooled buffers
@@ -115,16 +130,10 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 	if len(want) == burst || len(want) == 0 {
 		t.Fatalf("the fault plan let %d of %d through; pick a seed that exercises both paths", len(want), burst)
 	}
-	// The barrier's own link is faulted too: send until one gets through.
-	for n := uint64(0); plan.Decide("sender", "probe", n).Drop; n++ {
-		injected++
-		drops++
-		dropBytes += Message{}.Size()
-		if err := sender.Send("probe", "barrier", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	routedBarrier(t, sender, probe)
+	barrierDrops := faultedBarrier(t, plan, sender, probe)
+	injected += barrierDrops
+	drops += barrierDrops
+	dropBytes += barrierDrops * Message{}.Size()
 
 	for _, seq := range want {
 		msg, err := readFrame(slow, nil)
@@ -163,7 +172,7 @@ func TestTCPHubQueueFullKeepsQueuedFrames(t *testing.T) {
 
 	// Frames large enough to fill the socket buffers park the hub's writer;
 	// the small ones behind them then fill the queue and spill over.
-	const large, small = 12, busQueueDepth + 100
+	const large, small = 12, queueDepth + 100
 	var sentBytes int64
 	for i := 0; i < large+small; i++ {
 		size := 64

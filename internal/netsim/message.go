@@ -1,0 +1,18 @@
+package netsim
+
+// Message is one payload in flight on the hub.
+type Message struct {
+	From    string
+	To      string
+	Kind    string // protocol message type, e.g. "commit", "proof-request"
+	Payload []byte
+	// Seq is the sender's request/response correlation number: the wire
+	// layer stamps requests with a fresh Seq and workers echo it, so a
+	// retrying caller can discard stale replies to earlier attempts. Zero
+	// for callers that don't correlate.
+	Seq uint64
+}
+
+// Size returns the accounted wire size of the message: payload plus a small
+// fixed header, approximating a TLS record with framing.
+func (m Message) Size() int64 { return int64(len(m.Payload)) + 64 }

@@ -30,55 +30,52 @@ func TestMeterDropAccounting(t *testing.T) {
 func TestMeterAttachMirrorsToRegistry(t *testing.T) {
 	m := NewMeter()
 	reg := obs.NewRegistry()
-	m.Attach(reg, "bus")
-	m.Attach(nil, "ignored") // nil registry must not clear the counters
-	m.Attach(reg, "bus")
+	m.Attach(reg)
+	m.Attach(nil) // nil registry must not clear the counters
+	m.Attach(reg)
 	m.Record("a", "b", "k", 100)
 	m.Record("a", "b", "k", 28)
 	m.RecordDrop("a", "ghost", "k", 64)
 	s := reg.Snapshot()
-	if got := s.Counters["net_bus_bytes_total"]; got != 128 {
-		t.Errorf("net_bus_bytes_total = %d", got)
+	if got := s.Counters["net_tcp_bytes_total"]; got != 128 {
+		t.Errorf("net_tcp_bytes_total = %d", got)
 	}
-	if got := s.Counters["net_bus_messages_total"]; got != 2 {
-		t.Errorf("net_bus_messages_total = %d", got)
+	if got := s.Counters["net_tcp_messages_total"]; got != 2 {
+		t.Errorf("net_tcp_messages_total = %d", got)
 	}
-	if got := s.Counters["net_bus_dropped_total"]; got != 1 {
-		t.Errorf("net_bus_dropped_total = %d", got)
+	if got := s.Counters["net_tcp_dropped_total"]; got != 1 {
+		t.Errorf("net_tcp_dropped_total = %d", got)
 	}
-	if got := s.Counters["net_bus_dropped_bytes_total"]; got != 64 {
-		t.Errorf("net_bus_dropped_bytes_total = %d", got)
+	if got := s.Counters["net_tcp_dropped_bytes_total"]; got != 64 {
+		t.Errorf("net_tcp_dropped_bytes_total = %d", got)
 	}
 	// Meter.Reset leaves the cumulative obs counters alone.
 	m.Reset()
-	if got := reg.Counter("net_bus_bytes_total").Value(); got != 128 {
+	if got := reg.Counter("net_tcp_bytes_total").Value(); got != 128 {
 		t.Errorf("obs counter reset by Meter.Reset: %d", got)
 	}
 }
 
+// TestBusFullInboxRecordsDrop: once a destination's queue holds queueDepth
+// frames, route drops the next one and the meter accounts exactly that drop.
 func TestBusFullInboxRecordsDrop(t *testing.T) {
-	bus := NewBus()
-	a, err := bus.Register("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bus.Register("sink"); err != nil {
-		t.Fatal(err)
-	}
-	// Fill the sink's inbox (it never receives), then overflow it.
-	for i := 0; i < busQueueDepth; i++ {
-		if err := a.Send("sink", "k", nil); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+	h := &TCPHub{meter: NewMeter(), clients: map[string]*hubClient{
+		"sink": {name: "sink", out: make(chan hubFrame, queueDepth)},
+	}}
+	frame := hubFrame{msg: Message{From: "a", To: "sink", Kind: "k"}}
+	for i := 0; i < queueDepth; i++ {
+		if !h.route(frame) {
+			t.Fatalf("frame %d dropped before the queue filled", i)
 		}
 	}
-	if err := a.Send("sink", "k", nil); err == nil {
-		t.Fatal("overflow send did not fail")
+	if h.route(frame) {
+		t.Fatal("overflow frame was queued")
 	}
-	if msgs, bytes := bus.Meter().Dropped(); msgs != 1 || bytes != 64 {
+	if msgs, bytes := h.meter.Dropped(); msgs != 1 || bytes != 64 {
 		t.Errorf("Dropped = %d msgs, %d bytes; want 1 and 64", msgs, bytes)
 	}
-	if got := bus.Meter().Messages(); got != busQueueDepth {
-		t.Errorf("Messages = %d, want %d", got, busQueueDepth)
+	if got := h.meter.Messages(); got != queueDepth {
+		t.Errorf("Messages = %d, want %d", got, queueDepth)
 	}
 }
 

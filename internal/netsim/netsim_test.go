@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"errors"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -90,103 +92,111 @@ func TestFanEdgeCases(t *testing.T) {
 	}
 }
 
+// TestBusSendRecv: a message's kind, payload and correlation number cross
+// the hub intact, addressed from the sender's registered name to its
+// destination.
 func TestBusSendRecv(t *testing.T) {
-	bus := NewBus()
-	a, err := bus.Register("manager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bus.Register("worker-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("worker-1", "model", []byte("weights")); err != nil {
+	hub := startHub(t)
+	a := dial(t, hub, "manager")
+	b := dial(t, hub, "worker-1")
+	if err := a.SendSeq("worker-1", "model", 7, []byte("weights")); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := b.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.From != "manager" || msg.Kind != "model" || string(msg.Payload) != "weights" {
+	if msg.From != "manager" || msg.To != "worker-1" || msg.Kind != "model" || msg.Seq != 7 || string(msg.Payload) != "weights" {
 		t.Errorf("msg = %+v", msg)
 	}
 }
 
+// TestBusUnknownAndDuplicate: a message to a name nobody registered is
+// dropped and accounted, and a second registration of a taken name is
+// refused before DialHub returns.
 func TestBusUnknownAndDuplicate(t *testing.T) {
-	bus := NewBus()
-	a, err := bus.Register("a")
-	if err != nil {
+	hub := startHub(t)
+	a := dial(t, hub, "a")
+	probe := dial(t, hub, "probe")
+	if err := a.Send("ghost", "x", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("ghost", "x", nil); !errors.Is(err, ErrUnknownEndpoint) {
-		t.Errorf("err = %v", err)
+	routedBarrier(t, a, probe)
+	if msgs, bytes := hub.Meter().Dropped(); msgs != 1 || bytes != 64 {
+		t.Errorf("Dropped = %d msgs, %d bytes; want 1 and 64", msgs, bytes)
 	}
-	if _, err := bus.Register("a"); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("err = %v", err)
+	if dup, err := DialHub(hub.Addr(), "a"); err == nil {
+		_ = dup.Close()
+		t.Error("duplicate registration accepted")
 	}
 }
 
+// TestBusClose: closing the hub fails a pending Recv, refuses later
+// registrations and may be repeated; an endpoint closed on its own side fails
+// its sends with net.ErrClosed.
 func TestBusClose(t *testing.T) {
-	bus := NewBus()
-	a, err := bus.Register("a")
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bus.Register("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var recvErr error
+	a := dial(t, hub, "a")
+	b := dial(t, hub, "b")
+	recvErr := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		_, recvErr = b.Recv()
+		_, err := b.Recv()
+		recvErr <- err
 	}()
-	bus.Close()
-	wg.Wait()
-	if !errors.Is(recvErr, ErrClosed) {
-		t.Errorf("Recv after close = %v", recvErr)
+	hub.Close()
+	if err := <-recvErr; err == nil {
+		t.Error("Recv after close delivered a message")
 	}
-	if err := a.Send("b", "x", nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send after close = %v", err)
+	if late, err := DialHub(hub.Addr(), "c"); err == nil {
+		_ = late.Close()
+		t.Error("Register after close succeeded")
 	}
-	if _, err := bus.Register("c"); !errors.Is(err, ErrClosed) {
-		t.Errorf("Register after close = %v", err)
+	hub.Close() // double close must not panic
+	_ = a.Close()
+	if err := a.Send("b", "x", nil); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Send after close = %v, want net.ErrClosed", err)
 	}
-	bus.Close() // double close must not panic
 }
 
+// TestBusTryRecv: TryRecv never blocks — false on an empty inbox, the
+// message once the endpoint's pump has queued it.
 func TestBusTryRecv(t *testing.T) {
-	bus := NewBus()
-	a, err := bus.Register("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bus.Register("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := startHub(t)
+	a := dial(t, hub, "a")
+	b := dial(t, hub, "b")
 	if _, ok := b.TryRecv(); ok {
 		t.Error("TryRecv on empty inbox must return false")
 	}
 	if err := a.Send("b", "x", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, ok := b.TryRecv(); !ok || msg.Kind != "x" {
-		t.Errorf("TryRecv = %+v, %v", msg, ok)
+	deadline := time.After(5 * time.Second)
+	for {
+		if msg, ok := b.TryRecv(); ok {
+			if msg.Kind != "x" || len(msg.Payload) != 1 {
+				t.Errorf("TryRecv = %+v", msg)
+			}
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatal("the sent message never reached TryRecv")
+		default:
+			runtime.Gosched()
+		}
+	}
+	if msg, ok := b.TryRecv(); ok {
+		t.Errorf("TryRecv on a drained inbox = %+v", msg)
 	}
 }
 
 func TestMeterAccounting(t *testing.T) {
-	bus := NewBus()
-	a, err := bus.Register("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bus.Register("b"); err != nil {
-		t.Fatal(err)
-	}
+	hub := startHub(t)
+	a := dial(t, hub, "a")
+	_ = dial(t, hub, "b")
 	payload := make([]byte, 1000)
 	if err := a.Send("b", "weights", payload); err != nil {
 		t.Fatal(err)
@@ -194,15 +204,17 @@ func TestMeterAccounting(t *testing.T) {
 	if err := a.Send("b", "digest", payload[:100]); err != nil {
 		t.Fatal(err)
 	}
-	m := bus.Meter()
-	if m.Total() != 1064+164 {
-		t.Errorf("Total = %d", m.Total())
+	// Each dial meters its register frame and the hub's ack, 64 bytes apiece.
+	const handshakes = 4 * 64
+	m := hub.Meter()
+	if got := m.WaitTotal(handshakes+1064+164, 2*time.Second); got != handshakes+1064+164 {
+		t.Errorf("Total = %d", got)
 	}
-	if m.SentBy("a") != m.Total() {
-		t.Errorf("SentBy(a) = %d", m.SentBy("a"))
+	if got := m.SentBy("a"); got != 64+1064+164 {
+		t.Errorf("SentBy(a) = %d", got)
 	}
-	if m.ReceivedBy("b") != m.Total() {
-		t.Errorf("ReceivedBy(b) = %d", m.ReceivedBy("b"))
+	if got := m.ReceivedBy("b"); got != 64+1064+164 {
+		t.Errorf("ReceivedBy(b) = %d", got)
 	}
 	byKind := m.ByKind()
 	if byKind["weights"] != 1064 || byKind["digest"] != 164 {

@@ -12,12 +12,11 @@ import (
 	"rpol/internal/obs"
 )
 
-// TCPHub is a real-sockets counterpart to the in-memory Bus: a star-topology
-// router that endpoints join over TCP. Each client registers a unique name
-// and then exchanges the same Message frames as the Bus, with the hub
-// routing by destination name and metering every delivered byte. It exists
-// so the wire-level protocol (internal/wire) can be exercised over an
-// actual network stack as well as in memory.
+// TCPHub is the message fabric standing in for the paper's TLS channels
+// between the manager and its workers: a star-topology router that endpoints
+// join over TCP. Each client registers a unique name and then exchanges
+// Message frames, with the hub routing by destination name and metering
+// every delivered byte.
 //
 // Frame format: 4-byte big-endian length prefix followed by a binary
 // Message body (see writeFrame). The
@@ -68,6 +67,11 @@ func (h *TCPHub) release(f hubFrame) {
 	}
 }
 
+// queueDepth bounds each client's queued messages, at the hub and in its
+// endpoint's inbox. The pool protocol is strictly request/response per epoch,
+// so the depth only needs to cover one round of fan-in from all peers.
+const queueDepth = 1024
+
 // Reserved message kinds for the registration handshake.
 const (
 	KindRegister    = "register"
@@ -108,7 +112,7 @@ func (h *TCPHub) Addr() string { return h.listener.Addr().String() }
 func (h *TCPHub) Meter() *Meter { return h.meter }
 
 // Observe mirrors the hub's traffic into reg under net_tcp_* counters.
-func (h *TCPHub) Observe(reg *obs.Registry) { h.meter.Attach(reg, "tcp") }
+func (h *TCPHub) Observe(reg *obs.Registry) { h.meter.Attach(reg) }
 
 // StreamEvents mirrors injected faults into e as fault_injected events (in
 // addition to the meter's counters). Nil falls back to the process-wide
@@ -178,7 +182,7 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	// The registration handshake is real traffic too: without this the
 	// hub's accounting silently understates every connection by two frames.
 	h.meter.Record(reg.From, "hub", KindRegister, reg.Size())
-	client := &hubClient{name: reg.From, conn: conn, out: make(chan hubFrame, busQueueDepth)}
+	client := &hubClient{name: reg.From, conn: conn, out: make(chan hubFrame, queueDepth)}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -202,7 +206,7 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	// never race the hub's routing table. Enqueued under the lock so a
 	// concurrent Close cannot close the queue first.
 	ack := Message{To: client.name, Kind: KindRegistered}
-	//rpolvet:ignore locksend the queue was created above with busQueueDepth capacity and is not yet visible to any other goroutine, so this send cannot block; the lock orders it before a concurrent Close can close the queue
+	//rpolvet:ignore locksend the queue was created above with queueDepth capacity and is not yet visible to any other goroutine, so this send cannot block; the lock orders it before a concurrent Close can close the queue
 	client.out <- hubFrame{msg: ack}
 	h.meter.Record("hub", client.name, KindRegistered, ack.Size())
 	h.mu.Unlock()
@@ -436,10 +440,11 @@ func decodeFrame(data []byte) (Message, error) {
 	return msg, nil
 }
 
-// TCPEndpoint is a client connection to a TCPHub offering the same
-// Send/Recv/TryRecv surface as the in-memory Endpoint. A background pump
-// reads frames off the socket into a bounded inbox, which is what gives the
-// endpoint a non-blocking TryRecv for deadline-driven callers.
+// TCPEndpoint is a client connection to a TCPHub. A background pump reads
+// frames off the socket into a bounded inbox, which is what gives the
+// endpoint a non-blocking TryRecv for deadline-driven callers. Send and
+// SendSeq write the whole frame to the socket before returning, so a caller
+// may reuse its payload buffer for the next message.
 type TCPEndpoint struct {
 	name string
 	conn net.Conn
@@ -468,7 +473,7 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 		conn:   conn,
 		writer: bufio.NewWriter(conn),
 		reader: bufio.NewReader(conn),
-		inbox:  make(chan Message, busQueueDepth),
+		inbox:  make(chan Message, queueDepth),
 		done:   make(chan struct{}),
 	}
 	if err := ep.writeMsg(Message{From: name, Kind: KindRegister}); err != nil {
@@ -528,11 +533,6 @@ func (e *TCPEndpoint) Send(to, kind string, payload []byte) error {
 func (e *TCPEndpoint) SendSeq(to, kind string, seq uint64, payload []byte) error {
 	return e.writeMsg(Message{From: e.name, To: to, Kind: kind, Payload: payload, Seq: seq})
 }
-
-// SendSerializes marks that Send/SendSeq fully serialize the payload onto
-// the socket (under writeMu) before returning, so callers may reuse their
-// payload buffer for the next message.
-func (e *TCPEndpoint) SendSerializes() {}
 
 // Recv blocks until a message arrives or the connection closes.
 func (e *TCPEndpoint) Recv() (Message, error) {

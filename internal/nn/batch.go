@@ -77,7 +77,7 @@ func NewBatchTrainer(net *Network, pool *parallel.Pool) (*BatchTrainer, error) {
 		grads:  net.Grads(),
 	}
 	if net.BatchCapable() {
-		rep, err := net.Replicate(true)
+		rep, err := net.Replicate()
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func NewBatchTrainer(net *Network, pool *parallel.Pool) (*BatchTrainer, error) {
 // ensureReplicas grows the replica set to at least chunks entries.
 func (bt *BatchTrainer) ensureReplicas(chunks int) error {
 	for len(bt.reps) < chunks {
-		rep, err := bt.net.Replicate(true)
+		rep, err := bt.net.Replicate()
 		if err != nil {
 			return err
 		}

@@ -219,7 +219,7 @@ func TestBatchTrainerConvFallsBack(t *testing.T) {
 // TestReplicateShared: replicas alias parameter storage but own gradients.
 func TestReplicateShared(t *testing.T) {
 	net := convNet(t, 5)
-	rep, err := net.Replicate(true)
+	rep, err := net.Replicate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,30 +238,10 @@ func TestReplicateShared(t *testing.T) {
 			t.Errorf("grad %d shared, want private", i)
 		}
 	}
-	// Detached replica: nothing shared, training it leaves the source alone.
-	det, err := net.Replicate(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp := det.Params()
-	for i := range src {
-		if &src[i][0] == &dp[i][0] {
-			t.Errorf("detached param %d shared", i)
-		}
-	}
-	before := net.ParamVector()
-	xs, labels := batchData(4, 64, 2)
-	if _, err := det.TrainBatch(xs, labels, &SGD{LR: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	after := net.ParamVector()
-	if !before.Equal(after, 0) {
-		t.Error("training a detached replica mutated the source network")
-	}
 	// Frozen layers stay frozen through replication.
 	frozen := &Dense{W: tensor.NewMatrix(2, 2), B: tensor.NewVector(2),
 		GradW: tensor.NewMatrix(2, 2), GradB: tensor.NewVector(2), Frozen: true}
-	fr := frozen.Replicate(true)
+	fr := frozen.Replicate()
 	if fr.Params() != nil {
 		t.Error("frozen replica exposes params")
 	}

@@ -60,13 +60,14 @@ type Config struct {
 	// checked by that many parallel verifiers (Sec. IX future work).
 	Verifiers int
 	// Workers sizes the deterministic compute pool each participant uses
-	// for batch training, commitment hashing, and interval verification —
+	// for batch training, commitment hashing, and interval re-execution —
 	// an execution knob, not a protocol parameter: results are bit-identical
 	// for any value ≥ 1 (see internal/parallel). 0 falls back to the
 	// process-wide default (parallel.DefaultWorkers, set by the -jobs flag),
 	// which itself defaults to no goroutines: the same training kernels on
-	// the calling goroutine, sampled intervals verified one after another.
-	// Negative forces that regardless of the process default.
+	// the calling goroutine. Negative forces that regardless of the process
+	// default. The verifier replays sampled intervals one after another at
+	// every value.
 	Workers int
 	// Seed makes the whole pool construction and run reproducible.
 	Seed int64
@@ -133,16 +134,8 @@ func (c *Config) applyDefaults() {
 	if c.Workers == 0 {
 		c.Workers = parallel.DefaultWorkers()
 	}
-	if c.Journal != "" {
-		if c.Workers <= 0 {
-			// Journaled runs pin the deterministic parallel runtime so the
-			// verification path is a pure function of (seed, epoch) — the
-			// serial fallback threads one stateful device through history.
-			c.Workers = 1
-		}
-		if c.FS == nil {
-			c.FS = fsio.OS
-		}
+	if c.Journal != "" && c.FS == nil {
+		c.FS = fsio.OS
 	}
 	if c.Faults == nil {
 		if c.FaultSeed != 0 {

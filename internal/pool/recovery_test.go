@@ -223,10 +223,11 @@ func TestResumeAfterCleanStop(t *testing.T) {
 // un-synced tail), check that what survived on disk still honours the sync
 // points' promises, then resume from it and finish the run. Every crash
 // point must recover to EpochStats, a reward ledger, and a global model
-// bit-identical to the uninterrupted run.
+// bit-identical to the uninterrupted run — at Workers 0 (no goroutines, the
+// default), 1 and 4.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	const epochs = 2
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			t.Parallel()

@@ -21,12 +21,6 @@ import (
 //     and the aggregated global model;
 //   - verify covers the verification accounting: sampled intervals,
 //     fail reasons, comm bytes, re-executed steps, misses and double-checks.
-//
-// The split exists because the verification tallies depend on the device
-// noise stream (serial verification threads one stream through all
-// intervals; parallel verification forks one per interval), so they are
-// only comparable within the chunked runtime (workers ≥ 1), while the
-// training-side artifacts must agree everywhere.
 func epochFingerprints(t *testing.T, workers int) (train, verify string) {
 	t.Helper()
 	const n = 4
@@ -105,7 +99,7 @@ func epochFingerprints(t *testing.T, workers int) (train, verify string) {
 
 // TestEpochBitIdenticalAcrossWorkers is the protocol-wide determinism
 // regression test for the data-parallel runtime: one epoch run at Workers =
-// 1, 2, and 8 must produce bit-identical checkpoints, LSH digests,
+// 0, 1, 2, and 8 must produce bit-identical checkpoints, LSH digests,
 // commitment roots, verification outcomes, and global model. Everything the
 // protocol hashes or compares is covered, so any scheduling-dependent float
 // reduction sneaking into a hot path fails this test (and trips the race
@@ -122,16 +116,16 @@ func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	// The test nets are dense-only stacks, whose layers accumulate one term
-	// per output element — for those the chunked runtime is also bitwise
-	// equal to the historical serial path (Workers = 0). Verification
-	// tallies are excluded: serial verification threads one device-noise
-	// stream through all sampled intervals while parallel verification
-	// forks a stream per interval, so only the protocol artifacts and
-	// verdicts must agree.
-	serialTrain, _ := epochFingerprints(t, 0)
+	// The test nets are dense-only stacks: Workers = 0 runs the same
+	// kernels without goroutines, and the verifier replays the sampled
+	// intervals in turn on one device at every value, so both digests must
+	// agree with it too.
+	serialTrain, serialVerify := epochFingerprints(t, 0)
 	if serialTrain != baseTrain {
-		t.Errorf("workers=0 (serial) training artifacts differ from chunked runtime")
+		t.Errorf("workers=0 training artifacts differ from workers=1")
+	}
+	if serialVerify != baseVerify {
+		t.Errorf("workers=0 verification outcomes differ from workers=1")
 	}
 }
 

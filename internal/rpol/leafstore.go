@@ -29,8 +29,7 @@ var (
 // update — are seeded by bind from the manager's own vectors, never requested.
 //
 // A pulled leaf's bytes are owed until its first use charges them to the
-// outcome, so a path that fetches ahead (the parallel verifier's inputs)
-// tallies exactly what the serial loop does. Nothing is remembered or owed
+// outcome. Nothing is remembered or owed
 // for a leaf that failed any check. The store is a slice indexed by leaf,
 // kept by its verifier and reset per submission, and not safe for concurrent
 // use: every pull happens on the goroutine that called VerifySubmission.

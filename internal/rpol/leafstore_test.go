@@ -229,7 +229,7 @@ func expectedOpens(scheme Scheme, n, q int) float64 {
 
 // TestLeafStoreAsksOnceAndOnlyForInteriorLeaves is the standing proof that
 // nothing is asked twice or needlessly: every ordering of every q-subset of
-// small shapes goes through the serial and the parallel loop behind a
+// small shapes goes through the replay loop at Workers 0 and 2 behind a
 // counting opener, and the mean number of opened checkpoints over all of them
 // is the closed form.
 func TestLeafStoreAsksOnceAndOnlyForInteriorLeaves(t *testing.T) {
@@ -288,7 +288,7 @@ func TestLeafStoreAsksOnceAndOnlyForInteriorLeaves(t *testing.T) {
 }
 
 // TestLeafStoreSeededSamples33 runs the same check through VerifySubmission
-// at a 33-interval shape, over seeded samples, serial and parallel.
+// at a 33-interval shape, over seeded samples, at Workers 0 and 2.
 func TestLeafStoreSeededSamples33(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
 		for _, merkle := range []bool{false, true} {
@@ -307,7 +307,7 @@ func TestLeafStoreSeededSamples33(t *testing.T) {
 					}
 					if !slices.Equal(outs[0].SampledCheckpoints, outs[1].SampledCheckpoints) ||
 						outs[0].CommBytes != outs[1].CommBytes || outs[0].CommitBytes != outs[1].CommitBytes {
-						t.Errorf("seed %d: serial %+v, parallel %+v", seed, outs[0], outs[1])
+						t.Errorf("seed %d: workers=0 %+v, workers=2 %+v", seed, outs[0], outs[1])
 					}
 				}
 			})

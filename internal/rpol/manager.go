@@ -67,7 +67,7 @@ type ManagerConfig struct {
 	Quorum int
 	// Workers sizes the deterministic compute pool threaded through the
 	// epoch: workers' batch training and commitment hashing (via
-	// TaskParams.Workers) and the manager's own interval verification. 0
+	// TaskParams.Workers) and the manager's own interval re-execution. 0
 	// runs the same kernels without goroutines; any n ≥ 1 yields
 	// bit-identical protocol results for every n (see internal/parallel).
 	// Distinct from ParallelVerifiers, which fans independent submissions

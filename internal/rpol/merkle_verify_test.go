@@ -1,10 +1,14 @@
 package rpol
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rpol/internal/commitment"
+	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/lsh"
 	"rpol/internal/obs"
@@ -129,16 +133,17 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 	return &traceOpener{trace: fake, fam: fam}, bad
 }
 
-// TestVerifyMetricsParitySerialParallel pins the serial/parallel accounting
-// contract across every scheme, for accepted and rejected submissions: the verdict, the outcome tallies (ReexecSteps,
-// CommBytes, CommitBytes, LSHMisses, DoubleChecks), and the global
-// rpol_reexec_steps_total / rpol_verify_comm_bytes_total counters must be
-// identical — the parallel path must not account intervals that execute
-// past the first failure. The per-leaf opener calls are held to the same
-// contract: no leaf twice and the bound leaves never on either path,
-// identical calls for an accepted submission, and for a rejected one the
-// serial calls (which stop at the failing interval) a subset of the parallel
-// ones (which fetched every input before the fan-out).
+// TestVerifyMetricsParitySerialParallel pins the verifier's accounting to
+// its one replay loop across every scheme, for accepted and rejected
+// submissions: at Workers 0, 1 and 4 the outcome (verdict, fail reason,
+// sampled intervals, ReexecSteps, CommBytes, CommitBytes, LSHMisses,
+// DoubleChecks), the global rpol_reexec_steps_total /
+// rpol_verify_comm_bytes_total counters and the per-leaf opener calls must be
+// identical. In every arm no leaf is requested twice and the bound leaves
+// never. The tampered arms reject two ways: a trace with a random interior
+// checkpoint, committed as it is, and an opener that forges an interior
+// checkpoint against the honest root — the rejection a loop that fetched
+// inputs ahead of the failing interval would ask for twice.
 //
 // The merkle arm serves the honest worker's streamed tree, and the tampered
 // trace re-committed at each proof pull. The legacy arm serves either trace
@@ -163,17 +168,41 @@ func TestVerifyMetricsParitySerialParallel(t *testing.T) {
 
 func checkMetricsParity(t *testing.T, scheme Scheme, legacy, tampered bool) {
 	worker, result, p, ref, ds := buildHonestSetup(t, scheme)
-	var opener ProofOpener = worker
-	trace := worker.LastTrace()
-	if tampered {
-		var forged *traceOpener
-		forged, result = tamperedSubmission(t, worker, result, p, ref.LSH, 2)
-		opener, trace = forged, forged.trace
-	}
+	var honest ProofOpener = worker
 	if legacy {
-		opener = commitWhole(t, trace, ref.LSH, result)
+		honest = commitWhole(t, worker.LastTrace(), ref.LSH, result)
 	}
-	run := func(workers int) (*VerifyOutcome, int64, int64, *countingOpener) {
+	if !tampered {
+		checkOneLoop(t, "honest", scheme, ref, ds, p, honest, result, true)
+		return
+	}
+	forged, bad := tamperedSubmission(t, worker, result, p, ref.LSH, 2)
+	var opener ProofOpener = forged
+	if legacy {
+		opener = commitWhole(t, forged.trace, ref.LSH, bad)
+	}
+	checkOneLoop(t, "re-committed", scheme, ref, ds, p, opener, bad, false)
+	fake := tensor.NewRNG(1).NormalVector(len(p.Global), 0, 1)
+	for target := 1; target < result.NumCheckpoints-1; target++ {
+		checkOneLoop(t, fmt.Sprintf("forged-opening-%d", target), scheme, ref, ds, p,
+			&forgingOpener{inner: honest, target: target, forged: fake}, result, false)
+	}
+}
+
+// verifyRun is what one verification showed: its outcome, the two global
+// counters, and the opener calls.
+type verifyRun struct {
+	out          *VerifyOutcome
+	steps, bytes int64
+	opens        map[int]int
+	proofs       map[int]int
+}
+
+// checkOneLoop verifies one submission at Workers 0, 1 and 4 and holds every
+// run to the rules of TestVerifyMetricsParitySerialParallel.
+func checkOneLoop(t *testing.T, arm string, scheme Scheme, ref *Verifier, ds *dataset.Dataset, p TaskParams, opener ProofOpener, result *EpochResult, accepted bool) {
+	t.Helper()
+	run := func(workers int) verifyRun {
 		netV, _ := testTask(t, 10)
 		device, err := gpu.NewDevice(gpu.G3090, 999)
 		if err != nil {
@@ -190,62 +219,45 @@ func checkMetricsParity(t *testing.T, scheme Scheme, legacy, tampered bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out,
+		return verifyRun{out,
 			observer.Counter("rpol_reexec_steps_total").Value(),
 			observer.Counter("rpol_verify_comm_bytes_total").Value(),
-			counting
-	}
-	serial, serialSteps, serialBytes, serialCalls := run(0)
-	par, parSteps, parBytes, parCalls := run(4)
-	for _, calls := range []struct{ serial, par map[int]int }{
-		{serialCalls.opens, parCalls.opens}, {serialCalls.proofs, parCalls.proofs},
-	} {
-		for idx, n := range calls.par {
-			if n != 1 || calls.serial[idx] > 1 {
-				t.Errorf("leaf %d requested %d times serially, %d in parallel", idx, calls.serial[idx], n)
-			}
-		}
-		for idx := range calls.serial {
-			if calls.par[idx] == 0 {
-				t.Errorf("leaf %d requested serially but not in parallel", idx)
-			}
-		}
-		if !tampered && len(calls.serial) != len(calls.par) {
-			t.Errorf("accepted submission: serial asked for %v, parallel for %v",
-				leavesOf(calls.serial), leavesOf(calls.par))
-		}
+			counting.opens, counting.proofs}
 	}
 	last := result.NumCheckpoints - 1
-	if parCalls.opens[0]+parCalls.opens[last]+serialCalls.opens[0]+serialCalls.opens[last] != 0 {
-		t.Error("a bound leaf was opened")
+	base := run(0)
+	if base.out.Accepted != accepted {
+		t.Fatalf("%s: accepted=%v, want %v (%s)", arm, base.out.Accepted, accepted, base.out.FailReason)
 	}
-	if tampered == serial.Accepted {
-		t.Fatalf("serial verdict accepted=%v for tampered=%v (%s)",
-			serial.Accepted, tampered, serial.FailReason)
+	if int64(base.out.ReexecSteps) != base.steps {
+		t.Errorf("%s: outcome steps %d diverge from counter %d", arm, base.out.ReexecSteps, base.steps)
 	}
-	if serial.Accepted != par.Accepted {
-		t.Fatalf("verdicts diverge: serial=%v parallel=%v (%s / %s)",
-			serial.Accepted, par.Accepted, serial.FailReason, par.FailReason)
-	}
-	if serial.ReexecSteps != par.ReexecSteps {
-		t.Errorf("ReexecSteps: serial=%d parallel=%d", serial.ReexecSteps, par.ReexecSteps)
-	}
-	if serialSteps != parSteps {
-		t.Errorf("rpol_reexec_steps_total: serial=%d parallel=%d", serialSteps, parSteps)
-	}
-	if int64(serial.ReexecSteps) != serialSteps {
-		t.Errorf("outcome steps %d diverge from counter %d", serial.ReexecSteps, serialSteps)
-	}
-	if serial.CommBytes != par.CommBytes || serial.CommitBytes != par.CommitBytes {
-		t.Errorf("bytes: serial=(%d,%d) parallel=(%d,%d)",
-			serial.CommBytes, serial.CommitBytes, par.CommBytes, par.CommitBytes)
-	}
-	if serialBytes != parBytes {
-		t.Errorf("rpol_verify_comm_bytes_total: serial=%d parallel=%d", serialBytes, parBytes)
-	}
-	if serial.LSHMisses != par.LSHMisses || serial.DoubleChecks != par.DoubleChecks {
-		t.Errorf("lsh tallies: serial=(%d,%d) parallel=(%d,%d)",
-			serial.LSHMisses, serial.DoubleChecks, par.LSHMisses, par.DoubleChecks)
+	for _, workers := range []int{0, 1, 4} {
+		r := base
+		if workers != 0 {
+			r = run(workers)
+		}
+		for _, calls := range []map[int]int{r.opens, r.proofs} {
+			for idx, n := range calls {
+				if n != 1 {
+					t.Errorf("%s, workers=%d: leaf %d requested %d times", arm, workers, idx, n)
+				}
+			}
+		}
+		if r.opens[0]+r.opens[last] != 0 {
+			t.Errorf("%s, workers=%d: a bound leaf was opened", arm, workers)
+		}
+		if !reflect.DeepEqual(r.out, base.out) {
+			t.Errorf("%s, workers=%d: outcome %+v, workers=0 %+v", arm, workers, r.out, base.out)
+		}
+		if r.steps != base.steps || r.bytes != base.bytes {
+			t.Errorf("%s, workers=%d: counters (steps %d, bytes %d), workers=0 (%d, %d)",
+				arm, workers, r.steps, r.bytes, base.steps, base.bytes)
+		}
+		if !maps.Equal(r.opens, base.opens) || !maps.Equal(r.proofs, base.proofs) {
+			t.Errorf("%s, workers=%d: opened %v, proved %v; workers=0 opened %v, proved %v", arm, workers,
+				leavesOf(r.opens), leavesOf(r.proofs), leavesOf(base.opens), leavesOf(base.proofs))
+		}
 	}
 }
 

@@ -91,10 +91,12 @@ func TestRunEpochAllocatesOneVectorPerCheckpoint(t *testing.T) {
 	}
 }
 
-// TestParallelVerifierSlotReuse runs consecutive submissions with different
-// sample counts through one parallel verifier, whose slots persist, and
-// through a fresh verifier per submission: verdicts and tallies must agree,
-// before and after the verifier's network is swapped.
+// TestParallelVerifierSlotReuse runs consecutive submissions, honest and
+// tampered, with different sample counts through one verifier and through a
+// fresh verifier per submission, each handed a device of the same seed: the
+// outcomes must be equal, and the reused verifier must replay every
+// submission on the one trainer (and runtime) it keeps — until its network is
+// swapped, when it must rebuild them on the new one.
 func TestParallelVerifierSlotReuse(t *testing.T) {
 	netW, ds := testTask(t, 10)
 	worker, err := NewHonestWorker("w1", gpu.GA10, 101, netW, ds)
@@ -117,11 +119,7 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 	forged, tampered := tamperedSubmission(t, worker, honest, p, fam, 2)
 
 	newVerifier := func(net *nn.Network) *Verifier {
-		device, err := gpu.NewDevice(gpu.G3090, 999)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Verifier{Scheme: SchemeV2, Net: net, Device: device, Beta: calOut.Beta, LSH: fam, Workers: 2}
+		return &Verifier{Scheme: SchemeV2, Net: net, Beta: calOut.Beta, LSH: fam, Workers: 2}
 	}
 	netV, _ := testTask(t, 10)
 	reused := newVerifier(netV)
@@ -137,15 +135,18 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 		{samples: 3, opener: worker, result: honest, accepted: true},
 		{samples: 4, opener: worker, result: honest, accepted: true, swapNet: true},
 	}
-	maxSlots := 0
+	var trainer *Trainer
+	var runtime *nn.BatchTrainer
 	for i, s := range submissions {
 		if s.swapNet {
 			reused.Net, _ = testTask(t, 10)
-			maxSlots = 0
 		}
 		fresh := newVerifier(reused.Net)
 		for _, v := range []*Verifier{reused, fresh} {
 			v.Samples, v.Sampler = s.samples, tensor.NewRNG(int64(42+i))
+			if v.Device, err = gpu.NewDevice(gpu.G3090, 999); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, err := reused.VerifySubmission(s.opener, ds, s.result, p)
 		if err != nil {
@@ -159,12 +160,16 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 			t.Errorf("submission %d: accepted = %v (%s), want %v", i, got.Accepted, got.FailReason, s.accepted)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("submission %d: reused slots %+v, fresh verifier %+v", i, got, want)
+			t.Errorf("submission %d: reused verifier %+v, fresh verifier %+v", i, got, want)
 		}
-		maxSlots = max(maxSlots, s.samples)
-		if len(reused.slots) != maxSlots || reused.slotsNet != reused.Net {
-			t.Errorf("submission %d: %d slots for net %p, want %d for the verifier's net %p",
-				i, len(reused.slots), reused.slotsNet, maxSlots, reused.Net)
+		switch rt := reused.trainer; {
+		case rt == nil || rt.Net != reused.Net || rt.bt == nil:
+			t.Errorf("submission %d: replay trainer %+v is not a built runtime on the verifier's net", i, rt)
+		case s.swapNet && (rt == trainer || rt.bt == runtime):
+			t.Errorf("submission %d: the trainer for the old net replayed on the new one", i)
+		case !s.swapNet && trainer != nil && (rt != trainer || rt.bt != runtime):
+			t.Errorf("submission %d: the verifier rebuilt its replay trainer or runtime", i)
 		}
+		trainer, runtime = reused.trainer, reused.trainer.bt
 	}
 }

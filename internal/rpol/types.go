@@ -269,8 +269,7 @@ type VerifyOutcome struct {
 	// Comm tallies verification-only traffic in bytes, for Table III: the
 	// commitment material (CommitBytes) plus every validated opening the
 	// verifier pulled, each leaf once, counted at its first use by the
-	// intervals up to the failing one — the same bytes from the serial and
-	// the parallel loop for the same verdict.
+	// intervals up to the failing one.
 	CommBytes int64
 	// CommitBytes is the commitment share of CommBytes: the 32-byte root plus
 	// the pulled proofs (and their riding digests).

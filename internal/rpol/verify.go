@@ -11,7 +11,6 @@ import (
 	"rpol/internal/lsh"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
-	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
@@ -43,27 +42,18 @@ type Verifier struct {
 	// rewards for honesty; this switch exists for the ablation that
 	// quantifies exactly that.
 	DisableDoubleCheck bool
-	// Workers sizes the deterministic compute pool for verification. Replay
-	// runs the same kernels at every value (see Trainer.Workers): 0 replays
-	// the sampled intervals in turn on Net and Device; any n ≥ 1 replays
-	// them concurrently, each on a detached replica of Net and a forked
-	// Device. Outcomes merge in sampled order, so the verdict is
-	// deterministic for every n ≥ 1. Every pull stays on the calling
-	// goroutine at any value.
+	// Workers sizes the compute pool of the replay trainer's batch steps
+	// (see Trainer.Workers). The sampled intervals replay in turn, on Net
+	// and Device, at every value, so outcomes never depend on it.
 	Workers int
 	// Obs routes verification metrics and spans; nil falls back to the
 	// process default observer.
 	Obs *obs.Observer
 
-	// trainer replays every interval the serial loop verifies, for the
-	// verifier's lifetime: its runtime is built once, on the first step.
+	// trainer replays every sampled interval, for the verifier's lifetime
+	// (rebuilt when Net changes): its runtime is built once, on the first
+	// step.
 	trainer *Trainer
-	// slots[j] replays the j-th sampled interval of every submission the
-	// parallel loop verifies: a detached replica of slotsNet and the runtime
-	// built on it, kept for the verifier's lifetime like trainer. Slot j is
-	// only ever touched by chunk j.
-	slots    []*Trainer
-	slotsNet *nn.Network
 	// store holds the leaves of the submission under verification.
 	store leafStore
 }
@@ -198,13 +188,11 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 	return out, err
 }
 
-// verifyIntervals replays out.SampledCheckpoints against the store's
-// submission, in turn or — at Workers ≥ 1 — concurrently. It returns (false,
-// nil) with out.FailReason set on a rejection, an error on internal failures.
+// verifyIntervals replays out.SampledCheckpoints in sampled order against
+// the store's submission, stopping at the first failing interval. It returns
+// (false, nil) with out.FailReason set on a rejection, an error on internal
+// failures.
 func (v *Verifier) verifyIntervals(st *leafStore, shard *dataset.Dataset, p TaskParams, out *VerifyOutcome, parent *obs.Span) (bool, error) {
-	if v.Workers >= 1 && len(out.SampledCheckpoints) > 1 {
-		return v.verifyIntervalsParallel(st, shard, p, out, parent)
-	}
 	if v.trainer == nil || v.trainer.Net != v.Net {
 		v.trainer = &Trainer{Net: v.Net}
 	}
@@ -218,7 +206,7 @@ func (v *Verifier) verifyIntervals(st *leafStore, shard *dataset.Dataset, p Task
 			out.FailReason = err.Error()
 			return false, nil
 		}
-		r, err := v.replay(v.trainer, input, p, c, parent)
+		r, err := v.replay(input, p, c, parent)
 		if err != nil {
 			return false, err
 		}
@@ -226,80 +214,6 @@ func (v *Verifier) verifyIntervals(st *leafStore, shard *dataset.Dataset, p Task
 		if ok, err := v.compare(st, c, r, out, parent); !ok || err != nil {
 			return false, err
 		}
-	}
-	return true, nil
-}
-
-// verifyIntervalsParallel re-executes every sampled interval concurrently.
-// Every pull stays on the calling goroutine, so the leaf store needs no lock
-// and an opener never sees two requests at once: inputs are fetched before
-// the fan-out (stopping at the first the worker cannot open — the serial loop
-// would not have asked further), replays run on the pool, and outputs,
-// digests and double-checks are fetched in the ordered merge. The merge walks
-// the intervals in sampled order up to and including the first failing one
-// and charges each leaf at its first use there — the prefix the serial path
-// accounts — so verdict and tallies (bytes, ReexecSteps, the global
-// rpol_reexec_steps_total counter) are the serial path's at any worker count;
-// replays and prefetched inputs past the first failure leave no trace.
-//
-// Each interval runs on its slot's detached clone of the verifier's network
-// (a replay overwrites every trainable weight, so a slot carries nothing
-// over) and a fresh fork of its device: per-interval noise streams, a pure
-// function of the manager's run seed and the interval index, instead of the
-// serial path's one sequential stream — both calibrated hardware noise,
-// orders of magnitude below β.
-func (v *Verifier) verifyIntervalsParallel(st *leafStore, shard *dataset.Dataset, p TaskParams, out *VerifyOutcome, parent *obs.Span) (bool, error) {
-	sampled := out.SampledCheckpoints
-	inputs := make([]tensor.Vector, 0, len(sampled))
-	var inputErr error
-	for _, c := range sampled {
-		var input tensor.Vector
-		if input, inputErr = st.fetchWeights(c); inputErr != nil {
-			break
-		}
-		inputs = append(inputs, input)
-	}
-	if v.slotsNet != v.Net {
-		v.slots, v.slotsNet = nil, v.Net
-	}
-	for len(v.slots) < len(inputs) {
-		net, err := v.Net.Replicate(false)
-		if err != nil {
-			return false, fmt.Errorf("rpol verify replica: %w", err)
-		}
-		// Workers: 1 keeps a conv stack on the runtime workers at n ≥ 1
-		// trained with, without nesting goroutines under the interval pool.
-		v.slots = append(v.slots, &Trainer{Net: net, Workers: 1})
-	}
-	replays := make([]replayed, len(inputs))
-	errs := make([]error, len(inputs))
-	parallel.New(v.Workers).ForChunks(len(inputs), 1, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			// A private tally: the merge credits the accounted prefix.
-			var tally obs.Counter
-			trainer := v.slots[j]
-			trainer.Shard, trainer.Device, trainer.Steps = shard, nil, &tally
-			if v.Device != nil {
-				trainer.Device = v.Device.Fork(int64(sampled[j]))
-			}
-			replays[j], errs[j] = v.replay(trainer, inputs[j], p, sampled[j], parent)
-		}
-	})
-	steps := v.observer().Counter("rpol_reexec_steps_total")
-	for j, r := range replays {
-		if errs[j] != nil {
-			return false, errs[j]
-		}
-		st.charge(sampled[j], true)
-		steps.Add(int64(r.steps))
-		out.ReexecSteps += r.steps
-		if ok, err := v.compare(st, sampled[j], r, out, parent); !ok || err != nil {
-			return false, err
-		}
-	}
-	if inputErr != nil {
-		out.FailReason = inputErr.Error()
-		return false, nil
 	}
 	return true, nil
 }
@@ -312,15 +226,14 @@ type replayed struct {
 }
 
 // replay re-executes the sampled interval c → c+1 from its authenticated
-// input on the manager's hardware. It touches no committed material, so the
-// parallel path runs it off the calling goroutine.
-func (v *Verifier) replay(trainer *Trainer, input tensor.Vector, p TaskParams, c int, parent *obs.Span) (replayed, error) {
+// input on the verifier's trainer, on the manager's hardware.
+func (v *Verifier) replay(input tensor.Vector, p TaskParams, c int, parent *obs.Span) (replayed, error) {
 	startStep := c * p.CheckpointEvery
 	r := replayed{steps: min(p.CheckpointEvery, p.Steps-startStep)}
 	span := v.observer().Start(parent, "verify.reproduce",
 		obs.Int("checkpoint", int64(c)), obs.Int("steps", int64(r.steps)))
 	var err error
-	r.weights, err = trainer.ExecuteInterval(input, startStep, r.steps, p.Hyper, p.Nonce)
+	r.weights, err = v.trainer.ExecuteInterval(input, startStep, r.steps, p.Hyper, p.Nonce)
 	span.End()
 	if err != nil {
 		return r, fmt.Errorf("rpol verify re-execution: %w", err)

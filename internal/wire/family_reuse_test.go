@@ -47,13 +47,9 @@ func TestWorkerServerRefillsItsFamily(t *testing.T) {
 	net, _ := wireTask(t, 1)
 	p := wireParams(net.ParamVector())
 	probe := &familyProbe{x: tensor.NewRNG(5).NormalVector(len(p.Global), 0, 1)}
-	bus := netsim.NewBus()
-	defer bus.Close()
-	manager, err := bus.Register("manager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := NewWorkerServer(bus, probe)
+	hub := testHub(t)
+	manager := dialTest(t, hub, "manager")
+	server, err := NewWorkerServer(dialTest(t, hub, probe.ID()), probe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"rpol/internal/commitment"
 	"rpol/internal/gpu"
 	"rpol/internal/lsh"
-	"rpol/internal/netsim"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
 )
@@ -168,13 +167,13 @@ func TestProofMessagesRoundTrip(t *testing.T) {
 }
 
 // TestMerkleOverBusEndToEnd drives the full proof-pull protocol over the
-// metered bus: the worker trains, submits only the root, and the manager's
+// metered hub: the worker trains, submits only the root, and the manager's
 // verifier pulls inclusion proofs through the RemoteWorker proxy.
 func TestMerkleOverBusEndToEnd(t *testing.T) {
-	bus := netsim.NewBus()
+	hub := testHub(t)
 	var wg sync.WaitGroup
 	defer func() {
-		bus.Close()
+		hub.Close()
 		wg.Wait()
 	}()
 
@@ -183,12 +182,8 @@ func TestMerkleOverBusEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	startServedWorker(t, bus, &wg, local)
-	port, err := NewManagerPort(bus, "manager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := NewRemoteWorker("w-merkle", gpu.GA10, port)
+	startServedWorker(t, hub, &wg, local)
+	remote, err := NewRemoteWorker("w-merkle", gpu.GA10, testPort(t, hub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +216,9 @@ func TestMerkleOverBusEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !out.Accepted {
-		t.Fatalf("merkle submission rejected over the bus: %s", out.FailReason)
+		t.Fatalf("merkle submission rejected over the hub: %s", out.FailReason)
 	}
-	if byKind := bus.Meter().ByKind(); byKind[KindProofRequest] == 0 || byKind[KindProofResponse] == 0 {
+	if byKind := hub.Meter().ByKind(); byKind[KindProofRequest] == 0 || byKind[KindProofResponse] == 0 {
 		t.Errorf("no proof-pull traffic metered: %v", byKind)
 	}
 }

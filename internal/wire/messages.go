@@ -1,11 +1,11 @@
-// Package wire runs the RPoL protocol over a message fabric: it defines the
-// wire encoding of every protocol message (task assignment, epoch result,
-// checkpoint opening, proof pull) and provides the two halves of a remote
-// worker — a WorkerServer that hosts a worker behind a netsim endpoint, and a
-// RemoteWorker proxy that satisfies rpol.Worker on the manager's side by
-// exchanging messages. With these, the exact same rpol.Manager that drives
-// in-process workers drives workers living behind the (metered) network,
-// and every byte the protocol moves is accounted by the bus meter.
+// Package wire runs the RPoL protocol over the netsim TCP hub: it defines
+// the wire encoding of every protocol message (task assignment, epoch
+// result, checkpoint opening, proof pull) and provides the two halves of a
+// remote worker — a WorkerServer that hosts a worker behind a hub endpoint,
+// and a RemoteWorker proxy that satisfies rpol.Worker on the manager's side
+// by exchanging messages. With these, the exact same rpol.Manager that
+// drives in-process workers drives workers living behind the (metered)
+// network, and every byte the protocol moves is accounted by the hub meter.
 package wire
 
 import (
@@ -15,7 +15,7 @@ import (
 	"rpol/internal/rpol"
 )
 
-// Message kinds on the bus.
+// Message kinds on the hub.
 const (
 	KindTask          = "task"
 	KindResult        = "result"

@@ -54,82 +54,44 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	return p
 }
 
-// ManagerPort is the manager's single bus endpoint, shared by all of its
+// ManagerPort is the manager's single hub endpoint, shared by all of its
 // RemoteWorker proxies. The manager drives the protocol sequentially (one
 // outstanding request at a time), so a simple matched request/response
 // exchange suffices; an unexpected interleaved message is a protocol error.
 //
 // Without a RetryPolicy the port blocks forever on each reply (the historical
-// behaviour, appropriate for a reliable in-process fabric). With one, every
-// request carries a fresh correlation Seq, replies are awaited against a
+// behaviour, appropriate for a reliable fabric). With one, every request
+// carries a fresh correlation Seq, replies are awaited against a
 // logical-clock deadline, and stale replies to abandoned attempts are
 // discarded instead of corrupting the next exchange.
 type ManagerPort struct {
-	ep     Transport
+	ep     *netsim.TCPEndpoint
 	obs    *obs.Observer
 	policy *RetryPolicy
 	seq    atomic.Uint64
 
-	// encBuf is the reused message-encode buffer, handed out by encScratch
-	// only when the transport is a SerializingSender (reuse true): the bus
-	// endpoint enqueues payloads by reference, so reusing a buffer there
-	// would rewrite messages underneath the receiver. The manager drives the
+	// encBuf is the reused message-encode buffer: the endpoint writes each
+	// frame to its socket before Send returns, and the manager drives the
 	// protocol sequentially, so one buffer serves all RemoteWorker proxies.
 	encBuf []byte
-	reuse  bool
 }
 
-// NewManagerPort registers the manager's endpoint on the in-memory bus.
-func NewManagerPort(bus *netsim.Bus, name string) (*ManagerPort, error) {
-	ep, err := bus.Register(name)
-	if err != nil {
-		return nil, fmt.Errorf("wire manager: %w", err)
+// NewManagerPort wraps the manager's endpoint, already dialed into a hub.
+func NewManagerPort(ep *netsim.TCPEndpoint) (*ManagerPort, error) {
+	if ep == nil {
+		return nil, errors.New("wire: nil endpoint")
 	}
-	return newManagerPort(ep), nil
-}
-
-// NewManagerPortOver wraps an already-connected transport (e.g. a
-// netsim.TCPEndpoint dialed into a hub).
-func NewManagerPortOver(t Transport) (*ManagerPort, error) {
-	if t == nil {
-		return nil, errors.New("wire: nil transport")
-	}
-	return newManagerPort(t), nil
-}
-
-func newManagerPort(t Transport) *ManagerPort {
-	_, reuse := t.(SerializingSender)
-	return &ManagerPort{ep: t, reuse: reuse}
-}
-
-// encScratch returns the port's reusable encode buffer (length zero), or nil
-// when the transport retains payload references and every message needs its
-// own allocation.
-func (mp *ManagerPort) encScratch() []byte {
-	if mp.reuse {
-		return mp.encBuf[:0]
-	}
-	return nil
-}
-
-// keepScratch retains a buffer produced from encScratch (possibly grown) for
-// the next message.
-func (mp *ManagerPort) keepScratch(buf []byte) {
-	if mp.reuse {
-		mp.encBuf = buf
-	}
+	return &ManagerPort{ep: ep}, nil
 }
 
 // SetObserver routes the port's request/response accounting through o. The
 // counters are wire_manager_messages_sent_total / _recv_total and
 // wire_manager_bytes_sent_total / _recv_total; payload sizes use the same
-// netsim.Message framing model the fabric meters use.
+// netsim.Message framing model the hub's meter uses.
 func (mp *ManagerPort) SetObserver(o *obs.Observer) { mp.obs = o }
 
 // SetRetryPolicy enables deadline-bounded delivery with bounded retries. A
-// nil policy restores the historical block-forever behaviour. The policy
-// requires a PollingTransport endpoint (both fabrics provide one); on any
-// other transport it is ignored.
+// nil policy restores the historical block-forever behaviour.
 func (mp *ManagerPort) SetRetryPolicy(p *RetryPolicy) {
 	if p == nil {
 		mp.policy = nil
@@ -142,9 +104,7 @@ func (mp *ManagerPort) SetRetryPolicy(p *RetryPolicy) {
 // call sends a request to the peer and waits for its reply of wantKind.
 func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) ([]byte, error) {
 	if mp.policy != nil {
-		if pt, ok := mp.ep.(PollingTransport); ok {
-			return mp.callRetry(pt, to, kind, payload, wantKind)
-		}
+		return mp.callRetry(to, kind, payload, wantKind)
 	}
 	if err := mp.ep.Send(to, kind, payload); err != nil {
 		return nil, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
@@ -174,7 +134,7 @@ func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) ([
 // with backoff. Replies whose From or Seq don't match are stale responses to
 // attempts this port already abandoned (the port runs one outstanding request
 // at a time) and are discarded.
-func (mp *ManagerPort) callRetry(pt PollingTransport, to, kind string, payload []byte, wantKind string) ([]byte, error) {
+func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind string) ([]byte, error) {
 	pol := *mp.policy
 	seq := mp.seq.Add(1)
 	timeout := pol.Timeout
@@ -182,16 +142,16 @@ func (mp *ManagerPort) callRetry(pt PollingTransport, to, kind string, payload [
 		if attempt > 0 {
 			mp.obs.Counter("net_retries_total").Inc()
 		}
-		if err := sendSeq(mp.ep, to, kind, seq, payload); err != nil {
+		if err := mp.ep.SendSeq(to, kind, seq, payload); err != nil {
 			return nil, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 		}
 		mp.obs.Counter("wire_manager_messages_sent_total").Inc()
 		mp.obs.Counter("wire_manager_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
 		deadline := pol.Clock.Now() + timeout.Nanoseconds()
 		for pol.Clock.Now() < deadline {
-			msg, ok := pt.TryRecv()
+			msg, ok := mp.ep.TryRecv()
 			if !ok {
-				// Yield so fabric goroutines (e.g. the TCP pump) can make
+				// Yield so the endpoint's pump goroutine can make
 				// progress; on the self-advancing SimClock every poll also
 				// consumes a tick of the deadline, so the loop is bounded.
 				runtime.Gosched()
@@ -218,7 +178,7 @@ func (mp *ManagerPort) callRetry(pt PollingTransport, to, kind string, payload [
 }
 
 // RemoteWorker satisfies rpol.Worker by proxying every interaction over the
-// bus to a WorkerServer. The manager plugs RemoteWorkers into rpol.Manager
+// hub to a WorkerServer. The manager plugs RemoteWorkers into rpol.Manager
 // unchanged.
 type RemoteWorker struct {
 	id      string
@@ -248,11 +208,11 @@ func (r *RemoteWorker) GPUProfile() gpu.Profile { return r.profile }
 
 // RunEpoch ships the task assignment and waits for the submission.
 func (r *RemoteWorker) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
-	payload, err := AppendTask(r.port.encScratch(), p)
+	payload, err := AppendTask(r.port.encBuf[:0], p)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
-	r.port.keepScratch(payload)
+	r.port.encBuf = payload
 	reply, err := r.port.call(r.id, KindTask, payload, KindResult)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
@@ -269,8 +229,8 @@ func (r *RemoteWorker) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 
 // OpenCheckpoint requests one raw snapshot during verification.
 func (r *RemoteWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	payload := AppendOpenRequest(r.port.encScratch(), idx)
-	r.port.keepScratch(payload)
+	payload := AppendOpenRequest(r.port.encBuf[:0], idx)
+	r.port.encBuf = payload
 	reply, err := r.port.call(r.id, KindOpenRequest, payload, KindOpenResponse)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
@@ -292,8 +252,8 @@ func (r *RemoteWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
 // OpenProof pulls one Merkle inclusion proof during verification of a
 // root-committed submission.
 func (r *RemoteWorker) OpenProof(idx int) (rpol.LeafProof, error) {
-	payload := AppendProofRequest(r.port.encScratch(), idx)
-	r.port.keepScratch(payload)
+	payload := AppendProofRequest(r.port.encBuf[:0], idx)
+	r.port.encBuf = payload
 	reply, err := r.port.call(r.id, KindProofRequest, payload, KindProofResponse)
 	if err != nil {
 		return rpol.LeafProof{}, fmt.Errorf("wire remote %s: %w", r.id, err)

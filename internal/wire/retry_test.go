@@ -10,25 +10,44 @@ import (
 	"rpol/internal/rpol"
 )
 
-func retryPort(t *testing.T, bus *netsim.Bus, pol RetryPolicy) (*ManagerPort, *obs.Observer) {
+// The deadlines below are logical: every poll of a retrying call reads the
+// SimClock once, one microsecond a reading. They are sized for a hub round
+// trip on one OS thread, where the endpoint pump runs only when the runtime
+// next polls the network.
+
+func retryPort(t *testing.T, hub *netsim.TCPHub, pol RetryPolicy) (*ManagerPort, *obs.Observer) {
 	t.Helper()
-	mp, err := NewManagerPort(bus, "manager")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mp := testPort(t, hub)
 	observer := obs.NewObserver(obs.NewRegistry(), nil)
 	mp.SetObserver(observer)
 	mp.SetRetryPolicy(&pol)
 	return mp, observer
 }
 
+// echoServer answers every request the endpoint receives with reply(payload),
+// echoing its Seq, until the connection closes; the returned channel closes
+// when it stops.
+func echoServer(ep *netsim.TCPEndpoint, reply func([]byte) []byte) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			msg, err := ep.Recv()
+			if err != nil {
+				return
+			}
+			if err := ep.SendSeq(msg.From, KindResult, msg.Seq, reply(msg.Payload)); err != nil {
+				return
+			}
+		}
+	}()
+	return done
+}
+
 func TestCallRetryTimesOutAsUnavailable(t *testing.T) {
-	bus := netsim.NewBus()
-	defer bus.Close()
-	mp, observer := retryPort(t, bus, RetryPolicy{Attempts: 2, Timeout: time.Millisecond})
-	if _, err := bus.Register("worker-1"); err != nil { // registered but silent
-		t.Fatal(err)
-	}
+	hub := testHub(t)
+	mp, observer := retryPort(t, hub, RetryPolicy{Attempts: 2, Timeout: time.Millisecond})
+	_ = dialTest(t, hub, "worker-1") // registered but silent
 
 	_, err := mp.call("worker-1", KindTask, []byte("x"), KindResult)
 	if !errors.Is(err, rpol.ErrWorkerUnavailable) {
@@ -43,13 +62,9 @@ func TestCallRetryTimesOutAsUnavailable(t *testing.T) {
 }
 
 func TestCallRetryDiscardsStaleReplies(t *testing.T) {
-	bus := netsim.NewBus()
-	defer bus.Close()
-	mp, _ := retryPort(t, bus, RetryPolicy{Attempts: 3, Timeout: 5 * time.Millisecond})
-	wep, err := bus.Register("worker-1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := testHub(t)
+	mp, _ := retryPort(t, hub, RetryPolicy{Attempts: 3, Timeout: 100 * time.Millisecond})
+	wep := dialTest(t, hub, "worker-1")
 
 	// First exchange: the worker never answers, so the call exhausts its
 	// attempts and abandons seq 1 (three copies of it sit in the inbox).
@@ -59,19 +74,7 @@ func TestCallRetryDiscardsStaleReplies(t *testing.T) {
 
 	// The worker now wakes up: it first answers every stale request it finds,
 	// then serves fresh ones as they arrive.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			msg, err := wep.Recv()
-			if err != nil {
-				return
-			}
-			if err := wep.SendSeq("manager", KindResult, msg.Seq, []byte("reply-"+string(msg.Payload))); err != nil {
-				return
-			}
-		}
-	}()
+	done := echoServer(wep, func(p []byte) []byte { return []byte("reply-" + string(p)) })
 
 	// Second exchange: the manager must skip the three stale seq-1 replies
 	// and accept only the seq-2 reply carrying payload "b".
@@ -82,37 +85,20 @@ func TestCallRetryDiscardsStaleReplies(t *testing.T) {
 	if string(got) != "reply-b" {
 		t.Fatalf("payload = %q, want %q (stale reply accepted?)", got, "reply-b")
 	}
-	bus.Close()
+	hub.Close()
 	<-done
 }
 
 func TestCallRetryRecoversFromDrops(t *testing.T) {
 	// Deterministically drop manager→worker traffic often; with enough
 	// attempts the exchange still completes and records the retries.
-	bus := netsim.NewBus()
-	defer bus.Close()
+	hub := testHub(t)
 	// Both directions drop, so one attempt succeeds with probability ~0.25;
 	// the generous attempt budget keeps the (fixed, seed-determined)
 	// schedule comfortably inside it.
-	bus.InjectFaults(netsim.NewFaultPlan(11, netsim.FaultConfig{DropRate: 0.5}), obs.NewSimClock(0))
-	mp, observer := retryPort(t, bus, RetryPolicy{Attempts: 25, Timeout: 2 * time.Millisecond})
-	wep, err := bus.Register("worker-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			msg, err := wep.Recv()
-			if err != nil {
-				return
-			}
-			if err := wep.SendSeq("manager", KindResult, msg.Seq, msg.Payload); err != nil {
-				return
-			}
-		}
-	}()
+	hub.InjectFaults(netsim.NewFaultPlan(11, netsim.FaultConfig{DropRate: 0.5}), obs.NewSimClock(0))
+	mp, observer := retryPort(t, hub, RetryPolicy{Attempts: 25, Timeout: 2 * time.Millisecond})
+	done := echoServer(dialTest(t, hub, "worker-1"), func(p []byte) []byte { return p })
 
 	for i := 0; i < 20; i++ {
 		got, err := mp.call("worker-1", KindTask, []byte{byte(i)}, KindResult)
@@ -123,28 +109,21 @@ func TestCallRetryRecoversFromDrops(t *testing.T) {
 			t.Fatalf("call %d: payload %v", i, got)
 		}
 	}
-	drops, _ := bus.Meter().Injected()
+	drops, _ := hub.Meter().Injected()
 	if drops == 0 {
 		t.Fatal("fault plan injected no drops at 50% rate")
 	}
 	if observer.Counter("net_retries_total").Value() == 0 {
 		t.Error("exchanges survived drops without recording any retries")
 	}
-	bus.Close()
+	hub.Close()
 	<-done
 }
 
 func TestWorkerServerEchoesSeq(t *testing.T) {
-	bus := netsim.NewBus()
-	defer bus.Close()
-	mep, err := bus.Register("manager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wep, err := bus.Register("worker-1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := testHub(t)
+	mep := dialTest(t, hub, "manager")
+	wep := dialTest(t, hub, "worker-1")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

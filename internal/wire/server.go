@@ -12,73 +12,35 @@ import (
 	"rpol/internal/rpol"
 )
 
-// WorkerServer hosts an rpol.Worker behind a bus endpoint: it receives task
+// WorkerServer hosts an rpol.Worker behind a hub endpoint: it receives task
 // assignments and checkpoint-opening requests and answers them. Run it in
-// its own goroutine; it returns when the bus closes. The LSH family in the
-// TaskParams it hands the worker is the server's own, refilled by the next
-// task's decode: a worker uses it during RunEpoch and does not keep it.
+// its own goroutine; it returns when the connection closes. The LSH family in
+// the TaskParams it hands the worker is the server's own, refilled by the
+// next task's decode: a worker uses it during RunEpoch and does not keep it.
 type WorkerServer struct {
 	worker rpol.Worker
-	ep     Transport
+	ep     *netsim.TCPEndpoint
 	obs    *obs.Observer
 
-	// encBuf is the reused reply-encode buffer, live only when the transport
-	// is a SerializingSender (reuse true); see ManagerPort.encBuf. Run
+	// encBuf is the reused reply-encode buffer; see ManagerPort.encBuf. Run
 	// handles requests sequentially, so one buffer suffices.
 	encBuf []byte
-	reuse  bool
 
 	// fam is the LSH family of the last v2 task decoded; the next one's
 	// decode refills its K·L projection vectors instead of allocating them.
 	fam *lsh.Family
 }
 
-// NewWorkerServer registers the worker's endpoint on the in-memory bus
-// under the worker's ID.
-func NewWorkerServer(bus *netsim.Bus, worker rpol.Worker) (*WorkerServer, error) {
+// NewWorkerServer hosts the worker behind its endpoint, already dialed into
+// a hub under the worker's ID.
+func NewWorkerServer(ep *netsim.TCPEndpoint, worker rpol.Worker) (*WorkerServer, error) {
 	if worker == nil {
 		return nil, errors.New("wire: nil worker")
 	}
-	ep, err := bus.Register(worker.ID())
-	if err != nil {
-		return nil, fmt.Errorf("wire server: %w", err)
+	if ep == nil {
+		return nil, errors.New("wire: nil endpoint")
 	}
-	return newWorkerServer(ep, worker), nil
-}
-
-// NewWorkerServerOver hosts the worker behind an already-connected
-// transport (e.g. a netsim.TCPEndpoint dialed into a hub under the worker's
-// ID).
-func NewWorkerServerOver(t Transport, worker rpol.Worker) (*WorkerServer, error) {
-	if worker == nil {
-		return nil, errors.New("wire: nil worker")
-	}
-	if t == nil {
-		return nil, errors.New("wire: nil transport")
-	}
-	return newWorkerServer(t, worker), nil
-}
-
-func newWorkerServer(t Transport, worker rpol.Worker) *WorkerServer {
-	_, reuse := t.(SerializingSender)
-	return &WorkerServer{worker: worker, ep: t, reuse: reuse}
-}
-
-// encScratch returns the server's reusable encode buffer (length zero), or
-// nil when the transport retains payload references.
-func (s *WorkerServer) encScratch() []byte {
-	if s.reuse {
-		return s.encBuf[:0]
-	}
-	return nil
-}
-
-// keepScratch retains a buffer produced from encScratch (possibly grown) for
-// the next reply.
-func (s *WorkerServer) keepScratch(buf []byte) {
-	if s.reuse {
-		s.encBuf = buf
-	}
+	return &WorkerServer{worker: worker, ep: ep}, nil
 }
 
 // SetObserver routes the server's request/response accounting through o
@@ -89,7 +51,7 @@ func (s *WorkerServer) SetObserver(o *obs.Observer) { s.obs = o }
 // correlation number so a retrying manager can match the reply to the
 // attempt it belongs to (zero for uncorrelated requests).
 func (s *WorkerServer) send(to, kind string, seq uint64, payload []byte) error {
-	err := sendSeq(s.ep, to, kind, seq, payload)
+	err := s.ep.SendSeq(to, kind, seq, payload)
 	if err == nil {
 		s.obs.Counter("wire_worker_messages_sent_total").Inc()
 		s.obs.Counter("wire_worker_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
@@ -97,16 +59,16 @@ func (s *WorkerServer) send(to, kind string, seq uint64, payload []byte) error {
 	return err
 }
 
-// Run serves requests until the bus closes. Malformed requests are answered
+// Run serves requests until the connection closes. Malformed requests are answered
 // with error messages rather than terminating the loop — a misbehaving
 // manager must not be able to wedge a worker.
 func (s *WorkerServer) Run() error {
 	for {
 		msg, err := s.ep.Recv()
 		if err != nil {
-			// Fabric shutdown (bus closed, socket closed, EOF) ends the
-			// serving loop gracefully.
-			if errors.Is(err, netsim.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+			// Shutdown (the hub or this endpoint closed the socket) ends
+			// the serving loop gracefully.
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("wire server %s: %w", s.worker.ID(), err)
@@ -134,11 +96,11 @@ func (s *WorkerServer) handle(msg netsim.Message) error {
 		if err != nil {
 			return fmt.Errorf("run epoch: %w", err)
 		}
-		payload, err := AppendResult(s.encScratch(), result)
+		payload, err := AppendResult(s.encBuf[:0], result)
 		if err != nil {
 			return err
 		}
-		s.keepScratch(payload)
+		s.encBuf = payload
 		return s.send(msg.From, KindResult, msg.Seq, payload)
 	case KindOpenRequest:
 		req, err := DecodeOpenRequest(msg.Payload)
@@ -150,8 +112,8 @@ func (s *WorkerServer) handle(msg netsim.Message) error {
 		if err != nil {
 			errMsg = err.Error()
 		}
-		payload := AppendOpenResponse(s.encScratch(), req.Idx, errMsg, weights)
-		s.keepScratch(payload)
+		payload := AppendOpenResponse(s.encBuf[:0], req.Idx, errMsg, weights)
+		s.encBuf = payload
 		return s.send(msg.From, KindOpenResponse, msg.Seq, payload)
 	case KindProofRequest:
 		req, err := DecodeProofRequest(msg.Payload)
@@ -163,8 +125,8 @@ func (s *WorkerServer) handle(msg netsim.Message) error {
 		if err != nil {
 			errMsg = err.Error()
 		}
-		payload := AppendProofResponse(s.encScratch(), req.Idx, errMsg, lp)
-		s.keepScratch(payload)
+		payload := AppendProofResponse(s.encBuf[:0], req.Idx, errMsg, lp)
+		s.encBuf = payload
 		return s.send(msg.From, KindProofResponse, msg.Seq, payload)
 	default:
 		return fmt.Errorf("unknown message kind %q", msg.Kind)

@@ -15,8 +15,8 @@ import (
 )
 
 // TestManagerOverTCPEndToEnd runs the full manager/worker protocol through
-// the real TCP hub: the same rpol.Manager, the same WorkerServer, just a
-// socket fabric instead of the in-memory bus.
+// the TCP hub: the same rpol.Manager an in-process pool runs, its workers
+// behind WorkerServers.
 //
 // Each case's fingerprint is every verdict's tallies and the global model
 // after two epochs; the second epoch re-enters the manager's long-lived
@@ -80,7 +80,7 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol stri
 		t.Fatal(err)
 	}
 	defer func() { _ = managerConn.Close() }()
-	port, err := NewManagerPortOver(managerConn)
+	port, err := NewManagerPort(managerConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol stri
 		if err != nil {
 			t.Fatal(err)
 		}
-		server, err := NewWorkerServerOver(conn, local)
+		server, err := NewWorkerServer(conn, local)
 		if err != nil {
 			t.Fatal(err)
 		}

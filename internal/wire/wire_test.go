@@ -146,10 +146,44 @@ func TestEncodeResultValidation(t *testing.T) {
 	}
 }
 
-// startServedWorker registers a worker server on the bus and runs it.
-func startServedWorker(t *testing.T, bus *netsim.Bus, wg *sync.WaitGroup, w rpol.Worker) {
+// testHub starts a loopback hub that is closed when the test ends.
+func testHub(t *testing.T) *netsim.TCPHub {
 	t.Helper()
-	server, err := NewWorkerServer(bus, w)
+	hub, err := netsim.NewTCPHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hub.Close)
+	return hub
+}
+
+// dialTest registers name on the hub; the endpoint is closed when the test
+// ends.
+func dialTest(t *testing.T, hub *netsim.TCPHub, name string) *netsim.TCPEndpoint {
+	t.Helper()
+	ep, err := netsim.DialHub(hub.Addr(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+	return ep
+}
+
+// testPort registers the manager's endpoint on the hub and wraps it.
+func testPort(t *testing.T, hub *netsim.TCPHub) *ManagerPort {
+	t.Helper()
+	port, err := NewManagerPort(dialTest(t, hub, "manager"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return port
+}
+
+// startServedWorker registers a worker server on the hub under the worker's
+// ID and runs it until the hub closes.
+func startServedWorker(t *testing.T, hub *netsim.TCPHub, wg *sync.WaitGroup, w rpol.Worker) {
+	t.Helper()
+	server, err := NewWorkerServer(dialTest(t, hub, w.ID()), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +196,18 @@ func startServedWorker(t *testing.T, bus *netsim.Bus, wg *sync.WaitGroup, w rpol
 	}()
 }
 
+// TestManagerOverBusEndToEnd runs a v2 epoch of three honest workers behind
+// the hub, each served by its own WorkerServer, and checks that the hub
+// metered the traffic of every protocol message kind in both directions.
 func TestManagerOverBusEndToEnd(t *testing.T) {
-	bus := netsim.NewBus()
+	hub := testHub(t)
 	var wg sync.WaitGroup
 	defer func() {
-		bus.Close()
+		hub.Close()
 		wg.Wait()
 	}()
 
-	// Three honest workers behind the bus.
+	// Three honest workers behind the hub.
 	const n = 3
 	shardsNet, fullDS := wireTask(t, 30)
 	_ = shardsNet
@@ -178,10 +215,7 @@ func TestManagerOverBusEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port, err := NewManagerPort(bus, "manager")
-	if err != nil {
-		t.Fatal(err)
-	}
+	port := testPort(t, hub)
 	workers := make([]rpol.Worker, 0, n)
 	shardMap := make(map[string]*dataset.Dataset, n)
 	for i := 0; i < n; i++ {
@@ -191,7 +225,7 @@ func TestManagerOverBusEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		startServedWorker(t, bus, &wg, local)
+		startServedWorker(t, hub, &wg, local)
 		remote, err := NewRemoteWorker(id, gpu.GA10, port)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +264,7 @@ func TestManagerOverBusEndToEnd(t *testing.T) {
 	}
 
 	// The meter must have recorded real traffic in both directions.
-	meter := bus.Meter()
+	meter := hub.Meter()
 	if meter.Total() == 0 {
 		t.Fatal("no bytes metered")
 	}
@@ -245,11 +279,13 @@ func TestManagerOverBusEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdversaryOverBusRejected: behind the hub, the replay attacker is
+// rejected and the honest worker beside it accepted.
 func TestAdversaryOverBusRejected(t *testing.T) {
-	bus := netsim.NewBus()
+	hub := testHub(t)
 	var wg sync.WaitGroup
 	defer func() {
-		bus.Close()
+		hub.Close()
 		wg.Wait()
 	}()
 
@@ -258,19 +294,16 @@ func TestAdversaryOverBusRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port, err := NewManagerPort(bus, "manager")
-	if err != nil {
-		t.Fatal(err)
-	}
+	port := testPort(t, hub)
 
 	honestNet, _ := wireTask(t, 31)
 	honest, err := rpol.NewHonestWorker("honest", gpu.GA10, 80, honestNet, shards[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	startServedWorker(t, bus, &wg, honest)
+	startServedWorker(t, hub, &wg, honest)
 	cheater := adversary.NewAdv1("cheater", gpu.GT4, shards[1].Len())
-	startServedWorker(t, bus, &wg, cheater)
+	startServedWorker(t, hub, &wg, cheater)
 
 	remoteHonest, err := NewRemoteWorker("honest", gpu.GA10, port)
 	if err != nil {
@@ -320,10 +353,10 @@ func TestAdversaryOverBusRejected(t *testing.T) {
 }
 
 func TestRemoteWorkerErrorPropagation(t *testing.T) {
-	bus := netsim.NewBus()
+	hub := testHub(t)
 	var wg sync.WaitGroup
 	defer func() {
-		bus.Close()
+		hub.Close()
 		wg.Wait()
 	}()
 	net, ds := wireTask(t, 32)
@@ -331,12 +364,8 @@ func TestRemoteWorkerErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	startServedWorker(t, bus, &wg, local)
-	port, err := NewManagerPort(bus, "manager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := NewRemoteWorker("w", gpu.GA10, port)
+	startServedWorker(t, hub, &wg, local)
+	remote, err := NewRemoteWorker("w", gpu.GA10, testPort(t, hub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,20 +382,27 @@ func TestRemoteWorkerErrorPropagation(t *testing.T) {
 }
 
 func TestRemoteWorkerValidation(t *testing.T) {
-	bus := netsim.NewBus()
-	defer bus.Close()
-	port, err := NewManagerPort(bus, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := testHub(t)
+	port := testPort(t, hub)
 	if _, err := NewRemoteWorker("", gpu.GA10, port); err == nil {
 		t.Error("want error for empty id")
 	}
 	if _, err := NewRemoteWorker("w", gpu.GA10, nil); err == nil {
 		t.Error("want error for nil port")
 	}
-	if _, err := NewWorkerServer(bus, nil); err == nil {
+	if _, err := NewWorkerServer(dialTest(t, hub, "w"), nil); err == nil {
 		t.Error("want error for nil worker")
+	}
+	net, ds := wireTask(t, 33)
+	local, err := rpol.NewHonestWorker("w2", gpu.GA10, 91, net, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWorkerServer(nil, local); err == nil {
+		t.Error("want error for nil endpoint")
+	}
+	if _, err := NewManagerPort(nil); err == nil {
+		t.Error("want error for nil manager endpoint")
 	}
 }
 
@@ -389,15 +425,15 @@ func TestNonceSurvivesWire(t *testing.T) {
 }
 
 func TestMeteredTrafficMatchesProtocolAccounting(t *testing.T) {
-	// The verifier's CommBytes counts raw proof payloads; the bus meters
+	// The verifier's CommBytes counts raw proof payloads; the hub meters
 	// the framed bytes actually moved. The metered open-response traffic
 	// must be the accounted openings — CommBytes less the commitment, which
 	// arrived with the result — inflated only by the framing: every opened
 	// checkpoint crossed the wire, and none the verifier did not account.
-	bus := netsim.NewBus()
+	hub := testHub(t)
 	var wg sync.WaitGroup
 	defer func() {
-		bus.Close()
+		hub.Close()
 		wg.Wait()
 	}()
 
@@ -406,12 +442,8 @@ func TestMeteredTrafficMatchesProtocolAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	startServedWorker(t, bus, &wg, local)
-	port, err := NewManagerPort(bus, "manager")
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := NewRemoteWorker("w", gpu.GA10, port)
+	startServedWorker(t, hub, &wg, local)
+	remote, err := NewRemoteWorker("w", gpu.GA10, testPort(t, hub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +470,12 @@ func TestMeteredTrafficMatchesProtocolAccounting(t *testing.T) {
 		t.Fatalf("rejected: %s", out.FailReason)
 	}
 
-	metered := bus.Meter().ByKind()[KindOpenResponse]
+	// One hub goroutine routes and meters the worker's replies in order, so
+	// once one more reply has arrived every open-response is in the meter.
+	if _, err := remote.OpenProof(0); err != nil {
+		t.Fatal(err)
+	}
+	metered := hub.Meter().ByKind()[KindOpenResponse]
 	opened := out.CommBytes - out.CommitBytes
 	if opened <= 0 {
 		t.Fatalf("no opening accounted: CommBytes %d, CommitBytes %d", out.CommBytes, out.CommitBytes)

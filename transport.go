@@ -12,9 +12,8 @@ import (
 
 // This file exposes the building blocks for custom and distributed
 // deployments: the protocol roles (manager, workers, verifiers), the data
-// substrate, and the two message fabrics (in-memory bus and TCP hub) with
-// the wire adapters that let the unmodified manager drive workers behind a
-// network.
+// substrate, and the TCP message hub with the wire adapters that let the
+// unmodified manager drive workers behind a network.
 
 // Protocol roles and data types.
 type (
@@ -47,30 +46,27 @@ type (
 	CheckpointStore = checkpoint.Store
 )
 
-// Message fabrics.
+// Message fabric.
 type (
-	// Bus is the in-memory metered message fabric.
-	Bus = netsim.Bus
-	// TCPHub is the sockets-backed fabric with the same semantics.
+	// TCPHub is the metered message hub the manager and workers join over
+	// TCP.
 	TCPHub = netsim.TCPHub
 	// TCPEndpoint is a client connection to a TCPHub.
 	TCPEndpoint = netsim.TCPEndpoint
-	// Transport is the endpoint surface shared by both fabrics.
-	Transport = wire.Transport
 	// ManagerPort is the manager's endpoint shared by its remote-worker
 	// proxies.
 	ManagerPort = wire.ManagerPort
 	// RemoteWorker proxies a worker living behind the fabric; it satisfies
 	// ProtocolWorker.
 	RemoteWorker = wire.RemoteWorker
-	// WorkerServer hosts a worker behind an endpoint.
+	// WorkerServer hosts a worker behind its hub endpoint.
 	WorkerServer = wire.WorkerServer
 )
 
 // Fault injection and tolerance.
 type (
 	// FaultPlan is a seeded, deterministic fault-injection schedule for the
-	// message fabrics: per-link drops, delays, and partitions plus
+	// message hub: per-link drops, delays, and partitions plus
 	// per-worker crash-restart windows, replayed bit-identically for the
 	// same seed.
 	FaultPlan = netsim.FaultPlan
@@ -118,26 +114,23 @@ func NewHonestWorker(id string, profile GPUProfile, runSeed int64, net *Network,
 	return rpol.NewHonestWorker(id, profile, runSeed, net, shard)
 }
 
-// NewBus returns an in-memory metered message fabric.
-func NewBus() *Bus { return netsim.NewBus() }
-
 // NewTCPHub starts a TCP message hub on addr (e.g. "127.0.0.1:0").
 func NewTCPHub(addr string) (*TCPHub, error) { return netsim.NewTCPHub(addr) }
 
 // DialHub connects to a TCP hub and registers under name.
 func DialHub(addr, name string) (*TCPEndpoint, error) { return netsim.DialHub(addr, name) }
 
-// NewManagerPort wraps a connected transport as the manager's port.
-func NewManagerPort(t Transport) (*ManagerPort, error) { return wire.NewManagerPortOver(t) }
+// NewManagerPort wraps the manager's connected hub endpoint as its port.
+func NewManagerPort(ep *TCPEndpoint) (*ManagerPort, error) { return wire.NewManagerPort(ep) }
 
 // NewRemoteWorker builds a proxy to the worker registered as id.
 func NewRemoteWorker(id string, profile GPUProfile, port *ManagerPort) (*RemoteWorker, error) {
 	return wire.NewRemoteWorker(id, profile, port)
 }
 
-// NewWorkerServer hosts a worker behind a connected transport.
-func NewWorkerServer(t Transport, worker ProtocolWorker) (*WorkerServer, error) {
-	return wire.NewWorkerServerOver(t, worker)
+// NewWorkerServer hosts a worker behind its connected hub endpoint.
+func NewWorkerServer(ep *TCPEndpoint, worker ProtocolWorker) (*WorkerServer, error) {
+	return wire.NewWorkerServer(ep, worker)
 }
 
 // GPUProfiles returns the paper's four simulated accelerator profiles in

@@ -8,7 +8,7 @@ import (
 )
 
 // TestDistributedDeploymentThroughFacade assembles a manager and remote
-// workers entirely through the public façade, over the in-memory fabric.
+// workers entirely through the public façade, over a loopback TCP hub.
 func TestDistributedDeploymentThroughFacade(t *testing.T) {
 	spec, err := rpolapi.Task("resnet18-cifar10")
 	if err != nil {
@@ -24,17 +24,21 @@ func TestDistributedDeploymentThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bus := rpolapi.NewBus()
-	var wg sync.WaitGroup
-	defer func() {
-		bus.Close()
-		wg.Wait()
-	}()
-
-	managerEP, err := bus.Register("manager")
+	hub, err := rpolapi.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	defer func() {
+		hub.Close()
+		wg.Wait()
+	}()
+
+	managerEP, err := rpolapi.DialHub(hub.Addr(), "manager")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = managerEP.Close() }()
 	port, err := rpolapi.NewManagerPort(managerEP)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +57,11 @@ func TestDistributedDeploymentThroughFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := bus.Register(id)
+		ep, err := rpolapi.DialHub(hub.Addr(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { _ = ep.Close() })
 		server, err := rpolapi.NewWorkerServer(ep, local)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +106,7 @@ func TestDistributedDeploymentThroughFacade(t *testing.T) {
 	if report.Accepted != n {
 		t.Fatalf("accepted %d of %d", report.Accepted, n)
 	}
-	if bus.Meter().Total() == 0 {
+	if hub.Meter().Total() == 0 {
 		t.Error("no traffic metered")
 	}
 }
