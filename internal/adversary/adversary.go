@@ -153,13 +153,6 @@ func (a *Adv1) OpenProof(idx int) (rpol.LeafProof, error) {
 	return openProofFrom(a.lastCommit, a.id, idx)
 }
 
-// FastForwardEpochs is a no-op: the replay attacker holds no stateful
-// hardware noise stream (it never trains). Implemented so crash recovery
-// can fast-forward every pool member uniformly.
-func (a *Adv1) FastForwardEpochs(epochs, stepsPerEpoch, checkpointEvery int) {}
-
-var _ rpol.EpochFastForwarder = (*Adv1)(nil)
-
 func minInt(a, b int) int {
 	if a < b {
 		return a
@@ -345,21 +338,6 @@ func (a *Adv2) OpenCheckpoint(idx int) (tensor.Vector, error) {
 func (a *Adv2) OpenProof(idx int) (rpol.LeafProof, error) {
 	return openProofFrom(a.lastCommit, a.id, idx)
 }
-
-// FastForwardEpochs advances the attacker's device noise stream past the
-// honest training it performed in epochs before a crash: Adv2 executes only
-// HonestSteps per epoch (the spoofed suffix draws no hardware noise).
-func (a *Adv2) FastForwardEpochs(epochs, stepsPerEpoch, checkpointEvery int) {
-	if epochs <= 0 || stepsPerEpoch <= 0 || checkpointEvery <= 0 {
-		return
-	}
-	p := rpol.TaskParams{Steps: stepsPerEpoch, CheckpointEvery: checkpointEvery}
-	for e := 0; e < epochs; e++ {
-		a.trainer.FastForward(a.HonestSteps(p))
-	}
-}
-
-var _ rpol.EpochFastForwarder = (*Adv2)(nil)
 
 // LastTrace exposes the attacker's trace for spoof-distance measurements
 // (Fig. 5).

@@ -16,6 +16,14 @@
 //     never reproduces exactly), and
 //     - white per-step noise.
 //
+// ε is a pure function of its coordinates, not a stream: the white noise of
+// one step of one parameter tensor is keyed by (run seed, task key, step,
+// tensor ordinal), the device bias by (profile, tensor ordinal), the run bias
+// by (run seed, tensor ordinal), each drawn with tensor.FillNormalKeyed's
+// counter-based generator. Each parameter tensor has biases of its own, and
+// a device placed anywhere with Seek draws exactly what a device that trained
+// up to that point would, so a resumed run has no noise to replay.
+//
 // All components scale with device throughput, matching the paper's
 // Sec. VII-C observations: errors exist on identical GPUs, grow with GPU
 // performance, are larger across different GPUs, and are largest for the
@@ -67,6 +75,13 @@ const (
 // ErrBadProfile is returned for profiles with non-positive throughput.
 var ErrBadProfile = errors.New("gpu: profile needs positive TFLOPS")
 
+// Key domains: white noise and the run bias are both keyed by the run seed,
+// so each carries its own label.
+const (
+	whiteDomain = 1 + iota
+	runDomain
+)
+
 // Device is one executing accelerator instance. Two Devices with the same
 // Profile but different run seeds model "the same task re-run on the same
 // GPU model"; different Profiles model cross-hardware reproduction.
@@ -74,18 +89,19 @@ var ErrBadProfile = errors.New("gpu: profile needs positive TFLOPS")
 // A Device is not safe for concurrent use.
 type Device struct {
 	profile Profile
-	rng     *tensor.RNG
+	runSeed uint64
+	devKey  uint64 // the profile's device-bias key
 
 	devScale float64
 	runScale float64
 
-	// Lazily built per-dimension bias vectors.
-	deviceBias map[int]tensor.Vector
-	runBias    map[int]tensor.Vector
+	// The position Perturb applies at: the task key, the training step and
+	// the parameter tensor's ordinal.
+	key           uint64
+	step, ordinal int
 
-	// noiseBuf is the reusable white-noise scratch for Perturb, grown to the
-	// largest weight dimension seen.
-	noiseBuf tensor.Vector
+	// bias[t] is tensor t's device bias plus its run bias, built on first use.
+	bias []tensor.Vector
 }
 
 // NewDevice returns a Device for the profile. runSeed individualizes this
@@ -97,90 +113,63 @@ func NewDevice(profile Profile, runSeed int64) (*Device, error) {
 	}
 	perf := profile.TFLOPS / refTFLOPS
 	return &Device{
-		profile:    profile,
-		rng:        tensor.NewRNG(runSeed),
-		devScale:   devNoiseBase * perf,
-		runScale:   runNoiseBase * perf,
-		deviceBias: make(map[int]tensor.Vector),
-		runBias:    make(map[int]tensor.Vector),
+		profile:  profile,
+		runSeed:  uint64(runSeed),
+		devKey:   uint64(prf.SeedFromString("gpu-device-bias/" + profile.Name)),
+		devScale: devNoiseBase * perf,
+		runScale: runNoiseBase * perf,
 	}, nil
 }
 
 // Profile returns the device's hardware profile.
 func (d *Device) Profile() Profile { return d.profile }
 
-func (d *Device) deviceBiasFor(dim int) tensor.Vector {
-	if b, ok := d.deviceBias[dim]; ok {
-		return b
-	}
-	// Device-systematic bias is a pure function of (profile, dim): all runs
-	// on the same profile share it, so it cancels in same-GPU reproduction
-	// and survives in cross-GPU reproduction.
-	seed := prf.SeedFromString("gpu-device-bias/" + d.profile.Name)
-	b := tensor.NewRNG(seed^int64(dim)).NormalVector(dim, 0, d.devScale)
-	d.deviceBias[dim] = b
-	return b
+// Seek moves the device to training step `step` of the parameter tensor
+// with the given ordinal, under the task key (a worker's nonce). It is O(1):
+// the noise at a position does not depend on the positions visited before.
+func (d *Device) Seek(key uint64, step, ordinal int) {
+	d.key, d.step, d.ordinal = key, step, ordinal
 }
 
-func (d *Device) runBiasFor(dim int) tensor.Vector {
-	if b, ok := d.runBias[dim]; ok {
-		return b
-	}
-	b := d.rng.NormalVector(dim, 0, d.runScale)
-	d.runBias[dim] = b
-	return b
-}
-
-// StepNoise returns the ε_t of Eq. (2) for one training step over a weight
-// vector of length dim. Callers add it to the weights after the optimizer
-// update.
-func (d *Device) StepNoise(dim int) tensor.Vector {
-	noise := d.rng.NormalVector(dim, 0, d.runScale*whiteFraction)
-	dev := d.deviceBiasFor(dim)
-	run := d.runBiasFor(dim)
-	for i := range noise {
-		noise[i] += dev[i] + run[i]
-	}
-	return noise
-}
-
-// Perturb applies one step of hardware noise to weights in place. It draws
-// the identical noise sequence StepNoise produces but reuses an internal
-// scratch buffer, so the per-step cost is allocation-free once every
-// dimension in the caller's rotation (W, b, W, b, …) has been seen.
+// Perturb adds the ε_t of Eq. (2) at the device's position to the weights of
+// one parameter tensor, in place, then advances the position one step: white
+// noise keyed by (run seed, task key, step, tensor) plus the tensor's device
+// and run biases, in one pass. It allocates only on the first sight of a
+// tensor ordinal (or of a new length at one).
 func (d *Device) Perturb(weights tensor.Vector) {
-	dim := len(weights)
-	noise := d.whiteNoise(dim)
-	dev := d.deviceBiasFor(dim)
-	run := d.runBiasFor(dim)
-	for i := range weights {
-		// Grouped exactly as StepNoise does (noise += dev + run, then
-		// weights += noise) so the float result is bit-identical.
-		weights[i] += noise[i] + (dev[i] + run[i])
-	}
+	bias := d.biasFor(d.ordinal, len(weights))
+	tensor.AddNormalKeyed(weights, d.whiteKey(), d.runScale*whiteFraction, bias)
+	d.step++
 }
 
-// whiteNoise draws one step's white component into the scratch buffer,
-// growing it only when dim exceeds its capacity.
-func (d *Device) whiteNoise(dim int) tensor.Vector {
-	if cap(d.noiseBuf) < dim {
-		d.noiseBuf = tensor.NewVector(dim)
+// biasFor returns tensor t's device bias plus its run bias over n weights.
+// Both are keyed by the ordinal, so two tensors of equal length never share
+// one: the device bias by (profile, t), shared by every run on the profile so
+// that it cancels in same-GPU reproduction and survives across GPUs; the run
+// bias by (run seed, t).
+func (d *Device) biasFor(t, n int) tensor.Vector {
+	if t >= len(d.bias) {
+		d.bias = append(d.bias, make([]tensor.Vector, t+1-len(d.bias))...)
 	}
-	d.noiseBuf = d.noiseBuf[:dim]
-	d.rng.FillNormal(d.noiseBuf, 0, d.runScale*whiteFraction)
-	return d.noiseBuf
+	if len(d.bias[t]) != n {
+		b := tensor.NewVector(n)
+		tensor.FillNormalKeyed(b, d.deviceBiasKey(t), d.devScale)
+		tensor.AddNormalKeyed(b, d.runBiasKey(t), d.runScale, nil)
+		d.bias[t] = b
+	}
+	return d.bias[t]
 }
 
-// SkipPerturb advances the device's noise stream past one Perturb call at
-// the given weight dimension without touching any weights. Crash recovery
-// uses it to fast-forward a worker's device through the steps already
-// persisted in checkpoints: replaying the RNG draws (and materializing the
-// lazy run bias exactly when Perturb would) leaves the device in the
-// bit-identical state a live run would have reached.
-func (d *Device) SkipPerturb(dim int) {
-	d.whiteNoise(dim)
-	d.runBiasFor(dim)
+// whiteKey keys the white noise at the device's position.
+func (d *Device) whiteKey() uint64 {
+	return tensor.KeyOf(d.runSeed, whiteDomain, d.key, uint64(d.step), uint64(d.ordinal))
 }
+
+// deviceBiasKey keys tensor t's device-systematic bias.
+func (d *Device) deviceBiasKey(t int) uint64 { return tensor.KeyOf(d.devKey, uint64(t)) }
+
+// runBiasKey keys tensor t's run-specific bias.
+func (d *Device) runBiasKey(t int) uint64 { return tensor.KeyOf(d.runSeed, runDomain, uint64(t)) }
 
 // ExecTime models the wall-clock time to execute the given number of
 // floating-point operations at sustained throughput.

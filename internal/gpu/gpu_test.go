@@ -235,55 +235,78 @@ func TestRunSeedIndividualizesRuns(t *testing.T) {
 }
 
 func TestSkipPerturbMatchesPerturbStream(t *testing.T) {
-	// Two devices with the same run seed: one perturbs three times, the
-	// other skips two and perturbs once. The third draws must coincide
-	// bit-for-bit — this is what makes crash-recovery fast-forward exact.
+	// Seek is O(1) and exact: a device placed at step s draws what one that
+	// perturbed from step 0 draws at its (s+1)-th call — the property that
+	// leaves a resumed worker nothing to replay.
+	const (
+		key   = 0x5eed
+		dim   = 48
+		steps = 7
+	)
 	live, err := NewDevice(GA10, 77)
 	if err != nil {
 		t.Fatal(err)
+	}
+	live.Seek(key, 0, 2)
+	var last tensor.Vector
+	for s := 0; s <= steps; s++ {
+		last = tensor.NewVector(dim)
+		live.Perturb(last)
 	}
 	resumed, err := NewDevice(GA10, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const dim = 48
-	var third tensor.Vector
-	for i := 0; i < 3; i++ {
-		w := tensor.NewVector(dim)
-		live.Perturb(w)
-		third = w
-	}
-	resumed.SkipPerturb(dim)
-	resumed.SkipPerturb(dim)
+	resumed.Seek(key, steps, 2)
 	w := tensor.NewVector(dim)
 	resumed.Perturb(w)
-	if !w.Equal(third, 0) {
-		t.Error("SkipPerturb desynchronized the noise stream")
+	if !w.Equal(last, 0) {
+		t.Errorf("Seek(key, %d, 2) then Perturb differs from %d sequential Perturb calls", steps, steps+1)
 	}
 }
 
 // alternatingDims is the rotation a trainer perturbs in: each layer's weight
-// matrix, then its bias (W, b, W, b, …), every step.
-var alternatingDims = []int{48 * 64, 64, 64 * 32, 32, 32 * 10, 10}
+// matrix, then its bias (W, b, W, b, …), every step. The last two tensors have
+// equal lengths.
+var alternatingDims = []int{48 * 64, 64, 64 * 32, 32, 32 * 10, 10, 10}
+
+// decomposed returns the three components of ε at the device's current
+// position over n weights, each drawn directly from its key.
+func decomposed(d *Device, n int) (white, dev, run tensor.Vector) {
+	white, dev, run = tensor.NewVector(n), tensor.NewVector(n), tensor.NewVector(n)
+	tensor.FillNormalKeyed(white, d.whiteKey(), d.runScale*whiteFraction)
+	tensor.FillNormalKeyed(dev, d.deviceBiasKey(d.ordinal), d.devScale)
+	tensor.FillNormalKeyed(run, d.runBiasKey(d.ordinal), d.runScale)
+	return white, dev, run
+}
 
 func TestPerturbMatchesStepNoiseAcrossAlternatingDims(t *testing.T) {
-	// The reused scratch must not move a bit of the noise stream: Perturb
-	// over a rotation of tensor sizes adds exactly what StepNoise returns.
-	a, err := NewDevice(G3090, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewDevice(G3090, 11)
+	// Over a W, b, W, b rotation, each Perturb adds exactly
+	// white + (device bias + run bias) for its (step, tensor).
+	const key = 0xfeed
+	d, err := NewDevice(G3090, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 3; step++ {
-		for _, dim := range alternatingDims {
+		for ord, dim := range alternatingDims {
+			d.Seek(key, step, ord)
+			white, dev, run := decomposed(d, dim)
 			got := tensor.NewVector(dim)
-			a.Perturb(got)
-			if want := b.StepNoise(dim); !got.Equal(want, 0) {
-				t.Fatalf("step %d dim %d: Perturb diverged from StepNoise", step, dim)
+			d.Perturb(got)
+			for i := range got {
+				if want := white[i] + (dev[i] + run[i]); got[i] != want {
+					t.Fatalf("step %d tensor %d element %d: Perturb added %v, want white+dev+run %v", step, ord, i, got[i], want)
+				}
 			}
+		}
+	}
+	// The last two tensors have equal lengths but biases of their own.
+	last := len(alternatingDims) - 1
+	a, b := d.biasFor(last-1, alternatingDims[last]), d.biasFor(last, alternatingDims[last])
+	for i := range a {
+		if a[i] == b[i] {
+			t.Fatalf("equal-length tensors %d and %d share bias element %d", last-1, last, i)
 		}
 	}
 }
@@ -297,16 +320,16 @@ func TestPerturbAllocFreeAcrossAlternatingDims(t *testing.T) {
 	for i, dim := range alternatingDims {
 		weights[i] = tensor.NewVector(dim)
 	}
-	step := func() {
-		for _, w := range weights {
+	step := 0
+	perturbStep := func() {
+		for ord, w := range weights {
+			d.Seek(0xabc, step, ord)
 			d.Perturb(w)
 		}
-		for _, w := range weights {
-			d.SkipPerturb(len(w))
-		}
+		step++
 	}
-	step() // first sight of each dimension builds its bias vectors
-	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Errorf("Perturb/SkipPerturb allocate %.0f times per step over alternating dimensions, want 0", allocs)
+	perturbStep() // first sight of each ordinal builds its biases
+	if allocs := testing.AllocsPerRun(20, perturbStep); allocs != 0 {
+		t.Errorf("Seek/Perturb allocate %.0f times per step over alternating dimensions, want 0", allocs)
 	}
 }

@@ -65,11 +65,12 @@ func NewFamily(dim int, params Params, seed int64) (*Family, error) {
 }
 
 // RebuildFamily constructs the family NewFamily(dim, params, seed) would —
-// same RNG draw order, same bits — refilling prev's projection and offset
-// storage instead of allocating it when prev hashes the same dim with the
-// same K and L (storage of any other shape is discarded, never resliced).
-// prev is consumed: it must not be used, by anyone, once this is called. A
-// nil prev allocates.
+// same bits — refilling prev's projection and offset storage instead of
+// allocating it when prev hashes the same dim with the same K and L (storage
+// of any other shape is discarded, never resliced). Projection (g, f) and its
+// offset are keyed draws under (seed, g, f), so each is a pure function of
+// its coordinates. prev is consumed: it must not be used, by anyone, once
+// this is called. A nil prev allocates.
 func RebuildFamily(prev *Family, dim int, params Params, seed int64) (*Family, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("lsh: dimension %d", dim)
@@ -92,11 +93,11 @@ func RebuildFamily(prev *Family, dim int, params Params, seed int64) (*Family, e
 		}
 	}
 	f.dim, f.params, f.seed = dim, params, seed
-	rng := tensor.NewRNG(seed)
 	for g := 0; g < params.L; g++ {
 		for fn := 0; fn < params.K; fn++ {
-			rng.FillNormal(f.projections[g][fn], 0, 1)
-			f.offsets[g][fn] = rng.Uniform(0, params.R)
+			key := tensor.KeyOf(uint64(seed), uint64(g), uint64(fn))
+			tensor.FillNormalKeyed(f.projections[g][fn], key, 1)
+			f.offsets[g][fn] = params.R * tensor.UniformKeyed(key)
 		}
 	}
 	return f, nil

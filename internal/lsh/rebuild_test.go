@@ -77,7 +77,8 @@ func TestRebuildFamilyMatchesNewFamily(t *testing.T) {
 }
 
 // TestRebuildFamilySameShapeAllocatesNoVectors guards the steady state: a
-// same-shape rebuild allocates its seeded RNG and nothing else.
+// same-shape rebuild refills its storage from keyed draws and allocates
+// nothing.
 func TestRebuildFamilySameShapeAllocatesNoVectors(t *testing.T) {
 	params := Params{R: 2, K: 4, L: 4}
 	fam, err := NewFamily(512, params, 1)
@@ -91,10 +92,28 @@ func TestRebuildFamilySameShapeAllocatesNoVectors(t *testing.T) {
 		}
 		seed++
 	})
-	var rng *tensor.RNG
-	rngOnly := testing.AllocsPerRun(20, func() { rng = tensor.NewRNG(seed) })
-	_ = rng
-	if rebuild != rngOnly {
-		t.Errorf("same-shape rebuild allocates %.0f times, its RNG alone %.0f: storage is not being refilled", rebuild, rngOnly)
+	if rebuild != 0 {
+		t.Errorf("same-shape rebuild allocates %.0f times, want 0: storage is not being refilled", rebuild)
+	}
+}
+
+// TestFamilyProjectionsAreKeyed: projection (g, f) and its offset depend on
+// (seed, g, f, dim) alone, so families of one seed agree wherever their
+// shapes overlap, and a shorter dimension is a prefix of a longer one.
+func TestFamilyProjectionsAreKeyed(t *testing.T) {
+	small, err := NewFamily(40, Params{R: 2, K: 3, L: 4}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := NewFamily(64, Params{R: 2, K: 5, L: 6}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range small.projections {
+		for f, a := range small.projections[g] {
+			if !a.Equal(large.projections[g][f][:len(a)], 0) || small.offsets[g][f] != large.offsets[g][f] {
+				t.Fatalf("projection (%d, %d) differs between two shapes of one seed", g, f)
+			}
+		}
 	}
 }

@@ -102,10 +102,10 @@ type Config struct {
 	Journal string
 	// Resume, with Journal set, recovers the pool's position from the
 	// journal instead of starting fresh: sealed epochs are replayed from
-	// their seal records (global model, rewards, worker noise streams) and
-	// the in-flight epoch restarts from each worker's intact durable
-	// checkpoint prefix. The result is bit-identical to the uninterrupted
-	// run. An empty or missing journal resumes as a fresh run.
+	// their seal records (global model, rewards) and the in-flight epoch
+	// restarts from each worker's intact durable checkpoint prefix. The
+	// result is bit-identical to the uninterrupted run. An empty or missing
+	// journal resumes as a fresh run.
 	Resume bool
 	// FS is the filesystem the durability layer writes through (nil uses
 	// the real one). Crash-recovery tests inject an fsio.FaultFS here.
@@ -363,7 +363,7 @@ func New(cfg Config) (*Pool, error) {
 	members := make([]member, 0, cfg.NumWorkers)
 	workers := make([]rpol.Worker, 0, cfg.NumWorkers)
 	// raw keeps the unwrapped workers: fault wrappers forward rpol.Worker
-	// only, so recovery fast-forwarding must reach through them.
+	// only, so segment wiring and resume arming must reach through them.
 	raw := make([]rpol.Worker, 0, cfg.NumWorkers)
 	shardMap := make(map[string]*dataset.Dataset, cfg.NumWorkers)
 	for i := 0; i < cfg.NumWorkers; i++ {
@@ -516,9 +516,10 @@ func New(cfg Config) (*Pool, error) {
 
 // applyRecovery rewinds the freshly-built pool to the journaled position:
 // it reconciles the seal history with the state file, restores the global
-// model and reward ledger, fast-forwards every worker's noise stream past
-// the epochs it trained, and arms honest workers to adopt the in-flight
-// epoch's durable checkpoint prefix.
+// model and reward ledger, and arms honest workers to adopt the in-flight
+// epoch's durable checkpoint prefix. Device noise is keyed by each task's
+// nonce and step, so no worker has noise to replay, whichever epochs it
+// trained or was down for.
 func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
 	// Reconcile the one crash window the write order leaves open: state.bin
 	// lands atomically BEFORE the seal record, so the state file may be one
@@ -586,23 +587,6 @@ func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
 		for _, id := range seal.AcceptedWorkers {
 			p.rewards[id]++
 		}
-	}
-
-	// Fast-forward each worker's hardware noise stream past the epochs it
-	// actually trained (fault-plan-down epochs trained nothing — the plan is
-	// a pure function of (seed, worker, epoch), so this is replayable).
-	for _, w := range raw {
-		ff, ok := w.(rpol.EpochFastForwarder)
-		if !ok {
-			continue
-		}
-		trained := 0
-		for e := 0; e < completed; e++ {
-			if p.cfg.Faults == nil || !p.cfg.Faults.WorkerDown(w.ID(), e) {
-				trained++
-			}
-		}
-		ff.FastForwardEpochs(trained, p.cfg.StepsPerEpoch, p.cfg.CheckpointEvery)
 	}
 
 	// Arm the in-flight epoch's checkpoint-prefix adoption. The task record

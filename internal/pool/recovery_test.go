@@ -14,6 +14,7 @@ import (
 	"rpol/internal/commitment"
 	"rpol/internal/fsio"
 	"rpol/internal/journal"
+	"rpol/internal/netsim"
 	"rpol/internal/obs"
 	"rpol/internal/rpol"
 )
@@ -81,18 +82,32 @@ type baseline struct {
 	roots     map[string][]byte // journaled Merkle root per epoch/worker
 }
 
-// runBaseline runs the uninterrupted journaled pool. wrap, when non-nil,
-// layers a test filesystem between the pool and the counting FaultFS, the
-// same way crashAndRecover layers it over the crashing one.
-func runBaseline(t *testing.T, workers, epochs int, wrap func(fsio.FS) fsio.FS) baseline {
+// sweep is the pool a crash sweep runs: journaledConfig at a Workers value,
+// optionally under a fault plan. wrap, when non-nil, layers a test
+// filesystem between the pool and the FaultFS below it — the counting one of
+// the baseline run, the crashing one of each swept run.
+type sweep struct {
+	workers int
+	faults  *netsim.FaultPlan
+	wrap    func(fsio.FS) fsio.FS
+}
+
+func (s sweep) config(dir string, fs fsio.FS) Config {
+	cfg := journaledConfig(s.workers, dir, fs)
+	cfg.Faults = s.faults
+	return cfg
+}
+
+// runBaseline runs the uninterrupted journaled pool.
+func runBaseline(t *testing.T, s sweep, epochs int) baseline {
 	t.Helper()
 	counter := fsio.NewFaultFS(fsio.OS, nil)
 	var fs fsio.FS = counter
-	if wrap != nil {
-		fs = wrap(fs)
+	if s.wrap != nil {
+		fs = s.wrap(fs)
 	}
 	dir := t.TempDir()
-	p, err := New(journaledConfig(workers, dir, fs))
+	p, err := New(s.config(dir, fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +159,7 @@ func journalRoots(dir string) (map[string][]byte, error) {
 // bit-identical, and journaling leaves the zero-false-rejection invariant
 // intact.
 func TestJournaledRunIsDeterministic(t *testing.T) {
-	first, second := runBaseline(t, 1, 2, nil), runBaseline(t, 1, 2, nil)
+	first, second := runBaseline(t, sweep{workers: 1}, 2), runBaseline(t, sweep{workers: 1}, 2)
 	for e := range first.summaries {
 		if first.summaries[e] != second.summaries[e] {
 			t.Fatalf("epoch %d diverged between journaled runs:\n  %+v\n  %+v", e, first.summaries[e], second.summaries[e])
@@ -166,7 +181,7 @@ func TestJournaledRunIsDeterministic(t *testing.T) {
 // history must be bit-identical to the uninterrupted run.
 func TestResumeAfterCleanStop(t *testing.T) {
 	const epochs = 2
-	base := runBaseline(t, 1, epochs, nil)
+	base := runBaseline(t, sweep{workers: 1}, epochs)
 	want, wantDigest, wantRewards := base.summaries, base.digest, base.rewards
 
 	dir := t.TempDir()
@@ -231,7 +246,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			t.Parallel()
-			base := runBaseline(t, workers, epochs, nil)
+			base := runBaseline(t, sweep{workers: workers}, epochs)
 
 			// -short keeps a representative stride through the schedule;
 			// the full sweep (CI's crash-soak step) hits every ordinal.
@@ -241,7 +256,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			}
 			var adopted int64
 			for ord := uint64(0); ord < base.ops; ord += stride {
-				n, err := crashAndRecover(t.TempDir(), workers, epochs, ord, base, nil)
+				n, err := crashAndRecover(t.TempDir(), sweep{workers: workers}, epochs, ord, base)
 				if err != nil {
 					t.Fatalf("ordinal %d of %d: %v", ord, base.ops, err)
 				}
@@ -255,6 +270,48 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				t.Errorf("no crash point among %d resumed from a durable checkpoint", base.ops)
 			}
 		})
+	}
+}
+
+// downInFirstEpoch returns the first crash-only fault plan, by seed, that
+// takes exactly one of journaledConfig's two workers down for epoch 0 and
+// neither for epoch 1.
+func downInFirstEpoch(t *testing.T) *netsim.FaultPlan {
+	t.Helper()
+	for seed := int64(1); seed < 1000; seed++ {
+		plan := netsim.NewFaultPlan(seed, netsim.FaultConfig{CrashRate: 0.5, MaxCrashLen: 1})
+		down0 := plan.WorkerDown("worker-00", 0) != plan.WorkerDown("worker-01", 0)
+		up1 := !plan.WorkerDown("worker-00", 1) && !plan.WorkerDown("worker-01", 1)
+		if down0 && up1 {
+			return plan
+		}
+	}
+	t.Fatal("no seed below 1000 takes one worker down for epoch 0 only")
+	return nil
+}
+
+// TestCrashRecoveryAfterDownEpoch: a worker that was down for a sealed epoch
+// trained nothing in it, and recovery has nothing to replay for it. Under a
+// fault plan that takes one honest worker down for epoch 0, a crash at every
+// durable ordinal of epoch 1 (a stride of them under -short) resumes to the
+// uninterrupted run's EpochStats, reward ledger and global model.
+func TestCrashRecoveryAfterDownEpoch(t *testing.T) {
+	const epochs = 2
+	s := sweep{workers: 1, faults: downInFirstEpoch(t)}
+	base := runBaseline(t, s, epochs)
+	if base.summaries[0].Absent != 1 || base.summaries[1].Absent != 0 {
+		t.Fatalf("absences %d and %d in epochs 0 and 1, want 1 and 0", base.summaries[0].Absent, base.summaries[1].Absent)
+	}
+	// Epoch 1's durable operations follow the ones a one-epoch run issues.
+	sealed := runBaseline(t, s, 1).ops
+	stride := uint64(1)
+	if testing.Short() {
+		stride = 5
+	}
+	for ord := sealed; ord < base.ops; ord += stride {
+		if _, err := crashAndRecover(t.TempDir(), s, epochs, ord, base); err != nil {
+			t.Fatalf("ordinal %d of %d: %v", ord, base.ops, err)
+		}
 	}
 }
 
@@ -281,11 +338,11 @@ func (noSyncAppender) Sync() error { return nil }
 // commitment whose checkpoints are not all on disk, and the sweep says so.
 func TestCrashSweepCatchesMissingWorkerSync(t *testing.T) {
 	const epochs = 2
-	wrap := func(fs fsio.FS) fsio.FS { return dropSegmentSyncFS{fs} }
-	base := runBaseline(t, 1, epochs, wrap)
+	s := sweep{workers: 1, wrap: func(fs fsio.FS) fsio.FS { return dropSegmentSyncFS{fs} }}
+	base := runBaseline(t, s, epochs)
 	caught := 0
 	for ord := uint64(0); ord < base.ops; ord++ {
-		_, err := crashAndRecover(t.TempDir(), 1, epochs, ord, base, wrap)
+		_, err := crashAndRecover(t.TempDir(), s, epochs, ord, base)
 		switch {
 		case err == nil:
 		case errors.Is(err, errDurability):
@@ -343,13 +400,13 @@ func checkDurable(dir string, dim int) error {
 // invariants, then resume on the real filesystem and compare the spliced
 // history against the baseline. It returns how many durable checkpoints the
 // resumed workers adopted.
-func crashAndRecover(dir string, workers, epochs int, ord uint64, base baseline, wrap func(fsio.FS) fsio.FS) (int64, error) {
+func crashAndRecover(dir string, s sweep, epochs int, ord uint64, base baseline) (int64, error) {
 	var crashFS fsio.FS = fsio.NewFaultFS(fsio.OS, fsio.CrashAtWrite(int64(ord)+1, ord))
-	if wrap != nil {
-		crashFS = wrap(crashFS)
+	if s.wrap != nil {
+		crashFS = s.wrap(crashFS)
 	}
 	sawCrash := false
-	crashed, err := New(journaledConfig(workers, dir, crashFS))
+	crashed, err := New(s.config(dir, crashFS))
 	if err != nil {
 		if !errors.Is(err, fsio.ErrInjectedCrash) {
 			return 0, fmt.Errorf("New failed with non-injected error: %w", err)
@@ -374,7 +431,7 @@ func crashAndRecover(dir string, workers, epochs int, ord uint64, base baseline,
 		return 0, err
 	}
 
-	rcfg := journaledConfig(workers, dir, nil)
+	rcfg := s.config(dir, nil)
 	rcfg.Resume = true
 	rcfg.Obs = obs.NewObserver(obs.NewRegistry(), nil)
 	resumed, err := New(rcfg)

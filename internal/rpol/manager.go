@@ -205,18 +205,13 @@ func (m *Manager) Restore(completed int, global tensor.Vector) error {
 	return nil
 }
 
-// deriveEpochState re-seeds the manager's sampling RNG and verification
-// device for the given epoch. Under a Journal every epoch's randomness is a
-// pure function of (Seed, epoch), which is what makes a resumed epoch
-// bit-identical to its uninterrupted counterpart.
-func (m *Manager) deriveEpochState(epoch int) error {
+// deriveEpochState re-seeds the manager's sampling RNG for the given epoch.
+// Under a Journal every epoch's randomness is a pure function of (Seed,
+// epoch), which is what makes a resumed epoch bit-identical to its
+// uninterrupted counterpart. The verification device needs no re-seeding:
+// its replay noise is keyed by each worker's nonce.
+func (m *Manager) deriveEpochState(epoch int) {
 	m.rng = tensor.NewRNG(prf.SeedFromString(fmt.Sprintf("rpol/epoch-rng/%d/%d", m.cfg.Seed, epoch)))
-	device, err := gpu.NewDevice(m.cfg.GPU, m.cfg.Seed)
-	if err != nil {
-		return fmt.Errorf("rpol manager: %w", err)
-	}
-	m.device = device
-	return nil
 }
 
 // Epoch returns the number of completed epochs.
@@ -251,9 +246,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	defer epochSpan.End()
 
 	if m.cfg.Journal != nil {
-		if err := m.deriveEpochState(epoch); err != nil {
-			return nil, err
-		}
+		m.deriveEpochState(epoch)
 		m.encBuf = m.global.AppendEncode(m.encBuf[:0])
 		if err := m.cfg.Journal.LogTask(journal.Task{
 			Epoch:        epoch,
@@ -278,7 +271,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		Workers:         m.cfg.Workers,
 	}
 
-	// The device and sampler are re-derived per epoch under a journal.
+	// The sampler is re-derived per epoch under a journal.
 	verifier := m.verifier
 	verifier.Device, verifier.Sampler = m.device, m.rng
 

@@ -50,7 +50,8 @@ func zooRun(t *testing.T, spec modelzoo.TaskSpec, workers int) (*Trainer, *Trace
 
 // oracleEpoch is the reference the runtime must reproduce bit for bit: the
 // per-example Network.TrainBatch over batches selected one DataIndex at a
-// time, the optimizer reset at every checkpoint, one Perturb per tensor.
+// time, the optimizer reset at every checkpoint, one Perturb per tensor at
+// (nonce, step, tensor ordinal).
 func oracleEpoch(t *testing.T, net *nn.Network, shard *dataset.Dataset, device *gpu.Device, p TaskParams) []tensor.Vector {
 	t.Helper()
 	if err := net.SetParamVector(p.Global); err != nil {
@@ -78,7 +79,8 @@ func oracleEpoch(t *testing.T, net *nn.Network, shard *dataset.Dataset, device *
 		if _, err := net.TrainBatch(xs, labels, opt); err != nil {
 			t.Fatal(err)
 		}
-		for _, param := range net.Params() {
+		for i, param := range net.Params() {
+			device.Seek(uint64(p.Nonce), step, i)
 			device.Perturb(param)
 		}
 		if (step+1)%p.CheckpointEvery == 0 || step+1 == p.Steps {
@@ -150,17 +152,18 @@ func TestDenseProxiesOneRuntime(t *testing.T) {
 }
 
 // TestConvProxyRuntimesUnchanged pins the conv proxy's trace at Workers 0
-// (per-example TrainBatch) and Workers 1 (chunked replicas) to the digests
-// of the commit before the dense runtimes merged: conv has no BatchLayer
-// yet, its two paths round differently, and neither may move.
+// (per-example TrainBatch) and Workers 1 (chunked replicas): conv has no
+// BatchLayer yet, its two paths round differently, and neither may move. The
+// digests were taken on the commit before the dense runtimes merged and
+// re-pinned once when device noise became a keyed draw.
 func TestConvProxyRuntimesUnchanged(t *testing.T) {
 	spec, err := modelzoo.Get("resnet18-cifar10-conv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pinned := map[int]string{
-		0: "5c14a72ee0da0c00c947b0773347b7ef",
-		1: "1b45457dee02f5f77c7be59996ba1ade",
+		0: "1be48d9ff3015e5b31701dfaa5c4806b",
+		1: "abca31b8f3ad84ab5babdd42a299498d",
 	}
 	for _, workers := range []int{0, 1} {
 		trainer, trace, _ := zooRun(t, spec, workers)

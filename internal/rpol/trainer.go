@@ -28,8 +28,9 @@ type Trainer struct {
 	Net *nn.Network
 	// Shard is the worker's sub-dataset D_w.
 	Shard *dataset.Dataset
-	// Device injects per-step hardware noise; nil trains noiselessly (used
-	// in tests).
+	// Device injects per-step hardware noise, keyed by (task nonce, step,
+	// parameter tensor) so it is the same whichever intervals a trainer runs,
+	// in whatever order; nil trains noiselessly (used in tests).
 	Device *gpu.Device
 	// Steps, when set, counts every executed training step. The owner wires
 	// the counter that names the work correctly — rpol_train_steps_total for
@@ -153,7 +154,8 @@ func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h H
 			return nil, fmt.Errorf("rpol interval step %d: %w", startStep+s, err)
 		}
 		if t.Device != nil {
-			for _, param := range t.params {
+			for i, param := range t.params {
+				t.Device.Seek(uint64(nonce), startStep+s, i)
 				t.Device.Perturb(param)
 			}
 		}
@@ -173,10 +175,9 @@ func (t *Trainer) RunEpoch(p TaskParams) (*Trace, error) {
 // same epoch (recovered checkpoints). The prefix's snapshots are adopted
 // verbatim — the Sink sees only checkpoints produced by this call — and
 // training restarts at the prefix's last step. Optimizer state resets at
-// every checkpoint boundary and batches are a pure function of the step
-// index, so a prefix-resumed epoch is bit-identical to an uninterrupted one
-// provided the Device's noise stream was fast-forwarded (FastForward) past
-// the prefix's steps. A nil or empty prefix is a fresh epoch.
+// every checkpoint boundary, and batches and device noise are pure functions
+// of (nonce, step), so a prefix-resumed epoch is bit-identical to an
+// uninterrupted one. A nil or empty prefix is a fresh epoch.
 func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -232,22 +233,6 @@ func (t *Trainer) emit(trace *Trace) error {
 		return fmt.Errorf("rpol checkpoint sink at %d: %w", idx, err)
 	}
 	return nil
-}
-
-// FastForward advances the trainer's device noise stream past the given
-// number of already-executed training steps without training. Each live
-// step perturbs every parameter tensor once, so the skip replays exactly
-// that pattern. No-op without a device.
-func (t *Trainer) FastForward(steps int) {
-	if t.Device == nil {
-		return
-	}
-	params := t.Net.Params()
-	for s := 0; s < steps; s++ {
-		for _, p := range params {
-			t.Device.SkipPerturb(len(p))
-		}
-	}
 }
 
 // Final returns the last checkpoint of the trace (the epoch's final

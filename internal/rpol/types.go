@@ -191,17 +191,6 @@ type Worker interface {
 	RunEpoch(p TaskParams) (*EpochResult, error)
 }
 
-// EpochFastForwarder is implemented by workers whose stateful hardware
-// noise stream must be advanced past epochs they trained before a crash.
-// A resumed pool constructs fresh workers and fast-forwards each one by the
-// number of epochs it actually trained (absent epochs consumed no noise),
-// leaving its device bit-identical to an uninterrupted run's.
-type EpochFastForwarder interface {
-	// FastForwardEpochs advances past `epochs` fully-trained epochs of
-	// stepsPerEpoch steps checkpointed every checkpointEvery steps.
-	FastForwardEpochs(epochs, stepsPerEpoch, checkpointEvery int)
-}
-
 // Calibration is the output of the manager's adaptive LSH calibration for
 // one epoch (Sec. V-C).
 type Calibration struct {

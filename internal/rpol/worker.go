@@ -45,7 +45,6 @@ type HonestWorker struct {
 }
 
 var _ Worker = (*HonestWorker)(nil)
-var _ EpochFastForwarder = (*HonestWorker)(nil)
 
 // NewHonestWorker builds a worker executing on the given GPU profile.
 // runSeed individualizes this worker's hardware nondeterminism.
@@ -92,16 +91,6 @@ func (w *HonestWorker) SetSegment(seg *checkpoint.Segment) { w.segment = seg }
 // intact checkpoint prefix its segment holds for the given epoch. One-shot:
 // the armed state clears on the next RunEpoch whether or not it applies.
 func (w *HonestWorker) PrepareResume(epoch int) { w.resumeEpoch = epoch }
-
-// FastForwardEpochs advances the worker's device noise stream past epochs
-// it trained before a crash (each epoch draws stepsPerEpoch perturbations
-// per parameter tensor).
-func (w *HonestWorker) FastForwardEpochs(epochs, stepsPerEpoch, checkpointEvery int) {
-	_ = checkpointEvery // honest noise is per-step, not per-checkpoint
-	if epochs > 0 && stepsPerEpoch > 0 {
-		w.trainer.FastForward(epochs * stepsPerEpoch)
-	}
-}
 
 // SetObserver routes the worker's training metrics and spans through o.
 func (w *HonestWorker) SetObserver(o *obs.Observer) {
@@ -247,9 +236,8 @@ func (w *HonestWorker) runTraining(p TaskParams, stream *streamCommit) (*Trace, 
 // have survived intact, in order, at the step this task takes it. The final
 // checkpoint is never adopted — what the segment holds is the bound final,
 // not the trained weights the last interval must resume from, and retraining
-// the last interval is always safe. The device noise stream is fast-forwarded
-// past the adopted steps so the retrained suffix draws the exact noise an
-// uninterrupted run would.
+// the last interval is always safe. Device noise is keyed by step, so the
+// retrained suffix draws the exact noise an uninterrupted run would.
 func (w *HonestWorker) loadResumePrefix(p TaskParams, globalDigest uint64) (*Trace, error) {
 	armed := w.resumeEpoch == p.Epoch
 	w.resumeEpoch = -1
@@ -276,7 +264,6 @@ func (w *HonestWorker) loadResumePrefix(p TaskParams, globalDigest uint64) (*Tra
 	if len(frames) == 0 {
 		return nil, nil
 	}
-	w.trainer.FastForward(prefix.Steps[len(prefix.Steps)-1])
 	return prefix, nil
 }
 

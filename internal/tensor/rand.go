@@ -46,17 +46,10 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 // standard deviation.
 func (r *RNG) NormalVector(n int, mean, std float64) Vector {
 	v := make(Vector, n)
-	r.FillNormal(v, mean, std)
-	return v
-}
-
-// FillNormal overwrites dst with normal variates, drawing exactly the same
-// sequence NormalVector(len(dst), mean, std) would — the buffer-reusing form
-// for per-step noise generation.
-func (r *RNG) FillNormal(dst Vector, mean, std float64) {
-	for i := range dst {
-		dst[i] = mean + std*r.src.NormFloat64()
+	for i := range v {
+		v[i] = mean + std*r.src.NormFloat64()
 	}
+	return v
 }
 
 // UniformVector returns a vector of n uniform variates in [lo, hi).

@@ -28,8 +28,10 @@ import (
 // stopped pulling leaves it holds or can compute, and want re-pinned on each
 // change to what is pulled or committed — the verifier's leaf store, then the
 // v1 case's move from an inline hash list to the Merkle root. Such a change
-// moves want and must leave wantProtocol alone. Remote workers run at
-// Workers 0 (TaskParams.Workers is not transmitted).
+// moves want and must leave wantProtocol alone. Both were re-pinned once
+// when device noise and the LSH projections became keyed draws, which moves
+// every trained bit. Remote workers run at Workers 0 (TaskParams.Workers is
+// not transmitted).
 func TestManagerOverTCPEndToEnd(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -37,8 +39,8 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 		want         string
 		wantProtocol string
 	}{
-		{"v1-merkle", rpol.SchemeV1, "c0ec6200887cc86411485f8556c2130b", "f465b1b9702fe118cfb3672e71ab25dd"},
-		{"v2-merkle", rpol.SchemeV2, "000094987d5bd87c3aa986415b95f1db", "f465b1b9702fe118cfb3672e71ab25dd"},
+		{"v1-merkle", rpol.SchemeV1, "fd22ea6e3cec15f129aabad0850018f5", "c46675766c9f820f231daf1de589fb61"},
+		{"v2-merkle", rpol.SchemeV2, "1c54fe04d2a319316ea2e2c6c880c0bb", "c46675766c9f820f231daf1de589fb61"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
