@@ -518,6 +518,33 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr36.json",
+		pr:       36,
+		minPairs: map[string]int{"ref10_v2_tcp": 10, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 3, "durable8_v2_disk": 3},
+		rows: []e2eGate{
+			// The claim: with every model-sized buffer kept by its owner
+			// across epochs — traces, probes, replay outputs, the LSH family,
+			// endpoint frames, decoded vectors — the reference epoch
+			// allocates at most 0.60 × what it did.
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "claim<=", 0.60},
+			// The same owners serve the other workloads: none allocates more.
+			{"proofs4_v2_tcp", "alloc_mb_per_epoch", "<=", 1},
+			{"wide16_v1_tcp", "alloc_mb_per_epoch", "<=", 1},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 1},
+			// Reuse moves no bit: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

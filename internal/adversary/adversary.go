@@ -518,6 +518,37 @@ func (a *UpdateScaler) OpenProof(idx int) (rpol.LeafProof, error) {
 	return openProofFrom(a.lastCommit, a.id, idx)
 }
 
+// Rebaser runs in the manager's process and writes the task it is handed:
+// it scales the task's Global in place by Factor, then trains, commits and
+// opens fully honestly from the rewritten weights. Every interval
+// re-executes and the update reaches the committed end, so only a verifier
+// that binds the trace's first leaf against the manager's own θ_t — not the
+// task vector it gave the worker — rejects it, and only a manager that keeps
+// θ_t out of every worker's reach aggregates the right model.
+type Rebaser struct {
+	*rpol.HonestWorker
+	// Factor multiplies the task's global model in place.
+	Factor float64
+}
+
+var _ rpol.Worker = (*Rebaser)(nil)
+
+// NewRebaser builds the task-rewriting attacker.
+func NewRebaser(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, factor float64) (*Rebaser, error) {
+	hw, err := rpol.NewHonestWorker(id, profile, runSeed, net, shard)
+	if err != nil {
+		return nil, fmt.Errorf("adversary %s: %w", id, err)
+	}
+	return &Rebaser{HonestWorker: hw, Factor: factor}, nil
+}
+
+// RunEpoch rewrites the task's global model, then runs the honest epoch
+// from it.
+func (a *Rebaser) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
+	p.Global.Scale(a.Factor)
+	return a.HonestWorker.RunEpoch(p)
+}
+
 // Truncator is the lazy worker: it trains the first Intervals checkpoint
 // intervals of its task fully honestly, then commits and submits that short
 // trace — Intervals+1 leaves, its real final checkpoint, the matching update

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rpol/internal/commitment"
+	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
@@ -297,6 +298,75 @@ func TestVerifierCatchesTruncator(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestManagerRejectsRebaser runs a manager over one honest worker and a
+// Rebaser, which scales the task vector it is handed in place and trains
+// honestly from it, under both schemes and both collection loops: the
+// manager must verify against its own θ_t — rejecting the Rebaser, accepting
+// the honest worker — and aggregate exactly the model the honest worker alone
+// yields.
+func TestManagerRejectsRebaser(t *testing.T) {
+	for _, scheme := range []rpol.Scheme{rpol.SchemeV1, rpol.SchemeV2} {
+		for _, concurrent := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/concurrent=%v", scheme, concurrent), func(t *testing.T) {
+				global := func(rebaser bool) (tensor.Vector, []*rpol.VerifyOutcome) {
+					net, ds := advTask(t, 40)
+					shards, err := ds.Partition(3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					honestNet, _ := advTask(t, 40)
+					honest, err := rpol.NewHonestWorker("honest", gpu.GA10, 71, honestNet, shards[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					workers := []rpol.Worker{honest}
+					shardMap := map[string]*dataset.Dataset{"honest": shards[0], "rebaser": shards[1]}
+					if rebaser {
+						rebNet, _ := advTask(t, 40)
+						reb, err := NewRebaser("rebaser", gpu.GA10, 72, rebNet, shards[1], 3)
+						if err != nil {
+							t.Fatal(err)
+						}
+						workers = append(workers, reb)
+					}
+					mgr, err := rpol.NewManager(rpol.ManagerConfig{
+						Scheme:               scheme,
+						Hyper:                rpol.Hyper{Optimizer: "sgdm", LR: 0.05, BatchSize: 8},
+						StepsPerEpoch:        15,
+						CheckpointEvery:      5,
+						Samples:              3,
+						GPU:                  gpu.G3090,
+						MasterKey:            []byte("rebaser"),
+						Seed:                 73,
+						ConcurrentCollection: concurrent,
+					}, net, workers, shardMap, shards[2])
+					if err != nil {
+						t.Fatal(err)
+					}
+					var outcomes []*rpol.VerifyOutcome
+					for epoch := 0; epoch < 2; epoch++ {
+						report, err := mgr.RunEpoch()
+						if err != nil {
+							t.Fatal(err)
+						}
+						outcomes = append(outcomes, report.Outcomes...)
+					}
+					return mgr.Global(), outcomes
+				}
+				got, outcomes := global(true)
+				for _, o := range outcomes {
+					if o.Accepted != (o.WorkerID == "honest") {
+						t.Errorf("epoch %d: %s accepted = %v (%s)", o.Epoch, o.WorkerID, o.Accepted, o.FailReason)
+					}
+				}
+				if want, _ := global(false); !got.Equal(want, 0) {
+					t.Error("the rebaser's write reached the aggregated global model")
+				}
+			})
 		}
 	}
 }

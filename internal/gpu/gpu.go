@@ -100,8 +100,12 @@ type Device struct {
 	key           uint64
 	step, ordinal int
 
-	// bias[t] is tensor t's device bias plus its run bias, built on first use.
-	bias []tensor.Vector
+	// bias[t] is tensor t's device bias plus its run bias, built on first use
+	// after the device was made or Reset (biasGen[t] == gen), into the
+	// storage it had when its length is unchanged.
+	bias    []tensor.Vector
+	biasGen []uint64
+	gen     uint64
 }
 
 // NewDevice returns a Device for the profile. runSeed individualizes this
@@ -111,14 +115,29 @@ func NewDevice(profile Profile, runSeed int64) (*Device, error) {
 	if profile.TFLOPS <= 0 {
 		return nil, fmt.Errorf("%s: %w", profile.Name, ErrBadProfile)
 	}
+	d := &Device{}
+	if err := d.Reset(profile, runSeed); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset makes d the device NewDevice(profile, runSeed) returns — the same
+// bits from every Perturb — keeping its bias storage: each tensor's biases
+// are redrawn on their first use, into the vector they had when the length
+// is unchanged. On an error d is unchanged.
+func (d *Device) Reset(profile Profile, runSeed int64) error {
+	if profile.TFLOPS <= 0 {
+		return fmt.Errorf("%s: %w", profile.Name, ErrBadProfile)
+	}
 	perf := profile.TFLOPS / refTFLOPS
-	return &Device{
-		profile:  profile,
-		runSeed:  uint64(runSeed),
-		devKey:   uint64(prf.SeedFromString("gpu-device-bias/" + profile.Name)),
-		devScale: devNoiseBase * perf,
-		runScale: runNoiseBase * perf,
-	}, nil
+	d.profile = profile
+	d.runSeed = uint64(runSeed)
+	d.devKey = uint64(prf.SeedFromString("gpu-device-bias/" + profile.Name))
+	d.devScale, d.runScale = devNoiseBase*perf, runNoiseBase*perf
+	d.key, d.step, d.ordinal = 0, 0, 0
+	d.gen++
+	return nil
 }
 
 // Profile returns the device's hardware profile.
@@ -150,12 +169,16 @@ func (d *Device) Perturb(weights tensor.Vector) {
 func (d *Device) biasFor(t, n int) tensor.Vector {
 	if t >= len(d.bias) {
 		d.bias = append(d.bias, make([]tensor.Vector, t+1-len(d.bias))...)
+		d.biasGen = append(d.biasGen, make([]uint64, t+1-len(d.biasGen))...)
 	}
-	if len(d.bias[t]) != n {
-		b := tensor.NewVector(n)
+	if len(d.bias[t]) != n || d.biasGen[t] != d.gen {
+		b := d.bias[t]
+		if len(b) != n {
+			b = tensor.NewVector(n)
+		}
 		tensor.FillNormalKeyed(b, d.deviceBiasKey(t), d.devScale)
 		tensor.AddNormalKeyed(b, d.runBiasKey(t), d.runScale, nil)
-		d.bias[t] = b
+		d.bias[t], d.biasGen[t] = b, d.gen
 	}
 	return d.bias[t]
 }

@@ -333,3 +333,60 @@ func TestPerturbAllocFreeAcrossAlternatingDims(t *testing.T) {
 		t.Errorf("Seek/Perturb allocate %.0f times per step over alternating dimensions, want 0", allocs)
 	}
 }
+
+// TestResetMatchesNewDevice pins Device.Reset: a device reset to (profile,
+// seed) perturbs exactly as NewDevice(profile, seed) does — biases, white
+// noise and position alike — while refilling the bias vectors it already
+// holds instead of allocating them; an invalid profile leaves it unchanged.
+func TestResetMatchesNewDevice(t *testing.T) {
+	perturb := func(d *Device, weights []tensor.Vector) {
+		for step := 0; step < 3; step++ {
+			for ord, w := range weights {
+				d.Seek(0xabc, step, ord)
+				d.Perturb(w)
+			}
+		}
+	}
+	fresh := func() []tensor.Vector {
+		weights := make([]tensor.Vector, len(alternatingDims))
+		for i, dim := range alternatingDims {
+			weights[i] = tensor.NewVector(dim)
+		}
+		return weights
+	}
+	d, err := NewDevice(G3090, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturb(d, fresh())
+	if err := d.Reset(Profile{Name: "bad"}, 1); !errors.Is(err, ErrBadProfile) {
+		t.Fatalf("err = %v, want ErrBadProfile", err)
+	}
+	if d.Profile() != G3090 {
+		t.Fatal("a failed Reset changed the device")
+	}
+	biases := append([]tensor.Vector(nil), d.bias...)
+	for _, next := range []struct {
+		profile Profile
+		seed    int64
+	}{{GA10, 13}, {G3090, 12}, {GT4, 99}} {
+		if err := d.Reset(next.profile, next.seed); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewDevice(next.profile, next.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, exp := fresh(), fresh()
+		perturb(d, got)
+		perturb(want, exp)
+		for i := range got {
+			if !got[i].Equal(exp[i], 0) {
+				t.Errorf("%s/%d: tensor %d perturbed unlike a new device", next.profile.Name, next.seed, i)
+			}
+			if !tensor.SameStorage(d.bias[i], biases[i]) {
+				t.Errorf("%s/%d: tensor %d's bias was reallocated", next.profile.Name, next.seed, i)
+			}
+		}
+	}
+}

@@ -11,6 +11,10 @@ type Message struct {
 	// retrying caller can discard stale replies to earlier attempts. Zero
 	// for callers that don't correlate.
 	Seq uint64
+
+	// buf is the receiving endpoint's frame buffer Payload aliases (nil for
+	// a message no endpoint received); TCPEndpoint.Release takes it back.
+	buf *[]byte
 }
 
 // Size returns the accounted wire size of the message: payload plus a small

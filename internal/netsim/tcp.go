@@ -445,6 +445,12 @@ func decodeFrame(data []byte) (Message, error) {
 // endpoint a non-blocking TryRecv for deadline-driven callers. Send and
 // SendSeq write the whole frame to the socket before returning, so a caller
 // may reuse its payload buffer for the next message.
+//
+// A received message's payload aliases one of the endpoint's frame buffers,
+// and is the caller's until it hands the message back with Release, once it
+// has decoded what it needs; the pump then reads a later frame into the same
+// buffer. A message never released stays valid and is left to the
+// collector.
 type TCPEndpoint struct {
 	name string
 	conn net.Conn
@@ -453,7 +459,10 @@ type TCPEndpoint struct {
 	writer  *bufio.Writer
 	reader  *bufio.Reader
 
-	inbox     chan Message
+	inbox chan Message
+	// frames is the free list of released frame buffers (*[]byte) the pump
+	// reads into before it allocates one.
+	frames    chan *[]byte
 	done      chan struct{}
 	closeOnce sync.Once
 	readErr   error // set by the pump before it closes inbox
@@ -474,6 +483,7 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 		writer: bufio.NewWriter(conn),
 		reader: bufio.NewReader(conn),
 		inbox:  make(chan Message, queueDepth),
+		frames: make(chan *[]byte, endpointFrames),
 		done:   make(chan struct{}),
 	}
 	if err := ep.writeMsg(Message{From: name, Kind: KindRegister}); err != nil {
@@ -498,17 +508,44 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 // happens-before the receive that observes it, so readers need no lock).
 func (e *TCPEndpoint) pump() {
 	for {
-		msg, err := readFrame(e.reader, nil)
+		var buf *[]byte
+		select {
+		case buf = <-e.frames:
+		default:
+			buf = new([]byte)
+		}
+		msg, err := readFrame(e.reader, buf)
 		if err != nil {
 			e.readErr = err
 			close(e.inbox)
 			return
 		}
+		msg.buf = buf
 		select {
 		case e.inbox <- msg:
 		case <-e.done:
 			return
 		}
+	}
+}
+
+// endpointFrames bounds the released frame buffers an endpoint keeps. The
+// pool protocol has one request or reply in flight per endpoint, so the pump
+// reads ahead of its consumer by at most a frame or two; a buffer released
+// into a full list is left to the collector.
+const endpointFrames = 4
+
+// Release hands msg's frame buffer back to the endpoint that received it, to
+// read a later frame into: msg.Payload must not be read afterwards, and a
+// message is released at most once. A message no endpoint received is
+// ignored.
+func (e *TCPEndpoint) Release(msg Message) {
+	if msg.buf == nil {
+		return
+	}
+	select {
+	case e.frames <- msg.buf:
+	default:
 	}
 }
 

@@ -59,6 +59,91 @@ func (n *Network) BatchCapable() bool {
 	return true
 }
 
+// evalTile is how many examples Network.Accuracy forwards per batched call.
+const evalTile = 64
+
+// evaluator is Network.Accuracy's batched forward path: a replica sharing
+// the network's parameters, its batch layers, and an arena reset per tile.
+// A network whose layers were swapped or re-pointed since the replica was
+// made gets a new one (see shares).
+type evaluator struct {
+	rep    *Network
+	layers []BatchLayer
+	arena  *parallel.Arena
+	xb     tensor.Matrix
+}
+
+func newEvaluator(n *Network) (*evaluator, error) {
+	rep, err := n.Replicate()
+	if err != nil {
+		return nil, err
+	}
+	ev := &evaluator{rep: rep, layers: make([]BatchLayer, len(rep.Layers)), arena: parallel.NewArena(0)}
+	rep.setScratch(ev.arena)
+	for i, l := range rep.Layers {
+		ev.layers[i] = l.(BatchLayer)
+	}
+	return ev, nil
+}
+
+// current reports whether the replica still mirrors n layer by layer.
+func (ev *evaluator) current(n *Network) bool {
+	if len(ev.rep.Layers) != len(n.Layers) {
+		return false
+	}
+	for i, l := range n.Layers {
+		if !shares(l, ev.rep.Layers[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// shares reports whether replica layer r computes what l does: the same
+// kind, over l's own parameter storage. Only batch-capable kinds qualify.
+func shares(l, r Layer) bool {
+	switch l := l.(type) {
+	case *Dense:
+		r, ok := r.(*Dense)
+		return ok && r.W == l.W && tensor.SameStorage(r.W.Data, l.W.Data) && tensor.SameStorage(r.B, l.B)
+	case *ReLU:
+		r, ok := r.(*ReLU)
+		return ok && r.dim == l.dim
+	case *Residual:
+		r, ok := r.(*Residual)
+		return ok && shares(l.Inner, r.Inner)
+	}
+	return false
+}
+
+// correct forwards the tile xs in one batch and counts the rows whose argmax
+// is the label.
+func (ev *evaluator) correct(xs []tensor.Vector, labels []int) (int, error) {
+	in := ev.rep.Layers[0].InputDim()
+	ev.arena.Reset()
+	ev.xb = tensor.Matrix{Rows: len(xs), Cols: in, Data: tensor.Vector(ev.arena.Grab(len(xs) * in))}
+	for i, x := range xs {
+		if len(x) != in {
+			return 0, fmt.Errorf("eval example %d: input %d, want %d: %w", i, len(x), in, tensor.ErrShapeMismatch)
+		}
+		copy(ev.xb.Row(i), x)
+	}
+	cur := &ev.xb
+	var err error
+	for i, l := range ev.layers {
+		if cur, err = l.ForwardBatch(nil, cur); err != nil {
+			return 0, fmt.Errorf("layer %d (%s): %w", i, ev.rep.Layers[i].Name(), err)
+		}
+	}
+	correct := 0
+	for r, label := range labels {
+		if Argmax(cur.Row(r)) == label {
+			correct++
+		}
+	}
+	return correct, nil
+}
+
 // ForwardBatch computes W·x + b for every row of x in one GEMM call. The
 // pack scratch (arena-recycled) unlocks the SIMD kernel where the host has
 // one; the result is bit-identical with or without it.

@@ -12,6 +12,9 @@ import (
 // vector — the representation RPoL checkpoints, hashes, and LSH-digests.
 type Network struct {
 	Layers []Layer
+
+	// eval is Accuracy's batched forward state, built on its first call.
+	eval *evaluator
 }
 
 // NewNetwork validates that consecutive layers connect and returns the
@@ -179,12 +182,35 @@ func (n *Network) Predict(x tensor.Vector) (int, error) {
 	return Argmax(logits), nil
 }
 
-// Accuracy returns the fraction of (xs, labels) classified correctly.
+// Accuracy returns the fraction of (xs, labels) classified correctly. A
+// BatchCapable network pushes evalTile examples at a time through the
+// batched GEMM kernels, on a replica that shares its parameters, built on the
+// first call and rebuilt only when a layer has since been swapped; the
+// kernels are bit-identical to Forward per row, so every prediction is
+// Predict's. Any other network runs Predict per example.
 func (n *Network) Accuracy(xs []tensor.Vector, labels []int) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(labels) {
 		return 0, fmt.Errorf("eval %d inputs vs %d labels: %w", len(xs), len(labels), tensor.ErrShapeMismatch)
 	}
 	correct := 0
+	if n.BatchCapable() {
+		if n.eval == nil || !n.eval.current(n) {
+			ev, err := newEvaluator(n)
+			if err != nil {
+				return 0, err
+			}
+			n.eval = ev
+		}
+		for lo := 0; lo < len(xs); lo += evalTile {
+			hi := min(lo+evalTile, len(xs))
+			c, err := n.eval.correct(xs[lo:hi], labels[lo:hi])
+			if err != nil {
+				return 0, err
+			}
+			correct += c
+		}
+		return float64(correct) / float64(len(xs)), nil
+	}
 	for i, x := range xs {
 		pred, err := n.Predict(x)
 		if err != nil {

@@ -43,8 +43,14 @@ type Calibrator struct {
 	Trace *obs.Span
 
 	// trainer runs every probe for the calibrator's lifetime: its runtime is
-	// built once, on the first step.
+	// built once, on the first step. devices and probes are the last
+	// calibration's two probe devices and traces, reset and handed back to
+	// trainer by the next one, and fam is the LSH family the last Calibrate
+	// returned, rebuilt in place by the next.
 	trainer *Trainer
+	devices [2]*gpu.Device
+	probes  [2]*Trace
+	fam     *lsh.Family
 }
 
 // reproErrorBuckets are the fixed histogram bounds for measured
@@ -58,7 +64,16 @@ var ErrNoErrors = errors.New("rpol: calibration produced no reproduction errors"
 // Calibrate runs the probe twice on the top-2 profiles and returns the
 // epoch's calibration plus the LSH family workers must use. probeSeeds
 // individualize the two hardware runs; lshSeed derives the shared family.
+// The family is the calibrator's own: it is valid until the next Calibrate,
+// which rebuilds it in place.
 func (c *Calibrator) Calibrate(p TaskParams, top1, top2 gpu.Profile, probeSeeds [2]int64, lshSeed int64) (*Calibration, *lsh.Family, error) {
+	return c.calibrate(p, top1, top2, probeSeeds, lshSeed, true)
+}
+
+// calibrate is Calibrate, building the LSH family only when withFamily is
+// set (RPoLv1 commits raw weights and never reads one); without it the
+// family is nil and lshSeed unused.
+func (c *Calibrator) calibrate(p TaskParams, top1, top2 gpu.Profile, probeSeeds [2]int64, lshSeed int64, withFamily bool) (*Calibration, *lsh.Family, error) {
 	if c.Net == nil || c.Shard == nil {
 		return nil, nil, errors.New("rpol: calibrator needs a network and a probe shard")
 	}
@@ -104,7 +119,11 @@ func (c *Calibrator) Calibrate(p TaskParams, top1, top2 gpu.Profile, probeSeeds 
 	o.Counter("rpol_calibrations_total").Inc()
 	o.Gauge("rpol_alpha").Set(alpha)
 	o.Gauge("rpol_beta").Set(beta)
-	fam, err := lsh.NewFamily(len(p.Global), params, lshSeed)
+	if !withFamily {
+		return cal, nil, nil
+	}
+	fam, err := lsh.RebuildFamily(c.fam, len(p.Global), params, lshSeed)
+	c.fam = fam
 	if err != nil {
 		return nil, nil, fmt.Errorf("rpol calibrate: %w", err)
 	}
@@ -119,21 +138,26 @@ func (c *Calibrator) MeasureErrors(p TaskParams, top1, top2 gpu.Profile, probeSe
 		c.trainer = &Trainer{Net: c.Net}
 	}
 	c.trainer.Shard, c.trainer.Steps = c.Shard, o.Counter("rpol_probe_steps_total")
-	var traces [2]*Trace
 	for i, profile := range [2]gpu.Profile{top1, top2} {
-		device, err := gpu.NewDevice(profile, probeSeeds[i])
+		c.trainer.recycle(c.probes[i])
+		var err error
+		if c.devices[i] == nil {
+			c.devices[i], err = gpu.NewDevice(profile, probeSeeds[i])
+		} else {
+			err = c.devices[i].Reset(profile, probeSeeds[i])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("rpol calibrate: %w", err)
 		}
-		c.trainer.Device = device
+		c.trainer.Device = c.devices[i]
 		probeSpan := o.Start(c.Trace, "calibrate.probe", obs.String("gpu", profile.Name))
-		traces[i], err = c.trainer.RunEpoch(p)
+		c.probes[i], err = c.trainer.RunEpoch(p)
 		probeSpan.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	return TraceDistances(traces[0], traces[1])
+	return TraceDistances(c.probes[0], c.probes[1])
 }
 
 // TraceDistances returns the per-checkpoint Euclidean distances between two

@@ -118,6 +118,11 @@ type Manager struct {
 	// encBuf is the reused journal-digest encode scratch; RunEpoch drives
 	// the epoch sequentially, so one buffer serves every checksum.
 	encBuf []byte
+
+	// tasks[i] is worker i's copy of θ_t, refilled at every epoch: a worker
+	// may do what it likes with the task it is handed, and the verifier
+	// binds every submission against global, which no worker ever sees.
+	tasks []tensor.Vector
 }
 
 // EpochReport summarizes one coordinated epoch.
@@ -262,9 +267,11 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		}
 	}
 
+	// The calibrator and the verifier are the manager's own: they read θ_t
+	// where it lives.
 	baseParams := TaskParams{
 		Epoch:           epoch,
-		Global:          m.global.Clone(),
+		Global:          m.global,
 		Hyper:           m.cfg.Hyper,
 		Steps:           m.cfg.StepsPerEpoch,
 		CheckpointEvery: m.cfg.CheckpointEvery,
@@ -282,7 +289,9 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		top1, top2 := m.topTwoProfiles()
 		m.calibrator.Trace = epochSpan
 		probeSeeds := [2]int64{m.rng.Int63(), m.rng.Int63()}
-		cal, fam, err := m.calibrator.Calibrate(baseParams, top1, top2, probeSeeds, m.rng.Int63())
+		// RPoLv1 commits raw weights: its calibration builds no LSH family,
+		// though the family's seed is still drawn so the stream stays put.
+		cal, fam, err := m.calibrator.calibrate(baseParams, top1, top2, probeSeeds, m.rng.Int63(), m.cfg.Scheme == SchemeV2)
 		if err != nil {
 			return nil, err
 		}
@@ -309,12 +318,14 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	subs := make([]Submission, len(m.workers))
 	results := make([]*EpochResult, len(m.workers))
 	workerSpans := make([]*obs.Span, len(m.workers))
+	m.refillTasks()
 	collect := func(i int, w Worker) error {
 		params := baseParams
-		params.Global = m.global.Clone()
 		params.Nonce = prf.DeriveNonce(m.cfg.MasterKey, w.ID(), epoch)
 		params.Trace = workerSpans[i]
-		result, err := w.RunEpoch(params)
+		task := params
+		task.Global = m.tasks[i]
+		result, err := w.RunEpoch(task)
 		if err != nil {
 			return fmt.Errorf("rpol manager: worker %s: %w", w.ID(), err)
 		}
@@ -507,6 +518,18 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	m.obs.Counter("rpol_epochs_total").Inc()
 	report.Phases.MirrorTo(m.obs.Registry())
 	return report, nil
+}
+
+// refillTasks copies θ_t into every worker's task buffer, allocating the
+// buffers on the first epoch.
+func (m *Manager) refillTasks() {
+	if m.tasks == nil {
+		m.tasks = make([]tensor.Vector, len(m.workers))
+	}
+	for i := range m.tasks {
+		m.tasks[i] = tensor.Resize(m.tasks[i], len(m.global))
+		copy(m.tasks[i], m.global)
+	}
 }
 
 // absentErr reports whether a collection error marks the worker absent

@@ -1,10 +1,13 @@
 package rpol
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/modelzoo"
 	"rpol/internal/nn"
@@ -13,7 +16,11 @@ import (
 
 // TestTraceOwnsItsCheckpoints pins the trainer's buffer ownership: every
 // checkpoint of a trace is its own buffer — not the next interval's input,
-// not the network's storage — and the Sink is handed each of them once.
+// not the network's storage — and the Sink is handed each of them once. Then
+// the recycled path: the trace is handed back, and the next task trains from
+// its final checkpoint, as a worker's next epoch may. The new trace must
+// refill every other old buffer, leave the task's untouched, and carry the
+// bits a fresh trainer produces.
 func TestTraceOwnsItsCheckpoints(t *testing.T) {
 	net, ds := testTask(t, 3)
 	p := testParams(net.ParamVector())
@@ -53,6 +60,50 @@ func TestTraceOwnsItsCheckpoints(t *testing.T) {
 		if !net.ParamVector().Equal(params, 0) {
 			t.Fatalf("mutating checkpoint %d changed the network's parameters", i)
 		}
+	}
+
+	for i, c := range trace.Checkpoints {
+		copy(c, want[i])
+	}
+	p2 := p
+	p2.Epoch, p2.Global = 1, trace.Final()
+	task := p2.Global.Clone()
+	old := map[*float64]bool{}
+	for _, c := range trace.Checkpoints {
+		old[&c[0]] = true
+	}
+	trainer.recycle(trace)
+	clear(seen)
+	next, err := trainer.RunEpoch(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p2.Global.Equal(task, 0) {
+		t.Error("the recycled epoch wrote the task's global vector")
+	}
+	freshNet, _ := testTask(t, 3)
+	p2.Global = task
+	fresh, err := (&Trainer{Net: freshNet, Shard: ds}).RunEpoch(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	for i, c := range next.Checkpoints {
+		if old[&c[0]] {
+			reused++
+		}
+		if seen[&c[0]] != 1 {
+			t.Errorf("recycled checkpoint %d reached the sink %d times, want once", i, seen[&c[0]])
+		}
+		if !c.Equal(fresh.Checkpoints[i], 0) {
+			t.Errorf("recycled checkpoint %d differs from a fresh trainer's", i)
+		}
+	}
+	if want := len(next.Checkpoints) - 1; reused != want {
+		t.Errorf("the recycled epoch refilled %d old buffers, want %d: all but the task's", reused, want)
+	}
+	if trace.Checkpoints != nil {
+		t.Error("the recycled trace still holds its checkpoints")
 	}
 }
 
@@ -171,5 +222,147 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 			t.Errorf("submission %d: the verifier rebuilt its replay trainer or runtime", i)
 		}
 		trainer, runtime = reused.trainer, reused.trainer.bt
+	}
+}
+
+// steadyBytes returns the mean heap bytes a call of f allocates once a first,
+// warm-up call has given every owner its buffers — testing.AllocsPerRun's
+// protocol, counting bytes instead of objects, with the collector off.
+func steadyBytes(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// zooOwners builds, on the resnet18 proxy, an honest worker, a calibrator and
+// a verifier, each on a network of its own, and a v2 task for them.
+func zooOwners(t *testing.T) (*HonestWorker, *Calibrator, *Verifier, TaskParams) {
+	t.Helper()
+	spec, err := modelzoo.Get("resnet18-cifar10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*nn.Network, *dataset.Dataset) {
+		net, train, _, err := spec.BuildProxy(21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, train
+	}
+	netW, shard := build()
+	worker, err := NewHonestWorker("w", gpu.GA10, 5, netW, shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netC, probe := build()
+	cal := &Calibrator{Net: netC, Shard: probe, XFactor: 5, KLsh: 16}
+	netV, _ := build()
+	device, err := gpu.NewDevice(gpu.G3090, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier := &Verifier{Scheme: SchemeV2, Net: netV, Device: device, Samples: 3, Sampler: tensor.NewRNG(7)}
+	return worker, cal, verifier, zooParams(spec, netW.ParamVector())
+}
+
+// TestOwnersAllocateNoModelVectorPastTheirFirstEpoch is the steady-state
+// guard of each owner on its own: past its first call, an honest worker's
+// RunEpoch, a calibrator's Calibrate and a verifier's VerifySubmission each
+// allocate less than half a model vector — proofs, digests, spans — however
+// many checkpoints they produce, probe or replay.
+func TestOwnersAllocateNoModelVectorPastTheirFirstEpoch(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			worker, cal, verifier, p := zooOwners(t)
+			vector := float64(tensor.EncodedSize(len(p.Global)))
+			calOut, fam, err := cal.Calibrate(p, gpu.G3090, gpu.GA10, [2]int64{1, 2}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifier.Scheme, verifier.Beta = scheme, calOut.Beta
+			if scheme == SchemeV2 {
+				p.LSH, verifier.LSH = fam, fam
+			}
+			var result *EpochResult
+			calls := []struct {
+				name string
+				f    func() error
+			}{
+				{"HonestWorker.RunEpoch", func() (err error) {
+					result, err = worker.RunEpoch(p)
+					return err
+				}},
+				{"Calibrator.Calibrate", func() error {
+					_, _, err := cal.Calibrate(p, gpu.G3090, gpu.GA10, [2]int64{1, 2}, 3)
+					return err
+				}},
+				{"Verifier.VerifySubmission", func() error {
+					out, err := verifier.VerifySubmission(worker, worker.trainer.Shard, result, p)
+					if err == nil && !out.Accepted {
+						err = errors.New(out.FailReason)
+					}
+					return err
+				}},
+			}
+			for _, c := range calls {
+				got := steadyBytes(3, func() {
+					if err := c.f(); err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+				})
+				if got > vector/2 {
+					t.Errorf("%s allocates %.0f bytes per call past its first, %.2f model vectors: a model-sized buffer lost its owner", c.name, got, got/vector)
+				}
+			}
+		})
+	}
+}
+
+// TestHonestWorkerNeverRefillsItsTask runs a worker whose every next task is
+// its own previous final checkpoint: the task vector is never written, the
+// result equals a fresh worker's, and the steady state allocates exactly the
+// one vector the task takes out of the worker's reuse.
+func TestHonestWorkerNeverRefillsItsTask(t *testing.T) {
+	worker, _, _, p := zooOwners(t)
+	vector := float64(tensor.EncodedSize(len(p.Global)))
+	if _, err := worker.RunEpoch(p); err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 1; epoch <= 2; epoch++ {
+		next := p
+		next.Epoch, next.Global = epoch, worker.LastTrace().Final()
+		task := next.Global.Clone()
+		got, err := worker.RunEpoch(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !next.Global.Equal(task, 0) {
+			t.Fatalf("epoch %d wrote its own task vector", epoch)
+		}
+		fresh, _, _, _ := zooOwners(t)
+		next.Global = task
+		want, err := fresh.RunEpoch(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MerkleRoot != want.MerkleRoot || !got.Update.Equal(want.Update, 0) {
+			t.Fatalf("epoch %d: a worker that trains from its own final checkpoint commits another epoch than a fresh one", epoch)
+		}
+	}
+	bytes := steadyBytes(3, func() {
+		next := p
+		next.Global = worker.LastTrace().Final()
+		if _, err := worker.RunEpoch(next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bytes < vector || bytes > 1.5*vector {
+		t.Errorf("an epoch from the worker's own final checkpoint allocates %.2f model vectors, want the one the task takes", bytes/vector)
 	}
 }

@@ -2,6 +2,7 @@ package rpol
 
 import (
 	"fmt"
+	"slices"
 
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
@@ -65,6 +66,40 @@ type Trainer struct {
 	idxs     []int
 	xs       []tensor.Vector
 	labels   []int
+
+	// spare holds the checkpoint vectors of traces the trainer's owner
+	// handed back (recycle); the next epoch refills them instead of
+	// allocating.
+	spare []tensor.Vector
+}
+
+// recycle takes back the checkpoint vectors of a trace this trainer produced
+// so the next RunEpoch/ResumeEpoch refills them. Only the trace's owner calls
+// it, once the trace is dead: neither it nor any vector it holds may be read
+// afterwards, except a vector that is also the next task's Global, which
+// that epoch drops instead of refilling. A nil trace is a no-op.
+func (t *Trainer) recycle(tr *Trace) {
+	if tr == nil {
+		return
+	}
+	t.spare = append(t.spare, tr.Checkpoints...)
+	clear(tr.Checkpoints)
+	tr.Checkpoints, tr.Steps = nil, nil
+}
+
+// vector returns an n-element buffer for a new checkpoint: a recycled one
+// when the trainer holds one of that length, else a fresh one.
+func (t *Trainer) vector(n int) tensor.Vector {
+	for len(t.spare) > 0 {
+		last := len(t.spare) - 1
+		v := t.spare[last]
+		t.spare[last] = nil
+		t.spare = t.spare[:last]
+		if len(v) == n {
+			return v
+		}
+	}
+	return tensor.NewVector(n)
 }
 
 // SetWorkers reconfigures the compute pool, discarding the runtime built for
@@ -133,6 +168,12 @@ func (t *Trainer) batch(p *prf.PRF, step, batchSize int) error {
 // checkpoint interval) and by the manager when re-executing a sampled
 // interval during verification.
 func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
+	return t.executeInterval(make(tensor.Vector, 0, len(start)), start, startStep, steps, h, nonce)
+}
+
+// executeInterval is ExecuteInterval writing the resulting weights into
+// dst's storage (grown when too small) and returning it. dst may be start.
+func (t *Trainer) executeInterval(dst, start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
 	if t.params == nil {
 		t.params = t.Net.Params()
 	}
@@ -161,7 +202,7 @@ func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h H
 		}
 	}
 	t.Steps.Add(int64(steps))
-	return nn.FlattenParams(make(tensor.Vector, 0, len(start)), t.params), nil
+	return nn.FlattenParams(dst[:0], t.params), nil
 }
 
 // RunEpoch trains a full epoch per the task parameters, snapshotting
@@ -183,6 +224,8 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 		return nil, err
 	}
 	t.SetWorkers(p.Workers)
+	// An epoch never writes the weights it trains from.
+	t.spare = slices.DeleteFunc(t.spare, func(v tensor.Vector) bool { return tensor.SameStorage(v, p.Global) })
 	n := p.NumCheckpoints()
 	trace := &Trace{Checkpoints: make([]tensor.Vector, 0, n), Steps: make([]int, 0, n)}
 	if prefix != nil && len(prefix.Checkpoints) > 0 {
@@ -191,25 +234,27 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 				len(prefix.Checkpoints), len(prefix.Steps))
 		}
 		for i, w := range prefix.Checkpoints {
-			trace.Checkpoints = append(trace.Checkpoints, w.Clone())
+			trace.Checkpoints = append(trace.Checkpoints, t.copyOf(w))
 			trace.Steps = append(trace.Steps, prefix.Steps[i])
 		}
 	} else {
-		trace.Checkpoints = append(trace.Checkpoints, p.Global.Clone())
+		trace.Checkpoints = append(trace.Checkpoints, t.copyOf(p.Global))
 		trace.Steps = append(trace.Steps, 0)
 		if err := t.emit(trace); err != nil {
 			return nil, err
 		}
 	}
 	// Each interval's output is the next checkpoint and the next interval's
-	// (read-only) input: one vector per checkpoint, owned by the trace.
+	// (read-only) input: one vector per checkpoint, owned by the trace —
+	// recycled from a trace handed back, when there is one.
 	step := trace.Steps[len(trace.Steps)-1]
 	for step < p.Steps {
 		interval := p.CheckpointEvery
 		if step+interval > p.Steps {
 			interval = p.Steps - step
 		}
-		next, err := t.ExecuteInterval(trace.Final(), step, interval, p.Hyper, p.Nonce)
+		start := trace.Final()
+		next, err := t.executeInterval(t.vector(len(start)), start, step, interval, p.Hyper, p.Nonce)
 		if err != nil {
 			return nil, err
 		}
@@ -221,6 +266,13 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 		}
 	}
 	return trace, nil
+}
+
+// copyOf returns a copy of w in a checkpoint buffer (see vector).
+func (t *Trainer) copyOf(w tensor.Vector) tensor.Vector {
+	v := t.vector(len(w))
+	copy(v, w)
+	return v
 }
 
 // emit streams the trace's newest checkpoint to the Sink, if any.
@@ -267,15 +319,26 @@ func BindFinalCheckpoint(tr *Trace, global tensor.Vector) (tensor.Vector, error)
 	if len(tr.Checkpoints) < 2 {
 		return nil, fmt.Errorf("rpol: trace has %d checkpoints", len(tr.Checkpoints))
 	}
-	update, err := tr.Final().Sub(global)
+	tr.Checkpoints[len(tr.Checkpoints)-1] = tr.Final().Clone()
+	return bindFinal(tr, global, nil)
+}
+
+// bindFinal is BindFinalCheckpoint, same bits, for a trace whose final
+// checkpoint is its own buffer and appears nowhere else in it: the update is
+// written into update's storage (allocated when nil or too small) and the
+// final checkpoint is rewritten in place as θ_t + L.
+func bindFinal(tr *Trace, global, update tensor.Vector) (tensor.Vector, error) {
+	if len(tr.Checkpoints) < 2 {
+		return nil, fmt.Errorf("rpol: trace has %d checkpoints", len(tr.Checkpoints))
+	}
+	final := tr.Final()
+	update, err := final.SubInto(update, global)
 	if err != nil {
 		return nil, fmt.Errorf("rpol bind final: %w", err)
 	}
-	bound, err := global.Add(update)
-	if err != nil {
+	if _, err := global.AddInto(final, update); err != nil {
 		return nil, fmt.Errorf("rpol bind final: %w", err)
 	}
-	tr.Checkpoints[len(tr.Checkpoints)-1] = bound
 	return update, nil
 }
 

@@ -56,6 +56,10 @@ type Verifier struct {
 	trainer *Trainer
 	// store holds the leaves of the submission under verification.
 	store leafStore
+	// final holds θ_t + L of the submission under verification, and output
+	// the replay of its interval under comparison: each is refilled by the
+	// next, and neither is read past the submission.
+	final, output tensor.Vector
 }
 
 // observer resolves the verifier's observer against the process default.
@@ -170,11 +174,12 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 		out.FailReason = fmt.Sprintf("update has %d weights, want %d", len(result.Update), len(p.Global))
 		return out, nil
 	}
-	claimedFinal, err := p.Global.Add(result.Update)
+	var err error
+	v.final, err = p.Global.AddInto(v.final, result.Update)
 	if err != nil {
 		return nil, fmt.Errorf("rpol verify update binding: %w", err)
 	}
-	if err := st.bind(n-1, claimedFinal); err != nil {
+	if err := st.bind(n-1, v.final); err != nil {
 		out.FailReason = fmt.Sprintf("submitted update does not reach the committed final checkpoint: %v", err)
 		return out, nil
 	}
@@ -233,11 +238,12 @@ func (v *Verifier) replay(input tensor.Vector, p TaskParams, c int, parent *obs.
 	span := v.observer().Start(parent, "verify.reproduce",
 		obs.Int("checkpoint", int64(c)), obs.Int("steps", int64(r.steps)))
 	var err error
-	r.weights, err = v.trainer.ExecuteInterval(input, startStep, r.steps, p.Hyper, p.Nonce)
+	v.output, err = v.trainer.executeInterval(v.output, input, startStep, r.steps, p.Hyper, p.Nonce)
 	span.End()
 	if err != nil {
 		return r, fmt.Errorf("rpol verify re-execution: %w", err)
 	}
+	r.weights = v.output
 	if v.Scheme == SchemeV2 {
 		if r.digest, err = v.LSH.Hash(r.weights); err != nil {
 			return r, fmt.Errorf("rpol verify lsh: %w", err)

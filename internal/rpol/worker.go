@@ -33,15 +33,20 @@ type HonestWorker struct {
 	// whose durable checkpoint prefix may be adopted, -1 when none is.
 	resumeEpoch int
 
+	// lastTrace, lastResult and the update they carry are the last epoch's;
+	// the next RunEpoch hands the trace's checkpoints back to the trainer and
+	// refills update, so everything they hold is valid until then.
 	lastTrace  *Trace
 	lastResult *EpochResult
+	update     tensor.Vector
 	// lastCommit retains the last epoch's commitment so OpenProof can serve
 	// the verifier's on-demand Merkle pulls.
 	lastCommit *EpochCommitment
 
 	// encBuf is the reused encode scratch behind the segment header's
-	// global-model checksum.
-	encBuf []byte
+	// global-model checksum, and leafBuf the streamed commitment's leaf
+	// encode scratch, lent to each epoch's streamCommit.
+	encBuf, leafBuf []byte
 }
 
 var _ Worker = (*HonestWorker)(nil)
@@ -117,14 +122,24 @@ func (w *HonestWorker) StorageBytes() int64 {
 }
 
 // RunEpoch trains the sub-task and submits the update with its commitment.
+// The result's Update, like every checkpoint LastTrace and OpenCheckpoint
+// hand out, is the worker's own buffer, valid until its next RunEpoch, which
+// refills it. p.Global may be one of those vectors: it is only read, and
+// never refilled by the epoch that trains from it.
 func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
+	w.trainer.recycle(w.lastTrace)
+	w.lastTrace, w.lastCommit, w.lastResult = nil, nil, nil
+	if tensor.SameStorage(w.update, p.Global) {
+		w.update = nil
+	}
 	if w.segment != nil {
 		// No file handle outlives the epoch, whichever way it ends.
 		defer w.segment.Close()
 	}
 	trainSpan := w.obs.Start(p.Trace, "worker.train",
 		obs.String("worker", w.id), obs.Int("steps", int64(p.Steps)))
-	stream := newStreamCommit(p)
+	stream := newStreamCommit(p, w.leafBuf)
+	defer func() { w.leafBuf = stream.buf }()
 	trace, err := w.runTraining(p, stream)
 	if err != nil {
 		trainSpan.End(obs.String("error", err.Error()))
@@ -132,10 +147,11 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 	}
 	trainSpan.End(obs.Int("checkpoints", int64(len(trace.Checkpoints))))
 	w.obs.Counter("rpol_checkpoints_total").Add(int64(len(trace.Checkpoints)))
-	update, err := BindFinalCheckpoint(trace, p.Global)
+	update, err := bindFinal(trace, p.Global, w.update)
 	if err != nil {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}
+	w.update = update
 	if w.segment != nil {
 		// The final checkpoint is persisted once, as bound, and one barrier
 		// covers the whole epoch: commit sent ⇒ every committed checkpoint
@@ -281,6 +297,8 @@ func (w *HonestWorker) corruptCheckpoint(epoch int, detail string) {
 
 // OpenCheckpoint serves the raw weights of checkpoint idx from the last
 // trained epoch, reading through the configured store when one is set.
+// Without a store the vector is the trace's own, valid until the worker's
+// next RunEpoch.
 func (w *HonestWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
 	if w.lastTrace == nil {
 		return nil, fmt.Errorf("rpol worker %s: no epoch trained yet", w.id)
@@ -308,7 +326,8 @@ func (w *HonestWorker) OpenProof(idx int) (LeafProof, error) {
 }
 
 // LastTrace exposes the worker's private trace for experiments that measure
-// reproduction errors directly.
+// reproduction errors directly. The trace and its checkpoints are valid until
+// the worker's next RunEpoch, which refills them.
 func (w *HonestWorker) LastTrace() *Trace { return w.lastTrace }
 
 // streamCommit accumulates the streaming Merkle commitment while an epoch
@@ -324,9 +343,10 @@ type streamCommit struct {
 	buf     []byte // reused leaf-encode scratch
 }
 
-// newStreamCommit starts the streaming state for one epoch.
-func newStreamCommit(p TaskParams) *streamCommit {
-	return &streamCommit{fam: p.LSH, final: p.NumCheckpoints() - 1}
+// newStreamCommit starts the streaming state for one epoch, encoding leaves
+// into buf's storage.
+func newStreamCommit(p TaskParams, buf []byte) *streamCommit {
+	return &streamCommit{fam: p.LSH, final: p.NumCheckpoints() - 1, buf: buf}
 }
 
 // sink adapts the stream into a Trainer.Sink, chaining an optional

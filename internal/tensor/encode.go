@@ -47,7 +47,11 @@ func (v Vector) AppendEncode(dst []byte) []byte {
 func EncodedSize(n int) int { return 8 + 8*n }
 
 // DecodeVector parses a vector previously produced by Encode.
-func DecodeVector(buf []byte) (Vector, error) {
+func DecodeVector(buf []byte) (Vector, error) { return DecodeVectorInto(nil, buf) }
+
+// DecodeVectorInto is DecodeVector writing into dst's storage (allocated when
+// nil or too small) and returning it. On an error dst is not written.
+func DecodeVectorInto(dst Vector, buf []byte) (Vector, error) {
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("short header (%d bytes): %w", len(buf), errCorruptVector)
 	}
@@ -59,7 +63,7 @@ func DecodeVector(buf []byte) (Vector, error) {
 	if len(buf) != want {
 		return nil, fmt.Errorf("length %d, want %d: %w", len(buf), want, errCorruptVector)
 	}
-	v := make(Vector, n)
+	v := Resize(dst, int(n))
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8+8*i:]))
 	}

@@ -48,11 +48,15 @@ func (v Vector) Fill(x float64) {
 }
 
 // Add returns v + w as a new vector.
-func (v Vector) Add(w Vector) (Vector, error) {
+func (v Vector) Add(w Vector) (Vector, error) { return v.AddInto(nil, w) }
+
+// AddInto writes v + w into dst's storage (allocated when nil or too small)
+// and returns it; dst may be v or w. The elements are Add's bits.
+func (v Vector) AddInto(dst, w Vector) (Vector, error) {
 	if len(v) != len(w) {
 		return nil, fmt.Errorf("add %d vs %d: %w", len(v), len(w), ErrShapeMismatch)
 	}
-	out := make(Vector, len(v))
+	out := Resize(dst, len(v))
 	for i := range v {
 		out[i] = v[i] + w[i]
 	}
@@ -60,15 +64,35 @@ func (v Vector) Add(w Vector) (Vector, error) {
 }
 
 // Sub returns v - w as a new vector.
-func (v Vector) Sub(w Vector) (Vector, error) {
+func (v Vector) Sub(w Vector) (Vector, error) { return v.SubInto(nil, w) }
+
+// SubInto writes v - w into dst's storage (allocated when nil or too small)
+// and returns it; dst may be v or w. The elements are Sub's bits.
+func (v Vector) SubInto(dst, w Vector) (Vector, error) {
 	if len(v) != len(w) {
 		return nil, fmt.Errorf("sub %d vs %d: %w", len(v), len(w), ErrShapeMismatch)
 	}
-	out := make(Vector, len(v))
+	out := Resize(dst, len(v))
 	for i := range v {
 		out[i] = v[i] - w[i]
 	}
 	return out, nil
+}
+
+// SameStorage reports whether a and b are non-empty and start at the same
+// element. Owners of whole model vectors use it to recognise one of theirs
+// handed back to them; it does not detect a partial overlap.
+func SameStorage(a, b Vector) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// Resize returns dst resliced to n elements, or a fresh zeroed vector when
+// dst is nil or its capacity is short. A resliced dst keeps its contents.
+func Resize(dst Vector, n int) Vector {
+	if dst == nil || cap(dst) < n {
+		return make(Vector, n)
+	}
+	return dst[:n]
 }
 
 // AXPY performs v += alpha*w in place. It is the hot-path update used by

@@ -231,8 +231,9 @@ func AppendTask(dst []byte, p rpol.TaskParams) ([]byte, error) {
 }
 
 // decodeTask parses a task produced by AppendTask, rebuilding its LSH family
-// into prev's storage (lsh.RebuildFamily: prev is consumed; nil allocates).
-func decodeTask(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
+// into prev's storage (lsh.RebuildFamily: prev is consumed; nil allocates)
+// and decoding its global model into global's (tensor.DecodeVectorInto).
+func decodeTask(data []byte, prev *lsh.Family, global tensor.Vector) (rpol.TaskParams, error) {
 	r, err := newBinReader(data, binKindTask)
 	if err != nil {
 		return rpol.TaskParams{}, fmt.Errorf("wire task: %w", err)
@@ -267,7 +268,7 @@ func decodeTask(data []byte, prev *lsh.Family) (rpol.TaskParams, error) {
 	if r.err != nil {
 		return rpol.TaskParams{}, fmt.Errorf("wire task: %w", r.err)
 	}
-	global, err := tensor.DecodeVector(rest)
+	global, err = tensor.DecodeVectorInto(global, rest)
 	if err != nil {
 		return rpol.TaskParams{}, fmt.Errorf("wire task global: %w", err)
 	}
@@ -304,6 +305,12 @@ func AppendResult(dst []byte, r *rpol.EpochResult) ([]byte, error) {
 // DecodeResult parses a result produced by AppendResult. The declared
 // checkpoint count is bounded before anything is sized by it.
 func DecodeResult(data []byte) (*rpol.EpochResult, error) {
+	return decodeResult(data, nil)
+}
+
+// decodeResult is DecodeResult decoding the update into update's storage
+// (tensor.DecodeVectorInto).
+func decodeResult(data []byte, update tensor.Vector) (*rpol.EpochResult, error) {
 	r, err := newBinReader(data, binKindResult)
 	if err != nil {
 		return nil, fmt.Errorf("wire result: %w", err)
@@ -327,7 +334,7 @@ func DecodeResult(data []byte) (*rpol.EpochResult, error) {
 	if out.NumCheckpoints < 1 || out.NumCheckpoints > maxWireCheckpoints {
 		return nil, fmt.Errorf("wire result: claimed checkpoint count %d out of range [1, %d]", out.NumCheckpoints, maxWireCheckpoints)
 	}
-	update, err := tensor.DecodeVector(rest)
+	update, err = tensor.DecodeVectorInto(update, rest)
 	if err != nil {
 		return nil, fmt.Errorf("wire result update: %w", err)
 	}

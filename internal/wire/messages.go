@@ -42,7 +42,7 @@ func EncodeTask(p rpol.TaskParams) ([]byte, error) {
 // DecodeTask reconstructs the task parameters, rebuilding the LSH family
 // from its derivation inputs.
 func DecodeTask(data []byte) (rpol.TaskParams, error) {
-	return decodeTask(data, nil)
+	return decodeTask(data, nil, nil)
 }
 
 // EncodeResult marshals an epoch result in the binary wire format.

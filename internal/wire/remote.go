@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -101,32 +102,40 @@ func (mp *ManagerPort) SetRetryPolicy(p *RetryPolicy) {
 	mp.policy = &norm
 }
 
-// call sends a request to the peer and waits for its reply of wantKind.
-func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) ([]byte, error) {
+// call sends a request to the peer and waits for its reply of wantKind. The
+// reply's payload aliases an endpoint frame: the caller decodes it, then
+// hands it back with the endpoint's Release.
+func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) (netsim.Message, error) {
 	if mp.policy != nil {
 		return mp.callRetry(to, kind, payload, wantKind)
 	}
 	if err := mp.ep.Send(to, kind, payload); err != nil {
-		return nil, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
+		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 	}
 	mp.obs.Counter("wire_manager_messages_sent_total").Inc()
 	mp.obs.Counter("wire_manager_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
 	msg, err := mp.ep.Recv()
 	if err != nil {
-		return nil, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
+		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 	}
 	mp.obs.Counter("wire_manager_messages_recv_total").Inc()
 	mp.obs.Counter("wire_manager_bytes_recv_total").Add(msg.Size())
 	if msg.From != to {
-		return nil, fmt.Errorf("wire call %s/%s: reply from %s: %w", to, kind, msg.From, ErrRemote)
+		return netsim.Message{}, fmt.Errorf("wire call %s/%s: reply from %s: %w", to, kind, msg.From, ErrRemote)
 	}
+	return mp.reply(to, kind, msg, wantKind)
+}
+
+// reply checks the correlated reply msg to a kind request is of wantKind,
+// turning a worker's error message into an error.
+func (mp *ManagerPort) reply(to, kind string, msg netsim.Message, wantKind string) (netsim.Message, error) {
 	if msg.Kind == KindError {
-		return nil, fmt.Errorf("wire call %s/%s: %s: %w", to, kind, msg.Payload, ErrRemote)
+		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %s: %w", to, kind, msg.Payload, ErrRemote)
 	}
 	if msg.Kind != wantKind {
-		return nil, fmt.Errorf("wire call %s/%s: got kind %q: %w", to, kind, msg.Kind, ErrRemote)
+		return netsim.Message{}, fmt.Errorf("wire call %s/%s: got kind %q: %w", to, kind, msg.Kind, ErrRemote)
 	}
-	return msg.Payload, nil
+	return msg, nil
 }
 
 // callRetry is the deadline-bounded exchange: stamp the request with a fresh
@@ -134,7 +143,7 @@ func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) ([
 // with backoff. Replies whose From or Seq don't match are stale responses to
 // attempts this port already abandoned (the port runs one outstanding request
 // at a time) and are discarded.
-func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind string) ([]byte, error) {
+func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind string) (netsim.Message, error) {
 	pol := *mp.policy
 	seq := mp.seq.Add(1)
 	timeout := pol.Timeout
@@ -143,7 +152,7 @@ func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind strin
 			mp.obs.Counter("net_retries_total").Inc()
 		}
 		if err := mp.ep.SendSeq(to, kind, seq, payload); err != nil {
-			return nil, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
+			return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 		}
 		mp.obs.Counter("wire_manager_messages_sent_total").Inc()
 		mp.obs.Counter("wire_manager_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
@@ -160,30 +169,33 @@ func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind strin
 			mp.obs.Counter("wire_manager_messages_recv_total").Inc()
 			mp.obs.Counter("wire_manager_bytes_recv_total").Add(msg.Size())
 			if msg.From != to || msg.Seq != seq {
+				mp.ep.Release(msg)
 				continue // stale reply to an abandoned attempt
 			}
-			if msg.Kind == KindError {
-				return nil, fmt.Errorf("wire call %s/%s: %s: %w", to, kind, msg.Payload, ErrRemote)
-			}
-			if msg.Kind != wantKind {
-				return nil, fmt.Errorf("wire call %s/%s: got kind %q: %w", to, kind, msg.Kind, ErrRemote)
-			}
-			return msg.Payload, nil
+			return mp.reply(to, kind, msg, wantKind)
 		}
 		mp.obs.Counter("net_timeouts_total").Inc()
 		timeout = time.Duration(float64(timeout) * pol.Backoff)
 	}
-	return nil, fmt.Errorf("wire call %s/%s: no reply after %d attempts: %w",
+	return netsim.Message{}, fmt.Errorf("wire call %s/%s: no reply after %d attempts: %w",
 		to, kind, pol.Attempts, rpol.ErrWorkerUnavailable)
 }
 
 // RemoteWorker satisfies rpol.Worker by proxying every interaction over the
 // hub to a WorkerServer. The manager plugs RemoteWorkers into rpol.Manager
-// unchanged.
+// unchanged. The vectors it decodes — a result's Update and each opened
+// checkpoint, every opening into a vector of its own — are its own, valid
+// until its next RunEpoch, which refills them.
 type RemoteWorker struct {
 	id      string
 	profile gpu.Profile
 	port    *ManagerPort
+
+	// update is the last result's update; opened holds the vectors the
+	// openings since the last RunEpoch were decoded into, and spare those of
+	// earlier epochs, which later openings refill.
+	update        tensor.Vector
+	opened, spare []tensor.Vector
 }
 
 var _ rpol.Worker = (*RemoteWorker)(nil)
@@ -206,8 +218,17 @@ func (r *RemoteWorker) ID() string { return r.id }
 // GPUProfile returns the hardware profile the worker registered.
 func (r *RemoteWorker) GPUProfile() gpu.Profile { return r.profile }
 
-// RunEpoch ships the task assignment and waits for the submission.
+// RunEpoch ships the task assignment and waits for the submission. It takes
+// back every vector the previous epoch handed out, except one that is
+// p.Global, which is only read.
 func (r *RemoteWorker) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
+	if tensor.SameStorage(r.update, p.Global) {
+		r.update = nil
+	}
+	r.spare = append(r.spare, r.opened...)
+	clear(r.opened)
+	r.opened = r.opened[:0]
+	r.spare = slices.DeleteFunc(r.spare, func(v tensor.Vector) bool { return tensor.SameStorage(v, p.Global) })
 	payload, err := AppendTask(r.port.encBuf[:0], p)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
@@ -217,10 +238,12 @@ func (r *RemoteWorker) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
-	result, err := DecodeResult(reply)
+	result, err := decodeResult(reply.Payload, r.update)
+	r.port.ep.Release(reply)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
+	r.update = result.Update
 	if result.WorkerID != r.id {
 		return nil, fmt.Errorf("wire remote %s: result claims %s: %w", r.id, result.WorkerID, ErrRemote)
 	}
@@ -235,17 +258,27 @@ func (r *RemoteWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
-	resp, err := decodeOpenResponse(reply)
+	defer r.port.ep.Release(reply)
+	resp, err := decodeOpenResponse(reply.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
 	if resp.Err != "" {
 		return nil, fmt.Errorf("wire remote %s: %s: %w", r.id, resp.Err, ErrRemote)
 	}
-	weights, err := tensor.DecodeVector(resp.Weights)
+	var dst tensor.Vector
+	if n := len(r.spare); n > 0 {
+		dst = r.spare[n-1]
+		r.spare[n-1], r.spare = nil, r.spare[:n-1]
+	}
+	weights, err := tensor.DecodeVectorInto(dst, resp.Weights)
 	if err != nil {
+		if dst != nil {
+			r.spare = append(r.spare, dst)
+		}
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
+	r.opened = append(r.opened, weights)
 	return weights, nil
 }
 
@@ -258,7 +291,8 @@ func (r *RemoteWorker) OpenProof(idx int) (rpol.LeafProof, error) {
 	if err != nil {
 		return rpol.LeafProof{}, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
-	resp, err := decodeProofResponse(reply)
+	resp, err := decodeProofResponse(reply.Payload)
+	r.port.ep.Release(reply)
 	if err != nil {
 		return rpol.LeafProof{}, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}

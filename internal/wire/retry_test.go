@@ -82,8 +82,8 @@ func TestCallRetryDiscardsStaleReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "reply-b" {
-		t.Fatalf("payload = %q, want %q (stale reply accepted?)", got, "reply-b")
+	if string(got.Payload) != "reply-b" {
+		t.Fatalf("payload = %q, want %q (stale reply accepted?)", got.Payload, "reply-b")
 	}
 	hub.Close()
 	<-done
@@ -105,8 +105,8 @@ func TestCallRetryRecoversFromDrops(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if len(got) != 1 || got[0] != byte(i) {
-			t.Fatalf("call %d: payload %v", i, got)
+		if len(got.Payload) != 1 || got.Payload[0] != byte(i) {
+			t.Fatalf("call %d: payload %v", i, got.Payload)
 		}
 	}
 	drops, _ := hub.Meter().Injected()

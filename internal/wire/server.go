@@ -10,13 +10,15 @@ import (
 	"rpol/internal/netsim"
 	"rpol/internal/obs"
 	"rpol/internal/rpol"
+	"rpol/internal/tensor"
 )
 
 // WorkerServer hosts an rpol.Worker behind a hub endpoint: it receives task
 // assignments and checkpoint-opening requests and answers them. Run it in
-// its own goroutine; it returns when the connection closes. The LSH family in
-// the TaskParams it hands the worker is the server's own, refilled by the
-// next task's decode: a worker uses it during RunEpoch and does not keep it.
+// its own goroutine; it returns when the connection closes. The Global and
+// the LSH family in the TaskParams it hands the worker are the server's own,
+// valid until it decodes its next task, which refills them: a worker uses
+// them during RunEpoch and does not keep them.
 type WorkerServer struct {
 	worker rpol.Worker
 	ep     *netsim.TCPEndpoint
@@ -26,9 +28,11 @@ type WorkerServer struct {
 	// handles requests sequentially, so one buffer suffices.
 	encBuf []byte
 
-	// fam is the LSH family of the last v2 task decoded; the next one's
-	// decode refills its K·L projection vectors instead of allocating them.
-	fam *lsh.Family
+	// fam is the LSH family of the last v2 task decoded, and global the last
+	// task's global model; the next task's decode refills them (fam's K·L
+	// projection vectors) instead of allocating.
+	fam    *lsh.Family
+	global tensor.Vector
 }
 
 // NewWorkerServer hosts the worker behind its endpoint, already dialed into
@@ -79,16 +83,19 @@ func (s *WorkerServer) Run() error {
 			// Reply with the error; keep serving.
 			_ = s.send(msg.From, KindError, msg.Seq, []byte(err.Error()))
 		}
+		// Every request is decoded into values of its own by now.
+		s.ep.Release(msg)
 	}
 }
 
 func (s *WorkerServer) handle(msg netsim.Message) error {
 	switch msg.Kind {
 	case KindTask:
-		p, err := decodeTask(msg.Payload, s.fam)
+		p, err := decodeTask(msg.Payload, s.fam, s.global)
 		if err != nil {
 			return err
 		}
+		s.global = p.Global
 		if p.LSH != nil {
 			s.fam = p.LSH
 		}
