@@ -545,6 +545,36 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr37.json",
+		pr:       37,
+		minPairs: map[string]int{"ref10_v2_tcp": 3, "proofs4_v2_tcp": 10, "wide16_v1_tcp": 3, "durable8_v2_disk": 3},
+		rows: []e2eGate{
+			// The claim: keyed noise and the LSH projections on vector
+			// kernels that keep every bit take at least an eighth off the
+			// challenge-heavy epoch, which settles more submissions a second.
+			{"proofs4_v2_tcp", "epoch_s_p50", "claim<=", 0.88},
+			{"proofs4_v2_tcp", "submissions_per_s", ">=", 1},
+			// No bit moves: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// One lane-packed vector per family in place of K·L: the
+			// workloads that build families allocate no more. wide16 builds
+			// none, and its figure moves by about 1 % between identical runs.
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "<=", 1},
+			{"proofs4_v2_tcp", "alloc_mb_per_epoch", "<=", 1},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 1},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

@@ -146,6 +146,21 @@ func BenchmarkAblationIntervalSweep(b *testing.B) {
 
 // Micro-benchmarks for the protocol's hot paths.
 
+// kernelPaths runs a benchmark on the portable kernels and on the host's
+// vector kernels (the portable ones again where the host has none): the two
+// give the same bits, so only the time differs.
+func kernelPaths(b *testing.B, bench func(b *testing.B)) {
+	for _, path := range []struct {
+		name     string
+		portable bool
+	}{{"portable", true}, {"simd", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			defer tensor.SetPortable(tensor.SetPortable(path.portable))
+			bench(b)
+		})
+	}
+}
+
 func BenchmarkLSHHash(b *testing.B) {
 	const dim = 4096
 	fam, err := lsh.NewFamily(dim, lsh.Params{R: 1, K: 4, L: 4}, 1)
@@ -153,13 +168,14 @@ func BenchmarkLSHHash(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := tensor.NewRNG(2).NormalVector(dim, 0, 1)
-	b.SetBytes(int64(8 * dim))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fam.Hash(x); err != nil {
-			b.Fatal(err)
+	kernelPaths(b, func(b *testing.B) {
+		b.SetBytes(int64(8 * dim))
+		for i := 0; i < b.N; i++ {
+			if _, err := fam.Hash(x); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkCommitmentHashList(b *testing.B) {
@@ -200,10 +216,11 @@ func BenchmarkDeviceNoise(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := tensor.NewVector(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		device.Perturb(w)
-	}
+	kernelPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			device.Perturb(w)
+		}
+	})
 }
 
 func BenchmarkPoolEpochV2(b *testing.B) {

@@ -60,10 +60,13 @@ func ReadFrame(data []byte) (payload, rest []byte, err error) {
 	if len(data) < frameLenSize {
 		return nil, nil, fmt.Errorf("%d bytes before length prefix: %w", len(data), ErrTornFrame)
 	}
-	n := int(binary.BigEndian.Uint32(data[:frameLenSize]))
-	if n > maxFramePayload {
-		return nil, nil, fmt.Errorf("declared payload %d bytes: %w", n, ErrChecksum)
+	// Compared as unsigned first: on a 32-bit int a length above 2^31
+	// would turn negative and slip past the cap.
+	declared := binary.BigEndian.Uint32(data[:frameLenSize])
+	if declared > maxFramePayload {
+		return nil, nil, fmt.Errorf("declared payload %d bytes: %w", declared, ErrChecksum)
 	}
+	n := int(declared)
 	total := frameLenSize + n + frameSumSize
 	if len(data) < total {
 		return nil, nil, fmt.Errorf("%d of %d frame bytes: %w", len(data), total, ErrTornFrame)

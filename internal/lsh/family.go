@@ -19,10 +19,12 @@ type Family struct {
 	dim    int
 	params Params
 	seed   int64
-	// projections[g][f] is the Gaussian vector a for group g, function f;
-	// offsets[g][f] is the uniform shift b in [0, r).
-	projections [][]tensor.Vector
-	offsets     [][]float64
+	// lanes holds the K·L Gaussian projection vectors a lane-packed
+	// (tensor.DotLanes): projection p = g·K + f, for group g and function
+	// f, is lane p%4 of block p/4. offsets[p] is its uniform shift b in
+	// [0, r).
+	lanes   tensor.Vector
+	offsets []float64
 }
 
 // Digest is the LSH fingerprint of a vector: one 8-byte hash per group,
@@ -78,27 +80,24 @@ func RebuildFamily(prev *Family, dim int, params Params, seed int64) (*Family, e
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	n := params.K * params.L
 	f := prev
 	if f == nil || f.dim != dim || f.params.K != params.K || f.params.L != params.L {
 		f = &Family{
-			projections: make([][]tensor.Vector, params.L),
-			offsets:     make([][]float64, params.L),
-		}
-		for g := range f.projections {
-			f.projections[g] = make([]tensor.Vector, params.K)
-			f.offsets[g] = make([]float64, params.K)
-			for fn := range f.projections[g] {
-				f.projections[g][fn] = tensor.NewVector(dim)
-			}
+			lanes:   tensor.NewVector(tensor.PackLen(n, dim)),
+			offsets: make([]float64, n),
 		}
 	}
 	f.dim, f.params, f.seed = dim, params, seed
-	for g := 0; g < params.L; g++ {
-		for fn := 0; fn < params.K; fn++ {
-			key := tensor.KeyOf(uint64(seed), uint64(g), uint64(fn))
-			tensor.FillNormalKeyed(f.projections[g][fn], key, 1)
-			f.offsets[g][fn] = params.R * tensor.UniformKeyed(key)
+	var keys [tensor.LaneBlock]uint64
+	for lo := 0; lo < n; lo += tensor.LaneBlock {
+		lanes := keys[:min(tensor.LaneBlock, n-lo)]
+		for l := range lanes {
+			p := lo + l
+			lanes[l] = tensor.KeyOf(uint64(seed), uint64(p/params.K), uint64(p%params.K))
+			f.offsets[p] = params.R * tensor.UniformKeyed(lanes[l])
 		}
+		tensor.FillNormalKeyedBlock(f.lanes[lo*dim:(lo+tensor.LaneBlock)*dim], lanes, 1)
 	}
 	return f, nil
 }
@@ -118,90 +117,55 @@ func (f *Family) Hash(x tensor.Vector) (Digest, error) {
 	return f.HashPool(nil, x)
 }
 
-// HashPool is Hash with the l groups chunked across the pool. Each group's
-// 8-byte hash is a pure function of (x, that group's projections) written to
-// its own digest slot, so the result is bit-identical to the serial Hash for
-// any worker count. A nil pool runs serially.
+// HashPool is Hash with the projections' lane blocks chunked across the
+// pool. Every dot product is one ascending chain written to its own slot, so
+// the result is bit-identical to the serial Hash for any worker count. A nil
+// pool runs serially.
 func (f *Family) HashPool(p *parallel.Pool, x tensor.Vector) (Digest, error) {
 	if len(x) != f.dim {
 		return nil, fmt.Errorf("lsh: input %d, want %d: %w", len(x), f.dim, tensor.ErrShapeMismatch)
 	}
-	d := make(Digest, f.params.L)
+	n := len(f.offsets)
 	if p.Workers() <= 1 {
-		// Serial fast path: one bucket buffer for all K·L projections, on
-		// the stack at the usual budget of 16.
-		var stack [8 * 16]byte
-		buf := stack[:]
-		if need := 8 * f.params.K * f.params.L; need > len(buf) {
-			buf = make([]byte, need)
+		// Serial fast path: the dot products sit on the stack at the
+		// usual budget of 16.
+		var stack [16]float64
+		dots := stack[:]
+		if n > len(dots) {
+			dots = make([]float64, n)
 		}
-		if err := f.hashGroups(d, buf, x, 0, f.params.L); err != nil {
-			return nil, err
-		}
-		return d, nil
+		tensor.DotLanes(dots[:n], f.lanes, x)
+		return f.digest(dots), nil
 	}
-	errs := make([]error, parallel.NumChunks(f.params.L, 1))
-	p.ForChunks(f.params.L, 1, func(c, lo, hi int) {
-		buf := make([]byte, 8*f.params.K)
-		errs[c] = f.hashGroups(d, buf, x, lo, hi)
+	dots := make([]float64, n)
+	blocks := (n + tensor.LaneBlock - 1) / tensor.LaneBlock
+	p.ForChunks(blocks, 1, func(_, lo, hi int) {
+		tensor.DotLanes(dots[lo*tensor.LaneBlock:min(hi*tensor.LaneBlock, n)], f.lanes[lo*tensor.LaneBlock*f.dim:], x)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return f.digest(dots), nil
 }
 
-// hashGroups fills digest slots lo..hi; buf holds 8 bytes per projection of
-// those groups. Every group writes only its own slot, and each group hash is
-// a pure function of x and the family, so any partition of the groups yields
-// identical digests.
-//
-// The projections of the range are taken four at a time: one pass over x
-// advances four dot products, each still a single accumulation in ascending
-// index order (the bits Vector.Dot produces), so four independent add chains
-// overlap where one would wait out the adder's latency at every element.
-func (f *Family) hashGroups(d Digest, buf []byte, x tensor.Vector, lo, hi int) error {
+// digest turns the K·L dot products into the digest: for each group, the k
+// bucket indices ⌊(a·x+b)/r⌋ folded through SHA-256 into 8 bytes.
+func (f *Family) digest(dots []float64) Digest {
 	k := f.params.K
-	n := (hi - lo) * k
-	proj := func(j int) tensor.Vector { return f.projections[lo+j/k][j%k] }
-	bucket := func(j int, dot float64) {
-		b := int64(math.Floor((dot + f.offsets[lo+j/k][j%k]) / f.params.R))
-		binary.LittleEndian.PutUint64(buf[8*j:], uint64(b))
+	var stack [8 * 16]byte
+	buf := stack[:]
+	if need := 8 * k; need > len(buf) {
+		buf = make([]byte, need)
 	}
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		a0, a1, a2, a3 := proj(j), proj(j+1), proj(j+2), proj(j+3)
-		if len(a0) != len(x) || len(a1) != len(x) || len(a2) != len(x) || len(a3) != len(x) {
-			return fmt.Errorf("lsh: projection of %d weights, input %d: %w", len(a0), len(x), tensor.ErrShapeMismatch)
+	buf = buf[:8*k]
+	d := make(Digest, f.params.L)
+	for g := range d {
+		for fn := 0; fn < k; fn++ {
+			p := g*k + fn
+			b := int64(math.Floor((dots[p] + f.offsets[p]) / f.params.R))
+			binary.LittleEndian.PutUint64(buf[8*fn:], uint64(b))
 		}
-		// Equal lengths, restated so the loop indexes without bounds checks.
-		a0, a1, a2, a3 = a0[:len(x)], a1[:len(x)], a2[:len(x)], a3[:len(x)]
-		var s0, s1, s2, s3 float64
-		for i, xi := range x {
-			s0 += a0[i] * xi
-			s1 += a1[i] * xi
-			s2 += a2[i] * xi
-			s3 += a3[i] * xi
-		}
-		bucket(j, s0)
-		bucket(j+1, s1)
-		bucket(j+2, s2)
-		bucket(j+3, s3)
-	}
-	for ; j < n; j++ {
-		dot, err := proj(j).Dot(x)
-		if err != nil {
-			return err
-		}
-		bucket(j, dot)
-	}
-	for g := lo; g < hi; g++ {
-		sum := sha256.Sum256(buf[8*k*(g-lo) : 8*k*(g-lo+1)])
+		sum := sha256.Sum256(buf)
 		d[g] = binary.LittleEndian.Uint64(sum[:8])
 	}
-	return nil
+	return d
 }
 
 // Match reports whether two digests agree in at least one group — the OR

@@ -255,11 +255,12 @@ func TestMatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestHashMatchesOneChainReference holds the four-at-a-time projection loop
-// to the definition it replaced — every projection's dot product taken on its
-// own with Vector.Dot — at projection counts that leave every remainder
+// TestHashMatchesOneChainReference holds the lane-packed projection kernels
+// to the definition they replaced — every projection's dot product taken on
+// its own with Vector.Dot — at projection counts that leave every remainder
 // (K·L = 1, 3, 4, 5, 16, 17, with groups both wider and narrower than four),
-// through Hash and through HashPool at 1, 2 and 4 workers.
+// through Hash and through HashPool at 1, 2 and 4 workers, on the host's
+// kernels and on the portable ones.
 func TestHashMatchesOneChainReference(t *testing.T) {
 	const dim = 257
 	x := tensor.NewRNG(11).NormalVector(dim, 0, 3)
@@ -273,11 +274,11 @@ func TestHashMatchesOneChainReference(t *testing.T) {
 		for g := range want {
 			buf := make([]byte, 8*params.K)
 			for fn := 0; fn < params.K; fn++ {
-				dot, err := f.projections[g][fn].Dot(x)
+				dot, err := f.projection(g, fn).Dot(x)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bucket := int64(math.Floor((dot + f.offsets[g][fn]) / params.R))
+				bucket := int64(math.Floor((dot + f.offset(g, fn)) / params.R))
 				binary.LittleEndian.PutUint64(buf[8*fn:], uint64(bucket))
 			}
 			sum := sha256.Sum256(buf)
@@ -294,11 +295,15 @@ func TestHashMatchesOneChainReference(t *testing.T) {
 				}
 			}
 		}
-		got, err := f.Hash(x)
-		check("Hash", got, err)
-		for _, workers := range []int{1, 2, 4} {
-			got, err := f.HashPool(parallel.New(workers), x)
-			check(fmt.Sprintf("HashPool(%d)", workers), got, err)
+		for _, portable := range []bool{false, true} {
+			prev := tensor.SetPortable(portable)
+			got, err := f.Hash(x)
+			check(fmt.Sprintf("Hash (portable %v)", portable), got, err)
+			for _, workers := range []int{1, 2, 4} {
+				got, err := f.HashPool(parallel.New(workers), x)
+				check(fmt.Sprintf("HashPool(%d) (portable %v)", workers, portable), got, err)
+			}
+			tensor.SetPortable(prev)
 		}
 	}
 	// The serial path's bucket buffer stays off the heap at the usual budget:

@@ -1,6 +1,8 @@
 package lsh
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -30,7 +32,7 @@ func TestRebuildFamilyMatchesNewFamily(t *testing.T) {
 	for i, s := range steps {
 		var before *float64
 		if fam != nil {
-			before = &fam.projections[0][0][0]
+			before = &fam.lanes[0]
 		}
 		var err error
 		if fam, err = RebuildFamily(fam, s.dim, s.params, s.seed); err != nil {
@@ -55,15 +57,11 @@ func TestRebuildFamilyMatchesNewFamily(t *testing.T) {
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("step %d: digest %v, NewFamily's %v", i, got, ref)
 		}
-		if reused := before == &fam.projections[0][0][0]; reused != s.reuse {
+		if reused := before == &fam.lanes[0]; reused != s.reuse {
 			t.Errorf("step %d: storage reused = %v, want %v (another shape's storage is discarded, not resliced)", i, reused, s.reuse)
 		}
-		for g := range fam.projections {
-			for _, a := range fam.projections[g] {
-				if len(a) != s.dim || cap(a) != s.dim {
-					t.Fatalf("step %d: projection of len %d cap %d, want exactly %d", i, len(a), cap(a), s.dim)
-				}
-			}
+		if want := tensor.PackLen(s.params.K*s.params.L, s.dim); len(fam.lanes) != want || cap(fam.lanes) != want {
+			t.Fatalf("step %d: projections of len %d cap %d, want exactly %d", i, len(fam.lanes), cap(fam.lanes), want)
 		}
 	}
 	// A rejected rebuild leaves the previous family intact.
@@ -109,11 +107,67 @@ func TestFamilyProjectionsAreKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := range small.projections {
-		for f, a := range small.projections[g] {
-			if !a.Equal(large.projections[g][f][:len(a)], 0) || small.offsets[g][f] != large.offsets[g][f] {
+	for g := 0; g < small.params.L; g++ {
+		for f := 0; f < small.params.K; f++ {
+			a := small.projection(g, f)
+			if !a.Equal(large.projection(g, f)[:len(a)], 0) || small.offset(g, f) != large.offset(g, f) {
 				t.Fatalf("projection (%d, %d) differs between two shapes of one seed", g, f)
 			}
 		}
+	}
+}
+
+// projection returns a copy of projection (g, fn), read out of its lane.
+func (f *Family) projection(g, fn int) tensor.Vector {
+	p := g*f.params.K + fn
+	block := f.lanes[p/tensor.LaneBlock*tensor.LaneBlock*f.dim:]
+	a := tensor.NewVector(f.dim)
+	for i := range a {
+		a[i] = block[tensor.LaneBlock*i+p%tensor.LaneBlock]
+	}
+	return a
+}
+
+// offset returns projection (g, fn)'s shift.
+func (f *Family) offset(g, fn int) float64 { return f.offsets[g*f.params.K+fn] }
+
+// TestFamilyPinnedDigests pins the digests three families give eight fixed
+// vectors, folded through SHA-256. At r = 10⁻¹⁴ a bucket index reads a dot
+// product to its last bits, so any change in the projections' draws or in the
+// order or rounding of a dot product moves a digest. Every build must
+// produce them: amd64 with and without the vector kernels, 386, and
+// GOAMD64=v3, where a fused multiply-add would show.
+func TestFamilyPinnedDigests(t *testing.T) {
+	const dim = 5546
+	pinned := []struct {
+		params Params
+		want   string
+	}{
+		{Params{R: 1.5, K: 4, L: 4}, "596532e987f17f330ffaa7a168543dd46af85632dfa2fa6cd506d6326ecdcc5d"},
+		{Params{R: 1e-14, K: 4, L: 4}, "06e282e330231a16be94e4510bcc67c331404595d50077a63f4f9b77b33a1662"},
+		{Params{R: 1e-14, K: 17, L: 1}, "3bf9cd38d4957a85faa5264a16f997c74dbc6adca897007001139a57b19ddaaf"},
+		{Params{R: 1e-14, K: 3, L: 3}, "00419361a09b7446fa1ebdd08f850482747d35093c1db5ddf6f0672a2a8a77c0"},
+	}
+	for _, portable := range []bool{false, true} {
+		prev := tensor.SetPortable(portable)
+		for _, p := range pinned {
+			f, err := NewFamily(dim, p.params, 2023)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			rng := tensor.NewRNG(7)
+			for v := 0; v < 8; v++ {
+				d, err := f.Hash(rng.NormalVector(dim, 0, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(d.Encode())
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != p.want {
+				t.Errorf("%+v (portable %v): digests fold to %s, pinned %s", p.params, portable, got, p.want)
+			}
+		}
+		tensor.SetPortable(prev)
 	}
 }

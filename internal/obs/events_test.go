@@ -172,6 +172,9 @@ func TestEventsConcurrentPublishPoll(t *testing.T) {
 	e.Observe(reg)
 	const publishers, perPublisher = 4, 250
 
+	// Subscribed before any publisher starts, so every event is either
+	// tailed or counted as dropped.
+	sub := e.Subscribe()
 	var wg sync.WaitGroup
 	for p := 0; p < publishers; p++ {
 		wg.Add(1)
@@ -186,7 +189,6 @@ func TestEventsConcurrentPublishPoll(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 
-	sub := e.Subscribe()
 	var tailed, dropped uint64
 	stream := NewMetricsStream(reg, 8)
 	var lastSeq uint64

@@ -9,13 +9,6 @@ package tensor
 // to scalar multiply and add — deliberately no FMA, whose single rounding
 // would change low-order bits).
 
-// useAVX reports whether the CPU and OS support 256-bit AVX state.
-var useAVX = cpuHasAVX()
-
-// cpuHasAVX is implemented in gemm_amd64.s: CPUID feature bits plus XGETBV
-// confirmation that the OS saves YMM state.
-func cpuHasAVX() bool
-
 // mulMatPackAVX computes, for one lane-packed batch tile of gemmTile rows,
 // dst[l*dstStride+i] = Σ_k w[i*k̂+k]·xpack[k*gemmTile+l] for i in [0, rows),
 // l in [0, gemmTile). Each (l, i) output is a single ascending-k chain held

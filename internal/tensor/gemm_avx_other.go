@@ -2,11 +2,9 @@
 
 package tensor
 
-// Non-amd64 hosts have no SIMD kernels: useAVX is constant-false, the
-// dispatch sites compile the portable kernels only, and the stubs below are
-// unreachable (the gates above them never pass).
-
-const useAVX = false
+// Non-amd64 hosts have no SIMD kernels: useAVX is constant-false
+// (simd_other.go), the dispatch sites compile the portable kernels only, and
+// the stubs below are unreachable (the gates above them never pass).
 
 func packLanes(Vector, *Matrix) {
 	panic("tensor: packLanes without SIMD support")

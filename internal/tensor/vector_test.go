@@ -212,3 +212,39 @@ func TestAddSubRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDotLanesMatchesDot: every lane-packed dot product equals Vector.Dot of
+// the vector it packs, bit for bit, on the host's kernels and on the portable
+// ones, for 1 to 17 vectors (every remainder of the four-block passes) and
+// lengths around the kernel's.
+func TestDotLanesMatchesDot(t *testing.T) {
+	rng := NewRNG(17)
+	for _, n := range []int{0, 1, 2, 7, 257, 5546} {
+		x := rng.NormalVector(n, 0, 3)
+		for vectors := 1; vectors <= 17; vectors++ {
+			vs := make([]Vector, vectors)
+			pack := NewVector(PackLen(vectors, n))
+			for p := range vs {
+				vs[p] = rng.NormalVector(n, 0, 1)
+				for i, v := range vs[p] {
+					pack[p/LaneBlock*LaneBlock*n+LaneBlock*i+p%LaneBlock] = v
+				}
+			}
+			for _, portable := range []bool{false, true} {
+				prev := SetPortable(portable)
+				got := make([]float64, vectors)
+				DotLanes(got, pack, x)
+				SetPortable(prev)
+				for p, v := range vs {
+					want, err := v.Dot(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got[p]) != math.Float64bits(want) {
+						t.Fatalf("n=%d, %d vectors, portable %v: dot %d = %v, Vector.Dot %v", n, vectors, portable, p, got[p], want)
+					}
+				}
+			}
+		}
+	}
+}
