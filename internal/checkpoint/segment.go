@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -82,6 +83,9 @@ func ScanSegment(data []byte, epoch int, globalDigest uint64, dim, limit int) (f
 			stop = fmt.Errorf("frame of epoch %d: %w", binary.BigEndian.Uint64(payload[1:]), ErrSegmentFrame)
 		case binary.BigEndian.Uint32(payload[9:]) != uint32(idx):
 			stop = fmt.Errorf("index %d where %d is due: %w", binary.BigEndian.Uint32(payload[9:]), idx, ErrSegmentFrame)
+		case uint64(binary.BigEndian.Uint32(payload[13:])) > math.MaxInt:
+			// Only a 32-bit int can fall short of a uint32 step.
+			stop = fmt.Errorf("step %d beyond the int range: %w", binary.BigEndian.Uint32(payload[13:]), ErrSegmentFrame)
 		}
 		if stop != nil {
 			break

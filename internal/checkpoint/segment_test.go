@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"rpol/internal/fsio"
@@ -99,6 +102,23 @@ func TestScanSegmentTable(t *testing.T) {
 			}
 		})
 	}
+	// A step is a uint32 on disk: where int has 32 bits, one above its range
+	// is refused, never decoded as a negative step.
+	t.Run("step beyond the int range", func(t *testing.T) {
+		payload := appendCheckpointPayload(nil, segEpoch, 2, 0, segVector(2))
+		binary.BigEndian.PutUint32(payload[13:], math.MaxUint32)
+		frames, _, stop := ScanSegment(segmentOf(f1, fsio.AppendFrame(nil, payload)), segEpoch, segDigest, segDim, 9)
+		wantFrames, wantStop := 2, error(nil)
+		if strconv.IntSize == 32 {
+			wantFrames, wantStop = 1, ErrSegmentFrame
+		}
+		if len(frames) != wantFrames || !errors.Is(stop, wantStop) {
+			t.Fatalf("adopted %d frames, stop %v; want %d, %v", len(frames), stop, wantFrames, wantStop)
+		}
+		if len(frames) == 2 && uint64(frames[1].Step) != math.MaxUint32 {
+			t.Errorf("step decoded as %d, want %d", frames[1].Step, uint64(math.MaxUint32))
+		}
+	})
 }
 
 // FuzzSegmentScan holds ScanSegment to the bounded-decoder contract on

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,91 +48,83 @@ func batchData(n, dim int, seed int64) ([]tensor.Vector, []int) {
 	return xs, labels
 }
 
+// workerCounts are the pool sizes the runtime must give the same bits at;
+// 0 is the nil (serial) pool.
+var workerCounts = []int{0, 1, 2, 8}
+
+func poolOf(workers int) *parallel.Pool {
+	if workers == 0 {
+		return nil
+	}
+	return parallel.New(workers)
+}
+
+// trainSteps takes steps optimization steps on a fresh convNet(seed), through
+// a BatchTrainer over pool, or through the per-example Network.TrainBatch
+// when serial is set, and returns the final loss and parameters.
+func trainSteps(t *testing.T, seed int64, serial bool, pool *parallel.Pool, xs []tensor.Vector, labels []int, steps int) (float64, tensor.Vector) {
+	t.Helper()
+	net := convNet(t, seed)
+	train := net.TrainBatch
+	if !serial {
+		bt, err := NewBatchTrainer(net, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train = bt.TrainBatch
+	}
+	opt := &SGDM{LR: 0.05, Momentum: 0.9}
+	var loss float64
+	var err error
+	for step := 0; step < steps; step++ {
+		if loss, err = train(xs, labels, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return loss, net.ParamVector()
+}
+
+// sameBits fails the test unless the two runs agree bit for bit.
+func sameBits(t *testing.T, what string, loss, refLoss float64, params, refParams tensor.Vector) {
+	t.Helper()
+	if math.Float64bits(loss) != math.Float64bits(refLoss) {
+		t.Errorf("%s: loss %x vs %x", what, math.Float64bits(loss), math.Float64bits(refLoss))
+	}
+	for i := range refParams {
+		if math.Float64bits(params[i]) != math.Float64bits(refParams[i]) {
+			t.Fatalf("%s: param %d bits %x vs %x",
+				what, i, math.Float64bits(params[i]), math.Float64bits(refParams[i]))
+		}
+	}
+}
+
 // TestBatchTrainerDeterministicAcrossWorkers is the nn-level half of the
 // repo's parallel-determinism guarantee: identical initial weights and data
-// must yield bit-identical parameters and losses at every worker count.
+// must yield bit-identical parameters and losses at every pool size, on a
+// stack of every layer kind.
 func TestBatchTrainerDeterministicAcrossWorkers(t *testing.T) {
 	xs, labels := batchData(13, 64, 7)
-	var refParams tensor.Vector
-	var refLoss float64
-	for _, workers := range []int{1, 2, 8} {
-		net := convNet(t, 42)
-		bt, err := NewBatchTrainer(net, parallel.New(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := &SGDM{LR: 0.05, Momentum: 0.9}
-		var loss float64
-		for step := 0; step < 4; step++ {
-			loss, err = bt.TrainBatch(xs, labels, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		params := net.ParamVector()
-		if workers == 1 {
-			refParams, refLoss = params, loss
-			continue
-		}
-		if math.Float64bits(loss) != math.Float64bits(refLoss) {
-			t.Errorf("workers=%d: loss %x vs %x", workers, math.Float64bits(loss), math.Float64bits(refLoss))
-		}
-		for i := range params {
-			if math.Float64bits(params[i]) != math.Float64bits(refParams[i]) {
-				t.Fatalf("workers=%d: param %d bits %x vs %x",
-					workers, i, math.Float64bits(params[i]), math.Float64bits(refParams[i]))
-			}
-		}
+	refLoss, refParams := trainSteps(t, 42, false, nil, xs, labels, 4)
+	for _, workers := range workerCounts[1:] {
+		loss, params := trainSteps(t, 42, false, poolOf(workers), xs, labels, 4)
+		sameBits(t, fmt.Sprintf("workers=%d", workers), loss, refLoss, params, refParams)
 	}
 }
 
-// TestBatchTrainerMatchesSerialDense: for stacks whose layers accumulate one
-// gradient term per parameter per example (everything except Conv2D), the
-// chunked trainer reproduces the plain serial TrainBatch bit for bit.
+// TestBatchTrainerMatchesSerialDense: on a stack of every layer kind, the
+// trainer reproduces the plain serial Network.TrainBatch bit for bit at
+// every pool size.
 func TestBatchTrainerMatchesSerialDense(t *testing.T) {
-	build := func() *Network {
-		rng := tensor.NewRNG(3)
-		net, err := NewNetwork(
-			NewDense(20, 16, rng), NewReLU(16), NewDense(16, 4, rng),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	xs, labels := batchData(9, 20, 11)
-
-	serial := build()
-	optS := &Adam{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-	parallelNet := build()
-	bt, err := NewBatchTrainer(parallelNet, parallel.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	optP := &Adam{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-	for step := 0; step < 3; step++ {
-		lossS, err := serial.TrainBatch(xs, labels, optS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lossP, err := bt.TrainBatch(xs, labels, optP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(lossS) != math.Float64bits(lossP) {
-			t.Fatalf("step %d: loss %x vs %x", step, math.Float64bits(lossS), math.Float64bits(lossP))
-		}
-	}
-	ps, pp := serial.ParamVector(), parallelNet.ParamVector()
-	for i := range ps {
-		if math.Float64bits(ps[i]) != math.Float64bits(pp[i]) {
-			t.Fatalf("param %d: %x vs %x", i, math.Float64bits(ps[i]), math.Float64bits(pp[i]))
-		}
+	xs, labels := batchData(9, 64, 11)
+	refLoss, refParams := trainSteps(t, 3, true, nil, xs, labels, 3)
+	for _, workers := range workerCounts {
+		loss, params := trainSteps(t, 3, false, poolOf(workers), xs, labels, 3)
+		sameBits(t, fmt.Sprintf("workers=%d", workers), loss, refLoss, params, refParams)
 	}
 }
 
-// denseResNet builds a dense stack with a residual block — every layer kind
-// the whole-batch GEMM path supports.
+// denseResNet builds a dense stack with a residual block, every layer of
+// which runs on the GEMM kernels.
 func denseResNet(t *testing.T, seed int64) *Network {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
@@ -148,11 +141,9 @@ func denseResNet(t *testing.T, seed int64) *Network {
 	return net
 }
 
-// TestBatchTrainerGEMMMatchesSerialAnyBatch: the whole-batch GEMM path must
+// TestBatchTrainerGEMMMatchesSerialAnyBatch: the GEMM kernels must
 // reproduce the plain serial Network.TrainBatch bit for bit at ANY batch
-// size and worker count — including batches larger than maxBatchChunks,
-// where the retired chunked path would have merged per-chunk subtotals in a
-// different association order.
+// size and worker count, whatever chunks the pool splits the kernels into.
 func TestBatchTrainerGEMMMatchesSerialAnyBatch(t *testing.T) {
 	for _, b := range []int{1, 3, 16, 33} {
 		xs, labels := batchData(b, 32, int64(100+b))
@@ -179,9 +170,6 @@ func TestBatchTrainerGEMMMatchesSerialAnyBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bt.batchLayers == nil {
-				t.Fatal("dense stack did not select the GEMM path")
-			}
 			optP := &SGDM{LR: 0.05, Momentum: 0.9}
 			var lossP float64
 			for step := 0; step < 3; step++ {
@@ -204,25 +192,75 @@ func TestBatchTrainerGEMMMatchesSerialAnyBatch(t *testing.T) {
 	}
 }
 
-// TestBatchTrainerConvFallsBack: conv stacks have no whole-batch kernels and
-// must keep using the chunked-replica path.
+// TestBatchTrainerConvFallsBack: a conv stack takes the one batch path —
+// its layers run their batch forms, never the per-example ones — and lands
+// on TrainBatch's bits.
 func TestBatchTrainerConvFallsBack(t *testing.T) {
-	bt, err := NewBatchTrainer(convNet(t, 2), nil)
+	xs, labels := batchData(5, 64, 4)
+	net := convNet(t, 2)
+	bt, err := NewBatchTrainer(net, parallel.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt.batchLayers != nil {
-		t.Fatal("conv stack unexpectedly selected the GEMM path")
+	opt := &SGD{LR: 0.1}
+	loss, err := bt.TrainBatch(xs, labels, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv := bt.rep.net.Layers[0].(*Conv2D)
+	if conv.lastInB == nil || conv.lastIn != nil {
+		t.Fatal("conv layer did not run its batch form")
+	}
+	serial := convNet(t, 2)
+	refLoss, err := serial.TrainBatch(xs, labels, &SGD{LR: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "conv stack", loss, refLoss, net.ParamVector(), serial.ParamVector())
+}
+
+// TestAccuracyFollowsRepointedLayers: Accuracy's replica is rebuilt when a
+// layer of any kind has been re-pointed at other parameters or re-shaped
+// since it was made, so every prediction stays Predict's.
+func TestAccuracyFollowsRepointedLayers(t *testing.T) {
+	xs, _ := batchData(20, 64, 8)
+	net := convNet(t, 8)
+	conv := net.Layers[0].(*Conv2D)
+	ln := net.Layers[3].(*LayerNorm)
+	// A shift after the norm, so that ε's per-example scale moves argmaxes.
+	for i := range ln.Beta {
+		ln.Beta[i] = float64(i%5) - 2
+	}
+	for _, edit := range []struct {
+		name  string
+		apply func()
+	}{
+		{"conv kernel", func() { conv.W = conv.W.Clone(); conv.W.Scale(-1) }},
+		{"layernorm γ", func() { ln.Gamma = ln.Gamma.Clone(); ln.Gamma.Scale(3) }},
+		{"layernorm ε", func() { ln.Eps = 10 }},
+		{"residual's dense", func() { net.Layers[4].(*Residual).Inner = NewDense(32, 32, tensor.NewRNG(1)) }},
+	} {
+		if _, err := net.Accuracy(xs, make([]int, len(xs))); err != nil {
+			t.Fatal(err)
+		}
+		edit.apply()
+		predicted := make([]int, len(xs))
+		for i, x := range xs {
+			var err error
+			if predicted[i], err = net.Predict(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if agree, err := net.Accuracy(xs, predicted); err != nil || agree != 1 {
+			t.Errorf("after re-pointing the %s, Accuracy agrees with Predict on %v (%v)", edit.name, agree, err)
+		}
 	}
 }
 
 // TestReplicateShared: replicas alias parameter storage but own gradients.
 func TestReplicateShared(t *testing.T) {
 	net := convNet(t, 5)
-	rep, err := net.Replicate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := net.Replicate()
 	src, dup := net.Params(), rep.Params()
 	if len(src) != len(dup) {
 		t.Fatalf("param count %d vs %d", len(src), len(dup))

@@ -10,140 +10,6 @@ import (
 	"rpol/internal/tensor"
 )
 
-// BatchLayer is the whole-batch form of Layer: one call pushes every example
-// (one per matrix row) through the layer via the batched GEMM kernels in
-// internal/tensor, instead of one matvec per example.
-//
-// Determinism contract: for any pool (including nil), ForwardBatch and
-// BackwardBatch produce bit-identical results to calling Forward/Backward on
-// each row in ascending order. The kernels guarantee this per element (each
-// output is a single left-to-right accumulation chain in the serial index
-// order), and the layer-level reductions below (bias gradient, residual add)
-// are explicit ascending-index loops.
-//
-// Returned matrices alias layer-owned scratch headers backed by the layer's
-// arena; they are valid until the arena is reset. Like Layer, a BatchLayer
-// caches forward state for the subsequent backward and is therefore not safe
-// for concurrent use — the pool parallelism lives inside the kernels.
-type BatchLayer interface {
-	Layer
-	// ForwardBatch computes the layer output for every row of x.
-	ForwardBatch(p *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error)
-	// BackwardBatch consumes per-row ∂L/∂output, accumulates parameter
-	// gradients (summed over the batch in ascending row order), and returns
-	// per-row ∂L/∂input.
-	BackwardBatch(p *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error)
-}
-
-// batchCapable reports whether a layer can run the whole-batch path. It is
-// not a plain type assertion because Residual structurally implements
-// BatchLayer while only supporting it when its inner layer does.
-func batchCapable(l Layer) bool {
-	switch v := l.(type) {
-	case *Residual:
-		return batchCapable(v.Inner)
-	case BatchLayer:
-		return true
-	}
-	return false
-}
-
-// BatchCapable reports whether every layer runs the whole-batch GEMM path,
-// i.e. whether BatchTrainer is bit-identical to TrainBatch on this network.
-func (n *Network) BatchCapable() bool {
-	for _, l := range n.Layers {
-		if !batchCapable(l) {
-			return false
-		}
-	}
-	return true
-}
-
-// evalTile is how many examples Network.Accuracy forwards per batched call.
-const evalTile = 64
-
-// evaluator is Network.Accuracy's batched forward path: a replica sharing
-// the network's parameters, its batch layers, and an arena reset per tile.
-// A network whose layers were swapped or re-pointed since the replica was
-// made gets a new one (see shares).
-type evaluator struct {
-	rep    *Network
-	layers []BatchLayer
-	arena  *parallel.Arena
-	xb     tensor.Matrix
-}
-
-func newEvaluator(n *Network) (*evaluator, error) {
-	rep, err := n.Replicate()
-	if err != nil {
-		return nil, err
-	}
-	ev := &evaluator{rep: rep, layers: make([]BatchLayer, len(rep.Layers)), arena: parallel.NewArena(0)}
-	rep.setScratch(ev.arena)
-	for i, l := range rep.Layers {
-		ev.layers[i] = l.(BatchLayer)
-	}
-	return ev, nil
-}
-
-// current reports whether the replica still mirrors n layer by layer.
-func (ev *evaluator) current(n *Network) bool {
-	if len(ev.rep.Layers) != len(n.Layers) {
-		return false
-	}
-	for i, l := range n.Layers {
-		if !shares(l, ev.rep.Layers[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// shares reports whether replica layer r computes what l does: the same
-// kind, over l's own parameter storage. Only batch-capable kinds qualify.
-func shares(l, r Layer) bool {
-	switch l := l.(type) {
-	case *Dense:
-		r, ok := r.(*Dense)
-		return ok && r.W == l.W && tensor.SameStorage(r.W.Data, l.W.Data) && tensor.SameStorage(r.B, l.B)
-	case *ReLU:
-		r, ok := r.(*ReLU)
-		return ok && r.dim == l.dim
-	case *Residual:
-		r, ok := r.(*Residual)
-		return ok && shares(l.Inner, r.Inner)
-	}
-	return false
-}
-
-// correct forwards the tile xs in one batch and counts the rows whose argmax
-// is the label.
-func (ev *evaluator) correct(xs []tensor.Vector, labels []int) (int, error) {
-	in := ev.rep.Layers[0].InputDim()
-	ev.arena.Reset()
-	ev.xb = tensor.Matrix{Rows: len(xs), Cols: in, Data: tensor.Vector(ev.arena.Grab(len(xs) * in))}
-	for i, x := range xs {
-		if len(x) != in {
-			return 0, fmt.Errorf("eval example %d: input %d, want %d: %w", i, len(x), in, tensor.ErrShapeMismatch)
-		}
-		copy(ev.xb.Row(i), x)
-	}
-	cur := &ev.xb
-	var err error
-	for i, l := range ev.layers {
-		if cur, err = l.ForwardBatch(nil, cur); err != nil {
-			return 0, fmt.Errorf("layer %d (%s): %w", i, ev.rep.Layers[i].Name(), err)
-		}
-	}
-	correct := 0
-	for r, label := range labels {
-		if Argmax(cur.Row(r)) == label {
-			correct++
-		}
-	}
-	return correct, nil
-}
-
 // ForwardBatch computes W·x + b for every row of x in one GEMM call. The
 // pack scratch (arena-recycled) unlocks the SIMD kernel where the host has
 // one; the result is bit-identical with or without it.
@@ -250,14 +116,9 @@ func (r *ReLU) BackwardBatch(_ *parallel.Pool, grad *tensor.Matrix) (*tensor.Mat
 	return &r.gradB, nil
 }
 
-// ForwardBatch computes x + inner(x) row-wise. The inner layer must itself
-// be batch-capable (batchCapable checks this before the path is selected).
+// ForwardBatch computes x + inner(x) row-wise.
 func (r *Residual) ForwardBatch(p *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
-	bl, ok := r.Inner.(BatchLayer)
-	if !ok {
-		return nil, fmt.Errorf("nn: residual inner layer %s has no batch path", r.Inner.Name())
-	}
-	y, err := bl.ForwardBatch(p, x)
+	y, err := r.Inner.ForwardBatch(p, x)
 	if err != nil {
 		return nil, fmt.Errorf("residual forward: %w", err)
 	}
@@ -275,11 +136,7 @@ func (r *Residual) ForwardBatch(p *parallel.Pool, x *tensor.Matrix) (*tensor.Mat
 // branch, summing in place on the inner result (same operand order as the
 // per-example Backward).
 func (r *Residual) BackwardBatch(p *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error) {
-	bl, ok := r.Inner.(BatchLayer)
-	if !ok {
-		return nil, fmt.Errorf("nn: residual inner layer %s has no batch path", r.Inner.Name())
-	}
-	ig, err := bl.BackwardBatch(p, grad)
+	ig, err := r.Inner.BackwardBatch(p, grad)
 	if err != nil {
 		return nil, fmt.Errorf("residual backward: %w", err)
 	}

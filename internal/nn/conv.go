@@ -25,6 +25,11 @@ type Conv2D struct {
 
 	lastIn  tensor.Vector
 	scratch *parallel.Arena
+
+	// Batch-form state: the cached batch input, one example per row.
+	outB    tensor.Matrix
+	inGradB tensor.Matrix
+	lastInB *tensor.Matrix
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -75,8 +80,28 @@ func (c *Conv2D) Forward(x tensor.Vector) (tensor.Vector, error) {
 	if len(x) != c.InputDim() {
 		return nil, fmt.Errorf("conv2d input %d, want %d: %w", len(x), c.InputDim(), tensor.ErrShapeMismatch)
 	}
+	out := tensor.Vector(c.scratch.Grab(c.OutputDim()))
+	c.forward(out, x)
+	c.lastIn = x
+	return out, nil
+}
+
+// ForwardBatch applies Forward's kernel to each row of x in ascending order.
+func (c *Conv2D) ForwardBatch(_ *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
+	if x.Cols != c.InputDim() {
+		return nil, fmt.Errorf("conv2d input %d, want %d: %w", x.Cols, c.InputDim(), tensor.ErrShapeMismatch)
+	}
+	c.outB = tensor.Matrix{Rows: x.Rows, Cols: c.OutputDim(), Data: tensor.Vector(c.scratch.Grab(x.Rows * c.OutputDim()))}
+	for r := 0; r < x.Rows; r++ {
+		c.forward(c.outB.Row(r), x.Row(r))
+	}
+	c.lastInB = x
+	return &c.outB, nil
+}
+
+// forward writes the convolution of one example x into out.
+func (c *Conv2D) forward(out, x tensor.Vector) {
 	oh, ow := c.outH(), c.outW()
-	out := tensor.Vector(c.scratch.Grab(c.OutC * oh * ow))
 	for oc := 0; oc < c.OutC; oc++ {
 		bias := c.B[oc]
 		for oy := 0; oy < oh; oy++ {
@@ -101,8 +126,6 @@ func (c *Conv2D) Forward(x tensor.Vector) (tensor.Vector, error) {
 			}
 		}
 	}
-	c.lastIn = x
-	return out, nil
 }
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
@@ -113,8 +136,33 @@ func (c *Conv2D) Backward(grad tensor.Vector) (tensor.Vector, error) {
 	if len(grad) != c.OutputDim() {
 		return nil, fmt.Errorf("conv2d grad %d, want %d: %w", len(grad), c.OutputDim(), tensor.ErrShapeMismatch)
 	}
-	oh, ow := c.outH(), c.outW()
 	gin := tensor.Vector(c.scratch.Grab(c.InputDim()))
+	c.backward(gin, grad, c.lastIn)
+	return gin, nil
+}
+
+// BackwardBatch applies Backward's kernel to each row in ascending order, so
+// the parameter gradients accumulate in the serial example order.
+func (c *Conv2D) BackwardBatch(_ *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error) {
+	if c.lastInB == nil {
+		return nil, errors.New("nn: conv2d batch backward before forward")
+	}
+	if grad.Cols != c.OutputDim() || grad.Rows != c.lastInB.Rows {
+		return nil, fmt.Errorf("conv2d grad %dx%d, want %dx%d: %w",
+			grad.Rows, grad.Cols, c.lastInB.Rows, c.OutputDim(), tensor.ErrShapeMismatch)
+	}
+	c.inGradB = tensor.Matrix{Rows: grad.Rows, Cols: c.InputDim(), Data: tensor.Vector(c.scratch.Grab(grad.Rows * c.InputDim()))}
+	for r := 0; r < grad.Rows; r++ {
+		c.backward(c.inGradB.Row(r), grad.Row(r), c.lastInB.Row(r))
+	}
+	return &c.inGradB, nil
+}
+
+// backward accumulates one example's weight/bias gradients, given its input
+// x and output gradient grad, and adds its input gradient into the zeroed
+// gin.
+func (c *Conv2D) backward(gin, grad, x tensor.Vector) {
+	oh, ow := c.outH(), c.outW()
 	for oc := 0; oc < c.OutC; oc++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -136,7 +184,7 @@ func (c *Conv2D) Backward(grad tensor.Vector) (tensor.Vector, error) {
 							if ix < 0 || ix >= c.InW {
 								continue
 							}
-							in := c.lastIn[(ic*c.InH+iy)*c.InW+ix]
+							in := x[(ic*c.InH+iy)*c.InW+ix]
 							if !c.Frozen {
 								*c.gradWAt(oc, ic, ki, kj) += g * in
 							}
@@ -147,7 +195,6 @@ func (c *Conv2D) Backward(grad tensor.Vector) (tensor.Vector, error) {
 			}
 		}
 	}
-	return gin, nil
 }
 
 // Params returns the kernel and bias storage, or nil when frozen.

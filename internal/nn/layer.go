@@ -6,9 +6,11 @@
 // It replaces the paper's PyTorch stack. RPoL treats a model as an opaque
 // flattened weight vector advanced by a deterministic training step plus
 // hardware noise (Eq. 2), so any trainer with reproducible per-step updates
-// exercises the same protocol paths. Training here is single-threaded and
-// bit-reproducible given (seed, data, schedule); nondeterministic "GPU"
-// reproduction error is injected by internal/gpu, not by this package.
+// exercises the same protocol paths. Training has one runtime, BatchTrainer,
+// which pushes a whole batch through every layer's batch form; its result is
+// bit-identical to the per-example Network.TrainBatch oracle at any pool
+// size, so it is reproducible given (seed, data, schedule). Nondeterministic
+// "GPU" reproduction error is injected by internal/gpu, not by this package.
 package nn
 
 import (
@@ -19,15 +21,42 @@ import (
 	"rpol/internal/tensor"
 )
 
-// Layer is one differentiable stage of a network. Forward caches whatever it
-// needs for the subsequent Backward; layers are therefore not safe for
-// concurrent use, matching the single-threaded training loop.
+// Layer is one differentiable stage of a network, in two forms: the
+// per-example Forward/Backward, which is the reference oracle, and the
+// whole-batch ForwardBatch/BackwardBatch, which takes one example per matrix
+// row and is what BatchTrainer runs.
+//
+// Determinism contract: for any pool (including nil), ForwardBatch and
+// BackwardBatch produce bit-identical results to calling Forward/Backward on
+// each row in ascending order, and accumulate parameter gradients in that
+// same serial example order. Dense does so through the GEMM kernels in
+// internal/tensor (each output element is one left-to-right accumulation
+// chain in the serial index order); every other layer applies its
+// per-example kernel row by row.
+//
+// Both forms cache forward state for the subsequent backward, so a layer is
+// not safe for concurrent use: the pool parallelism lives inside the
+// kernels. Returned batch matrices alias layer-owned headers over the
+// layer's scratch arena and are valid until the arena is reset.
+//
+// The interface is closed to this package (setScratch), so every layer has
+// every form.
 type Layer interface {
 	// Forward computes the layer output for input x.
 	Forward(x tensor.Vector) (tensor.Vector, error)
 	// Backward consumes ∂L/∂output, accumulates parameter gradients, and
 	// returns ∂L/∂input.
 	Backward(grad tensor.Vector) (tensor.Vector, error)
+	// ForwardBatch computes the layer output for every row of x.
+	ForwardBatch(p *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error)
+	// BackwardBatch consumes per-row ∂L/∂output, accumulates parameter
+	// gradients (summed over the batch in ascending row order), and returns
+	// per-row ∂L/∂input.
+	BackwardBatch(p *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error)
+	// Replicate returns a copy that aliases the layer's parameter storage
+	// (an optimizer step on the source is visible to it) and owns private
+	// gradient buffers and caches.
+	Replicate() Layer
 	// Params returns slices aliasing the layer's trainable parameters.
 	// Frozen layers return nil.
 	Params() []tensor.Vector
@@ -41,6 +70,9 @@ type Layer interface {
 	OutputDim() int
 	// Name identifies the layer kind for diagnostics.
 	Name() string
+
+	// setScratch installs the arena transient buffers are grabbed from.
+	setScratch(a *parallel.Arena)
 }
 
 // ErrNotConnected is returned when stacked layers have incompatible
@@ -58,8 +90,8 @@ type Dense struct {
 	lastIn  tensor.Vector
 	scratch *parallel.Arena // optional transient-buffer arena; nil = plain make
 
-	// Whole-batch path state (BatchLayer): reusable matrix headers over
-	// arena-backed data, plus the cached batch input for backward.
+	// Batch-form state: reusable matrix headers over arena-backed data,
+	// plus the cached batch input for backward.
 	outB    tensor.Matrix
 	inGradB tensor.Matrix
 	lastInB *tensor.Matrix
@@ -147,7 +179,7 @@ type ReLU struct {
 	lastIn  tensor.Vector
 	scratch *parallel.Arena
 
-	// Whole-batch path state (BatchLayer).
+	// Batch-form state.
 	outB    tensor.Matrix
 	gradB   tensor.Matrix
 	lastInB *tensor.Matrix

@@ -174,6 +174,16 @@ func TestBackwardBeforeForwardErrors(t *testing.T) {
 	if _, err := c.Backward(tensor.NewVector(c.OutputDim())); err == nil {
 		t.Error("conv: want error")
 	}
+	// The batch forms refuse a backward before their own forward, even
+	// after the per-example form ran.
+	for _, l := range convNet(t, 7).Layers {
+		if _, err := l.Forward(tensor.NewVector(l.InputDim())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.BackwardBatch(nil, tensor.NewMatrix(2, l.OutputDim())); err == nil {
+			t.Errorf("%s: batch backward before batch forward: want error", l.Name())
+		}
+	}
 }
 
 func TestReLUForward(t *testing.T) {

@@ -23,6 +23,12 @@ type LayerNorm struct {
 	lastNorm tensor.Vector // (x − μ)/σ cache for backward
 	lastStd  float64
 	scratch  *parallel.Arena
+
+	// Batch-form state: per-row normalized inputs and σ.
+	normB   tensor.Matrix
+	stdB    tensor.Vector
+	outB    tensor.Matrix
+	inGradB tensor.Matrix
 }
 
 var _ Layer = (*LayerNorm)(nil)
@@ -49,6 +55,31 @@ func (l *LayerNorm) Forward(x tensor.Vector) (tensor.Vector, error) {
 	if len(x) != len(l.Gamma) {
 		return nil, fmt.Errorf("layernorm input %d, want %d: %w", len(x), len(l.Gamma), tensor.ErrShapeMismatch)
 	}
+	norm := tensor.Vector(l.scratch.Grab(len(x)))
+	out := tensor.Vector(l.scratch.Grab(len(x)))
+	l.lastStd = l.forward(out, norm, x)
+	l.lastNorm = norm
+	return out, nil
+}
+
+// ForwardBatch applies Forward's kernel to each row of x in ascending order,
+// caching every row's normalized input and σ.
+func (l *LayerNorm) ForwardBatch(_ *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
+	if x.Cols != len(l.Gamma) {
+		return nil, fmt.Errorf("layernorm input %d, want %d: %w", x.Cols, len(l.Gamma), tensor.ErrShapeMismatch)
+	}
+	l.normB = tensor.Matrix{Rows: x.Rows, Cols: x.Cols, Data: tensor.Vector(l.scratch.Grab(len(x.Data)))}
+	l.outB = tensor.Matrix{Rows: x.Rows, Cols: x.Cols, Data: tensor.Vector(l.scratch.Grab(len(x.Data)))}
+	l.stdB = tensor.Vector(l.scratch.Grab(x.Rows))
+	for r := 0; r < x.Rows; r++ {
+		l.stdB[r] = l.forward(l.outB.Row(r), l.normB.Row(r), x.Row(r))
+	}
+	return &l.outB, nil
+}
+
+// forward writes one example's normalized input into norm and its output
+// into out, and returns its σ.
+func (l *LayerNorm) forward(out, norm, x tensor.Vector) float64 {
 	n := float64(len(x))
 	var mean float64
 	for _, v := range x {
@@ -62,16 +93,11 @@ func (l *LayerNorm) Forward(x tensor.Vector) (tensor.Vector, error) {
 	}
 	variance /= n
 	std := math.Sqrt(variance + l.Eps)
-
-	norm := tensor.Vector(l.scratch.Grab(len(x)))
-	out := tensor.Vector(l.scratch.Grab(len(x)))
 	for i, v := range x {
 		norm[i] = (v - mean) / std
 		out[i] = l.Gamma[i]*norm[i] + l.Beta[i]
 	}
-	l.lastNorm = norm
-	l.lastStd = std
-	return out, nil
+	return std
 }
 
 // Backward computes parameter gradients and the input gradient using the
@@ -83,25 +109,48 @@ func (l *LayerNorm) Backward(grad tensor.Vector) (tensor.Vector, error) {
 	if len(grad) != len(l.Gamma) {
 		return nil, fmt.Errorf("layernorm grad %d, want %d: %w", len(grad), len(l.Gamma), tensor.ErrShapeMismatch)
 	}
-	n := float64(len(grad))
-
-	// dnorm_i = grad_i · γ_i
 	dnorm := tensor.Vector(l.scratch.Grab(len(grad)))
+	in := tensor.Vector(l.scratch.Grab(len(grad)))
+	l.backward(in, dnorm, grad, l.lastNorm, l.lastStd)
+	return in, nil
+}
+
+// BackwardBatch applies Backward's kernel to each row in ascending order, so
+// the parameter gradients accumulate in the serial example order.
+func (l *LayerNorm) BackwardBatch(_ *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error) {
+	if l.stdB == nil {
+		return nil, errors.New("nn: layernorm batch backward before forward")
+	}
+	if grad.Cols != len(l.Gamma) || grad.Rows != l.normB.Rows {
+		return nil, fmt.Errorf("layernorm grad %dx%d, want %dx%d: %w",
+			grad.Rows, grad.Cols, l.normB.Rows, len(l.Gamma), tensor.ErrShapeMismatch)
+	}
+	dnorm := tensor.Vector(l.scratch.Grab(grad.Cols))
+	l.inGradB = tensor.Matrix{Rows: grad.Rows, Cols: grad.Cols, Data: tensor.Vector(l.scratch.Grab(len(grad.Data)))}
+	for r := 0; r < grad.Rows; r++ {
+		l.backward(l.inGradB.Row(r), dnorm, grad.Row(r), l.normB.Row(r), l.stdB[r])
+	}
+	return &l.inGradB, nil
+}
+
+// backward accumulates one example's γ/b gradients, given its normalized
+// input norm and σ, and writes its input gradient into in; dnorm is scratch.
+func (l *LayerNorm) backward(in, dnorm, grad, norm tensor.Vector, std float64) {
+	n := float64(len(grad))
+	// dnorm_i = grad_i · γ_i
 	var sumDnorm, sumDnormNorm float64
 	for i, g := range grad {
 		if !l.Frozen {
-			l.GradGamma[i] += g * l.lastNorm[i]
+			l.GradGamma[i] += g * norm[i]
 			l.GradBeta[i] += g
 		}
 		dnorm[i] = g * l.Gamma[i]
 		sumDnorm += dnorm[i]
-		sumDnormNorm += dnorm[i] * l.lastNorm[i]
+		sumDnormNorm += dnorm[i] * norm[i]
 	}
-	in := tensor.Vector(l.scratch.Grab(len(grad)))
 	for i := range in {
-		in[i] = (dnorm[i] - sumDnorm/n - l.lastNorm[i]*sumDnormNorm/n) / l.lastStd
+		in[i] = (dnorm[i] - sumDnorm/n - norm[i]*sumDnormNorm/n) / std
 	}
-	return in, nil
 }
 
 // Params returns γ and b, or nil when frozen.

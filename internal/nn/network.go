@@ -13,8 +13,8 @@ import (
 type Network struct {
 	Layers []Layer
 
-	// eval is Accuracy's batched forward state, built on its first call.
-	eval *evaluator
+	// eval is Accuracy's batch runtime, built on its first call.
+	eval *replica
 }
 
 // NewNetwork validates that consecutive layers connect and returns the
@@ -182,43 +182,26 @@ func (n *Network) Predict(x tensor.Vector) (int, error) {
 	return Argmax(logits), nil
 }
 
-// Accuracy returns the fraction of (xs, labels) classified correctly. A
-// BatchCapable network pushes evalTile examples at a time through the
-// batched GEMM kernels, on a replica that shares its parameters, built on the
-// first call and rebuilt only when a layer has since been swapped; the
-// kernels are bit-identical to Forward per row, so every prediction is
-// Predict's. Any other network runs Predict per example.
+// Accuracy returns the fraction of (xs, labels) classified correctly. It
+// pushes evalTile examples at a time through the layers' batch forms, on a
+// replica that shares the network's parameters, built on the first call and
+// rebuilt only when a layer has since been swapped; the batch forms are
+// bit-identical to Forward per row, so every prediction is Predict's.
 func (n *Network) Accuracy(xs []tensor.Vector, labels []int) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(labels) {
 		return 0, fmt.Errorf("eval %d inputs vs %d labels: %w", len(xs), len(labels), tensor.ErrShapeMismatch)
 	}
-	correct := 0
-	if n.BatchCapable() {
-		if n.eval == nil || !n.eval.current(n) {
-			ev, err := newEvaluator(n)
-			if err != nil {
-				return 0, err
-			}
-			n.eval = ev
-		}
-		for lo := 0; lo < len(xs); lo += evalTile {
-			hi := min(lo+evalTile, len(xs))
-			c, err := n.eval.correct(xs[lo:hi], labels[lo:hi])
-			if err != nil {
-				return 0, err
-			}
-			correct += c
-		}
-		return float64(correct) / float64(len(xs)), nil
+	if n.eval == nil || !n.eval.current(n) {
+		n.eval = newReplica(n)
 	}
-	for i, x := range xs {
-		pred, err := n.Predict(x)
+	correct := 0
+	for lo := 0; lo < len(xs); lo += evalTile {
+		hi := min(lo+evalTile, len(xs))
+		c, err := n.eval.correct(xs[lo:hi], labels[lo:hi])
 		if err != nil {
 			return 0, err
 		}
-		if pred == labels[i] {
-			correct++
-		}
+		correct += c
 	}
 	return float64(correct) / float64(len(xs)), nil
 }

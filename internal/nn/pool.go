@@ -21,6 +21,12 @@ type MaxPool2D struct {
 	// is overwritten each pass.
 	argmax  []int
 	scratch *parallel.Arena
+
+	// Batch-form state: argmaxB holds every row's argmax, one OutputDim
+	// stretch per row, reused across ForwardBatch calls like argmax.
+	argmaxB []int
+	outB    tensor.Matrix
+	inGradB tensor.Matrix
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -50,11 +56,36 @@ func (m *MaxPool2D) Forward(x tensor.Vector) (tensor.Vector, error) {
 	if len(x) != m.InputDim() {
 		return nil, fmt.Errorf("maxpool input %d, want %d: %w", len(x), m.InputDim(), tensor.ErrShapeMismatch)
 	}
-	oh, ow := m.outH(), m.outW()
-	out := tensor.Vector(m.scratch.Grab(m.C * oh * ow))
+	out := tensor.Vector(m.scratch.Grab(m.OutputDim()))
 	if len(m.argmax) != len(out) {
 		m.argmax = make([]int, len(out))
 	}
+	m.forward(out, m.argmax, x)
+	return out, nil
+}
+
+// ForwardBatch applies Forward's kernel to each row of x in ascending order,
+// caching every row's argmax.
+func (m *MaxPool2D) ForwardBatch(_ *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
+	if x.Cols != m.InputDim() {
+		return nil, fmt.Errorf("maxpool input %d, want %d: %w", x.Cols, m.InputDim(), tensor.ErrShapeMismatch)
+	}
+	od := m.OutputDim()
+	m.outB = tensor.Matrix{Rows: x.Rows, Cols: od, Data: tensor.Vector(m.scratch.Grab(x.Rows * od))}
+	if cap(m.argmaxB) < len(m.outB.Data) {
+		m.argmaxB = make([]int, len(m.outB.Data))
+	}
+	m.argmaxB = m.argmaxB[:len(m.outB.Data)]
+	for r := 0; r < x.Rows; r++ {
+		m.forward(m.outB.Row(r), m.argmaxB[r*od:(r+1)*od], x.Row(r))
+	}
+	return &m.outB, nil
+}
+
+// forward writes one example's window maxima into out and the input index
+// that won each into argmax.
+func (m *MaxPool2D) forward(out tensor.Vector, argmax []int, x tensor.Vector) {
+	oh, ow := m.outH(), m.outW()
 	for c := 0; c < m.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -71,11 +102,10 @@ func (m *MaxPool2D) Forward(x tensor.Vector) (tensor.Vector, error) {
 				}
 				o := (c*oh+oy)*ow + ox
 				out[o] = best
-				m.argmax[o] = bestIdx
+				argmax[o] = bestIdx
 			}
 		}
 	}
-	return out, nil
 }
 
 // Backward routes each output gradient to the input element that won the
@@ -88,10 +118,32 @@ func (m *MaxPool2D) Backward(grad tensor.Vector) (tensor.Vector, error) {
 		return nil, fmt.Errorf("maxpool grad %d, want %d: %w", len(grad), m.OutputDim(), tensor.ErrShapeMismatch)
 	}
 	in := tensor.Vector(m.scratch.Grab(m.InputDim()))
-	for o, g := range grad {
-		in[m.argmax[o]] += g
-	}
+	route(in, grad, m.argmax)
 	return in, nil
+}
+
+// BackwardBatch applies Backward's routing to each row.
+func (m *MaxPool2D) BackwardBatch(_ *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error) {
+	if m.argmaxB == nil {
+		return nil, errors.New("nn: maxpool batch backward before forward")
+	}
+	od := m.OutputDim()
+	if grad.Cols != od || grad.Rows*od != len(m.argmaxB) {
+		return nil, fmt.Errorf("maxpool grad %dx%d, want %dx%d: %w",
+			grad.Rows, grad.Cols, len(m.argmaxB)/od, od, tensor.ErrShapeMismatch)
+	}
+	m.inGradB = tensor.Matrix{Rows: grad.Rows, Cols: m.InputDim(), Data: tensor.Vector(m.scratch.Grab(grad.Rows * m.InputDim()))}
+	for r := 0; r < grad.Rows; r++ {
+		route(m.inGradB.Row(r), grad.Row(r), m.argmaxB[r*od:(r+1)*od])
+	}
+	return &m.inGradB, nil
+}
+
+// route adds each output gradient into the zeroed in at its argmax index.
+func route(in, grad tensor.Vector, argmax []int) {
+	for o, g := range grad {
+		in[argmax[o]] += g
+	}
 }
 
 // Params returns nil; pooling has no parameters.

@@ -1,29 +1,9 @@
 package nn
 
 import (
-	"fmt"
-
 	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
-
-// Replicable is implemented by layers that can produce a copy of themselves
-// for use on another goroutine. The replica aliases the source's parameter
-// storage (weights are read-only during forward/backward, so batch-parallel
-// replicas can share them) while owning private gradient buffers and caches.
-//
-// Every layer shipped by this package implements Replicable; the interface
-// exists so Network.Replicate can reject third-party layers that would race.
-type Replicable interface {
-	Layer
-	Replicate() Layer
-}
-
-// scratchLayer is implemented by layers that can take an optional arena for
-// transient forward/backward buffers.
-type scratchLayer interface {
-	setScratch(a *parallel.Arena)
-}
 
 // Replicate returns a Dense sharing W and B with private gradient buffers.
 func (d *Dense) Replicate() Layer {
@@ -42,22 +22,10 @@ func (r *ReLU) Replicate() Layer { return &ReLU{dim: r.dim} }
 
 func (r *ReLU) setScratch(a *parallel.Arena) { r.scratch = a }
 
-// Replicate wraps a replica of the inner layer. It panics if the inner layer
-// is not Replicable; Network.Replicate surfaces that as an error before any
-// replica is used.
-func (r *Residual) Replicate() Layer {
-	inner, ok := r.Inner.(Replicable)
-	if !ok {
-		panic(fmt.Sprintf("nn: residual inner layer %s is not replicable", r.Inner.Name()))
-	}
-	return &Residual{Inner: inner.Replicate()}
-}
+// Replicate wraps a replica of the inner layer.
+func (r *Residual) Replicate() Layer { return &Residual{Inner: r.Inner.Replicate()} }
 
-func (r *Residual) setScratch(a *parallel.Arena) {
-	if s, ok := r.Inner.(scratchLayer); ok {
-		s.setScratch(a)
-	}
-}
+func (r *Residual) setScratch(a *parallel.Arena) { r.Inner.setScratch(a) }
 
 // Replicate returns a Conv2D sharing the kernel and bias with private
 // gradient buffers.
@@ -95,34 +63,27 @@ func (m *MaxPool2D) Replicate() Layer {
 
 func (m *MaxPool2D) setScratch(a *parallel.Arena) { m.scratch = a }
 
-// Replicate returns a batch-parallel replica of the network: parameter
-// storage is aliased (writes to the source's weights are visible, e.g. an
-// optimizer step between batches) while gradients and forward caches are
-// private.
+// Replicate returns a replica of the network: parameter storage is aliased
+// (writes to the source's weights are visible, e.g. an optimizer step
+// between batches) while gradients and forward caches are private.
 //
 // The replica snapshots the layer graph at call time: architecture mutations
 // on the source afterwards (e.g. amlayer.ReplaceDense swapping a residual's
 // inner layer) are NOT reflected — replicate after the architecture is
 // final.
-func (n *Network) Replicate() (*Network, error) {
+func (n *Network) Replicate() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
-		r, ok := l.(Replicable)
-		if !ok {
-			return nil, fmt.Errorf("nn: layer %d (%s) does not support replication", i, l.Name())
-		}
-		layers[i] = r.Replicate()
+		layers[i] = l.Replicate()
 	}
-	return &Network{Layers: layers}, nil
+	return &Network{Layers: layers}
 }
 
-// setScratch installs an arena on every layer that supports one. Only
-// replica networks get arenas: their buffers are recycled after each
-// example, an ownership discipline the package controls internally.
+// setScratch installs an arena on every layer. Only replica networks get
+// arenas: their buffers are recycled after each batch, an ownership
+// discipline the package controls internally.
 func (n *Network) setScratch(a *parallel.Arena) {
 	for _, l := range n.Layers {
-		if s, ok := l.(scratchLayer); ok {
-			s.setScratch(a)
-		}
+		l.setScratch(a)
 	}
 }

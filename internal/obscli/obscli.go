@@ -44,9 +44,9 @@ type Options struct {
 	// deterministic simulated clock.
 	WallClock bool
 	// Jobs is the process-wide default worker count for the deterministic
-	// compute runtime (internal/parallel): 0 keeps the serial code paths,
-	// any n ≥ 1 enables the chunked runtime, whose results are
-	// bit-identical for every n.
+	// compute runtime (internal/parallel): 0 runs the kernels on the
+	// calling goroutine, any n ≥ 1 spreads them over n workers, and the
+	// results are bit-identical for every value.
 	Jobs int
 	// FaultSeed seeds the process-wide deterministic fault plan
 	// (netsim.DefaultFaultConfig rates): injected message drops/delays and
@@ -77,7 +77,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Serve, "serve", "", "serve live metrics/events HTTP endpoints on this address (e.g. localhost:7070)")
 	fs.StringVar(&o.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&o.WallClock, "wallclock", false, "timestamp trace spans with wall time (non-deterministic) instead of simulated time")
-	fs.IntVar(&o.Jobs, "jobs", 0, "deterministic compute workers per task (0 = serial; results are bit-identical for any value ≥ 1)")
+	fs.IntVar(&o.Jobs, "jobs", 0, "deterministic compute workers per task (0 = serial; results are bit-identical for every value)")
 	fs.Int64Var(&o.FaultSeed, "faultseed", 0, "seed for deterministic fault injection (drops, delays, worker crashes); 0 disables, same seed replays identically")
 }
 

@@ -39,12 +39,10 @@ type Trainer struct {
 	// rpol_probe_steps_total for calibration probes — so one trainer type
 	// serves all three without double counting.
 	Steps *obs.Counter
-	// Workers sizes the compute pool, never the kernels: a GEMM-capable
-	// network (nn.Network.BatchCapable — every dense zoo proxy) always steps
-	// through nn.BatchTrainer, at 0 without goroutines, and produces the same
-	// bits at every value. Only a conv stack still forks on it: per-example
-	// TrainBatch at 0, the chunked runtime at n ≥ 1. RunEpoch adopts the
-	// task's TaskParams.Workers; verification sets the field directly.
+	// Workers sizes the compute pool the training runtime (nn.BatchTrainer)
+	// spreads its GEMM kernels over: 0 runs them without goroutines, and
+	// every value produces the same bits. RunEpoch adopts the task's
+	// TaskParams.Workers; verification sets the field directly.
 	Workers int
 	// Sink, when set, receives every checkpoint the moment RunEpoch snapshots
 	// it (index 0 carries the initial weights). Workers use it to stream
@@ -110,22 +108,6 @@ func (t *Trainer) SetWorkers(n int) {
 	}
 }
 
-// trainStep runs one optimization step on the runtime the network's layers
-// select; only a conv stack still looks at Workers (see the field).
-func (t *Trainer) trainStep(opt nn.Optimizer) (float64, error) {
-	if t.bt == nil {
-		if t.Workers <= 0 && !t.Net.BatchCapable() {
-			return t.Net.TrainBatch(t.xs, t.labels, opt)
-		}
-		bt, err := nn.NewBatchTrainer(t.Net, poolFor(t.Workers))
-		if err != nil {
-			return 0, fmt.Errorf("rpol trainer: %w", err)
-		}
-		t.bt = bt
-	}
-	return t.bt.TrainBatch(t.xs, t.labels, opt)
-}
-
 // optimizer returns the trainer's optimizer for h with its state reset,
 // building one only when the optimizer name or learning rate changes.
 func (t *Trainer) optimizer(h Hyper) (nn.Optimizer, error) {
@@ -174,8 +156,12 @@ func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h H
 // executeInterval is ExecuteInterval writing the resulting weights into
 // dst's storage (grown when too small) and returning it. dst may be start.
 func (t *Trainer) executeInterval(dst, start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
-	if t.params == nil {
-		t.params = t.Net.Params()
+	if t.bt == nil {
+		bt, err := nn.NewBatchTrainer(t.Net, poolFor(t.Workers))
+		if err != nil {
+			return nil, fmt.Errorf("rpol trainer: %w", err)
+		}
+		t.bt, t.params = bt, t.Net.Params()
 	}
 	if err := nn.LoadParams(t.params, start); err != nil {
 		return nil, fmt.Errorf("rpol interval: %w", err)
@@ -191,7 +177,7 @@ func (t *Trainer) executeInterval(dst, start tensor.Vector, startStep, steps int
 		if err := t.batch(t.schedule, startStep+s, h.BatchSize); err != nil {
 			return nil, err
 		}
-		if _, err := t.trainStep(opt); err != nil {
+		if _, err := t.bt.TrainBatch(t.xs, t.labels, opt); err != nil {
 			return nil, fmt.Errorf("rpol interval step %d: %w", startStep+s, err)
 		}
 		if t.Device != nil {

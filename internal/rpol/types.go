@@ -92,8 +92,8 @@ type TaskParams struct {
 	// Workers sizes the deterministic compute pool for this task's batch
 	// training: 0 runs the same kernels without
 	// goroutines, any n ≥ 1 spreads them over n, and the results are
-	// bit-identical at every value (conv stacks excepted — see
-	// Trainer.Workers). Like Trace it is a process-local execution knob,
+	// bit-identical at every value (see Trainer.Workers). Like Trace it is
+	// a process-local execution knob,
 	// never transmitted (the wire encoding drops it) — it configures how a
 	// machine computes, not what the protocol computes.
 	Workers int

@@ -81,7 +81,7 @@ func (m *Matrix) checkMulMat(dst, x *Matrix) error {
 }
 
 // mulMatRange fills dst rows [lo, hi) of dst = x·mᵀ. Each dst element is a
-// single ascending-k dot product — the exact chain mulVecRange produces —
+// single ascending-k dot product — the exact chain mulVec produces —
 // so row-chunking across a pool cannot change any bit of the result.
 func (m *Matrix) mulMatRange(dst, x *Matrix, lo, hi int) {
 	b := lo
@@ -137,7 +137,7 @@ func (m *Matrix) mulMatRange(dst, x *Matrix, lo, hi int) {
 		}
 	}
 	for ; b < hi; b++ {
-		m.mulVecRange(dst.Row(b), x.Row(b), 0, m.Rows)
+		m.mulVec(dst.Row(b), x.Row(b))
 	}
 }
 
@@ -218,7 +218,7 @@ func (m *Matrix) checkMulMatT(dst, x *Matrix) error {
 
 // mulMatTRange fills dst rows [lo, hi) of dst = x·m. Each dst element starts
 // at zero and accumulates over m's rows in ascending order — the exact chain
-// mulVecTRange produces. A tile of gemmTile batch rows shares each streamed
+// mulVecT produces. A tile of gemmTile batch rows shares each streamed
 // row of m, cutting the dominant memory traffic by the tile factor.
 func (m *Matrix) mulMatTRange(dst, x *Matrix, lo, hi int) {
 	b := lo
@@ -240,7 +240,7 @@ func (m *Matrix) mulMatTRange(dst, x *Matrix, lo, hi int) {
 		}
 	}
 	for ; b < hi; b++ {
-		m.mulVecTRange(dst.Row(b), x.Row(b), 0, m.Cols)
+		m.mulVecT(dst.Row(b), x.Row(b))
 	}
 }
 
@@ -351,6 +351,28 @@ func (m *Matrix) AddOuterBatchPool(p *parallel.Pool, alpha float64, x, y *Matrix
 		p.For(m.Rows, grain, func(lo, hi int) { m.addOuterBatchRange(alpha, x, y, lo, hi) })
 	}
 	return nil
+}
+
+// kernelFlopTarget sizes row/column chunks so each parallel chunk carries
+// roughly this many multiply-adds; below that goroutine handoff costs more
+// than the arithmetic. Chunk boundaries derive only from the matrix shape
+// and this constant — never from worker count — preserving bit-determinism.
+const kernelFlopTarget = 4096
+
+// chunkGrain returns the per-chunk span for a loop of extent n whose body
+// costs `width` multiply-adds per index.
+func chunkGrain(n, width int) int {
+	if width <= 0 {
+		width = 1
+	}
+	g := kernelFlopTarget / width
+	if g < 1 {
+		g = 1
+	}
+	if g > n {
+		g = n
+	}
+	return g
 }
 
 // tileGrain is chunkGrain rounded up to whole register tiles, so pool chunks

@@ -55,7 +55,7 @@ func (m *Matrix) mulMatRangeAVX(dst, x *Matrix, pack Vector, lo, hi int) {
 		mulMatPackAVX(&m.Data[0], &pack[b*k], &dst.Data[b*dst.Cols], k, m.Rows, dst.Cols)
 	}
 	for ; b < hi; b++ {
-		m.mulVecRange(dst.Row(b), x.Row(b), 0, m.Rows)
+		m.mulVec(dst.Row(b), x.Row(b))
 	}
 }
 

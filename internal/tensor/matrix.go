@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"rpol/internal/parallel"
 )
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -41,10 +39,25 @@ func (m *Matrix) Clone() *Matrix {
 // MulVec computes y = m·x. x must have length m.Cols; the result has length
 // m.Rows.
 func (m *Matrix) MulVec(x Vector) (Vector, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("mulvec %dx%d by %d: %w", m.Rows, m.Cols, len(x), ErrShapeMismatch)
-	}
 	y := NewVector(m.Rows)
+	if err := m.MulVecInto(y, x); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// MulVecInto computes y = m·x without allocating; y must have length m.Rows.
+// It is the scratch-reusing form of MulVec: each output element is one
+// left-to-right dot product.
+func (m *Matrix) MulVecInto(y, x Vector) error {
+	if len(x) != m.Cols || len(y) != m.Rows {
+		return fmt.Errorf("mulvec into %dx%d by %d into %d: %w", m.Rows, m.Cols, len(x), len(y), ErrShapeMismatch)
+	}
+	m.mulVec(y, x)
+	return nil
+}
+
+func (m *Matrix) mulVec(y, x Vector) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		var s float64
@@ -53,16 +66,31 @@ func (m *Matrix) MulVec(x Vector) (Vector, error) {
 		}
 		y[i] = s
 	}
-	return y, nil
 }
 
 // MulVecT computes y = mᵀ·x. x must have length m.Rows; the result has length
 // m.Cols. Used for backpropagation through dense layers.
 func (m *Matrix) MulVecT(x Vector) (Vector, error) {
-	if len(x) != m.Rows {
-		return nil, fmt.Errorf("mulvecT %dx%d by %d: %w", m.Rows, m.Cols, len(x), ErrShapeMismatch)
-	}
 	y := NewVector(m.Cols)
+	if err := m.MulVecTInto(y, x); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// MulVecTInto computes y = mᵀ·x without allocating; y must have length
+// m.Cols. It is the scratch-reusing form of MulVecT: each y[j] is one sum
+// over the rows in ascending order.
+func (m *Matrix) MulVecTInto(y, x Vector) error {
+	if len(x) != m.Rows || len(y) != m.Cols {
+		return fmt.Errorf("mulvecT into %dx%d by %d into %d: %w", m.Rows, m.Cols, len(x), len(y), ErrShapeMismatch)
+	}
+	m.mulVecT(y, x)
+	return nil
+}
+
+func (m *Matrix) mulVecT(y, x Vector) {
+	y.Zero()
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		xi := x[i]
@@ -70,7 +98,6 @@ func (m *Matrix) MulVecT(x Vector) (Vector, error) {
 			y[j] += v * xi
 		}
 	}
-	return y, nil
 }
 
 // AddOuter performs m += alpha * x·yᵀ in place, where x has length m.Rows and
@@ -94,16 +121,13 @@ func (m *Matrix) AddOuter(alpha float64, x, y Vector) error {
 // of power iteration (Adams et al., as cited in Sec. V-A of the paper). The
 // starting vector is derived deterministically from the matrix contents so
 // the estimate is reproducible.
+//
+// Three scratch vectors are allocated once and reused across iterations (v
+// and w swap roles after each round instead of reallocating). The arithmetic
+// — element order and association — matches the historical
+// per-iteration-allocation version exactly, so estimates are unchanged bit
+// for bit.
 func (m *Matrix) SpectralNorm(iters int) float64 {
-	return m.spectralNorm(nil, iters)
-}
-
-// spectralNorm implements SpectralNorm/SpectralNormPool with three scratch
-// vectors allocated once and reused across iterations (v and w swap roles
-// after each round instead of reallocating). The arithmetic — element order
-// and association — matches the historical per-iteration-allocation version
-// exactly, so estimates are unchanged bit for bit.
-func (m *Matrix) spectralNorm(p *parallel.Pool, iters int) float64 {
 	if m.Rows == 0 || m.Cols == 0 {
 		return 0
 	}
@@ -119,28 +143,15 @@ func (m *Matrix) spectralNorm(p *parallel.Pool, iters int) float64 {
 	v.Scale(1 / norm)
 	u := NewVector(m.Rows)
 	w := NewVector(m.Cols)
-	rowGrain := chunkGrain(m.Rows, m.Cols)
-	colGrain := chunkGrain(m.Cols, m.Rows)
-	serial := p.Workers() <= 1
 	var sigma float64
 	for it := 0; it < iters; it++ {
-		if serial {
-			// Direct calls keep the serial path allocation-free (the
-			// closure forms below escape to the heap per iteration).
-			m.mulVecRange(u, v, 0, m.Rows)
-		} else {
-			p.For(m.Rows, rowGrain, func(lo, hi int) { m.mulVecRange(u, v, lo, hi) })
-		}
+		m.mulVec(u, v)
 		un := u.Norm2()
 		if un == 0 {
 			return 0
 		}
 		u.Scale(1 / un)
-		if serial {
-			m.mulVecTRange(w, u, 0, m.Cols)
-		} else {
-			p.For(m.Cols, colGrain, func(lo, hi int) { m.mulVecTRange(w, u, lo, hi) })
-		}
+		m.mulVecT(w, u)
 		sigma = w.Norm2()
 		if sigma == 0 {
 			return 0

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"rpol/internal/parallel"
@@ -41,53 +42,43 @@ func bitsEqual(t *testing.T, name string, got, want Vector) {
 	}
 }
 
-// TestPoolKernelsBitIdentical verifies the chunked kernels reproduce the
-// serial kernels exactly, for every worker count, on shapes that exercise
-// multiple chunks and ragged tails.
+// TestPoolKernelsBitIdentical verifies the pooled batch kernels reproduce
+// the serial (nil pool) kernels exactly, for every worker count, on shapes
+// that exercise multiple chunks and ragged tails.
 func TestPoolKernelsBitIdentical(t *testing.T) {
 	shapes := []struct{ rows, cols int }{
 		{1, 1}, {3, 70}, {70, 3}, {130, 50}, {257, 129},
 	}
+	type result struct{ fwd, bwd, acc Vector }
 	for _, sh := range shapes {
 		m := testMatrix(sh.rows, sh.cols)
-		x := testVector(sh.cols)
-		xt := testVector(sh.rows)
-		wantMul, err := m.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantMulT, err := m.MulVecT(xt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOuter := m.Clone()
-		if err := wantOuter.AddOuter(0.37, xt, x); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			p := parallel.New(workers)
-			gotMul, err := m.MulVecPool(p, x)
-			if err != nil {
-				t.Fatal(err)
+		for _, batch := range []int{1, 9} {
+			x := testMatrix(batch, sh.cols)
+			g := testMatrix(batch, sh.rows)
+			run := func(p *parallel.Pool) result {
+				fwd := NewMatrix(batch, sh.rows)
+				pack := NewVector(MulMatPackSize(batch, sh.cols))
+				if err := m.MulMatPoolScratch(p, fwd, x, pack); err != nil {
+					t.Fatal(err)
+				}
+				bwd := NewMatrix(batch, sh.cols)
+				if err := m.MulMatTPool(p, bwd, g); err != nil {
+					t.Fatal(err)
+				}
+				acc := m.Clone()
+				if err := acc.AddOuterBatchPool(p, 0.37, g, x); err != nil {
+					t.Fatal(err)
+				}
+				return result{fwd.Data, bwd.Data, acc.Data}
 			}
-			bitsEqual(t, "MulVecPool", gotMul, wantMul)
-			gotMulT, err := m.MulVecTPool(p, xt)
-			if err != nil {
-				t.Fatal(err)
+			want := run(nil)
+			for _, workers := range []int{1, 2, 8} {
+				got := run(parallel.New(workers))
+				bitsEqual(t, "MulMatPoolScratch", got.fwd, want.fwd)
+				bitsEqual(t, "MulMatTPool", got.bwd, want.bwd)
+				bitsEqual(t, "AddOuterBatchPool", got.acc, want.acc)
 			}
-			bitsEqual(t, "MulVecTPool", gotMulT, wantMulT)
-			gotOuter := m.Clone()
-			if err := gotOuter.AddOuterPool(p, 0.37, xt, x); err != nil {
-				t.Fatal(err)
-			}
-			bitsEqual(t, "AddOuterPool", gotOuter.Data, wantOuter.Data)
 		}
-		// nil pool is the serial path.
-		gotMul, err := m.MulVecPool(nil, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "MulVecPool nil", gotMul, wantMul)
 	}
 }
 
@@ -115,28 +106,19 @@ func TestIntoKernels(t *testing.T) {
 	if err := m.MulVecTInto(NewVector(3), xt); err == nil {
 		t.Error("MulVecTInto accepted wrong-length destination")
 	}
-	if _, err := m.MulVecPool(nil, NewVector(5)); err == nil {
-		t.Error("MulVecPool accepted wrong-length input")
-	}
-	if _, err := m.MulVecTPool(nil, NewVector(5)); err == nil {
-		t.Error("MulVecTPool accepted wrong-length input")
-	}
-	if err := m.AddOuterPool(nil, 1, NewVector(5), x); err == nil {
-		t.Error("AddOuterPool accepted wrong-length input")
-	}
 }
 
 // TestSpectralNormPoolBitIdentical: the scratch-reusing power iteration must
-// match at every worker count, and the serial estimate must stay a genuine
-// spectral norm (checked on a matrix with known singular value).
+// keep its estimate bit for bit — pinned on a 40×60 matrix, the value the
+// serial and every pooled form gave when a pooled form existed — and stay a
+// genuine spectral norm (checked on a matrix with known singular value).
 func TestSpectralNormPoolBitIdentical(t *testing.T) {
-	m := testMatrix(40, 60)
-	want := m.SpectralNorm(30)
-	for _, workers := range []int{1, 2, 8} {
-		got := m.SpectralNormPool(parallel.New(workers), 30)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("workers=%d: %x vs %x", workers, math.Float64bits(got), math.Float64bits(want))
-		}
+	const pinned = 0x40e382e69e0c1f54
+	got := math.Float64bits(testMatrix(40, 60).SpectralNorm(30))
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Logf("40x60 estimate %#x (pinned on amd64 and 386 only: other targets may fuse multiply-adds)", got)
+	} else if got != pinned {
+		t.Errorf("40x60 estimate %#x, want %#x", got, uint64(pinned))
 	}
 	// Diagonal matrix: spectral norm is the largest |entry|.
 	d := NewMatrix(4, 4)
