@@ -575,6 +575,31 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr39.json",
+		pr:       39,
+		minPairs: map[string]int{"ref10_v2_tcp": 10, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 3, "durable8_v2_disk": 3},
+		rows: []e2eGate{
+			// The claim: the dense training step — forward with its bias,
+			// ∂W/∂x/∂b, SGDM and ReLU — on AVX-512 kernels that keep every
+			// bit takes at least an eighth off the reference epoch.
+			{"ref10_v2_tcp", "epoch_s_p50", "claim<=", 0.88},
+			// No bit moves: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere. The
+			// kernels allocate nothing; the time-boxed allocation medians sit
+			// within 0.06 % of the parent's, both ways (see the host note).
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

@@ -72,7 +72,7 @@ func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 		// Sub then AXPY in one pass: the same two roundings per element,
 		// without a model-sized delta vector per history term.
 		for i := range momentum {
-			momentum[i] += k * (newer[i] - older[i])
+			momentum[i] += float64(k * (newer[i] - older[i]))
 		}
 		weightSum += k
 	}

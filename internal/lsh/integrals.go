@@ -26,7 +26,7 @@ func integrate(f func(float64) float64, lo, hi float64, steps int) float64 {
 	h := (hi - lo) / float64(steps)
 	sum := (f(lo) + f(hi)) / 2
 	for i := 1; i < steps; i++ {
-		sum += f(lo + float64(i)*h)
+		sum += f(lo + float64(float64(i)*h))
 	}
 	return sum * h
 }

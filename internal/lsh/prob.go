@@ -51,7 +51,7 @@ func CollisionProb(c, r float64) float64 {
 		return 0
 	}
 	t := r / c
-	p := 1 - 2*stats.StdNormalCDF(-t) - (2/(math.Sqrt(2*math.Pi)*t))*(1-math.Exp(-t*t/2))
+	p := 1 - float64(2*stats.StdNormalCDF(-t)) - float64((2/(math.Sqrt(2*math.Pi)*t))*(1-math.Exp(float64(-t*t)/2)))
 	if p < 0 {
 		return 0
 	}
@@ -140,8 +140,8 @@ func Optimize(alpha, beta float64, opts OptimizeOptions) (Params, float64, float
 		for k := 1; k <= opts.KLsh; k++ {
 			for l := 1; k*l <= opts.KLsh; l++ {
 				p := Params{R: r, K: k, L: l}
-				score := opts.WeightFNR*FNRAtWorstCase(alpha, p) +
-					opts.WeightFPR*FPRAtWorstCase(beta, p)
+				score := float64(opts.WeightFNR*FNRAtWorstCase(alpha, p)) +
+					float64(opts.WeightFPR*FPRAtWorstCase(beta, p))
 				if score < bestScore {
 					bestScore = score
 					best = p

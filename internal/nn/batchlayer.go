@@ -3,26 +3,20 @@ package nn
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 
 	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
-// ForwardBatch computes W·x + b for every row of x in one GEMM call. The
+// ForwardBatch computes W·x + b for every row of x in one GEMM call, the
+// bias added after each row's chains (the bits of the per-example AXPY). The
 // pack scratch (arena-recycled) unlocks the SIMD kernel where the host has
 // one; the result is bit-identical with or without it.
 func (d *Dense) ForwardBatch(p *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
 	d.outB = tensor.Matrix{Rows: x.Rows, Cols: d.W.Rows, Data: tensor.Vector(d.scratch.Grab(x.Rows * d.W.Rows))}
 	pack := tensor.Vector(d.scratch.Grab(tensor.MulMatPackSize(x.Rows, x.Cols)))
-	if err := d.W.MulMatPoolScratch(p, &d.outB, x, pack); err != nil {
+	if err := d.W.MulMatPoolScratch(p, &d.outB, x, d.B, pack); err != nil {
 		return nil, fmt.Errorf("dense forward: %w", err)
-	}
-	for r := 0; r < d.outB.Rows; r++ {
-		if err := d.outB.Row(r).AXPY(1, d.B); err != nil {
-			return nil, fmt.Errorf("dense bias: %w", err)
-		}
 	}
 	d.lastInB = x
 	return &d.outB, nil
@@ -57,39 +51,23 @@ func (d *Dense) backwardBatchParams(p *parallel.Pool, grad *tensor.Matrix) error
 		if err := d.GradW.AddOuterBatchPool(p, 1, grad, d.lastInB); err != nil {
 			return fmt.Errorf("dense gradW: %w", err)
 		}
-		for r := 0; r < grad.Rows; r++ {
-			if err := d.GradB.AXPY(1, grad.Row(r)); err != nil {
-				return fmt.Errorf("dense gradB: %w", err)
-			}
+		if err := d.GradB.AddRows(grad); err != nil {
+			return fmt.Errorf("dense gradB: %w", err)
 		}
 	}
 	return nil
 }
 
-// positiveMask returns all ones when b is the bit pattern of a float64 v
-// with v > 0 and zero otherwise, without a branch: activations split about
-// evenly around zero, so a compare-and-jump per element mispredicts half the
-// time. v > 0 holds exactly for 0 < b ≤ bits(+Inf) — everything above is a
-// NaN or carries the sign bit — i.e. for b−1 below bits(+Inf) as unsigned
-// numbers (b = 0 wraps to the maximum), which is the borrow of one
-// subtraction. So ±0, every negative and every NaN mask to +0, as `if v > 0`
-// leaving a zeroed slot did.
-func positiveMask(b uint64) uint64 {
-	const inf = 0x7FF0000000000000
-	_, borrow := bits.Sub64(b-1, inf, 0)
-	return -borrow
-}
-
-// ForwardBatch returns max(0, x) element-wise over the whole batch.
+// ForwardBatch returns max(0, x) element-wise over the whole batch: x where
+// x > 0, +0 elsewhere (±0, negatives and NaN), as the per-example Forward
+// leaves a zeroed slot.
 func (r *ReLU) ForwardBatch(_ *parallel.Pool, x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols != r.dim {
 		return nil, fmt.Errorf("relu input %d, want %d: %w", x.Cols, r.dim, tensor.ErrShapeMismatch)
 	}
 	r.outB = tensor.Matrix{Rows: x.Rows, Cols: x.Cols, Data: tensor.Vector(r.scratch.Grab(x.Rows * x.Cols))}
-	out := r.outB.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		b := math.Float64bits(v)
-		out[i] = math.Float64frombits(b & positiveMask(b))
+	if err := tensor.MaskPositive(r.outB.Data, x.Data, x.Data); err != nil {
+		return nil, fmt.Errorf("relu forward: %w", err)
 	}
 	r.lastInB = x
 	return &r.outB, nil
@@ -108,10 +86,8 @@ func (r *ReLU) BackwardBatch(_ *parallel.Pool, grad *tensor.Matrix) (*tensor.Mat
 			grad.Rows, grad.Cols, r.lastInB.Rows, r.dim, tensor.ErrShapeMismatch)
 	}
 	r.gradB = tensor.Matrix{Rows: grad.Rows, Cols: grad.Cols, Data: tensor.Vector(r.scratch.Grab(grad.Rows * grad.Cols))}
-	in := r.lastInB.Data
-	out, g := r.gradB.Data[:len(in)], grad.Data[:len(in)]
-	for i, v := range in {
-		out[i] = math.Float64frombits(math.Float64bits(g[i]) & positiveMask(math.Float64bits(v)))
+	if err := tensor.MaskPositive(r.gradB.Data, grad.Data, r.lastInB.Data); err != nil {
+		return nil, fmt.Errorf("relu backward: %w", err)
 	}
 	return &r.gradB, nil
 }

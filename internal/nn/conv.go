@@ -118,7 +118,7 @@ func (c *Conv2D) forward(out, x tensor.Vector) {
 							if ix < 0 || ix >= c.InW {
 								continue
 							}
-							s += c.weight(oc, ic, ki, kj) * x[(ic*c.InH+iy)*c.InW+ix]
+							s += float64(c.weight(oc, ic, ki, kj) * x[(ic*c.InH+iy)*c.InW+ix])
 						}
 					}
 				}
@@ -186,9 +186,9 @@ func (c *Conv2D) backward(gin, grad, x tensor.Vector) {
 							}
 							in := x[(ic*c.InH+iy)*c.InW+ix]
 							if !c.Frozen {
-								*c.gradWAt(oc, ic, ki, kj) += g * in
+								*c.gradWAt(oc, ic, ki, kj) += float64(g * in)
 							}
-							gin[(ic*c.InH+iy)*c.InW+ix] += g * c.weight(oc, ic, ki, kj)
+							gin[(ic*c.InH+iy)*c.InW+ix] += float64(g * c.weight(oc, ic, ki, kj))
 						}
 					}
 				}

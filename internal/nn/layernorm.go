@@ -89,13 +89,13 @@ func (l *LayerNorm) forward(out, norm, x tensor.Vector) float64 {
 	var variance float64
 	for _, v := range x {
 		d := v - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= n
 	std := math.Sqrt(variance + l.Eps)
 	for i, v := range x {
 		norm[i] = (v - mean) / std
-		out[i] = l.Gamma[i]*norm[i] + l.Beta[i]
+		out[i] = float64(l.Gamma[i]*norm[i]) + l.Beta[i]
 	}
 	return std
 }
@@ -141,12 +141,12 @@ func (l *LayerNorm) backward(in, dnorm, grad, norm tensor.Vector, std float64) {
 	var sumDnorm, sumDnormNorm float64
 	for i, g := range grad {
 		if !l.Frozen {
-			l.GradGamma[i] += g * norm[i]
+			l.GradGamma[i] += float64(g * norm[i])
 			l.GradBeta[i] += g
 		}
-		dnorm[i] = g * l.Gamma[i]
+		dnorm[i] = float64(g * l.Gamma[i])
 		sumDnorm += dnorm[i]
-		sumDnormNorm += dnorm[i] * norm[i]
+		sumDnormNorm += float64(dnorm[i] * norm[i])
 	}
 	for i := range in {
 		in[i] = (dnorm[i] - sumDnorm/n - norm[i]*sumDnormNorm/n) / std

@@ -127,15 +127,9 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 	if err != nil {
 		return err
 	}
-	mu, lr := o.Momentum, o.LR
 	for i, p := range params {
-		// checkPairs and fit established equal lengths; saying so once lets
-		// the inner loop run without a bounds check per access.
-		v, g := velocity[i][:len(p)], grads[i][:len(p)]
-		for j := range p {
-			vj := mu*v[j] + g[j]
-			v[j] = vj
-			p[j] -= lr * vj
+		if err := tensor.MomentumStep(p, velocity[i], grads[i], o.Momentum, o.LR); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -174,7 +168,7 @@ func (o *RMSprop) Step(params, grads []tensor.Vector) error {
 	for i := range params {
 		s, g := sq[i], grads[i]
 		for j := range s {
-			s[j] = o.Decay*s[j] + (1-o.Decay)*g[j]*g[j]
+			s[j] = float64(o.Decay*s[j]) + float64((1-o.Decay)*g[j]*g[j])
 			params[i][j] -= o.LR * g[j] / (math.Sqrt(s[j]) + eps)
 		}
 	}
@@ -223,8 +217,8 @@ func (o *Adam) Step(params, grads []tensor.Vector) error {
 	for i := range params {
 		m, v, g := ms[i], vs[i], grads[i]
 		for j := range m {
-			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g[j]
-			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g[j]*g[j]
+			m[j] = float64(o.Beta1*m[j]) + float64((1-o.Beta1)*g[j])
+			v[j] = float64(o.Beta2*v[j]) + float64((1-o.Beta2)*g[j]*g[j])
 			mhat := m[j] / bc1
 			vhat := v[j] / bc2
 			params[i][j] -= o.LR * mhat / (math.Sqrt(vhat) + eps)

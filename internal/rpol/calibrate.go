@@ -102,7 +102,7 @@ func (c *Calibrator) calibrate(p TaskParams, top1, top2 gpu.Profile, probeSeeds 
 		// LSH optimization stays well-posed.
 		alpha = 1e-12
 	}
-	beta := xf*alpha + c.YOffset
+	beta := float64(xf*alpha) + c.YOffset
 	params, worstFNR, worstFPR, err := lsh.Optimize(alpha, beta, lsh.OptimizeOptions{KLsh: c.KLsh})
 	if err != nil {
 		return nil, nil, fmt.Errorf("rpol calibrate: %w", err)

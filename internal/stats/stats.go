@@ -35,7 +35,7 @@ func Variance(xs []float64) (float64, error) {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs)), nil
 }
@@ -128,7 +128,7 @@ func NormalQuantile(p, mean, std float64) (float64, error) {
 	if p <= 0 || p >= 1 {
 		return 0, errors.New("stats: quantile probability out of (0,1)")
 	}
-	lo, hi := mean-12*std, mean+12*std
+	lo, hi := mean-float64(12*std), mean+float64(12*std)
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
 		if NormalCDF(mid, mean, std) < p {
@@ -238,9 +238,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var cov, vx, vy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
+		cov += float64(dx * dy)
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
 	}
 	if vx == 0 || vy == 0 {
 		return 0, errors.New("stats: zero variance in correlation")
@@ -265,7 +265,7 @@ func Histogram(xs []float64, n int) (edges []float64, counts []int, err error) {
 	edges = make([]float64, n+1)
 	width := (hi - lo) / float64(n)
 	for i := range edges {
-		edges[i] = lo + float64(i)*width
+		edges[i] = lo + float64(float64(i)*width)
 	}
 	counts = make([]int, n)
 	for _, x := range xs {

@@ -11,8 +11,8 @@ import (
 // per-example MulVecInto/MulVecTInto/AddOuter inner loops on the training
 // hot path.
 //
-// Determinism contract, shared by all three kernels: every output element is
-// computed as exactly one left-to-right float64 accumulation chain over the
+// Determinism contract, shared by every kernel and tier: each output element
+// is computed as exactly one left-to-right float64 accumulation chain over the
 // SAME index order as the per-example serial loop it replaces. The register
 // tiles below widen the number of chains advanced per pass over memory — they
 // never split, reorder, or re-associate an individual chain — so the batched
@@ -20,9 +20,8 @@ import (
 // the batch rows one example at a time.
 //
 // Blocking scheme: kernels are row-blocked via the *Range forms, so they
-// compose with internal/parallel chunking exactly like the matvec kernels in
-// matrix_pool.go — chunk boundaries depend only on shapes and the flop
-// target, never on the worker count. Inside a row block, a tile of gemmTile
+// compose with internal/parallel chunking — chunk boundaries depend only on
+// shapes and the flop target, never on the worker count. Inside a row block, a tile of gemmTile
 // output rows shares each streamed operand row (cache blocking), and the
 // per-tile accumulators live in registers (register tiling). The reduction
 // dimension is NEVER blocked: k (or the batch index, for AddOuterBatch) is
@@ -31,8 +30,14 @@ import (
 // gemmTile is the register-tile height: how many independent accumulation
 // chains advance per pass over a shared operand row. Four chains keep the
 // working set within the architectural register budget on amd64/arm64 while
-// quartering the memory traffic of the dominant streamed operand.
+// quartering the memory traffic of the dominant streamed operand. It is also
+// the AVX2 forward kernel's batch tile, one 256-bit lane per batch row.
 const gemmTile = 4
+
+// laneTile is the AVX-512 forward kernel's batch tile: one 512-bit lane per
+// batch row. Pool chunks are whole laneTiles (tileGrain), so every chunk of
+// either vector tier starts on a packed tile.
+const laneTile = 8
 
 // MulMatInto computes dst = x · mᵀ without allocating: row b of dst is
 // m·x.Row(b), the batched form of MulVecInto. Shapes: x is batch×m.Cols,
@@ -42,40 +47,34 @@ func (m *Matrix) MulMatInto(dst, x *Matrix) error {
 }
 
 // MulMatPackSize returns the pack-scratch length (in float64s) that lets
-// MulMatScratch/MulMatPoolScratch take the SIMD kernel for a batch×cols
-// input. Zero when the host has no SIMD path — callers Grab(0) and the
-// dispatch falls through to the portable kernels.
+// MulMatScratch/MulMatPoolScratch take the host's vector kernel for a
+// batch×cols input: whole 8-row tiles on AVX-512 hosts, whole 4-row tiles on
+// AVX2 ones. Zero when the host has no vector path — callers Grab(0) and the
+// dispatch falls through to the portable kernel.
 func MulMatPackSize(batch, cols int) int {
-	if !useAVX {
-		return 0
+	switch {
+	case useAVX512:
+		return (batch &^ (laneTile - 1)) * cols
+	case useAVX:
+		return (batch &^ (gemmTile - 1)) * cols
 	}
-	return (batch &^ (gemmTile - 1)) * cols
+	return 0
 }
 
 // MulMatScratch is MulMatInto with optional pack scratch. When the host
-// supports the SIMD kernel and pack has MulMatPackSize capacity, full
-// gemmTile batch tiles run vectorized: x is repacked lane-interleaved and
-// each vector lane advances one output element's ascending-k chain — the
-// lanes are the independent per-element chains of the portable kernel, so
-// the result is bit-identical either way (SIMD here is wall-clock only,
-// never semantics).
+// supports a vector kernel and pack has MulMatPackSize capacity, whole batch
+// tiles run vectorized: x is repacked lane-interleaved and each vector lane
+// advances one output element's ascending-k chain — the lanes are the
+// independent per-element chains of the portable kernel, so the result is
+// bit-identical either way (SIMD here is wall-clock only, never semantics).
 func (m *Matrix) MulMatScratch(dst, x *Matrix, pack Vector) error {
-	if err := m.checkMulMat(dst, x); err != nil {
-		return err
-	}
-	if avxMulMatOK(m, x, pack) {
-		packLanes(pack, x)
-		m.mulMatRangeAVX(dst, x, pack, 0, dst.Rows)
-		return nil
-	}
-	m.mulMatRange(dst, x, 0, dst.Rows)
-	return nil
+	return m.MulMatPoolScratch(nil, dst, x, nil, pack)
 }
 
-func (m *Matrix) checkMulMat(dst, x *Matrix) error {
-	if x.Cols != m.Cols || dst.Cols != m.Rows || dst.Rows != x.Rows {
-		return fmt.Errorf("mulmat %dx%d by %dx%d into %dx%d: %w",
-			m.Rows, m.Cols, x.Rows, x.Cols, dst.Rows, dst.Cols, ErrShapeMismatch)
+func (m *Matrix) checkMulMat(dst, x *Matrix, bias Vector) error {
+	if x.Cols != m.Cols || dst.Cols != m.Rows || dst.Rows != x.Rows || (bias != nil && len(bias) != m.Rows) {
+		return fmt.Errorf("mulmat %dx%d by %dx%d into %dx%d, bias %d: %w",
+			m.Rows, m.Cols, x.Rows, x.Cols, dst.Rows, dst.Cols, len(bias), ErrShapeMismatch)
 	}
 	return nil
 }
@@ -102,22 +101,22 @@ func (m *Matrix) mulMatRange(dst, x *Matrix, lo, hi int) {
 			for k, wv0 := range w0 {
 				wv1, wv2, wv3 := w1[k], w2[k], w3[k]
 				xv0, xv1, xv2, xv3 := y0[k], y1[k], y2[k], y3[k]
-				a00 += wv0 * xv0
-				a01 += wv1 * xv0
-				a02 += wv2 * xv0
-				a03 += wv3 * xv0
-				a10 += wv0 * xv1
-				a11 += wv1 * xv1
-				a12 += wv2 * xv1
-				a13 += wv3 * xv1
-				a20 += wv0 * xv2
-				a21 += wv1 * xv2
-				a22 += wv2 * xv2
-				a23 += wv3 * xv2
-				a30 += wv0 * xv3
-				a31 += wv1 * xv3
-				a32 += wv2 * xv3
-				a33 += wv3 * xv3
+				a00 += float64(wv0 * xv0)
+				a01 += float64(wv1 * xv0)
+				a02 += float64(wv2 * xv0)
+				a03 += float64(wv3 * xv0)
+				a10 += float64(wv0 * xv1)
+				a11 += float64(wv1 * xv1)
+				a12 += float64(wv2 * xv1)
+				a13 += float64(wv3 * xv1)
+				a20 += float64(wv0 * xv2)
+				a21 += float64(wv1 * xv2)
+				a22 += float64(wv2 * xv2)
+				a23 += float64(wv3 * xv2)
+				a30 += float64(wv0 * xv3)
+				a31 += float64(wv1 * xv3)
+				a32 += float64(wv2 * xv3)
+				a33 += float64(wv3 * xv3)
 			}
 			d0[i], d0[i+1], d0[i+2], d0[i+3] = a00, a01, a02, a03
 			d1[i], d1[i+1], d1[i+2], d1[i+3] = a10, a11, a12, a13
@@ -128,10 +127,10 @@ func (m *Matrix) mulMatRange(dst, x *Matrix, lo, hi int) {
 			row := m.Row(i)
 			var a0, a1, a2, a3 float64
 			for k, wv := range row {
-				a0 += wv * x0[k]
-				a1 += wv * x1[k]
-				a2 += wv * x2[k]
-				a3 += wv * x3[k]
+				a0 += float64(wv * x0[k])
+				a1 += float64(wv * x1[k])
+				a2 += float64(wv * x2[k])
+				a3 += float64(wv * x3[k])
 			}
 			d0[i], d1[i], d2[i], d3[i] = a0, a1, a2, a3
 		}
@@ -141,48 +140,100 @@ func (m *Matrix) mulMatRange(dst, x *Matrix, lo, hi int) {
 	}
 }
 
+// addBias adds bias to dst rows [lo, hi) after their chains, each element
+// as AXPY(1, bias) would (1·b is b), so the per-example Dense.Forward and the
+// fused AVX-512 kernel get the same bits. A nil bias adds nothing.
+func addBias(dst *Matrix, bias Vector, lo, hi int) {
+	if bias == nil {
+		return
+	}
+	for b := lo; b < hi; b++ {
+		row := dst.Row(b)[:len(bias)]
+		for i, v := range bias {
+			row[i] += v
+		}
+	}
+}
+
 // MulMatPool is MulMatInto with dst rows chunked across the pool.
 // Bit-identical to the serial form for any worker count; a nil pool runs
 // serially with no closure overhead.
 func (m *Matrix) MulMatPool(p *parallel.Pool, dst, x *Matrix) error {
-	return m.MulMatPoolScratch(p, dst, x, nil)
+	return m.MulMatPoolScratch(p, dst, x, nil, nil)
 }
 
-// MulMatPoolScratch is MulMatScratch with dst rows chunked across the pool.
-// The pack buffer is filled once up front and then only read by the chunks,
-// so sharing it is race-free; chunk grain is a whole number of batch tiles,
-// so every chunk keeps the vector path.
-func (m *Matrix) MulMatPoolScratch(p *parallel.Pool, dst, x *Matrix, pack Vector) error {
-	if err := m.checkMulMat(dst, x); err != nil {
+// MulMatPoolScratch computes dst = x·mᵀ + bias — bias, when non-nil, added
+// to every row after its chains, the bits of a per-row AXPY(1, bias) — with
+// dst rows chunked across the pool and pack as in MulMatScratch. The pack
+// buffer is filled once up front and then only read by the chunks, so
+// sharing it is race-free; chunk grain is a whole number of batch tiles, so
+// every chunk keeps the vector path.
+func (m *Matrix) MulMatPoolScratch(p *parallel.Pool, dst, x *Matrix, bias, pack Vector) error {
+	if err := m.checkMulMat(dst, x, bias); err != nil {
 		return err
 	}
-	avx := avxMulMatOK(m, x, pack)
-	if avx {
-		packLanes(pack, x)
+	tier := m.mulMatTier(x, pack)
+	if tier != tierPortable {
+		packLanes(pack, x, tier.tile())
 	}
 	if p.Workers() <= 1 {
-		if avx {
-			m.mulMatRangeAVX(dst, x, pack, 0, dst.Rows)
-		} else {
-			m.mulMatRange(dst, x, 0, dst.Rows)
-		}
+		m.mulMatRows(tier, dst, x, bias, pack, 0, dst.Rows)
 		return nil
 	}
-	// Grain in whole register tiles so concurrent chunks never split a tile.
+	// Grain in whole lane tiles so concurrent chunks never split a tile.
 	grain := tileGrain(dst.Rows, m.Rows*m.Cols)
-	if avx {
-		p.For(dst.Rows, grain, func(lo, hi int) { m.mulMatRangeAVX(dst, x, pack, lo, hi) })
-	} else {
-		p.For(dst.Rows, grain, func(lo, hi int) { m.mulMatRange(dst, x, lo, hi) })
-	}
+	p.For(dst.Rows, grain, func(lo, hi int) { m.mulMatRows(tier, dst, x, bias, pack, lo, hi) })
 	return nil
 }
 
-// avxMulMatOK gates the SIMD forward kernel: host support, a full-size pack
-// buffer, at least one whole batch tile, and a non-empty reduction.
-func avxMulMatOK(m, x *Matrix, pack Vector) bool {
-	return useAVX && m.Cols > 0 && x.Rows >= gemmTile &&
-		len(pack) >= (x.Rows&^(gemmTile-1))*x.Cols
+// kernelTier names the code path a kernel call takes. Every tier yields the
+// portable loop's bits (DESIGN §14); the tier chooses speed only.
+type kernelTier uint8
+
+const (
+	tierPortable kernelTier = iota
+	tierAVX                 // 256-bit AVX, no FMA
+	tierAVX512              // 512-bit AVX-512F, no FMA
+)
+
+// tile is the forward kernel's packed batch tile on tier t.
+func (t kernelTier) tile() int {
+	if t == tierAVX512 {
+		return laneTile
+	}
+	return gemmTile
+}
+
+// mulMatTier picks the forward kernel: the host's vector tier when w and dst
+// are non-empty, x holds at least one whole tile and pack has room for every
+// whole tile, the portable kernel otherwise.
+func (m *Matrix) mulMatTier(x *Matrix, pack Vector) kernelTier {
+	if m.Rows == 0 || m.Cols == 0 {
+		return tierPortable
+	}
+	fits := func(tile int) bool { return x.Rows >= tile && len(pack) >= (x.Rows&^(tile-1))*x.Cols }
+	switch {
+	case useAVX512 && fits(laneTile):
+		return tierAVX512
+	case useAVX && fits(gemmTile):
+		return tierAVX
+	}
+	return tierPortable
+}
+
+// mulMatRows fills dst rows [lo, hi) of x·mᵀ + bias on tier t. The AVX-512
+// kernel adds the bias itself; the others add it after the rows' chains.
+func (m *Matrix) mulMatRows(t kernelTier, dst, x *Matrix, bias, pack Vector, lo, hi int) {
+	switch t {
+	case tierAVX512:
+		m.mulMatRange512(dst, x, bias, pack, lo, hi)
+		return
+	case tierAVX:
+		m.mulMatRangeAVX(dst, x, pack, lo, hi)
+	default:
+		m.mulMatRange(dst, x, lo, hi)
+	}
+	addBias(dst, bias, lo, hi)
 }
 
 // MulMatTInto computes dst = x · m without allocating: row b of dst is
@@ -190,20 +241,33 @@ func avxMulMatOK(m, x *Matrix, pack Vector) bool {
 // layer for a whole batch). Shapes: x is batch×m.Rows, dst is batch×m.Cols.
 // Bit-identical to calling MulVecTInto per row.
 func (m *Matrix) MulMatTInto(dst, x *Matrix) error {
-	if err := m.checkMulMatT(dst, x); err != nil {
-		return err
-	}
-	m.mulMatTRows(dst, x, 0, dst.Rows)
-	return nil
+	return m.MulMatTPool(nil, dst, x)
 }
 
-// mulMatTRows fills dst rows [lo, hi) of dst = x·m on the SIMD row kernel
-// where the host and shape allow — at least one whole vector of columns, as
-// for AddOuterBatch — and on the portable kernel otherwise.
+// outerTier picks the accumulation kernel for a dst row of cols columns
+// summed over n terms: AVX-512 for any non-empty shape (its column tail runs
+// under a mask), AVX2 from one whole 4-column vector up (its tail is
+// scalar), the portable kernel otherwise.
+func outerTier(n, cols int) kernelTier {
+	switch {
+	case n == 0 || cols == 0:
+		return tierPortable
+	case useAVX512:
+		return tierAVX512
+	case useAVX && cols >= gemmTile:
+		return tierAVX
+	}
+	return tierPortable
+}
+
+// mulMatTRows fills dst rows [lo, hi) of dst = x·m on the tier's row kernel.
 func (m *Matrix) mulMatTRows(dst, x *Matrix, lo, hi int) {
-	if useAVX && m.Cols >= gemmTile && m.Rows > 0 {
+	switch outerTier(m.Rows, m.Cols) {
+	case tierAVX512:
+		m.mulMatTRange512(dst, x, lo, hi)
+	case tierAVX:
 		m.mulMatTRangeAVX(dst, x, lo, hi)
-	} else {
+	default:
 		m.mulMatTRange(dst, x, lo, hi)
 	}
 }
@@ -232,10 +296,10 @@ func (m *Matrix) mulMatTRange(dst, x *Matrix, lo, hi int) {
 			row := m.Row(i)
 			g0, g1, g2, g3 := x0[i], x1[i], x2[i], x3[i]
 			for j, wv := range row {
-				d0[j] += wv * g0
-				d1[j] += wv * g1
-				d2[j] += wv * g2
-				d3[j] += wv * g3
+				d0[j] += float64(wv * g0)
+				d1[j] += float64(wv * g1)
+				d2[j] += float64(wv * g2)
+				d3[j] += float64(wv * g3)
 			}
 		}
 	}
@@ -266,21 +330,7 @@ func (m *Matrix) MulMatTPool(p *parallel.Pool, dst, x *Matrix) error {
 // Shapes: x is batch×m.Rows, y is batch×m.Cols. This is the whole-batch
 // gradient accumulation for dense layers.
 func (m *Matrix) AddOuterBatch(alpha float64, x, y *Matrix) error {
-	if err := m.checkAddOuterBatch(x, y); err != nil {
-		return err
-	}
-	if avxAddOuterOK(m, x) {
-		m.addOuterBatchRangeAVX(alpha, x, y, 0, m.Rows)
-	} else {
-		m.addOuterBatchRange(alpha, x, y, 0, m.Rows)
-	}
-	return nil
-}
-
-// avxAddOuterOK gates the SIMD accumulation kernel: host support plus at
-// least one whole vector of columns (narrower matrices stay portable).
-func avxAddOuterOK(m, x *Matrix) bool {
-	return useAVX && m.Cols >= gemmTile && x.Rows > 0
+	return m.AddOuterBatchPool(nil, alpha, x, y)
 }
 
 func (m *Matrix) checkAddOuterBatch(x, y *Matrix) error {
@@ -308,10 +358,10 @@ func (m *Matrix) addOuterBatchRange(alpha float64, x, y *Matrix, lo, hi int) {
 			a2 := alpha * xb[i+2]
 			a3 := alpha * xb[i+3]
 			for j, yv := range yb {
-				r0[j] += a0 * yv
-				r1[j] += a1 * yv
-				r2[j] += a2 * yv
-				r3[j] += a3 * yv
+				r0[j] += float64(a0 * yv)
+				r1[j] += float64(a1 * yv)
+				r2[j] += float64(a2 * yv)
+				r3[j] += float64(a3 * yv)
 			}
 		}
 	}
@@ -321,9 +371,21 @@ func (m *Matrix) addOuterBatchRange(alpha float64, x, y *Matrix, lo, hi int) {
 			ax := alpha * x.Row(b)[i]
 			yb := y.Row(b)
 			for j, yv := range yb {
-				row[j] += ax * yv
+				row[j] += float64(ax * yv)
 			}
 		}
+	}
+}
+
+// addOuterBatchRows accumulates rows [lo, hi) of m on the tier's row kernel.
+func (m *Matrix) addOuterBatchRows(alpha float64, x, y *Matrix, lo, hi int) {
+	switch outerTier(x.Rows, m.Cols) {
+	case tierAVX512:
+		m.addOuterBatchRange512(alpha, x, y, lo, hi)
+	case tierAVX:
+		m.addOuterBatchRangeAVX(alpha, x, y, lo, hi)
+	default:
+		m.addOuterBatchRange(alpha, x, y, lo, hi)
 	}
 }
 
@@ -335,20 +397,35 @@ func (m *Matrix) AddOuterBatchPool(p *parallel.Pool, alpha float64, x, y *Matrix
 	if err := m.checkAddOuterBatch(x, y); err != nil {
 		return err
 	}
-	avx := avxAddOuterOK(m, x)
 	if p.Workers() <= 1 {
-		if avx {
-			m.addOuterBatchRangeAVX(alpha, x, y, 0, m.Rows)
-		} else {
-			m.addOuterBatchRange(alpha, x, y, 0, m.Rows)
-		}
+		m.addOuterBatchRows(alpha, x, y, 0, m.Rows)
 		return nil
 	}
 	grain := tileGrain(m.Rows, x.Rows*m.Cols)
-	if avx {
-		p.For(m.Rows, grain, func(lo, hi int) { m.addOuterBatchRangeAVX(alpha, x, y, lo, hi) })
-	} else {
-		p.For(m.Rows, grain, func(lo, hi int) { m.addOuterBatchRange(alpha, x, y, lo, hi) })
+	p.For(m.Rows, grain, func(lo, hi int) { m.addOuterBatchRows(alpha, x, y, lo, hi) })
+	return nil
+}
+
+// AddRows performs v += Σ_r m.Row(r) in place, r ascending, each element as
+// AXPY(1, m.Row(r)) would add it — the bias gradient of a dense layer over a
+// whole batch. On vector hosts it is the accumulation kernel with a constant
+// 1 as x at stride 0 and alpha 1: (1·1)·g is g, so the bits are AXPY's.
+func (v Vector) AddRows(m *Matrix) error {
+	if len(v) != m.Cols {
+		return fmt.Errorf("addrows %d by %dx%d: %w", len(v), m.Rows, m.Cols, ErrShapeMismatch)
+	}
+	switch outerTier(m.Rows, m.Cols) {
+	case tierAVX512:
+		addRows512(v, m)
+	case tierAVX:
+		addRowsAVX(v, m)
+	default:
+		for r := 0; r < m.Rows; r++ {
+			row := m.Row(r)[:len(v)]
+			for j, g := range row {
+				v[j] += g
+			}
+		}
 	}
 	return nil
 }
@@ -375,14 +452,14 @@ func chunkGrain(n, width int) int {
 	return g
 }
 
-// tileGrain is chunkGrain rounded up to whole register tiles, so pool chunks
-// never split a gemmTile-row tile (a split tile would still be bit-identical
+// tileGrain is chunkGrain rounded up to whole lane tiles, so pool chunks
+// never split a laneTile-row tile (a split tile would still be bit-identical
 // — remainder loops run the same chains — but whole tiles keep every chunk
-// on the fast path).
+// on the fast path and starting on a packed tile).
 func tileGrain(n, width int) int {
 	g := chunkGrain(n, width)
-	if rem := g % gemmTile; rem != 0 {
-		g += gemmTile - rem
+	if rem := g % laneTile; rem != 0 {
+		g += laneTile - rem
 	}
 	if g > n {
 		g = n

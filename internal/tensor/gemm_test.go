@@ -243,7 +243,7 @@ func TestMulMatScratchSIMDBitIdentical(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 8} {
 			pooled := NewMatrix(s.batch, s.rows)
-			if err := m.MulMatPoolScratch(parallel.New(workers), pooled, x, pack); err != nil {
+			if err := m.MulMatPoolScratch(parallel.New(workers), pooled, x, nil, pack); err != nil {
 				t.Fatal(err)
 			}
 			if !bitEqual(pooled.Data, want.Data) {
@@ -305,15 +305,29 @@ func TestTileGrainWholeTiles(t *testing.T) {
 		if g < 1 || g > n {
 			t.Errorf("tileGrain(%d) = %d out of range", n, g)
 		}
-		if g%gemmTile != 0 && g != n {
-			t.Errorf("tileGrain(%d) = %d is neither a whole tile multiple nor n", n, g)
+		if g%laneTile != 0 && g != n {
+			t.Errorf("tileGrain(%d) = %d is neither a whole lane-tile multiple nor n", n, g)
 		}
 	}
 }
 
-// BenchmarkGEMMForward compares one whole-batch forward GEMM against the
-// per-example matvec loop it replaces, at the training benchmark's dense
-// shape (512×256, batch 32).
+// benchTiers runs bench once per kernel tier as a sub-benchmark named after
+// the tier; a tier the host lacks is skipped, so its absence shows.
+func benchTiers(b *testing.B, prefix string, bench func(b *testing.B)) {
+	host := hostTiers()
+	for _, tier := range allTiers {
+		b.Run(prefix+tier.String(), func(b *testing.B) {
+			if int(tier) >= len(host) {
+				b.Skipf("no %v kernels on this host", tier)
+			}
+			withTier(tier, func() { bench(b) })
+		})
+	}
+}
+
+// BenchmarkGEMMForward compares one whole-batch forward GEMM, on each
+// kernel tier, against the per-example matvec loop it replaces, at the
+// training benchmark's dense shape (512×256, batch 32).
 func BenchmarkGEMMForward(b *testing.B) {
 	rng := NewRNG(15)
 	const batch, rows, cols = 32, 512, 256
@@ -330,29 +344,32 @@ func BenchmarkGEMMForward(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gemm", func(b *testing.B) {
+	benchTiers(b, "gemm/", func(b *testing.B) {
+		pack := NewVector(MulMatPackSize(batch, cols))
 		b.SetBytes(int64(8 * batch * rows * cols))
 		for i := 0; i < b.N; i++ {
-			if err := m.MulMatInto(dst, x); err != nil {
+			if err := m.MulMatScratch(dst, x, pack); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkGEMMBackward covers the two backward kernels at the same shape.
+// BenchmarkGEMMBackward covers the two backward kernels at the same shape,
+// each on every kernel tier.
 func BenchmarkGEMMBackward(b *testing.B) {
 	rng := NewRNG(16)
 	const batch, rows, cols = 32, 512, 256
 	m := randMatrix(rng, rows, cols)
 	g := randMatrix(rng, batch, rows)
 	x := randMatrix(rng, batch, cols)
+	dst := NewMatrix(batch, cols)
+	acc := m.Clone()
 	for _, bench := range []struct {
 		name string
 		fn   func() error
 	}{
 		{"mulmatT/pervec", func() error {
-			dst := NewMatrix(batch, cols)
 			for r := 0; r < batch; r++ {
 				if err := m.MulVecTInto(dst.Row(r), g.Row(r)); err != nil {
 					return err
@@ -360,22 +377,13 @@ func BenchmarkGEMMBackward(b *testing.B) {
 			}
 			return nil
 		}},
-		{"mulmatT/gemm", func() error {
-			dst := NewMatrix(batch, cols)
-			return m.MulMatTInto(dst, g)
-		}},
 		{"addouter/pervec", func() error {
-			acc := m.Clone()
 			for r := 0; r < batch; r++ {
 				if err := acc.AddOuter(1, g.Row(r), x.Row(r)); err != nil {
 					return err
 				}
 			}
 			return nil
-		}},
-		{"addouter/gemm", func() error {
-			acc := m.Clone()
-			return acc.AddOuterBatch(1, g, x)
 		}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
@@ -387,4 +395,20 @@ func BenchmarkGEMMBackward(b *testing.B) {
 			}
 		})
 	}
+	benchTiers(b, "mulmatT/", func(b *testing.B) {
+		b.SetBytes(int64(8 * batch * rows * cols))
+		for i := 0; i < b.N; i++ {
+			if err := m.MulMatTInto(dst, g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	benchTiers(b, "addouter/", func(b *testing.B) {
+		b.SetBytes(int64(8 * batch * rows * cols))
+		for i := 0; i < b.N; i++ {
+			if err := acc.AddOuterBatch(1, g, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -68,7 +68,7 @@ func normalTail(z uint64) float64 {
 		if i == 0 {
 			// The base strip: sample the tail beyond rn exponentially.
 			for {
-				x = -math.Log(unit(next())) * (1.0 / rn)
+				x = float64(-math.Log(unit(next())) * (1.0 / rn))
 				y := -math.Log(unit(next()))
 				if y+y >= x*x {
 					break
@@ -79,7 +79,7 @@ func normalTail(z uint64) float64 {
 			}
 			return -rn - x
 		}
-		q := -.5 * x * x
+		q := float64(-.5 * x * x)
 		y := fn[i] + float32(float32(unit(next()))*(fn[i-1]-fn[i]))
 		if accept, ok := wedgeSqueeze(i, q, y); ok {
 			if accept {
@@ -123,7 +123,7 @@ var wedges = func() (w [128]wedgeBounds) {
 	for i := 1; i < len(w); i++ {
 		xmax := 0x1p31 * float64(wn[i])
 		xmin := float64(kn[i]) * float64(wn[i])
-		qlo, qhi := -.5*xmax*xmax, -.5*xmin*xmin
+		qlo, qhi := float64(-.5*xmax*xmax), float64(-.5*xmin*xmin)
 		elo, ehi := math.Exp(qlo), math.Exp(qhi)
 		m := (qlo + qhi) / 2
 		w[i] = wedgeBounds{

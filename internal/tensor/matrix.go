@@ -62,7 +62,7 @@ func (m *Matrix) mulVec(y, x Vector) {
 		row := m.Row(i)
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		y[i] = s
 	}
@@ -95,7 +95,7 @@ func (m *Matrix) mulVecT(y, x Vector) {
 		row := m.Row(i)
 		xi := x[i]
 		for j, v := range row {
-			y[j] += v * xi
+			y[j] += float64(v * xi)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func (m *Matrix) AddOuter(alpha float64, x, y Vector) error {
 		row := m.Row(i)
 		ax := alpha * x[i]
 		for j := range row {
-			row[j] += ax * y[j]
+			row[j] += float64(ax * y[j])
 		}
 	}
 	return nil
@@ -134,7 +134,7 @@ func (m *Matrix) SpectralNorm(iters int) float64 {
 	// Deterministic non-zero start vector.
 	v := NewVector(m.Cols)
 	for j := range v {
-		v[j] = math.Cos(float64(j)*1.7 + 0.3)
+		v[j] = math.Cos(float64(float64(j)*1.7) + 0.3)
 	}
 	norm := v.Norm2()
 	if norm == 0 {

@@ -58,7 +58,7 @@ func TestPoolKernelsBitIdentical(t *testing.T) {
 			run := func(p *parallel.Pool) result {
 				fwd := NewMatrix(batch, sh.rows)
 				pack := NewVector(MulMatPackSize(batch, sh.cols))
-				if err := m.MulMatPoolScratch(p, fwd, x, pack); err != nil {
+				if err := m.MulMatPoolScratch(p, fwd, x, nil, pack); err != nil {
 					t.Fatal(err)
 				}
 				bwd := NewMatrix(batch, sh.cols)

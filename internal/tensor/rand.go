@@ -33,7 +33,7 @@ func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Uniform returns a value drawn uniformly from [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.src.Float64()
+	return lo + float64((hi-lo)*r.src.Float64())
 }
 
 // Perm returns a random permutation of [0, n).
@@ -47,7 +47,7 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 func (r *RNG) NormalVector(n int, mean, std float64) Vector {
 	v := make(Vector, n)
 	for i := range v {
-		v[i] = mean + std*r.src.NormFloat64()
+		v[i] = mean + float64(std*r.src.NormFloat64())
 	}
 	return v
 }

@@ -8,10 +8,11 @@ var (
 	hasAVX    = cpuHasAVX()
 	hasAVX512 = cpuHasAVX512()
 
-	// useAVX gates the AVX kernels: the batched GEMM and the lane-packed
-	// dot products.
+	// useAVX gates the AVX2 kernels: the batched GEMM where AVX-512 is
+	// off, and the lane-packed dot products.
 	useAVX = hasAVX
-	// useAVX512 gates the AVX-512 keyed-noise kernel.
+	// useAVX512 gates the AVX-512 kernels: keyed noise, the batched GEMM,
+	// the momentum step and the ReLU mask.
 	useAVX512 = hasAVX512
 )
 
@@ -50,3 +51,15 @@ func normalKeyedAVX512(dst, offset *float64, n int, ctr *[16]uint64, std float64
 //
 //go:noescape
 func dotLanesAVX(a0, a1, a2, a3, x *float64, n int, out *[16]float64)
+
+// momentum512 is MomentumStep's vector kernel over n ≥ 1 elements.
+// Implemented in gemm512_amd64.s.
+//
+//go:noescape
+func momentum512(p, v, grad *float64, n int, mu, lr float64)
+
+// maskPositive512 is MaskPositive's vector kernel over n ≥ 1 elements.
+// Implemented in gemm512_amd64.s.
+//
+//go:noescape
+func maskPositive512(dst, v, by *float64, n int)

@@ -21,3 +21,11 @@ func addNormalKeyedAVX512(Vector, uint64, float64, Vector) int {
 func dotLanesAVX(a0, a1, a2, a3, x *float64, n int, out *[16]float64) {
 	panic("tensor: dotLanesAVX without SIMD support")
 }
+
+func momentum512(p, v, grad *float64, n int, mu, lr float64) {
+	panic("tensor: momentum512 without SIMD support")
+}
+
+func maskPositive512(dst, v, by *float64, n int) {
+	panic("tensor: maskPositive512 without SIMD support")
+}

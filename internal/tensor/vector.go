@@ -102,7 +102,7 @@ func (v Vector) AXPY(alpha float64, w Vector) error {
 		return fmt.Errorf("axpy %d vs %d: %w", len(v), len(w), ErrShapeMismatch)
 	}
 	for i := range v {
-		v[i] += alpha * w[i]
+		v[i] += float64(alpha * w[i])
 	}
 	return nil
 }
@@ -121,7 +121,7 @@ func (v Vector) Dot(w Vector) (float64, error) {
 	}
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s, nil
 }
@@ -130,7 +130,7 @@ func (v Vector) Dot(w Vector) (float64, error) {
 func (v Vector) Norm2() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -145,7 +145,7 @@ func Distance(v, w Vector) (float64, error) {
 	var s float64
 	for i := range v {
 		d := v[i] - w[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s), nil
 }

@@ -85,10 +85,9 @@ func NewManagerPort(ep *netsim.TCPEndpoint) (*ManagerPort, error) {
 	return &ManagerPort{ep: ep}, nil
 }
 
-// SetObserver routes the port's request/response accounting through o. The
-// counters are wire_manager_messages_sent_total / _recv_total and
-// wire_manager_bytes_sent_total / _recv_total; payload sizes use the same
-// netsim.Message framing model the hub's meter uses.
+// SetObserver routes the port's delivery accounting through o: the
+// net_retries_total and net_timeouts_total counters of the retrying
+// exchange.
 func (mp *ManagerPort) SetObserver(o *obs.Observer) { mp.obs = o }
 
 // SetRetryPolicy enables deadline-bounded delivery with bounded retries. A
@@ -112,14 +111,10 @@ func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) (n
 	if err := mp.ep.Send(to, kind, payload); err != nil {
 		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 	}
-	mp.obs.Counter("wire_manager_messages_sent_total").Inc()
-	mp.obs.Counter("wire_manager_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
 	msg, err := mp.ep.Recv()
 	if err != nil {
 		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 	}
-	mp.obs.Counter("wire_manager_messages_recv_total").Inc()
-	mp.obs.Counter("wire_manager_bytes_recv_total").Add(msg.Size())
 	if msg.From != to {
 		return netsim.Message{}, fmt.Errorf("wire call %s/%s: reply from %s: %w", to, kind, msg.From, ErrRemote)
 	}
@@ -154,8 +149,6 @@ func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind strin
 		if err := mp.ep.SendSeq(to, kind, seq, payload); err != nil {
 			return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 		}
-		mp.obs.Counter("wire_manager_messages_sent_total").Inc()
-		mp.obs.Counter("wire_manager_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
 		deadline := pol.Clock.Now() + timeout.Nanoseconds()
 		for pol.Clock.Now() < deadline {
 			msg, ok := mp.ep.TryRecv()
@@ -166,8 +159,6 @@ func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind strin
 				runtime.Gosched()
 				continue
 			}
-			mp.obs.Counter("wire_manager_messages_recv_total").Inc()
-			mp.obs.Counter("wire_manager_bytes_recv_total").Add(msg.Size())
 			if msg.From != to || msg.Seq != seq {
 				mp.ep.Release(msg)
 				continue // stale reply to an abandoned attempt

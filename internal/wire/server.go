@@ -8,7 +8,6 @@ import (
 
 	"rpol/internal/lsh"
 	"rpol/internal/netsim"
-	"rpol/internal/obs"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
 )
@@ -22,7 +21,6 @@ import (
 type WorkerServer struct {
 	worker rpol.Worker
 	ep     *netsim.TCPEndpoint
-	obs    *obs.Observer
 
 	// encBuf is the reused reply-encode buffer; see ManagerPort.encBuf. Run
 	// handles requests sequentially, so one buffer suffices.
@@ -47,20 +45,11 @@ func NewWorkerServer(ep *netsim.TCPEndpoint, worker rpol.Worker) (*WorkerServer,
 	return &WorkerServer{worker: worker, ep: ep}, nil
 }
 
-// SetObserver routes the server's request/response accounting through o
-// under wire_worker_{messages,bytes}_{sent,recv}_total counters.
-func (s *WorkerServer) SetObserver(o *obs.Observer) { s.obs = o }
-
-// send delivers a reply and accounts it. seq echoes the request's
+// send delivers a reply. seq echoes the request's
 // correlation number so a retrying manager can match the reply to the
 // attempt it belongs to (zero for uncorrelated requests).
 func (s *WorkerServer) send(to, kind string, seq uint64, payload []byte) error {
-	err := s.ep.SendSeq(to, kind, seq, payload)
-	if err == nil {
-		s.obs.Counter("wire_worker_messages_sent_total").Inc()
-		s.obs.Counter("wire_worker_bytes_sent_total").Add(netsim.Message{Kind: kind, Payload: payload}.Size())
-	}
-	return err
+	return s.ep.SendSeq(to, kind, seq, payload)
 }
 
 // Run serves requests until the connection closes. Malformed requests are answered
@@ -77,8 +66,6 @@ func (s *WorkerServer) Run() error {
 			}
 			return fmt.Errorf("wire server %s: %w", s.worker.ID(), err)
 		}
-		s.obs.Counter("wire_worker_messages_recv_total").Inc()
-		s.obs.Counter("wire_worker_bytes_recv_total").Add(msg.Size())
 		if err := s.handle(msg); err != nil {
 			// Reply with the error; keep serving.
 			_ = s.send(msg.From, KindError, msg.Seq, []byte(err.Error()))
