@@ -136,7 +136,7 @@ func (f *Family) offset(g, fn int) float64 { return f.offsets[g*f.params.K+fn] }
 // product to its last bits, so any change in the projections' draws or in the
 // order or rounding of a dot product moves a digest. Every build must
 // produce them: amd64 with and without the vector kernels, 386, and
-// GOAMD64=v3, where a fused multiply-add would show.
+// GOAMD64=v3. No build of this package fuses a multiply-add.
 func TestFamilyPinnedDigests(t *testing.T) {
 	const dim = 5546
 	pinned := []struct {

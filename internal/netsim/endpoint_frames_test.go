@@ -14,14 +14,7 @@ import (
 func pipeEndpoint(t *testing.T) (*TCPEndpoint, func(Message)) {
 	t.Helper()
 	local, remote := net.Pipe()
-	ep := &TCPEndpoint{
-		name:   "worker",
-		conn:   local,
-		reader: bufio.NewReader(local),
-		inbox:  make(chan Message, queueDepth),
-		frames: make(chan *[]byte, endpointFrames),
-		done:   make(chan struct{}),
-	}
+	ep := newEndpoint("worker", local)
 	go ep.pump()
 	w := bufio.NewWriter(remote)
 	t.Cleanup(func() {

@@ -27,13 +27,13 @@ type FaultPlan struct {
 // FaultConfig parameterizes a FaultPlan. Rates are probabilities in [0, 1];
 // a zero config injects nothing even with a non-zero seed.
 type FaultConfig struct {
-	// DropRate is the per-message probability that a delivery is silently
-	// lost in transit (the sender sees success, as on a real lossy network;
-	// the loss is visible only through the meter and the receiver's silence).
+	// DropRate is the per-message probability that a delivery is lost in
+	// transit. The send still succeeds; the hub then sends both ends a
+	// KindLost notice in place of the timer a real caller would run.
 	DropRate float64
 	// DelayRate is the fraction of deliveries that incur injected transit
-	// delay; the delay advances the hub's logical clock, consuming the
-	// caller's retry deadline budget.
+	// delay. The delay advances the hub's logical clock and is metered, but
+	// the message is delivered: a delay never fails an exchange.
 	DelayRate float64
 	// MaxDelay bounds one injected transit delay. The actual delay of a
 	// delayed message is a deterministic value in (0, MaxDelay].
@@ -198,22 +198,18 @@ func DefaultFaultPlan() *FaultPlan { return defaultFaultPlan.Load() }
 func SetDefaultFaultPlan(p *FaultPlan) { defaultFaultPlan.Store(p) }
 
 // advancer is the optional clock surface injected delays act on: the hub
-// moves logical time forward by the transit delay, so deadline-bounded
-// callers consume their budget deterministically. obs.SimClock implements
+// moves logical time forward by the transit delay. obs.SimClock implements
 // it; clocks that don't are left untouched (the delay is then accounting
 // only).
 type advancer interface {
 	Advance(d time.Duration)
 }
 
-// publishFault mirrors an injected fault into a live event stream: the
-// hub's explicit log if one was attached with StreamEvents, else the
-// process-wide default observer's log. Unobserved hubs pay only two nil
-// checks on the (already rare) fault path.
-func publishFault(events *obs.Events, what, msgKind, from, to string) {
-	if events == nil {
-		events = obs.Default().Events()
-	}
+// publishFault mirrors an injected fault into the process-wide default
+// observer's event log, if any. Unobserved hubs pay one nil check on the
+// (already rare) fault path.
+func publishFault(what, msgKind, from, to string) {
+	events := obs.Default().Events()
 	if events == nil {
 		return
 	}

@@ -24,7 +24,7 @@ func TestFrameBinaryRoundTrip(t *testing.T) {
 		if body := buf.Bytes()[4:]; body[0] != frameMagic {
 			t.Fatalf("frame body starts with 0x%02x, want the magic 0x%02x", body[0], frameMagic)
 		}
-		got, err := readFrame(&buf, nil)
+		got, err := readFrame(&buf, nil, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", msg, err)
 		}
@@ -50,7 +50,7 @@ func TestReadFrameLegacyJSON(t *testing.T) {
 		binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
 		buf.Write(prefix[:])
 		buf.WriteString(body)
-		if got, err := readFrame(&buf, nil); !errors.Is(err, errBadFrame) {
+		if got, err := readFrame(&buf, nil, nil); !errors.Is(err, errBadFrame) {
 			t.Errorf("JSON frame %s: decoded %+v, err = %v, want errBadFrame", body, got, err)
 		}
 	}
@@ -64,14 +64,14 @@ func TestDecodeFrameMalformed(t *testing.T) {
 	}
 	body := buf.Bytes()[4:]
 	for cut := 0; cut < len(body)-len("p"); cut++ {
-		if _, err := decodeFrame(body[:cut]); err == nil {
+		if _, err := decodeFrame(body[:cut], nil); err == nil {
 			t.Errorf("decodeFrame accepted a body truncated to %d bytes", cut)
 		}
 	}
-	if _, err := decodeFrame([]byte{0x42, frameVersion}); err == nil {
+	if _, err := decodeFrame([]byte{0x42, frameVersion}, nil); err == nil {
 		t.Error("decodeFrame accepted a bad magic byte")
 	}
-	if _, err := decodeFrame([]byte{frameMagic, 0x7F}); err == nil {
+	if _, err := decodeFrame([]byte{frameMagic, 0x7F}, nil); err == nil {
 		t.Error("decodeFrame accepted an unsupported version")
 	}
 }

@@ -130,7 +130,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, '{', 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := readFrame(bytes.NewReader(data), nil)
+		msg, err := readFrame(bytes.NewReader(data), nil, nil)
 		if err != nil {
 			if strings.Contains(err.Error(), "netsim") ||
 				errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||

@@ -49,7 +49,7 @@ func slowClient(t *testing.T, hub *TCPHub, name string) *bufio.Reader {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
-	if ack, err := readFrame(r, nil); err != nil || ack.Kind != KindRegistered {
+	if ack, err := readFrame(r, nil, nil); err != nil || ack.Kind != KindRegistered {
 		t.Fatalf("registration: %+v, %v", ack, err)
 	}
 	return r
@@ -87,8 +87,9 @@ func faultedBarrier(t *testing.T, plan *FaultPlan, sender, probe *TCPEndpoint) (
 // mixed sizes at a reader that is not reading, interleaved with frames the
 // hub drops (unknown destination, injected faults) and whose pooled buffers
 // it therefore recycles at once. Every frame the reader finally drains must
-// still be the one that was sent, and the meter must account exactly what a
-// hub without buffer reuse accounts.
+// still be the one that was sent, in its place a lost notice for each one the
+// plan dropped, and the meter must account exactly what a hub without buffer
+// reuse accounts: the notices are not metered.
 func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 	hub := startHub(t)
 	plan := NewFaultPlan(7, FaultConfig{DropRate: 0.25})
@@ -99,17 +100,17 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 	base := hub.Meter().Total()
 
 	const burst = 64
-	var want []uint64 // sequence numbers the plan lets through to slow
+	lost := map[uint64]bool{} // sequence numbers the plan drops on their way to slow
 	var wantBytes, drops, dropBytes, injected int64
 	for i := 0; i < burst; i++ {
 		size := 100 + (i%4)*48<<10 // 100 B … 144 KB, so buffers of every size get reused
 		payload := stamped(i, size)
 		if plan.Decide("sender", "slow", uint64(i)).Drop {
+			lost[uint64(i)] = true
 			injected++
 			drops++
 			dropBytes += Message{Payload: payload}.Size()
 		} else {
-			want = append(want, uint64(i))
 			wantBytes += Message{Payload: payload}.Size()
 		}
 		if err := sender.SendSeq("slow", "burst", uint64(i), payload); err != nil {
@@ -127,18 +128,24 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(want) == burst || len(want) == 0 {
-		t.Fatalf("the fault plan let %d of %d through; pick a seed that exercises both paths", len(want), burst)
+	if len(lost) == burst || len(lost) == 0 {
+		t.Fatalf("the fault plan dropped %d of %d; pick a seed that exercises both paths", len(lost), burst)
 	}
 	barrierDrops := faultedBarrier(t, plan, sender, probe)
 	injected += barrierDrops
 	drops += barrierDrops
 	dropBytes += barrierDrops * Message{}.Size()
 
-	for _, seq := range want {
-		msg, err := readFrame(slow, nil)
+	for seq := uint64(0); seq < burst; seq++ {
+		msg, err := readFrame(slow, nil, nil)
 		if err != nil {
 			t.Fatalf("draining message %d: %v", seq, err)
+		}
+		if lost[seq] {
+			if msg.Seq != seq || msg.From != "sender" || msg.Kind != KindLost || len(msg.Payload) != 0 {
+				t.Fatalf("drained %+v, want the lost notice for message %d", msg, seq)
+			}
+			continue
 		}
 		if msg.Seq != seq || msg.From != "sender" || msg.Kind != "burst" {
 			t.Fatalf("drained %+v, want burst message %d", msg, seq)
@@ -197,7 +204,7 @@ func TestTCPHubQueueFullKeepsQueuedFrames(t *testing.T) {
 	}
 	last := int64(-1)
 	for n := int64(0); n < large+small-dropped; n++ {
-		msg, err := readFrame(slow, nil)
+		msg, err := readFrame(slow, nil, nil)
 		if err != nil {
 			t.Fatalf("draining frame %d of %d: %v", n, large+small-dropped, err)
 		}

@@ -7,9 +7,9 @@ type Message struct {
 	Kind    string // protocol message type, e.g. "commit", "proof-request"
 	Payload []byte
 	// Seq is the sender's request/response correlation number: the wire
-	// layer stamps requests with a fresh Seq and workers echo it, so a
-	// retrying caller can discard stale replies to earlier attempts. Zero
-	// for callers that don't correlate.
+	// layer stamps each request with a fresh Seq, workers echo it, and the
+	// hub's lost notice for a dropped frame carries the frame's. Zero for
+	// callers that don't correlate.
 	Seq uint64
 
 	// buf is the receiving endpoint's frame buffer Payload aliases (nil for

@@ -108,17 +108,10 @@ func (m *Meter) RecordDrop(from, to, kind string, bytes int64) {
 // bytes flow into the same dropped accounting as organic drops (nothing
 // vanishes silently), plus the injected tally.
 func (m *Meter) RecordInjectedDrop(from, to, kind string, bytes int64) {
-	if bytes < 0 {
-		bytes = 0
-	}
+	m.RecordDrop(from, to, kind, bytes)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dropped++
-	m.droppedBytes += bytes
 	m.injectedDrops++
-	m.signalLocked()
-	m.cDropped.Inc()
-	m.cDroppedBytes.Add(bytes)
 	m.cInjDrops.Inc()
 }
 

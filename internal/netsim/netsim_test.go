@@ -3,7 +3,6 @@ package netsim
 import (
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -161,35 +160,136 @@ func TestBusClose(t *testing.T) {
 	}
 }
 
-// TestBusTryRecv: TryRecv never blocks — false on an empty inbox, the
-// message once the endpoint's pump has queued it.
+// flood sends dst n frames of kind "flood" from sender, Seq 0 to n−1, into
+// dst's shared queue, which nobody reads. It sends them in batches and waits
+// for dst's pump to queue each one, so the hub's own queue for dst never
+// overflows; frames past a full shared queue reach the pump with nothing to
+// wait for.
+func flood(t *testing.T, sender, dst *TCPEndpoint, n int) {
+	t.Helper()
+	for sent := 0; sent < n; {
+		for end := min(sent+128, n); sent < end; sent++ {
+			if err := sender.SendSeq(dst.Name(), "flood", uint64(sent), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(10 * time.Second); len(dst.inbox.ch) < min(sent, queueDepth); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the shared queue holds %d of %d frames sent", len(dst.inbox.ch), sent)
+			}
+		}
+	}
+}
+
+// TestBusTryRecv: a claimed peer's frames reach only its queue and every
+// other peer's reach Recv, a peer is claimed once, and neither queue waits on
+// the other: the pump drops what a full queue cannot take and keeps
+// delivering to the rest.
 func TestBusTryRecv(t *testing.T) {
 	hub := startHub(t)
 	a := dial(t, hub, "a")
+	c := dial(t, hub, "c")
+	probe := dial(t, hub, "probe")
 	b := dial(t, hub, "b")
-	if _, ok := b.TryRecv(); ok {
-		t.Error("TryRecv on empty inbox must return false")
-	}
-	if err := a.Send("b", "x", []byte{1}); err != nil {
+	fromA, err := b.Claim("a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		if msg, ok := b.TryRecv(); ok {
-			if msg.Kind != "x" || len(msg.Payload) != 1 {
-				t.Errorf("TryRecv = %+v", msg)
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("the sent message never reached TryRecv")
-		default:
-			runtime.Gosched()
+	if _, err := b.Claim("a"); err == nil {
+		t.Error("a second claim of one peer was accepted")
+	}
+
+	// a floods its claimed queue past its depth. The hub writes a's frames
+	// to b ahead of c's, so c's frame reaching Recv shows the pump got past
+	// the full queue.
+	for i := 0; i < claimDepth+8; i++ {
+		if err := a.SendSeq("b", "flood", uint64(i), nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if msg, ok := b.TryRecv(); ok {
-		t.Errorf("TryRecv on a drained inbox = %+v", msg)
+	routedBarrier(t, a, probe)
+	if err := c.Send("b", "x", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := b.Recv(); err != nil || msg.From != "c" || msg.Kind != "x" {
+		t.Fatalf("Recv = %+v, %v; want c's frame", msg, err)
+	}
+	for i := 0; i < claimDepth; i++ {
+		msg, err := fromA.Recv()
+		if err != nil || msg.From != "a" || msg.Seq != uint64(i) {
+			t.Fatalf("claimed frame %d = %+v, %v", i, msg, err)
+		}
+	}
+	if n := len(fromA.ch); n != 0 {
+		t.Errorf("%d frames past a full claimed queue were kept", n)
+	}
+
+	// Now c fills the shared queue past its depth: a's next frame, routed
+	// behind c's, still reaches its claimed queue.
+	flood(t, c, b, queueDepth+8)
+	routedBarrier(t, c, probe)
+	if err := a.SendSeq("b", "reply", 99, nil); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := fromA.Recv(); err != nil || msg.Seq != 99 {
+		t.Fatalf("claimed Recv behind a full shared queue = %+v, %v", msg, err)
+	}
+	for i := 0; i < queueDepth; i++ {
+		if msg, err := b.Recv(); err != nil || msg.From != "c" || msg.Seq != uint64(i) {
+			t.Fatalf("shared frame %d = %+v, %v", i, msg, err)
+		}
+	}
+	if n := len(b.inbox.ch); n != 0 {
+		t.Errorf("%d frames past a full shared queue were kept", n)
+	}
+}
+
+// TestEndpointCloseEndsRecv: closing an endpoint whose shared queue is full
+// and frames past it arrived lets Recv drain the queued frames and then
+// fail, and fails a claimed queue's Recv too, instead of leaving either
+// blocked.
+func TestEndpointCloseEndsRecv(t *testing.T) {
+	hub := startHub(t)
+	a := dial(t, hub, "a")
+	c := dial(t, hub, "c")
+	probe := dial(t, hub, "probe")
+	b := dial(t, hub, "b")
+	fromC, err := b.Claim("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood(t, a, b, queueDepth+8)
+	// c's frame, routed behind all of a's, reaching its claimed queue shows
+	// the pump has read every frame past the full shared queue.
+	routedBarrier(t, a, probe)
+	if err := c.Send("b", "x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fromC.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	_ = b.Close()
+
+	drained := make(chan int, 1)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			if _, err := b.Recv(); err != nil {
+				break
+			}
+		}
+		if _, err := fromC.Recv(); err == nil {
+			n = -1
+		}
+		drained <- n
+	}()
+	select {
+	case n := <-drained:
+		if n != queueDepth {
+			t.Errorf("Recv drained %d frames before failing, want %d (-1: the claimed queue delivered after close)", n, queueDepth)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv blocked after Close")
 	}
 }
 

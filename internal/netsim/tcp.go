@@ -35,7 +35,6 @@ type TCPHub struct {
 	faults  *FaultPlan
 	clock   obs.Clock
 	linkSeq map[string]uint64
-	events  *obs.Events
 
 	// frames recycles the read buffers of routed frames (*[]byte). The hub
 	// never hands a frame body to anyone but its own writer, so a buffer
@@ -68,15 +67,21 @@ func (h *TCPHub) release(f hubFrame) {
 }
 
 // queueDepth bounds each client's queued messages, at the hub and in its
-// endpoint's inbox. The pool protocol is strictly request/response per epoch,
-// so the depth only needs to cover one round of fan-in from all peers.
-const queueDepth = 1024
+// endpoint's shared queue. The pool protocol is strictly request/response per
+// epoch, so the depth only needs to cover one round of fan-in from all peers.
+// A claimed queue holds one exchange's replies, so claimDepth is small.
+const (
+	queueDepth = 1024
+	claimDepth = 16
+)
 
-// Reserved message kinds for the registration handshake.
+// Reserved message kinds: the registration handshake, and the hub's notice
+// that its fault plan dropped a frame.
 const (
 	KindRegister    = "register"
 	KindRegistered  = "registered"
 	KindRegisterErr = "register-error"
+	KindLost        = "lost"
 )
 
 // maxFrameSize bounds a single frame to guard against corrupt length
@@ -114,20 +119,12 @@ func (h *TCPHub) Meter() *Meter { return h.meter }
 // Observe mirrors the hub's traffic into reg under net_tcp_* counters.
 func (h *TCPHub) Observe(reg *obs.Registry) { h.meter.Attach(reg) }
 
-// StreamEvents mirrors injected faults into e as fault_injected events (in
-// addition to the meter's counters). Nil falls back to the process-wide
-// default observer's event log, if any.
-func (h *TCPHub) StreamEvents(e *obs.Events) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.events = e
-}
-
 // InjectFaults applies a deterministic fault plan to every subsequently
 // routed message (registration handshakes are exempt — a plan describes a
-// faulty network, not a refusing hub). clock is the logical clock injected
-// delays advance; nil makes delays accounting-only. A nil plan restores
-// fault-free routing.
+// faulty network, not a refusing hub); each frame it drops is reported to
+// both ends (see notifyLost). clock is the logical clock injected delays
+// advance; nil makes delays accounting-only. A nil plan restores fault-free
+// routing.
 func (h *TCPHub) InjectFaults(plan *FaultPlan, clock obs.Clock) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -174,7 +171,7 @@ func (h *TCPHub) acceptLoop() {
 func (h *TCPHub) serveConn(conn net.Conn) {
 	defer h.wg.Done()
 	reader := bufio.NewReader(conn)
-	reg, err := readFrame(reader, nil)
+	reg, err := readFrame(reader, nil, nil)
 	if err != nil || reg.Kind != KindRegister || reg.From == "" {
 		_ = conn.Close()
 		return
@@ -229,12 +226,13 @@ func (h *TCPHub) serveConn(conn net.Conn) {
 	}()
 
 	// Reader: route inbound frames until the connection drops.
+	names := make(map[string]string)
 	for {
 		buf, _ := h.frames.Get().(*[]byte)
 		if buf == nil {
 			buf = new([]byte)
 		}
-		msg, err := readFrame(reader, buf)
+		msg, err := readFrame(reader, buf, names)
 		if err != nil {
 			h.frames.Put(buf)
 			break
@@ -259,7 +257,7 @@ func (h *TCPHub) route(f hubFrame) bool {
 	var pendingFaults []string
 	defer func() {
 		for _, what := range pendingFaults {
-			publishFault(h.events, what, msg.Kind, msg.From, msg.To)
+			publishFault(what, msg.Kind, msg.From, msg.To)
 		}
 	}()
 	// The lock is held across the (non-blocking) enqueue so that a
@@ -274,6 +272,7 @@ func (h *TCPHub) route(f hubFrame) bool {
 		if fault.Drop {
 			h.meter.RecordInjectedDrop(msg.From, msg.To, msg.Kind, msg.Size())
 			pendingFaults = append(pendingFaults, "drop")
+			h.notifyLost(msg)
 			return false
 		}
 		if fault.Delay > 0 {
@@ -300,6 +299,23 @@ func (h *TCPHub) route(f hubFrame) bool {
 		// never silently lose the size accounting.
 		h.meter.RecordDrop(msg.From, msg.To, msg.Kind, msg.Size())
 		return false
+	}
+}
+
+// notifyLost tells both ends of a frame the plan dropped that it is gone: a
+// payload-free KindLost frame carrying its Seq, from the other end. The
+// notice stands for the timer a caller on a real network would run, so it is
+// not metered, no plan applies to it, and one that finds a queue full or its
+// client gone is not sent.
+func (h *TCPHub) notifyLost(msg Message) {
+	for _, n := range [2]Message{{From: msg.To, To: msg.From}, {From: msg.From, To: msg.To}} {
+		if c, ok := h.clients[n.To]; ok {
+			n.Kind, n.Seq = KindLost, msg.Seq
+			select {
+			case c.out <- hubFrame{msg: n}:
+			default:
+			}
+		}
 	}
 }
 
@@ -371,35 +387,45 @@ func writeFrame(w *bufio.Writer, msg Message) error {
 // readFrame reads one frame. With a nil buf the body is freshly allocated
 // and the returned payload, which aliases it, belongs to the caller; with a
 // caller-owned buf the body is read into *buf (grown when too small) and the
-// payload is valid only until the caller reuses it.
-func readFrame(r io.Reader, buf *[]byte) (Message, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+// payload is valid only until the caller reuses it. A non-nil names interns
+// the header strings; see decodeFrame.
+func readFrame(r io.Reader, buf *[]byte, names map[string]string) (Message, error) {
+	// The length prefix is read into the frame buffer too: a local array
+	// would escape through io.Reader and cost an allocation per frame.
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, (*buf)[:4]); err != nil {
 		return Message{}, err
 	}
-	size := binary.BigEndian.Uint32(prefix[:])
+	size := binary.BigEndian.Uint32((*buf)[:4])
 	if size > maxFrameSize {
 		return Message{}, fmt.Errorf("%d bytes: %w", size, ErrFrameTooLarge)
 	}
-	var data []byte
-	switch {
-	case buf == nil:
-		data = make([]byte, size)
-	case uint32(cap(*buf)) < size:
-		*buf = make([]byte, size)
-		data = *buf
-	default:
-		data = (*buf)[:size]
+	if uint32(cap(*buf)) < size {
+		// The spare room lets the next frame of the same message, whose Seq
+		// may take more bytes, reuse the buffer.
+		*buf = make([]byte, size, int(size)+binary.MaxVarintLen64)
 	}
+	data := (*buf)[:size]
 	if _, err := io.ReadFull(r, data); err != nil {
 		return Message{}, err
 	}
-	return decodeFrame(data)
+	return decodeFrame(data, names)
 }
 
+// maxNames bounds one reader's interned header strings, so a peer that sends
+// ever new kinds costs allocations, not memory.
+const maxNames = 256
+
 // decodeFrame parses a binary frame body. The payload aliases data; sender,
-// destination and kind are copied out.
-func decodeFrame(data []byte) (Message, error) {
+// destination and kind are copied out, or, with a non-nil names, looked up in
+// it and added when new, so a connection's steady traffic decodes without
+// allocating.
+func decodeFrame(data []byte, names map[string]string) (Message, error) {
 	if len(data) < 2 || data[0] != frameMagic {
 		return Message{}, fmt.Errorf("netsim frame: unrecognized format: %w", errBadFrame)
 	}
@@ -413,20 +439,23 @@ func decodeFrame(data []byte) (Message, error) {
 			return "", false
 		}
 		off += w
-		s := string(data[off : off+int(n)])
+		b := data[off : off+int(n)]
 		off += int(n)
+		if s, ok := names[string(b)]; ok {
+			return s, true
+		}
+		s := string(b)
+		if names != nil && len(names) < maxNames {
+			names[s] = s
+		}
 		return s, true
 	}
 	var msg Message
-	var ok bool
-	if msg.From, ok = next(); !ok {
-		return Message{}, fmt.Errorf("netsim frame: truncated sender: %w", errBadFrame)
-	}
-	if msg.To, ok = next(); !ok {
-		return Message{}, fmt.Errorf("netsim frame: truncated destination: %w", errBadFrame)
-	}
-	if msg.Kind, ok = next(); !ok {
-		return Message{}, fmt.Errorf("netsim frame: truncated kind: %w", errBadFrame)
+	for _, field := range [...]*string{&msg.From, &msg.To, &msg.Kind} {
+		var ok bool
+		if *field, ok = next(); !ok {
+			return Message{}, fmt.Errorf("netsim frame: truncated header: %w", errBadFrame)
+		}
 	}
 	seq, w := binary.Uvarint(data[off:])
 	if w <= 0 {
@@ -441,10 +470,12 @@ func decodeFrame(data []byte) (Message, error) {
 }
 
 // TCPEndpoint is a client connection to a TCPHub. A background pump reads
-// frames off the socket into a bounded inbox, which is what gives the
-// endpoint a non-blocking TryRecv for deadline-driven callers. Send and
-// SendSeq write the whole frame to the socket before returning, so a caller
-// may reuse its payload buffer for the next message.
+// every frame off the socket and hands it to its sender's claimed Queue, or
+// else to the shared queue that Recv serves; it never waits on a queue, so no
+// peer can stall delivery to another's, and a frame that finds its queue
+// full is dropped. Send and SendSeq write the whole frame to the socket
+// before returning, so a caller may reuse its payload buffer for the next
+// message.
 //
 // A received message's payload aliases one of the endpoint's frame buffers,
 // and is the caller's until it hands the message back with Release, once it
@@ -458,14 +489,48 @@ type TCPEndpoint struct {
 	writeMu sync.Mutex
 	writer  *bufio.Writer
 	reader  *bufio.Reader
+	names   map[string]string // the pump's interned header strings
 
-	inbox chan Message
+	// mu guards the claimed queues and readErr, which the pump sets before
+	// it closes every queue; Queue.Recv reads it once it sees its queue
+	// closed, which happens after the write.
+	mu      sync.Mutex
+	inbox   *Queue
+	queues  map[string]*Queue
+	readErr error
 	// frames is the free list of released frame buffers (*[]byte) the pump
 	// reads into before it allocates one.
-	frames    chan *[]byte
-	done      chan struct{}
-	closeOnce sync.Once
-	readErr   error // set by the pump before it closes inbox
+	frames chan *[]byte
+}
+
+// Queue is the frames an endpoint received from one claimed peer, or the
+// shared rest.
+type Queue struct {
+	ch chan Message
+	ep *TCPEndpoint
+}
+
+// Recv blocks until a frame is queued or the connection has closed.
+func (q *Queue) Recv() (Message, error) {
+	msg, ok := <-q.ch
+	if !ok {
+		return Message{}, fmt.Errorf("netsim recv: %w", q.ep.readErr)
+	}
+	return msg, nil
+}
+
+func newEndpoint(name string, conn net.Conn) *TCPEndpoint {
+	e := &TCPEndpoint{
+		name:   name,
+		conn:   conn,
+		writer: bufio.NewWriter(conn),
+		reader: bufio.NewReader(conn),
+		names:  make(map[string]string),
+		queues: make(map[string]*Queue),
+		frames: make(chan *[]byte, endpointFrames),
+	}
+	e.inbox = &Queue{ch: make(chan Message, queueDepth), ep: e}
+	return e
 }
 
 // DialHub connects to the hub at addr and registers under name.
@@ -477,20 +542,12 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim dial: %w", err)
 	}
-	ep := &TCPEndpoint{
-		name:   name,
-		conn:   conn,
-		writer: bufio.NewWriter(conn),
-		reader: bufio.NewReader(conn),
-		inbox:  make(chan Message, queueDepth),
-		frames: make(chan *[]byte, endpointFrames),
-		done:   make(chan struct{}),
-	}
+	ep := newEndpoint(name, conn)
 	if err := ep.writeMsg(Message{From: name, Kind: KindRegister}); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("netsim register: %w", err)
 	}
-	ack, err := readFrame(ep.reader, nil)
+	ack, err := readFrame(ep.reader, nil, nil)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("netsim register: %w", err)
@@ -503,9 +560,26 @@ func DialHub(addr, name string) (*TCPEndpoint, error) {
 	return ep, nil
 }
 
-// pump moves frames from the socket into the inbox until the connection
-// drops; the terminal error is published before the inbox closes (a close
-// happens-before the receive that observes it, so readers need no lock).
+// Claim gives the frames peer sends from now on a queue of their own, which
+// the caller receives from instead of Recv. A peer is claimed at most once.
+func (e *TCPEndpoint) Claim(peer string) (*Queue, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.queues[peer]; ok {
+		return nil, fmt.Errorf("netsim: %s already claimed on %s", peer, e.name)
+	}
+	q := &Queue{ch: make(chan Message, claimDepth), ep: e}
+	if e.readErr != nil {
+		close(q.ch)
+	}
+	e.queues[peer] = q
+	return q, nil
+}
+
+// pump moves frames from the socket into their queues until a read fails,
+// then closes the connection, publishes the terminal error and closes every
+// queue. A lost notice goes only to a claimed queue: Recv callers never see
+// one.
 func (e *TCPEndpoint) pump() {
 	for {
 		var buf *[]byte
@@ -514,24 +588,40 @@ func (e *TCPEndpoint) pump() {
 		default:
 			buf = new([]byte)
 		}
-		msg, err := readFrame(e.reader, buf)
+		msg, err := readFrame(e.reader, buf, e.names)
 		if err != nil {
+			_ = e.conn.Close()
+			e.mu.Lock()
 			e.readErr = err
-			close(e.inbox)
+			close(e.inbox.ch)
+			for _, q := range e.queues {
+				close(q.ch)
+			}
+			e.mu.Unlock()
 			return
 		}
 		msg.buf = buf
+		e.mu.Lock()
+		q := e.queues[msg.From]
+		e.mu.Unlock()
+		if q == nil && msg.Kind != KindLost {
+			q = e.inbox
+		}
+		if q == nil {
+			e.Release(msg)
+			continue
+		}
 		select {
-		case e.inbox <- msg:
-		case <-e.done:
-			return
+		case q.ch <- msg:
+		default:
+			e.Release(msg)
 		}
 	}
 }
 
 // endpointFrames bounds the released frame buffers an endpoint keeps. The
-// pool protocol has one request or reply in flight per endpoint, so the pump
-// reads ahead of its consumer by at most a frame or two; a buffer released
+// pool protocol has one request or reply in flight per peer, so the pump
+// reads ahead of its consumers by a frame or two each; a buffer released
 // into a full list is left to the collector.
 const endpointFrames = 4
 
@@ -571,30 +661,9 @@ func (e *TCPEndpoint) SendSeq(to, kind string, seq uint64, payload []byte) error
 	return e.writeMsg(Message{From: e.name, To: to, Kind: kind, Payload: payload, Seq: seq})
 }
 
-// Recv blocks until a message arrives or the connection closes.
-func (e *TCPEndpoint) Recv() (Message, error) {
-	msg, ok := <-e.inbox
-	if !ok {
-		return Message{}, fmt.Errorf("netsim recv: %w", e.readErr)
-	}
-	return msg, nil
-}
+// Recv blocks until a frame from an unclaimed peer arrives or the connection
+// closes.
+func (e *TCPEndpoint) Recv() (Message, error) { return e.inbox.Recv() }
 
-// TryRecv returns the next message if one is queued.
-func (e *TCPEndpoint) TryRecv() (Message, bool) {
-	select {
-	case msg, ok := <-e.inbox:
-		if !ok {
-			return Message{}, false
-		}
-		return msg, true
-	default:
-		return Message{}, false
-	}
-}
-
-// Close terminates the connection.
-func (e *TCPEndpoint) Close() error {
-	e.closeOnce.Do(func() { close(e.done) })
-	return e.conn.Close()
-}
+// Close terminates the connection; the pump then closes every queue.
+func (e *TCPEndpoint) Close() error { return e.conn.Close() }

@@ -78,7 +78,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&o.WallClock, "wallclock", false, "timestamp trace spans with wall time (non-deterministic) instead of simulated time")
 	fs.IntVar(&o.Jobs, "jobs", 0, "deterministic compute workers per task (0 = serial; results are bit-identical for every value)")
-	fs.Int64Var(&o.FaultSeed, "faultseed", 0, "seed for deterministic fault injection (drops, delays, worker crashes); 0 disables, same seed replays identically")
+	fs.Int64Var(&o.FaultSeed, "faultseed", 0, "seed for deterministic fault injection (pool worker crash-restart windows); 0 disables, same seed replays identically")
 }
 
 // enabled reports whether any flag asks for an observer.

@@ -211,8 +211,8 @@ type member struct {
 
 // faultWorker applies a FaultPlan's crash-restart schedule to an in-process
 // worker: during epochs the plan has the worker down, RunEpoch fails with
-// rpol.ErrWorkerUnavailable before any training happens, exactly as a
-// crashed peer looks to a deadline-bounded transport — so the manager
+// rpol.ErrWorkerUnavailable before any training happens, as a transport
+// reports a peer it cannot reach — so the manager
 // records it absent. The decision is a pure function of (plan seed, worker
 // ID, epoch), keeping seeded runs replayable.
 type faultWorker struct {

@@ -52,18 +52,18 @@ type ManagerConfig struct {
 	// weights).
 	NetBuilder func() (*nn.Network, error)
 	// ConcurrentCollection trains workers concurrently during the
-	// collection phase. Safe for in-process workers (each owns its network
-	// and trainer); leave it off for workers multiplexed over a single
-	// sequential transport (e.g. one wire.ManagerPort).
+	// collection phase. Each worker must be safe to drive beside the others:
+	// in-process workers own their network and trainer, and remote workers
+	// sharing one wire.ManagerPort each receive on a queue of their own.
 	ConcurrentCollection bool
 	// Quorum is the minimum number of responsive workers an epoch needs to
 	// settle. 0 (the default) keeps the historical strict behaviour: any
 	// collection failure aborts the epoch. When > 0, a worker whose
-	// collection fails with an error wrapping ErrWorkerUnavailable (a
-	// transport deadline, a crashed peer) is recorded as OutcomeAbsent —
-	// neither accepted nor counted as a detected adversary — and the epoch
-	// settles with the responsive workers, failing only when fewer than
-	// Quorum of them respond. Non-availability errors still abort.
+	// collection fails with an error wrapping ErrWorkerUnavailable (an
+	// exchange lost on every attempt, a crashed peer) is recorded as
+	// OutcomeAbsent — neither accepted nor counted as a detected adversary —
+	// and the epoch settles with the responsive workers, failing only when
+	// fewer than Quorum of them respond. Non-availability errors still abort.
 	Quorum int
 	// Workers sizes the deterministic compute pool threaded through the
 	// epoch: workers' batch training and commitment hashing (via

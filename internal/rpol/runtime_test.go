@@ -165,7 +165,7 @@ func TestConvProxyRuntimesUnchanged(t *testing.T) {
 		}
 		got := hex.EncodeToString(h.Sum(nil)[:16])
 		if runtime.GOARCH != "amd64" {
-			t.Logf("workers=%d: digest %s (pinned on amd64 only: other targets may fuse multiply-adds)", workers, got)
+			t.Logf("workers=%d: digest %s (pinned on amd64 only: math.Exp and math.Log are assembly there and pure Go elsewhere)", workers, got)
 		} else if got != pinned {
 			t.Errorf("workers=%d: conv trace digest %s, want %s", workers, got, pinned)
 		}

@@ -203,8 +203,8 @@ type Calibration struct {
 	NumProbes int        // checkpoints measured
 }
 
-// ErrWorkerUnavailable marks a worker that could not be reached within its
-// deadline: requests timed out or the transport reported the peer gone.
+// ErrWorkerUnavailable marks a worker that could not be reached: every
+// attempt of an exchange was lost, or the peer crashed for the epoch.
 // Transports wrap their terminal delivery failures in it so the manager can
 // classify the worker as absent (OutcomeAbsent) rather than adversarial —
 // an unreachable honest worker must never count toward FalseRejections.

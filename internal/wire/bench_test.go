@@ -47,7 +47,7 @@ func benchEpochResult(b *testing.B) *rpol.EpochResult {
 }
 
 // BenchmarkEncodeTask measures the binary task encode with a warm reused
-// buffer — the ManagerPort steady state over a serializing transport.
+// buffer — a RemoteWorker's steady state.
 func BenchmarkEncodeTask(b *testing.B) {
 	p := benchTaskParams(b)
 	buf, err := AppendTask(nil, p)

@@ -3,10 +3,9 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"rpol/internal/gpu"
 	"rpol/internal/netsim"
@@ -15,66 +14,32 @@ import (
 	"rpol/internal/tensor"
 )
 
-// RetryPolicy bounds one logical request when the fabric may lose or delay
-// messages: each attempt waits Timeout for the reply on the injected clock,
-// failed attempts are retried with the timeout scaled by Backoff, and after
-// Attempts exhausted attempts the call fails with an error wrapping
-// rpol.ErrWorkerUnavailable so the manager classifies the worker as absent.
-//
-// Deadlines are measured exclusively on Clock — never the wall clock — so
-// seeded runs replay identically: under the default obs.SimClock every
-// reading advances logical time by one tick, which bounds the poll loop, and
-// fabric-injected delays advance the same clock, consuming the deadline
-// budget exactly as a slow network would.
+// RetryPolicy bounds how often a ManagerPort sends one request whose
+// exchange the hub reported lost. After Attempts lost exchanges the call
+// fails with an error wrapping rpol.ErrWorkerUnavailable, so the manager
+// classifies the worker as absent.
 type RetryPolicy struct {
-	// Attempts is the maximum number of send attempts per call (default 3).
+	// Attempts is the number of sends per call; zero means one.
 	Attempts int
-	// Timeout is the first attempt's reply deadline (default 50ms of
-	// logical time).
-	Timeout time.Duration
-	// Backoff multiplies the timeout after each failed attempt (default 2).
-	Backoff float64
-	// Clock supplies deadline readings (default: a fresh obs.SimClock).
-	Clock obs.Clock
-}
-
-// normalized fills zero fields with the defaults above.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 3
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = 50 * time.Millisecond
-	}
-	if p.Backoff < 1 {
-		p.Backoff = 2
-	}
-	if p.Clock == nil {
-		p.Clock = obs.NewSimClock(0)
-	}
-	return p
 }
 
 // ManagerPort is the manager's single hub endpoint, shared by all of its
-// RemoteWorker proxies. The manager drives the protocol sequentially (one
-// outstanding request at a time), so a simple matched request/response
-// exchange suffices; an unexpected interleaved message is a protocol error.
-//
-// Without a RetryPolicy the port blocks forever on each reply (the historical
-// behaviour, appropriate for a reliable fabric). With one, every request
-// carries a fresh correlation Seq, replies are awaited against a
-// logical-clock deadline, and stale replies to abandoned attempts are
-// discarded instead of corrupting the next exchange.
+// RemoteWorker proxies. Each proxy receives its worker's replies on a queue
+// of its own, so calls to different workers may run concurrently. A call is
+// one exchange that only its reply or the hub's lost notice ends: no loop
+// reads a clock, and a worker that never answers on a hub with no fault
+// plan is waited on until the connection closes.
 type ManagerPort struct {
-	ep     *netsim.TCPEndpoint
-	obs    *obs.Observer
-	policy *RetryPolicy
-	seq    atomic.Uint64
+	ep       *netsim.TCPEndpoint
+	obs      *obs.Observer
+	attempts int
+	seq      atomic.Uint64
 
-	// encBuf is the reused message-encode buffer: the endpoint writes each
-	// frame to its socket before Send returns, and the manager drives the
-	// protocol sequentially, so one buffer serves all RemoteWorker proxies.
-	encBuf []byte
+	// bufs are the request-encode buffers no call holds. A call borrows one
+	// until its exchange ends, so serial calls reuse one buffer and
+	// concurrent calls each encode into their own.
+	mu   sync.Mutex
+	bufs [][]byte
 }
 
 // NewManagerPort wraps the manager's endpoint, already dialed into a hub.
@@ -86,90 +51,69 @@ func NewManagerPort(ep *netsim.TCPEndpoint) (*ManagerPort, error) {
 }
 
 // SetObserver routes the port's delivery accounting through o: the
-// net_retries_total and net_timeouts_total counters of the retrying
-// exchange.
+// net_retries_total and net_timeouts_total counters of lost exchanges.
 func (mp *ManagerPort) SetObserver(o *obs.Observer) { mp.obs = o }
 
-// SetRetryPolicy enables deadline-bounded delivery with bounded retries. A
-// nil policy restores the historical block-forever behaviour.
+// SetRetryPolicy sets how many lost exchanges a call retries; nil means one
+// attempt.
 func (mp *ManagerPort) SetRetryPolicy(p *RetryPolicy) {
-	if p == nil {
-		mp.policy = nil
-		return
+	mp.attempts = 0
+	if p != nil {
+		mp.attempts = p.Attempts
 	}
-	norm := p.normalized()
-	mp.policy = &norm
 }
 
-// call sends a request to the peer and waits for its reply of wantKind. The
-// reply's payload aliases an endpoint frame: the caller decodes it, then
-// hands it back with the endpoint's Release.
-func (mp *ManagerPort) call(to, kind string, payload []byte, wantKind string) (netsim.Message, error) {
-	if mp.policy != nil {
-		return mp.callRetry(to, kind, payload, wantKind)
+// call sends a kind request, which enc appends to an encode buffer borrowed
+// from the port, to the peer whose replies q holds, and waits for its reply
+// of wantKind. A reply with another Seq is stale and discarded. The reply's
+// payload aliases an endpoint frame: the caller decodes it, then hands it
+// back with the endpoint's Release.
+func (mp *ManagerPort) call(q *netsim.Queue, to, kind string, enc func([]byte) ([]byte, error), wantKind string) (netsim.Message, error) {
+	var buf []byte
+	mp.mu.Lock()
+	if n := len(mp.bufs); n > 0 {
+		buf, mp.bufs = mp.bufs[n-1], mp.bufs[:n-1]
 	}
-	if err := mp.ep.Send(to, kind, payload); err != nil {
-		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
-	}
-	msg, err := mp.ep.Recv()
+	mp.mu.Unlock()
+	payload, err := enc(buf)
 	if err != nil {
 		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 	}
-	if msg.From != to {
-		return netsim.Message{}, fmt.Errorf("wire call %s/%s: reply from %s: %w", to, kind, msg.From, ErrRemote)
-	}
-	return mp.reply(to, kind, msg, wantKind)
-}
-
-// reply checks the correlated reply msg to a kind request is of wantKind,
-// turning a worker's error message into an error.
-func (mp *ManagerPort) reply(to, kind string, msg netsim.Message, wantKind string) (netsim.Message, error) {
-	if msg.Kind == KindError {
-		return netsim.Message{}, fmt.Errorf("wire call %s/%s: %s: %w", to, kind, msg.Payload, ErrRemote)
-	}
-	if msg.Kind != wantKind {
-		return netsim.Message{}, fmt.Errorf("wire call %s/%s: got kind %q: %w", to, kind, msg.Kind, ErrRemote)
-	}
-	return msg, nil
-}
-
-// callRetry is the deadline-bounded exchange: stamp the request with a fresh
-// Seq, poll for the correlated reply until the logical deadline, and retry
-// with backoff. Replies whose From or Seq don't match are stale responses to
-// attempts this port already abandoned (the port runs one outstanding request
-// at a time) and are discarded.
-func (mp *ManagerPort) callRetry(to, kind string, payload []byte, wantKind string) (netsim.Message, error) {
-	pol := *mp.policy
+	defer func() {
+		mp.mu.Lock()
+		mp.bufs = append(mp.bufs, payload[:0])
+		mp.mu.Unlock()
+	}()
 	seq := mp.seq.Add(1)
-	timeout := pol.Timeout
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
+	attempts := max(mp.attempts, 1)
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			mp.obs.Counter("net_retries_total").Inc()
 		}
 		if err := mp.ep.SendSeq(to, kind, seq, payload); err != nil {
 			return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
 		}
-		deadline := pol.Clock.Now() + timeout.Nanoseconds()
-		for pol.Clock.Now() < deadline {
-			msg, ok := mp.ep.TryRecv()
-			if !ok {
-				// Yield so the endpoint's pump goroutine can make
-				// progress; on the self-advancing SimClock every poll also
-				// consumes a tick of the deadline, so the loop is bounded.
-				runtime.Gosched()
-				continue
-			}
-			if msg.From != to || msg.Seq != seq {
-				mp.ep.Release(msg)
-				continue // stale reply to an abandoned attempt
-			}
-			return mp.reply(to, kind, msg, wantKind)
+		msg, err := q.Recv()
+		for err == nil && msg.Seq != seq {
+			mp.ep.Release(msg)
+			msg, err = q.Recv()
 		}
-		mp.obs.Counter("net_timeouts_total").Inc()
-		timeout = time.Duration(float64(timeout) * pol.Backoff)
+		switch {
+		case err != nil:
+			return netsim.Message{}, fmt.Errorf("wire call %s/%s: %w", to, kind, err)
+		case msg.Kind == netsim.KindLost:
+			mp.ep.Release(msg)
+			mp.obs.Counter("net_timeouts_total").Inc()
+		case msg.Kind == KindError:
+			return netsim.Message{}, fmt.Errorf("wire call %s/%s: %s: %w", to, kind, msg.Payload, ErrRemote)
+		case msg.Kind != wantKind:
+			return netsim.Message{}, fmt.Errorf("wire call %s/%s: got kind %q: %w", to, kind, msg.Kind, ErrRemote)
+		default:
+			return msg, nil
+		}
 	}
-	return netsim.Message{}, fmt.Errorf("wire call %s/%s: no reply after %d attempts: %w",
-		to, kind, pol.Attempts, rpol.ErrWorkerUnavailable)
+	return netsim.Message{}, fmt.Errorf("wire call %s/%s: lost %d times: %w",
+		to, kind, attempts, rpol.ErrWorkerUnavailable)
 }
 
 // RemoteWorker satisfies rpol.Worker by proxying every interaction over the
@@ -181,6 +125,8 @@ type RemoteWorker struct {
 	id      string
 	profile gpu.Profile
 	port    *ManagerPort
+	// replies is the worker's queue on the port's endpoint.
+	replies *netsim.Queue
 
 	// update is the last result's update; opened holds the vectors the
 	// openings since the last RunEpoch were decoded into, and spare those of
@@ -192,7 +138,8 @@ type RemoteWorker struct {
 var _ rpol.Worker = (*RemoteWorker)(nil)
 
 // NewRemoteWorker builds a proxy to the worker registered as id, with the
-// hardware profile the worker declared at registration.
+// hardware profile the worker declared at registration. It claims id's
+// queue on the port's endpoint, so one port has one proxy per worker.
 func NewRemoteWorker(id string, profile gpu.Profile, port *ManagerPort) (*RemoteWorker, error) {
 	if port == nil {
 		return nil, errors.New("wire: nil manager port")
@@ -200,7 +147,11 @@ func NewRemoteWorker(id string, profile gpu.Profile, port *ManagerPort) (*Remote
 	if id == "" {
 		return nil, errors.New("wire: empty worker id")
 	}
-	return &RemoteWorker{id: id, profile: profile, port: port}, nil
+	replies, err := port.ep.Claim(id)
+	if err != nil {
+		return nil, fmt.Errorf("wire remote: %w", err)
+	}
+	return &RemoteWorker{id: id, profile: profile, port: port, replies: replies}, nil
 }
 
 // ID returns the remote worker's identifier.
@@ -220,12 +171,8 @@ func (r *RemoteWorker) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	clear(r.opened)
 	r.opened = r.opened[:0]
 	r.spare = slices.DeleteFunc(r.spare, func(v tensor.Vector) bool { return tensor.SameStorage(v, p.Global) })
-	payload, err := AppendTask(r.port.encBuf[:0], p)
-	if err != nil {
-		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
-	}
-	r.port.encBuf = payload
-	reply, err := r.port.call(r.id, KindTask, payload, KindResult)
+	enc := func(b []byte) ([]byte, error) { return AppendTask(b, p) }
+	reply, err := r.port.call(r.replies, r.id, KindTask, enc, KindResult)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
@@ -243,9 +190,8 @@ func (r *RemoteWorker) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 
 // OpenCheckpoint requests one raw snapshot during verification.
 func (r *RemoteWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	payload := AppendOpenRequest(r.port.encBuf[:0], idx)
-	r.port.encBuf = payload
-	reply, err := r.port.call(r.id, KindOpenRequest, payload, KindOpenResponse)
+	enc := func(b []byte) ([]byte, error) { return AppendOpenRequest(b, idx), nil }
+	reply, err := r.port.call(r.replies, r.id, KindOpenRequest, enc, KindOpenResponse)
 	if err != nil {
 		return nil, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}
@@ -276,9 +222,8 @@ func (r *RemoteWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
 // OpenProof pulls one Merkle inclusion proof during verification of a
 // root-committed submission.
 func (r *RemoteWorker) OpenProof(idx int) (rpol.LeafProof, error) {
-	payload := AppendProofRequest(r.port.encBuf[:0], idx)
-	r.port.encBuf = payload
-	reply, err := r.port.call(r.id, KindProofRequest, payload, KindProofResponse)
+	enc := func(b []byte) ([]byte, error) { return AppendProofRequest(b, idx), nil }
+	reply, err := r.port.call(r.replies, r.id, KindProofRequest, enc, KindProofResponse)
 	if err != nil {
 		return rpol.LeafProof{}, fmt.Errorf("wire remote %s: %w", r.id, err)
 	}

@@ -3,25 +3,30 @@ package wire
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"rpol/internal/netsim"
 	"rpol/internal/obs"
 	"rpol/internal/rpol"
 )
 
-// The deadlines below are logical: every poll of a retrying call reads the
-// SimClock once, one microsecond a reading. They are sized for a hub round
-// trip on one OS thread, where the endpoint pump runs only when the runtime
-// next polls the network.
-
-func retryPort(t *testing.T, hub *netsim.TCPHub, pol RetryPolicy) (*ManagerPort, *obs.Observer) {
+// retryPort is a port under pol, counting into the returned observer, with
+// the queue it receives worker-1's replies on.
+func retryPort(t *testing.T, hub *netsim.TCPHub, pol RetryPolicy) (*ManagerPort, *netsim.Queue, *obs.Observer) {
 	t.Helper()
 	mp := testPort(t, hub)
 	observer := obs.NewObserver(obs.NewRegistry(), nil)
 	mp.SetObserver(observer)
 	mp.SetRetryPolicy(&pol)
-	return mp, observer
+	q, err := mp.ep.Claim("worker-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mp, q, observer
+}
+
+// raw encodes a request as p.
+func raw(p []byte) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) { return append(b, p...), nil }
 }
 
 // echoServer answers every request the endpoint receives with reply(payload),
@@ -36,7 +41,9 @@ func echoServer(ep *netsim.TCPEndpoint, reply func([]byte) []byte) <-chan struct
 			if err != nil {
 				return
 			}
-			if err := ep.SendSeq(msg.From, KindResult, msg.Seq, reply(msg.Payload)); err != nil {
+			err = ep.SendSeq(msg.From, KindResult, msg.Seq, reply(msg.Payload))
+			ep.Release(msg)
+			if err != nil {
 				return
 			}
 		}
@@ -44,12 +51,16 @@ func echoServer(ep *netsim.TCPEndpoint, reply func([]byte) []byte) <-chan struct
 	return done
 }
 
+// TestCallRetryTimesOutAsUnavailable: the plan partitions every link, so the
+// hub reports each attempt's request lost, and the call gives up as
+// unavailable after its attempts.
 func TestCallRetryTimesOutAsUnavailable(t *testing.T) {
 	hub := testHub(t)
-	mp, observer := retryPort(t, hub, RetryPolicy{Attempts: 2, Timeout: time.Millisecond})
-	_ = dialTest(t, hub, "worker-1") // registered but silent
+	hub.InjectFaults(netsim.NewFaultPlan(1, netsim.FaultConfig{PartitionRate: 1}), nil)
+	mp, q, observer := retryPort(t, hub, RetryPolicy{Attempts: 2})
+	_ = dialTest(t, hub, "worker-1") // registered, but behind the partition
 
-	_, err := mp.call("worker-1", KindTask, []byte("x"), KindResult)
+	_, err := mp.call(q, "worker-1", KindTask, raw([]byte("x")), KindResult)
 	if !errors.Is(err, rpol.ErrWorkerUnavailable) {
 		t.Fatalf("err = %v, want ErrWorkerUnavailable", err)
 	}
@@ -61,31 +72,34 @@ func TestCallRetryTimesOutAsUnavailable(t *testing.T) {
 	}
 }
 
+// TestCallRetryDiscardsStaleReplies: a worker that answers with other Seqs
+// first, a lost notice among them, has only its reply with the request's Seq
+// returned.
 func TestCallRetryDiscardsStaleReplies(t *testing.T) {
 	hub := testHub(t)
-	mp, _ := retryPort(t, hub, RetryPolicy{Attempts: 3, Timeout: 100 * time.Millisecond})
+	mp, q, _ := retryPort(t, hub, RetryPolicy{})
 	wep := dialTest(t, hub, "worker-1")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		msg, err := wep.Recv()
+		if err != nil {
+			return
+		}
+		for _, seq := range []uint64{msg.Seq + 1, 0, msg.Seq + 7} {
+			_ = wep.SendSeq(msg.From, KindResult, seq, []byte("stale"))
+		}
+		_ = wep.SendSeq(msg.From, netsim.KindLost, msg.Seq+2, nil)
+		_ = wep.SendSeq(msg.From, KindResult, msg.Seq, []byte("reply-"+string(msg.Payload)))
+	}()
 
-	// First exchange: the worker never answers, so the call exhausts its
-	// attempts and abandons seq 1 (three copies of it sit in the inbox).
-	if _, err := mp.call("worker-1", KindTask, []byte("a"), KindResult); !errors.Is(err, rpol.ErrWorkerUnavailable) {
-		t.Fatalf("err = %v, want ErrWorkerUnavailable", err)
-	}
-
-	// The worker now wakes up: it first answers every stale request it finds,
-	// then serves fresh ones as they arrive.
-	done := echoServer(wep, func(p []byte) []byte { return []byte("reply-" + string(p)) })
-
-	// Second exchange: the manager must skip the three stale seq-1 replies
-	// and accept only the seq-2 reply carrying payload "b".
-	got, err := mp.call("worker-1", KindTask, []byte("b"), KindResult)
+	got, err := mp.call(q, "worker-1", KindTask, raw([]byte("b")), KindResult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Payload) != "reply-b" {
 		t.Fatalf("payload = %q, want %q (stale reply accepted?)", got.Payload, "reply-b")
 	}
-	hub.Close()
 	<-done
 }
 
@@ -97,24 +111,29 @@ func TestCallRetryRecoversFromDrops(t *testing.T) {
 	// the generous attempt budget keeps the (fixed, seed-determined)
 	// schedule comfortably inside it.
 	hub.InjectFaults(netsim.NewFaultPlan(11, netsim.FaultConfig{DropRate: 0.5}), obs.NewSimClock(0))
-	mp, observer := retryPort(t, hub, RetryPolicy{Attempts: 25, Timeout: 2 * time.Millisecond})
+	mp, q, observer := retryPort(t, hub, RetryPolicy{Attempts: 25})
 	done := echoServer(dialTest(t, hub, "worker-1"), func(p []byte) []byte { return p })
 
 	for i := 0; i < 20; i++ {
-		got, err := mp.call("worker-1", KindTask, []byte{byte(i)}, KindResult)
+		got, err := mp.call(q, "worker-1", KindTask, raw([]byte{byte(i)}), KindResult)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		if len(got.Payload) != 1 || got.Payload[0] != byte(i) {
 			t.Fatalf("call %d: payload %v", i, got.Payload)
 		}
+		mp.ep.Release(got)
 	}
 	drops, _ := hub.Meter().Injected()
 	if drops == 0 {
 		t.Fatal("fault plan injected no drops at 50% rate")
 	}
-	if observer.Counter("net_retries_total").Value() == 0 {
+	retries := observer.Counter("net_retries_total").Value()
+	if retries == 0 {
 		t.Error("exchanges survived drops without recording any retries")
+	}
+	if timeouts := observer.Counter("net_timeouts_total").Value(); timeouts != retries {
+		t.Errorf("%d lost attempts, %d retries: every retry of a call that succeeded follows one loss", timeouts, retries)
 	}
 	hub.Close()
 	<-done
@@ -134,7 +153,7 @@ func TestWorkerServerEchoesSeq(t *testing.T) {
 		}
 		srv := &WorkerServer{ep: wep}
 		if err := srv.handle(msg); err != nil {
-			_ = srv.send(msg.From, KindError, msg.Seq, []byte(err.Error()))
+			_ = srv.ep.SendSeq(msg.From, KindError, msg.Seq, []byte(err.Error()))
 		}
 	}()
 	if err := mep.SendSeq("worker-1", "bogus-kind", 77, nil); err != nil {

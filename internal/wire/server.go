@@ -22,8 +22,9 @@ type WorkerServer struct {
 	worker rpol.Worker
 	ep     *netsim.TCPEndpoint
 
-	// encBuf is the reused reply-encode buffer; see ManagerPort.encBuf. Run
-	// handles requests sequentially, so one buffer suffices.
+	// encBuf is the reused reply-encode buffer: the endpoint writes each
+	// frame to its socket before SendSeq returns, and Run handles requests
+	// sequentially, so one buffer suffices.
 	encBuf []byte
 
 	// fam is the LSH family of the last v2 task decoded, and global the last
@@ -45,16 +46,10 @@ func NewWorkerServer(ep *netsim.TCPEndpoint, worker rpol.Worker) (*WorkerServer,
 	return &WorkerServer{worker: worker, ep: ep}, nil
 }
 
-// send delivers a reply. seq echoes the request's
-// correlation number so a retrying manager can match the reply to the
-// attempt it belongs to (zero for uncorrelated requests).
-func (s *WorkerServer) send(to, kind string, seq uint64, payload []byte) error {
-	return s.ep.SendSeq(to, kind, seq, payload)
-}
-
 // Run serves requests until the connection closes. Malformed requests are answered
 // with error messages rather than terminating the loop — a misbehaving
-// manager must not be able to wedge a worker.
+// manager must not be able to wedge a worker. Every reply echoes its
+// request's Seq, which the manager's call matches it by.
 func (s *WorkerServer) Run() error {
 	for {
 		msg, err := s.ep.Recv()
@@ -68,7 +63,7 @@ func (s *WorkerServer) Run() error {
 		}
 		if err := s.handle(msg); err != nil {
 			// Reply with the error; keep serving.
-			_ = s.send(msg.From, KindError, msg.Seq, []byte(err.Error()))
+			_ = s.ep.SendSeq(msg.From, KindError, msg.Seq, []byte(err.Error()))
 		}
 		// Every request is decoded into values of its own by now.
 		s.ep.Release(msg)
@@ -95,7 +90,7 @@ func (s *WorkerServer) handle(msg netsim.Message) error {
 			return err
 		}
 		s.encBuf = payload
-		return s.send(msg.From, KindResult, msg.Seq, payload)
+		return s.ep.SendSeq(msg.From, KindResult, msg.Seq, payload)
 	case KindOpenRequest:
 		req, err := DecodeOpenRequest(msg.Payload)
 		if err != nil {
@@ -108,7 +103,7 @@ func (s *WorkerServer) handle(msg netsim.Message) error {
 		}
 		payload := AppendOpenResponse(s.encBuf[:0], req.Idx, errMsg, weights)
 		s.encBuf = payload
-		return s.send(msg.From, KindOpenResponse, msg.Seq, payload)
+		return s.ep.SendSeq(msg.From, KindOpenResponse, msg.Seq, payload)
 	case KindProofRequest:
 		req, err := DecodeProofRequest(msg.Payload)
 		if err != nil {
@@ -121,7 +116,7 @@ func (s *WorkerServer) handle(msg netsim.Message) error {
 		}
 		payload := AppendProofResponse(s.encBuf[:0], req.Idx, errMsg, lp)
 		s.encBuf = payload
-		return s.send(msg.From, KindProofResponse, msg.Seq, payload)
+		return s.ep.SendSeq(msg.From, KindProofResponse, msg.Seq, payload)
 	default:
 		return fmt.Errorf("unknown message kind %q", msg.Kind)
 	}

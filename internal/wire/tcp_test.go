@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"rpol/internal/adversary"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/netsim"
+	"rpol/internal/obs"
 	"rpol/internal/rpol"
 )
 
@@ -44,30 +46,60 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, gotProtocol := tcpEpochsFingerprint(t, c.scheme)
+			run := runOverTCP(t, tcpRun{scheme: c.scheme, workers: 2, epochs: 2})
+			for _, o := range run.outcomes {
+				if !o.Accepted {
+					t.Errorf("epoch %d: %s rejected: %s", o.Epoch, o.WorkerID, o.FailReason)
+				}
+			}
 			if runtime.GOARCH != "amd64" {
-				t.Skipf("fingerprints %s / %s pinned on amd64 only: other targets may fuse multiply-adds", got, gotProtocol)
+				t.Skipf("fingerprints %s / %s pinned on amd64 only: math.Exp and math.Log are assembly there and pure Go elsewhere", run.full, run.protocol)
 			}
-			if gotProtocol != c.wantProtocol {
-				t.Errorf("protocol fingerprint %s, want %s", gotProtocol, c.wantProtocol)
+			if run.protocol != c.wantProtocol {
+				t.Errorf("protocol fingerprint %s, want %s", run.protocol, c.wantProtocol)
 			}
-			if got != c.want {
-				t.Errorf("fingerprint %s, want %s", got, c.want)
+			if run.full != c.want {
+				t.Errorf("fingerprint %s, want %s", run.full, c.want)
 			}
 		})
 	}
 }
 
-// tcpEpochsFingerprint returns the full fingerprint and the one that omits
-// the verdicts' byte tallies.
-func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol string) {
+// tcpRun is one manager run over a loopback hub, every worker behind its own
+// WorkerServer and all of them driven through one ManagerPort.
+type tcpRun struct {
+	scheme          rpol.Scheme
+	workers, epochs int
+	adv1            int // the first adv1 workers are replay attackers
+	concurrent      bool
+	plan            *netsim.FaultPlan // installed once every endpoint is registered
+	attempts        int
+	quorum          int
+}
+
+// tcpResult is what a run left behind.
+type tcpResult struct {
+	// full fingerprints every verdict's tallies and the global model, and
+	// protocol the same without the two byte tallies (CommBytes,
+	// CommitBytes).
+	full, protocol string
+	outcomes       []*rpol.VerifyOutcome
+	bytes          map[string]int64 // metered bytes by kind
+	drops, delays  int64            // injected by the plan
+	retries        int64
+	timeouts       int64
+}
+
+// runOverTCP runs cfg.epochs manager epochs over a fresh hub.
+func runOverTCP(t *testing.T, cfg tcpRun) tcpResult {
+	t.Helper()
 	hub, err := netsim.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
 
-	const n = 2
+	n := cfg.workers
 	_, fullDS := wireTask(t, 50)
 	shards, err := fullDS.Partition(n + 1)
 	if err != nil {
@@ -86,13 +118,18 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	observer := obs.NewObserver(obs.NewRegistry(), nil)
+	port.SetObserver(observer)
+	port.SetRetryPolicy(&RetryPolicy{Attempts: cfg.attempts})
 
 	for i := 0; i < n; i++ {
 		net, _ := wireTask(t, 50)
 		id := "tcp-w" + string(rune('0'+i))
-		local, err := rpol.NewHonestWorker(id, gpu.GA10, int64(200+i), net, shards[i])
-		if err != nil {
-			t.Fatal(err)
+		var local rpol.Worker = adversary.NewAdv1(id, gpu.GA10, shards[i].Len())
+		if i >= cfg.adv1 {
+			if local, err = rpol.NewHonestWorker(id, gpu.GA10, int64(200+i), net, shards[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		conn, err := netsim.DialHub(hub.Addr(), id)
 		if err != nil {
@@ -118,38 +155,40 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol stri
 		workers = append(workers, remote)
 		shardMap[id] = shards[i]
 	}
+	hub.InjectFaults(cfg.plan, obs.NewSimClock(0))
 
 	managerNet, _ := wireTask(t, 50)
 	manager, err := rpol.NewManager(rpol.ManagerConfig{
-		Address:         "tcp-manager",
-		Scheme:          scheme,
-		Hyper:           rpol.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: 8},
-		StepsPerEpoch:   10,
-		CheckpointEvery: 5,
-		Samples:         2,
-		GPU:             gpu.G3090,
-		MasterKey:       []byte("tcp"),
-		Seed:            60,
+		Address:              "tcp-manager",
+		Scheme:               cfg.scheme,
+		Hyper:                rpol.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: 8},
+		StepsPerEpoch:        10,
+		CheckpointEvery:      5,
+		Samples:              2,
+		GPU:                  gpu.G3090,
+		MasterKey:            []byte("tcp"),
+		Seed:                 60,
+		ConcurrentCollection: cfg.concurrent,
+		Quorum:               cfg.quorum,
 	}, managerNet, workers, shardMap, shards[n])
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	var res tcpResult
 	h, hp := sha256.New(), sha256.New()
-	for epoch := 0; epoch < 2; epoch++ {
+	for epoch := 0; epoch < cfg.epochs; epoch++ {
 		report, err := manager.RunEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, o := range report.Outcomes {
-			if !o.Accepted {
-				t.Errorf("epoch %d: %s rejected: %s", epoch, o.WorkerID, o.FailReason)
-			}
 			fmt.Fprintf(h, "%s/%v/%v/%d/%d/%d/%d/%d;", o.WorkerID, o.Accepted, o.SampledCheckpoints,
 				o.CommBytes, o.CommitBytes, o.ReexecSteps, o.LSHMisses, o.DoubleChecks)
 			fmt.Fprintf(hp, "%s/%v/%v/%d/%d/%d;", o.WorkerID, o.Accepted, o.SampledCheckpoints,
 				o.ReexecSteps, o.LSHMisses, o.DoubleChecks)
 		}
+		res.outcomes = append(res.outcomes, report.Outcomes...)
 	}
 	global := manager.Global().Encode()
 	h.Write(global)
@@ -161,5 +200,10 @@ func tcpEpochsFingerprint(t *testing.T, scheme rpol.Scheme) (full, protocol stri
 	// Shut the servers down cleanly.
 	hub.Close()
 	wg.Wait()
-	return hex.EncodeToString(h.Sum(nil)[:16]), hex.EncodeToString(hp.Sum(nil)[:16])
+	res.full, res.protocol = hex.EncodeToString(h.Sum(nil)[:16]), hex.EncodeToString(hp.Sum(nil)[:16])
+	res.bytes = hub.Meter().ByKind()
+	res.drops, res.delays = hub.Meter().Injected()
+	res.retries = observer.Counter("net_retries_total").Value()
+	res.timeouts = observer.Counter("net_timeouts_total").Value()
+	return res
 }

@@ -390,6 +390,12 @@ func TestRemoteWorkerValidation(t *testing.T) {
 	if _, err := NewRemoteWorker("w", gpu.GA10, nil); err == nil {
 		t.Error("want error for nil port")
 	}
+	if _, err := NewRemoteWorker("w", gpu.GA10, port); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRemoteWorker("w", gpu.GA10, port); err == nil {
+		t.Error("want error for a second proxy to one worker on one port")
+	}
 	if _, err := NewWorkerServer(dialTest(t, hub, "w"), nil); err == nil {
 		t.Error("want error for nil worker")
 	}

@@ -54,7 +54,8 @@ type (
 	// TCPEndpoint is a client connection to a TCPHub.
 	TCPEndpoint = netsim.TCPEndpoint
 	// ManagerPort is the manager's endpoint shared by its remote-worker
-	// proxies.
+	// proxies, each of which receives its worker's replies on a queue of
+	// its own, so calls to different workers may run concurrently.
 	ManagerPort = wire.ManagerPort
 	// RemoteWorker proxies a worker living behind the fabric; it satisfies
 	// ProtocolWorker.
@@ -73,9 +74,9 @@ type (
 	// FaultConfig parameterizes a FaultPlan (rates, delay bound, window and
 	// cycle lengths).
 	FaultConfig = netsim.FaultConfig
-	// RetryPolicy bounds a ManagerPort request with per-attempt deadlines
-	// and backoff on the injected logical clock; exhausted attempts fail
-	// with an error wrapping ErrWorkerUnavailable.
+	// RetryPolicy bounds how often a ManagerPort resends a request whose
+	// exchange the hub reported lost to its fault plan; exhausted attempts
+	// fail with an error wrapping ErrWorkerUnavailable.
 	RetryPolicy = wire.RetryPolicy
 	// Outcome classifies a worker's epoch: accepted, rejected, or absent.
 	Outcome = rpol.Outcome
@@ -88,9 +89,9 @@ const (
 	OutcomeAbsent   = rpol.OutcomeAbsent
 )
 
-// ErrWorkerUnavailable marks workers that missed their transport deadline;
-// the manager records them as OutcomeAbsent under a quorum instead of
-// treating them as adversarial.
+// ErrWorkerUnavailable marks workers the transport could not reach (every
+// attempt of an exchange lost); the manager records them as OutcomeAbsent
+// under a quorum instead of treating them as adversarial.
 var ErrWorkerUnavailable = rpol.ErrWorkerUnavailable
 
 // NewFaultPlan derives a deterministic fault plan from seed; use
