@@ -600,6 +600,36 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr41.json",
+		pr:       41,
+		minPairs: map[string]int{"ref10_v2_tcp": 3, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 3, "durable8_v2_disk": 10},
+		rows: []e2eGate{
+			// The claim: frames checked by two hardware CRCs in place of
+			// byte-at-a-time FNV-1a, and binary record bodies in place of
+			// JSON, take at least 6 % off the durable epoch.
+			{"durable8_v2_disk", "epoch_s_p50", "claim<=", 0.94},
+			// The durable epoch writes and allocates no more: the JSON
+			// bodies and state.bin's base64 global are gone.
+			{"durable8_v2_disk", "io_bytes_per_epoch", "<=", 1},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 1},
+			// The TCP workloads never write through fsio: same bytes at
+			// equal work. No verdict or model bit moves anywhere.
+			{"ref10_v2_tcp", "io_bytes_per_epoch", "==", 0},
+			{"proofs4_v2_tcp", "io_bytes_per_epoch", "==", 0},
+			{"wide16_v1_tcp", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

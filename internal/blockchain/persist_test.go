@@ -1,10 +1,13 @@
 package blockchain
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rpol/internal/fsio"
 )
 
 func savedChain(t *testing.T) (*Chain, string) {
@@ -20,7 +23,7 @@ func savedChain(t *testing.T) (*Chain, string) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "chain.json")
+	path := filepath.Join(t.TempDir(), "chain.bin")
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -46,64 +49,79 @@ func TestChainSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadDetectsTampering(t *testing.T) {
-	_, path := savedChain(t)
+// frameBody reads the body of the chain file at path.
+func frameBody(t *testing.T, path string) []byte {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip an accuracy value in the JSON.
-	tampered := []byte(string(data))
-	idx := -1
-	for i := range tampered {
-		if tampered[i] == '0' && i+2 < len(tampered) && tampered[i+1] == '.' && tampered[i+2] == '1' {
-			idx = i + 2
-			break
-		}
+	body, err := fsio.DecodeFile(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if idx < 0 {
-		t.Skip("accuracy literal not found")
-	}
-	tampered[idx] = '9'
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+	return append([]byte(nil), body...)
+}
+
+func TestLoadDetectsTampering(t *testing.T) {
+	orig, path := savedChain(t)
+	// Rewrite block 1's accuracy and save it under a fresh, valid checksum:
+	// only the chain's own links can catch it.
+	tampered := &Chain{blocks: append([]Block(nil), orig.blocks...)}
+	tampered.blocks[1].Accuracy = 0.9
+	if err := tampered.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(path); !errors.Is(err, ErrCorruptChain) {
 		t.Errorf("tampered chain loaded: %v", err)
 	}
+	// Bit rot under the checksum is caught before any link is checked.
+	if err := orig.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x04
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); !errors.Is(err, fsio.ErrChecksum) || !errors.Is(err, ErrCorruptChain) {
+		t.Errorf("bit-rotted chain: %v", err)
+	}
 }
 
 func TestLoadValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := Load(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("missing file loaded")
 	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
+	_, saved := savedChain(t)
+	body := frameBody(t, saved)
+	otherVersion := append([]byte(nil), body...)
+	otherVersion[1]++
+	cases := []struct {
+		name    string
+		file    []byte
+		version bool // the refusal is also fsio.ErrVersion
+	}{
+		{"parent JSON", []byte(`{"version":1,"blocks":[]}`), true},
+		{"JSON in a frame", fsio.EncodeFile([]byte(`{"version":1,"blocks":[]}`)), true},
+		{"another body version", fsio.EncodeFile(otherVersion), true},
+		{"truncated body", fsio.EncodeFile(body[:len(body)-3]), true},
+		{"trailing bytes", fsio.EncodeFile(append(append([]byte(nil), body...), 0)), true},
+		{"count beyond the body", fsio.EncodeFile(binary.AppendUvarint(fsio.AppendBodyHeader(nil, chainKind), 1<<40)), true},
+		{"empty chain", fsio.EncodeFile(fsio.AppendLen(fsio.AppendBodyHeader(nil, chainKind), 0)), false},
 	}
-	if _, err := Load(bad); err == nil {
-		t.Error("bad JSON loaded")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"version":1,"blocks":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(empty); !errors.Is(err, ErrCorruptChain) {
-		t.Errorf("empty chain loaded: %v", err)
-	}
-	badVersion := filepath.Join(dir, "v.json")
-	if err := os.WriteFile(badVersion, []byte(`{"version":9,"blocks":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(badVersion); !errors.Is(err, ErrCorruptChain) {
-		t.Errorf("bad version loaded: %v", err)
-	}
-	badHash := filepath.Join(dir, "h.json")
-	if err := os.WriteFile(badHash, []byte(`{"version":1,"blocks":[{"height":0,"prev":"AA==","taskId":"genesis","proposer":"","modelDigest":"AA==","accuracy":0}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(badHash); !errors.Is(err, ErrCorruptChain) {
-		t.Errorf("ragged hashes loaded: %v", err)
+	for _, tc := range cases {
+		path := filepath.Join(dir, "chain.bin")
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if !errors.Is(err, ErrCorruptChain) || errors.Is(err, fsio.ErrVersion) != tc.version {
+			t.Errorf("%s: err = %v, want ErrCorruptChain (fsio.ErrVersion %v)", tc.name, err, tc.version)
+		}
 	}
 }

@@ -25,9 +25,10 @@ var (
 	ErrSegmentFrame = errors.New("checkpoint: unexpected segment frame")
 )
 
-// Segment frame payloads. A header is kind, epoch, global digest; a
-// checkpoint is kind, epoch, index, step, then the vector's wire encoding.
-// Integers are big-endian like the fsio framing around them.
+// A segment file opens with its fsio file header, then one frame per
+// payload. A header payload is kind, epoch, global digest; a checkpoint is
+// kind, epoch, index, step, then the vector's wire encoding. Integers are
+// big-endian like the fsio framing around them.
 const (
 	segKindHeader     = 'H'
 	segKindCheckpoint = 'C'
@@ -36,6 +37,9 @@ const (
 
 	segmentFile = "segment.bin"
 )
+
+// fileHeader opens every segment file.
+var fileHeader = fsio.Header("sg")
 
 // SegmentFrame is one checkpoint recovered from a segment.
 type SegmentFrame struct {
@@ -51,17 +55,23 @@ type SegmentFrame struct {
 // carrying indices 1, 2, 3, … of dim weights each — and the byte length of
 // that prefix.
 //
-// A segment whose header is missing, damaged or foreign is rejected whole
-// (ErrSegmentHeader, ErrSegmentStale; intact 0). Otherwise stop is nil when
-// the scan ended at the limit or at the end of the data, and else says why
-// the next frame was refused: fsio.ErrTornFrame, fsio.ErrChecksum or
-// ErrSegmentFrame. A repeated index is refused like any other index out of
-// turn, so of two frames claiming one index only the first can be adopted.
+// A segment of another format — its file header is not this build's — is
+// rejected whole with fsio.ErrVersion. One whose header frame is missing,
+// damaged or foreign is rejected whole (ErrSegmentHeader, ErrSegmentStale;
+// intact 0). Otherwise stop is nil when the scan ended at the limit or at
+// the end of the data, and else says why the next frame was refused:
+// fsio.ErrTornFrame, fsio.ErrChecksum or ErrSegmentFrame. A repeated index is
+// refused like any other index out of turn, so of two frames claiming one
+// index only the first can be adopted.
 // Like journal.Replay it never panics and never adopts a frame that did not
 // survive intact; a frame is decoded only after its declared shape matched
 // dim, so nothing larger than one model is ever allocated.
 func ScanSegment(data []byte, epoch int, globalDigest uint64, dim, limit int) (frames []SegmentFrame, intact int, stop error) {
-	payload, rest, err := fsio.ReadFrame(data)
+	body, err := fsio.SplitHeader(data, fileHeader)
+	if errors.Is(err, fsio.ErrVersion) {
+		return nil, 0, fmt.Errorf("checkpoint segment: %w", err)
+	}
+	payload, rest, err := fsio.ReadFrame(body)
 	if err != nil || len(payload) != segHeaderSize || payload[0] != segKindHeader {
 		return nil, 0, ErrSegmentHeader
 	}
@@ -152,7 +162,7 @@ func (s *Segment) Begin(epoch int, globalDigest uint64) error {
 	}
 	s.written = 0
 	s.payload = appendHeaderPayload(s.payload[:0], epoch, globalDigest)
-	return s.appendFrame()
+	return s.write(fsio.AppendFrame(append(s.frame[:0], fileHeader...), s.payload))
 }
 
 // appendHeaderPayload appends a header frame's payload to dst.
@@ -178,11 +188,13 @@ func (s *Segment) Append(epoch, idx, step int, weights tensor.Vector) error {
 		return fmt.Errorf("checkpoint segment append: index %d at step %d: %w", idx, step, ErrBadIndex)
 	}
 	s.payload = appendCheckpointPayload(s.payload[:0], epoch, idx, step, weights)
-	return s.appendFrame()
+	return s.write(fsio.AppendFrame(s.frame[:0], s.payload))
 }
 
-// appendFrame frames s.payload and appends it, opening the file on first use.
-func (s *Segment) appendFrame() error {
+// write appends frame (which becomes the reused s.frame scratch) to the file,
+// opening it on first use.
+func (s *Segment) write(frame []byte) error {
+	s.frame = frame
 	if s.ap == nil {
 		ap, err := s.fs.Append(s.path)
 		if err != nil {
@@ -190,7 +202,6 @@ func (s *Segment) appendFrame() error {
 		}
 		s.ap = ap
 	}
-	s.frame = fsio.AppendFrame(s.frame[:0], s.payload)
 	if _, err := s.ap.Write(s.frame); err != nil {
 		return fmt.Errorf("checkpoint segment append: %w", err)
 	}
@@ -228,7 +239,9 @@ func (s *Segment) Close() error {
 // exactly the adopted bytes so the epoch's remaining checkpoints append
 // behind them. A missing or empty file is an empty prefix. stop reports why
 // the scan refused a frame or the whole segment, nil when it refused
-// nothing; with no frames adopted the file is left for Begin to replace.
+// nothing; with no frames adopted the file is left for Begin to replace. A
+// segment of another format is refused with fsio.ErrVersion and left as it
+// is.
 func (s *Segment) Resume(epoch int, globalDigest uint64, dim, limit int) (frames []SegmentFrame, stop, err error) {
 	if err := s.Close(); err != nil {
 		return nil, nil, err
@@ -241,6 +254,9 @@ func (s *Segment) Resume(epoch int, globalDigest uint64, dim, limit int) (frames
 		return nil, nil, fmt.Errorf("checkpoint segment resume: %w", err)
 	}
 	frames, intact, stop := ScanSegment(data, epoch, globalDigest, dim, limit)
+	if errors.Is(stop, fsio.ErrVersion) {
+		return nil, nil, stop
+	}
 	if len(frames) == 0 {
 		return nil, stop, nil
 	}
@@ -251,4 +267,21 @@ func (s *Segment) Resume(epoch int, globalDigest uint64, dim, limit int) (frames
 	}
 	s.written = int64(intact)
 	return frames, stop, nil
+}
+
+// CheckVersion reports fsio.ErrVersion when the segment file exists and opens
+// with another format's header. A missing file, or one whose first write tore
+// inside the header, passes: there is nothing of another format to protect.
+func (s *Segment) CheckVersion() error {
+	data, err := s.fs.ReadFile(s.path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint segment: %w", err)
+	}
+	if _, err := fsio.SplitHeader(data, fileHeader); errors.Is(err, fsio.ErrVersion) {
+		return fmt.Errorf("checkpoint segment %s: %w", s.path, err)
+	}
+	return nil
 }

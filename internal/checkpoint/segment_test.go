@@ -36,21 +36,28 @@ func checkpointFrame(epoch, idx int, w tensor.Vector) []byte {
 	return fsio.AppendFrame(nil, appendCheckpointPayload(nil, epoch, idx, 2*idx, w))
 }
 
-// segmentOf concatenates a header for (segEpoch, segDigest) and the frames.
-func segmentOf(frames ...[]byte) []byte {
-	out := headerFrame(segEpoch, segDigest)
+// fileOf concatenates the segment file header and the frames.
+func fileOf(frames ...[]byte) []byte {
+	out := []byte(fileHeader)
 	for _, f := range frames {
 		out = append(out, f...)
 	}
 	return out
 }
 
+// segmentOf is the file of a header for (segEpoch, segDigest) and the frames.
+func segmentOf(frames ...[]byte) []byte {
+	return fileOf(append([][]byte{headerFrame(segEpoch, segDigest)}, frames...)...)
+}
+
 func TestScanSegmentTable(t *testing.T) {
 	f1, f2, f3 := checkpointFrame(segEpoch, 1, segVector(1)), checkpointFrame(segEpoch, 2, segVector(2)), checkpointFrame(segEpoch, 3, segVector(3))
 	whole := segmentOf(f1, f2, f3)
 	flipped := append([]byte(nil), whole...)
-	flipped[len(headerFrame(segEpoch, segDigest))+len(f1)+20] ^= 0x08
-	overCap := append(segmentOf(f1), 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3)
+	flipped[len(segmentOf())+len(f1)+20] ^= 0x08
+	overCap := append(segmentOf(f1), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3)
+	otherVersion := append([]byte(nil), whole...)
+	otherVersion[len(fileHeader)-1]++
 
 	cases := []struct {
 		name   string
@@ -73,11 +80,14 @@ func TestScanSegmentTable(t *testing.T) {
 		{"vector of another model", segmentOf(f1, checkpointFrame(segEpoch, 2, make(tensor.Vector, segDim+1))), 9, 1, ErrSegmentFrame},
 		{"length prefix above the frame cap", overCap, 9, 1, fsio.ErrChecksum},
 		{"empty", nil, 9, 0, ErrSegmentHeader},
-		{"garbage", []byte("not a segment at all"), 9, 0, ErrSegmentHeader},
-		{"torn header", whole[:10], 9, 0, ErrSegmentHeader},
-		{"checkpoint where the header belongs", f1, 9, 0, ErrSegmentHeader},
-		{"header of another epoch", append(headerFrame(segEpoch+1, segDigest), f1...), 9, 0, ErrSegmentStale},
-		{"header of another global model", append(headerFrame(segEpoch, segDigest+1), f1...), 9, 0, ErrSegmentStale},
+		{"garbage", []byte("not a segment at all"), 9, 0, fsio.ErrVersion},
+		{"torn file header", whole[:5], 9, 0, ErrSegmentHeader},
+		{"torn header", whole[:len(fileHeader)+10], 9, 0, ErrSegmentHeader},
+		{"checkpoint where the header belongs", fileOf(f1), 9, 0, ErrSegmentHeader},
+		{"header of another epoch", fileOf(headerFrame(segEpoch+1, segDigest), f1), 9, 0, ErrSegmentStale},
+		{"header of another global model", fileOf(headerFrame(segEpoch, segDigest+1), f1), 9, 0, ErrSegmentStale},
+		{"another format version", otherVersion, 9, 0, fsio.ErrVersion},
+		{"frames without a file header", whole[len(fileHeader):], 9, 0, fsio.ErrVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,9 +144,9 @@ func FuzzSegmentScan(f *testing.F) {
 	f.Add(segmentOf(f1, f1))                                           // duplicate index
 	f.Add(segmentOf(f2))                                               // index gap
 	f.Add(segmentOf(f1, checkpointFrame(segEpoch+1, 2, segVector(2)))) // foreign epoch
-	f.Add(append(headerFrame(segEpoch, segDigest^1), f1...))           // foreign global model
-	f.Add(fsio.AppendFrame(nil, []byte("tiny")))                       // frame-valid, header-invalid
-	f.Add(append(segmentOf(f1), 0xFF, 0xFF, 0xFF, 0xFF))               // pathological length prefix
+	f.Add(fileOf(headerFrame(segEpoch, segDigest^1), f1))              // foreign global model
+	f.Add(fileOf(fsio.AppendFrame(nil, []byte("tiny"))))               // frame-valid, header-invalid
+	f.Add(append(segmentOf(f1), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0))   // pathological length prefix
 	f.Add([]byte("not a segment"))
 	f.Add([]byte{})
 
@@ -154,7 +164,7 @@ func FuzzSegmentScan(f *testing.F) {
 			}
 			return
 		}
-		reenc := headerFrame(segEpoch, segDigest)
+		reenc := segmentOf()
 		for i, fr := range frames {
 			if fr.Index != i+1 || len(fr.Weights) != segDim {
 				t.Fatalf("frame %d: index %d, %d weights", i, fr.Index, len(fr.Weights))
@@ -255,7 +265,30 @@ func TestSegmentLifecycle(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if data, _ := fsio.OS.ReadFile(path); !bytes.Equal(data, headerFrame(segEpoch+1, segDigest)) {
+	if data, _ := fsio.OS.ReadFile(path); !bytes.Equal(data, fileOf(headerFrame(segEpoch+1, segDigest))) {
 		t.Fatalf("Begin left %d bytes, want a lone header", len(data))
+	}
+
+	// A segment of another format is refused, by CheckVersion and by Resume,
+	// and left as it is; one torn inside its file header is not.
+	foreign := append([]byte(nil), data...)
+	foreign[0] ^= 0x01
+	for _, tc := range []struct {
+		data []byte
+		want error
+	}{{foreign, fsio.ErrVersion}, {data[:3], nil}} {
+		if err := fsio.OS.WriteFileAtomic(path, tc.data); err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.CheckVersion(); !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+			t.Fatalf("CheckVersion over %d bytes: %v, want %v", len(tc.data), err, tc.want)
+		}
+		frames, _, err := seg.Resume(segEpoch+1, segDigest, segDim, 9)
+		if !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) || len(frames) != 0 {
+			t.Fatalf("Resume over %d bytes: %d frames, %v, want %v", len(tc.data), len(frames), err, tc.want)
+		}
+		if after, _ := fsio.OS.ReadFile(path); !bytes.Equal(after, tc.data) {
+			t.Fatalf("Resume rewrote %d bytes", len(tc.data))
+		}
 	}
 }

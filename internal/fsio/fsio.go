@@ -7,9 +7,12 @@
 //     it, renames it over the destination, and fsyncs the directory, so a
 //     crash mid-write leaves either the old file or the new file — never a
 //     torn hybrid.
-//  2. Integrity. Frames carry a length prefix and an FNV-1a checksum, so a
-//     reader distinguishes "intact", "torn" (truncated mid-frame), and
-//     "corrupt" (bit flip) instead of decoding garbage weights.
+//  2. Integrity. Frames carry a guarded length prefix and a 64-bit check
+//     word of two hardware CRCs, so a reader distinguishes "intact", "torn"
+//     (truncated mid-frame), and "corrupt" (bit flip) instead of decoding
+//     garbage weights. Every file opens with a versioned header and every
+//     record body with a versioned body header (body.go), so bytes of any
+//     other format are refused as such, never read as a torn tail.
 //
 // Both guarantees are testable because the package's filesystem surface is
 // the injectable FS interface: the production OS implementation talks to the
@@ -38,9 +41,11 @@ var (
 	// ErrChecksum marks a frame whose payload bytes do not hash to the
 	// recorded checksum: a bit flip or an overwrite, not a truncation.
 	ErrChecksum = errors.New("fsio: checksum mismatch")
-	// ErrUnframed marks a whole file that does not start with the framed
-	// file magic: not written by EncodeFile, so nothing vouches for it.
-	ErrUnframed = errors.New("fsio: file is not framed")
+	// ErrVersion marks durable bytes that are not this build's format: a
+	// file whose header, or a record whose body header, names another kind
+	// or version, or a body that does not decode as its kind. Readers refuse
+	// such bytes whole and leave them untouched.
+	ErrVersion = errors.New("fsio: not this build's durable format")
 )
 
 // Appender is an open append-only file handle. Write appends at the end;

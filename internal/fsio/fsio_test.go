@@ -2,9 +2,12 @@ package fsio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -40,25 +43,83 @@ func TestReadFrameTornAtEveryPrefix(t *testing.T) {
 	}
 }
 
+// TestReadFrameDetectsBitFlips holds the frame to what its guarded length
+// and CRC pair guarantee: read whole, a frame with any single flipped bit, or
+// any burst of up to 32 flipped bits, anywhere — length, complement, payload
+// or check word — is ErrChecksum, never a torn frame and never accepted. It
+// runs on a short frame and on a 44 KB one, a checkpoint's size; bursts of
+// every length start at every bit of the short frame, and at every bit of
+// the long one with the length cycling through 2…32.
 func TestReadFrameDetectsBitFlips(t *testing.T) {
-	full := AppendFrame(nil, []byte("bit flip victim"))
-	for i := range full {
-		flipped := append([]byte(nil), full...)
-		flipped[i] ^= 0x01
-		_, _, err := ReadFrame(flipped)
-		if err == nil {
-			t.Fatalf("flip at byte %d accepted", i)
+	long := make([]byte, 44_000)
+	for i := range long {
+		long[i] = byte(i*131 + i>>8)
+	}
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	// burst flips n bits starting at bit pos of frame — the first and last
+	// always, those between at random — in place; a second call undoes it.
+	burst := func(frame []byte, pos, n int, pattern uint64) {
+		pattern |= 1 | 1<<(n-1)
+		for k := 0; k < n; k++ {
+			if p := pos + k; pattern>>k&1 == 1 && p < 8*len(frame) {
+				frame[p/8] ^= 1 << (p % 8)
+			}
 		}
-		// A flipped length byte may read as a torn frame (declared length
-		// beyond the buffer); every other flip must be a checksum failure.
-		if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTornFrame) {
-			t.Fatalf("flip at byte %d: unexpected error %v", i, err)
+	}
+	check := func(t *testing.T, frame []byte, what string) {
+		t.Helper()
+		if _, _, err := ReadFrame(frame); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("%s: err = %v, want ErrChecksum", what, err)
 		}
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{{"short", []byte("bit flip victim")}, {"44KB", long}} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := AppendFrame(nil, tc.payload)
+			bits := 8 * len(frame)
+			stride := 1
+			if testing.Short() && len(frame) > 1000 {
+				stride = 7
+			}
+			for pos := 0; pos < bits; pos += stride {
+				burst(frame, pos, 1, 0)
+				check(t, frame, fmt.Sprintf("bit %d", pos))
+				burst(frame, pos, 1, 0)
+
+				lengths := []int{2 + pos%31}
+				if len(frame) < 1000 {
+					lengths = lengths[:0]
+					for n := 2; n <= 32; n++ {
+						lengths = append(lengths, n)
+					}
+				}
+				for _, n := range lengths {
+					if pos+n > bits {
+						continue
+					}
+					pattern := next()
+					burst(frame, pos, n, pattern)
+					check(t, frame, fmt.Sprintf("%d-bit burst at bit %d", n, pos))
+					burst(frame, pos, n, pattern)
+				}
+			}
+			if got, _, err := ReadFrame(frame); err != nil || !bytes.Equal(got, tc.payload) {
+				t.Fatalf("the restored frame does not read back (%v)", err)
+			}
+		})
 	}
 }
 
 func TestEncodeDecodeFile(t *testing.T) {
-	payload := []byte(`{"kind":"state"}`)
+	payload := []byte("a state snapshot")
 	enc := EncodeFile(payload)
 	got, err := DecodeFile(enc)
 	if err != nil {
@@ -67,20 +128,32 @@ func TestEncodeDecodeFile(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload = %q", got)
 	}
+	if len(enc) != FileOverhead+len(payload) {
+		t.Fatalf("%d encoded bytes for a %d-byte payload, want %d more", len(enc), len(payload), FileOverhead)
+	}
 
-	// Unframed files — the pre-fsio formats among them — carry no magic and
-	// are refused: nothing vouches for their bytes.
-	for _, raw := range [][]byte{[]byte(`{"version":1}`), nil, []byte(fileMagic[:4])} {
-		if got, err := DecodeFile(raw); !errors.Is(err, ErrUnframed) || got != nil {
-			t.Fatalf("unframed %q: payload %q, err = %v", raw, got, err)
+	// Files of another format — the pre-fsio JSON, the parent's version-1
+	// header, this header with a flipped bit — are refused as such.
+	parent := append([]byte("\x93RPoLfs1"), enc[headerSize:]...)
+	flipped := append([]byte(nil), enc...)
+	flipped[6] ^= 0x20
+	for _, raw := range [][]byte{[]byte(`{"version":1}`), parent, flipped} {
+		if got, err := DecodeFile(raw); !errors.Is(err, ErrVersion) || got != nil {
+			t.Fatalf("foreign %q: payload %q, err = %v", raw, got, err)
+		}
+	}
+	// A file that stops inside the header is torn.
+	for _, raw := range [][]byte{nil, enc[:4]} {
+		if got, err := DecodeFile(raw); !errors.Is(err, ErrTornFrame) || got != nil {
+			t.Fatalf("torn %q: payload %q, err = %v", raw, got, err)
 		}
 	}
 
 	// A flipped payload bit fails the checksum.
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)/2] ^= 0x10
-	if _, err := DecodeFile(bad); err == nil {
-		t.Fatal("corrupted file decoded")
+	if _, err := DecodeFile(bad); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupted file: err = %v", err)
 	}
 
 	// Trailing garbage after the frame is corruption, not extra frames.
@@ -392,5 +465,89 @@ func TestChecksumDistinguishesInputs(t *testing.T) {
 	}
 	if Checksum([]byte("a")) != a {
 		t.Fatal("checksum not stable")
+	}
+	// The two halves are the standard CRC-32C and CRC-32/IEEE check values.
+	if got := Checksum([]byte("123456789")); got != 0xE3069283_CBF43926 {
+		t.Fatalf("Checksum(\"123456789\") = %#x, want CRC-32C e3069283 over CRC-32 cbf43926", got)
+	}
+}
+
+func TestHeaderAndSplitHeader(t *testing.T) {
+	h := Header("wl")
+	if len(h) != headerSize || h != "\x93RPoLwl2" {
+		t.Fatalf("Header(wl) = %q", h)
+	}
+	data := append([]byte(h), 1, 2)
+	if rest, err := SplitHeader(data, h); err != nil || !bytes.Equal(rest, []byte{1, 2}) {
+		t.Fatalf("SplitHeader = %v, %v", rest, err)
+	}
+	for cut := 0; cut < len(h); cut++ {
+		if _, err := SplitHeader(data[:cut], h); !errors.Is(err, ErrTornFrame) {
+			t.Fatalf("header cut at %d: err = %v, want ErrTornFrame", cut, err)
+		}
+	}
+	for bit := 0; bit < 8*len(h); bit++ {
+		flipped := append([]byte(nil), data...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		for _, n := range []int{bit/8 + 1, len(flipped)} {
+			if _, err := SplitHeader(flipped[:n], h); !errors.Is(err, ErrVersion) {
+				t.Fatalf("bit %d flipped, %d bytes: err = %v, want ErrVersion", bit, n, err)
+			}
+		}
+	}
+}
+
+func TestBodyCodec(t *testing.T) {
+	body := AppendBodyHeader(nil, 'K')
+	body = AppendInt(body, -5)
+	body = AppendUint64(body, 1<<63)
+	body = AppendFloat(body, 0.1)
+	body = AppendString(body, "worker")
+	body = AppendBlob(body, []byte{1, 2, 3})
+	body = AppendLen(body, 2)
+	body = append(body, 9, 9)
+
+	r := ReadBody(body, 'K')
+	i, u, f, s, b, n, rest := r.Int(), r.Uint64(), r.Float(), r.Str(), r.Blob(), r.Len(1), r.Rest()
+	if err := r.Done(); err != nil || i != -5 || u != 1<<63 || f != 0.1 || s != "worker" || !bytes.Equal(b, []byte{1, 2, 3}) || n != 2 || !bytes.Equal(rest, []byte{9, 9}) {
+		t.Fatalf("decoded %v %v %v %q %v %v %v, %v", i, u, f, s, b, n, rest, err)
+	}
+
+	// Another kind, version or magic, a truncation, a count beyond the body
+	// and trailing bytes are all ErrVersion.
+	wrongVersion := append([]byte(nil), body...)
+	wrongVersion[1]++
+	overCount := binary.AppendUvarint(AppendBodyHeader(nil, 'K'), 1<<40)
+	for name, tc := range map[string]struct {
+		body []byte
+		kind byte
+		read func(*BodyReader)
+	}{
+		"kind":      {body, 'L', func(r *BodyReader) {}},
+		"version":   {wrongVersion, 'K', func(r *BodyReader) {}},
+		"magic":     {[]byte(`{"k":1}`), 'K', func(r *BodyReader) {}},
+		"empty":     {nil, 'K', func(r *BodyReader) {}},
+		"truncated": {body[:6], 'K', func(r *BodyReader) { r.Int(); r.Uint64() }},
+		"count":     {overCount, 'K', func(r *BodyReader) { r.Len(1) }},
+		"trailing":  {body, 'K', func(r *BodyReader) { r.Int() }},
+	} {
+		r := ReadBody(tc.body, tc.kind)
+		tc.read(&r)
+		if err := r.Done(); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: err = %v, want ErrVersion", name, err)
+		}
+	}
+
+	// An integer beyond int's range is refused where int has 32 bits, never
+	// wrapped; where it has 64, it decodes.
+	big := AppendInt(AppendBodyHeader(nil, 'K'), 1<<40)
+	r = ReadBody(big, 'K')
+	v, err := r.Int(), r.Done()
+	if strconv.IntSize == 32 {
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("2^40 as a 32-bit int: %d, %v", v, err)
+		}
+	} else if err != nil || int64(v) != 1<<40 {
+		t.Fatalf("2^40 as a 64-bit int: %d, %v", v, err)
 	}
 }

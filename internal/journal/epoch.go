@@ -1,112 +1,239 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"rpol/internal/fsio"
 )
 
-// Record kinds, one per durable protocol transition.
+// Kind is a record body's kind byte, one per durable protocol transition.
+type Kind byte
+
+// Record kinds.
 const (
 	// KindTask — the manager announced epoch E's sub-task to the workers.
-	KindTask = "task"
+	KindTask Kind = 'T'
 	// KindCommit — a worker's commitment arrived at the manager.
-	KindCommit = "commit"
+	KindCommit Kind = 'C'
 	// KindSamples — the manager drew a submission's sample indices.
-	KindSamples = "samples"
+	KindSamples Kind = 'S'
 	// KindVerdict — the manager recorded a submission's verification
 	// outcome.
-	KindVerdict = "verdict"
+	KindVerdict Kind = 'V'
 	// KindSeal — the epoch settled: aggregation done, stats final.
-	KindSeal = "seal"
+	KindSeal Kind = 'E'
 )
+
+func (k Kind) String() string {
+	switch k {
+	case KindTask:
+		return "task"
+	case KindCommit:
+		return "commit"
+	case KindSamples:
+		return "samples"
+	case KindVerdict:
+		return "verdict"
+	case KindSeal:
+		return "seal"
+	}
+	return fmt.Sprintf("kind(%#02x)", byte(k))
+}
+
+// body is a record type: it appends its binary body (header included) to dst.
+type body interface {
+	AppendBody(dst []byte) []byte
+}
 
 // Task records a task announcement.
 type Task struct {
-	Epoch int `json:"epoch"`
+	Epoch int
 	// GlobalDigest is fsio.Checksum over the announced global model's wire
 	// encoding; resume verifies its reconstructed weights against it.
-	GlobalDigest uint64 `json:"globalDigest"`
+	GlobalDigest uint64
 	// Workers is the pool size the task was announced to.
-	Workers int `json:"workers"`
+	Workers int
+}
+
+// AppendBody appends t's record body to dst.
+func (t Task) AppendBody(dst []byte) []byte {
+	dst = fsio.AppendBodyHeader(dst, byte(KindTask))
+	dst = fsio.AppendInt(dst, int64(t.Epoch))
+	dst = fsio.AppendUint64(dst, t.GlobalDigest)
+	return fsio.AppendInt(dst, int64(t.Workers))
+}
+
+// DecodeTask decodes a KindTask body.
+func DecodeTask(body []byte) (Task, error) {
+	r := fsio.ReadBody(body, byte(KindTask))
+	t := Task{Epoch: r.Int(), GlobalDigest: r.Uint64(), Workers: r.Int()}
+	return t, r.Done()
 }
 
 // Commit records one worker's received commitment.
 type Commit struct {
-	Epoch  int    `json:"epoch"`
-	Worker string `json:"worker"`
-	// Digest is fsio.Checksum over the 32-byte Merkle root. (Journals of
-	// builds that committed with an inline hash list hold its checksum, and
-	// no Root.)
-	Digest uint64 `json:"digest"`
+	Epoch  int
+	Worker string
+	// Digest is fsio.Checksum over the 32-byte Merkle root.
+	Digest uint64
 	// Root is the submitted Merkle root.
-	Root []byte `json:"root,omitempty"`
+	Root []byte
 	// NumCheckpoints is the committed snapshot count.
-	NumCheckpoints int `json:"numCheckpoints"`
+	NumCheckpoints int
+}
+
+// AppendBody appends c's record body to dst.
+func (c Commit) AppendBody(dst []byte) []byte {
+	dst = fsio.AppendBodyHeader(dst, byte(KindCommit))
+	dst = fsio.AppendInt(dst, int64(c.Epoch))
+	dst = fsio.AppendString(dst, c.Worker)
+	dst = fsio.AppendUint64(dst, c.Digest)
+	dst = fsio.AppendBlob(dst, c.Root)
+	return fsio.AppendInt(dst, int64(c.NumCheckpoints))
+}
+
+// DecodeCommit decodes a KindCommit body. Root aliases body.
+func DecodeCommit(body []byte) (Commit, error) {
+	r := fsio.ReadBody(body, byte(KindCommit))
+	c := Commit{Epoch: r.Int(), Worker: r.Str(), Digest: r.Uint64(), Root: r.Blob(), NumCheckpoints: r.Int()}
+	return c, r.Done()
 }
 
 // Samples records the sample indices drawn for one submission.
 type Samples struct {
-	Epoch   int    `json:"epoch"`
-	Worker  string `json:"worker"`
-	Indices []int  `json:"indices"`
+	Epoch   int
+	Worker  string
+	Indices []int
+}
+
+// AppendBody appends s's record body to dst.
+func (s Samples) AppendBody(dst []byte) []byte {
+	dst = fsio.AppendBodyHeader(dst, byte(KindSamples))
+	dst = fsio.AppendInt(dst, int64(s.Epoch))
+	dst = fsio.AppendString(dst, s.Worker)
+	dst = fsio.AppendLen(dst, len(s.Indices))
+	for _, i := range s.Indices {
+		dst = fsio.AppendInt(dst, int64(i))
+	}
+	return dst
+}
+
+// DecodeSamples decodes a KindSamples body.
+func DecodeSamples(body []byte) (Samples, error) {
+	r := fsio.ReadBody(body, byte(KindSamples))
+	s := Samples{Epoch: r.Int(), Worker: r.Str()}
+	if n := r.Len(1); n > 0 {
+		s.Indices = make([]int, n)
+		for i := range s.Indices {
+			s.Indices[i] = r.Int()
+		}
+	}
+	return s, r.Done()
 }
 
 // Verdict records one submission's verification outcome.
 type Verdict struct {
-	Epoch   int    `json:"epoch"`
-	Worker  string `json:"worker"`
-	Outcome string `json:"outcome"`
-	Reason  string `json:"reason,omitempty"`
+	Epoch   int
+	Worker  string
+	Outcome string
+	Reason  string
+}
+
+// AppendBody appends v's record body to dst.
+func (v Verdict) AppendBody(dst []byte) []byte {
+	dst = fsio.AppendBodyHeader(dst, byte(KindVerdict))
+	dst = fsio.AppendInt(dst, int64(v.Epoch))
+	dst = fsio.AppendString(dst, v.Worker)
+	dst = fsio.AppendString(dst, v.Outcome)
+	return fsio.AppendString(dst, v.Reason)
+}
+
+// DecodeVerdict decodes a KindVerdict body.
+func DecodeVerdict(body []byte) (Verdict, error) {
+	r := fsio.ReadBody(body, byte(KindVerdict))
+	v := Verdict{Epoch: r.Int(), Worker: r.Str(), Outcome: r.Str(), Reason: r.Str()}
+	return v, r.Done()
 }
 
 // Seal records a settled epoch: the stats the pool reported and the
 // resulting global model digest. A resumed run replays sealed epochs from
 // these records instead of re-running them.
 type Seal struct {
-	Epoch           int     `json:"epoch"`
-	TestAccuracy    float64 `json:"testAccuracy"`
-	Accepted        int     `json:"accepted"`
-	Rejected        int     `json:"rejected"`
-	Absent          int     `json:"absent"`
-	Detected        int     `json:"detected"`
-	Missed          int     `json:"missed"`
-	FalseRejections int     `json:"falseRejections"`
-	VerifyCommBytes int64   `json:"verifyCommBytes"`
-	ReexecSteps     int     `json:"reexecSteps"`
+	Epoch           int
+	TestAccuracy    float64
+	Accepted        int
+	Rejected        int
+	Absent          int
+	Detected        int
+	Missed          int
+	FalseRejections int
+	VerifyCommBytes int64
+	ReexecSteps     int
 	// GlobalDigest is fsio.Checksum over the post-aggregation global
 	// model's wire encoding.
-	GlobalDigest uint64 `json:"globalDigest"`
+	GlobalDigest uint64
 	// AcceptedWorkers lists the IDs whose submissions were accepted, in
 	// outcome order; resume replays reward credits from it.
-	AcceptedWorkers []string `json:"acceptedWorkers,omitempty"`
+	AcceptedWorkers []string
 }
 
-// logJSON marshals v and appends it under kind (pending until Sync).
-func (j *Journal) logJSON(kind string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("journal %s: %w", kind, err)
+// AppendBody appends s's record body to dst.
+func (s Seal) AppendBody(dst []byte) []byte {
+	dst = fsio.AppendBodyHeader(dst, byte(KindSeal))
+	dst = fsio.AppendInt(dst, int64(s.Epoch))
+	dst = fsio.AppendFloat(dst, s.TestAccuracy)
+	for _, n := range [...]int{s.Accepted, s.Rejected, s.Absent, s.Detected, s.Missed, s.FalseRejections} {
+		dst = fsio.AppendInt(dst, int64(n))
 	}
-	if _, err := j.Append(kind, data); err != nil {
-		return fmt.Errorf("journal %s: %w", kind, err)
+	dst = fsio.AppendInt(dst, s.VerifyCommBytes)
+	dst = fsio.AppendInt(dst, int64(s.ReexecSteps))
+	dst = fsio.AppendUint64(dst, s.GlobalDigest)
+	dst = fsio.AppendLen(dst, len(s.AcceptedWorkers))
+	for _, id := range s.AcceptedWorkers {
+		dst = fsio.AppendString(dst, id)
 	}
-	return nil
+	return dst
+}
+
+// DecodeSeal decodes a KindSeal body.
+func DecodeSeal(body []byte) (Seal, error) {
+	r := fsio.ReadBody(body, byte(KindSeal))
+	s := Seal{
+		Epoch:           r.Int(),
+		TestAccuracy:    r.Float(),
+		Accepted:        r.Int(),
+		Rejected:        r.Int(),
+		Absent:          r.Int(),
+		Detected:        r.Int(),
+		Missed:          r.Int(),
+		FalseRejections: r.Int(),
+		VerifyCommBytes: r.Int64(),
+		ReexecSteps:     r.Int(),
+		GlobalDigest:    r.Uint64(),
+	}
+	if n := r.Len(1); n > 0 {
+		s.AcceptedWorkers = make([]string, n)
+		for i := range s.AcceptedWorkers {
+			s.AcceptedWorkers[i] = r.Str()
+		}
+	}
+	return s, r.Done()
 }
 
 // LogTask appends a task-announced record.
-func (j *Journal) LogTask(t Task) error { return j.logJSON(KindTask, t) }
+func (j *Journal) LogTask(t Task) error { return j.log(KindTask, t) }
 
 // LogCommit appends a commitment-received record.
-func (j *Journal) LogCommit(c Commit) error { return j.logJSON(KindCommit, c) }
+func (j *Journal) LogCommit(c Commit) error { return j.log(KindCommit, c) }
 
 // LogSamples appends a samples-drawn record.
-func (j *Journal) LogSamples(s Samples) error { return j.logJSON(KindSamples, s) }
+func (j *Journal) LogSamples(s Samples) error { return j.log(KindSamples, s) }
 
 // LogVerdict appends a verdict record.
-func (j *Journal) LogVerdict(v Verdict) error { return j.logJSON(KindVerdict, v) }
+func (j *Journal) LogVerdict(v Verdict) error { return j.log(KindVerdict, v) }
 
 // LogSeal appends an epoch-sealed record.
-func (j *Journal) LogSeal(s Seal) error { return j.logJSON(KindSeal, s) }
+func (j *Journal) LogSeal(s Seal) error { return j.log(KindSeal, s) }
 
 // State is the protocol position a journal's intact records reconstruct:
 // the sealed epoch history plus whatever the in-flight epoch had durably
@@ -145,18 +272,22 @@ func (s *State) NextEpoch() int {
 }
 
 // Reconstruct folds a journal's intact records into a State. It fails on
-// structurally impossible histories (an epoch sealed twice with a gap, a
-// record body that does not parse) — those indicate a bug or tampering, not
-// a crash, and resuming from them would diverge silently.
+// structurally impossible histories (an epoch sealed twice with a gap) —
+// those indicate a bug or tampering, not a crash, and resuming from them
+// would diverge silently — and with fsio.ErrVersion on a body that is not
+// one of this build's kinds or does not decode as its kind.
 func Reconstruct(recs []Record) (*State, error) {
 	st := &State{InFlight: -1}
 	maxSealed := -1
 	for i, rec := range recs {
-		switch rec.Kind {
+		fail := func(err error) (*State, error) {
+			return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind(), err)
+		}
+		switch rec.Kind() {
 		case KindTask:
-			var t Task
-			if err := json.Unmarshal(rec.Data, &t); err != nil {
-				return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind, err)
+			t, err := DecodeTask(rec.Body)
+			if err != nil {
+				return fail(err)
 			}
 			if t.Epoch <= maxSealed {
 				continue // stale announcement of an already-sealed epoch
@@ -170,33 +301,33 @@ func Reconstruct(recs []Record) (*State, error) {
 			st.InFlight = t.Epoch
 			st.Task = &t
 		case KindCommit:
-			var c Commit
-			if err := json.Unmarshal(rec.Data, &c); err != nil {
-				return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind, err)
+			c, err := DecodeCommit(rec.Body)
+			if err != nil {
+				return fail(err)
 			}
 			if c.Epoch == st.InFlight {
 				st.Commits = append(st.Commits, c)
 			}
 		case KindSamples:
-			var s Samples
-			if err := json.Unmarshal(rec.Data, &s); err != nil {
-				return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind, err)
+			s, err := DecodeSamples(rec.Body)
+			if err != nil {
+				return fail(err)
 			}
 			if s.Epoch == st.InFlight {
 				st.Samples = append(st.Samples, s)
 			}
 		case KindVerdict:
-			var v Verdict
-			if err := json.Unmarshal(rec.Data, &v); err != nil {
-				return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind, err)
+			v, err := DecodeVerdict(rec.Body)
+			if err != nil {
+				return fail(err)
 			}
 			if v.Epoch == st.InFlight {
 				st.Verdicts = append(st.Verdicts, v)
 			}
 		case KindSeal:
-			var s Seal
-			if err := json.Unmarshal(rec.Data, &s); err != nil {
-				return nil, fmt.Errorf("journal record %d (%s): %w", i, rec.Kind, err)
+			s, err := DecodeSeal(rec.Body)
+			if err != nil {
+				return fail(err)
 			}
 			if s.Epoch <= maxSealed {
 				continue // duplicate seal from a crash-reappend race
@@ -210,10 +341,7 @@ func Reconstruct(recs []Record) (*State, error) {
 				st.ClearInFlight()
 			}
 		default:
-			// Unknown kinds are skipped, not fatal: a newer writer may add
-			// record types an older reader can ignore, and an older one
-			// (the per-checkpoint "ckpt" records workers once wrote here)
-			// may have left some this reader no longer needs.
+			return fail(fmt.Errorf("unknown record kind: %w", fsio.ErrVersion))
 		}
 	}
 	return st, nil

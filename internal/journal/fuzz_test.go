@@ -14,8 +14,8 @@ import (
 // covering the input.
 func FuzzJournalReplay(f *testing.F) {
 	// Intact two-record journal.
-	r1, _ := encodeRecord(nil, Record{Seq: 1, Kind: KindTask, Data: []byte(`{"epoch":0}`)})
-	r2, _ := encodeRecord(nil, Record{Seq: 2, Kind: KindSeal, Data: []byte(`{"epoch":0}`)})
+	r1 := encodeRecord(nil, Record{Seq: 1, Body: Task{Epoch: 0, GlobalDigest: 7, Workers: 2}.AppendBody(nil)})
+	r2 := encodeRecord(nil, Record{Seq: 2, Body: Seal{Epoch: 0, AcceptedWorkers: []string{"w"}}.AppendBody(nil)})
 	intact := append(append([]byte(nil), r1...), r2...)
 	f.Add(intact)
 	// Torn tail: second record cut mid-frame.
@@ -26,13 +26,13 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(fsio.AppendFrame(nil, []byte("tiny")))
 	// Raw garbage and pathological length prefixes.
 	f.Add([]byte("not a journal"))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add([]byte{})
 	// A phase's batch goes out as one append, so a crash tears it anywhere:
 	// inside the first record, on a record boundary, inside the last one.
 	var batch []byte
 	for seq := uint64(3); seq <= 6; seq++ {
-		batch, _ = encodeRecord(batch, Record{Seq: seq, Kind: KindCommit, Data: []byte(`{"epoch":1,"worker":"w"}`)})
+		batch = encodeRecord(batch, Record{Seq: seq, Body: Commit{Epoch: 1, Worker: "w", Root: make([]byte, 32)}.AppendBody(nil)})
 	}
 	whole := append(append([]byte(nil), intact...), batch...)
 	f.Add(whole)
@@ -52,11 +52,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("record %d: seq %d after %d", i, r.Seq, last)
 			}
 			last = r.Seq
-			var err error
-			reenc, err = encodeRecord(reenc, r)
-			if err != nil {
-				t.Fatalf("record %d does not re-encode: %v", i, err)
-			}
+			reenc = encodeRecord(reenc, r)
 		}
 		// With no duplicates, the kept prefix re-encodes to the input's
 		// leading bytes: Replay neither invents nor reorders records.

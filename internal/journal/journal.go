@@ -11,13 +11,15 @@
 // continues from the last durable transition instead of restarting the
 // epoch.
 //
-// Each record is one fsio frame whose payload carries a monotonically
-// increasing sequence number, a record kind, and the kind's JSON body. The
-// sequence numbers make replay idempotent: a record appended twice (the
-// crash landed between the write and the caller observing it, and the
-// resumed run re-appended) is detected and skipped. Replay never fails —
-// any suffix that does not parse as intact records is, by definition, the
-// torn tail.
+// The file opens with a versioned fsio header. Each record is one fsio frame
+// whose payload carries a monotonically increasing sequence number and the
+// record's binary body (fsio's body codec: magic, version, kind, fields). The
+// sequence numbers make replay idempotent: a record appended twice (the crash
+// landed between the write and the caller observing it, and the resumed run
+// re-appended) is detected and skipped. Replay never fails — any suffix that
+// does not parse as intact records is, by definition, the torn tail — but a
+// file whose header is not this build's is refused with fsio.ErrVersion
+// before anything is replayed or rewritten.
 package journal
 
 import (
@@ -36,61 +38,54 @@ type Record struct {
 	// Seq is the record's sequence number, strictly increasing within a
 	// journal file.
 	Seq uint64
-	// Kind names the record type (one of the Kind* constants).
-	Kind string
-	// Data is the kind-specific JSON body.
-	Data []byte
+	// Body is the record's binary body: fsio's three-byte body header, whose
+	// last byte is the record's Kind, then the kind's fields.
+	Body []byte
 }
 
-// Record payload layout inside an fsio frame: seq (8 bytes big-endian),
-// kind length (1 byte), kind, body.
-const recHeaderSize = 9
+// Kind returns the kind byte of the record's body header.
+func (r Record) Kind() Kind {
+	if len(r.Body) < 3 {
+		return 0
+	}
+	return Kind(r.Body[2])
+}
+
+// fileHeader opens every journal file.
+var fileHeader = fsio.Header("wl")
+
+// Record payload layout inside an fsio frame: seq (8 bytes big-endian), then
+// the body, which holds at least its three-byte header.
+const (
+	seqSize        = 8
+	minPayloadSize = seqSize + 3
+)
 
 // errBadRecord marks a frame whose payload is not a well-formed record.
 var errBadRecord = errors.New("journal: malformed record")
 
-// appendPayload appends a record's frame payload to dst.
-func appendPayload(dst []byte, r Record) ([]byte, error) {
-	if len(r.Kind) == 0 || len(r.Kind) > 255 {
-		return nil, fmt.Errorf("kind %q: %w", r.Kind, errBadRecord)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
-	dst = append(dst, byte(len(r.Kind)))
-	dst = append(dst, r.Kind...)
-	return append(dst, r.Data...), nil
-}
-
 // encodeRecord serializes a record into an fsio frame appended to dst.
-func encodeRecord(dst []byte, r Record) ([]byte, error) {
-	payload, err := appendPayload(make([]byte, 0, recHeaderSize+len(r.Kind)+len(r.Data)), r)
-	if err != nil {
-		return nil, err
-	}
-	return fsio.AppendFrame(dst, payload), nil
+func encodeRecord(dst []byte, r Record) []byte {
+	payload := binary.BigEndian.AppendUint64(make([]byte, 0, seqSize+len(r.Body)), r.Seq)
+	return fsio.AppendFrame(dst, append(payload, r.Body...))
 }
 
-// decodeRecord parses one frame payload.
+// decodeRecord parses one frame payload. The body's header is checked when
+// Reconstruct decodes it, so a body of another format is refused there with
+// fsio.ErrVersion rather than dropped here as a torn tail.
 func decodeRecord(payload []byte) (Record, error) {
-	if len(payload) < recHeaderSize {
+	if len(payload) < minPayloadSize {
 		return Record{}, fmt.Errorf("%d payload bytes: %w", len(payload), errBadRecord)
 	}
-	kindLen := int(payload[8])
-	if kindLen == 0 || recHeaderSize+kindLen > len(payload) {
-		return Record{}, fmt.Errorf("kind length %d in %d bytes: %w", kindLen, len(payload), errBadRecord)
-	}
-	return Record{
-		Seq:  binary.BigEndian.Uint64(payload[:8]),
-		Kind: string(payload[9 : 9+kindLen]),
-		Data: payload[recHeaderSize+kindLen:],
-	}, nil
+	return Record{Seq: binary.BigEndian.Uint64(payload), Body: payload[seqSize:]}, nil
 }
 
-// Replay parses a journal file's bytes into its intact record prefix. It
-// never fails and never panics: the first frame that is torn, corrupt, or
-// not a well-formed record ends the prefix, and everything from there on is
-// the discarded tail. Records whose sequence number does not increase are
-// duplicates from a crash-reappend race and are skipped (counted, not
-// kept). The returned records' Data alias the input.
+// Replay parses the frames that follow a journal's header into their intact
+// record prefix. It never fails and never panics: the first frame that is
+// torn, corrupt, or not a well-formed record ends the prefix, and everything
+// from there on is the discarded tail. Records whose sequence number does not
+// increase are duplicates from a crash-reappend race and are skipped
+// (counted, not kept). The returned records' Body alias the input.
 func Replay(data []byte) (recs []Record, discardedTail int, duplicates int) {
 	rest := data
 	var last uint64
@@ -112,6 +107,22 @@ func Replay(data []byte) (recs []Record, discardedTail int, duplicates int) {
 		last = rec.Seq
 	}
 	return recs, 0, duplicates
+}
+
+// Recover parses a whole journal file: its header, then Replay of the frames
+// behind it. A file that ends inside the header (an empty or missing one
+// included) is an empty journal whose every byte is the torn tail. A file
+// with another header is fsio.ErrVersion.
+func Recover(data []byte) (*Recovery, error) {
+	frames, err := fsio.SplitHeader(data, fileHeader)
+	if errors.Is(err, fsio.ErrTornFrame) {
+		return &Recovery{DiscardedTailBytes: len(data)}, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	recs, torn, dups := Replay(frames)
+	return &Recovery{Records: recs, DiscardedTailBytes: torn, SkippedDuplicates: dups}, nil
 }
 
 // Recovery summarizes what Open found on disk.
@@ -142,10 +153,11 @@ type Journal struct {
 	payload []byte
 }
 
-// Create truncates (or creates) the journal at path and opens it for
-// appending. Any previous content is discarded — use Open to recover.
+// Create truncates (or creates) the journal at path, leaving only its
+// header, and opens it for appending. Any previous content is discarded —
+// use Open to recover.
 func Create(fs fsio.FS, path string, o *obs.Observer) (*Journal, error) {
-	if err := fs.WriteFileAtomic(path, nil); err != nil {
+	if err := fs.WriteFileAtomic(path, []byte(fileHeader)); err != nil {
 		return nil, fmt.Errorf("journal create: %w", err)
 	}
 	ap, err := fs.Append(path)
@@ -157,23 +169,26 @@ func Create(fs fsio.FS, path string, o *obs.Observer) (*Journal, error) {
 
 // Open recovers the journal at path — replaying the intact prefix,
 // discarding the torn tail, skipping duplicates — and reopens it for
-// appending. When the tail was torn or duplicates were skipped, the intact
-// prefix is atomically rewritten first, so the file on disk is exactly the
-// records Recovery reports. A missing file is an empty journal.
+// appending. A file whose header is not this build's is refused with
+// fsio.ErrVersion before anything is replayed or written. When the tail was
+// torn, duplicates were skipped or the header is missing, the header and the
+// intact prefix are atomically rewritten first, so the file on disk is
+// exactly the records Recovery reports. A missing file is an empty journal.
 func Open(fs fsio.FS, path string, o *obs.Observer) (*Journal, *Recovery, error) {
 	o = o.OrDefault()
 	data, err := fs.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("journal open: %w", err)
 	}
-	recs, torn, dups := Replay(data)
-	if torn > 0 || dups > 0 {
-		var clean []byte
+	rec, err := Recover(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal open: %w", err)
+	}
+	recs, torn, dups := rec.Records, rec.DiscardedTailBytes, rec.SkippedDuplicates
+	if torn > 0 || dups > 0 || len(data) == 0 {
+		clean := []byte(fileHeader)
 		for _, r := range recs {
-			clean, err = encodeRecord(clean, r)
-			if err != nil {
-				return nil, nil, fmt.Errorf("journal rewrite: %w", err)
-			}
+			clean = encodeRecord(clean, r)
 		}
 		if err := fs.WriteFileAtomic(path, clean); err != nil {
 			return nil, nil, fmt.Errorf("journal rewrite: %w", err)
@@ -198,28 +213,23 @@ func Open(fs fsio.FS, path string, o *obs.Observer) (*Journal, *Recovery, error)
 		})
 	}
 	j := &Journal{fs: fs, path: path, obs: o, ap: ap, nextSeq: nextSeq}
-	return j, &Recovery{Records: recs, DiscardedTailBytes: torn, SkippedDuplicates: dups}, nil
+	return j, rec, nil
 }
 
-// Append frames one record of the given kind into the pending batch and
-// returns its sequence number. Nothing reaches the file before Sync: a caller
-// must Sync before it acts on the transition the record describes.
-func (j *Journal) Append(kind string, data []byte) (uint64, error) {
+// log frames one record of kind into the pending batch. Nothing reaches the
+// file before Sync: a caller must Sync before it acts on the transition the
+// record describes.
+func (j *Journal) log(kind Kind, b body) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.ap == nil {
-		return 0, errors.New("journal: closed")
+		return fmt.Errorf("journal %s: closed", kind)
 	}
-	seq := j.nextSeq
-	payload, err := appendPayload(j.payload[:0], Record{Seq: seq, Kind: kind, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	j.payload = payload
-	j.pending = fsio.AppendFrame(j.pending, payload)
+	j.payload = b.AppendBody(binary.BigEndian.AppendUint64(j.payload[:0], j.nextSeq))
+	j.pending = fsio.AppendFrame(j.pending, j.payload)
 	j.nextSeq++
 	j.obs.Counter("journal_records_total").Inc()
-	return seq, nil
+	return nil
 }
 
 // Sync writes the pending batch in one append and makes it durable. When it

@@ -1,8 +1,9 @@
 package journal
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(KindTask, nil); err == nil {
+	if err := j.LogTask(Task{Epoch: 1}); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 
@@ -52,11 +53,15 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, dups := Replay(data)
-	if torn != 0 || dups != 0 {
-		t.Fatalf("torn=%d dups=%d", torn, dups)
+	rec, err := Recover(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Kind != KindTask || recs[1].Kind != KindCommit {
+	recs := rec.Records
+	if rec.DiscardedTailBytes != 0 || rec.SkippedDuplicates != 0 {
+		t.Fatalf("torn=%d dups=%d", rec.DiscardedTailBytes, rec.SkippedDuplicates)
+	}
+	if len(recs) != 2 || recs[0].Kind() != KindTask || recs[1].Kind() != KindCommit {
 		t.Fatalf("records = %+v", recs)
 	}
 	if recs[0].Seq != 1 || recs[1].Seq != 2 {
@@ -82,8 +87,8 @@ func TestSyncIsTheOnlyBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if data, err := fsio.OS.ReadFile(path); err != nil || len(data) != 0 {
-		t.Fatalf("before Sync the file holds %d bytes (%v), want none", len(data), err)
+	if data, err := fsio.OS.ReadFile(path); err != nil || string(data) != fileHeader {
+		t.Fatalf("before Sync the file holds %d bytes (%v), want only its header", len(data), err)
 	}
 	if got := counter.Writes() - created; got != 0 {
 		t.Fatalf("three Log calls issued %d durable operations, want 0", got)
@@ -98,8 +103,8 @@ func TestSyncIsTheOnlyBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, torn, _ := Replay(data); len(recs) != 3 || torn != 0 {
-		t.Fatalf("after Sync: %d records, %d torn bytes", len(recs), torn)
+	if rec, err := Recover(data); err != nil || len(rec.Records) != 3 || rec.DiscardedTailBytes != 0 {
+		t.Fatalf("after Sync: %+v, %v", rec, err)
 	}
 	// A Sync with nothing pending is still a barrier, and writes nothing.
 	if err := j.Sync(); err != nil {
@@ -137,9 +142,12 @@ func TestSyncIsTheOnlyBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _, dups := Replay(data)
-		if len(recs) < 1 || len(recs) > 5 || dups != 0 || recs[0].Kind != KindTask {
-			t.Fatalf("seed %d: replayed %d records (%d dups) after a torn batch", seed, len(recs), dups)
+		rec, err := Recover(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs := rec.Records; len(recs) < 1 || len(recs) > 5 || rec.SkippedDuplicates != 0 || recs[0].Kind() != KindTask {
+			t.Fatalf("seed %d: replayed %d records (%d dups) after a torn batch", seed, len(recs), rec.SkippedDuplicates)
 		}
 	}
 }
@@ -148,16 +156,12 @@ func TestReplayTable(t *testing.T) {
 	mk := func(n int) []byte {
 		var buf []byte
 		for i := 1; i <= n; i++ {
-			frame, err := encodeRecord(nil, Record{Seq: uint64(i), Kind: "k", Data: []byte("{}")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf = append(buf, frame...)
+			buf = encodeRecord(buf, Record{Seq: uint64(i), Body: Verdict{Worker: "w"}.AppendBody(nil)})
 		}
 		return buf
 	}
 	whole := mk(3)
-	frame1, _ := encodeRecord(nil, Record{Seq: 1, Kind: "k", Data: []byte("{}")})
+	frame1 := encodeRecord(nil, Record{Seq: 1, Body: Verdict{Worker: "w"}.AppendBody(nil)})
 
 	cases := []struct {
 		name     string
@@ -172,7 +176,7 @@ func TestReplayTable(t *testing.T) {
 		{"torn mid-length-prefix", whole[:len(frame1)+2], 1, true, 0},
 		{"bit flip ends prefix", func() []byte {
 			d := append([]byte(nil), whole...)
-			d[len(frame1)+9] ^= 0x40 // corrupt the second record's body
+			d[len(frame1)+17] ^= 0x40 // corrupt the second record's body
 			return d
 		}(), 1, true, 0},
 		{"duplicate seq skipped", append(append([]byte(nil), whole...), whole[:len(frame1)]...), 3, false, 1},
@@ -236,9 +240,13 @@ func TestOpenDiscardsTornTailAndRewrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, dups := Replay(data)
-	if torn != 0 || dups != 0 || len(recs) != 3 {
-		t.Fatalf("after reopen: %d records, torn=%d dups=%d", len(recs), torn, dups)
+	rec, err = Recover(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := rec.Records
+	if rec.DiscardedTailBytes != 0 || rec.SkippedDuplicates != 0 || len(recs) != 3 {
+		t.Fatalf("after reopen: %+v", rec)
 	}
 	if recs[2].Seq != recs[1].Seq+1 {
 		t.Fatalf("sequence not continued: %d after %d", recs[2].Seq, recs[1].Seq)
@@ -257,6 +265,24 @@ func TestOpenMissingFileIsEmptyJournal(t *testing.T) {
 	}
 	if err := j.LogTask(Task{Epoch: 0}); err != nil {
 		t.Fatal(err)
+	}
+
+	// A first write torn inside the header is an empty journal too, and the
+	// header is rewritten whole.
+	torn := filepath.Join(t.TempDir(), "torn.wal")
+	if err := fsio.OS.WriteFileAtomic(torn, []byte(fileHeader[:3])); err != nil {
+		t.Fatal(err)
+	}
+	j, rec, err = Open(fsio.OS, torn, testObserver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(rec.Records) != 0 || rec.DiscardedTailBytes != 3 {
+		t.Fatalf("torn header: recovery = %+v", rec)
+	}
+	if data, err := fsio.OS.ReadFile(torn); err != nil || string(data) != fileHeader {
+		t.Fatalf("torn header rewritten as %q (%v)", data, err)
 	}
 }
 
@@ -279,23 +305,15 @@ func TestJournalRecordsMetric(t *testing.T) {
 
 func TestReconstructMidEpoch(t *testing.T) {
 	recs := []Record{}
-	add := func(kind string, v any) {
-		t.Helper()
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, Record{Seq: uint64(len(recs) + 1), Kind: kind, Data: data})
+	add := func(b body) {
+		recs = append(recs, Record{Seq: uint64(len(recs) + 1), Body: b.AppendBody(nil)})
 	}
-	add(KindTask, Task{Epoch: 0, GlobalDigest: 1, Workers: 2})
-	add(KindCommit, Commit{Epoch: 0, Worker: "w-0", Digest: 5, NumCheckpoints: 3})
-	add(KindSeal, Seal{Epoch: 0, Accepted: 2, GlobalDigest: 9, AcceptedWorkers: []string{"w-0", "w-1"}})
-	add(KindTask, Task{Epoch: 1, GlobalDigest: 9, Workers: 2})
-	// A journal the parent format wrote interleaves the workers' "ckpt"
-	// records; this reader skips them (the in-flight epoch then retrains).
-	add("ckpt", map[string]any{"epoch": 1, "worker": "w-0", "index": 0, "step": 0, "digest": 11})
-	add(KindCommit, Commit{Epoch: 1, Worker: "w-0", Digest: 6, NumCheckpoints: 3})
-	add("ckpt", map[string]any{"epoch": 1, "worker": "w-1", "index": 1, "step": 3, "digest": 12})
+	add(Task{Epoch: 0, GlobalDigest: 1, Workers: 2})
+	add(Commit{Epoch: 0, Worker: "w-0", Digest: 5, NumCheckpoints: 3})
+	add(Seal{Epoch: 0, Accepted: 2, GlobalDigest: 9, AcceptedWorkers: []string{"w-0", "w-1"}})
+	add(Task{Epoch: 1, GlobalDigest: 9, Workers: 2})
+	add(Commit{Epoch: 1, Worker: "w-0", Digest: 6, NumCheckpoints: 3})
+	add(Verdict{Epoch: 1, Worker: "w-0", Outcome: "accepted"})
 
 	st, err := Reconstruct(recs)
 	if err != nil {
@@ -314,8 +332,12 @@ func TestReconstructMidEpoch(t *testing.T) {
 		t.Fatalf("in-flight commits = %+v", st.Commits)
 	}
 
+	if len(st.Verdicts) != 1 || st.Verdicts[0].Outcome != "accepted" {
+		t.Fatalf("in-flight verdicts = %+v", st.Verdicts)
+	}
+
 	// A retried attempt's task record supersedes the first attempt.
-	add(KindTask, Task{Epoch: 1, GlobalDigest: 9, Workers: 2})
+	add(Task{Epoch: 1, GlobalDigest: 9, Workers: 2})
 	st, err = Reconstruct(recs)
 	if err != nil {
 		t.Fatal(err)
@@ -326,31 +348,89 @@ func TestReconstructMidEpoch(t *testing.T) {
 }
 
 func TestReconstructRejectsEpochGaps(t *testing.T) {
-	sealData, err := json.Marshal(Seal{Epoch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Reconstruct([]Record{{Seq: 1, Kind: KindSeal, Data: sealData}})
+	_, err := Reconstruct([]Record{{Seq: 1, Body: Seal{Epoch: 2}.AppendBody(nil)}})
 	if err == nil {
 		t.Fatal("seal gap accepted")
 	}
-	taskData, err := json.Marshal(Task{Epoch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Reconstruct([]Record{{Seq: 1, Kind: KindTask, Data: taskData}})
+	_, err = Reconstruct([]Record{{Seq: 1, Body: Task{Epoch: 3}.AppendBody(nil)}})
 	if err == nil {
 		t.Fatal("task gap accepted")
 	}
-	// Malformed bodies are errors, not silent skips.
-	_, err = Reconstruct([]Record{{Seq: 1, Kind: KindTask, Data: []byte("{broken")}})
-	if err == nil {
-		t.Fatal("malformed body accepted")
+	// A body that is not this build's format — a truncated field, trailing
+	// bytes, another version, an unknown kind, the parent's JSON — is one
+	// typed error, never a silent skip.
+	task := Task{Epoch: 0, Workers: 2}.AppendBody(nil)
+	otherVersion := append([]byte(nil), task...)
+	otherVersion[1]++
+	for name, body := range map[string][]byte{
+		"truncated":     task[:len(task)-1],
+		"trailing":      append(append([]byte(nil), task...), 0),
+		"other version": otherVersion,
+		"unknown kind":  append(fsio.AppendBodyHeader(nil, 'Z'), 0),
+		"json":          []byte(`{"epoch":0,"workers":2}`),
+	} {
+		if _, err := Reconstruct([]Record{{Seq: 1, Body: body}}); !errors.Is(err, fsio.ErrVersion) {
+			t.Errorf("%s body: err = %v, want fsio.ErrVersion", name, err)
+		}
 	}
-	// Unknown kinds are forward-compatible no-ops.
-	st, err := Reconstruct([]Record{{Seq: 1, Kind: "future-kind", Data: []byte("{}")}})
-	if err != nil || st.InFlight != -1 {
-		t.Fatalf("unknown kind: %+v, %v", st, err)
+}
+
+// TestBodiesRoundTrip holds every record kind's body to an exact round trip,
+// negative and empty fields included.
+func TestBodiesRoundTrip(t *testing.T) {
+	seal := Seal{Epoch: 3, TestAccuracy: 0.1 + 0.2, Accepted: 5, Rejected: 2, Absent: 1, Detected: 2,
+		Missed: 0, FalseRejections: -1, VerifyCommBytes: 1 << 40, ReexecSteps: 17, GlobalDigest: ^uint64(0),
+		AcceptedWorkers: []string{"w-0", "", "w-2"}}
+	got, err := DecodeSeal(seal.AppendBody(nil))
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(seal) {
+		t.Fatalf("seal %+v, %v; want %+v", got, err, seal)
+	}
+	commit := Commit{Epoch: 1, Worker: "w-1", Digest: 9, Root: bytes.Repeat([]byte{7}, 32), NumCheckpoints: 9}
+	if got, err := DecodeCommit(commit.AppendBody(nil)); err != nil || fmt.Sprint(got) != fmt.Sprint(commit) {
+		t.Fatalf("commit %+v, %v; want %+v", got, err, commit)
+	}
+	samples := Samples{Epoch: 2, Worker: "w", Indices: []int{0, 1, 1 << 20}}
+	if got, err := DecodeSamples(samples.AppendBody(nil)); err != nil || fmt.Sprint(got) != fmt.Sprint(samples) {
+		t.Fatalf("samples %+v, %v; want %+v", got, err, samples)
+	}
+	verdict := Verdict{Epoch: 2, Worker: "w", Outcome: "rejected", Reason: "lsh miss"}
+	if got, err := DecodeVerdict(verdict.AppendBody(nil)); err != nil || got != verdict {
+		t.Fatalf("verdict %+v, %v; want %+v", got, err, verdict)
+	}
+	task := Task{Epoch: 4, GlobalDigest: 1 << 63, Workers: 10}
+	if got, err := DecodeTask(task.AppendBody(nil)); err != nil || got != task {
+		t.Fatalf("task %+v, %v; want %+v", got, err, task)
+	}
+}
+
+// TestOpenRefusesOtherFormats: a journal whose header is not this build's —
+// the parent's headerless frames, or this build's header with any one bit
+// flipped — is refused with fsio.ErrVersion before anything is replayed or
+// rewritten, never read as an empty journal with a torn tail.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "epoch.wal")
+	writeRecords(t, path, 2)
+	good, err := fsio.OS.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parent's layout: the same frames with no header in front.
+	files := [][]byte{good[len(fileHeader):]}
+	for bit := 0; bit < 8*len(fileHeader); bit++ {
+		flipped := append([]byte(nil), good...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		files = append(files, flipped)
+	}
+	for i, data := range files {
+		if err := fsio.OS.WriteFileAtomic(path, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(fsio.OS, path, testObserver()); !errors.Is(err, fsio.ErrVersion) {
+			t.Fatalf("file %d: Open err = %v, want fsio.ErrVersion", i, err)
+		}
+		if after, err := fsio.OS.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("file %d: Open rewrote a refused journal (%v)", i, err)
+		}
 	}
 }
 
@@ -366,8 +446,8 @@ func TestCreateTruncatesPreviousContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 0 {
-		t.Fatalf("Create left %d bytes", len(data))
+	if string(data) != fileHeader {
+		t.Fatalf("Create left %d bytes, want only the header", len(data))
 	}
 }
 

@@ -98,7 +98,7 @@ func (a *recordingAppender) Write(data []byte) (int, error) {
 		recs, _, _ := journal.Replay(data)
 		kinds := make([]string, len(recs))
 		for i, r := range recs {
-			kinds[i] = r.Kind
+			kinds[i] = r.Kind().String()
 		}
 		ev.kinds = strings.Join(kinds, ",")
 	}
@@ -191,7 +191,11 @@ func TestDurableEpochSyncsOncePerPhase(t *testing.T) {
 				return ev.op == op && ev.name == name && (worker == "" || ev.worker == worker)
 			}
 		}
-		journalWrite := func(kinds ...string) func(durableEvent) bool {
+		journalWrite := func(want ...journal.Kind) func(durableEvent) bool {
+			var kinds []string
+			for _, k := range want {
+				kinds = append(kinds, k.String())
+			}
 			return func(ev durableEvent) bool {
 				if ev.op != "write" || ev.file != journalFile {
 					return false

@@ -1,119 +1,214 @@
 package pool
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"rpol/internal/fsio"
-	"rpol/internal/obs"
 )
 
-// TestResumeParentFormatJournal resumes a journal directory the parent
-// commit (PR 22) wrote: testdata/journal_pr22 holds the epoch.wal and
-// state.bin of a 2-worker pool that sealed epoch 0 and crashed inside epoch 1
-// while a worker was journaling a `ckpt` record. That build kept one
-// ckpt-N.bin file per checkpoint beside the journal (recreated here; their
-// content no longer matters). This build skips the `ckpt` records, retrains
-// the in-flight epoch, and clears the old files at its first truncation.
-//
-// The fixture's epoch 0 was trained under the device noise stream that keyed
-// noise replaced, so its sealed model is not the one this build trains: the
-// resumed pool continues from the model the journal sealed, and its epoch 1
-// is pinned to a second resume of the same fixture rather than to a fresh run.
+// Parent-format files: testdata/journal_pr22 holds the epoch.wal and
+// state.bin of a 2-worker pool that sealed epoch 0 and crashed inside epoch
+// 1, written in the JSON-bodied, FNV-checksummed format; testdata/segment_fnv
+// holds a checkpoint segment of the same format (its header frame).
+var parentFiles = map[string]string{
+	journalFile:                  filepath.Join("testdata", "journal_pr22", journalFile),
+	stateFile:                    filepath.Join("testdata", "journal_pr22", stateFile),
+	"ckpt-worker-00/segment.bin": filepath.Join("testdata", "segment_fnv", "segment.bin"),
+	"ckpt-worker-01/segment.bin": filepath.Join("testdata", "segment_fnv", "segment.bin"),
+}
+
+// readTree returns every regular file under dir by slash-separated relative
+// path.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	tree := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		tree[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+func sameTree(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, data := range a {
+		if other, ok := b[name]; !ok || !bytes.Equal(data, other) {
+			return false
+		}
+	}
+	return true
+}
+
+// writeFile puts data at dir/name, creating its directory.
+func writeFile(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	path := filepath.Join(dir, filepath.FromSlash(name))
+	if err := fsio.OS.MkdirAll(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsio.OS.WriteFileAtomic(path, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeParentFormatJournal holds the one deliberate format break to its
+// promise. A directory the parent format wrote — the JSON-bodied,
+// FNV-checksummed journal, state file and segments — is refused with
+// fsio.ErrVersion and left byte-identical, whichever of its files is the
+// foreign one; so is a directory of this build's whose durable files carry a
+// single flipped bit in their version header. Refusal happens before the
+// journal could read its foreign frames as a torn tail and rewrite them. A
+// directory this build wrote, crashed inside epoch 1 like the parent's
+// fixture, resumes bit-identically to the uninterrupted run.
 func TestResumeParentFormatJournal(t *testing.T) {
 	const epochs = 2
-	config := func(dir string) Config {
-		cfg := journaledConfig(1, dir, nil)
+	config := func(dir string, fs fsio.FS) Config {
+		cfg := journaledConfig(1, dir, fs)
 		cfg.CheckpointEvery = 3 // what the parent's recovery suite ran
 		return cfg
 	}
-	fresh, err := New(config(t.TempDir()))
+	counter := fsio.NewFaultFS(fsio.OS, nil)
+	fresh, err := New(config(t.TempDir(), counter))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	want, err := fresh.RunEpochs(epochs)
+	first, err := fresh.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sealedOps := counter.Writes()
+	second, err := fresh.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []epochSummary{summarize(first), summarize(second)}
 
-	// resume copies the fixture into a fresh directory, resumes it and runs
-	// the in-flight epoch.
-	resume := func() (*Pool, *EpochStats, *obs.Observer, string) {
+	// thisBuild writes this build's directory: epoch 0 sealed, then a crash
+	// a few durable operations into epoch 1, and a torn frame at the end of
+	// the journal — which a resume cuts away, so a refusal that came after
+	// the journal's recovery would show as a rewritten file.
+	thisBuild := func() string {
+		t.Helper()
 		dir := t.TempDir()
-		for _, name := range []string{journalFile, stateFile} {
-			data, err := fsio.OS.ReadFile(filepath.Join("testdata", "journal_pr22", name))
+		crashed, err := New(config(dir, fsio.NewFaultFS(fsio.OS, fsio.CrashAtWrite(1, sealedOps+4))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := crashed.RunEpochs(epochs); !errors.Is(err, fsio.ErrInjectedCrash) {
+			t.Fatalf("the crash inside epoch 1 did not fire: %v", err)
+		}
+		_ = crashed.Close()
+		wal := filepath.Join(dir, journalFile)
+		data, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := fsio.AppendFrame(nil, []byte("a record cut short"))
+		writeFile(t, dir, journalFile, append(data, torn[:len(torn)/2]...))
+		return dir
+	}
+	resume := func(dir string) (*Pool, error) {
+		cfg := config(dir, nil)
+		cfg.Resume = true
+		return New(cfg)
+	}
+	// refused holds a resume of dir to the typed error and to leaving every
+	// file as it was.
+	refused := func(t *testing.T, dir string) {
+		t.Helper()
+		before := readTree(t, dir)
+		p, err := resume(dir)
+		if err == nil {
+			_ = p.Close()
+		}
+		if !errors.Is(err, fsio.ErrVersion) {
+			t.Fatalf("resume err = %v, want fsio.ErrVersion", err)
+		}
+		if !sameTree(before, readTree(t, dir)) {
+			t.Fatal("a refused resume changed the directory")
+		}
+	}
+
+	t.Run("this build's journal resumes bit-identically", func(t *testing.T) {
+		p, err := resume(thisBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if rec := p.Recovered(); len(rec) != 1 || sealSummary(rec[0]) != want[0] {
+			t.Fatalf("recovered seals %+v, want epoch 0 %+v", rec, want[0])
+		}
+		stats, err := p.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := summarize(stats); got != want[1] {
+			t.Fatalf("epoch 1 after resume:\n  got  %+v\n  want %+v", got, want[1])
+		}
+		if got, want := globalDigest(p), globalDigest(fresh); got != want {
+			t.Fatalf("global digest %x after resume, want %x", got, want)
+		}
+	})
+
+	t.Run("the parent's directory is refused untouched", func(t *testing.T) {
+		dir := t.TempDir()
+		for name, src := range parentFiles {
+			data, err := os.ReadFile(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fsio.OS.WriteFileAtomic(filepath.Join(dir, name), data); err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, dir, name, data)
 		}
-		for _, worker := range []string{"worker-00", "worker-01"} {
-			ckpt := filepath.Join(dir, "ckpt-"+worker)
-			if err := fsio.OS.MkdirAll(ckpt); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range []string{"ckpt-0.bin", "ckpt-1.bin", "ckpt-2.bin"} {
-				if err := fsio.OS.WriteFileAtomic(filepath.Join(ckpt, name), fsio.EncodeFile([]byte("a parent-format checkpoint"))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		cfg := config(dir)
-		cfg.Resume = true
-		cfg.Obs = obs.NewObserver(obs.NewRegistry(), nil)
-		resumed, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = resumed.Close() })
-		if resumed.CompletedEpochs() != 1 {
-			t.Fatalf("resumed at epoch %d, want 1", resumed.CompletedEpochs())
-		}
-		stats, err := resumed.RunEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resumed, stats, cfg.Obs, dir
-	}
-	resumed, stats, o, dir := resume()
+		refused(t, dir)
+	})
 
-	// The parent's pool committed with an inline hash list and its verifier
-	// re-opened leaves it already held, so its seal bills other verification
-	// bytes; every other number — the test accuracy of the model the old
-	// stream trained included — is this build's.
-	rec := resumed.Recovered()
-	if len(rec) != 1 {
-		t.Fatalf("recovered %d seals, want 1", len(rec))
+	// One parent-format file in a directory of this build's: each is
+	// checked before the journal replays or rewrites anything.
+	for _, name := range []string{journalFile, stateFile, "ckpt-worker-00/segment.bin"} {
+		t.Run("parent-format "+name, func(t *testing.T) {
+			dir := thisBuild()
+			data, err := os.ReadFile(parentFiles[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, dir, name, data)
+			refused(t, dir)
+		})
 	}
-	parent, this := sealSummary(rec[0]), summarize(want[0])
-	parent.VerifyCommBytes = this.VerifyCommBytes
-	if parent != this {
-		t.Fatalf("the parent's seal of epoch 0 %+v is not this build's epoch 0 %+v", rec, this)
-	}
-	if stats.FalseRejections != 0 || stats.Accepted != resumed.cfg.NumWorkers {
-		t.Fatalf("epoch 1 after resuming the parent's journal accepted %d of %d honest workers", stats.Accepted, resumed.cfg.NumWorkers)
-	}
-	again, againStats, _, _ := resume()
-	if summarize(stats) != summarize(againStats) {
-		t.Fatalf("epoch 1 differs between two resumes of one journal:\n  %+v\n  %+v", summarize(stats), summarize(againStats))
-	}
-	if got, want := globalDigest(resumed), globalDigest(again); got != want {
-		t.Fatalf("global digest %x, a second resume's %x", got, want)
-	}
-	if n := o.Counter("rpol_resumed_checkpoints_total").Value(); n != 0 {
-		t.Errorf("adopted %d checkpoints from a format this build does not read", n)
-	}
-	for _, worker := range []string{"worker-00", "worker-01"} {
-		names, err := fsio.OS.ReadDir(filepath.Join(dir, "ckpt-"+worker))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) != 1 || strings.HasPrefix(names[0], "ckpt-") {
-			t.Errorf("ckpt-%s holds %v after an epoch, want only the segment", worker, names)
-		}
+
+	// Every bit of every durable file's version header.
+	for _, name := range []string{journalFile, stateFile, "ckpt-worker-00/segment.bin", "ckpt-worker-01/segment.bin"} {
+		t.Run("flipped header bit in "+name, func(t *testing.T) {
+			dir := thisBuild()
+			good := readTree(t, dir)[name]
+			if len(good) < 8 {
+				t.Fatalf("%s holds %d bytes, want at least its header", name, len(good))
+			}
+			for bit := 0; bit < 64; bit++ {
+				flipped := append([]byte(nil), good...)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				writeFile(t, dir, name, flipped)
+				refused(t, dir)
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@
 package pool
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -247,8 +246,9 @@ type Pool struct {
 	recovered []journal.Seal
 
 	// encBuf is the reused global-model encode scratch for seal digests and
-	// resume checks; the pool runs epochs sequentially, so one suffices.
-	encBuf []byte
+	// resume checks, stateBuf and fileBuf the state snapshot's body and file;
+	// the pool runs epochs sequentially, so one of each suffices.
+	encBuf, stateBuf, fileBuf []byte
 }
 
 // diskState is the atomically-written per-epoch snapshot (state.bin): the
@@ -257,9 +257,42 @@ type Pool struct {
 // crash between the two is reconciled on resume by adopting LastSeal as the
 // missing seal — the invariant is state.Epoch ∈ {#seals, #seals+1}.
 type diskState struct {
-	Epoch    int           `json:"epoch"`
-	Global   []byte        `json:"global"`
-	LastSeal *journal.Seal `json:"lastSeal,omitempty"`
+	Epoch    int
+	Global   []byte
+	LastSeal *journal.Seal
+}
+
+// stateKind is the body kind byte of state.bin. Its body is the epoch, the
+// global model's wire encoding, then the last seal's journal body to the end.
+const stateKind = 'P'
+
+// appendBody appends the state snapshot's body to dst.
+func (ds diskState) appendBody(dst []byte) []byte {
+	dst = fsio.AppendBodyHeader(dst, stateKind)
+	dst = fsio.AppendInt(dst, int64(ds.Epoch))
+	dst = fsio.AppendBlob(dst, ds.Global)
+	if ds.LastSeal != nil {
+		dst = ds.LastSeal.AppendBody(dst)
+	}
+	return dst
+}
+
+// decodeState decodes a state snapshot's body; Global aliases body.
+func decodeState(body []byte) (diskState, error) {
+	r := fsio.ReadBody(body, stateKind)
+	ds := diskState{Epoch: r.Int(), Global: r.Blob()}
+	seal := r.Rest()
+	if err := r.Done(); err != nil {
+		return diskState{}, err
+	}
+	if len(seal) > 0 {
+		s, err := journal.DecodeSeal(seal)
+		if err != nil {
+			return diskState{}, err
+		}
+		ds.LastSeal = &s
+	}
+	return ds, nil
 }
 
 // Durability file names under Config.Journal.
@@ -412,31 +445,18 @@ func New(cfg Config) (*Pool, error) {
 	}
 
 	// Durability layer: open (or create) the manager's epoch journal and give
-	// every honest worker its own append-only checkpoint segment.
+	// every honest worker its own append-only checkpoint segment. A resume
+	// checks every durable file's format before the journal may rewrite its
+	// torn tail, so a directory of another format is refused untouched.
 	var (
-		j   *journal.Journal
-		st  *journal.State
-		rec *journal.Recovery
+		j     *journal.Journal
+		st    *journal.State
+		rec   *journal.Recovery
+		state *diskState
 	)
 	if cfg.Journal != "" {
 		if err := cfg.FS.MkdirAll(cfg.Journal); err != nil {
 			return nil, fmt.Errorf("pool journal dir: %w", err)
-		}
-		walPath := filepath.Join(cfg.Journal, journalFile)
-		if cfg.Resume {
-			j, rec, err = journal.Open(cfg.FS, walPath, observer)
-			if err != nil {
-				return nil, fmt.Errorf("pool journal: %w", err)
-			}
-			st, err = journal.Reconstruct(rec.Records)
-			if err != nil {
-				return nil, fmt.Errorf("pool journal: %w", err)
-			}
-		} else {
-			j, err = journal.Create(cfg.FS, walPath, observer)
-			if err != nil {
-				return nil, fmt.Errorf("pool journal: %w", err)
-			}
 		}
 		for _, w := range raw {
 			hw, ok := w.(*rpol.HonestWorker)
@@ -447,7 +467,32 @@ func New(cfg Config) (*Pool, error) {
 			if err != nil {
 				return nil, fmt.Errorf("pool journal: %w", err)
 			}
+			if cfg.Resume {
+				if err := seg.CheckVersion(); err != nil {
+					return nil, fmt.Errorf("pool resume: %w", err)
+				}
+			}
 			hw.SetSegment(seg)
+		}
+		walPath := filepath.Join(cfg.Journal, journalFile)
+		if cfg.Resume {
+			if state, err = readState(cfg.FS, cfg.Journal); err != nil {
+				return nil, err
+			}
+			j, rec, err = journal.Open(cfg.FS, walPath, observer)
+			if err != nil {
+				return nil, fmt.Errorf("pool journal: %w", err)
+			}
+			st, err = journal.Reconstruct(rec.Records)
+			if err != nil {
+				_ = j.Close()
+				return nil, fmt.Errorf("pool journal: %w", err)
+			}
+		} else {
+			j, err = journal.Create(cfg.FS, walPath, observer)
+			if err != nil {
+				return nil, fmt.Errorf("pool journal: %w", err)
+			}
 		}
 	}
 
@@ -507,7 +552,7 @@ func New(cfg Config) (*Pool, error) {
 		journal:  j,
 	}
 	if cfg.Resume && st != nil {
-		if err := p.applyRecovery(st, raw); err != nil {
+		if err := p.applyRecovery(st, state, raw); err != nil {
 			return nil, err
 		}
 	}
@@ -520,29 +565,11 @@ func New(cfg Config) (*Pool, error) {
 // epoch's durable checkpoint prefix. Device noise is keyed by each task's
 // nonce and step, so no worker has noise to replay, whichever epochs it
 // trained or was down for.
-func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
+func (p *Pool) applyRecovery(st *journal.State, ds *diskState, raw []rpol.Worker) error {
 	// Reconcile the one crash window the write order leaves open: state.bin
 	// lands atomically BEFORE the seal record, so the state file may be one
 	// epoch ahead of the journal — its embedded seal is the missing record.
-	var ds diskState
-	haveState := false
-	stateData, err := p.fs.ReadFile(filepath.Join(p.cfg.Journal, stateFile))
-	switch {
-	case err == nil:
-		payload, err := fsio.DecodeFile(stateData)
-		if err != nil {
-			return fmt.Errorf("pool resume: state file: %w", err)
-		}
-		if err := json.Unmarshal(payload, &ds); err != nil {
-			return fmt.Errorf("pool resume: state file: %w", err)
-		}
-		haveState = true
-	case errors.Is(err, os.ErrNotExist):
-		// No epoch ever sealed; resume is a fresh run.
-	default:
-		return fmt.Errorf("pool resume: %w", err)
-	}
-	if !haveState {
+	if ds == nil {
 		if len(st.Sealed) > 0 {
 			return fmt.Errorf("pool resume: %d sealed epochs but no state file", len(st.Sealed))
 		}
@@ -609,6 +636,27 @@ func (p *Pool) applyRecovery(st *journal.State, raw []rpol.Worker) error {
 		Detail: fmt.Sprintf("sealed=%d inFlight=%d", completed, st.InFlight),
 	})
 	return nil
+}
+
+// readState reads and decodes dir's state.bin; a missing file is nil (no
+// epoch ever sealed).
+func readState(fs fsio.FS, dir string) (*diskState, error) {
+	data, err := fs.ReadFile(filepath.Join(dir, stateFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pool resume: %w", err)
+	}
+	body, err := fsio.DecodeFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("pool resume: state file: %w", err)
+	}
+	ds, err := decodeState(body)
+	if err != nil {
+		return nil, fmt.Errorf("pool resume: state file: %w", err)
+	}
+	return &ds, nil
 }
 
 // CompletedEpochs returns the number of sealed epochs (including recovered
@@ -766,8 +814,8 @@ func (p *Pool) sealEpoch(stats *EpochStats, report *rpol.EpochReport) error {
 			accepted = append(accepted, o.WorkerID)
 		}
 	}
-	// The encode scratch doubles as the snapshot payload: json.Marshal
-	// consumes it synchronously below, so reuse is safe.
+	// The encode scratch doubles as the snapshot's global: appendBody copies
+	// it synchronously below, so reuse is safe.
 	p.encBuf = p.manager.Global().AppendEncode(p.encBuf[:0])
 	global := p.encBuf
 	seal := journal.Seal{
@@ -784,11 +832,9 @@ func (p *Pool) sealEpoch(stats *EpochStats, report *rpol.EpochReport) error {
 		GlobalDigest:    fsio.Checksum(global),
 		AcceptedWorkers: accepted,
 	}
-	payload, err := json.Marshal(diskState{Epoch: stats.Epoch + 1, Global: global, LastSeal: &seal})
-	if err != nil {
-		return fmt.Errorf("pool seal: %w", err)
-	}
-	if err := p.fs.WriteFileAtomic(filepath.Join(p.cfg.Journal, stateFile), fsio.EncodeFile(payload)); err != nil {
+	p.stateBuf = diskState{Epoch: stats.Epoch + 1, Global: global, LastSeal: &seal}.appendBody(p.stateBuf[:0])
+	p.fileBuf = fsio.AppendFile(p.fileBuf[:0], p.stateBuf)
+	if err := p.fs.WriteFileAtomic(filepath.Join(p.cfg.Journal, stateFile), p.fileBuf); err != nil {
 		return fmt.Errorf("pool seal: %w", err)
 	}
 	if err := p.logSeal(seal); err != nil {

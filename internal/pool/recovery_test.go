@@ -2,7 +2,6 @@ package pool
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -135,14 +134,17 @@ func journalRoots(dir string) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, _, _ := journal.Replay(wal)
+	rec, err := journal.Recover(wal)
+	if err != nil {
+		return nil, err
+	}
 	roots := make(map[string][]byte)
-	for _, r := range recs {
-		if r.Kind != journal.KindCommit {
+	for _, r := range rec.Records {
+		if r.Kind() != journal.KindCommit {
 			continue
 		}
-		var c journal.Commit
-		if err := json.Unmarshal(r.Data, &c); err != nil {
+		c, err := journal.DecodeCommit(r.Body)
+		if err != nil {
 			return nil, err
 		}
 		key := fmt.Sprintf("%d/%s", c.Epoch, c.Worker)
@@ -371,8 +373,11 @@ func checkDurable(dir string, dim int) error {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	recs, _, _ := journal.Replay(data)
-	st, err := journal.Reconstruct(recs)
+	rec, err := journal.Recover(data)
+	if err != nil {
+		return fmt.Errorf("surviving journal: %v: %w", err, errDurability)
+	}
+	st, err := journal.Reconstruct(rec.Records)
 	if err != nil {
 		return fmt.Errorf("surviving journal: %v: %w", err, errDurability)
 	}
@@ -517,14 +522,17 @@ func TestResumeMerkleCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, _ := journal.Replay(wal)
+	rec, err := journal.Recover(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	commits := 0
-	for _, r := range recs {
-		if r.Kind != journal.KindCommit {
+	for _, r := range rec.Records {
+		if r.Kind() != journal.KindCommit {
 			continue
 		}
-		var c journal.Commit
-		if err := json.Unmarshal(r.Data, &c); err != nil {
+		c, err := journal.DecodeCommit(r.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		commits++

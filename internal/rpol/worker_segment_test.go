@@ -10,9 +10,10 @@ import (
 	"rpol/internal/obs"
 )
 
-// headerFrameLen is a segment's header frame: fsio's length prefix, the
-// 17-byte header payload, fsio's checksum.
-const headerFrameLen = 4 + 17 + 8
+// headerFrameLen is a segment's file header and header frame: fsio's 8-byte
+// file header, its guarded length prefix, the 17-byte header payload, fsio's
+// check word.
+const headerFrameLen = 8 + 8 + 17 + 8
 
 // segmentWorker builds the same seeded worker over the segment in dir, with
 // its own registry and event stream.
