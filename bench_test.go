@@ -261,34 +261,15 @@ func BenchmarkPoolEpochBaseline(b *testing.B) {
 	}
 }
 
-func BenchmarkVerifierPoolParallel(b *testing.B) {
-	p, err := rpolapi.NewPool(rpolapi.PoolConfig{
-		TaskName:      "resnet18-cifar10",
-		Scheme:        rpolapi.SchemeV2,
-		NumWorkers:    8,
-		StepsPerEpoch: 10,
-		Verifiers:     4,
-		Seed:          2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.RunEpoch(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTrainStep measures one batch optimization step: the per-example
 // Network.TrainBatch oracle ("serial", which no protocol path runs on a dense
-// network any more) against the chunked deterministic runtime
-// (internal/parallel) at 1 and NumCPU workers. The chunked variants are
-// bit-identical to each other for any worker count; on a multi-core host the
-// per-example forward/backward work spreads across cores (up to the
-// 16-chunk-per-batch cap), while on a single-core host the delta is pure
-// scheduling overhead.
+// network any more) against nn.BatchTrainer, the whole-batch runtime, with no
+// pool ("batched") and over a parallel.Pool of 1 and NumCPU workers. Every
+// variant is bit-identical to "serial". The pool variants run the same
+// whole-batch step as "batched" and split only each layer's GEMM kernels
+// across the pool's workers: on a multi-core host those kernels spread
+// across cores, while on a single-core host the delta is pure scheduling
+// overhead.
 func BenchmarkTrainStep(b *testing.B) {
 	const dim, hidden, classes, batch = 256, 512, 10, 32
 	build := func() *nn.Network {
@@ -356,7 +337,8 @@ func BenchmarkTrainStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			opt := &nn.SGDM{LR: 0.01, Momentum: 0.9}
-			// Warm up: the first step lazily builds the per-chunk replicas.
+			// Warm up: the first step grows the replica's scratch arena to
+			// the batch.
 			if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
 				b.Fatal(err)
 			}

@@ -2,8 +2,10 @@ package pool
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"rpol/internal/netsim"
 	"rpol/internal/rpol"
 )
 
@@ -45,7 +47,7 @@ func summarize(s *EpochStats) epochSummary {
 func TestFaultSoakReplayDeterminism(t *testing.T) {
 	run := func() []epochSummary {
 		cfg := baseConfig(rpol.SchemeV2)
-		cfg.FaultSeed = 17
+		cfg.Faults = netsim.NewFaultPlan(17, netsim.DefaultFaultConfig())
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -104,17 +106,21 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		{"StepsPerEpoch", func(c *Config) { c.StepsPerEpoch = -1 }},
 		{"CheckpointEvery", func(c *Config) { c.CheckpointEvery = -5 }},
 		{"Samples", func(c *Config) { c.Samples = -3 }},
-		{"Verifiers", func(c *Config) { c.Verifiers = -2 }},
+		// The row keeps the name of a deleted verifier-count knob; the
+		// worker count is the count left to reject.
+		{"Verifiers", func(c *Config) { c.NumWorkers = -2 }},
+		{"Adv1FractionNaN", func(c *Config) { c.Adv1Fraction = math.NaN() }},
+		{"Adv2FractionNaN", func(c *Config) { c.Adv2Fraction = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(rpol.SchemeV2)
 			tc.mutate(&cfg)
 			if err := cfg.Validate(); err == nil {
-				t.Fatalf("negative %s accepted by Validate", tc.name)
+				t.Fatalf("bad %s accepted by Validate", tc.name)
 			}
 			if _, err := New(cfg); err == nil {
-				t.Fatalf("negative %s accepted by New", tc.name)
+				t.Fatalf("bad %s accepted by New", tc.name)
 			}
 		})
 	}
@@ -124,7 +130,7 @@ func TestPoolQuorumNotMetSurfacesUnavailable(t *testing.T) {
 	// A quorum demanding every worker combined with a crash schedule that
 	// eventually downs one must fail the epoch with an availability error.
 	cfg := baseConfig(rpol.SchemeV2)
-	cfg.FaultSeed = 17
+	cfg.Faults = netsim.NewFaultPlan(17, netsim.DefaultFaultConfig())
 	cfg.Quorum = cfg.NumWorkers
 	p, err := New(cfg)
 	if err != nil {

@@ -29,6 +29,14 @@ import (
 	"rpol/internal/tensor"
 )
 
+// Adv2's attack follows the paper's evaluation: it trains the first 10 % of
+// its checkpoint intervals honestly and spoofs the rest by Eq. (12) with
+// λ = 0.5.
+const (
+	adv2HonestFraction = 0.1
+	adv2Lambda         = 0.5
+)
+
 // Config describes one pool instantiation.
 type Config struct {
 	// TaskName keys into modelzoo (e.g. "resnet18-cifar10").
@@ -41,11 +49,6 @@ type Config struct {
 	// replay attack and the spoofing attack respectively.
 	Adv1Fraction float64
 	Adv2Fraction float64
-	// Adv2HonestFraction is how much Adv2 actually trains (paper: 10 % of
-	// steps).
-	Adv2HonestFraction float64
-	// Lambda is Adv2's spoofing coefficient (Eq. 12).
-	Lambda float64
 	// StepsPerEpoch, CheckpointEvery, Samples parameterize the protocol.
 	// Zero values take the defaults (derived steps, interval 5, q = 3).
 	StepsPerEpoch   int
@@ -55,9 +58,6 @@ type Config struct {
 	// AMLayer when UseAMLayer is set.
 	ManagerAddress string
 	UseAMLayer     bool
-	// Verifiers > 1 enables decentralized verification: submissions are
-	// checked by that many parallel verifiers (Sec. IX future work).
-	Verifiers int
 	// Workers sizes the deterministic compute pool each participant uses
 	// for batch training, commitment hashing, and interval re-execution —
 	// an execution knob, not a protocol parameter: results are bit-identical
@@ -73,14 +73,11 @@ type Config struct {
 	// Faults is an optional deterministic fault plan: its crash-restart
 	// schedule knocks workers out for whole epochs (they fail collection
 	// with rpol.ErrWorkerUnavailable and are recorded as absent). Nil falls
-	// back to the plan derived from FaultSeed, then to the process-wide
-	// default installed by the -faultseed flag, then to no faults. Because
-	// the plan is a pure function of its seed, two runs with the same
-	// (Seed, fault plan) produce identical EpochStats, absences included.
+	// back to the process-wide default installed by the -faultseed flag,
+	// then to no faults. Because the plan is a pure function of its seed,
+	// two runs with the same (Seed, fault plan) produce identical
+	// EpochStats, absences included.
 	Faults *netsim.FaultPlan
-	// FaultSeed derives a Faults plan with netsim.DefaultFaultConfig when
-	// Faults is nil and FaultSeed is non-zero.
-	FaultSeed int64
 	// Quorum is the minimum number of responsive workers an epoch needs to
 	// settle (see rpol.ManagerConfig.Quorum). Zero defaults to 1 when a
 	// fault plan is active and to the strict all-must-respond behaviour
@@ -121,12 +118,6 @@ func (c *Config) applyDefaults() {
 	if c.StepsPerEpoch == 0 {
 		c.StepsPerEpoch = 15
 	}
-	if c.Adv2HonestFraction == 0 {
-		c.Adv2HonestFraction = 0.1
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 0.5
-	}
 	if c.ManagerAddress == "" {
 		c.ManagerAddress = "pool-manager"
 	}
@@ -137,11 +128,7 @@ func (c *Config) applyDefaults() {
 		c.FS = fsio.OS
 	}
 	if c.Faults == nil {
-		if c.FaultSeed != 0 {
-			c.Faults = netsim.NewFaultPlan(c.FaultSeed, netsim.DefaultFaultConfig())
-		} else {
-			c.Faults = netsim.DefaultFaultPlan()
-		}
+		c.Faults = netsim.DefaultFaultPlan()
 	}
 	switch {
 	case c.Quorum < 0:
@@ -160,7 +147,8 @@ func (c Config) Validate() error {
 		return errors.New("pool: task name required")
 	case c.NumWorkers < 1:
 		return errors.New("pool: need at least one worker")
-	case c.Adv1Fraction < 0 || c.Adv2Fraction < 0 || c.Adv1Fraction+c.Adv2Fraction > 1:
+	// Written so that NaN, for which every comparison is false, fails too.
+	case !(c.Adv1Fraction >= 0 && c.Adv2Fraction >= 0 && c.Adv1Fraction+c.Adv2Fraction <= 1):
 		return errors.New("pool: adversary fractions must be non-negative and sum to ≤ 1")
 	// applyDefaults only rewrites exact zeros, so negatives would flow
 	// straight into the protocol; reject them here.
@@ -170,8 +158,6 @@ func (c Config) Validate() error {
 		return errors.New("pool: checkpoint interval must not be negative")
 	case c.Samples < 0:
 		return errors.New("pool: sample count must not be negative")
-	case c.Verifiers < 0:
-		return errors.New("pool: verifier count must not be negative")
 	case c.Resume && c.Journal == "":
 		return errors.New("pool: resume requires a journal directory")
 	}
@@ -418,7 +404,7 @@ func New(cfg Config) (*Pool, error) {
 				return nil, err
 			}
 			w, err = adversary.NewAdv2(fmt.Sprintf("adv2-%02d", i), profile, runSeed, net, shard,
-				cfg.Adv2HonestFraction, cfg.Lambda)
+				adv2HonestFraction, adv2Lambda)
 			if err != nil {
 				return nil, err
 			}
@@ -501,21 +487,19 @@ func New(cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	manager, err := rpol.NewManager(rpol.ManagerConfig{
-		Address:           cfg.ManagerAddress,
-		Scheme:            cfg.Scheme,
-		Hyper:             rpol.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: spec.ProxyBatchSize},
-		StepsPerEpoch:     cfg.StepsPerEpoch,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		Samples:           cfg.Samples,
-		GPU:               gpu.G3090,
-		MasterKey:         []byte(cfg.ManagerAddress + "/nonce-master"),
-		Seed:              cfg.Seed + 7,
-		ParallelVerifiers: cfg.Verifiers,
-		NetBuilder:        buildNet,
-		Workers:           cfg.Workers,
-		Quorum:            cfg.Quorum,
-		Obs:               observer,
-		Journal:           j,
+		Address:         cfg.ManagerAddress,
+		Scheme:          cfg.Scheme,
+		Hyper:           rpol.Hyper{Optimizer: "sgdm", LR: 0.02, BatchSize: spec.ProxyBatchSize},
+		StepsPerEpoch:   cfg.StepsPerEpoch,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Samples:         cfg.Samples,
+		GPU:             gpu.G3090,
+		MasterKey:       []byte(cfg.ManagerAddress + "/nonce-master"),
+		Seed:            cfg.Seed + 7,
+		Workers:         cfg.Workers,
+		Quorum:          cfg.Quorum,
+		Obs:             observer,
+		Journal:         j,
 		// In-process workers each own their network and trainer, so the
 		// collection phase can safely run them concurrently — except under a
 		// journal, where serial collection keeps the order of durable writes

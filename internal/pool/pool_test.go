@@ -205,30 +205,6 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
-func TestDecentralizedVerification(t *testing.T) {
-	cfg := baseConfig(rpol.SchemeV2)
-	cfg.NumWorkers = 6
-	cfg.Adv1Fraction = 0.34
-	cfg.Verifiers = 3
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := p.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DetectedAdversaries != 2 {
-		t.Errorf("detected = %d, want 2", stats.DetectedAdversaries)
-	}
-	if stats.FalseRejections != 0 {
-		t.Errorf("false rejections = %d", stats.FalseRejections)
-	}
-	if stats.Accepted != 4 {
-		t.Errorf("accepted = %d", stats.Accepted)
-	}
-}
-
 func TestConvTaskPoolVerifies(t *testing.T) {
 	// The protocol must verify bit-consistently with a convolutional
 	// architecture too (re-execution through Conv2D layers).

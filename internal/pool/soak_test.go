@@ -7,9 +7,9 @@ import (
 )
 
 // TestSoakFullSystem is the long integration test: a 10-worker pool with
-// every adversary class present, the AMLayer enabled, decentralized
-// verification, and eight epochs of training. It asserts the system-level
-// invariants the paper's evaluation rests on:
+// every adversary class present, the AMLayer enabled, and eight epochs of
+// training. It asserts the system-level invariants the paper's evaluation
+// rests on:
 //
 //   - honest workers are never rejected (0 false negatives for honesty),
 //   - every adversarial submission is rejected in every epoch,
@@ -33,7 +33,6 @@ func TestSoakFullSystem(t *testing.T) {
 		Adv1Fraction: 0.2,
 		Adv2Fraction: 0.2,
 		UseAMLayer:   true,
-		Verifiers:    4,
 		Seed:         2025,
 	}
 	p, err := New(cfg)

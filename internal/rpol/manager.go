@@ -42,15 +42,6 @@ type ManagerConfig struct {
 	XFactor, YOffset float64
 	// KLsh is the LSH computational budget (default 16).
 	KLsh int
-	// ParallelVerifiers enables decentralized verification (the paper's
-	// Sec. IX future work): when > 1 and NetBuilder is set, submissions are
-	// verified by that many verifiers concurrently instead of sequentially
-	// by the manager.
-	ParallelVerifiers int
-	// NetBuilder constructs fresh architecture instances for parallel
-	// verifiers (each needs its own, since re-execution overwrites
-	// weights).
-	NetBuilder func() (*nn.Network, error)
 	// ConcurrentCollection trains workers concurrently during the
 	// collection phase. Each worker must be safe to drive beside the others:
 	// in-process workers own their network and trainer, and remote workers
@@ -70,9 +61,8 @@ type ManagerConfig struct {
 	// TaskParams.Workers) and the manager's own interval re-execution. 0
 	// runs the same kernels without goroutines; any n ≥ 1 yields
 	// bit-identical protocol results for every n (see internal/parallel).
-	// Distinct from ParallelVerifiers, which fans independent submissions
-	// across verifier instances rather than parallelizing one submission's
-	// compute.
+	// It parallelizes one submission's compute, never the submissions: the
+	// manager verifies them one after another.
 	Workers int
 	// Journal, when set, makes the manager log every protocol transition
 	// (task announced, commitment received, samples drawn, verdict recorded)
@@ -315,7 +305,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	taskBytes := int64(tensor.EncodedSize(len(m.global)))
 	report.Phases.Add(obs.PhaseTaskPublish,
 		obs.PhaseTotals{Count: int64(len(m.workers)), Bytes: taskBytes * int64(len(m.workers))})
-	subs := make([]Submission, len(m.workers))
+	subs := make([]submission, len(m.workers))
 	results := make([]*EpochResult, len(m.workers))
 	workerSpans := make([]*obs.Span, len(m.workers))
 	m.refillTasks()
@@ -329,8 +319,8 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		if err != nil {
 			return fmt.Errorf("rpol manager: worker %s: %w", w.ID(), err)
 		}
-		subs[i] = Submission{
-			Opener: w, Shard: m.shards[w.ID()], Result: result, Params: params,
+		subs[i] = submission{
+			opener: w, shard: m.shards[w.ID()], result: result, params: params,
 		}
 		results[i] = result
 		return nil
@@ -381,7 +371,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		Count: int64(responsive),
 		Steps: int64(responsive) * int64(m.cfg.StepsPerEpoch),
 	})
-	live := make([]Submission, 0, responsive)
+	live := make([]submission, 0, responsive)
 	liveIdx := make([]int, 0, responsive)
 	for i, result := range results {
 		if errs[i] != nil {
@@ -410,7 +400,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 			return nil, fmt.Errorf("rpol manager: %w", err)
 		}
 	}
-	verified, err := m.verifyAll(verifier, live)
+	verified, err := verifyAll(verifier, live)
 	if err != nil {
 		return nil, fmt.Errorf("rpol manager: %w", err)
 	}
@@ -547,24 +537,24 @@ func submissionBytes(r *EpochResult) int64 {
 	return int64(tensor.EncodedSize(len(r.Update))) + commitment.HashSize + 8
 }
 
-// verifyAll checks every submission: concurrently through a VerifierPool
-// when decentralized verification is configured, sequentially through the
-// manager's own verifier otherwise.
-func (m *Manager) verifyAll(verifier *Verifier, subs []Submission) ([]*VerifyOutcome, error) {
-	if m.cfg.Scheme != SchemeBaseline && m.cfg.ParallelVerifiers > 1 && m.cfg.NetBuilder != nil {
-		vp, err := NewVerifierPool(m.cfg.ParallelVerifiers, m.cfg.Scheme, m.cfg.NetBuilder,
-			m.cfg.GPU, verifier.Beta, verifier.LSH, m.cfg.Samples, m.rng.Int63())
-		if err != nil {
-			return nil, err
-		}
-		vp.SetObserver(m.obs)
-		return vp.VerifyAll(subs)
-	}
+// submission bundles one responsive worker's verification inputs.
+type submission struct {
+	opener ProofOpener
+	shard  *dataset.Dataset
+	result *EpochResult
+	params TaskParams
+}
+
+// verifyAll is the manager's one verification loop: v checks the
+// submissions one after another, in order, each drawing its samples from
+// v.Sampler. Protocol-level rejections are reported in the outcomes; the
+// first internal error aborts the batch.
+func verifyAll(v *Verifier, subs []submission) ([]*VerifyOutcome, error) {
 	outcomes := make([]*VerifyOutcome, 0, len(subs))
 	for _, sub := range subs {
-		outcome, err := verifier.VerifySubmission(sub.Opener, sub.Shard, sub.Result, sub.Params)
+		outcome, err := v.VerifySubmission(sub.opener, sub.shard, sub.result, sub.params)
 		if err != nil {
-			return nil, fmt.Errorf("verify %s: %w", sub.Result.WorkerID, err)
+			return nil, fmt.Errorf("verify %s: %w", sub.result.WorkerID, err)
 		}
 		outcomes = append(outcomes, outcome)
 	}

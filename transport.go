@@ -104,7 +104,7 @@ func DefaultFaultConfig() FaultConfig { return netsim.DefaultFaultConfig() }
 
 // NewManager builds a pool manager over pre-constructed workers. See
 // rpol.ManagerConfig for the knobs (scheme, sampling count q, calibration
-// factors, decentralized verification).
+// factors, collection and quorum).
 func NewManager(cfg ManagerConfig, net *Network, workers []ProtocolWorker, shards map[string]*Dataset, probe *Dataset) (*Manager, error) {
 	return rpol.NewManager(cfg, net, workers, shards, probe)
 }
