@@ -249,7 +249,7 @@ func verifyTrace(path, schemeName string) error {
 			outcome.LSHMisses, outcome.DoubleChecks, outcome.CommBytes)
 		return nil
 	}
-	fmt.Printf("VERDICT: REJECTED — %s\n", outcome.FailReason)
+	fmt.Printf("VERDICT: REJECTED — %s\n", outcome.FailReason.Error())
 	return nil
 }
 

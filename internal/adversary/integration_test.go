@@ -1,8 +1,8 @@
 package adversary
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"rpol/internal/commitment"
@@ -288,7 +288,7 @@ func TestVerifierCatchesTruncator(t *testing.T) {
 							t.Fatalf("a %d-interval trace of a %d-interval task accepted (re-executed %d of %d steps)",
 								claimed, intervals, out.ReexecSteps, p.Steps)
 						}
-						if !strings.Contains(out.FailReason, rpol.ErrLeafCount.Error()) {
+						if !errors.Is(out.FailReason, rpol.ErrLeafCount) {
 							t.Errorf("FailReason = %q, want the leaf-count rejection", out.FailReason)
 						}
 						if counter.calls != 0 || out.CommBytes != 0 || out.CommitBytes != 0 || out.ReexecSteps != 0 {

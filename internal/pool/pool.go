@@ -78,11 +78,6 @@ type Config struct {
 	// two runs with the same (Seed, fault plan) produce identical
 	// EpochStats, absences included.
 	Faults *netsim.FaultPlan
-	// Quorum is the minimum number of responsive workers an epoch needs to
-	// settle (see rpol.ManagerConfig.Quorum). Zero defaults to 1 when a
-	// fault plan is active and to the strict all-must-respond behaviour
-	// otherwise; negative forces strict mode even under faults.
-	Quorum int
 	// Obs routes the pool's metrics and spans (nil falls back to the
 	// process-wide default observer, disabled unless a command installed
 	// one). Instrumentation does not change protocol results: a seeded run
@@ -129,14 +124,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Faults == nil {
 		c.Faults = netsim.DefaultFaultPlan()
-	}
-	switch {
-	case c.Quorum < 0:
-		c.Quorum = 0 // explicit strict mode
-	case c.Quorum == 0 && c.Faults != nil:
-		// Faults without a quorum would turn every injected crash into an
-		// aborted epoch; settle with whoever responds instead.
-		c.Quorum = 1
 	}
 }
 
@@ -497,7 +484,6 @@ func New(cfg Config) (*Pool, error) {
 		MasterKey:       []byte(cfg.ManagerAddress + "/nonce-master"),
 		Seed:            cfg.Seed + 7,
 		Workers:         cfg.Workers,
-		Quorum:          cfg.Quorum,
 		Obs:             observer,
 		Journal:         j,
 		// In-process workers each own their network and trainer, so the

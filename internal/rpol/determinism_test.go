@@ -91,7 +91,7 @@ func epochFingerprints(t *testing.T, workers int) (train, verify string) {
 
 	hv := sha256.New()
 	for _, o := range report.Outcomes {
-		fmt.Fprintf(hv, "%s/%v/%q/%v/%d/%d/%d/%d;", o.WorkerID, o.Accepted, o.FailReason,
+		fmt.Fprintf(hv, "%s/%v/%q/%v/%d/%d/%d/%d;", o.WorkerID, o.Accepted, reasonText(o.FailReason),
 			o.SampledCheckpoints, o.CommBytes, o.ReexecSteps, o.LSHMisses, o.DoubleChecks)
 	}
 	return hex.EncodeToString(ht.Sum(nil)), hex.EncodeToString(hv.Sum(nil))

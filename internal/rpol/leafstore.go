@@ -1,23 +1,12 @@
 package rpol
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"rpol/internal/commitment"
 	"rpol/internal/lsh"
 	"rpol/internal/tensor"
-)
-
-// Typed rejections of a submission's committed material.
-var (
-	// ErrLeafCount rejects a submission that commits another count than the task's.
-	ErrLeafCount = errors.New("rpol: committed checkpoint count is not the task's")
-	// ErrProofIndex rejects a proof that answers for another leaf than asked.
-	ErrProofIndex = errors.New("rpol: proof bound to another leaf")
-	// ErrNoDigest rejects a v2 proof with no digest riding along.
-	ErrNoDigest = errors.New("rpol: proof carries no digest")
 )
 
 // leafStore is the only way verifier code obtains a committed checkpoint or
@@ -64,7 +53,7 @@ func (s *leafStore) reset(opener ProofOpener, result *EpochResult, fam *lsh.Fami
 func (s *leafStore) authenticate(idx int, payload []byte) ([]byte, error) {
 	lp, err := s.opener.OpenProof(idx)
 	if err != nil {
-		return nil, fmt.Errorf("proof not opened: %w", err)
+		return nil, reason{fmt.Errorf("proof not opened: %w", err), ErrNotOpened}
 	}
 	if lp.Proof.Index != idx {
 		return nil, fmt.Errorf("proof answers leaf %d, want %d: %w", lp.Proof.Index, idx, ErrProofIndex)
@@ -92,7 +81,7 @@ func (s *leafStore) fetchDigest(idx int) (lsh.Digest, error) {
 		}
 		if l.digest, err = lsh.DecodeDigest(payload); err != nil {
 			l.proofBytes = 0 // nothing is owed for a leaf that failed a check
-			return nil, fmt.Errorf("checkpoint %d digest malformed: %w", idx, err)
+			return nil, reason{fmt.Errorf("checkpoint %d digest malformed: %w", idx, err), ErrNoDigest}
 		}
 	}
 	return l.digest, nil
@@ -101,8 +90,12 @@ func (s *leafStore) fetchDigest(idx int) (lsh.Digest, error) {
 // admit authenticates w as checkpoint idx and remembers it: under v1 its
 // encoding is the leaf; under v2 its LSH digest must be exactly the committed
 // one (a worker opening the very bytes it hashed always passes; any
-// substitution that changes the digest fails).
+// substitution that changes the digest fails). A vector that is not finite is
+// refused first, whether opened or bound: no replay is within β of it.
 func (s *leafStore) admit(idx int, w tensor.Vector) error {
+	if !w.IsFinite() {
+		return fmt.Errorf("leaf %d: %w", idx, ErrNonFinite)
+	}
 	if s.fam == nil {
 		s.enc = w.AppendEncode(s.enc[:0])
 		if _, err := s.authenticate(idx, s.enc); err != nil {
@@ -143,7 +136,7 @@ func (s *leafStore) fetchWeights(idx int) (tensor.Vector, error) {
 	if l.weights == nil {
 		w, err := s.opener.OpenCheckpoint(idx)
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint %d not opened: %w", idx, err)
+			return nil, reason{fmt.Errorf("checkpoint %d not opened: %w", idx, err), ErrNotOpened}
 		}
 		if err := s.admit(idx, w); err != nil {
 			return nil, fmt.Errorf("checkpoint %d opening rejected: %w", idx, err)

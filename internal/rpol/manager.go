@@ -47,15 +47,6 @@ type ManagerConfig struct {
 	// in-process workers own their network and trainer, and remote workers
 	// sharing one wire.ManagerPort each receive on a queue of their own.
 	ConcurrentCollection bool
-	// Quorum is the minimum number of responsive workers an epoch needs to
-	// settle. 0 (the default) keeps the historical strict behaviour: any
-	// collection failure aborts the epoch. When > 0, a worker whose
-	// collection fails with an error wrapping ErrWorkerUnavailable (an
-	// exchange lost on every attempt, a crashed peer) is recorded as
-	// OutcomeAbsent — neither accepted nor counted as a detected adversary —
-	// and the epoch settles with the responsive workers, failing only when
-	// fewer than Quorum of them respond. Non-availability errors still abort.
-	Quorum int
 	// Workers sizes the deterministic compute pool threaded through the
 	// epoch: workers' batch training and commitment hashing (via
 	// TaskParams.Workers) and the manager's own interval re-execution. 0
@@ -122,7 +113,7 @@ type EpochReport struct {
 	Outcomes    []*VerifyOutcome
 	Accepted    int
 	Rejected    int
-	// Absent counts workers that missed their deadline this epoch
+	// Absent counts workers that could not be reached this epoch
 	// (OutcomeAbsent): unreachable, not adversarial.
 	Absent int
 	// VerifyCommBytes totals verification-only traffic across workers.
@@ -308,7 +299,10 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	subs := make([]submission, len(m.workers))
 	results := make([]*EpochResult, len(m.workers))
 	workerSpans := make([]*obs.Span, len(m.workers))
+	outcomes := make([]*VerifyOutcome, len(m.workers))
 	m.refillTasks()
+	// An unreachable worker sits the epoch out as OutcomeAbsent; any other
+	// failure aborts it.
 	collect := func(i int, w Worker) error {
 		params := baseParams
 		params.Nonce = prf.DeriveNonce(m.cfg.MasterKey, w.ID(), epoch)
@@ -317,7 +311,13 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		task.Global = m.tasks[i]
 		result, err := w.RunEpoch(task)
 		if err != nil {
-			return fmt.Errorf("rpol manager: worker %s: %w", w.ID(), err)
+			err = fmt.Errorf("rpol manager: worker %s: %w", w.ID(), err)
+			if !errors.Is(err, ErrWorkerUnavailable) {
+				return err
+			}
+			outcomes[i] = &VerifyOutcome{WorkerID: w.ID(), Epoch: epoch, Outcome: OutcomeAbsent,
+				FailReason: fmt.Errorf("absent: %w", err)}
+			return nil
 		}
 		subs[i] = submission{
 			opener: w, shard: m.shards[w.ID()], result: result, params: params,
@@ -328,8 +328,8 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	for i, w := range m.workers {
 		workerSpans[i] = m.obs.Start(epochSpan, "worker.epoch", obs.String("worker", w.ID()))
 	}
-	errs := make([]error, len(m.workers))
 	if m.cfg.ConcurrentCollection {
+		errs := make([]error, len(m.workers))
 		var wg sync.WaitGroup
 		for i, w := range m.workers {
 			wg.Add(1)
@@ -340,41 +340,21 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		}
 		wg.Wait()
 		for _, err := range errs {
-			if err != nil && !m.absentErr(err) {
+			if err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		for i, w := range m.workers {
-			errs[i] = collect(i, w)
-			if errs[i] != nil && !m.absentErr(errs[i]) {
-				return nil, errs[i]
+			if err := collect(i, w); err != nil {
+				return nil, err
 			}
 		}
 	}
-	// Partition workers into responsive and absent. A collection error
-	// reaching this point is an availability failure under an active quorum
-	// (absentErr aborted on everything else): the worker sits the epoch out
-	// as OutcomeAbsent and the responsive ones carry it — provided enough of
-	// them remain.
-	responsive := 0
-	for _, err := range errs {
-		if err == nil {
-			responsive++
-		}
-	}
-	if responsive < len(m.workers) && responsive < m.cfg.Quorum {
-		return nil, fmt.Errorf("rpol manager: only %d of %d workers responsive, quorum is %d: %w",
-			responsive, len(m.workers), m.cfg.Quorum, ErrWorkerUnavailable)
-	}
-	report.Phases.Add(obs.PhaseTraining, obs.PhaseTotals{
-		Count: int64(responsive),
-		Steps: int64(responsive) * int64(m.cfg.StepsPerEpoch),
-	})
-	live := make([]submission, 0, responsive)
-	liveIdx := make([]int, 0, responsive)
+	live := make([]submission, 0, len(m.workers))
+	liveIdx := make([]int, 0, len(m.workers))
 	for i, result := range results {
-		if errs[i] != nil {
+		if result == nil {
 			continue
 		}
 		live = append(live, subs[i])
@@ -392,6 +372,13 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 			}
 		}
 	}
+	if len(live) == 0 {
+		return nil, fmt.Errorf("rpol manager: none of %d workers responded: %w", len(m.workers), ErrWorkerUnavailable)
+	}
+	report.Phases.Add(obs.PhaseTraining, obs.PhaseTotals{
+		Count: int64(len(live)),
+		Steps: int64(len(live)) * int64(m.cfg.StepsPerEpoch),
+	})
 
 	if m.cfg.Journal != nil {
 		// Commit-and-prove: no sample index is revealed before every
@@ -404,24 +391,14 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpol manager: %w", err)
 	}
-	outcomes := make([]*VerifyOutcome, len(m.workers))
 	for j, outcome := range verified {
 		outcomes[liveIdx[j]] = outcome
-	}
-	for i, w := range m.workers {
-		if outcomes[i] == nil {
-			outcomes[i] = &VerifyOutcome{
-				WorkerID:   w.ID(),
-				Epoch:      epoch,
-				Outcome:    OutcomeAbsent,
-				FailReason: "absent: " + errs[i].Error(),
-			}
-		}
 	}
 	accepted := make([]*EpochResult, 0, len(m.workers))
 	for i, outcome := range outcomes {
 		if m.cfg.Journal != nil {
-			if outcome.Outcome != OutcomeAbsent {
+			// Drawn samples are journaled, an absent worker's too.
+			if outcome.Outcome != OutcomeAbsent || outcome.SampledCheckpoints != nil {
 				if err := m.cfg.Journal.LogSamples(journal.Samples{
 					Epoch:   epoch,
 					Worker:  outcome.WorkerID,
@@ -434,23 +411,13 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 				Epoch:   epoch,
 				Worker:  outcome.WorkerID,
 				Outcome: outcome.Outcome.String(),
-				Reason:  outcome.FailReason,
+				Reason:  reasonText(outcome.FailReason),
 			}); err != nil {
 				return nil, fmt.Errorf("rpol manager: %w", err)
 			}
 		}
 		report.Outcomes = append(report.Outcomes, outcome)
-		if outcome.Outcome == OutcomeAbsent {
-			report.Absent++
-			m.obs.Publish(obs.StreamEvent{
-				Kind:   obs.EventWorkerAbsent,
-				Worker: outcome.WorkerID,
-				Epoch:  int64(epoch),
-				Detail: outcome.FailReason,
-			})
-			workerSpans[i].End(obs.String("outcome", outcome.Outcome.String()))
-			continue
-		}
+		// A worker lost during its challenge is charged what it cost.
 		report.VerifyCommBytes += outcome.CommBytes
 		report.ReexecSteps += outcome.ReexecSteps
 		report.Phases.Add(obs.PhaseChallenge, obs.PhaseTotals{Count: int64(len(outcome.SampledCheckpoints))})
@@ -462,7 +429,18 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		if outcome.LSHMisses > 0 || outcome.DoubleChecks > 0 {
 			report.Phases.Add(obs.PhaseLSH, obs.PhaseTotals{Count: int64(outcome.LSHMisses)})
 		}
-		if outcome.Accepted {
+		switch outcome.Outcome {
+		case OutcomeAbsent:
+			report.Absent++
+			m.obs.Publish(obs.StreamEvent{
+				Kind:   obs.EventWorkerAbsent,
+				Worker: outcome.WorkerID,
+				Epoch:  int64(epoch),
+				Detail: reasonText(outcome.FailReason),
+			})
+			workerSpans[i].End(obs.String("outcome", outcome.Outcome.String()))
+			continue
+		case OutcomeAccepted:
 			report.Accepted++
 			accepted = append(accepted, results[i])
 			m.obs.Publish(obs.StreamEvent{
@@ -470,13 +448,13 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 				Worker: outcome.WorkerID,
 				Epoch:  int64(epoch),
 			})
-		} else {
+		default:
 			report.Rejected++
 			m.obs.Publish(obs.StreamEvent{
 				Kind:   obs.EventVerdictRejected,
 				Worker: outcome.WorkerID,
 				Epoch:  int64(epoch),
-				Detail: outcome.FailReason,
+				Detail: reasonText(outcome.FailReason),
 			})
 		}
 		workerSpans[i].End(obs.Bool("accepted", outcome.Accepted))
@@ -520,14 +498,6 @@ func (m *Manager) refillTasks() {
 		m.tasks[i] = tensor.Resize(m.tasks[i], len(m.global))
 		copy(m.tasks[i], m.global)
 	}
-}
-
-// absentErr reports whether a collection error marks the worker absent
-// rather than aborting the epoch: only availability failures qualify, and
-// only when a quorum is configured (the strict default keeps every failure
-// fatal, preserving the historical behaviour).
-func (m *Manager) absentErr(err error) bool {
-	return m.cfg.Quorum > 0 && errors.Is(err, ErrWorkerUnavailable)
 }
 
 // submissionBytes is the modelled fan-in size of one epoch submission: the

@@ -1,10 +1,10 @@
 package rpol
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rpol/internal/commitment"
@@ -98,7 +98,7 @@ func TestVerifyMerkleRejectsWrongProofIndex(t *testing.T) {
 	if out.Accepted {
 		t.Fatal("proof answering the wrong leaf accepted")
 	}
-	if !strings.Contains(out.FailReason, "proof answers leaf") {
+	if !errors.Is(out.FailReason, ErrProofIndex) {
 		t.Errorf("FailReason = %q, want the index-binding rejection", out.FailReason)
 	}
 }

@@ -1,7 +1,6 @@
 package rpol
 
 import (
-	"errors"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -305,7 +304,7 @@ func TestOwnersAllocateNoModelVectorPastTheirFirstEpoch(t *testing.T) {
 				{"Verifier.VerifySubmission", func() error {
 					out, err := verifier.VerifySubmission(worker, worker.trainer.Shard, result, p)
 					if err == nil && !out.Accepted {
-						err = errors.New(out.FailReason)
+						err = out.FailReason
 					}
 					return err
 				}},

@@ -3,31 +3,38 @@ package rpol
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"rpol/internal/dataset"
+	"rpol/internal/fsio"
 	"rpol/internal/gpu"
+	"rpol/internal/journal"
 	"rpol/internal/nn"
+	"rpol/internal/obs"
+	"rpol/internal/tensor"
 )
 
-// flakyWorker wraps a Worker and fails collection with ErrWorkerUnavailable
-// on the configured epochs, imitating a transport that exhausted its retry
-// budget against a crashed peer.
+// flakyWorker wraps a Worker and fails collection with cause on epoch 0 —
+// ErrWorkerUnavailable imitates a transport that exhausted its retry budget
+// against a crashed peer.
 type flakyWorker struct {
 	Worker
-	downEpochs map[int]bool
+	cause error
 }
 
 func (f *flakyWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
-	if f.downEpochs[p.Epoch] {
-		return nil, fmt.Errorf("test: %s down: %w", f.Worker.ID(), ErrWorkerUnavailable)
+	if p.Epoch == 0 {
+		return nil, fmt.Errorf("test: %s down: %w", f.Worker.ID(), f.cause)
 	}
 	return f.Worker.RunEpoch(p)
 }
 
-// buildQuorumPool assembles n honest workers, marking worker 0 down for
-// epoch 0, under the given quorum and collection mode.
-func buildQuorumPool(t *testing.T, quorum int, concurrent bool) *Manager {
+// buildQuorumPool assembles three honest workers under the given collection
+// mode, journal (nil for none) and an observer of its own, and wraps the
+// first worker as wrap says (nil leaves it honest).
+func buildQuorumPool(t *testing.T, concurrent bool, wrap func(Worker) Worker, j *journal.Journal) (*Manager, *obs.Observer) {
 	t.Helper()
 	const n = 3
 	ds, err := dataset.Generate(dataset.Config{
@@ -53,7 +60,10 @@ func buildQuorumPool(t *testing.T, quorum int, concurrent bool) *Manager {
 		workers[i] = w
 		shardMap[id] = shards[i]
 	}
-	workers[0] = &flakyWorker{Worker: workers[0], downEpochs: map[int]bool{0: true}}
+	if wrap != nil {
+		workers[0] = wrap(workers[0])
+	}
+	observer := obs.NewObserver(obs.NewRegistry(), nil)
 	mgr, err := NewManager(ManagerConfig{
 		Address:              "pool-manager",
 		Scheme:               SchemeV2,
@@ -64,13 +74,19 @@ func buildQuorumPool(t *testing.T, quorum int, concurrent bool) *Manager {
 		GPU:                  gpu.G3090,
 		MasterKey:            []byte("master"),
 		Seed:                 99,
-		Quorum:               quorum,
 		ConcurrentCollection: concurrent,
+		Journal:              j,
+		Obs:                  observer,
 	}, mustNet(t), workers, shardMap, shards[n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mgr
+	return mgr, observer
+}
+
+// down fails a worker's epoch-0 collection with cause.
+func down(cause error) func(Worker) Worker {
+	return func(w Worker) Worker { return &flakyWorker{Worker: w, cause: cause} }
 }
 
 func mustNet(t *testing.T) *nn.Network {
@@ -82,7 +98,7 @@ func mustNet(t *testing.T) *nn.Network {
 func TestManagerQuorumRecordsAbsent(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
 		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
-			mgr := buildQuorumPool(t, 1, concurrent)
+			mgr, _ := buildQuorumPool(t, concurrent, down(ErrWorkerUnavailable), nil)
 			report, err := mgr.RunEpoch()
 			if err != nil {
 				t.Fatal(err)
@@ -116,22 +132,139 @@ func TestManagerQuorumRecordsAbsent(t *testing.T) {
 	}
 }
 
+// TestManagerStrictModeAbortsOnUnavailable: a collection failure that is not
+// an unreachable worker aborts the epoch, in both collection modes — only
+// ErrWorkerUnavailable makes a worker absent.
 func TestManagerStrictModeAbortsOnUnavailable(t *testing.T) {
-	// Quorum 0 keeps the historical behaviour: any collection failure,
-	// including an availability one, aborts the epoch.
-	mgr := buildQuorumPool(t, 0, false)
-	if _, err := mgr.RunEpoch(); !errors.Is(err, ErrWorkerUnavailable) {
-		t.Fatalf("err = %v, want the collection failure surfaced", err)
+	cause := errors.New("test: disk full")
+	for _, concurrent := range []bool{false, true} {
+		mgr, _ := buildQuorumPool(t, concurrent, down(cause), nil)
+		_, err := mgr.RunEpoch()
+		if !errors.Is(err, cause) || errors.Is(err, ErrWorkerUnavailable) {
+			t.Fatalf("concurrent=%v: err = %v, want the collection failure surfaced as it is", concurrent, err)
+		}
 	}
 }
 
+// TestManagerQuorumNotMet: with every worker unreachable no submission
+// arrives, and the epoch fails with an availability error rather than
+// settle.
 func TestManagerQuorumNotMet(t *testing.T) {
-	// Quorum 3 with one of three workers down: the epoch must fail with an
-	// availability error rather than settle.
-	mgr := buildQuorumPool(t, 3, false)
-	_, err := mgr.RunEpoch()
-	if !errors.Is(err, ErrWorkerUnavailable) {
-		t.Fatalf("err = %v, want quorum failure wrapping ErrWorkerUnavailable", err)
+	for _, concurrent := range []bool{false, true} {
+		mgr, _ := buildQuorumPool(t, concurrent, nil, nil)
+		for i, w := range mgr.workers {
+			mgr.workers[i] = &flakyWorker{Worker: w, cause: ErrWorkerUnavailable}
+		}
+		if _, err := mgr.RunEpoch(); !errors.Is(err, ErrWorkerUnavailable) {
+			t.Fatalf("concurrent=%v: err = %v, want a failure wrapping ErrWorkerUnavailable", concurrent, err)
+		}
+	}
+}
+
+// dodger trains honestly, then forges one interval: it commits its trace with
+// leaf forged replaced by noise, and goes silent (ErrWorkerUnavailable)
+// whenever that leaf is asked for, as a worker that drops its connection to
+// dodge the challenge would.
+type dodger struct {
+	*HonestWorker
+	forged int
+	opener ProofOpener
+}
+
+func (d *dodger) RunEpoch(p TaskParams) (*EpochResult, error) {
+	res, err := d.HonestWorker.RunEpoch(p)
+	if err != nil {
+		return nil, err
+	}
+	trace := &Trace{Checkpoints: slices.Clone(d.LastTrace().Checkpoints)}
+	trace.Checkpoints[d.forged] = tensor.NewRNG(1).NormalVector(len(p.Global), 0, 1)
+	ec, err := CommitTrace(nil, trace.Checkpoints, p.LSH)
+	if err != nil {
+		return nil, err
+	}
+	ec.Apply(res)
+	d.opener = &faultyOpener{inner: &batchOpener{trace: trace, ec: ec}, at: d.forged,
+		err: fmt.Errorf("test: %s silent: %w", d.ID(), ErrWorkerUnavailable)}
+	return res, nil
+}
+
+func (d *dodger) OpenCheckpoint(idx int) (tensor.Vector, error) { return d.opener.OpenCheckpoint(idx) }
+
+func (d *dodger) OpenProof(idx int) (LeafProof, error) { return d.opener.OpenProof(idx) }
+
+// TestManagerAbsentAfterCommit: a worker that commits a forged interval and
+// goes silent when the interval is sampled (every interval is, here) is
+// absent, not rejected. It is never accepted and never aggregated, its drawn
+// samples and its verdict are journaled, and it is counted by
+// rpol_absent_total, never by rpol_verify_reject_total.
+func TestManagerAbsentAfterCommit(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "epoch.wal")
+			j, err := journal.Create(fsio.OS, path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr, observer := buildQuorumPool(t, concurrent, func(w Worker) Worker {
+				return &dodger{HonestWorker: w.(*HonestWorker), forged: 1}
+			}, j)
+			report, err := mgr.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Absent != 1 || report.Accepted != 2 || report.Rejected != 0 {
+				t.Fatalf("absent=%d accepted=%d rejected=%d, want 1/2/0", report.Absent, report.Accepted, report.Rejected)
+			}
+			o := report.Outcomes[0]
+			if o.Outcome != OutcomeAbsent || o.Accepted || !errors.Is(o.FailReason, ErrWorkerUnavailable) || len(o.SampledCheckpoints) == 0 {
+				t.Fatalf("dodger outcome %v (%v) after sampling %v, want absent after its samples were drawn",
+					o.Outcome, o.FailReason, o.SampledCheckpoints)
+			}
+			for name, want := range map[string]int64{"rpol_verify_reject_total": 0, "rpol_absent_total": 1, "rpol_verify_accept_total": 2} {
+				if got := observer.Counter(name).Value(); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			// Not aggregated: the global is the one an absence before
+			// committing leaves.
+			ref, _ := buildQuorumPool(t, concurrent, down(ErrWorkerUnavailable), nil)
+			if _, err := ref.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if !mgr.Global().Equal(ref.Global(), 0) {
+				t.Error("the dodger's update reached the global model")
+			}
+
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, rec, err := journal.Open(fsio.OS, path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			st, err := journal.Reconstruct(rec.Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples := 0
+			for _, s := range st.Samples {
+				if s.Worker == o.WorkerID {
+					samples++
+					if !slices.Equal(s.Indices, o.SampledCheckpoints) {
+						t.Errorf("journaled samples %v, drawn %v", s.Indices, o.SampledCheckpoints)
+					}
+				}
+			}
+			if samples != 1 {
+				t.Errorf("%d samples records for the dodger, want 1", samples)
+			}
+			for _, v := range st.Verdicts {
+				if v.Worker == o.WorkerID && (v.Outcome != "absent" || v.Reason != o.FailReason.Error()) {
+					t.Errorf("journaled verdict %+v, want absent with reason %q", v, o.FailReason)
+				}
+			}
+		})
 	}
 }
 

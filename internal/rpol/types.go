@@ -205,9 +205,10 @@ type Calibration struct {
 
 // ErrWorkerUnavailable marks a worker that could not be reached: every
 // attempt of an exchange was lost, or the peer crashed for the epoch.
-// Transports wrap their terminal delivery failures in it so the manager can
-// classify the worker as absent (OutcomeAbsent) rather than adversarial —
-// an unreachable honest worker must never count toward FalseRejections.
+// Transports wrap their terminal delivery failures in it, and a worker whose
+// task or any opening fails with it is absent (OutcomeAbsent), not
+// adversarial — an unreachable honest worker must never count toward
+// FalseRejections.
 var ErrWorkerUnavailable = errors.New("rpol: worker unavailable")
 
 // Outcome classifies how a worker's epoch concluded from the manager's view.
@@ -218,9 +219,10 @@ const (
 	OutcomeAccepted Outcome = iota + 1
 	// OutcomeRejected means the submission arrived and failed verification.
 	OutcomeRejected
-	// OutcomeAbsent means no submission arrived within the worker's deadline
-	// (crash, partition, or persistent loss). Absent workers are neither
-	// accepted nor counted as detected adversaries.
+	// OutcomeAbsent means the worker could not be reached (crash,
+	// partition, or persistent loss), before its submission arrived or
+	// while answering its challenge. Absent workers are neither accepted nor
+	// counted as detected adversaries.
 	OutcomeAbsent
 )
 
@@ -253,8 +255,11 @@ type VerifyOutcome struct {
 	LSHMisses int
 	// DoubleChecks counts LSH misses resolved by requesting raw weights.
 	DoubleChecks int
-	// FailReason is empty when accepted.
-	FailReason string
+	// FailReason is nil when accepted. A rejection wraps the reason
+	// sentinel naming the rule broken (ErrLeafCount … ErrDistance, or
+	// commitment.ErrMismatch); an absence wraps ErrWorkerUnavailable. Match
+	// it with errors.Is; its text is what the journal and events record.
+	FailReason error
 	// Comm tallies verification-only traffic in bytes, for Table III: the
 	// commitment material (CommitBytes) plus every validated opening the
 	// verifier pulled, each leaf once, counted at its first use by the
@@ -266,4 +271,12 @@ type VerifyOutcome struct {
 	// ReexecSteps counts training steps the manager re-executed, for the
 	// computation-overhead accounting.
 	ReexecSteps int
+}
+
+// reasonText is a FailReason's text, empty when there is none.
+func reasonText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -1,7 +1,7 @@
 package rpol
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"rpol/internal/commitment"
@@ -69,7 +69,7 @@ func TestCompareLSHRejectsUnauthenticatedDigest(t *testing.T) {
 	if ok {
 		t.Fatal("compare accepted a digest whose Merkle proof does not verify against the committed root")
 	}
-	if !strings.Contains(out.FailReason, "digest not committed") {
+	if !errors.Is(out.FailReason, commitment.ErrMismatch) {
 		t.Errorf("FailReason = %q, want the digest reported as not committed", out.FailReason)
 	}
 	if out.CommBytes != 0 || out.CommitBytes != 0 {

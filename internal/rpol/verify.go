@@ -71,6 +71,53 @@ var (
 	ErrNoNetwork = errors.New("rpol: verifier needs a network")
 )
 
+// Rejection reasons. A rejected outcome's FailReason wraps the one naming the
+// rule the submission broke, and a failed binding the leaf store's reason as
+// well; a leaf whose proof does not verify is rejected with
+// commitment.ErrMismatch. PROTOCOL §4 tables each with the step that raises
+// it.
+var (
+	// ErrLeafCount rejects a submission that commits another count than the task's.
+	ErrLeafCount = errors.New("rpol: committed checkpoint count is not the task's")
+	// ErrDataSize rejects a claimed |D_w|, the Eq. (1) weight, other than the shard's.
+	ErrDataSize = errors.New("rpol: claimed data size is not the shard's")
+	// ErrWrongStart rejects a trace whose leaf 0 is not θ_t.
+	ErrWrongStart = errors.New("trace does not start from the distributed global model")
+	// ErrUpdateSize rejects an update of another length than the model.
+	ErrUpdateSize = errors.New("rpol: update size is not the model's")
+	// ErrWrongFinal rejects an update whose θ_t + L is not the last leaf.
+	ErrWrongFinal = errors.New("submitted update does not reach the committed final checkpoint")
+	// ErrNotOpened rejects a worker that answered a request with an error.
+	ErrNotOpened = errors.New("rpol: leaf not opened")
+	// ErrProofIndex rejects a proof that answers for another leaf than asked.
+	ErrProofIndex = errors.New("rpol: proof bound to another leaf")
+	// ErrNoDigest rejects a v2 proof with no well-formed digest riding along.
+	ErrNoDigest = errors.New("rpol: proof carries no digest")
+	// ErrNonFinite rejects a leaf, or a replay, holding a NaN or an infinity.
+	ErrNonFinite = errors.New("rpol: weights are not finite")
+	// ErrLSHMismatch rejects a v2 digest miss when the double-check is off.
+	ErrLSHMismatch = errors.New("LSH mismatch")
+	// ErrDistance rejects a replay that lands β or farther from its leaf.
+	ErrDistance = errors.New("rpol: replay distance is not below β")
+)
+
+// reason gives err a rejection reason without changing its text.
+type reason struct {
+	error
+	class error
+}
+
+func (r reason) Unwrap() []error { return []error{r.class, r.error} }
+
+// breaks names the rule a failed binding broke. A lost opening keeps its own
+// text: the worker is absent then, not wrong.
+func breaks(rule, err error) error {
+	if errors.Is(err, ErrWorkerUnavailable) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", rule, err)
+}
+
 // sampleIntervals draws q distinct interval start indices from
 // [0, numCheckpoints-1). Sampling happens strictly after the worker's
 // commitment arrived — the delayed-disclosure property that defeats
@@ -102,22 +149,20 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 	span := v.observer().Start(p.Trace, "verify.submission",
 		obs.String("worker", result.WorkerID), obs.String("scheme", v.Scheme.String()))
 	defer func() {
-		if out.Outcome == 0 {
-			if out.Accepted {
-				out.Outcome = OutcomeAccepted
-			} else {
-				out.Outcome = OutcomeRejected
-			}
-		}
-		if out.Accepted {
+		switch {
+		case out.Accepted:
+			out.Outcome = OutcomeAccepted
 			v.observer().Counter("rpol_verify_accept_total").Inc()
-		} else {
+		case errors.Is(out.FailReason, ErrWorkerUnavailable):
+			out.Outcome = OutcomeAbsent // counted by the manager, never rejected
+		default:
+			out.Outcome = OutcomeRejected
 			v.observer().Counter("rpol_verify_reject_total").Inc()
 		}
 		v.observer().Counter("rpol_verify_comm_bytes_total").Add(out.CommBytes)
 		v.observer().Histogram("rpol_verify_sampled_checkpoints",
 			[]float64{0, 1, 2, 3, 5, 8, 13}).Observe(float64(len(out.SampledCheckpoints)))
-		span.End(obs.Bool("accepted", out.Accepted), obs.String("fail", out.FailReason),
+		span.End(obs.Bool("accepted", out.Accepted), obs.String("fail", reasonText(out.FailReason)),
 			obs.Int("commBytes", out.CommBytes), obs.Int("reexecSteps", int64(out.ReexecSteps)))
 	}()
 	if v.Scheme == SchemeBaseline {
@@ -145,7 +190,12 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 	// of the work. Rejected before any byte is pulled or tallied.
 	n := p.NumCheckpoints()
 	if result.NumCheckpoints != n {
-		out.FailReason = fmt.Sprintf("%v: submission commits %d, the task has %d", ErrLeafCount, result.NumCheckpoints, n)
+		out.FailReason = fmt.Errorf("%w: submission commits %d, the task has %d", ErrLeafCount, result.NumCheckpoints, n)
+		return out, nil
+	}
+	// So is its Eq. (1) weight: the manager partitioned the data.
+	if result.DataSize != shard.Len() {
+		out.FailReason = fmt.Errorf("%w: submission claims %d examples, the shard holds %d", ErrDataSize, result.DataSize, shard.Len())
 		return out, nil
 	}
 	// The submission carries only the 32-byte root; every leaf the verifier
@@ -162,7 +212,7 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 	// sampled interval would still re-execute consistently. The manager
 	// holds θ_t: leaf 0 is in the store from here on, never requested.
 	if err := st.bind(0, p.Global); err != nil {
-		out.FailReason = fmt.Sprintf("trace does not start from the distributed global model: %v", err)
+		out.FailReason = breaks(ErrWrongStart, err)
 		return out, nil
 	}
 
@@ -171,7 +221,7 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 	// honestly yet submit a scaled or poisoned update for aggregation. The
 	// manager computes θ_t + L itself: leaf n−1 is never requested either.
 	if len(result.Update) != len(p.Global) {
-		out.FailReason = fmt.Sprintf("update has %d weights, want %d", len(result.Update), len(p.Global))
+		out.FailReason = reason{fmt.Errorf("update has %d weights, want %d", len(result.Update), len(p.Global)), ErrUpdateSize}
 		return out, nil
 	}
 	var err error
@@ -180,7 +230,7 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 		return nil, fmt.Errorf("rpol verify update binding: %w", err)
 	}
 	if err := st.bind(n-1, v.final); err != nil {
-		out.FailReason = fmt.Sprintf("submitted update does not reach the committed final checkpoint: %v", err)
+		out.FailReason = breaks(ErrWrongFinal, err)
 		return out, nil
 	}
 
@@ -208,7 +258,7 @@ func (v *Verifier) verifyIntervals(st *leafStore, shard *dataset.Dataset, p Task
 		// Interval k+1's leaves are not requested once interval k failed.
 		input, err := st.weights(c)
 		if err != nil {
-			out.FailReason = err.Error()
+			out.FailReason = err
 			return false, nil
 		}
 		r, err := v.replay(input, p, c, parent)
@@ -216,6 +266,10 @@ func (v *Verifier) verifyIntervals(st *leafStore, shard *dataset.Dataset, p Task
 			return false, err
 		}
 		out.ReexecSteps += r.steps
+		if !r.weights.IsFinite() {
+			out.FailReason = fmt.Errorf("checkpoint %d: replay: %w", c, ErrNonFinite)
+			return false, nil
+		}
 		if ok, err := v.compare(st, c, r, out, parent); !ok || err != nil {
 			return false, err
 		}
@@ -265,7 +319,7 @@ func (v *Verifier) compare(st *leafStore, c int, r replayed, out *VerifyOutcome,
 	if v.Scheme == SchemeV2 {
 		committed, err := st.digest(c + 1)
 		if err != nil {
-			out.FailReason = err.Error()
+			out.FailReason = err
 			return false, nil
 		}
 		v.observer().Counter("rpol_lsh_compares_total").Inc()
@@ -275,14 +329,14 @@ func (v *Verifier) compare(st *leafStore, c int, r replayed, out *VerifyOutcome,
 		out.LSHMisses++
 		v.observer().Counter("rpol_lsh_misses_total").Inc()
 		if v.DisableDoubleCheck {
-			out.FailReason = fmt.Sprintf("checkpoint %d: LSH mismatch (double-check disabled)", c)
+			out.FailReason = fmt.Errorf("checkpoint %d: %w (double-check disabled)", c, ErrLSHMismatch)
 			return false, nil
 		}
 		check = "double-check "
 	}
 	output, err := st.weights(c + 1)
 	if err != nil {
-		out.FailReason = check + err.Error()
+		out.FailReason = fmt.Errorf("%s%w", check, err)
 		return false, nil
 	}
 	if check != "" {
@@ -293,8 +347,8 @@ func (v *Verifier) compare(st *leafStore, c int, r replayed, out *VerifyOutcome,
 	if err != nil {
 		return false, fmt.Errorf("rpol verify distance: %w", err)
 	}
-	if dist >= v.Beta {
-		out.FailReason = fmt.Sprintf("checkpoint %d: %sdistance %.6g ≥ β %.6g", c, check, dist, v.Beta)
+	if !(dist < v.Beta) { // so that a NaN distance fails too
+		out.FailReason = reason{fmt.Errorf("checkpoint %d: %sdistance %.6g ≥ β %.6g", c, check, dist, v.Beta), ErrDistance}
 		return false, nil
 	}
 	return true, nil

@@ -47,7 +47,7 @@ func TestSeededFaultReplaySchedulerFree(t *testing.T) {
 		DropRate: 0.08, DelayRate: 0.2, MaxDelay: time.Millisecond,
 		PartitionRate: 0.15, PartitionWindow: 4,
 	})
-	cfg := tcpRun{scheme: rpol.SchemeV2, workers: 4, adv1: 1, epochs: 3, plan: plan, attempts: 3, quorum: 1}
+	cfg := tcpRun{scheme: rpol.SchemeV2, workers: 4, adv1: 1, epochs: 3, plan: plan, attempts: 3}
 	replay := func(procs int, concurrent bool) (tcpResult, string) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var stop atomic.Bool
@@ -74,6 +74,11 @@ func TestSeededFaultReplaySchedulerFree(t *testing.T) {
 	for _, o := range want.outcomes {
 		if o.Outcome == rpol.OutcomeAbsent {
 			absent++
+		}
+		// tcp-w0 is the replay attacker; a lost exchange never rejects
+		// anyone else.
+		if o.Outcome == rpol.OutcomeRejected && o.WorkerID != "tcp-w0" {
+			t.Errorf("epoch %d: honest %s rejected: %v", o.Epoch, o.WorkerID, o.FailReason)
 		}
 	}
 	// A call the plan defeats costs Attempts timeouts and one fewer retries;

@@ -74,7 +74,6 @@ type tcpRun struct {
 	concurrent      bool
 	plan            *netsim.FaultPlan // installed once every endpoint is registered
 	attempts        int
-	quorum          int
 }
 
 // tcpResult is what a run left behind.
@@ -169,7 +168,6 @@ func runOverTCP(t *testing.T, cfg tcpRun) tcpResult {
 		MasterKey:            []byte("tcp"),
 		Seed:                 60,
 		ConcurrentCollection: cfg.concurrent,
-		Quorum:               cfg.quorum,
 	}, managerNet, workers, shardMap, shards[n])
 	if err != nil {
 		t.Fatal(err)

@@ -90,8 +90,9 @@ const (
 )
 
 // ErrWorkerUnavailable marks workers the transport could not reach (every
-// attempt of an exchange lost); the manager records them as OutcomeAbsent
-// under a quorum instead of treating them as adversarial.
+// attempt of an exchange lost); the manager records them as OutcomeAbsent,
+// whether the loss came before their submission or during their challenge,
+// instead of treating them as adversarial.
 var ErrWorkerUnavailable = rpol.ErrWorkerUnavailable
 
 // NewFaultPlan derives a deterministic fault plan from seed; use
@@ -104,7 +105,7 @@ func DefaultFaultConfig() FaultConfig { return netsim.DefaultFaultConfig() }
 
 // NewManager builds a pool manager over pre-constructed workers. See
 // rpol.ManagerConfig for the knobs (scheme, sampling count q, calibration
-// factors, collection and quorum).
+// factors, collection).
 func NewManager(cfg ManagerConfig, net *Network, workers []ProtocolWorker, shards map[string]*Dataset, probe *Dataset) (*Manager, error) {
 	return rpol.NewManager(cfg, net, workers, shards, probe)
 }
