@@ -10,7 +10,7 @@ import (
 // reads: the last byte of every file header and the second of every record
 // body (see Header and AppendBodyHeader). A file or body of any other version
 // is ErrVersion, never a torn tail and never rewritten.
-const Version = 2
+const Version = 3
 
 // Every durable file opens with an 8-byte header: fileMagic, two letters
 // naming what the file holds, and Version as one ASCII digit. The magic's

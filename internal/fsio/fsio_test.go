@@ -474,7 +474,7 @@ func TestChecksumDistinguishesInputs(t *testing.T) {
 
 func TestHeaderAndSplitHeader(t *testing.T) {
 	h := Header("wl")
-	if len(h) != headerSize || h != "\x93RPoLwl2" {
+	if len(h) != headerSize || h != "\x93RPoLwl3" {
 		t.Fatalf("Header(wl) = %q", h)
 	}
 	data := append([]byte(h), 1, 2)

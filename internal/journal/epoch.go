@@ -15,8 +15,6 @@ const (
 	KindTask Kind = 'T'
 	// KindCommit — a worker's commitment arrived at the manager.
 	KindCommit Kind = 'C'
-	// KindSamples — the manager drew a submission's sample indices.
-	KindSamples Kind = 'S'
 	// KindVerdict — the manager recorded a submission's verification
 	// outcome.
 	KindVerdict Kind = 'V'
@@ -30,8 +28,6 @@ func (k Kind) String() string {
 		return "task"
 	case KindCommit:
 		return "commit"
-	case KindSamples:
-		return "samples"
 	case KindVerdict:
 		return "verdict"
 	case KindSeal:
@@ -97,38 +93,6 @@ func DecodeCommit(body []byte) (Commit, error) {
 	r := fsio.ReadBody(body, byte(KindCommit))
 	c := Commit{Epoch: r.Int(), Worker: r.Str(), Digest: r.Uint64(), Root: r.Blob(), NumCheckpoints: r.Int()}
 	return c, r.Done()
-}
-
-// Samples records the sample indices drawn for one submission.
-type Samples struct {
-	Epoch   int
-	Worker  string
-	Indices []int
-}
-
-// AppendBody appends s's record body to dst.
-func (s Samples) AppendBody(dst []byte) []byte {
-	dst = fsio.AppendBodyHeader(dst, byte(KindSamples))
-	dst = fsio.AppendInt(dst, int64(s.Epoch))
-	dst = fsio.AppendString(dst, s.Worker)
-	dst = fsio.AppendLen(dst, len(s.Indices))
-	for _, i := range s.Indices {
-		dst = fsio.AppendInt(dst, int64(i))
-	}
-	return dst
-}
-
-// DecodeSamples decodes a KindSamples body.
-func DecodeSamples(body []byte) (Samples, error) {
-	r := fsio.ReadBody(body, byte(KindSamples))
-	s := Samples{Epoch: r.Int(), Worker: r.Str()}
-	if n := r.Len(1); n > 0 {
-		s.Indices = make([]int, n)
-		for i := range s.Indices {
-			s.Indices[i] = r.Int()
-		}
-	}
-	return s, r.Done()
 }
 
 // Verdict records one submission's verification outcome.
@@ -226,9 +190,6 @@ func (j *Journal) LogTask(t Task) error { return j.log(KindTask, t) }
 // LogCommit appends a commitment-received record.
 func (j *Journal) LogCommit(c Commit) error { return j.log(KindCommit, c) }
 
-// LogSamples appends a samples-drawn record.
-func (j *Journal) LogSamples(s Samples) error { return j.log(KindSamples, s) }
-
 // LogVerdict appends a verdict record.
 func (j *Journal) LogVerdict(v Verdict) error { return j.log(KindVerdict, v) }
 
@@ -247,10 +208,10 @@ type State struct {
 	InFlight int
 	// Task is the in-flight epoch's announcement (nil when InFlight < 0).
 	Task *Task
-	// Commits, Samples, Verdicts are the in-flight epoch's durable
-	// transitions, in journal order.
+	// Commits and Verdicts are the in-flight epoch's durable transitions,
+	// in journal order. A challenge is not recorded: it is re-derived from
+	// its commitment.
 	Commits  []Commit
-	Samples  []Samples
 	Verdicts []Verdict
 }
 
@@ -259,7 +220,7 @@ type State struct {
 func (s *State) ClearInFlight() {
 	s.InFlight = -1
 	s.Task = nil
-	s.Commits, s.Samples, s.Verdicts = nil, nil, nil
+	s.Commits, s.Verdicts = nil, nil
 }
 
 // NextEpoch returns the epoch a resumed run should execute next: the
@@ -307,14 +268,6 @@ func Reconstruct(recs []Record) (*State, error) {
 			}
 			if c.Epoch == st.InFlight {
 				st.Commits = append(st.Commits, c)
-			}
-		case KindSamples:
-			s, err := DecodeSamples(rec.Body)
-			if err != nil {
-				return fail(err)
-			}
-			if s.Epoch == st.InFlight {
-				st.Samples = append(st.Samples, s)
 			}
 		case KindVerdict:
 			v, err := DecodeVerdict(rec.Body)

@@ -294,7 +294,7 @@ func TestJournalRecordsMetric(t *testing.T) {
 	}
 	defer j.Close()
 	for i := 0; i < 5; i++ {
-		if err := j.LogSamples(Samples{Epoch: 0, Worker: "w", Indices: []int{1, 2}}); err != nil {
+		if err := j.LogVerdict(Verdict{Epoch: 0, Worker: "w", Outcome: "accepted"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,6 +367,7 @@ func TestReconstructRejectsEpochGaps(t *testing.T) {
 		"trailing":      append(append([]byte(nil), task...), 0),
 		"other version": otherVersion,
 		"unknown kind":  append(fsio.AppendBodyHeader(nil, 'Z'), 0),
+		"samples kind":  append(fsio.AppendBodyHeader(nil, 'S'), 0), // retired: a challenge is re-derived
 		"json":          []byte(`{"epoch":0,"workers":2}`),
 	} {
 		if _, err := Reconstruct([]Record{{Seq: 1, Body: body}}); !errors.Is(err, fsio.ErrVersion) {
@@ -388,10 +389,6 @@ func TestBodiesRoundTrip(t *testing.T) {
 	commit := Commit{Epoch: 1, Worker: "w-1", Digest: 9, Root: bytes.Repeat([]byte{7}, 32), NumCheckpoints: 9}
 	if got, err := DecodeCommit(commit.AppendBody(nil)); err != nil || fmt.Sprint(got) != fmt.Sprint(commit) {
 		t.Fatalf("commit %+v, %v; want %+v", got, err, commit)
-	}
-	samples := Samples{Epoch: 2, Worker: "w", Indices: []int{0, 1, 1 << 20}}
-	if got, err := DecodeSamples(samples.AppendBody(nil)); err != nil || fmt.Sprint(got) != fmt.Sprint(samples) {
-		t.Fatalf("samples %+v, %v; want %+v", got, err, samples)
 	}
 	verdict := Verdict{Epoch: 2, Worker: "w", Outcome: "rejected", Reason: "lsh miss"}
 	if got, err := DecodeVerdict(verdict.AppendBody(nil)); err != nil || got != verdict {

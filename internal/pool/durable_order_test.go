@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -191,17 +190,13 @@ func TestDurableEpochSyncsOncePerPhase(t *testing.T) {
 				return ev.op == op && ev.name == name && (worker == "" || ev.worker == worker)
 			}
 		}
-		journalWrite := func(want ...journal.Kind) func(durableEvent) bool {
-			var kinds []string
-			for _, k := range want {
-				kinds = append(kinds, k.String())
-			}
+		journalWrite := func(want journal.Kind) func(durableEvent) bool {
 			return func(ev durableEvent) bool {
 				if ev.op != "write" || ev.file != journalFile {
 					return false
 				}
 				for _, k := range strings.Split(ev.kinds, ",") {
-					if !slices.Contains(kinds, k) {
+					if k != want.String() {
 						return false
 					}
 				}
@@ -277,7 +272,7 @@ func TestDurableEpochSyncsOncePerPhase(t *testing.T) {
 		}
 
 		// verdicts → aggregation → state.bin → seal.
-		verdictSync := syncAfter(one("samples/verdict write", journalWrite(journal.KindSamples, journal.KindVerdict)))
+		verdictSync := syncAfter(one("verdict write", journalWrite(journal.KindVerdict)))
 		aggregate := one("manager.aggregate start", span("start", "manager.aggregate", ""))
 		done := find(span("end", "verify.submission", ""))
 		if verdictSync < done[len(done)-1] || verdictSync > aggregate {

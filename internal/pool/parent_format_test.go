@@ -15,6 +15,9 @@ import (
 // state.bin of a 2-worker pool that sealed epoch 0 and crashed inside epoch
 // 1, written in the JSON-bodied, FNV-checksummed format; testdata/segment_fnv
 // holds a checkpoint segment of the same format (its header frame).
+// testdata/journal_v2 is the whole directory the same pool left in durable
+// format 2, whose journal still held samples records, with a torn frame at
+// the end of its journal.
 var parentFiles = map[string]string{
 	journalFile:                  filepath.Join("testdata", "journal_pr22", journalFile),
 	stateFile:                    filepath.Join("testdata", "journal_pr22", stateFile),
@@ -69,11 +72,11 @@ func writeFile(t *testing.T, dir, name string, data []byte) {
 	}
 }
 
-// TestResumeParentFormatJournal holds the one deliberate format break to its
-// promise. A directory the parent format wrote — the JSON-bodied,
-// FNV-checksummed journal, state file and segments — is refused with
-// fsio.ErrVersion and left byte-identical, whichever of its files is the
-// foreign one; so is a directory of this build's whose durable files carry a
+// TestResumeParentFormatJournal holds the deliberate format breaks to their
+// promise. A directory an earlier format wrote — the JSON-bodied,
+// FNV-checksummed journal, state file and segments, or format 2 with its
+// samples records — is refused with fsio.ErrVersion and left byte-identical,
+// whichever of its files is the foreign one; so is a directory of this build's whose durable files carry a
 // single flipped bit in their version header. Refusal happens before the
 // journal could read its foreign frames as a torn tail and rewrite them. A
 // directory this build wrote, crashed inside epoch 1 like the parent's
@@ -176,6 +179,17 @@ func TestResumeParentFormatJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			writeFile(t, dir, name, data)
+		}
+		refused(t, dir)
+	})
+
+	// Format 2 differs from this build's only in its version and its samples
+	// records: without the version its torn tail would be cut away before
+	// the first samples record was refused.
+	t.Run("the format-2 directory with a torn tail is refused untouched", func(t *testing.T) {
+		dir := t.TempDir()
+		for name, data := range readTree(t, filepath.Join("testdata", "journal_v2")) {
 			writeFile(t, dir, name, data)
 		}
 		refused(t, dir)

@@ -86,10 +86,9 @@ type Config struct {
 	// Journal is a directory for the pool's durability layer: the manager's
 	// append-only epoch journal (epoch.wal), a per-epoch state snapshot
 	// (state.bin), and one append-only checkpoint segment per honest worker
-	// (ckpt-<id>/segment.bin). Empty disables journaling. With a journal, the
-	// manager derives its per-epoch randomness from (Seed, epoch) — a seeded
-	// journaled run is still fully deterministic, but its sampling stream
-	// differs from the same seed without a journal.
+	// (ckpt-<id>/segment.bin). Empty disables journaling. A journal changes
+	// what is written, never an outcome: the same configuration settles
+	// every epoch alike with and without one.
 	Journal string
 	// Resume, with Journal set, recovers the pool's position from the
 	// journal instead of starting fresh: sealed epochs are replayed from
@@ -473,6 +472,9 @@ func New(cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The master key derives from the public address, so the simulator's
+	// nonce and challenge key is no secret (PROTOCOL.md, the caveat after
+	// the security table).
 	manager, err := rpol.NewManager(rpol.ManagerConfig{
 		Address:         cfg.ManagerAddress,
 		Scheme:          cfg.Scheme,

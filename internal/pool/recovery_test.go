@@ -178,6 +178,43 @@ func TestJournaledRunIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestJournalChangesNoOutcome: a journal changes what is written, never an
+// outcome. The same configuration, an adversary among its workers, gives
+// equal epoch stats — β, verification bytes, verdicts, accuracy — and an
+// equal global model with and without one, epoch after epoch.
+func TestJournalChangesNoOutcome(t *testing.T) {
+	const epochs = 3
+	run := func(dir string) ([]string, uint64) {
+		t.Helper()
+		cfg := journaledConfig(1, dir, nil)
+		cfg.Adv2Fraction = 0.5
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		stats := make([]string, epochs)
+		for e := range stats {
+			s, err := p.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats[e] = fmt.Sprintf("%+v β=%v", summarize(s), s.Calibration.Beta)
+		}
+		return stats, globalDigest(p)
+	}
+	plain, plainDigest := run("")
+	journaled, journaledDigest := run(t.TempDir())
+	for e := range plain {
+		if plain[e] != journaled[e] {
+			t.Errorf("epoch %d:\n  without a journal %s\n  with a journal    %s", e, plain[e], journaled[e])
+		}
+	}
+	if plainDigest != journaledDigest {
+		t.Errorf("global digest %x without a journal, %x with one", plainDigest, journaledDigest)
+	}
+}
+
 // TestResumeAfterCleanStop is the graceful half of recovery: run one epoch,
 // close the pool, reopen with Resume, run the second epoch — and the spliced
 // history must be bit-identical to the uninterrupted run.

@@ -30,13 +30,18 @@ type ManagerConfig struct {
 	// CheckpointEvery is the checkpoint interval i (5 in the evaluation).
 	CheckpointEvery int
 	// Samples is q, sampled checkpoints per submission (3 in the
-	// evaluation).
+	// evaluation; 0 takes that default, a negative count is refused).
 	Samples int
 	// GPU is the manager's own verification hardware.
 	GPU gpu.Profile
-	// MasterKey derives per-(worker, epoch) nonces.
+	// MasterKey derives per-(worker, epoch) nonces and, through a
+	// domain-separated subkey, each submission's challenge. It must be
+	// secret: a worker holding it could grind its commitment until the
+	// challenge misses a forged interval.
 	MasterKey []byte
-	// Seed drives the manager's sampling and hardware randomness.
+	// Seed drives the manager's own randomness: its verification device
+	// and, per epoch, the seeds of the calibration probes and the LSH
+	// family, each a pure function of (Seed, label, epoch).
 	Seed int64
 	// XFactor/YOffset define β = x·α + y (defaults 5, 0).
 	XFactor, YOffset float64
@@ -56,16 +61,16 @@ type ManagerConfig struct {
 	// manager verifies them one after another.
 	Workers int
 	// Journal, when set, makes the manager log every protocol transition
-	// (task announced, commitment received, samples drawn, verdict recorded)
-	// to the durable epoch journal, and derives its sampling RNG and
-	// verification device freshly at each epoch start as a pure function of
-	// (Seed, epoch) — so a resumed run re-enters any epoch with bit-identical
-	// randomness instead of depending on a cross-epoch stream position no
-	// crash survivor can reconstruct. Records are synced once per phase, at
-	// the point where the manager acts on them: the task before the first
-	// worker is called, the commitments before the first challenge leaves,
-	// the samples and verdicts before aggregation. Journal failures abort
-	// the epoch: an unrecorded transition must not take effect.
+	// (task announced, commitment received, verdict recorded) to the
+	// durable epoch journal. It changes only what is written, never an
+	// outcome: every draw of an epoch is a pure function of the
+	// configuration, the epoch and the commitments, so a resumed run
+	// re-enters any epoch with the randomness the uninterrupted one had.
+	// Records are synced once per phase, at the point where the manager
+	// acts on them: the task before the first worker is called, the
+	// commitments before the first challenge is drawn, the verdicts before
+	// aggregation. Journal failures abort the epoch: an unrecorded
+	// transition must not take effect.
 	Journal *journal.Journal
 	// Obs routes the manager's metrics and spans. Nil falls back to the
 	// process-wide default observer (disabled unless a command installed
@@ -82,10 +87,12 @@ type Manager struct {
 	global  tensor.Vector
 	workers []Worker
 	shards  map[string]*dataset.Dataset
-	device  *gpu.Device
-	rng     *tensor.RNG
 	epoch   int
 	obs     *obs.Observer
+
+	// challenger derives each submission's challenge seed, and the
+	// verifier's Sampler is reseeded with it before the submission's draw.
+	challenger *challenger
 
 	// verifier and calibrator live as long as the manager, so the training
 	// runtime each builds on its first step serves every later epoch.
@@ -142,6 +149,9 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 	if len(cfg.MasterKey) == 0 {
 		return nil, errors.New("rpol: manager needs a nonce master key")
 	}
+	if cfg.Samples < 0 {
+		return nil, fmt.Errorf("rpol: manager needs a non-negative sample count, got %d", cfg.Samples)
+	}
 	for _, w := range workers {
 		if _, ok := shards[w.ID()]; !ok {
 			return nil, fmt.Errorf("rpol: no shard for worker %s", w.ID())
@@ -160,13 +170,12 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 		global:  net.ParamVector(),
 		workers: workers,
 		shards:  shards,
-		device:  device,
-		rng:     tensor.NewRNG(cfg.Seed),
 		obs:     o,
-		verifier: &Verifier{Scheme: cfg.Scheme, Net: net, Samples: cfg.Samples,
-			Obs: o, Workers: cfg.Workers},
+		verifier: &Verifier{Scheme: cfg.Scheme, Net: net, Device: device, Samples: cfg.Samples,
+			Sampler: tensor.NewRNG(0), Obs: o, Workers: cfg.Workers},
 		calibrator: &Calibrator{Net: net, Shard: probe, XFactor: cfg.XFactor,
 			YOffset: cfg.YOffset, KLsh: cfg.KLsh, Obs: o},
+		challenger: newChallenger(cfg.MasterKey),
 	}, nil
 }
 
@@ -175,9 +184,7 @@ func (m *Manager) Global() tensor.Vector { return m.global.Clone() }
 
 // Restore rewinds the manager to the state after `completed` epochs with
 // the given global model — crash recovery replaying a journal calls it
-// before re-running the in-flight epoch. Only meaningful under a Journal
-// (per-epoch derived randomness); without one the sampling stream position
-// cannot be reconstructed.
+// before re-running the in-flight epoch.
 func (m *Manager) Restore(completed int, global tensor.Vector) error {
 	if completed < 0 {
 		return fmt.Errorf("rpol manager restore: negative epoch count %d", completed)
@@ -191,13 +198,10 @@ func (m *Manager) Restore(completed int, global tensor.Vector) error {
 	return nil
 }
 
-// deriveEpochState re-seeds the manager's sampling RNG for the given epoch.
-// Under a Journal every epoch's randomness is a pure function of (Seed,
-// epoch), which is what makes a resumed epoch bit-identical to its
-// uninterrupted counterpart. The verification device needs no re-seeding:
-// its replay noise is keyed by each worker's nonce.
-func (m *Manager) deriveEpochState(epoch int) {
-	m.rng = tensor.NewRNG(prf.SeedFromString(fmt.Sprintf("rpol/epoch-rng/%d/%d", m.cfg.Seed, epoch)))
+// epochSeed derives the epoch's seed for one labelled draw (the calibration
+// probes, the LSH family) from (Seed, label, epoch) alone.
+func (m *Manager) epochSeed(label string, epoch int) int64 {
+	return prf.SeedFromString(fmt.Sprintf("rpol/%s/%d/%d", label, m.cfg.Seed, epoch))
 }
 
 // Epoch returns the number of completed epochs.
@@ -232,7 +236,6 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	defer epochSpan.End()
 
 	if m.cfg.Journal != nil {
-		m.deriveEpochState(epoch)
 		m.encBuf = m.global.AppendEncode(m.encBuf[:0])
 		if err := m.cfg.Journal.LogTask(journal.Task{
 			Epoch:        epoch,
@@ -259,28 +262,23 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		Workers:         m.cfg.Workers,
 	}
 
-	// The sampler is re-derived per epoch under a journal.
-	verifier := m.verifier
-	verifier.Device, verifier.Sampler = m.device, m.rng
-
 	if m.cfg.Scheme != SchemeBaseline {
 		// Adaptive calibration for the upcoming epoch. The probe's results
 		// could be aggregated too (the paper notes the probe is not wasted
 		// work); here it is used purely for measurement.
 		top1, top2 := m.topTwoProfiles()
 		m.calibrator.Trace = epochSpan
-		probeSeeds := [2]int64{m.rng.Int63(), m.rng.Int63()}
-		// RPoLv1 commits raw weights: its calibration builds no LSH family,
-		// though the family's seed is still drawn so the stream stays put.
-		cal, fam, err := m.calibrator.calibrate(baseParams, top1, top2, probeSeeds, m.rng.Int63(), m.cfg.Scheme == SchemeV2)
+		probeSeeds := [2]int64{m.epochSeed("probe-a", epoch), m.epochSeed("probe-b", epoch)}
+		// RPoLv1 commits raw weights: its calibration builds no LSH family.
+		cal, fam, err := m.calibrator.calibrate(baseParams, top1, top2, probeSeeds, m.epochSeed("lsh", epoch), m.cfg.Scheme == SchemeV2)
 		if err != nil {
 			return nil, err
 		}
 		m.lastCal = cal
 		report.Calibration = cal
-		verifier.Beta = cal.Beta
+		m.verifier.Beta = cal.Beta
 		if m.cfg.Scheme == SchemeV2 {
-			verifier.LSH = fam
+			m.verifier.LSH = fam
 			baseParams.LSH = fam
 		}
 		// The probe sub-task runs a full epoch on each of the top-2
@@ -387,7 +385,7 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 			return nil, fmt.Errorf("rpol manager: %w", err)
 		}
 	}
-	verified, err := verifyAll(verifier, live)
+	verified, err := verifyAll(m.verifier, m.challenger, live)
 	if err != nil {
 		return nil, fmt.Errorf("rpol manager: %w", err)
 	}
@@ -397,16 +395,6 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	accepted := make([]*EpochResult, 0, len(m.workers))
 	for i, outcome := range outcomes {
 		if m.cfg.Journal != nil {
-			// Drawn samples are journaled, an absent worker's too.
-			if outcome.Outcome != OutcomeAbsent || outcome.SampledCheckpoints != nil {
-				if err := m.cfg.Journal.LogSamples(journal.Samples{
-					Epoch:   epoch,
-					Worker:  outcome.WorkerID,
-					Indices: outcome.SampledCheckpoints,
-				}); err != nil {
-					return nil, fmt.Errorf("rpol manager: %w", err)
-				}
-			}
 			if err := m.cfg.Journal.LogVerdict(journal.Verdict{
 				Epoch:   epoch,
 				Worker:  outcome.WorkerID,
@@ -517,11 +505,15 @@ type submission struct {
 
 // verifyAll is the manager's one verification loop: v checks the
 // submissions one after another, in order, each drawing its samples from
-// v.Sampler. Protocol-level rejections are reported in the outcomes; the
-// first internal error aborts the batch.
-func verifyAll(v *Verifier, subs []submission) ([]*VerifyOutcome, error) {
+// v.Sampler reseeded with the submission's challenge seed, so no submission's
+// draw depends on another's. Protocol-level rejections are reported in the
+// outcomes; the first internal error aborts the batch.
+func verifyAll(v *Verifier, c *challenger, subs []submission) ([]*VerifyOutcome, error) {
 	outcomes := make([]*VerifyOutcome, 0, len(subs))
 	for _, sub := range subs {
+		if v.Sampler != nil {
+			v.Sampler.Seed(c.seed(sub.params.Epoch, sub.result))
+		}
 		outcome, err := v.VerifySubmission(sub.opener, sub.shard, sub.result, sub.params)
 		if err != nil {
 			return nil, fmt.Errorf("verify %s: %w", sub.result.WorkerID, err)

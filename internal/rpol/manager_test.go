@@ -300,6 +300,11 @@ func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(bad, net, []Worker{w}, shardMap, shards[1]); err == nil {
 		t.Error("want error for zero steps")
 	}
+	bad = good
+	bad.Samples = -2
+	if _, err := NewManager(bad, net, []Worker{w}, shardMap, shards[1]); err == nil {
+		t.Error("want error for a negative sample count")
+	}
 	if _, err := NewManager(good, net, []Worker{w}, map[string]*dataset.Dataset{}, shards[1]); err == nil {
 		t.Error("want error for missing shard")
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"rpol/internal/commitment"
 	"rpol/internal/dataset"
 	"rpol/internal/fsio"
 	"rpol/internal/gpu"
@@ -36,7 +37,16 @@ func (f *flakyWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 // first worker as wrap says (nil leaves it honest).
 func buildQuorumPool(t *testing.T, concurrent bool, wrap func(Worker) Worker, j *journal.Journal) (*Manager, *obs.Observer) {
 	t.Helper()
-	const n = 3
+	return buildTestPool(t, 3, wrap, func(cfg *ManagerConfig) {
+		cfg.ConcurrentCollection, cfg.Journal = concurrent, j
+	})
+}
+
+// buildTestPool assembles n honest workers, wA, wB, …, and a manager with an
+// observer of its own, as tune adjusts the configuration (nil keeps it),
+// and wraps the first worker as wrap says (nil leaves it honest).
+func buildTestPool(t *testing.T, n int, wrap func(Worker) Worker, tune func(*ManagerConfig)) (*Manager, *obs.Observer) {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
 		Name: "quorum-pool", NumClasses: 4, Dim: 8, Size: 1200, ClusterStd: 0.4, Seed: 55,
 	})
@@ -64,20 +74,22 @@ func buildQuorumPool(t *testing.T, concurrent bool, wrap func(Worker) Worker, j 
 		workers[0] = wrap(workers[0])
 	}
 	observer := obs.NewObserver(obs.NewRegistry(), nil)
-	mgr, err := NewManager(ManagerConfig{
-		Address:              "pool-manager",
-		Scheme:               SchemeV2,
-		Hyper:                Hyper{Optimizer: "sgdm", LR: 0.05, BatchSize: 8},
-		StepsPerEpoch:        15,
-		CheckpointEvery:      5,
-		Samples:              3,
-		GPU:                  gpu.G3090,
-		MasterKey:            []byte("master"),
-		Seed:                 99,
-		ConcurrentCollection: concurrent,
-		Journal:              j,
-		Obs:                  observer,
-	}, mustNet(t), workers, shardMap, shards[n])
+	cfg := ManagerConfig{
+		Address:         "pool-manager",
+		Scheme:          SchemeV2,
+		Hyper:           Hyper{Optimizer: "sgdm", LR: 0.05, BatchSize: 8},
+		StepsPerEpoch:   15,
+		CheckpointEvery: 5,
+		Samples:         3,
+		GPU:             gpu.G3090,
+		MasterKey:       []byte("master"),
+		Seed:            99,
+		Obs:             observer,
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	mgr, err := NewManager(cfg, mustNet(t), workers, shardMap, shards[n])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +206,9 @@ func (d *dodger) OpenProof(idx int) (LeafProof, error) { return d.opener.OpenPro
 
 // TestManagerAbsentAfterCommit: a worker that commits a forged interval and
 // goes silent when the interval is sampled (every interval is, here) is
-// absent, not rejected. It is never accepted and never aggregated, its drawn
-// samples and its verdict are journaled, and it is counted by
+// absent, not rejected. It is never accepted and never aggregated, its
+// commitment and its verdict are journaled, its sampled intervals are the ones
+// re-derived from the journaled root, and it is counted by
 // rpol_absent_total, never by rpol_verify_reject_total.
 func TestManagerAbsentAfterCommit(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
@@ -247,17 +260,19 @@ func TestManagerAbsentAfterCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samples := 0
-			for _, s := range st.Samples {
-				if s.Worker == o.WorkerID {
-					samples++
-					if !slices.Equal(s.Indices, o.SampledCheckpoints) {
-						t.Errorf("journaled samples %v, drawn %v", s.Indices, o.SampledCheckpoints)
+			// Its challenge is not journaled: it is re-derived from the
+			// journaled commitment.
+			commits := 0
+			for _, c := range st.Commits {
+				if c.Worker == o.WorkerID {
+					commits++
+					if got := challengeIndices(mgr.cfg.MasterKey, c.Epoch, c.Worker, commitment.Hash(c.Root), c.NumCheckpoints, mgr.cfg.Samples); !slices.Equal(got, o.SampledCheckpoints) {
+						t.Errorf("indices re-derived from the journaled root %v, drawn %v", got, o.SampledCheckpoints)
 					}
 				}
 			}
-			if samples != 1 {
-				t.Errorf("%d samples records for the dodger, want 1", samples)
+			if commits != 1 {
+				t.Errorf("%d commit records for the dodger, want 1", commits)
 			}
 			for _, v := range st.Verdicts {
 				if v.Worker == o.WorkerID && (v.Outcome != "absent" || v.Reason != o.FailReason.Error()) {

@@ -35,7 +35,9 @@ type Verifier struct {
 	// Samples is q, the number of checkpoint intervals verified per
 	// submission (3 in the paper's evaluation, Sec. VII-A).
 	Samples int
-	// Sampler provides the secure post-commitment sampling randomness.
+	// Sampler draws the sampled intervals, after the commitment. The
+	// manager reseeds it with each submission's challenge seed, a function
+	// of the commitment, before verifying the submission.
 	Sampler *tensor.RNG
 	// DisableDoubleCheck turns off the raw-weight fallback on LSH misses
 	// (RPoLv2 only). The paper argues the double-check is what guarantees

@@ -34,8 +34,11 @@ func buildSubmissions(t *testing.T, n int) []submission {
 	return subs
 }
 
-// loopVerifier is an RPoLv1 verifier of q samples on its own network,
-// device and sampler, all seeded from seed.
+// loopKey is the master key whose challenge subkey draws the loop's samples.
+var loopKey = []byte("loop-master")
+
+// loopVerifier is an RPoLv1 verifier of q samples on its own network and
+// device, seeded from seed, and a sampler verifyAll reseeds per submission.
 func loopVerifier(t *testing.T, samples int, seed int64) *Verifier {
 	t.Helper()
 	netV, _ := testTask(t, 10)
@@ -49,13 +52,13 @@ func loopVerifier(t *testing.T, samples int, seed int64) *Verifier {
 		Device:  device,
 		Beta:    0.05,
 		Samples: samples,
-		Sampler: tensor.NewRNG(seed + 1000),
+		Sampler: tensor.NewRNG(0),
 	}
 }
 
 func TestVerifierPoolAcceptsHonest(t *testing.T) {
 	subs := buildSubmissions(t, 5)
-	outcomes, err := verifyAll(loopVerifier(t, 2, 99), subs)
+	outcomes, err := verifyAll(loopVerifier(t, 2, 99), newChallenger(loopKey), subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestVerifierPoolCatchesCheaterAmongHonest(t *testing.T) {
 	forged := tensor.NewRNG(5).NormalVector(len(subs[1].params.Global), 0, 1)
 	subs[1].opener = &forgingOpener{inner: subs[1].opener, target: 1, forged: forged}
 
-	outcomes, err := verifyAll(loopVerifier(t, 3, 42), subs)
+	outcomes, err := verifyAll(loopVerifier(t, 3, 42), newChallenger(loopKey), subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,23 +98,23 @@ func TestVerifierPoolValidation(t *testing.T) {
 	subs := buildSubmissions(t, 1)
 	v := loopVerifier(t, 3, 1)
 	v.Net = nil
-	if _, err := verifyAll(v, subs); !errors.Is(err, ErrNoNetwork) {
+	if _, err := verifyAll(v, newChallenger(loopKey), subs); !errors.Is(err, ErrNoNetwork) {
 		t.Errorf("no network: err = %v, want ErrNoNetwork", err)
 	}
 	v = loopVerifier(t, 3, 1)
 	v.Sampler = nil
-	if _, err := verifyAll(v, subs); !errors.Is(err, ErrNoSampler) {
+	if _, err := verifyAll(v, newChallenger(loopKey), subs); !errors.Is(err, ErrNoSampler) {
 		t.Errorf("no sampler: err = %v, want ErrNoSampler", err)
 	}
 	v = loopVerifier(t, 3, 1)
 	v.Scheme = SchemeV2
-	if _, err := verifyAll(v, subs); err == nil {
+	if _, err := verifyAll(v, newChallenger(loopKey), subs); err == nil {
 		t.Error("want error for v2 verifier without LSH family")
 	}
 }
 
 func TestVerifierPoolEmptyBatch(t *testing.T) {
-	outcomes, err := verifyAll(loopVerifier(t, 3, 1), nil)
+	outcomes, err := verifyAll(loopVerifier(t, 3, 1), newChallenger(loopKey), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func TestVerifierPoolMoreVerifiersThanWork(t *testing.T) {
 	run := func(workers int) []*VerifyOutcome {
 		v := loopVerifier(t, 2, 7)
 		v.Workers = workers
-		outcomes, err := verifyAll(v, subs)
+		outcomes, err := verifyAll(v, newChallenger(loopKey), subs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,9 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{src: rand.New(rand.NewSource(seed))}
 }
 
+// Seed rewinds r to the stream NewRNG(seed) starts, without allocating.
+func (r *RNG) Seed(seed int64) { r.src.Seed(seed) }
+
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 
