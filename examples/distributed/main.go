@@ -1,10 +1,11 @@
 // Distributed: the same pool protocol, but over real sockets. A TCP hub
 // routes protocol messages between the manager and the workers; each worker
 // runs behind a WorkerServer in its own goroutine (in a real deployment,
-// its own machine), persists its checkpoints to a disk-backed store, and
-// the unmodified rpol.Manager coordinates and verifies everything through
-// RemoteWorker proxies. The hub meters every byte, so the printout compares
-// measured verification traffic against the cost model's prediction.
+// its own machine), streams its checkpoints into an append-only segment on
+// disk, and the unmodified rpol.Manager coordinates and verifies everything
+// through RemoteWorker proxies. The hub meters every byte, so the printout
+// compares measured verification traffic against the cost model's
+// prediction.
 //
 // Run with:
 //
@@ -20,6 +21,7 @@ import (
 
 	"rpol/internal/checkpoint"
 	"rpol/internal/dataset"
+	"rpol/internal/fsio"
 	"rpol/internal/gpu"
 	"rpol/internal/modelzoo"
 	"rpol/internal/netsim"
@@ -92,11 +94,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		store, err := checkpoint.NewDiskStore(filepath.Join(ckptRoot, id))
+		seg, err := checkpoint.NewSegment(fsio.OS, filepath.Join(ckptRoot, id))
 		if err != nil {
 			return err
 		}
-		local.SetStore(store)
+		local.SetSegment(seg)
 		locals = append(locals, local)
 
 		conn, err := netsim.DialHub(hub.Addr(), id)

@@ -85,19 +85,71 @@ func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 	return out, nil
 }
 
-// Adv1 is the replay attacker: it performs no training and submits a zero
-// update, committing a trace in which every checkpoint equals the initial
-// global weights.
-type Adv1 struct {
-	id      string
-	profile gpu.Profile
-	// claimedDataSize is the |D_w| the attacker reports for Eq. (1)
-	// weighting — it claims its assigned shard even though it trained on
-	// nothing.
-	claimedDataSize int
+// attacker is what every forging adversary shares: its identity, its
+// registered hardware, the |D_w| it reports for Eq. (1) weighting, and the
+// last epoch's trace and commitment, from which it serves the verifier's
+// openings.
+type attacker struct {
+	id       string
+	profile  gpu.Profile
+	dataSize int
 
 	lastTrace  *rpol.Trace
 	lastCommit *rpol.EpochCommitment
+}
+
+// ID returns the attacker's identifier.
+func (a *attacker) ID() string { return a.id }
+
+// GPUProfile returns the registered hardware profile.
+func (a *attacker) GPUProfile() gpu.Profile { return a.profile }
+
+// OpenCheckpoint serves the committed (possibly forged) snapshots.
+func (a *attacker) OpenCheckpoint(idx int) (tensor.Vector, error) {
+	if a.lastTrace == nil {
+		return nil, fmt.Errorf("adversary %s: no epoch run yet", a.id)
+	}
+	if idx < 0 || idx >= len(a.lastTrace.Checkpoints) {
+		return nil, fmt.Errorf("adversary %s: checkpoint %d of %d", a.id, idx, len(a.lastTrace.Checkpoints))
+	}
+	return a.lastTrace.Checkpoints[idx], nil
+}
+
+// OpenProof serves Merkle proof pulls over the committed trace.
+func (a *attacker) OpenProof(idx int) (rpol.LeafProof, error) {
+	if a.lastCommit == nil {
+		return rpol.LeafProof{}, fmt.Errorf("adversary %s: no epoch run yet", a.id)
+	}
+	return a.lastCommit.OpenProof(idx)
+}
+
+// submit commits to trace and returns the epoch's submission of update,
+// retaining trace and commitment to serve the openings. Adversaries forge
+// checkpoints, not the commitment construction itself: they always commit to
+// exactly what they will open.
+func (a *attacker) submit(p rpol.TaskParams, trace *rpol.Trace, update tensor.Vector) (*rpol.EpochResult, error) {
+	result := &rpol.EpochResult{
+		WorkerID:       a.id,
+		Epoch:          p.Epoch,
+		Update:         update,
+		DataSize:       a.dataSize,
+		NumCheckpoints: len(trace.Checkpoints),
+	}
+	ec, err := rpol.CommitTrace(nil, trace.Checkpoints, p.LSH)
+	if err != nil {
+		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
+	}
+	ec.Apply(result)
+	a.lastTrace, a.lastCommit = trace, ec
+	return result, nil
+}
+
+// Adv1 is the replay attacker: it performs no training and submits a zero
+// update, committing a trace in which every checkpoint equals the initial
+// global weights. It claims its assigned shard's |D_w| even though it trained
+// on nothing.
+type Adv1 struct {
+	attacker
 }
 
 var _ rpol.Worker = (*Adv1)(nil)
@@ -107,14 +159,8 @@ func NewAdv1(id string, profile gpu.Profile, claimedDataSize int) *Adv1 {
 	if claimedDataSize < 1 {
 		claimedDataSize = 1
 	}
-	return &Adv1{id: id, profile: profile, claimedDataSize: claimedDataSize}
+	return &Adv1{attacker{id: id, profile: profile, dataSize: claimedDataSize}}
 }
-
-// ID returns the attacker's identifier.
-func (a *Adv1) ID() string { return a.id }
-
-// GPUProfile returns the registered hardware profile.
-func (a *Adv1) GPUProfile() gpu.Profile { return a.profile }
 
 // RunEpoch fabricates a no-op submission at zero computational cost.
 func (a *Adv1) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
@@ -125,78 +171,15 @@ func (a *Adv1) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	trace := &rpol.Trace{}
 	for i := 0; i < n; i++ {
 		trace.Checkpoints = append(trace.Checkpoints, p.Global.Clone())
-		trace.Steps = append(trace.Steps, minInt(i*p.CheckpointEvery, p.Steps))
+		trace.Steps = append(trace.Steps, min(i*p.CheckpointEvery, p.Steps))
 	}
-	result := &rpol.EpochResult{
-		WorkerID:       a.id,
-		Epoch:          p.Epoch,
-		Update:         tensor.NewVector(len(p.Global)), // zero update
-		DataSize:       a.claimedDataSize,
-		NumCheckpoints: n,
-	}
-	ec, err := stampCommitment(a.id, p, trace, result)
-	if err != nil {
-		return nil, err
-	}
-	a.lastTrace = trace
-	a.lastCommit = ec
-	return result, nil
-}
-
-// OpenCheckpoint serves the committed (replayed) snapshots.
-func (a *Adv1) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return openFrom(a.lastTrace, a.id, idx)
-}
-
-// OpenProof serves Merkle proof pulls over the replayed commitment.
-func (a *Adv1) OpenProof(idx int) (rpol.LeafProof, error) {
-	return openProofFrom(a.lastCommit, a.id, idx)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func openFrom(trace *rpol.Trace, id string, idx int) (tensor.Vector, error) {
-	if trace == nil {
-		return nil, fmt.Errorf("adversary %s: no epoch run yet", id)
-	}
-	if idx < 0 || idx >= len(trace.Checkpoints) {
-		return nil, fmt.Errorf("adversary %s: checkpoint %d of %d", id, idx, len(trace.Checkpoints))
-	}
-	return trace.Checkpoints[idx], nil
-}
-
-// stampCommitment builds the Merkle commitment over the (possibly forged)
-// trace, stamps its root onto the submission, and returns it for proof
-// serving. Adversaries forge checkpoints, not the commitment construction
-// itself: they always commit to exactly what they will open.
-func stampCommitment(id string, p rpol.TaskParams, trace *rpol.Trace, r *rpol.EpochResult) (*rpol.EpochCommitment, error) {
-	ec, err := rpol.CommitTrace(nil, trace.Checkpoints, p.LSH)
-	if err != nil {
-		return nil, fmt.Errorf("adversary %s: %w", id, err)
-	}
-	ec.Apply(r)
-	return ec, nil
-}
-
-// openProofFrom serves a Merkle proof pull from the attacker's retained
-// commitment.
-func openProofFrom(ec *rpol.EpochCommitment, id string, idx int) (rpol.LeafProof, error) {
-	if ec == nil {
-		return rpol.LeafProof{}, fmt.Errorf("adversary %s: no epoch run yet", id)
-	}
-	return ec.OpenProof(idx)
+	return a.submit(p, trace, tensor.NewVector(len(p.Global))) // zero update
 }
 
 // Adv2 trains the first HonestIntervals checkpoint intervals honestly
 // (with real gradients and hardware noise) and spoofs the rest with Eq. (12).
 type Adv2 struct {
-	id      string
-	profile gpu.Profile
+	attacker
 	trainer *rpol.Trainer
 	// HonestFraction is the fraction of checkpoint intervals trained
 	// honestly (the paper's Adv2 trains 10% of the steps; Fig. 5's attacker
@@ -204,10 +187,6 @@ type Adv2 struct {
 	HonestFraction float64
 	// Lambda is the exponential-descent coefficient of Eq. (12).
 	Lambda float64
-
-	lastTrace  *rpol.Trace
-	lastCommit *rpol.EpochCommitment
-	dataSize   int
 }
 
 var _ rpol.Worker = (*Adv2)(nil)
@@ -225,20 +204,12 @@ func NewAdv2(id string, profile gpu.Profile, runSeed int64, net *nn.Network, sha
 		return nil, fmt.Errorf("adversary %s: %w", id, err)
 	}
 	return &Adv2{
-		id:             id,
-		profile:        profile,
+		attacker:       attacker{id: id, profile: profile, dataSize: shard.Len()},
 		trainer:        &rpol.Trainer{Net: net, Shard: shard, Device: device},
 		HonestFraction: honestFraction,
 		Lambda:         lambda,
-		dataSize:       shard.Len(),
 	}, nil
 }
-
-// ID returns the attacker's identifier.
-func (a *Adv2) ID() string { return a.id }
-
-// GPUProfile returns the registered hardware profile.
-func (a *Adv2) GPUProfile() gpu.Profile { return a.profile }
 
 // HonestSteps returns the number of training steps Adv2 actually executes
 // under params p (for cost accounting).
@@ -313,30 +284,7 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
-	result := &rpol.EpochResult{
-		WorkerID:       a.id,
-		Epoch:          p.Epoch,
-		Update:         update,
-		DataSize:       a.dataSize,
-		NumCheckpoints: len(trace.Checkpoints),
-	}
-	ec, err := stampCommitment(a.id, p, trace, result)
-	if err != nil {
-		return nil, err
-	}
-	a.lastTrace = trace
-	a.lastCommit = ec
-	return result, nil
-}
-
-// OpenCheckpoint serves the committed (partially spoofed) snapshots.
-func (a *Adv2) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return openFrom(a.lastTrace, a.id, idx)
-}
-
-// OpenProof serves Merkle proof pulls over the partially spoofed commitment.
-func (a *Adv2) OpenProof(idx int) (rpol.LeafProof, error) {
-	return openProofFrom(a.lastCommit, a.id, idx)
+	return a.submit(p, trace, update)
 }
 
 // LastTrace exposes the attacker's trace for spoof-distance measurements
@@ -349,15 +297,10 @@ func (a *Adv2) LastTrace() *rpol.Trace { return a.lastTrace }
 // sampled interval re-executes consistently, so only the verifier's
 // trace-origin binding catches it.
 type WrongInit struct {
-	id      string
-	profile gpu.Profile
+	attacker
 	trainer *rpol.Trainer
 	// InitShift is added to the global model before training.
 	InitShift tensor.Vector
-
-	lastTrace  *rpol.Trace
-	lastCommit *rpol.EpochCommitment
-	dataSize   int
 }
 
 var _ rpol.Worker = (*WrongInit)(nil)
@@ -373,19 +316,11 @@ func NewWrongInit(id string, profile gpu.Profile, runSeed int64, net *nn.Network
 		return nil, fmt.Errorf("adversary %s: %w", id, err)
 	}
 	return &WrongInit{
-		id:        id,
-		profile:   profile,
+		attacker:  attacker{id: id, profile: profile, dataSize: shard.Len()},
 		trainer:   &rpol.Trainer{Net: net, Shard: shard, Device: device},
 		InitShift: shift,
-		dataSize:  shard.Len(),
 	}, nil
 }
-
-// ID returns the attacker's identifier.
-func (a *WrongInit) ID() string { return a.id }
-
-// GPUProfile returns the registered hardware profile.
-func (a *WrongInit) GPUProfile() gpu.Profile { return a.profile }
 
 // RunEpoch trains honestly from the shifted initialization.
 func (a *WrongInit) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
@@ -408,30 +343,7 @@ func (a *WrongInit) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
-	result := &rpol.EpochResult{
-		WorkerID:       a.id,
-		Epoch:          p.Epoch,
-		Update:         update,
-		DataSize:       a.dataSize,
-		NumCheckpoints: len(trace.Checkpoints),
-	}
-	ec, err := stampCommitment(a.id, p, trace, result)
-	if err != nil {
-		return nil, err
-	}
-	a.lastTrace = trace
-	a.lastCommit = ec
-	return result, nil
-}
-
-// OpenCheckpoint serves the (honestly trained, wrongly rooted) snapshots.
-func (a *WrongInit) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return openFrom(a.lastTrace, a.id, idx)
-}
-
-// OpenProof serves Merkle proof pulls over the wrongly rooted commitment.
-func (a *WrongInit) OpenProof(idx int) (rpol.LeafProof, error) {
-	return openProofFrom(a.lastCommit, a.id, idx)
+	return a.submit(p, trace, update)
 }
 
 // UpdateScaler trains and commits fully honestly but submits its model
@@ -441,15 +353,10 @@ func (a *WrongInit) OpenProof(idx int) (rpol.LeafProof, error) {
 // update-to-trace binding (θ_t + L must be the committed final checkpoint)
 // catches the substitution.
 type UpdateScaler struct {
-	id      string
-	profile gpu.Profile
+	attacker
 	trainer *rpol.Trainer
 	// Factor multiplies the honest update before submission.
 	Factor float64
-
-	lastTrace  *rpol.Trace
-	lastCommit *rpol.EpochCommitment
-	dataSize   int
 }
 
 var _ rpol.Worker = (*UpdateScaler)(nil)
@@ -464,19 +371,11 @@ func NewUpdateScaler(id string, profile gpu.Profile, runSeed int64, net *nn.Netw
 		return nil, fmt.Errorf("adversary %s: %w", id, err)
 	}
 	return &UpdateScaler{
-		id:       id,
-		profile:  profile,
+		attacker: attacker{id: id, profile: profile, dataSize: shard.Len()},
 		trainer:  &rpol.Trainer{Net: net, Shard: shard, Device: device},
 		Factor:   factor,
-		dataSize: shard.Len(),
 	}, nil
 }
-
-// ID returns the attacker's identifier.
-func (a *UpdateScaler) ID() string { return a.id }
-
-// GPUProfile returns the registered hardware profile.
-func (a *UpdateScaler) GPUProfile() gpu.Profile { return a.profile }
 
 // RunEpoch trains honestly, commits honestly, and submits a scaled update.
 func (a *UpdateScaler) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
@@ -492,30 +391,7 @@ func (a *UpdateScaler) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
 	update.Scale(a.Factor) // the poisoned submission
-	result := &rpol.EpochResult{
-		WorkerID:       a.id,
-		Epoch:          p.Epoch,
-		Update:         update,
-		DataSize:       a.dataSize,
-		NumCheckpoints: len(trace.Checkpoints),
-	}
-	ec, err := stampCommitment(a.id, p, trace, result)
-	if err != nil {
-		return nil, err
-	}
-	a.lastTrace = trace
-	a.lastCommit = ec
-	return result, nil
-}
-
-// OpenCheckpoint serves the genuinely trained snapshots.
-func (a *UpdateScaler) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return openFrom(a.lastTrace, a.id, idx)
-}
-
-// OpenProof serves Merkle proof pulls over the honestly built commitment.
-func (a *UpdateScaler) OpenProof(idx int) (rpol.LeafProof, error) {
-	return openProofFrom(a.lastCommit, a.id, idx)
+	return a.submit(p, trace, update)
 }
 
 // Rebaser runs in the manager's process and writes the task it is handed:
@@ -559,16 +435,11 @@ func (a *Rebaser) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 // it over-claims instead: the honest trace padded with repeats of its final
 // checkpoint.
 type Truncator struct {
-	id      string
-	profile gpu.Profile
+	attacker
 	trainer *rpol.Trainer
 	// Intervals is the number of checkpoint intervals the committed trace
 	// claims (at least 1).
 	Intervals int
-
-	lastTrace  *rpol.Trace
-	lastCommit *rpol.EpochCommitment
-	dataSize   int
 }
 
 var _ rpol.Worker = (*Truncator)(nil)
@@ -586,19 +457,11 @@ func NewTruncator(id string, profile gpu.Profile, runSeed int64, net *nn.Network
 		return nil, fmt.Errorf("adversary %s: %w", id, err)
 	}
 	return &Truncator{
-		id:        id,
-		profile:   profile,
+		attacker:  attacker{id: id, profile: profile, dataSize: shard.Len()},
 		trainer:   &rpol.Trainer{Net: net, Shard: shard, Device: device},
 		Intervals: intervals,
-		dataSize:  shard.Len(),
 	}, nil
 }
-
-// ID returns the attacker's identifier.
-func (a *Truncator) ID() string { return a.id }
-
-// GPUProfile returns the registered hardware profile.
-func (a *Truncator) GPUProfile() gpu.Profile { return a.profile }
 
 // RunEpoch trains the claimed prefix honestly and submits it as the epoch.
 func (a *Truncator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
@@ -610,7 +473,7 @@ func (a *Truncator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		Steps:       []int{0},
 	}
 	for step := 0; len(trace.Checkpoints) <= a.Intervals; {
-		interval := minInt(p.CheckpointEvery, p.Steps-step)
+		interval := min(p.CheckpointEvery, p.Steps-step)
 		next := trace.Final()
 		if interval > 0 {
 			var err error
@@ -626,43 +489,15 @@ func (a *Truncator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
-	result := &rpol.EpochResult{
-		WorkerID:       a.id,
-		Epoch:          p.Epoch,
-		Update:         update,
-		DataSize:       a.dataSize,
-		NumCheckpoints: len(trace.Checkpoints),
-	}
-	ec, err := stampCommitment(a.id, p, trace, result)
-	if err != nil {
-		return nil, err
-	}
-	a.lastTrace = trace
-	a.lastCommit = ec
-	return result, nil
-}
-
-// OpenCheckpoint serves the genuinely trained prefix.
-func (a *Truncator) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return openFrom(a.lastTrace, a.id, idx)
-}
-
-// OpenProof serves Merkle proof pulls over the short commitment.
-func (a *Truncator) OpenProof(idx int) (rpol.LeafProof, error) {
-	return openProofFrom(a.lastCommit, a.id, idx)
+	return a.submit(p, trace, update)
 }
 
 // Fabricator commits random weights scaled like plausible models — the
 // naive cheater.
 type Fabricator struct {
-	id              string
-	profile         gpu.Profile
-	rng             *tensor.RNG
-	scale           float64
-	claimedDataSize int
-
-	lastTrace  *rpol.Trace
-	lastCommit *rpol.EpochCommitment
+	attacker
+	rng   *tensor.RNG
+	scale float64
 }
 
 var _ rpol.Worker = (*Fabricator)(nil)
@@ -674,16 +509,10 @@ func NewFabricator(id string, profile gpu.Profile, seed int64, scale float64, cl
 		claimedDataSize = 1
 	}
 	return &Fabricator{
-		id: id, profile: profile, rng: tensor.NewRNG(seed),
-		scale: scale, claimedDataSize: claimedDataSize,
+		attacker: attacker{id: id, profile: profile, dataSize: claimedDataSize},
+		rng:      tensor.NewRNG(seed), scale: scale,
 	}
 }
-
-// ID returns the attacker's identifier.
-func (f *Fabricator) ID() string { return f.id }
-
-// GPUProfile returns the registered hardware profile.
-func (f *Fabricator) GPUProfile() gpu.Profile { return f.profile }
 
 // RunEpoch fabricates a random trace.
 func (f *Fabricator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
@@ -701,34 +530,11 @@ func (f *Fabricator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 			return nil, fmt.Errorf("adversary %s: %w", f.id, err)
 		}
 		trace.Checkpoints = append(trace.Checkpoints, fake)
-		trace.Steps = append(trace.Steps, minInt(i*p.CheckpointEvery, p.Steps))
+		trace.Steps = append(trace.Steps, min(i*p.CheckpointEvery, p.Steps))
 	}
 	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", f.id, err)
 	}
-	result := &rpol.EpochResult{
-		WorkerID:       f.id,
-		Epoch:          p.Epoch,
-		Update:         update,
-		DataSize:       f.claimedDataSize,
-		NumCheckpoints: n,
-	}
-	ec, err := stampCommitment(f.id, p, trace, result)
-	if err != nil {
-		return nil, err
-	}
-	f.lastTrace = trace
-	f.lastCommit = ec
-	return result, nil
-}
-
-// OpenCheckpoint serves the fabricated snapshots.
-func (f *Fabricator) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return openFrom(f.lastTrace, f.id, idx)
-}
-
-// OpenProof serves Merkle proof pulls over the fabricated commitment.
-func (f *Fabricator) OpenProof(idx int) (rpol.LeafProof, error) {
-	return openProofFrom(f.lastCommit, f.id, idx)
+	return f.submit(p, trace, update)
 }

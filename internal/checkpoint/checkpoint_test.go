@@ -1,8 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -10,10 +14,8 @@ import (
 	"rpol/internal/tensor"
 )
 
-// storeUnderTest runs the shared contract tests against any Store.
-// perFileOverhead is the framing cost Bytes reports per snapshot beyond the
-// wire encoding (zero for memory, fsio.FileOverhead for disk).
-func storeUnderTest(t *testing.T, s Store, perFileOverhead int) {
+// storeUnderTest runs the Store contract tests against s.
+func storeUnderTest(t *testing.T, s Store) {
 	t.Helper()
 	if s.Len() != 0 || s.Bytes() != 0 {
 		t.Fatalf("fresh store not empty: len %d, bytes %d", s.Len(), s.Bytes())
@@ -29,7 +31,7 @@ func storeUnderTest(t *testing.T, s Store, perFileOverhead int) {
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	wantBytes := int64(2 * (tensor.EncodedSize(3) + perFileOverhead))
+	wantBytes := int64(2 * tensor.EncodedSize(3))
 	if s.Bytes() != wantBytes {
 		t.Errorf("Bytes = %d, want %d", s.Bytes(), wantBytes)
 	}
@@ -74,15 +76,86 @@ func storeUnderTest(t *testing.T, s Store, perFileOverhead int) {
 }
 
 func TestMemoryStoreContract(t *testing.T) {
-	storeUnderTest(t, NewMemoryStore(), 0)
+	storeUnderTest(t, NewMemoryStore())
 }
 
-func TestDiskStoreContract(t *testing.T) {
-	s, err := NewDiskStore(t.TempDir())
+// writeSegment begins epoch segEpoch on a fresh segment in dir, appends ws
+// as checkpoints 1, 2, …, syncs and closes it.
+func writeSegment(t *testing.T, dir string, ws ...tensor.Vector) *Segment {
+	t.Helper()
+	seg, err := NewSegment(fsio.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeUnderTest(t, s, fsio.FileOverhead)
+	if err := seg.Begin(segEpoch, segDigest); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		if err := seg.Append(segEpoch, i+1, 2*(i+1), w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
+// readSegment resumes seg for epoch segEpoch and returns the adopted
+// checkpoints' weights and why the scan stopped.
+func readSegment(t *testing.T, seg *Segment, dim, limit int) ([]tensor.Vector, error) {
+	t.Helper()
+	frames, stop, err := seg.Resume(segEpoch, segDigest, dim, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := make([]tensor.Vector, len(frames))
+	for i, f := range frames {
+		if f.Index != i+1 || f.Step != 2*(i+1) {
+			t.Fatalf("frame %d holds index %d at step %d", i, f.Index, f.Step)
+		}
+		ws[i] = f.Weights
+	}
+	return ws, stop
+}
+
+// TestDiskStoreContract holds the durable checkpoint format, the segment, to
+// the contract a store kept: what an epoch appends reads back in order, Bytes
+// counts every byte on disk, a bad index is refused, and the next epoch's
+// Begin clears the last one's checkpoints.
+func TestDiskStoreContract(t *testing.T) {
+	dir := t.TempDir()
+	w1, w2 := tensor.Vector{1.5, -2.25, 3}, tensor.Vector{4, 5, 6}
+	seg := writeSegment(t, dir, w1, w2)
+	size, err := fsio.OS.Size(filepath.Join(dir, segmentFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Bytes() != size {
+		t.Errorf("Bytes = %d, the file holds %d", seg.Bytes(), size)
+	}
+	got, stop := readSegment(t, seg, 3, 9)
+	if stop != nil || len(got) != 2 || !got[0].Equal(w1, 0) || !got[1].Equal(w2, 0) {
+		t.Fatalf("read back %v (stop %v), want [%v %v]", got, stop, w1, w2)
+	}
+	if err := seg.Append(segEpoch, 0, 0, w1); !errors.Is(err, ErrBadIndex) {
+		t.Errorf("Append(0) err = %v", err)
+	}
+	if err := seg.Append(segEpoch, 1, -1, w1); !errors.Is(err, ErrBadIndex) {
+		t.Errorf("Append at step -1 err = %v", err)
+	}
+	if err := seg.Begin(segEpoch+1, segDigest); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readSegment(t, seg, 3, 9); len(got) != 0 {
+		t.Errorf("the next epoch's Begin left %d checkpoints of the last", len(got))
+	}
 }
 
 func TestMemoryStoreCopies(t *testing.T) {
@@ -187,155 +260,150 @@ func TestMemoryStoreSteadyStateAllocatesNothing(t *testing.T) {
 
 func TestDiskStoreBitExactRoundTrip(t *testing.T) {
 	// Verification demands bit-identical openings: the disk round trip must
-	// preserve every float exactly.
-	s, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	// preserve every float exactly, signed zero and NaN payloads included.
+	w := tensor.NewRNG(4).NormalVector(512, 0, 1)
+	w[7], w[8] = math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef)
+	seg := writeSegment(t, t.TempDir(), w)
+	got, stop := readSegment(t, seg, len(w), 1)
+	if stop != nil || len(got) != 1 {
+		t.Fatalf("read back %d checkpoints, stop %v", len(got), stop)
 	}
-	rng := tensor.NewRNG(4)
-	w := rng.NormalVector(512, 0, 1)
-	if err := s.Put(3, w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(w, 0) {
-		t.Error("disk round trip not bit-exact")
-	}
-	if s.Dir() == "" {
-		t.Error("Dir empty")
+	for i := range w {
+		if math.Float64bits(got[0][i]) != math.Float64bits(w[i]) {
+			t.Fatalf("weight %d: %x after the disk round trip, want %x", i, math.Float64bits(got[0][i]), math.Float64bits(w[i]))
+		}
 	}
 }
 
-// TestDiskStoreConcurrentPuts is the -race regression for the shared
-// encode-buffer data race: the parallel runtime's workers checkpoint
-// concurrently through one store, so concurrent Puts (and Gets) must be
-// safe and every snapshot must land intact.
+// TestDiskStoreConcurrentPuts is the -race regression for workers that
+// checkpoint at the same time: each owns its segment, in a directory of its
+// own, so concurrent epochs share no buffer and every checkpoint lands
+// intact.
 func TestDiskStoreConcurrentPuts(t *testing.T) {
-	s, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := t.TempDir()
 	const n = 16
+	vector := func(i, j int) tensor.Vector {
+		w := tensor.NewVector(64)
+		for k := range w {
+			w[k] = float64(i*1000 + j*100 + k)
+		}
+		return w
+	}
+	segs := make([]*Segment, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := tensor.NewVector(64)
-			for j := range w {
-				w[j] = float64(i*1000 + j)
+			seg, err := NewSegment(fsio.OS, filepath.Join(root, strconv.Itoa(i)))
+			if err == nil {
+				err = seg.Begin(segEpoch, segDigest)
 			}
-			if err := s.Put(i, w); err != nil {
+			for j := 1; j <= 3 && err == nil; j++ {
+				err = seg.Append(segEpoch, j, 2*j, vector(i, j))
+			}
+			if err == nil {
+				err = seg.Sync()
+			}
+			if err == nil {
+				err = seg.Close()
+			}
+			if err != nil {
 				t.Error(err)
 			}
-			if _, err := s.Get(i); err != nil {
-				t.Error(err)
-			}
+			segs[i] = seg
 		}(i)
 	}
 	wg.Wait()
-	if s.Len() != n {
-		t.Fatalf("Len = %d", s.Len())
+	if t.Failed() {
+		return
 	}
-	for i := 0; i < n; i++ {
-		got, err := s.Get(i)
-		if err != nil {
-			t.Fatal(err)
+	for i, seg := range segs {
+		got, stop := readSegment(t, seg, 64, 9)
+		if stop != nil || len(got) != 3 {
+			t.Fatalf("segment %d: %d checkpoints, stop %v", i, len(got), stop)
 		}
-		if got[0] != float64(i*1000) || got[63] != float64(i*1000+63) {
-			t.Fatalf("snapshot %d interleaved with another Put: %v...", i, got[:2])
+		for j, w := range got {
+			if !w.Equal(vector(i, j+1), 0) {
+				t.Fatalf("segment %d checkpoint %d interleaved with another worker's: %v...", i, j+1, w[:2])
+			}
 		}
 	}
 }
 
-// TestDiskStoreDetectsCorruption: a truncated or bit-flipped snapshot file
-// must surface as ErrCorruptCheckpoint, never as garbage weights.
+// TestDiskStoreDetectsCorruption: a bit-flipped or truncated checkpoint frame
+// ends the adopted prefix before it, never surfacing as garbage weights.
 func TestDiskStoreDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := tensor.NewRNG(9).NormalVector(32, 0, 1)
-	if err := s.Put(0, w); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(s.path(0))
+	rng := tensor.NewRNG(9)
+	w1, w2 := rng.NormalVector(32, 0, 1), rng.NormalVector(32, 0, 1)
+	seg := writeSegment(t, dir, w1, w2)
+	path := filepath.Join(dir, segmentFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Bit flip in the payload.
+	// Bit flip inside the second checkpoint's payload.
 	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)/2] ^= 0x08
-	if err := os.WriteFile(s.path(0), flipped, 0o644); err != nil {
+	flipped[len(flipped)-40] ^= 0x08
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(0); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("bit flip: err = %v, want ErrCorruptCheckpoint", err)
+	if got, stop := readSegment(t, seg, 32, 9); !errors.Is(stop, fsio.ErrChecksum) || len(got) != 1 || !got[0].Equal(w1, 0) {
+		t.Fatalf("bit flip: adopted %d checkpoints, stop %v; want the intact first and ErrChecksum", len(got), stop)
 	}
 
 	// Truncation (torn write).
-	if err := os.WriteFile(s.path(0), data[:len(data)-7], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(0); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("truncation: err = %v, want ErrCorruptCheckpoint", err)
+	if got, stop := readSegment(t, seg, 32, 9); !errors.Is(stop, fsio.ErrTornFrame) || len(got) != 1 {
+		t.Fatalf("truncation: adopted %d checkpoints, stop %v; want the intact first and ErrTornFrame", len(got), stop)
 	}
 
-	// Intact again after a fresh Put.
-	if err := s.Put(0, w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(0)
-	if err != nil || !got.Equal(w, 0) {
-		t.Fatalf("after re-put: %v", err)
+	// Intact again after a fresh epoch.
+	seg = writeSegment(t, dir, w1, w2)
+	if got, stop := readSegment(t, seg, 32, 9); stop != nil || len(got) != 2 || !got[1].Equal(w2, 0) {
+		t.Fatalf("after a fresh epoch: %d checkpoints, stop %v", len(got), stop)
 	}
 }
 
-// TestDiskStoreRejectsUnframedFiles: a snapshot without the checksummed
-// frame — the pre-fsio format among them (raw wire encoding) — is refused as
-// corrupt rather than decoded, since nothing vouches for its bytes.
+// TestDiskStoreRejectsUnframedFiles: a checkpoint file without the segment's
+// header and frames — a bare wire encoding among them — is refused whole with
+// fsio.ErrVersion and left as it is, since nothing vouches for its bytes.
 func TestDiskStoreRejectsUnframedFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDiskStore(dir)
+	seg, err := NewSegment(fsio.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := tensor.Vector{3.5, -1.25, 0.75}
-	if err := os.WriteFile(s.path(2), w.Encode(), 0o644); err != nil {
+	path := filepath.Join(dir, segmentFile)
+	raw := tensor.Vector{3.5, -1.25, 0.75}.Encode()
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(2)
-	if !errors.Is(err, ErrCorruptCheckpoint) || got != nil {
-		t.Fatalf("unframed snapshot read as %v, err = %v, want ErrCorruptCheckpoint", got, err)
+	frames, _, err := seg.Resume(segEpoch, segDigest, 3, 9)
+	if !errors.Is(err, fsio.ErrVersion) || frames != nil {
+		t.Fatalf("unframed file read as %d checkpoints, err = %v, want fsio.ErrVersion", len(frames), err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
+		t.Fatal("the refused file was rewritten")
 	}
 }
 
 func TestDiskStorePersistsAcrossInstances(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewDiskStore(dir)
+	writeSegment(t, dir, tensor.Vector{7})
+	s2, err := NewSegment(fsio.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Put(0, tensor.Vector{7}); err != nil {
-		t.Fatal(err)
+	got, stop := readSegment(t, s2, 1, 9)
+	if stop != nil || len(got) != 1 || got[0][0] != 7 {
+		t.Fatalf("checkpoint lost across instances: %v, stop %v", got, stop)
 	}
-	s2, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 7 {
-		t.Error("checkpoint lost across instances")
-	}
-	if s2.Len() != 1 {
-		t.Errorf("Len = %d", s2.Len())
+	if size, _ := fsio.OS.Size(filepath.Join(dir, segmentFile)); s2.Bytes() != size {
+		t.Errorf("Bytes = %d after resuming a %d-byte segment", s2.Bytes(), size)
 	}
 }

@@ -226,8 +226,8 @@ func TestOpenDiscardsTornTailAndRewrites(t *testing.T) {
 	if got := o.Counter("recovery_replayed_total").Value(); got != 2 {
 		t.Errorf("recovery_replayed_total = %d", got)
 	}
-	if got := o.Counter("recovery_discarded_tail_total").Value(); got == 0 {
-		t.Error("recovery_discarded_tail_total not incremented")
+	if got := o.Counter("recovery_discarded_tail_total").Value(); got != int64(rec.DiscardedTailBytes) {
+		t.Errorf("recovery_discarded_tail_total = %d, the open discarded %d bytes", got, rec.DiscardedTailBytes)
 	}
 	// The torn tail is physically gone and appends continue the sequence.
 	if err := j.LogVerdict(Verdict{Epoch: 0, Worker: "w", Outcome: "rejected"}); err != nil {

@@ -102,7 +102,6 @@ func Run(cfg CompetitionConfig, contenders []Contender, chain *blockchain.Chain)
 	compSpan := observer.Start(nil, "mining.competition",
 		obs.String("task", cfg.Task.ModelSpec), obs.Int("contenders", int64(len(contenders))))
 	defer compSpan.End()
-	observer.Counter("mining_competitions_total").Inc()
 
 	res := &Result{}
 	var test *dataset.Dataset
@@ -135,7 +134,6 @@ func Run(cfg CompetitionConfig, contenders []Contender, chain *blockchain.Chain)
 				return nil, fmt.Errorf("mining %s: %w", c.Name, err)
 			}
 			cr.EpochsRun++
-			observer.Counter("mining_epochs_total").Inc()
 			cr.Detected += stats.DetectedAdversaries
 			cr.FinalAccuracy = stats.TestAccuracy
 			if stats.TestAccuracy >= cfg.Task.TargetAccuracy {
@@ -158,7 +156,6 @@ func Run(cfg CompetitionConfig, contenders []Contender, chain *blockchain.Chain)
 		}); err != nil {
 			return nil, fmt.Errorf("mining %s: %w", c.Name, err)
 		}
-		observer.Counter("mining_proposals_total").Inc()
 
 		// All contenders train the same published task (same proxy seed),
 		// so any contender's held-out split is the canonical test set.

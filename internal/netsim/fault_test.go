@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,11 +199,21 @@ func TestBusFaultInjectionDrops(t *testing.T) {
 }
 
 // TestBusFaultDelayAdvancesClock: every injected delay moves the hub's
-// logical clock forward by its transit time.
+// logical clock forward by its transit time, and is counted and announced
+// once.
 func TestBusFaultDelayAdvancesClock(t *testing.T) {
 	hub := startHub(t)
 	a := dial(t, hub, "a")
 	b := dial(t, hub, "b")
+	reg := obs.NewRegistry()
+	hub.Meter().Attach(reg)
+	observer := obs.NewObserver(reg, nil)
+	observer.AttachEvents(obs.NewEvents(0, nil))
+	prev := obs.Default()
+	obs.SetDefault(observer)
+	defer obs.SetDefault(prev)
+	sub := observer.Events().Subscribe()
+	defer sub.Close()
 	clock := obs.NewSimClock(time.Microsecond)
 	before := clock.Now()
 	hub.InjectFaults(NewFaultPlan(5, FaultConfig{DelayRate: 1, MaxDelay: time.Millisecond}), clock)
@@ -219,6 +230,29 @@ func TestBusFaultDelayAdvancesClock(t *testing.T) {
 	}
 	if _, delays := hub.Meter().Injected(); delays != sent {
 		t.Fatalf("%d injected delays at 100%% delay rate, want %d", delays, sent)
+	}
+	if got := reg.Counter("net_tcp_injected_delays_total").Value(); got != sent {
+		t.Errorf("net_tcp_injected_delays_total = %d, want %d", got, sent)
+	}
+	// The hub announces each fault once its delivery is queued, so the last
+	// announcement may trail the last receive.
+	announced := 0
+	for announced < sent {
+		select {
+		case <-sub.Ready():
+			evs, _ := sub.Poll()
+			for _, ev := range evs {
+				if ev.Kind != obs.EventFaultInjected || !strings.HasPrefix(ev.Detail, "delay ") {
+					t.Fatalf("unexpected event %+v", ev)
+				}
+				announced++
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d injected delays announced", announced, sent)
+		}
+	}
+	if evs, _ := sub.Poll(); announced != sent || len(evs) != 0 {
+		t.Errorf("%d injected delays announced, want %d", announced+len(evs), sent)
 	}
 	// 50 deliveries all delayed: logical time must have advanced well past
 	// the two Now() readings' own ticks.

@@ -36,6 +36,9 @@ func TestMeterAttachMirrorsToRegistry(t *testing.T) {
 	m.Record("a", "b", "k", 100)
 	m.Record("a", "b", "k", 28)
 	m.RecordDrop("a", "ghost", "k", 64)
+	m.RecordInjectedDrop("a", "b", "k", 8)
+	m.RecordInjectedDelay()
+	m.RecordInjectedDelay()
 	s := reg.Snapshot()
 	if got := s.Counters["net_tcp_bytes_total"]; got != 128 {
 		t.Errorf("net_tcp_bytes_total = %d", got)
@@ -43,11 +46,18 @@ func TestMeterAttachMirrorsToRegistry(t *testing.T) {
 	if got := s.Counters["net_tcp_messages_total"]; got != 2 {
 		t.Errorf("net_tcp_messages_total = %d", got)
 	}
-	if got := s.Counters["net_tcp_dropped_total"]; got != 1 {
+	// An injected drop is also a drop: nothing vanishes silently.
+	if got := s.Counters["net_tcp_dropped_total"]; got != 2 {
 		t.Errorf("net_tcp_dropped_total = %d", got)
 	}
-	if got := s.Counters["net_tcp_dropped_bytes_total"]; got != 64 {
+	if got := s.Counters["net_tcp_dropped_bytes_total"]; got != 72 {
 		t.Errorf("net_tcp_dropped_bytes_total = %d", got)
+	}
+	if got := s.Counters["net_tcp_injected_drops_total"]; got != 1 {
+		t.Errorf("net_tcp_injected_drops_total = %d", got)
+	}
+	if got := s.Counters["net_tcp_injected_delays_total"]; got != 2 {
+		t.Errorf("net_tcp_injected_delays_total = %d", got)
 	}
 	// Meter.Reset leaves the cumulative obs counters alone.
 	m.Reset()

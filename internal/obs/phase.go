@@ -2,15 +2,11 @@ package obs
 
 import "sort"
 
-// RPoL pipeline phase names. These key the per-epoch PhaseBreakdown and
-// prefix the mirrored registry counters (rpol_phase_<name>_*_total).
+// RPoL pipeline phase names. These key the per-epoch PhaseBreakdown.
 const (
 	// PhaseTaskPublish is the manager's epoch fan-out: the global model and
 	// hyper-parameters shipped to every worker.
 	PhaseTaskPublish = "task_publish"
-	// PhaseShardAssign is the construction-time data partition handed to
-	// workers.
-	PhaseShardAssign = "shard_assign"
 	// PhaseTraining is the workers' local checkpointed training.
 	PhaseTraining = "training"
 	// PhaseCommitment is the submission fan-in: updates, commitments, and
@@ -75,22 +71,9 @@ func (b PhaseBreakdown) Clone() PhaseBreakdown {
 	return out
 }
 
-// MirrorTo adds the breakdown into reg's cumulative phase counters
-// (rpol_phase_<name>_count_total, _bytes_total, _steps_total). Nil-safe.
-func (b PhaseBreakdown) MirrorTo(reg *Registry) {
-	if reg == nil {
-		return
-	}
-	for phase, t := range b {
-		reg.Counter("rpol_phase_" + phase + "_count_total").Add(t.Count)
-		reg.Counter("rpol_phase_" + phase + "_bytes_total").Add(t.Bytes)
-		reg.Counter("rpol_phase_" + phase + "_steps_total").Add(t.Steps)
-	}
-}
-
 // phaseOrder lists the pipeline phases in protocol order for rendering.
 var phaseOrder = []string{
-	PhaseShardAssign, PhaseCalibration, PhaseTaskPublish, PhaseTraining,
+	PhaseCalibration, PhaseTaskPublish, PhaseTraining,
 	PhaseCommitment, PhaseChallenge, PhaseReproduction, PhaseLSH,
 	PhaseVerdict, PhaseAggregation, PhaseSettlement,
 }

@@ -64,7 +64,7 @@ func TestPhaseTableGolden(t *testing.T) {
 
 func TestMetricsTableGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rpol_epochs_total").Add(2)
+	r.Counter("pool_epochs_total").Add(2)
 	r.Gauge("rpol_alpha").Set(0.5)
 	r.Histogram("rpol_repro_error", []float64{1}).Observe(0.25)
 	got := MetricsTable(r.Snapshot())
@@ -75,7 +75,7 @@ func TestMetricsTableGolden(t *testing.T) {
 		"┌───────────┬───────────────────┬──────────────────────────────────────────────────────────┐\n" +
 		"│ kind      │ metric            │ value                                                    │\n" +
 		"├───────────┼───────────────────┼──────────────────────────────────────────────────────────┤\n" +
-		"│ counter   │ rpol_epochs_total │ 2                                                        │\n" +
+		"│ counter   │ pool_epochs_total │ 2                                                        │\n" +
 		"│ gauge     │ rpol_alpha        │ 0.5                                                      │\n" +
 		"│ histogram │ rpol_repro_error  │ count=1 sum=0.25 p50=0.5 p95=0.95 p99=0.99 le1=1 leInf=0 │\n" +
 		"└───────────┴───────────────────┴──────────────────────────────────────────────────────────┘\n"
@@ -95,20 +95,5 @@ func TestPhaseBreakdownMergeClone(t *testing.T) {
 	a.Merge(b)
 	if got := a[PhaseTraining]; got.Count != 3 || got.Steps != 30 {
 		t.Errorf("merged totals = %+v", got)
-	}
-}
-
-func TestPhaseBreakdownMirrorTo(t *testing.T) {
-	r := NewRegistry()
-	b := PhaseBreakdown{}
-	b.Add(PhaseVerdict, PhaseTotals{Count: 5})
-	b.Add(PhaseCommitment, PhaseTotals{Count: 2, Bytes: 128})
-	b.MirrorTo(r)
-	b.MirrorTo(nil) // nil-safe
-	if got := r.Counter("rpol_phase_verdict_count_total").Value(); got != 5 {
-		t.Errorf("verdict count counter = %d", got)
-	}
-	if got := r.Counter("rpol_phase_commitment_bytes_total").Value(); got != 128 {
-		t.Errorf("commitment bytes counter = %d", got)
 	}
 }

@@ -46,7 +46,7 @@ func getJSON(t *testing.T, url string, into any) *http.Response {
 
 func TestEndpoints(t *testing.T) {
 	o, _ := newTestObserver(64)
-	o.Counter("rpol_epochs_total").Add(2)
+	o.Counter("pool_epochs_total").Add(2)
 	o.Gauge("pool_test_accuracy").Set(0.75)
 	o.Publish(obs.StreamEvent{Kind: obs.EventEpochSealed, Epoch: 0})
 	o.Publish(obs.StreamEvent{Kind: obs.EventVerdictRejected, Worker: "adv1-00", Epoch: 0})
@@ -61,34 +61,34 @@ func TestEndpoints(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
-	if !strings.Contains(string(text), "counter rpol_epochs_total 2") {
+	if !strings.Contains(string(text), "counter pool_epochs_total 2") {
 		t.Errorf("/metrics text = %q", text)
 	}
 
 	// /metrics?format=json.
 	var snap obs.Snapshot
 	getJSON(t, ts.URL+"/metrics?format=json", &snap)
-	if snap.Counters["rpol_epochs_total"] != 2 || snap.Gauges["pool_test_accuracy"] != 0.75 {
+	if snap.Counters["pool_epochs_total"] != 2 || snap.Gauges["pool_test_accuracy"] != 0.75 {
 		t.Errorf("/metrics json = %+v", snap)
 	}
 
 	// /snapshot carries a sequence number.
 	var sr snapshotResponse
 	getJSON(t, ts.URL+"/snapshot", &sr)
-	if sr.Seq == 0 || sr.Snapshot.Counters["rpol_epochs_total"] != 2 {
+	if sr.Seq == 0 || sr.Snapshot.Counters["pool_epochs_total"] != 2 {
 		t.Errorf("/snapshot = seq %d, %+v", sr.Seq, sr.Snapshot.Counters)
 	}
 
 	// /delta against that snapshot: only what changed since.
-	o.Counter("rpol_epochs_total").Add(3)
+	o.Counter("pool_epochs_total").Add(3)
 	var d obs.Delta
 	getJSON(t, fmt.Sprintf("%s/delta?since=%d", ts.URL, sr.Seq), &d)
-	if d.Full || d.Counters["rpol_epochs_total"] != 3 || d.Seq <= sr.Seq {
+	if d.Full || d.Counters["pool_epochs_total"] != 3 || d.Seq <= sr.Seq {
 		t.Errorf("/delta = %+v", d)
 	}
 	// since=0 degrades to a full state.
 	getJSON(t, ts.URL+"/delta?since=0", &d)
-	if !d.Full || d.Counters["rpol_epochs_total"] != 5 {
+	if !d.Full || d.Counters["pool_epochs_total"] != 5 {
 		t.Errorf("full /delta = %+v", d)
 	}
 

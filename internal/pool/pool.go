@@ -327,16 +327,6 @@ func New(cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pool: %w", err)
 	}
-	// Shard assignment is a construction-time phase: record the data moved
-	// to workers (the manager keeps the probe shard, so it is excluded).
-	var shardBytes int64
-	for _, shard := range shards[:cfg.NumWorkers] {
-		shardBytes += int64(shard.Len()) * int64(tensor.EncodedSize(spec.ProxyDim)+8)
-	}
-	obs.PhaseBreakdown{
-		obs.PhaseShardAssign: {Count: int64(cfg.NumWorkers), Bytes: shardBytes},
-	}.MirrorTo(observer.Registry())
-
 	buildNet := func() (*nn.Network, error) {
 		net, err := spec.BuildProxyNet(cfg.Seed + 1)
 		if err != nil {
@@ -743,16 +733,11 @@ func (p *Pool) RunEpoch() (*EpochStats, error) {
 		}
 	}
 	// Settlement: one reward credit per accepted submission.
-	settlement := obs.PhaseBreakdown{obs.PhaseSettlement: {Count: int64(report.Accepted)}}
-	stats.Phases.Merge(settlement)
-	settlement.MirrorTo(p.obs.Registry())
+	stats.Phases.Add(obs.PhaseSettlement, obs.PhaseTotals{Count: int64(report.Accepted)})
 	p.obs.Counter("pool_epochs_total").Inc()
 	p.obs.Counter("pool_detected_adversaries_total").Add(int64(stats.DetectedAdversaries))
 	p.obs.Counter("pool_missed_adversaries_total").Add(int64(stats.MissedAdversaries))
 	p.obs.Counter("pool_false_rejections_total").Add(int64(stats.FalseRejections))
-	if stats.AbsentWorkers > 0 {
-		p.obs.Counter("pool_absent_workers_total").Add(int64(stats.AbsentWorkers))
-	}
 	acc, err := p.TestAccuracy()
 	if err != nil {
 		return nil, err

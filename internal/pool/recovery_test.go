@@ -237,8 +237,18 @@ func TestResumeAfterCleanStop(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	data, err := os.ReadFile(filepath.Join(dir, "epoch.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := journal.Recover(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rcfg := journaledConfig(1, dir, nil)
 	rcfg.Resume = true
+	rcfg.Obs = obs.NewObserver(obs.NewRegistry(), nil)
+	rcfg.Obs.AttachEvents(obs.NewEvents(0, nil))
 	resumed, err := New(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,6 +256,22 @@ func TestResumeAfterCleanStop(t *testing.T) {
 	defer resumed.Close()
 	if resumed.CompletedEpochs() != 1 {
 		t.Fatalf("resumed pool at epoch %d, want 1", resumed.CompletedEpochs())
+	}
+	// The resume is counted and announced once, and replays every record
+	// the first run journaled.
+	if n := rcfg.Obs.Counter("pool_resumes_total").Value(); n != 1 {
+		t.Errorf("pool_resumes_total = %d, want 1", n)
+	}
+	if n := rcfg.Obs.Counter("recovery_replayed_total").Value(); n != int64(len(journaled.Records)) {
+		t.Errorf("recovery_replayed_total = %d, the journal holds %d records", n, len(journaled.Records))
+	}
+	evs, _, _ := rcfg.Obs.Events().Since(0)
+	kinds := map[string]int{}
+	for _, ev := range evs {
+		kinds[ev.Kind]++
+	}
+	if kinds[obs.EventPoolResumed] != 1 || kinds[obs.EventJournalRecovery] != 1 {
+		t.Errorf("resume published %v, want one %s and one %s", kinds, obs.EventPoolResumed, obs.EventJournalRecovery)
 	}
 	if rec := resumed.Recovered(); len(rec) != 1 || sealSummary(rec[0]) != got[0] {
 		t.Fatalf("recovered seals %+v do not match the epoch actually run", rec)

@@ -43,10 +43,6 @@ type ManagerConfig struct {
 	// and, per epoch, the seeds of the calibration probes and the LSH
 	// family, each a pure function of (Seed, label, epoch).
 	Seed int64
-	// XFactor/YOffset define β = x·α + y (defaults 5, 0).
-	XFactor, YOffset float64
-	// KLsh is the LSH computational budget (default 16).
-	KLsh int
 	// ConcurrentCollection trains workers concurrently during the
 	// collection phase. Each worker must be safe to drive beside the others:
 	// in-process workers own their network and trainer, and remote workers
@@ -173,8 +169,7 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 		obs:     o,
 		verifier: &Verifier{Scheme: cfg.Scheme, Net: net, Device: device, Samples: cfg.Samples,
 			Sampler: tensor.NewRNG(0), Obs: o, Workers: cfg.Workers},
-		calibrator: &Calibrator{Net: net, Shard: probe, XFactor: cfg.XFactor,
-			YOffset: cfg.YOffset, KLsh: cfg.KLsh, Obs: o},
+		calibrator: &Calibrator{Net: net, Shard: probe, Obs: o},
 		challenger: newChallenger(cfg.MasterKey),
 	}, nil
 }
@@ -471,8 +466,6 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		report.Phases.Add(obs.PhaseAggregation, obs.PhaseTotals{Count: int64(len(accepted))})
 	}
 	m.epoch++
-	m.obs.Counter("rpol_epochs_total").Inc()
-	report.Phases.MirrorTo(m.obs.Registry())
 	return report, nil
 }
 

@@ -209,7 +209,7 @@ func (d *dodger) OpenProof(idx int) (LeafProof, error) { return d.opener.OpenPro
 // absent, not rejected. It is never accepted and never aggregated, its
 // commitment and its verdict are journaled, its sampled intervals are the ones
 // re-derived from the journaled root, and it is counted by
-// rpol_absent_total, never by rpol_verify_reject_total.
+// rpol_absent_total, never by rpol_rejected_total.
 func TestManagerAbsentAfterCommit(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
 		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
@@ -233,7 +233,7 @@ func TestManagerAbsentAfterCommit(t *testing.T) {
 				t.Fatalf("dodger outcome %v (%v) after sampling %v, want absent after its samples were drawn",
 					o.Outcome, o.FailReason, o.SampledCheckpoints)
 			}
-			for name, want := range map[string]int64{"rpol_verify_reject_total": 0, "rpol_absent_total": 1, "rpol_verify_accept_total": 2} {
+			for name, want := range map[string]int64{"rpol_rejected_total": 0, "rpol_absent_total": 1, "rpol_accepted_total": 2} {
 				if got := observer.Counter(name).Value(); got != want {
 					t.Errorf("%s = %d, want %d", name, got, want)
 				}

@@ -154,16 +154,12 @@ func (v *Verifier) VerifySubmission(opener ProofOpener, shard *dataset.Dataset, 
 		switch {
 		case out.Accepted:
 			out.Outcome = OutcomeAccepted
-			v.observer().Counter("rpol_verify_accept_total").Inc()
 		case errors.Is(out.FailReason, ErrWorkerUnavailable):
 			out.Outcome = OutcomeAbsent // counted by the manager, never rejected
 		default:
 			out.Outcome = OutcomeRejected
-			v.observer().Counter("rpol_verify_reject_total").Inc()
 		}
 		v.observer().Counter("rpol_verify_comm_bytes_total").Add(out.CommBytes)
-		v.observer().Histogram("rpol_verify_sampled_checkpoints",
-			[]float64{0, 1, 2, 3, 5, 8, 13}).Observe(float64(len(out.SampledCheckpoints)))
 		span.End(obs.Bool("accepted", out.Accepted), obs.String("fail", reasonText(out.FailReason)),
 			obs.Int("commBytes", out.CommBytes), obs.Int("reexecSteps", int64(out.ReexecSteps)))
 	}()

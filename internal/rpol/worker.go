@@ -78,10 +78,9 @@ func (w *HonestWorker) GPUProfile() gpu.Profile { return w.profile }
 // ShardSize returns |D_w|.
 func (w *HonestWorker) ShardSize() int { return w.trainer.Shard.Len() }
 
-// SetStore directs the worker to persist its checkpoints in st (e.g. a
-// disk-backed checkpoint.DiskStore) instead of process memory. Proof
-// openings then round-trip through the store's serialization — exactly what
-// a real worker whose checkpoints exceed RAM does.
+// SetStore directs the worker to copy its checkpoints into st after
+// training; proof openings then round-trip through the store. A worker that
+// must survive a crash persists through SetSegment instead.
 func (w *HonestWorker) SetStore(st checkpoint.Store) { w.store = st }
 
 // SetSegment makes the worker crash-recoverable: each checkpoint streams
@@ -146,7 +145,6 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}
 	trainSpan.End(obs.Int("checkpoints", int64(len(trace.Checkpoints))))
-	w.obs.Counter("rpol_checkpoints_total").Add(int64(len(trace.Checkpoints)))
 	update, err := bindFinal(trace, p.Global, w.update)
 	if err != nil {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
