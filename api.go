@@ -11,6 +11,7 @@ import (
 	"rpol/internal/mining"
 	"rpol/internal/modelzoo"
 	"rpol/internal/obs"
+	"rpol/internal/parallel"
 	"rpol/internal/pool"
 	"rpol/internal/rpol"
 )
@@ -130,6 +131,13 @@ func NewWallClock() Clock { return obs.NewWallClock() }
 // SetDefaultObserver installs o as the process-wide default observer that
 // pools and managers constructed without an explicit Observer fall back to.
 func SetDefaultObserver(o *Observer) { obs.SetDefault(o) }
+
+// SetDefaultWorkers sets the process's one compute setting: every training
+// runtime the process builds afterwards spreads its kernels over n
+// goroutines (n <= 0 runs them on the calling goroutine). It changes how the
+// process computes, never what: every bit, verdict and byte is the same at
+// every n.
+func SetDefaultWorkers(n int) { parallel.SetDefaultWorkers(n) }
 
 // LSHParams are the tunable {r, k, l} of the p-stable LSH family.
 type LSHParams = lsh.Params

@@ -352,37 +352,21 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkLSHHashWorkers is BenchmarkLSHHash through the group-parallel
-// path at NumCPU workers (bit-identical digests).
-func BenchmarkLSHHashWorkers(b *testing.B) {
-	const dim = 4096
-	fam, err := lsh.NewFamily(dim, lsh.Params{R: 1, K: 4, L: 4}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.NewRNG(2).NormalVector(dim, 0, 1)
-	p := parallel.New(runtime.NumCPU())
-	b.SetBytes(int64(8 * dim))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fam.HashPool(p, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPoolEpochV2Workers is BenchmarkPoolEpochV2 with the deterministic
-// compute pool sized to the host: parallel batch training in every worker,
-// pooled commitment hashing, and interval-parallel verification. Protocol
-// results are bit-identical to any other worker count ≥ 1.
+// BenchmarkPoolEpochV2Workers is BenchmarkPoolEpochV2 with the process
+// compute setting sized to the host: every trainer the pool builds — each
+// worker's, the calibration probes' and the verifier's replay — spreads its
+// batch GEMM kernels over NumCPU goroutines. Protocol results are
+// bit-identical at every setting.
 func BenchmarkPoolEpochV2Workers(b *testing.B) {
+	prev := parallel.DefaultWorkers()
+	rpolapi.SetDefaultWorkers(runtime.NumCPU())
+	b.Cleanup(func() { rpolapi.SetDefaultWorkers(prev) })
 	p, err := rpolapi.NewPool(rpolapi.PoolConfig{
 		TaskName:      "resnet18-cifar10",
 		Scheme:        rpolapi.SchemeV2,
 		NumWorkers:    4,
 		StepsPerEpoch: 10,
 		Seed:          1,
-		Workers:       runtime.NumCPU(),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -8,9 +8,18 @@ import (
 	"rpol/internal/commitment"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
+	"rpol/internal/parallel"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
 )
+
+// setWorkers sets the process compute setting (parallel.SetDefaultWorkers)
+// to n until the test ends. A trainer reads it when it builds its runtime.
+func setWorkers(t testing.TB, n int) {
+	prev := parallel.DefaultWorkers()
+	parallel.SetDefaultWorkers(n)
+	t.Cleanup(func() { parallel.SetDefaultWorkers(prev) })
+}
 
 // buildVerifier calibrates β (and the LSH family for v2) from the real task
 // and returns a ready verifier, mirroring the manager's per-epoch setup.
@@ -258,8 +267,8 @@ func TestVerifierCatchesTruncator(t *testing.T) {
 			net, ds := advTask(t, 40)
 			p := advParams(net.ParamVector())
 			intervals := p.NumCheckpoints() - 1
+			setWorkers(t, workers)
 			verifier := buildVerifier(t, scheme, &p)
-			verifier.Workers = workers
 			for _, merkle := range []bool{false, true} {
 				for _, claimed := range []int{1, intervals - 1, intervals + 1} {
 					name := fmt.Sprintf("%s/merkle=%v/workers=%d/intervals=%d", scheme, merkle, workers, claimed)

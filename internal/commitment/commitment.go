@@ -23,8 +23,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-
-	"rpol/internal/parallel"
 )
 
 // HashSize is the digest size in bytes (SHA-256).
@@ -73,18 +71,15 @@ func NewHashList(payloads [][]byte) (*HashList, error) {
 	if len(payloads) == 0 {
 		return nil, ErrEmpty
 	}
-	return &HashList{Leaves: hashLeaves(nil, payloads)}, nil
+	return &HashList{Leaves: hashLeaves(payloads)}, nil
 }
 
-// hashLeaves digests every payload, chunked across the pool when one is
-// given.
-func hashLeaves(p *parallel.Pool, payloads [][]byte) []Hash {
+// hashLeaves digests every payload.
+func hashLeaves(payloads [][]byte) []Hash {
 	leaves := make([]Hash, len(payloads))
-	p.For(len(payloads), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			leaves[i] = HashLeaf(payloads[i])
-		}
-	})
+	for i, payload := range payloads {
+		leaves[i] = HashLeaf(payload)
+	}
 	return leaves
 }
 
@@ -117,18 +112,10 @@ type MerkleProof struct {
 // NewMerkleTree builds the tree over the ordered payloads. Odd nodes are
 // paired with themselves.
 func NewMerkleTree(payloads [][]byte) (*MerkleTree, error) {
-	return NewMerkleTreePool(nil, payloads)
-}
-
-// NewMerkleTreePool is NewMerkleTree with leaf hashing chunked across the
-// pool (the leaves dominate the work: each one digests a full checkpoint
-// payload, while interior levels hash 64 bytes each). The tree is identical
-// to the serial construction for any worker count. A nil pool runs serially.
-func NewMerkleTreePool(p *parallel.Pool, payloads [][]byte) (*MerkleTree, error) {
 	if len(payloads) == 0 {
 		return nil, ErrEmpty
 	}
-	return NewMerkleFromLeaves(hashLeaves(p, payloads))
+	return NewMerkleFromLeaves(hashLeaves(payloads))
 }
 
 // NewMerkleFromLeaves builds the tree over pre-computed leaf digests, for

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
@@ -114,34 +113,17 @@ func (f *Family) Seed() int64 { return f.seed }
 // Hash computes the digest of x: for each group, the k bucket indices
 // ⌊(a·x+b)/r⌋ are folded through SHA-256 into one 8-byte group hash.
 func (f *Family) Hash(x tensor.Vector) (Digest, error) {
-	return f.HashPool(nil, x)
-}
-
-// HashPool is Hash with the projections' lane blocks chunked across the
-// pool. Every dot product is one ascending chain written to its own slot, so
-// the result is bit-identical to the serial Hash for any worker count. A nil
-// pool runs serially.
-func (f *Family) HashPool(p *parallel.Pool, x tensor.Vector) (Digest, error) {
 	if len(x) != f.dim {
 		return nil, fmt.Errorf("lsh: input %d, want %d: %w", len(x), f.dim, tensor.ErrShapeMismatch)
 	}
+	// The dot products sit on the stack at the usual budget of 16.
 	n := len(f.offsets)
-	if p.Workers() <= 1 {
-		// Serial fast path: the dot products sit on the stack at the
-		// usual budget of 16.
-		var stack [16]float64
-		dots := stack[:]
-		if n > len(dots) {
-			dots = make([]float64, n)
-		}
-		tensor.DotLanes(dots[:n], f.lanes, x)
-		return f.digest(dots), nil
+	var stack [16]float64
+	dots := stack[:]
+	if n > len(dots) {
+		dots = make([]float64, n)
 	}
-	dots := make([]float64, n)
-	blocks := (n + tensor.LaneBlock - 1) / tensor.LaneBlock
-	p.ForChunks(blocks, 1, func(_, lo, hi int) {
-		tensor.DotLanes(dots[lo*tensor.LaneBlock:min(hi*tensor.LaneBlock, n)], f.lanes[lo*tensor.LaneBlock*f.dim:], x)
-	})
+	tensor.DotLanes(dots[:n], f.lanes, x)
 	return f.digest(dots), nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
@@ -259,8 +258,7 @@ func TestMatchEdgeCases(t *testing.T) {
 // to the definition they replaced — every projection's dot product taken on
 // its own with Vector.Dot — at projection counts that leave every remainder
 // (K·L = 1, 3, 4, 5, 16, 17, with groups both wider and narrower than four),
-// through Hash and through HashPool at 1, 2 and 4 workers, on the host's
-// kernels and on the portable ones.
+// through Hash, on the host's kernels and on the portable ones.
 func TestHashMatchesOneChainReference(t *testing.T) {
 	const dim = 257
 	x := tensor.NewRNG(11).NormalVector(dim, 0, 3)
@@ -299,14 +297,10 @@ func TestHashMatchesOneChainReference(t *testing.T) {
 			prev := tensor.SetPortable(portable)
 			got, err := f.Hash(x)
 			check(fmt.Sprintf("Hash (portable %v)", portable), got, err)
-			for _, workers := range []int{1, 2, 4} {
-				got, err := f.HashPool(parallel.New(workers), x)
-				check(fmt.Sprintf("HashPool(%d) (portable %v)", workers, portable), got, err)
-			}
 			tensor.SetPortable(prev)
 		}
 	}
-	// The serial path's bucket buffer stays off the heap at the usual budget:
+	// The bucket buffer stays off the heap at the usual budget:
 	// the digest is the only allocation.
 	f, err := NewFamily(dim, Params{R: 1.5, K: 4, L: 4}, 29)
 	if err != nil {

@@ -186,7 +186,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // defaultFaultPlan is the process-wide fallback plan, installed by the
-// -faultseed flag (mirroring parallel.SetDefaultWorkers for -jobs) so pools
+// -faultseed flag (as -jobs installs the process compute setting) so pools
 // constructed deep inside experiment runners pick it up without threading a
 // plan through every options struct. It starts nil: no faults.
 var defaultFaultPlan atomic.Pointer[FaultPlan]

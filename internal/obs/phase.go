@@ -7,7 +7,9 @@ const (
 	// PhaseTaskPublish is the manager's epoch fan-out: the global model and
 	// hyper-parameters shipped to every worker.
 	PhaseTaskPublish = "task_publish"
-	// PhaseTraining is the workers' local checkpointed training.
+	// PhaseTraining is the workers' local checkpointed training. The
+	// manager counts the submissions it collected and no steps: it sees
+	// what a worker claims, never the training behind it.
 	PhaseTraining = "training"
 	// PhaseCommitment is the submission fan-in: updates, commitments, and
 	// LSH digests uploaded to the manager.

@@ -43,10 +43,12 @@ type Options struct {
 	// WallClock timestamps trace spans with real elapsed time instead of the
 	// deterministic simulated clock.
 	WallClock bool
-	// Jobs is the process-wide default worker count for the deterministic
-	// compute runtime (internal/parallel): 0 runs the kernels on the
-	// calling goroutine, any n ≥ 1 spreads them over n workers, and the
-	// results are bit-identical for every value.
+	// Jobs is the process's one compute setting (parallel.SetDefaultWorkers):
+	// every training runtime the process builds — its workers', the
+	// manager's calibration probes and verification replays, an
+	// experiment's own trainers — reads it once and spreads its GEMM
+	// kernels over that many goroutines. 0 runs them on the calling
+	// goroutine; the results are bit-identical for every value.
 	Jobs int
 	// FaultSeed seeds the process-wide deterministic fault plan
 	// (netsim.DefaultFaultConfig rates): injected message drops/delays and
@@ -77,7 +79,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Serve, "serve", "", "serve live metrics/events HTTP endpoints on this address (e.g. localhost:7070)")
 	fs.StringVar(&o.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&o.WallClock, "wallclock", false, "timestamp trace spans with wall time (non-deterministic) instead of simulated time")
-	fs.IntVar(&o.Jobs, "jobs", 0, "deterministic compute workers per task (0 = serial; results are bit-identical for every value)")
+	fs.IntVar(&o.Jobs, "jobs", 0, "goroutines each training runtime in this process spreads its kernels over (0 = serial; results are bit-identical for every value)")
 	fs.Int64Var(&o.FaultSeed, "faultseed", 0, "seed for deterministic fault injection (pool worker crash-restart windows); 0 disables, same seed replays identically")
 }
 

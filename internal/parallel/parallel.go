@@ -153,3 +153,12 @@ func SetDefaultWorkers(n int) {
 // DefaultWorkers returns the process-wide worker budget; 0 means "no
 // goroutines requested" (the same kernels on the calling goroutine).
 func DefaultWorkers() int { return int(defaultWorkers.Load()) }
+
+// Default returns a pool of the process-wide worker budget, or nil (serial)
+// when none is set. The training runtime reads it once, when it is built.
+func Default() *Pool {
+	if n := DefaultWorkers(); n > 0 {
+		return New(n)
+	}
+	return nil
+}

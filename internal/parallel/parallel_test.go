@@ -136,13 +136,19 @@ func TestDefaultWorkersKnob(t *testing.T) {
 	if DefaultWorkers() != 0 {
 		t.Fatalf("initial DefaultWorkers = %d", DefaultWorkers())
 	}
+	if Default() != nil {
+		t.Errorf("Default() = %v at the serial default, want nil", Default())
+	}
 	SetDefaultWorkers(6)
 	if DefaultWorkers() != 6 {
 		t.Errorf("DefaultWorkers = %d, want 6", DefaultWorkers())
 	}
+	if got := Default().Workers(); got != 6 {
+		t.Errorf("Default().Workers() = %d, want 6", got)
+	}
 	SetDefaultWorkers(-2)
-	if DefaultWorkers() != 0 {
-		t.Errorf("DefaultWorkers = %d after negative set, want 0", DefaultWorkers())
+	if DefaultWorkers() != 0 || Default() != nil {
+		t.Errorf("DefaultWorkers = %d, Default() = %v after negative set, want 0 and nil", DefaultWorkers(), Default())
 	}
 }
 

@@ -87,14 +87,12 @@ func TestEpochPhaseBreakdown(t *testing.T) {
 			t.Errorf("phase %q has zero count: %+v", phase, stats.Phases[phase])
 		}
 	}
-	if stats.Phases[obs.PhaseTraining].Steps == 0 {
-		t.Error("training phase reports no steps")
-	}
 	if stats.Phases[obs.PhaseCommitment].Bytes == 0 {
 		t.Error("commitment phase reports no bytes")
 	}
-	// Every worker trains every step of its task.
-	want := obs.PhaseTotals{Count: int64(cfg.NumWorkers), Steps: int64(cfg.NumWorkers * cfg.StepsPerEpoch)}
+	// Every worker submits; the manager sees submissions, never the steps
+	// behind them, and counts none.
+	want := obs.PhaseTotals{Count: int64(cfg.NumWorkers)}
 	if got := stats.Phases[obs.PhaseTraining]; got != want {
 		t.Errorf("training phase = %+v, want %+v", got, want)
 	}
@@ -148,7 +146,7 @@ func TestTraceSpansNest(t *testing.T) {
 func TestCountersMatchTheRecord(t *testing.T) {
 	const epochs = 4
 	dir := t.TempDir()
-	cfg := journaledConfig(1, dir, nil)
+	cfg := journaledConfig(dir, nil)
 	cfg.NumWorkers = 6
 	cfg.Adv1Fraction, cfg.Adv2Fraction = 1.0/6, 1.0/6
 	cfg.Faults = netsim.NewFaultPlan(17, netsim.DefaultFaultConfig())
@@ -200,6 +198,12 @@ func TestCountersMatchTheRecord(t *testing.T) {
 	}
 
 	ph := sum.Phases
+	// The training row counts every live submission — each one accepted or
+	// rejected — and no steps: an Adv1 submits without training, so the
+	// only step count is the honest workers' own counter below.
+	if want := (obs.PhaseTotals{Count: int64(sum.Accepted + sum.Rejected)}); ph[obs.PhaseTraining] != want {
+		t.Errorf("Phases[training] = %+v, the run's record says %+v", ph[obs.PhaseTraining], want)
+	}
 	// Under v2 every committed checkpoint carries a digest, the global
 	// model's included (journaledConfig's interval divides its steps).
 	digests := int64(cfg.StepsPerEpoch/cfg.CheckpointEvery + 1)

@@ -84,7 +84,7 @@ func writeFile(t *testing.T, dir, name string, data []byte) {
 func TestResumeParentFormatJournal(t *testing.T) {
 	const epochs = 2
 	config := func(dir string, fs fsio.FS) Config {
-		cfg := journaledConfig(1, dir, fs)
+		cfg := journaledConfig(dir, fs)
 		cfg.CheckpointEvery = 3 // what the parent's recovery suite ran
 		return cfg
 	}

@@ -24,7 +24,6 @@ import (
 	"rpol/internal/netsim"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
-	"rpol/internal/parallel"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
 )
@@ -58,16 +57,6 @@ type Config struct {
 	// AMLayer when UseAMLayer is set.
 	ManagerAddress string
 	UseAMLayer     bool
-	// Workers sizes the deterministic compute pool each participant uses
-	// for batch training, commitment hashing, and interval re-execution —
-	// an execution knob, not a protocol parameter: results are bit-identical
-	// for any value ≥ 1 (see internal/parallel). 0 falls back to the
-	// process-wide default (parallel.DefaultWorkers, set by the -jobs flag),
-	// which itself defaults to no goroutines: the same training kernels on
-	// the calling goroutine. Negative forces that regardless of the process
-	// default. The verifier replays sampled intervals one after another at
-	// every value.
-	Workers int
 	// Seed makes the whole pool construction and run reproducible.
 	Seed int64
 	// Faults is an optional deterministic fault plan: its crash-restart
@@ -114,9 +103,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ManagerAddress == "" {
 		c.ManagerAddress = "pool-manager"
-	}
-	if c.Workers == 0 {
-		c.Workers = parallel.DefaultWorkers()
 	}
 	if c.Journal != "" && c.FS == nil {
 		c.FS = fsio.OS
@@ -475,7 +461,6 @@ func New(cfg Config) (*Pool, error) {
 		GPU:             gpu.G3090,
 		MasterKey:       []byte(cfg.ManagerAddress + "/nonce-master"),
 		Seed:            cfg.Seed + 7,
-		Workers:         cfg.Workers,
 		Obs:             observer,
 		Journal:         j,
 		// In-process workers each own their network and trainer, so the

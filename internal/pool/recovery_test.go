@@ -15,14 +15,23 @@ import (
 	"rpol/internal/journal"
 	"rpol/internal/netsim"
 	"rpol/internal/obs"
+	"rpol/internal/parallel"
 	"rpol/internal/rpol"
 )
+
+// setWorkers sets the process compute setting (parallel.SetDefaultWorkers)
+// to n until the test ends. A trainer reads it when it builds its runtime.
+func setWorkers(t testing.TB, n int) {
+	prev := parallel.DefaultWorkers()
+	parallel.SetDefaultWorkers(n)
+	t.Cleanup(func() { parallel.SetDefaultWorkers(prev) })
+}
 
 // journaledConfig is the recovery suite's pool: small enough to sweep every
 // crash point, structured enough (multiple checkpoints per epoch, multiple
 // workers, sampled verification) that the crash points land in every phase
 // of the durable write schedule.
-func journaledConfig(workers int, dir string, fs fsio.FS) Config {
+func journaledConfig(dir string, fs fsio.FS) Config {
 	return Config{
 		TaskName:        "resnet18-cifar10",
 		Scheme:          rpol.SchemeV2,
@@ -31,7 +40,6 @@ func journaledConfig(workers int, dir string, fs fsio.FS) Config {
 		CheckpointEvery: 2,
 		Samples:         2,
 		Seed:            99,
-		Workers:         workers,
 		Journal:         dir,
 		FS:              fs,
 	}
@@ -81,18 +89,17 @@ type baseline struct {
 	roots     map[string][]byte // journaled Merkle root per epoch/worker
 }
 
-// sweep is the pool a crash sweep runs: journaledConfig at a Workers value,
-// optionally under a fault plan. wrap, when non-nil, layers a test
-// filesystem between the pool and the FaultFS below it — the counting one of
-// the baseline run, the crashing one of each swept run.
+// sweep is the pool a crash sweep runs: journaledConfig, optionally under a
+// fault plan. wrap, when non-nil, layers a test filesystem between the pool
+// and the FaultFS below it — the counting one of the baseline run, the
+// crashing one of each swept run.
 type sweep struct {
-	workers int
-	faults  *netsim.FaultPlan
-	wrap    func(fsio.FS) fsio.FS
+	faults *netsim.FaultPlan
+	wrap   func(fsio.FS) fsio.FS
 }
 
 func (s sweep) config(dir string, fs fsio.FS) Config {
-	cfg := journaledConfig(s.workers, dir, fs)
+	cfg := journaledConfig(dir, fs)
 	cfg.Faults = s.faults
 	return cfg
 }
@@ -161,7 +168,7 @@ func journalRoots(dir string) (map[string][]byte, error) {
 // bit-identical, and journaling leaves the zero-false-rejection invariant
 // intact.
 func TestJournaledRunIsDeterministic(t *testing.T) {
-	first, second := runBaseline(t, sweep{workers: 1}, 2), runBaseline(t, sweep{workers: 1}, 2)
+	first, second := runBaseline(t, sweep{}, 2), runBaseline(t, sweep{}, 2)
 	for e := range first.summaries {
 		if first.summaries[e] != second.summaries[e] {
 			t.Fatalf("epoch %d diverged between journaled runs:\n  %+v\n  %+v", e, first.summaries[e], second.summaries[e])
@@ -186,7 +193,7 @@ func TestJournalChangesNoOutcome(t *testing.T) {
 	const epochs = 3
 	run := func(dir string) ([]string, uint64) {
 		t.Helper()
-		cfg := journaledConfig(1, dir, nil)
+		cfg := journaledConfig(dir, nil)
 		cfg.Adv2Fraction = 0.5
 		p, err := New(cfg)
 		if err != nil {
@@ -220,11 +227,11 @@ func TestJournalChangesNoOutcome(t *testing.T) {
 // history must be bit-identical to the uninterrupted run.
 func TestResumeAfterCleanStop(t *testing.T) {
 	const epochs = 2
-	base := runBaseline(t, sweep{workers: 1}, epochs)
+	base := runBaseline(t, sweep{}, epochs)
 	want, wantDigest, wantRewards := base.summaries, base.digest, base.rewards
 
 	dir := t.TempDir()
-	p, err := New(journaledConfig(1, dir, nil))
+	p, err := New(journaledConfig(dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +252,7 @@ func TestResumeAfterCleanStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := journaledConfig(1, dir, nil)
+	rcfg := journaledConfig(dir, nil)
 	rcfg.Resume = true
 	rcfg.Obs = obs.NewObserver(obs.NewRegistry(), nil)
 	rcfg.Obs.AttachEvents(obs.NewEvents(0, nil))
@@ -303,15 +310,15 @@ func TestResumeAfterCleanStop(t *testing.T) {
 // un-synced tail), check that what survived on disk still honours the sync
 // points' promises, then resume from it and finish the run. Every crash
 // point must recover to EpochStats, a reward ledger, and a global model
-// bit-identical to the uninterrupted run — at Workers 0 (no goroutines, the
-// default), 1 and 4.
+// bit-identical to the uninterrupted run — at process compute settings 0 (no
+// goroutines, the default), 1 and 4. The subtests run one after another:
+// the setting belongs to the process.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	const epochs = 2
 	for _, workers := range []int{0, 1, 4} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			t.Parallel()
-			base := runBaseline(t, sweep{workers: workers}, epochs)
+			setWorkers(t, workers)
+			base := runBaseline(t, sweep{}, epochs)
 
 			// -short keeps a representative stride through the schedule;
 			// the full sweep (CI's crash-soak step) hits every ordinal.
@@ -321,7 +328,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			}
 			var adopted int64
 			for ord := uint64(0); ord < base.ops; ord += stride {
-				n, err := crashAndRecover(t.TempDir(), sweep{workers: workers}, epochs, ord, base)
+				n, err := crashAndRecover(t.TempDir(), sweep{}, epochs, ord, base)
 				if err != nil {
 					t.Fatalf("ordinal %d of %d: %v", ord, base.ops, err)
 				}
@@ -362,7 +369,7 @@ func downInFirstEpoch(t *testing.T) *netsim.FaultPlan {
 // uninterrupted run's EpochStats, reward ledger and global model.
 func TestCrashRecoveryAfterDownEpoch(t *testing.T) {
 	const epochs = 2
-	s := sweep{workers: 1, faults: downInFirstEpoch(t)}
+	s := sweep{faults: downInFirstEpoch(t)}
 	base := runBaseline(t, s, epochs)
 	if base.summaries[0].Absent != 1 || base.summaries[1].Absent != 0 {
 		t.Fatalf("absences %d and %d in epochs 0 and 1, want 1 and 0", base.summaries[0].Absent, base.summaries[1].Absent)
@@ -403,7 +410,7 @@ func (noSyncAppender) Sync() error { return nil }
 // commitment whose checkpoints are not all on disk, and the sweep says so.
 func TestCrashSweepCatchesMissingWorkerSync(t *testing.T) {
 	const epochs = 2
-	s := sweep{workers: 1, wrap: func(fs fsio.FS) fsio.FS { return dropSegmentSyncFS{fs} }}
+	s := sweep{wrap: func(fs fsio.FS) fsio.FS { return dropSegmentSyncFS{fs} }}
 	base := runBaseline(t, s, epochs)
 	caught := 0
 	for ord := uint64(0); ord < base.ops; ord++ {
@@ -551,7 +558,7 @@ func crashAndRecover(dir string, s sweep, epochs int, ord uint64, base baseline)
 // bit-identical to the uninterrupted run.
 func TestResumeMerkleCommit(t *testing.T) {
 	const epochs = 2
-	merkled := func(dir string) Config { return journaledConfig(1, dir, nil) }
+	merkled := func(dir string) Config { return journaledConfig(dir, nil) }
 
 	base, err := New(merkled(t.TempDir()))
 	if err != nil {

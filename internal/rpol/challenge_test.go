@@ -136,11 +136,12 @@ func TestChallengeSameAcrossConfigurations(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				setWorkers(t, workers)
 				mgr, _ := buildTestPool(t, 4, func(w Worker) Worker {
 					return &dodger{HonestWorker: w.(*HonestWorker), forged: 4}
 				}, func(cfg *ManagerConfig) {
 					challengeTune(cfg)
-					cfg.Workers, cfg.ConcurrentCollection, cfg.Journal = workers, concurrent, j
+					cfg.ConcurrentCollection, cfg.Journal = concurrent, j
 				})
 				var got string
 				for e := 0; e < epochs; e++ {
@@ -165,7 +166,7 @@ func TestChallengeSameAcrossConfigurations(t *testing.T) {
 					continue
 				}
 				if got != want {
-					t.Errorf("Workers=%d concurrent=%v journal=%v:\n%s\nwant (Workers=0, serial, no journal):\n%s",
+					t.Errorf("workers=%d concurrent=%v journal=%v:\n%s\nwant (workers=0, serial, no journal):\n%s",
 						workers, concurrent, journaled, got, want)
 				}
 			}

@@ -9,14 +9,6 @@ import (
 	"rpol/internal/tensor"
 )
 
-// poolFor maps a Workers knob to a compute pool: nil (serial) when n ≤ 0.
-func poolFor(n int) *parallel.Pool {
-	if n <= 0 {
-		return nil
-	}
-	return parallel.New(n)
-}
-
 // commitLeaves digests every checkpoint into its commitment leaf — the raw
 // weight encoding under v1, the LSH digest encoding under v2 — chunked across
 // the pool with per-slot writes, so the leaves are bit-identical to the

@@ -10,18 +10,20 @@ import (
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/lsh"
+	"rpol/internal/parallel"
 )
 
-// epochFingerprints runs one full RPoLv2 epoch — training, commitment,
-// calibration, sampling, verification, aggregation — with the given Workers
-// knob and condenses the result into two digests:
-//
-//   - train covers every protocol artifact: checkpoint traces, commitment
-//     roots and leaves, LSH digests, submitted updates, acceptance flags,
-//     and the aggregated global model;
-//   - verify covers the verification accounting: sampled intervals,
-//     fail reasons, comm bytes, re-executed steps, misses and double-checks.
-func epochFingerprints(t *testing.T, workers int) (train, verify string) {
+// setWorkers sets the process compute setting (parallel.SetDefaultWorkers)
+// to n until the test ends. A trainer reads it when it builds its runtime.
+func setWorkers(t testing.TB, n int) {
+	prev := parallel.DefaultWorkers()
+	parallel.SetDefaultWorkers(n)
+	t.Cleanup(func() { parallel.SetDefaultWorkers(prev) })
+}
+
+// detPool builds the determinism suite's in-process RPoLv2 pool: four honest
+// workers and a manager over one seeded dataset.
+func detPool(t *testing.T) (*Manager, []*HonestWorker) {
 	t.Helper()
 	const n = 4
 	ds, err := dataset.Generate(dataset.Config{
@@ -60,11 +62,26 @@ func epochFingerprints(t *testing.T, workers int) (train, verify string) {
 		GPU:             gpu.G3090,
 		MasterKey:       []byte("master"),
 		Seed:            99,
-		Workers:         workers,
 	}, managerNet, workerIfs, shardMap, shards[n])
 	if err != nil {
 		t.Fatal(err)
 	}
+	return mgr, pool
+}
+
+// epochFingerprints runs one full RPoLv2 epoch — training, commitment,
+// calibration, sampling, verification, aggregation — at the given process
+// compute setting and condenses the result into two digests:
+//
+//   - train covers every protocol artifact: checkpoint traces, commitment
+//     roots and leaves, LSH digests, submitted updates, acceptance flags,
+//     and the aggregated global model;
+//   - verify covers the verification accounting: sampled intervals,
+//     fail reasons, comm bytes, re-executed steps, misses and double-checks.
+func epochFingerprints(t *testing.T, workers int) (train, verify string) {
+	t.Helper()
+	setWorkers(t, workers)
+	mgr, pool := detPool(t)
 	report, err := mgr.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
@@ -98,12 +115,12 @@ func epochFingerprints(t *testing.T, workers int) (train, verify string) {
 }
 
 // TestEpochBitIdenticalAcrossWorkers is the protocol-wide determinism
-// regression test for the data-parallel runtime: one epoch run at Workers =
-// 0, 1, 2, and 8 must produce bit-identical checkpoints, LSH digests,
-// commitment roots, verification outcomes, and global model. Everything the
-// protocol hashes or compares is covered, so any scheduling-dependent float
-// reduction sneaking into a hot path fails this test (and trips the race
-// detector in the -race CI job).
+// regression test for the data-parallel runtime: one epoch run at process
+// compute settings 0, 1, 2, and 8 must produce bit-identical checkpoints, LSH
+// digests, commitment roots, verification outcomes, and global model.
+// Everything the protocol hashes or compares is covered, so any
+// scheduling-dependent float reduction sneaking into a hot path fails this
+// test (and trips the race detector in the -race CI job).
 func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
 	baseTrain, baseVerify := epochFingerprints(t, 1)
 	for _, w := range []int{2, 8} {
@@ -116,10 +133,10 @@ func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	// The test nets are dense-only stacks: Workers = 0 runs the same
-	// kernels without goroutines, and the verifier replays the sampled
-	// intervals in turn on one device at every value, so both digests must
-	// agree with it too.
+	// The test nets are dense-only stacks: setting 0 runs the same kernels
+	// without goroutines, and the verifier replays the sampled intervals in
+	// turn on one device at every setting, so both digests must agree with
+	// it too.
 	serialTrain, serialVerify := epochFingerprints(t, 0)
 	if serialTrain != baseTrain {
 		t.Errorf("workers=0 training artifacts differ from workers=1")
@@ -129,10 +146,40 @@ func TestEpochBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkersReachesEveryTrainer: bits are equal at every pool size,
+// so no fingerprint tells a trainer left serial from one on the pool. At
+// process setting n, one RPoLv2 epoch builds every trainer it runs on an
+// n-worker pool: each worker's, the calibrator's (both probes train on it)
+// and the verifier's replay trainer.
+func TestDefaultWorkersReachesEveryTrainer(t *testing.T) {
+	const n = 3
+	setWorkers(t, n)
+	mgr, pool := detPool(t)
+	if _, err := mgr.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	type built struct {
+		name    string
+		trainer *Trainer
+	}
+	trainers := []built{{"calibrator", mgr.calibrator.trainer}, {"verifier", mgr.verifier.trainer}}
+	for _, w := range pool {
+		trainers = append(trainers, built{"worker " + w.id, w.trainer})
+	}
+	for _, b := range trainers {
+		if b.trainer == nil || b.trainer.bt == nil {
+			t.Errorf("%s: the epoch built no training runtime", b.name)
+		} else if got := b.trainer.pool.Workers(); got != n {
+			t.Errorf("%s: trained on a %d-worker pool, the process setting is %d", b.name, got, n)
+		}
+	}
+}
+
 // TestEpochBitIdenticalAcrossWorkersMerkle: the root an honest worker
-// streams while it trains is, at every Workers value, the root CommitTrace
-// builds in one batch over the same trace with leaf hashing chunked across a
-// pool of that size — under v1 (raw-weight leaves) and v2 (digest leaves).
+// streams while it trains is, at every process compute setting, the root
+// CommitTrace builds in one batch over the same trace with leaf hashing
+// chunked across a pool of that size — under v1 (raw-weight leaves) and v2
+// (digest leaves).
 func TestEpochBitIdenticalAcrossWorkersMerkle(t *testing.T) {
 	net0, _ := testTask(t, 10)
 	p := testParams(net0.ParamVector())
@@ -143,17 +190,18 @@ func TestEpochBitIdenticalAcrossWorkersMerkle(t *testing.T) {
 	var roots []commitment.Hash
 	for _, f := range []*lsh.Family{nil, fam} {
 		for _, workers := range []int{0, 1, 2, 8} {
+			setWorkers(t, workers)
 			net, ds := testTask(t, 10)
 			w, err := NewHonestWorker("w", gpu.GA10, 101, net, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.LSH, p.Workers = f, workers
+			p.LSH = f
 			res, err := w.RunEpoch(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := CommitTrace(poolFor(workers), w.LastTrace().Checkpoints, f)
+			batch, err := CommitTrace(parallel.Default(), w.LastTrace().Checkpoints, f)
 			if err != nil {
 				t.Fatal(err)
 			}

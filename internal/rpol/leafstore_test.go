@@ -119,9 +119,16 @@ func (s *storeSetup) verifier(t *testing.T, scheme Scheme, workers int, samplerS
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The replay runtime is built here, at the given process setting, and
+	// kept for the verifier's lifetime.
+	setWorkers(t, workers)
+	trainer := &Trainer{Net: netV}
+	if err := trainer.build(); err != nil {
+		t.Fatal(err)
+	}
 	return &Verifier{
 		Scheme: scheme, Net: netV, Device: device, Beta: s.beta, LSH: s.fam,
-		Samples: 3, Sampler: tensor.NewRNG(samplerSeed), Workers: workers,
+		Samples: 3, Sampler: tensor.NewRNG(samplerSeed), trainer: trainer,
 	}
 }
 
@@ -229,7 +236,7 @@ func expectedOpens(scheme Scheme, n, q int) float64 {
 
 // TestLeafStoreAsksOnceAndOnlyForInteriorLeaves is the standing proof that
 // nothing is asked twice or needlessly: every ordering of every q-subset of
-// small shapes goes through the replay loop at Workers 0 and 2 behind a
+// small shapes goes through the replay loop at process settings 0 and 2 behind a
 // counting opener, and the mean number of opened checkpoints over all of them
 // is the closed form.
 func TestLeafStoreAsksOnceAndOnlyForInteriorLeaves(t *testing.T) {
@@ -288,7 +295,7 @@ func TestLeafStoreAsksOnceAndOnlyForInteriorLeaves(t *testing.T) {
 }
 
 // TestLeafStoreSeededSamples33 runs the same check through VerifySubmission
-// at a 33-interval shape, over seeded samples, at Workers 0 and 2.
+// at a 33-interval shape, over seeded samples, at process settings 0 and 2.
 func TestLeafStoreSeededSamples33(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeV1, SchemeV2} {
 		for _, merkle := range []bool{false, true} {

@@ -48,14 +48,6 @@ type ManagerConfig struct {
 	// in-process workers own their network and trainer, and remote workers
 	// sharing one wire.ManagerPort each receive on a queue of their own.
 	ConcurrentCollection bool
-	// Workers sizes the deterministic compute pool threaded through the
-	// epoch: workers' batch training and commitment hashing (via
-	// TaskParams.Workers) and the manager's own interval re-execution. 0
-	// runs the same kernels without goroutines; any n ≥ 1 yields
-	// bit-identical protocol results for every n (see internal/parallel).
-	// It parallelizes one submission's compute, never the submissions: the
-	// manager verifies them one after another.
-	Workers int
 	// Journal, when set, makes the manager log every protocol transition
 	// (task announced, commitment received, verdict recorded) to the
 	// durable epoch journal. It changes only what is written, never an
@@ -168,7 +160,7 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 		shards:  shards,
 		obs:     o,
 		verifier: &Verifier{Scheme: cfg.Scheme, Net: net, Device: device, Samples: cfg.Samples,
-			Sampler: tensor.NewRNG(0), Obs: o, Workers: cfg.Workers},
+			Sampler: tensor.NewRNG(0), Obs: o},
 		calibrator: &Calibrator{Net: net, Shard: probe, Obs: o},
 		challenger: newChallenger(cfg.MasterKey),
 	}, nil
@@ -254,7 +246,6 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		Hyper:           m.cfg.Hyper,
 		Steps:           m.cfg.StepsPerEpoch,
 		CheckpointEvery: m.cfg.CheckpointEvery,
-		Workers:         m.cfg.Workers,
 	}
 
 	if m.cfg.Scheme != SchemeBaseline {
@@ -368,10 +359,9 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if len(live) == 0 {
 		return nil, fmt.Errorf("rpol manager: none of %d workers responded: %w", len(m.workers), ErrWorkerUnavailable)
 	}
-	report.Phases.Add(obs.PhaseTraining, obs.PhaseTotals{
-		Count: int64(len(live)),
-		Steps: int64(len(live)) * int64(m.cfg.StepsPerEpoch),
-	})
+	// The manager sees a submission, never the training behind it: an Adv1
+	// submits without a step. It counts the submissions and no steps.
+	report.Phases.Add(obs.PhaseTraining, obs.PhaseTotals{Count: int64(len(live))})
 
 	if m.cfg.Journal != nil {
 		// Commit-and-prove: no sample index is revealed before every

@@ -135,7 +135,7 @@ func tamperedSubmission(t *testing.T, worker *HonestWorker, result *EpochResult,
 
 // TestVerifyMetricsParitySerialParallel pins the verifier's accounting to
 // its one replay loop across every scheme, for accepted and rejected
-// submissions: at Workers 0, 1 and 4 the outcome (verdict, fail reason,
+// submissions: at process compute settings 0, 1 and 4 the outcome (verdict, fail reason,
 // sampled intervals, ReexecSteps, CommBytes, CommitBytes, LSHMisses,
 // DoubleChecks), the global rpol_reexec_steps_total /
 // rpol_verify_comm_bytes_total counters and the per-leaf opener calls must be
@@ -198,11 +198,12 @@ type verifyRun struct {
 	proofs       map[int]int
 }
 
-// checkOneLoop verifies one submission at Workers 0, 1 and 4 and holds every
+// checkOneLoop verifies one submission at process settings 0, 1 and 4 and holds every
 // run to the rules of TestVerifyMetricsParitySerialParallel.
 func checkOneLoop(t *testing.T, arm string, scheme Scheme, ref *Verifier, ds *dataset.Dataset, p TaskParams, opener ProofOpener, result *EpochResult, accepted bool) {
 	t.Helper()
 	run := func(workers int) verifyRun {
+		setWorkers(t, workers)
 		netV, _ := testTask(t, 10)
 		device, err := gpu.NewDevice(gpu.G3090, 999)
 		if err != nil {
@@ -212,7 +213,7 @@ func checkOneLoop(t *testing.T, arm string, scheme Scheme, ref *Verifier, ds *da
 		v := &Verifier{
 			Scheme: scheme, Net: netV, Device: device, Beta: ref.Beta,
 			LSH: ref.LSH, Samples: 3, Sampler: tensor.NewRNG(42),
-			Workers: workers, Obs: observer,
+			Obs: observer,
 		}
 		counting := &countingOpener{inner: opener}
 		out, err := v.VerifySubmission(counting, ds, result, p)

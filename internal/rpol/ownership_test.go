@@ -168,8 +168,9 @@ func TestParallelVerifierSlotReuse(t *testing.T) {
 	}
 	forged, tampered := tamperedSubmission(t, worker, honest, p, fam, 2)
 
+	setWorkers(t, 2)
 	newVerifier := func(net *nn.Network) *Verifier {
-		return &Verifier{Scheme: SchemeV2, Net: net, Beta: calOut.Beta, LSH: fam, Workers: 2}
+		return &Verifier{Scheme: SchemeV2, Net: net, Beta: calOut.Beta, LSH: fam}
 	}
 	netV, _ := testTask(t, 10)
 	reused := newVerifier(netV)

@@ -39,7 +39,7 @@ func zooRun(t *testing.T, spec modelzoo.TaskSpec, workers int) (*Trainer, *Trace
 		t.Fatal(err)
 	}
 	p := zooParams(spec, net.ParamVector())
-	p.Workers = workers
+	setWorkers(t, workers)
 	trainer := &Trainer{Net: net, Shard: train, Device: device}
 	trace, err := trainer.RunEpoch(p)
 	if err != nil {
@@ -91,8 +91,9 @@ func oracleEpoch(t *testing.T, net *nn.Network, shard *dataset.Dataset, device *
 }
 
 // TestDenseProxiesOneRuntime: every dense zoo proxy trains to the same bits
-// at Workers 0, 1 and 4, through RunEpoch and through a verifier-style
-// ExecuteInterval replay, and those bits are the per-example oracle's.
+// at process compute settings 0, 1 and 4, through RunEpoch and through a
+// verifier-style ExecuteInterval replay, and those bits are the per-example
+// oracle's.
 func TestDenseProxiesOneRuntime(t *testing.T) {
 	registry := modelzoo.Registry()
 	names := make([]string, 0, len(registry))
@@ -128,13 +129,14 @@ func TestDenseProxiesOneRuntime(t *testing.T) {
 					}
 				}
 			}
-			// Replay the second interval noiselessly at each worker count on
-			// one trainer, the way a verifier re-enters it: same bits again.
-			trainer.Device = nil
+			// Replay the second interval noiselessly at each setting on a
+			// trainer of the same network, the way a verifier re-enters it:
+			// same bits again.
 			var first tensor.Vector
 			for _, workers := range []int{0, 1, 4} {
-				trainer.SetWorkers(workers)
-				got, err := trainer.ExecuteInterval(trace.Checkpoints[1], trace.Steps[1], p.CheckpointEvery, p.Hyper, p.Nonce)
+				setWorkers(t, workers)
+				replay := &Trainer{Net: trainer.Net, Shard: trainer.Shard}
+				got, err := replay.ExecuteInterval(trace.Checkpoints[1], trace.Steps[1], p.CheckpointEvery, p.Hyper, p.Nonce)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,8 +150,8 @@ func TestDenseProxiesOneRuntime(t *testing.T) {
 	}
 }
 
-// TestConvProxyRuntimesUnchanged pins the conv proxy's trace at Workers 0, 1
-// and 4 to one digest, the per-example TrainBatch trace's: conv trains on
+// TestConvProxyRuntimesUnchanged pins the conv proxy's trace at process
+// compute settings 0, 1 and 4 to one digest, the per-example TrainBatch trace's: conv trains on
 // the one runtime, so the worker count cannot move a bit.
 func TestConvProxyRuntimesUnchanged(t *testing.T) {
 	spec, err := modelzoo.Get("resnet18-cifar10-conv")

@@ -8,6 +8,7 @@ import (
 	"rpol/internal/gpu"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
+	"rpol/internal/parallel"
 	"rpol/internal/prf"
 	"rpol/internal/tensor"
 )
@@ -39,11 +40,6 @@ type Trainer struct {
 	// rpol_probe_steps_total for calibration probes — so one trainer type
 	// serves all three without double counting.
 	Steps *obs.Counter
-	// Workers sizes the compute pool the training runtime (nn.BatchTrainer)
-	// spreads its GEMM kernels over: 0 runs them without goroutines, and
-	// every value produces the same bits. RunEpoch adopts the task's
-	// TaskParams.Workers; verification sets the field directly.
-	Workers int
 	// Sink, when set, receives every checkpoint the moment RunEpoch snapshots
 	// it (index 0 carries the initial weights). Workers use it to stream
 	// checkpoints to durable storage as they are produced, so a crash loses
@@ -54,8 +50,11 @@ type Trainer struct {
 
 	// Runtime, parameter tensors, optimizer, batch schedule and per-step
 	// batch buffers, built on first use and reused for the trainer's
-	// lifetime.
+	// lifetime. pool is the process compute pool (parallel.Default) the
+	// runtime spreads its GEMM kernels over, read once when it is built:
+	// every pool size produces the same bits.
 	bt       *nn.BatchTrainer
+	pool     *parallel.Pool
 	params   []tensor.Vector // Net.Params()
 	opt      nn.Optimizer
 	optFor   Hyper // the Optimizer and LR opt was built from
@@ -100,14 +99,6 @@ func (t *Trainer) vector(n int) tensor.Vector {
 	return tensor.NewVector(n)
 }
 
-// SetWorkers reconfigures the compute pool, discarding the runtime built for
-// a previous worker count.
-func (t *Trainer) SetWorkers(n int) {
-	if n != t.Workers {
-		t.Workers, t.bt = n, nil
-	}
-}
-
 // optimizer returns the trainer's optimizer for h with its state reset,
 // building one only when the optimizer name or learning rate changes.
 func (t *Trainer) optimizer(h Hyper) (nn.Optimizer, error) {
@@ -144,6 +135,21 @@ func (t *Trainer) batch(p *prf.PRF, step, batchSize int) error {
 	return nil
 }
 
+// build makes the trainer's runtime on first use, on the process compute
+// pool of that moment.
+func (t *Trainer) build() error {
+	if t.bt != nil {
+		return nil
+	}
+	t.pool = parallel.Default()
+	bt, err := nn.NewBatchTrainer(t.Net, t.pool)
+	if err != nil {
+		return fmt.Errorf("rpol trainer: %w", err)
+	}
+	t.bt, t.params = bt, t.Net.Params()
+	return nil
+}
+
 // ExecuteInterval trains from `start` weights for `steps` steps beginning at
 // training step startStep, returning the resulting weights in a vector the
 // caller owns. start is only read. It is used both by workers (per
@@ -156,12 +162,8 @@ func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h H
 // executeInterval is ExecuteInterval writing the resulting weights into
 // dst's storage (grown when too small) and returning it. dst may be start.
 func (t *Trainer) executeInterval(dst, start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
-	if t.bt == nil {
-		bt, err := nn.NewBatchTrainer(t.Net, poolFor(t.Workers))
-		if err != nil {
-			return nil, fmt.Errorf("rpol trainer: %w", err)
-		}
-		t.bt, t.params = bt, t.Net.Params()
+	if err := t.build(); err != nil {
+		return nil, err
 	}
 	if err := nn.LoadParams(t.params, start); err != nil {
 		return nil, fmt.Errorf("rpol interval: %w", err)
@@ -209,7 +211,6 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t.SetWorkers(p.Workers)
 	// An epoch never writes the weights it trains from.
 	t.spare = slices.DeleteFunc(t.spare, func(v tensor.Vector) bool { return tensor.SameStorage(v, p.Global) })
 	n := p.NumCheckpoints()

@@ -89,14 +89,6 @@ type TaskParams struct {
 	// verifier nests the submission's verification under it too, giving the
 	// manager → worker → verify span hierarchy.
 	Trace *obs.Span
-	// Workers sizes the deterministic compute pool for this task's batch
-	// training: 0 runs the same kernels without
-	// goroutines, any n ≥ 1 spreads them over n, and the results are
-	// bit-identical at every value (see Trainer.Workers). Like Trace it is
-	// a process-local execution knob,
-	// never transmitted (the wire encoding drops it) — it configures how a
-	// machine computes, not what the protocol computes.
-	Workers int
 }
 
 // Validate checks the parameters a worker must refuse to train under.

@@ -44,10 +44,6 @@ type Verifier struct {
 	// rewards for honesty; this switch exists for the ablation that
 	// quantifies exactly that.
 	DisableDoubleCheck bool
-	// Workers sizes the compute pool of the replay trainer's batch steps
-	// (see Trainer.Workers). The sampled intervals replay in turn, on Net
-	// and Device, at every value, so outcomes never depend on it.
-	Workers int
 	// Obs routes verification metrics and spans; nil falls back to the
 	// process default observer.
 	Obs *obs.Observer
@@ -251,7 +247,6 @@ func (v *Verifier) verifyIntervals(st *leafStore, shard *dataset.Dataset, p Task
 	}
 	v.trainer.Shard, v.trainer.Device = shard, v.Device
 	v.trainer.Steps = v.observer().Counter("rpol_reexec_steps_total")
-	v.trainer.SetWorkers(v.Workers)
 	for _, c := range out.SampledCheckpoints {
 		// Interval k+1's leaves are not requested once interval k failed.
 		input, err := st.weights(c)

@@ -129,8 +129,8 @@ func TestVerifierPoolEmptyBatch(t *testing.T) {
 func TestVerifierPoolMoreVerifiersThanWork(t *testing.T) {
 	subs := buildSubmissions(t, 2)
 	run := func(workers int) []*VerifyOutcome {
+		setWorkers(t, workers)
 		v := loopVerifier(t, 2, 7)
-		v.Workers = workers
 		outcomes, err := verifyAll(v, newChallenger(loopKey), subs)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestVerifierPoolMoreVerifiersThanWork(t *testing.T) {
 			t.Errorf("submission %d rejected: %s", i, out.FailReason)
 		}
 		if !reflect.DeepEqual(out, pooled[i]) {
-			t.Errorf("submission %d: Workers 8 diverged from Workers 0:\n  %+v\n  %+v", i, *pooled[i], *out)
+			t.Errorf("submission %d: workers=8 diverged from workers=0:\n  %+v\n  %+v", i, *pooled[i], *out)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"rpol/internal/gpu"
 	"rpol/internal/netsim"
 	"rpol/internal/obs"
+	"rpol/internal/parallel"
 	"rpol/internal/rpol"
 )
 
@@ -32,8 +33,10 @@ import (
 // v1 case's move from an inline hash list to the Merkle root. Such a change
 // moves want and must leave wantProtocol alone. Both were re-pinned once
 // when device noise and the LSH projections became keyed draws, which moves
-// every trained bit. Remote workers run at Workers 0 (TaskParams.Workers is
-// not transmitted).
+// every trained bit. Each case runs at process compute settings 0 and 4
+// against the same pins: the setting never crosses the wire, and every
+// trainer behind a WorkerServer follows its own process's setting — here the
+// test's, which the manager's probes and replays follow too.
 func TestManagerOverTCPEndToEnd(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -46,20 +49,27 @@ func TestManagerOverTCPEndToEnd(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := runOverTCP(t, tcpRun{scheme: c.scheme, workers: 2, epochs: 2})
-			for _, o := range run.outcomes {
-				if !o.Accepted {
-					t.Errorf("epoch %d: %s rejected: %s", o.Epoch, o.WorkerID, o.FailReason)
-				}
-			}
-			if runtime.GOARCH != "amd64" {
-				t.Skipf("fingerprints %s / %s pinned on amd64 only: math.Exp and math.Log are assembly there and pure Go elsewhere", run.full, run.protocol)
-			}
-			if run.protocol != c.wantProtocol {
-				t.Errorf("protocol fingerprint %s, want %s", run.protocol, c.wantProtocol)
-			}
-			if run.full != c.want {
-				t.Errorf("fingerprint %s, want %s", run.full, c.want)
+			for _, jobs := range []int{0, 4} {
+				t.Run(fmt.Sprintf("jobs-%d", jobs), func(t *testing.T) {
+					prev := parallel.DefaultWorkers()
+					parallel.SetDefaultWorkers(jobs)
+					t.Cleanup(func() { parallel.SetDefaultWorkers(prev) })
+					run := runOverTCP(t, tcpRun{scheme: c.scheme, workers: 2, epochs: 2})
+					for _, o := range run.outcomes {
+						if !o.Accepted {
+							t.Errorf("epoch %d: %s rejected: %s", o.Epoch, o.WorkerID, o.FailReason)
+						}
+					}
+					if runtime.GOARCH != "amd64" {
+						t.Skipf("fingerprints %s / %s pinned on amd64 only: math.Exp and math.Log are assembly there and pure Go elsewhere", run.full, run.protocol)
+					}
+					if run.protocol != c.wantProtocol {
+						t.Errorf("protocol fingerprint %s, want %s", run.protocol, c.wantProtocol)
+					}
+					if run.full != c.want {
+						t.Errorf("fingerprint %s, want %s", run.full, c.want)
+					}
+				})
 			}
 		})
 	}
