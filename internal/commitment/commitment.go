@@ -7,8 +7,8 @@
 //
 //   - MerkleTree: a Merkle hash tree whose leaves are the checkpoint
 //     payloads, yielding O(log n) inclusion proofs (Merkle 1980) — the
-//     protocol's commitment, built incrementally by IncrementalMerkle as
-//     training produces checkpoints; and
+//     protocol's commitment, built once by NewMerkleFromLeaves over leaf
+//     digests a worker hashes as training produces checkpoints; and
 //   - HashList: the ordered list of SHA-256 digests of the checkpoint
 //     payloads (the paper's primary construction), kept for the commitment
 //     ablation that compares the two.
@@ -258,103 +258,4 @@ func DecodeProof(buf []byte) (MerkleProof, error) {
 		copy(proof.Siblings[i][:], buf[8+i*HashSize:])
 	}
 	return proof, nil
-}
-
-// IncrementalMerkle builds a Merkle tree one leaf at a time — the streaming
-// counterpart of NewMerkleFromLeaves for workers that commit checkpoints as
-// training produces them. Internally it keeps the classic frozen-subtree
-// state: frozen[h] holds the root of the completed subtree of height h whose
-// presence is recorded by bit h of the leaf count, so Push does O(1)
-// amortized hashing and Root folds the O(log n) frozen roots with the same
-// duplicate-odd-node rule as the batch construction. At every leaf count the
-// root is bit-identical to NewMerkleTree over the same leaves.
-//
-// The builder also retains the pushed leaf digests so that Tree can
-// materialize the full tree for proof serving after training completes; the
-// retained slice costs HashSize bytes per leaf, negligible next to the
-// checkpoints themselves.
-type IncrementalMerkle struct {
-	n      int
-	frozen []Hash
-	leaves []Hash
-	tree   *MerkleTree
-}
-
-// Push appends the next leaf digest.
-func (m *IncrementalMerkle) Push(leaf Hash) {
-	m.tree = nil
-	m.leaves = append(m.leaves, leaf)
-	cur := leaf
-	h := 0
-	for m.n>>h&1 == 1 {
-		cur = hashNodes(m.frozen[h], cur)
-		h++
-	}
-	if h < len(m.frozen) {
-		m.frozen[h] = cur
-	} else {
-		m.frozen = append(m.frozen, cur)
-	}
-	m.n++
-}
-
-// Len returns the number of pushed leaves.
-func (m *IncrementalMerkle) Len() int { return m.n }
-
-// Root folds the frozen subtree roots into the Merkle root, duplicating odd
-// nodes exactly as NewMerkleTree does. It is an error to ask for the root of
-// an empty builder.
-func (m *IncrementalMerkle) Root() (Hash, error) {
-	if m.n == 0 {
-		return Hash{}, ErrEmpty
-	}
-	// Walk heights low to high. pending carries the root of the ragged
-	// right edge — the subtree built from all frozen roots below the
-	// current height — which the duplicate-odd rule pairs with itself
-	// whenever the current height contributes no frozen root.
-	var pending *Hash
-	var acc Hash
-	k := m.n
-	for h := 0; k > 0; h++ {
-		if k&1 == 1 {
-			f := m.frozen[h]
-			if pending != nil {
-				acc = hashNodes(f, *pending)
-				pending = &acc
-			} else if k > 1 {
-				acc = hashNodes(f, f)
-				pending = &acc
-			} else {
-				return f, nil
-			}
-		} else if pending != nil {
-			acc = hashNodes(*pending, *pending)
-			pending = &acc
-		}
-		k >>= 1
-	}
-	return *pending, nil
-}
-
-// Tree materializes (and caches) the full tree over the pushed leaves, for
-// serving inclusion proofs once streaming ends.
-func (m *IncrementalMerkle) Tree() (*MerkleTree, error) {
-	if m.tree == nil {
-		t, err := NewMerkleFromLeaves(m.leaves)
-		if err != nil {
-			return nil, err
-		}
-		m.tree = t
-	}
-	return m.tree, nil
-}
-
-// Prove returns the inclusion proof for leaf i, materializing the tree on
-// first use.
-func (m *IncrementalMerkle) Prove(i int) (MerkleProof, error) {
-	t, err := m.Tree()
-	if err != nil {
-		return MerkleProof{}, err
-	}
-	return t.Prove(i)
 }

@@ -1,74 +1,84 @@
 package commitment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 )
 
-// TestIncrementalMatchesBatch pins the streaming builder to the batch
-// construction: after every push the incremental root must equal
-// NewMerkleTree over the prefix, across every ragged shape up to 65 leaves
-// (covering odd counts at every level of a depth-7 tree).
+// incrementalRoots pins the roots at leaf counts 1..65 over payloads(65):
+// the SHA-256 of their concatenation in count order, as computed by the
+// streaming frozen-subtree accumulator this package once had beside the one
+// tree build. Holding the tree build to it certifies that the two
+// constructions agreed at every count.
+const incrementalRoots = "6876ebb36eddcb32d9708542ef7d159fbd3a974a67a66e9d80503ffc11c8ab6e"
+
+// TestIncrementalMatchesBatch pins the streamed leaf path to the batch
+// construction: leaves hashed and appended one at a time, then built with
+// NewMerkleFromLeaves, give NewMerkleTree's root over the payloads at every
+// ragged shape up to 65 leaves (covering odd counts at every level of a
+// depth-7 tree), and the sequence of roots is the pinned one.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	const maxLeaves = 65
 	ps := payloads(maxLeaves)
-	var inc IncrementalMerkle
+	var leaves []Hash
+	pin := sha256.New()
 	for n := 1; n <= maxLeaves; n++ {
-		inc.Push(HashLeaf(ps[n-1]))
-		if inc.Len() != n {
-			t.Fatalf("Len = %d after %d pushes", inc.Len(), n)
+		leaves = append(leaves, HashLeaf(ps[n-1]))
+		streamed, err := NewMerkleFromLeaves(leaves)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 		batch, err := NewMerkleTree(ps[:n])
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		root, err := inc.Root()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		if streamed.Len() != n {
+			t.Fatalf("Len = %d over %d leaves", streamed.Len(), n)
 		}
+		root := streamed.Root()
 		if root != batch.Root() {
-			t.Fatalf("n=%d: incremental root diverges from batch root", n)
+			t.Fatalf("n=%d: streamed root diverges from batch root", n)
 		}
+		pin.Write(root[:])
+	}
+	if got := hex.EncodeToString(pin.Sum(nil)); got != incrementalRoots {
+		t.Errorf("roots at counts 1..%d hash to %s, pinned %s", maxLeaves, got, incrementalRoots)
 	}
 }
 
-// TestIncrementalTreeProves checks that the materialized tree serves proofs
-// that verify against the streamed root, including after further pushes
-// invalidate a cached tree.
+// TestIncrementalTreeProves checks that the tree built over streamed leaves
+// serves, at every count up to 65, a proof for every leaf that verifies
+// against its root.
 func TestIncrementalTreeProves(t *testing.T) {
-	ps := payloads(7)
-	var inc IncrementalMerkle
-	for _, p := range ps[:5] {
-		inc.Push(HashLeaf(p))
-	}
-	if _, err := inc.Tree(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ps[5:] {
-		inc.Push(HashLeaf(p)) // must drop the cached 5-leaf tree
-	}
-	root, err := inc.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		proof, err := inc.Prove(i)
+	const maxLeaves = 65
+	ps := payloads(maxLeaves)
+	var leaves []Hash
+	for n := 1; n <= maxLeaves; n++ {
+		leaves = append(leaves, HashLeaf(ps[n-1]))
+		tree, err := NewMerkleFromLeaves(leaves)
 		if err != nil {
-			t.Fatalf("prove %d: %v", i, err)
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := VerifyMerkle(root, len(ps), p, proof); err != nil {
-			t.Errorf("leaf %d: %v", i, err)
+		for i, p := range ps[:n] {
+			proof, err := tree.Prove(i)
+			if err != nil {
+				t.Fatalf("n=%d prove %d: %v", n, i, err)
+			}
+			if err := VerifyMerkle(tree.Root(), n, p, proof); err != nil {
+				t.Errorf("n=%d leaf %d: %v", n, i, err)
+			}
 		}
 	}
 }
 
 func TestIncrementalEmpty(t *testing.T) {
-	var inc IncrementalMerkle
-	if _, err := inc.Root(); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Root err = %v, want ErrEmpty", err)
+	if _, err := NewMerkleFromLeaves(nil); !errors.Is(err, ErrEmpty) {
+		t.Errorf("NewMerkleFromLeaves err = %v, want ErrEmpty", err)
 	}
-	if _, err := inc.Tree(); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Tree err = %v, want ErrEmpty", err)
+	if _, err := NewMerkleTree(nil); !errors.Is(err, ErrEmpty) {
+		t.Errorf("NewMerkleTree err = %v, want ErrEmpty", err)
 	}
 }
 

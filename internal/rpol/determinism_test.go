@@ -177,9 +177,8 @@ func TestDefaultWorkersReachesEveryTrainer(t *testing.T) {
 
 // TestEpochBitIdenticalAcrossWorkersMerkle: the root an honest worker
 // streams while it trains is, at every process compute setting, the root
-// CommitTrace builds in one batch over the same trace with leaf hashing
-// chunked across a pool of that size — under v1 (raw-weight leaves) and v2
-// (digest leaves).
+// CommitTrace builds over the same finished trace — under v1 (raw-weight
+// leaves) and v2 (digest leaves) — and one root per scheme.
 func TestEpochBitIdenticalAcrossWorkersMerkle(t *testing.T) {
 	net0, _ := testTask(t, 10)
 	p := testParams(net0.ParamVector())
@@ -201,7 +200,7 @@ func TestEpochBitIdenticalAcrossWorkersMerkle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := CommitTrace(parallel.Default(), w.LastTrace().Checkpoints, f)
+			batch, err := CommitTrace(nil, w.LastTrace().Checkpoints, f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -195,7 +195,7 @@ func (d *dodger) RunEpoch(p TaskParams) (*EpochResult, error) {
 		return nil, err
 	}
 	ec.Apply(res)
-	d.opener = &faultyOpener{inner: &batchOpener{trace: trace, ec: ec}, at: d.forged,
+	d.opener = &faultyOpener{inner: ec, at: d.forged,
 		err: fmt.Errorf("test: %s silent: %w", d.ID(), ErrWorkerUnavailable)}
 	return res, nil
 }

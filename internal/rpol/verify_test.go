@@ -262,17 +262,10 @@ func (o *traceOpener) OpenProof(idx int) (LeafProof, error) {
 	return ec.OpenProof(idx)
 }
 
-// batchOpener serves a finished trace committed whole, once, by CommitTrace
-// — the batch construction, beside the tree an HonestWorker streams while it
-// trains.
-type batchOpener struct {
-	trace *Trace
-	ec    *EpochCommitment
-}
-
-// commitWhole commits trace whole and requires the root result carries: the
-// batch and the streamed construction of one trace must agree.
-func commitWhole(t *testing.T, trace *Trace, fam *lsh.Family, result *EpochResult) *batchOpener {
+// commitWhole commits a finished trace whole, once, by CommitTrace — the
+// commitment serves its own openings — and requires the root result carries:
+// the batch and the streamed construction of one trace must agree.
+func commitWhole(t *testing.T, trace *Trace, fam *lsh.Family, result *EpochResult) *EpochCommitment {
 	t.Helper()
 	ec, err := CommitTrace(nil, trace.Checkpoints, fam)
 	if err != nil {
@@ -281,14 +274,8 @@ func commitWhole(t *testing.T, trace *Trace, fam *lsh.Family, result *EpochResul
 	if ec.Root != result.MerkleRoot {
 		t.Fatalf("whole-trace root %x, submitted root %x", ec.Root, result.MerkleRoot)
 	}
-	return &batchOpener{trace: trace, ec: ec}
+	return ec
 }
-
-func (o *batchOpener) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	return (&traceOpener{trace: o.trace}).OpenCheckpoint(idx)
-}
-
-func (o *batchOpener) OpenProof(idx int) (LeafProof, error) { return o.ec.OpenProof(idx) }
 
 func TestVerifyRejectsLazyTraceV2(t *testing.T) {
 	_, _, p, verifier, ds := buildHonestSetup(t, SchemeV2)

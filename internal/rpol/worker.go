@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"rpol/internal/checkpoint"
-	"rpol/internal/commitment"
 	"rpol/internal/dataset"
 	"rpol/internal/fsio"
 	"rpol/internal/gpu"
-	"rpol/internal/lsh"
 	"rpol/internal/nn"
 	"rpol/internal/obs"
 	"rpol/internal/tensor"
@@ -39,13 +37,13 @@ type HonestWorker struct {
 	lastTrace  *Trace
 	lastResult *EpochResult
 	update     tensor.Vector
-	// lastCommit retains the last epoch's commitment so OpenProof can serve
-	// the verifier's on-demand Merkle pulls.
+	// lastCommit retains the last epoch's commitment, which serves the
+	// verifier's openings and on-demand Merkle pulls.
 	lastCommit *EpochCommitment
 
 	// encBuf is the reused encode scratch behind the segment header's
-	// global-model checksum, and leafBuf the streamed commitment's leaf
-	// encode scratch, lent to each epoch's streamCommit.
+	// global-model checksum, and leafBuf the commitment's leaf encode
+	// scratch, lent to each epoch's streamCommit.
 	encBuf, leafBuf []byte
 }
 
@@ -137,7 +135,7 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 	}
 	trainSpan := w.obs.Start(p.Trace, "worker.train",
 		obs.String("worker", w.id), obs.Int("steps", int64(p.Steps)))
-	stream := newStreamCommit(p, w.leafBuf)
+	stream := newStreamCommit(p.LSH, p.NumCheckpoints(), w.leafBuf)
 	defer func() { w.leafBuf = stream.buf }()
 	trace, err := w.runTraining(p, stream)
 	if err != nil {
@@ -163,7 +161,7 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 		}
 	}
 	commitSpan := w.obs.Start(p.Trace, "worker.commit", obs.String("worker", w.id))
-	ec, err := stream.finish(trace)
+	ec, err := stream.finish(trace.Checkpoints)
 	commitSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
@@ -221,10 +219,10 @@ func (w *HonestWorker) runTraining(p TaskParams, stream *streamCommit) (*Trace, 
 	} else {
 		// The prefix opens with checkpoint 0, which came from the task.
 		w.obs.Counter("rpol_resumed_checkpoints_total").Add(int64(len(prefix.Checkpoints) - 1))
-		// Prefix adoption bypasses the trainer's Sink; rebuild the
-		// incremental Merkle state over the adopted snapshots so the streamed
-		// root covers them too. The prefix never includes the final
-		// checkpoint, whose leaf is pushed after binding.
+		// Prefix adoption bypasses the trainer's Sink; push the adopted
+		// snapshots' leaves so the commitment covers them too. The prefix
+		// never includes the final checkpoint, whose leaf is pushed after
+		// binding.
 		for i, cp := range prefix.Checkpoints {
 			if err := stream.push(i, cp); err != nil {
 				return nil, err
@@ -295,23 +293,20 @@ func (w *HonestWorker) corruptCheckpoint(epoch int, detail string) {
 
 // OpenCheckpoint serves the raw weights of checkpoint idx from the last
 // trained epoch, reading through the configured store when one is set.
-// Without a store the vector is the trace's own, valid until the worker's
-// next RunEpoch.
+// Without a store the commitment serves the trace's own vector, valid until
+// the worker's next RunEpoch.
 func (w *HonestWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
-	if w.lastTrace == nil {
+	if w.lastCommit == nil {
 		return nil, fmt.Errorf("rpol worker %s: no epoch trained yet", w.id)
 	}
-	if idx < 0 || idx >= len(w.lastTrace.Checkpoints) {
-		return nil, fmt.Errorf("rpol worker %s: checkpoint %d of %d", w.id, idx, len(w.lastTrace.Checkpoints))
+	if w.store == nil {
+		return w.lastCommit.OpenCheckpoint(idx)
 	}
-	if w.store != nil {
-		weights, err := w.store.Get(idx)
-		if err != nil {
-			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
-		}
-		return weights, nil
+	weights, err := w.store.Get(idx)
+	if err != nil {
+		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}
-	return w.lastTrace.Checkpoints[idx], nil
+	return weights, nil
 }
 
 // OpenProof serves the Merkle inclusion proof for leaf idx of the last
@@ -327,81 +322,3 @@ func (w *HonestWorker) OpenProof(idx int) (LeafProof, error) {
 // reproduction errors directly. The trace and its checkpoints are valid until
 // the worker's next RunEpoch, which refills them.
 func (w *HonestWorker) LastTrace() *Trace { return w.lastTrace }
-
-// streamCommit accumulates the streaming Merkle commitment while an epoch
-// trains: each checkpoint's leaf — the raw weight encoding under v1, the LSH
-// digest encoding under v2 — is pushed into an IncrementalMerkle as the
-// trainer emits it, except the final checkpoint, which BindFinalCheckpoint
-// rewrites after training and whose leaf is therefore pushed only then.
-type streamCommit struct {
-	fam     *lsh.Family
-	final   int // index of the checkpoint excluded from streaming
-	inc     commitment.IncrementalMerkle
-	digests []lsh.Digest
-	buf     []byte // reused leaf-encode scratch
-}
-
-// newStreamCommit starts the streaming state for one epoch, encoding leaves
-// into buf's storage.
-func newStreamCommit(p TaskParams, buf []byte) *streamCommit {
-	return &streamCommit{fam: p.LSH, final: p.NumCheckpoints() - 1, buf: buf}
-}
-
-// sink adapts the stream into a Trainer.Sink, chaining an optional
-// persistence sink (durability first, then the leaf push). The final
-// checkpoint is persisted but not pushed.
-func (s *streamCommit) sink(persist func(idx, step int, cp tensor.Vector) error) func(idx, step int, cp tensor.Vector) error {
-	return func(idx, step int, cp tensor.Vector) error {
-		if persist != nil {
-			if err := persist(idx, step, cp); err != nil {
-				return err
-			}
-		}
-		if idx >= s.final {
-			return nil
-		}
-		return s.push(idx, cp)
-	}
-}
-
-// push appends checkpoint idx's leaf to the incremental tree. Leaves must
-// arrive in order — a gap means the trainer and the commitment disagree
-// about the epoch's shape, which is a bug, not a recoverable condition.
-func (s *streamCommit) push(idx int, cp tensor.Vector) error {
-	if idx != s.inc.Len() {
-		return fmt.Errorf("rpol: streaming commitment expects leaf %d, got %d", s.inc.Len(), idx)
-	}
-	if s.fam == nil {
-		s.buf = cp.AppendEncode(s.buf[:0])
-		s.inc.Push(commitment.HashLeaf(s.buf))
-		return nil
-	}
-	d, err := s.fam.Hash(cp)
-	if err != nil {
-		return fmt.Errorf("rpol streaming commitment leaf %d: %w", idx, err)
-	}
-	s.digests = append(s.digests, d)
-	s.buf = d.AppendEncode(s.buf[:0])
-	s.inc.Push(commitment.HashLeaf(s.buf))
-	return nil
-}
-
-// finish completes the stream with the bound final checkpoint's leaf (every
-// earlier leaf was pushed as training produced it) and returns a servable
-// EpochCommitment, materializing the proof tree eagerly so concurrent
-// OpenProof calls share a read-only structure.
-func (s *streamCommit) finish(trace *Trace) (*EpochCommitment, error) {
-	last := len(trace.Checkpoints) - 1
-	if err := s.push(last, trace.Checkpoints[last]); err != nil {
-		return nil, err
-	}
-	root, err := s.inc.Root()
-	if err != nil {
-		return nil, err
-	}
-	tree, err := s.inc.Tree()
-	if err != nil {
-		return nil, err
-	}
-	return &EpochCommitment{Root: root, Digests: s.digests, tree: tree}, nil
-}

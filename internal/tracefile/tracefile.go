@@ -4,7 +4,8 @@
 // everything the verification needs to be self-contained: the task identity
 // and seed (from which the verifier reconstructs the architecture and the
 // shard deterministically), the epoch parameters, and the raw checkpoint
-// snapshots.
+// snapshots. The task itself — θ_t included — is the verifier's to derive;
+// the recorded parameters are only held to it (CheckTask).
 package tracefile
 
 import (
@@ -15,7 +16,6 @@ import (
 	"os"
 
 	"rpol/internal/fsio"
-	"rpol/internal/prf"
 	"rpol/internal/rpol"
 	"rpol/internal/tensor"
 )
@@ -52,7 +52,23 @@ type File struct {
 var (
 	ErrBadVersion = errors.New("tracefile: unsupported version")
 	ErrCorrupt    = errors.New("tracefile: corrupt trace")
+	// ErrOtherTask refuses a file recorded under other epoch parameters
+	// than the task the verifier derives.
+	ErrOtherTask = errors.New("tracefile: trace recorded for another task")
 )
+
+// paramsOf is p's serialized shape.
+func paramsOf(p rpol.TaskParams) Params {
+	return Params{
+		Epoch:           p.Epoch,
+		Steps:           p.Steps,
+		CheckpointEvery: p.CheckpointEvery,
+		BatchSize:       p.Hyper.BatchSize,
+		LR:              p.Hyper.LR,
+		Optimizer:       p.Hyper.Optimizer,
+		Nonce:           uint64(p.Nonce),
+	}
+}
 
 // FromTrace builds a File from a recorded trace.
 func FromTrace(task string, seed int64, workerID, gpuName string, p rpol.TaskParams, trace *rpol.Trace) (*File, error) {
@@ -69,16 +85,8 @@ func FromTrace(task string, seed int64, workerID, gpuName string, p rpol.TaskPar
 		Seed:     seed,
 		WorkerID: workerID,
 		GPU:      gpuName,
-		Params: Params{
-			Epoch:           p.Epoch,
-			Steps:           p.Steps,
-			CheckpointEvery: p.CheckpointEvery,
-			BatchSize:       p.Hyper.BatchSize,
-			LR:              p.Hyper.LR,
-			Optimizer:       p.Hyper.Optimizer,
-			Nonce:           uint64(p.Nonce),
-		},
-		StepsAt: append([]int(nil), trace.Steps...),
+		Params:   paramsOf(p),
+		StepsAt:  append([]int(nil), trace.Steps...),
 	}
 	var buf []byte
 	for _, w := range trace.Checkpoints {
@@ -88,25 +96,14 @@ func FromTrace(task string, seed int64, workerID, gpuName string, p rpol.TaskPar
 	return f, nil
 }
 
-// TaskParams reconstructs the epoch parameters. The global model is the
-// first checkpoint.
-func (f *File) TaskParams() (rpol.TaskParams, error) {
-	trace, err := f.Trace()
-	if err != nil {
-		return rpol.TaskParams{}, err
+// CheckTask refuses, with ErrOtherTask, a file whose recorded epoch,
+// interval, step count, hyper-parameters or nonce are not p's. The file
+// carries no θ_t: the verifier binds checkpoint 0 to p.Global itself.
+func (f *File) CheckTask(p rpol.TaskParams) error {
+	if f.Params != paramsOf(p) {
+		return fmt.Errorf("recorded %+v, task %+v: %w", f.Params, paramsOf(p), ErrOtherTask)
 	}
-	p := rpol.TaskParams{
-		Epoch:           f.Params.Epoch,
-		Global:          trace.Checkpoints[0],
-		Hyper:           rpol.Hyper{Optimizer: f.Params.Optimizer, LR: f.Params.LR, BatchSize: f.Params.BatchSize},
-		Nonce:           prf.Nonce(f.Params.Nonce),
-		Steps:           f.Params.Steps,
-		CheckpointEvery: f.Params.CheckpointEvery,
-	}
-	if err := p.Validate(); err != nil {
-		return rpol.TaskParams{}, fmt.Errorf("tracefile: %w", err)
-	}
-	return p, nil
+	return nil
 }
 
 // Trace decodes the checkpoint snapshots.

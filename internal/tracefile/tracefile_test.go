@@ -57,16 +57,24 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("step %d changed", i)
 		}
 	}
-	gotParams, err := got.TaskParams()
-	if err != nil {
-		t.Fatal(err)
+	if err := got.CheckTask(p); err != nil {
+		t.Errorf("params changed: %v", err)
 	}
-	if gotParams.Nonce != p.Nonce || gotParams.Steps != p.Steps ||
-		gotParams.Hyper != p.Hyper || gotParams.Epoch != p.Epoch {
-		t.Errorf("params changed: %+v", gotParams)
-	}
-	if !gotParams.Global.Equal(p.Global, 0) {
-		t.Error("global weights changed")
+	// Every recorded parameter is held to the task.
+	for i, other := range []func(*rpol.TaskParams){
+		func(q *rpol.TaskParams) { q.Epoch++ },
+		func(q *rpol.TaskParams) { q.Steps++ },
+		func(q *rpol.TaskParams) { q.CheckpointEvery++ },
+		func(q *rpol.TaskParams) { q.Hyper.LR *= 2 },
+		func(q *rpol.TaskParams) { q.Hyper.BatchSize++ },
+		func(q *rpol.TaskParams) { q.Hyper.Optimizer = "sgd" },
+		func(q *rpol.TaskParams) { q.Nonce++ },
+	} {
+		q := p
+		other(&q)
+		if err := got.CheckTask(q); !errors.Is(err, ErrOtherTask) {
+			t.Errorf("change %d: err = %v, want ErrOtherTask", i, err)
+		}
 	}
 }
 
