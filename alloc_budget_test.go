@@ -152,7 +152,9 @@ func TestEpochAllocationBudget(t *testing.T) {
 
 	// The budget, in model vectors per epoch. Past epoch 0 every model-sized
 	// buffer an owner keeps is refilled, not allocated: the trace checkpoints
-	// and update of each honest worker, both calibration probes and their
+	// (which each honest worker's memory store only indexes, and its
+	// openings hand out as they are) and update of each honest worker, both
+	// calibration probes and their
 	// devices' biases, the LSH family, the manager's task buffer per worker,
 	// the verifier's θ_t + L and replay output, the endpoint frames, and
 	// every vector the wire decodes (task global, update, opened checkpoint).
@@ -160,15 +162,12 @@ func TestEpochAllocationBudget(t *testing.T) {
 	const (
 		checkpoints = steps/every + 1
 		spoofed     = checkpoints - 2 // Adv2 trains one interval and extrapolates the rest
-		honest      = workers - 1
 	)
-	honestOpened := float64(honest*samples) + float64(doubleChecks)/measured
 	items := []struct {
 		what    string
 		vectors float64
 	}{
 		{"adversary: Adv2's trace, Spoof's momentum per extrapolated checkpoint, its update and bound final", checkpoints + spoofed + 2},
-		{"workers: the memory store's copy-out per honest opening", honestOpened},
 		{"aggregation: the weighted sum and the next global model", 2},
 	}
 	// Everything smaller than a model vector — proofs, digests, RNG sources,

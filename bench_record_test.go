@@ -630,6 +630,35 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr53.json",
+		pr:       53,
+		minPairs: map[string]int{"ref10_v2_tcp": 3, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 10, "durable8_v2_disk": 3},
+		rows: []e2eGate{
+			// The claim: a memory store that indexes the worker's trace
+			// instead of copying every checkpoint in and every opening out
+			// takes at least 30 % off the bytes-heavy epoch's allocation.
+			{"wide16_v1_tcp", "alloc_mb_per_epoch", "claim<=", 0.70},
+			// The other TCP workloads install the same store and allocate
+			// less with it; the durable pool keeps its checkpoints in
+			// segments, never a store, and allocates no more.
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "<=", 0.85},
+			{"proofs4_v2_tcp", "alloc_mb_per_epoch", "<=", 0.80},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 1.01},
+			// No bit moves: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

@@ -1,10 +1,11 @@
 // Package checkpoint provides the storage layer for a worker's training
 // proofs. A pool worker must retain every checkpoint of the current epoch
 // until verification completes (the paper bills this at ~4.5 GB per
-// ResNet50 worker, Table III); this package offers an in-memory store for
-// simulations and an append-only segment, the one durable format, whose
-// frames carry the exact wire encoding, so a checkpoint recovered from disk
-// is bit-identical to the live one.
+// ResNet50 worker, Table III), and it should hold each one once. This
+// package offers an in-memory store, an index over the checkpoints the
+// worker's trace already holds, and an append-only segment, the one durable
+// format, whose frames carry the exact wire encoding, so a checkpoint
+// recovered from disk is bit-identical to the live one.
 package checkpoint
 
 import (
@@ -14,7 +15,7 @@ import (
 	"rpol/internal/tensor"
 )
 
-// Store persists the checkpoints of one epoch, addressed by index.
+// Store holds the checkpoints of one epoch, addressed by index.
 type Store interface {
 	// Put saves the snapshot at idx, overwriting any previous value.
 	Put(idx int, w tensor.Vector) error
@@ -34,54 +35,43 @@ var (
 	ErrBadIndex = errors.New("checkpoint: negative index")
 )
 
-// MemoryStore keeps snapshots in process memory. It owns every snapshot
-// buffer: Put copies in, Get copies out, and Clear parks the buffers for the
-// next epoch's Puts at the same indices to copy into, so a store cleared and
-// refilled every epoch allocates its snapshots once. At most the last
-// cleared epoch's snapshots are parked.
+// MemoryStore indexes snapshots its caller keeps: Put records the vector
+// itself and Get returns that same vector, so the store holds no copy and
+// owns no buffer. The caller leaves every vector it put unchanged until the
+// store's next Clear, after which the store no longer refers to it.
 type MemoryStore struct {
-	snaps  map[int]tensor.Vector
-	parked map[int]tensor.Vector
+	snaps map[int]tensor.Vector
 }
 
 var _ Store = (*MemoryStore)(nil)
 
 // NewMemoryStore returns an empty in-memory store.
 func NewMemoryStore() *MemoryStore {
-	return &MemoryStore{snaps: make(map[int]tensor.Vector), parked: make(map[int]tensor.Vector)}
+	return &MemoryStore{snaps: make(map[int]tensor.Vector)}
 }
 
-// Put saves a copy of the snapshot.
+// Put records w as the snapshot at idx.
 func (s *MemoryStore) Put(idx int, w tensor.Vector) error {
 	if idx < 0 {
 		return fmt.Errorf("index %d: %w", idx, ErrBadIndex)
 	}
-	buf, ok := s.snaps[idx]
-	if !ok {
-		buf = s.parked[idx]
-		delete(s.parked, idx)
-	}
-	if len(buf) != len(w) {
-		buf = make(tensor.Vector, len(w))
-	}
-	copy(buf, w)
-	s.snaps[idx] = buf
+	s.snaps[idx] = w
 	return nil
 }
 
-// Get returns a copy of the snapshot at idx.
+// Get returns the vector last put at idx.
 func (s *MemoryStore) Get(idx int) (tensor.Vector, error) {
 	w, ok := s.snaps[idx]
 	if !ok {
 		return nil, fmt.Errorf("index %d: %w", idx, ErrNotFound)
 	}
-	return w.Clone(), nil
+	return w, nil
 }
 
 // Len returns the number of stored snapshots.
 func (s *MemoryStore) Len() int { return len(s.snaps) }
 
-// Bytes returns the in-memory footprint at wire-encoding size.
+// Bytes returns the indexed snapshots' size at wire encoding.
 func (s *MemoryStore) Bytes() int64 {
 	var total int64
 	//rpolvet:ignore maporder commutative sum over values; iteration order never reaches a hash or encoder
@@ -91,9 +81,8 @@ func (s *MemoryStore) Bytes() int64 {
 	return total
 }
 
-// Clear removes all snapshots, parking their buffers for the next Puts.
+// Clear forgets every snapshot.
 func (s *MemoryStore) Clear() error {
-	clear(s.parked)
-	s.snaps, s.parked = s.parked, s.snaps
+	clear(s.snaps)
 	return nil
 }

@@ -158,27 +158,36 @@ func TestDiskStoreContract(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreCopies pins that the store copies nothing: Get returns the
+// very vector Put recorded, without allocating, the store never writes it,
+// and Clear forgets it.
 func TestMemoryStoreCopies(t *testing.T) {
 	s := NewMemoryStore()
 	w := tensor.Vector{1, 2}
 	if err := s.Put(0, w); err != nil {
 		t.Fatal(err)
 	}
-	w[0] = 99 // caller mutation must not leak in
 	got, err := s.Get(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 1 {
-		t.Error("store aliases the caller's slice")
+	if !tensor.SameStorage(got, w) || len(got) != len(w) {
+		t.Error("Get returned a copy, not the vector Put recorded")
 	}
-	got[1] = 99 // reader mutation must not leak back
-	again, err := s.Get(0)
-	if err != nil {
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = s.Get(0) }); allocs != 0 {
+		t.Errorf("Get allocates %.0f times, want 0", allocs)
+	}
+	if err := s.Put(0, tensor.Vector{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if again[1] != 2 {
-		t.Error("store aliases returned slices")
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(0); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after Clear err = %v", err)
+	}
+	if !w.Equal(tensor.Vector{1, 2}, 0) {
+		t.Errorf("the store wrote a vector it indexed: %v", w)
 	}
 }
 

@@ -9,8 +9,8 @@ package parallel
 //
 // An Arena is single-owner state — one goroutine, no sharing. In the
 // parallel runtime each worker chunk owns its own arena, which keeps the
-// no-lock bump pointer correct and the buffers chunk-private (the For/
-// ForChunks disjointness contract).
+// no-lock bump pointer correct and the buffers chunk-private (For's
+// disjointness contract).
 //
 // A nil *Arena is valid: Grab falls back to make, Reset is a no-op. That
 // lets layers take an optional arena without conditionals at every call

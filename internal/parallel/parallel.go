@@ -51,8 +51,8 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// NumChunks returns the number of fixed chunks For/ForChunks split [0, n)
-// into with the given grain: ceil(n/grain). grain <= 0 is treated as 1.
+// NumChunks returns the number of fixed chunks For splits [0, n) into with
+// the given grain: ceil(n/grain). grain <= 0 is treated as 1.
 func NumChunks(n, grain int) int {
 	if n <= 0 {
 		return 0
@@ -78,21 +78,17 @@ func ChunkBounds(c, n, grain int) (lo, hi int) {
 }
 
 // For splits [0, n) into fixed chunks of size grain and calls fn(lo, hi) for
-// each chunk, possibly concurrently. fn must write only state that is
-// disjoint per chunk (e.g. output rows lo..hi); under that contract the
-// result is bit-identical for any worker count because the chunk boundaries
-// never move. Blocks until every chunk completed.
-func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
-	p.ForChunks(n, grain, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForChunks is For with the chunk index exposed, for bodies that accumulate
-// into per-chunk buffers which the caller then merges in chunk order (the
-// ordered-reduction pattern). Chunk-to-goroutine assignment is work-stealing
-// and therefore scheduling-dependent, but since each chunk owns its buffer
-// and merges happen afterwards in index order, scheduling never reaches the
+// each chunk, possibly concurrently, and blocks until every chunk completed.
+// fn must write only state that is disjoint per chunk (e.g. output rows
+// lo..hi); under that contract the result is bit-identical for any worker
+// count because the chunk boundaries never move. A body that reduces writes
+// its chunk's partial result to slot lo/grain (the chunk index, for grain
+// ≥ 1) of a buffer the caller then merges in slot order: the
+// ordered-reduction pattern. Chunk-to-goroutine assignment is work-stealing
+// and therefore scheduling-dependent, but since each chunk owns its slot and
+// the merge happens afterwards in index order, scheduling never reaches the
 // result.
-func (p *Pool) ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
+func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	chunks := NumChunks(n, grain)
 	if chunks == 0 {
 		return
@@ -103,8 +99,7 @@ func (p *Pool) ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
 	}
 	if workers <= 1 {
 		for c := 0; c < chunks; c++ {
-			lo, hi := ChunkBounds(c, n, grain)
-			fn(c, lo, hi)
+			fn(ChunkBounds(c, n, grain))
 		}
 		return
 	}
@@ -119,8 +114,7 @@ func (p *Pool) ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
 				if c >= chunks {
 					return
 				}
-				lo, hi := ChunkBounds(c, n, grain)
-				fn(c, lo, hi)
+				fn(ChunkBounds(c, n, grain))
 			}
 		}()
 	}
@@ -132,7 +126,7 @@ func (p *Pool) ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
 // outputs (indexed slots), with any cross-thunk merge done afterwards in
 // index order.
 func (p *Pool) Run(fns ...func()) {
-	p.ForChunks(len(fns), 1, func(c, _, _ int) { fns[c]() })
+	p.For(len(fns), 1, func(lo, _ int) { fns[lo]() })
 }
 
 // defaultWorkers is the process-wide worker budget commands install from

@@ -77,16 +77,16 @@ func TestForCoverage(t *testing.T) {
 	}
 }
 
-// orderedSum is the canonical reduction pattern: per-chunk partial sums
-// merged in chunk-index order.
+// orderedSum is the canonical reduction pattern: per-chunk partial sums,
+// each in its chunk's slot lo/grain, merged in chunk-index order.
 func orderedSum(p *Pool, xs []float64, grain int) float64 {
 	partial := make([]float64, NumChunks(len(xs), grain))
-	p.ForChunks(len(xs), grain, func(c, lo, hi int) {
+	p.For(len(xs), grain, func(lo, hi int) {
 		s := 0.0
 		for i := lo; i < hi; i++ {
 			s += xs[i]
 		}
-		partial[c] = s
+		partial[lo/grain] = s
 	})
 	total := 0.0
 	for _, s := range partial {
@@ -214,7 +214,7 @@ func TestArenaZeroed(t *testing.T) {
 	}
 }
 
-func BenchmarkForChunksOverhead(b *testing.B) {
+func BenchmarkOrderedSumOverhead(b *testing.B) {
 	p := New(4)
 	xs := make([]float64, 4096)
 	for i := range xs {

@@ -76,9 +76,11 @@ func (w *HonestWorker) GPUProfile() gpu.Profile { return w.profile }
 // ShardSize returns |D_w|.
 func (w *HonestWorker) ShardSize() int { return w.trainer.Shard.Len() }
 
-// SetStore directs the worker to copy its checkpoints into st after
-// training; proof openings then round-trip through the store. A worker that
-// must survive a crash persists through SetSegment instead.
+// SetStore directs the worker to index its trace's checkpoints in st after
+// training; proof openings are then served through the store. The store
+// refers to the trace's own vectors, so the worker clears it before its next
+// RunEpoch refills them. A worker that must survive a crash persists through
+// SetSegment instead.
 func (w *HonestWorker) SetStore(st checkpoint.Store) { w.store = st }
 
 // SetSegment makes the worker crash-recoverable: each checkpoint streams
@@ -124,6 +126,12 @@ func (w *HonestWorker) StorageBytes() int64 {
 // refills it. p.Global may be one of those vectors: it is only read, and
 // never refilled by the epoch that trains from it.
 func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
+	if w.store != nil {
+		// The store indexes the trace about to be refilled.
+		if err := w.store.Clear(); err != nil {
+			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
+		}
+	}
 	w.trainer.recycle(w.lastTrace)
 	w.lastTrace, w.lastCommit, w.lastResult = nil, nil, nil
 	if tensor.SameStorage(w.update, p.Global) {
@@ -171,9 +179,6 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 		w.obs.Counter("rpol_lsh_digests_total").Add(int64(len(ec.Digests)))
 	}
 	if w.store != nil {
-		if err := w.store.Clear(); err != nil {
-			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
-		}
 		for i, c := range trace.Checkpoints {
 			if err := w.store.Put(i, c); err != nil {
 				return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
@@ -292,8 +297,8 @@ func (w *HonestWorker) corruptCheckpoint(epoch int, detail string) {
 }
 
 // OpenCheckpoint serves the raw weights of checkpoint idx from the last
-// trained epoch, reading through the configured store when one is set.
-// Without a store the commitment serves the trace's own vector, valid until
+// trained epoch, through the configured store when one is set and the
+// commitment otherwise. Either way the vector is the trace's own, valid until
 // the worker's next RunEpoch.
 func (w *HonestWorker) OpenCheckpoint(idx int) (tensor.Vector, error) {
 	if w.lastCommit == nil {

@@ -97,11 +97,21 @@ func FromTrace(task string, seed int64, workerID, gpuName string, p rpol.TaskPar
 }
 
 // CheckTask refuses, with ErrOtherTask, a file whose recorded epoch,
-// interval, step count, hyper-parameters or nonce are not p's. The file
-// carries no θ_t: the verifier binds checkpoint 0 to p.Global itself.
+// interval, step count, hyper-parameters, nonce or checkpoint steps are not
+// p's: checkpoint i is taken at step min(i·CheckpointEvery, Steps), one for
+// each of p.NumCheckpoints(). The file carries no θ_t: the verifier binds
+// checkpoint 0 to p.Global itself.
 func (f *File) CheckTask(p rpol.TaskParams) error {
 	if f.Params != paramsOf(p) {
 		return fmt.Errorf("recorded %+v, task %+v: %w", f.Params, paramsOf(p), ErrOtherTask)
+	}
+	if len(f.StepsAt) != p.NumCheckpoints() {
+		return fmt.Errorf("%d checkpoint steps recorded, the task takes %d: %w", len(f.StepsAt), p.NumCheckpoints(), ErrOtherTask)
+	}
+	for i, step := range f.StepsAt {
+		if want := min(i*p.CheckpointEvery, p.Steps); step != want {
+			return fmt.Errorf("checkpoint %d recorded at step %d, the task takes it at %d: %w", i, step, want, ErrOtherTask)
+		}
 	}
 	return nil
 }

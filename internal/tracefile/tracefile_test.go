@@ -76,6 +76,14 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("change %d: err = %v, want ErrOtherTask", i, err)
 		}
 	}
+	// So is every recorded checkpoint step: shifted, dropped or added.
+	for i, steps := range [][]int{{0, 4, 10}, {0, 5, 9}, {1, 5, 10}, {0, 10}, {0, 5, 10, 10}} {
+		shifted := *got
+		shifted.StepsAt = steps
+		if err := shifted.CheckTask(p); !errors.Is(err, ErrOtherTask) {
+			t.Errorf("steps %d %v: err = %v, want ErrOtherTask", i, steps, err)
+		}
+	}
 }
 
 func TestFromTraceValidation(t *testing.T) {

@@ -1,7 +1,6 @@
 package rpol
 
 import (
-	"rpol/internal/checkpoint"
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/netsim"
@@ -42,8 +41,6 @@ type (
 	GPUProfile = gpu.Profile
 	// Network is a trainable model (the internal/nn sequential stack).
 	Network = nn.Network
-	// CheckpointStore persists a worker's training proofs.
-	CheckpointStore = checkpoint.Store
 )
 
 // Message fabric.
