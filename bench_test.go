@@ -306,8 +306,8 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 	})
 	// "batched" is the whole-batch GEMM fast path with no pool at all: a
-	// dense stack drives one shared-parameter replica through the blocked
-	// kernels, bit-identical to "serial" at any batch size.
+	// dense stack drives its own layers through the blocked kernels,
+	// bit-identical to "serial" at any batch size.
 	b.Run("batched", func(b *testing.B) {
 		net := build()
 		bt, err := nn.NewBatchTrainer(net, nil)
@@ -337,7 +337,7 @@ func BenchmarkTrainStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			opt := &nn.SGDM{LR: 0.01, Momentum: 0.9}
-			// Warm up: the first step grows the replica's scratch arena to
+			// Warm up: the first step grows the network's scratch arena to
 			// the batch.
 			if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
 				b.Fatal(err)

@@ -61,8 +61,8 @@ func TestAccuracyBatchedMatchesPredict(t *testing.T) {
 			if allocs > 0 {
 				t.Errorf("batched Accuracy allocates %.0f times per call past its first", allocs)
 			}
-			// A swapped layer is evaluated as swapped, not as the replica
-			// remembers it.
+			// A swapped layer is evaluated as swapped: Accuracy runs on the
+			// network's own layers.
 			last := len(net.Layers) - 1
 			old, ok := net.Layers[last].(*nn.Dense)
 			if !ok {

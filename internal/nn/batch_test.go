@@ -207,7 +207,7 @@ func TestBatchTrainerConvFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv := bt.rep.net.Layers[0].(*Conv2D)
+	conv := net.Layers[0].(*Conv2D)
 	if conv.lastInB == nil || conv.lastIn != nil {
 		t.Fatal("conv layer did not run its batch form")
 	}
@@ -219,9 +219,10 @@ func TestBatchTrainerConvFallsBack(t *testing.T) {
 	sameBits(t, "conv stack", loss, refLoss, net.ParamVector(), serial.ParamVector())
 }
 
-// TestAccuracyFollowsRepointedLayers: Accuracy's replica is rebuilt when a
-// layer of any kind has been re-pointed at other parameters or re-shaped
-// since it was made, so every prediction stays Predict's.
+// TestAccuracyFollowsRepointedLayers: Accuracy runs on the network's own
+// layers, so a layer of any kind re-pointed at other parameters or swapped
+// between calls is evaluated as it now stands, and every prediction stays
+// Predict's.
 func TestAccuracyFollowsRepointedLayers(t *testing.T) {
 	xs, _ := batchData(20, 64, 8)
 	net := convNet(t, 8)
@@ -257,31 +258,83 @@ func TestAccuracyFollowsRepointedLayers(t *testing.T) {
 	}
 }
 
-// TestReplicateShared: replicas alias parameter storage but own gradients.
+// TestReplicateShared: a BatchTrainer steps the network's own parameters
+// with the network's own gradients — one storage, no copy — and a frozen
+// layer exposes neither.
 func TestReplicateShared(t *testing.T) {
 	net := convNet(t, 5)
-	rep := net.Replicate()
-	src, dup := net.Params(), rep.Params()
-	if len(src) != len(dup) {
-		t.Fatalf("param count %d vs %d", len(src), len(dup))
+	bt, err := NewBatchTrainer(net, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range src {
-		if &src[i][0] != &dup[i][0] {
-			t.Errorf("param %d not shared", i)
+	for _, c := range []struct {
+		what      string
+		got, want []tensor.Vector
+	}{
+		{"param", bt.params, net.Params()},
+		{"grad", bt.grads, net.Grads()},
+	} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("%s count %d vs %d", c.what, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			if !tensor.SameStorage(c.got[i], c.want[i]) || len(c.got[i]) != len(c.want[i]) {
+				t.Errorf("%s %d is not the network's storage", c.what, i)
+			}
 		}
 	}
-	sg, dg := net.Grads(), rep.Grads()
-	for i := range sg {
-		if &sg[i][0] == &dg[i][0] {
-			t.Errorf("grad %d shared, want private", i)
-		}
-	}
-	// Frozen layers stay frozen through replication.
 	frozen := &Dense{W: tensor.NewMatrix(2, 2), B: tensor.NewVector(2),
 		GradW: tensor.NewMatrix(2, 2), GradB: tensor.NewVector(2), Frozen: true}
-	fr := frozen.Replicate()
-	if fr.Params() != nil {
-		t.Error("frozen replica exposes params")
+	fnet, err := NewNetwork(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bt, err = NewBatchTrainer(fnet, nil); err != nil {
+		t.Fatal(err)
+	}
+	if bt.params != nil || bt.grads != nil {
+		t.Error("frozen layer exposes params or grads to its trainer")
+	}
+}
+
+// TestOracleLeavesArenaAlone: the per-example methods run with the network's
+// arena detached, so after batch steps have sized it, a thousand Predict and
+// Network.TrainBatch calls leave it as it was, and the next batch step
+// still grabs from it without growing it.
+func TestOracleLeavesArenaAlone(t *testing.T) {
+	xs, labels := batchData(3, 64, 12)
+	net := convNet(t, 12)
+	bt, err := NewBatchTrainer(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := &SGD{LR: 0.01}
+	// The arena grows in doublings, so a step may take two to settle it.
+	for i := 0; i < 2; i++ {
+		if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := net.arena.Size()
+	if size == 0 {
+		t.Fatal("batch step grabbed nothing from the arena")
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := net.Predict(xs[i%len(xs)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.TrainBatch(xs, labels, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := net.arena.Size(); got != size {
+		t.Errorf("per-example calls grew the arena from %d to %d floats", size, got)
+	}
+	if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.arena.Size(); got != size {
+		t.Errorf("the next batch step grew the arena from %d to %d floats", size, got)
 	}
 }
 

@@ -9,8 +9,10 @@
 // exercises the same protocol paths. Training has one runtime, BatchTrainer,
 // which pushes a whole batch through every layer's batch form; its result is
 // bit-identical to the per-example Network.TrainBatch oracle at any pool
-// size, so it is reproducible given (seed, data, schedule). Nondeterministic
-// "GPU" reproduction error is injected by internal/gpu, not by this package.
+// size, so it is reproducible given (seed, data, schedule). A network has one
+// layer graph: the runtime, Accuracy and the oracle all run on the network's
+// own layers, and nothing copies them. Nondeterministic "GPU" reproduction
+// error is injected by internal/gpu, not by this package.
 package nn
 
 import (
@@ -37,7 +39,10 @@ import (
 // Both forms cache forward state for the subsequent backward, so a layer is
 // not safe for concurrent use: the pool parallelism lives inside the
 // kernels. Returned batch matrices alias layer-owned headers over the
-// layer's scratch arena and are valid until the arena is reset.
+// layer's scratch arena and are valid until the arena is reset. A layer
+// belongs to one network, whose batch entry points all run on it: two
+// trainers on one network (the manager's verifier and calibrator) share its
+// gradients, caches and arena, and so take turns, never overlap.
 //
 // The interface is closed to this package (setScratch), so every layer has
 // every form.
@@ -53,10 +58,6 @@ type Layer interface {
 	// gradients (summed over the batch in ascending row order), and returns
 	// per-row ∂L/∂input.
 	BackwardBatch(p *parallel.Pool, grad *tensor.Matrix) (*tensor.Matrix, error)
-	// Replicate returns a copy that aliases the layer's parameter storage
-	// (an optimizer step on the source is visible to it) and owns private
-	// gradient buffers and caches.
-	Replicate() Layer
 	// Params returns slices aliasing the layer's trainable parameters.
 	// Frozen layers return nil.
 	Params() []tensor.Vector
@@ -88,7 +89,7 @@ type Dense struct {
 	Frozen bool // frozen layers expose no params (used by AMLayer)
 
 	lastIn  tensor.Vector
-	scratch *parallel.Arena // optional transient-buffer arena; nil = plain make
+	scratch *parallel.Arena // the network's arena during a batch call; nil = plain make
 
 	// Batch-form state: reusable matrix headers over arena-backed data,
 	// plus the cached batch input for backward.

@@ -4,17 +4,26 @@ import (
 	"errors"
 	"fmt"
 
+	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
 // Network is a sequential stack of layers trained with softmax
 // cross-entropy. It exposes its trainable parameters as one flattened
 // vector — the representation RPoL checkpoints, hashes, and LSH-digests.
+//
+// A network has one layer graph. Its batch entry points, BatchTrainer and
+// Accuracy, run on those layers with the network's arena installed for
+// their length; the per-example Forward, Backward, TrainBatch and Predict,
+// the oracle the batch forms are held to, run with it detached, so their
+// results are fresh allocations the caller may keep.
 type Network struct {
 	Layers []Layer
 
-	// eval is Accuracy's batch runtime, built on its first call.
-	eval *replica
+	// arena holds the batch entry points' buffers, made on the first one and
+	// reset by each; xb is the matrix the batch is packed into.
+	arena *parallel.Arena
+	xb    tensor.Matrix
 }
 
 // NewNetwork validates that consecutive layers connect and returns the
@@ -33,7 +42,8 @@ func NewNetwork(layers ...Layer) (*Network, error) {
 	return &Network{Layers: layers}, nil
 }
 
-// Forward runs x through every layer and returns the logits.
+// Forward runs x through every layer and returns the logits, with the
+// arena detached (see Network).
 func (n *Network) Forward(x tensor.Vector) (tensor.Vector, error) {
 	cur := x
 	for i, l := range n.Layers {
@@ -47,7 +57,7 @@ func (n *Network) Forward(x tensor.Vector) (tensor.Vector, error) {
 }
 
 // Backward propagates the loss gradient through every layer in reverse,
-// accumulating parameter gradients.
+// accumulating parameter gradients, with the arena detached (see Network).
 func (n *Network) Backward(grad tensor.Vector) error {
 	cur := grad
 	for i := len(n.Layers) - 1; i >= 0; i-- {
@@ -145,7 +155,8 @@ func LoadParams(params []tensor.Vector, v tensor.Vector) error {
 // TrainBatch runs one optimization step over the batch (xs, labels) and
 // returns the mean loss. Gradients are averaged over the batch. The update
 // is fully deterministic given the inputs, which is the property RPoL's
-// re-execution verification needs.
+// re-execution verification needs. It is the per-example oracle, with the
+// arena detached (see Network).
 func (n *Network) TrainBatch(xs []tensor.Vector, labels []int, opt Optimizer) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(labels) {
 		return 0, fmt.Errorf("batch %d inputs vs %d labels: %w", len(xs), len(labels), tensor.ErrShapeMismatch)
@@ -173,7 +184,8 @@ func (n *Network) TrainBatch(xs []tensor.Vector, labels []int, opt Optimizer) (f
 	return total / float64(len(xs)), nil
 }
 
-// Predict returns the argmax class for input x.
+// Predict returns the argmax class for input x, with the arena detached
+// (see Network).
 func (n *Network) Predict(x tensor.Vector) (int, error) {
 	logits, err := n.Forward(x)
 	if err != nil {
@@ -182,26 +194,31 @@ func (n *Network) Predict(x tensor.Vector) (int, error) {
 	return Argmax(logits), nil
 }
 
+// evalTile is how many examples Network.Accuracy forwards per batched call.
+const evalTile = 64
+
 // Accuracy returns the fraction of (xs, labels) classified correctly. It
-// pushes evalTile examples at a time through the layers' batch forms, on a
-// replica that shares the network's parameters, built on the first call and
-// rebuilt only when a layer has since been swapped; the batch forms are
-// bit-identical to Forward per row, so every prediction is Predict's.
+// pushes evalTile examples at a time through the batch forms of the
+// network's own layers; they are bit-identical to Forward per row, so every
+// prediction is Predict's.
 func (n *Network) Accuracy(xs []tensor.Vector, labels []int) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(labels) {
 		return 0, fmt.Errorf("eval %d inputs vs %d labels: %w", len(xs), len(labels), tensor.ErrShapeMismatch)
 	}
-	if n.eval == nil || !n.eval.current(n) {
-		n.eval = newReplica(n)
-	}
+	n.attach()
+	defer n.setScratch(nil)
 	correct := 0
 	for lo := 0; lo < len(xs); lo += evalTile {
 		hi := min(lo+evalTile, len(xs))
-		c, err := n.eval.correct(xs[lo:hi], labels[lo:hi])
+		out, err := n.forwardBatch(nil, xs[lo:hi])
 		if err != nil {
 			return 0, err
 		}
-		correct += c
+		for i, label := range labels[lo:hi] {
+			if Argmax(out.Row(i)) == label {
+				correct++
+			}
+		}
 	}
 	return float64(correct) / float64(len(xs)), nil
 }

@@ -6,6 +6,7 @@ import (
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
 	"rpol/internal/nn"
+	"rpol/internal/prf"
 	"rpol/internal/tensor"
 )
 
@@ -191,6 +192,72 @@ func TestExecuteIntervalMatchesEpochSegments(t *testing.T) {
 		}
 		if !got.Equal(trace.Checkpoints[j+1], 0) {
 			t.Errorf("interval %d: noiseless re-execution diverged", j)
+		}
+	}
+}
+
+// TestTrainersTakeTurnsOnOneNetwork: the manager builds its verifier and its
+// calibrator on one network, so their trainers share its layers, gradients
+// and batch buffers. Interleaved interval by interval, with different
+// shards, optimizers, batch sizes, devices and nonces, each trainer must
+// land on the bits it reaches alone on a network of its own.
+func TestTrainersTakeTurnsOnOneNetwork(t *testing.T) {
+	_, shardA := testTask(t, 0)
+	shardB, err := dataset.Generate(dataset.Config{
+		Name: "rpol-test-b", NumClasses: 4, Dim: 8, Size: 300, ClusterStd: 0.5, Seed: 78,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type role struct {
+		shard   *dataset.Dataset
+		profile gpu.Profile
+		hyper   Hyper
+		nonce   prf.Nonce
+	}
+	roles := []role{
+		{shardA, gpu.G3090, Hyper{Optimizer: "sgdm", LR: 0.05, BatchSize: 8}, 11},
+		{shardB, gpu.GA10, Hyper{Optimizer: "adam", LR: 0.01, BatchSize: 5}, 22},
+	}
+	const intervals, every = 4, 3
+	trainer := func(r role, net *nn.Network, seed int64) *Trainer {
+		device, err := gpu.NewDevice(r.profile, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Trainer{Net: net, Shard: r.shard, Device: device}
+	}
+	// Each role starts from weights of its own.
+	starts := []tensor.Vector{testNet(t, 31, 16).ParamVector(), testNet(t, 32, 16).ParamVector()}
+
+	// Alone: each role on a network of its own.
+	alone := make([][]tensor.Vector, len(roles))
+	for i, r := range roles {
+		tr := trainer(r, testNet(t, 30, 16), int64(i))
+		w := starts[i]
+		for k := 0; k < intervals; k++ {
+			if w, err = tr.ExecuteInterval(w, k*every, every, r.hyper, r.nonce); err != nil {
+				t.Fatal(err)
+			}
+			alone[i] = append(alone[i], w)
+		}
+	}
+
+	// Together: both roles on one network, taking turns.
+	shared := testNet(t, 30, 16)
+	trainers := make([]*Trainer, len(roles))
+	ws := make([]tensor.Vector, len(roles))
+	for i, r := range roles {
+		trainers[i], ws[i] = trainer(r, shared, int64(i)), starts[i]
+	}
+	for k := 0; k < intervals; k++ {
+		for i, r := range roles {
+			if ws[i], err = trainers[i].ExecuteInterval(ws[i], k*every, every, r.hyper, r.nonce); err != nil {
+				t.Fatal(err)
+			}
+			if !ws[i].Equal(alone[i][k], 0) {
+				t.Fatalf("role %d interval %d: sharing a network changed the weights", i, k)
+			}
 		}
 	}
 }
