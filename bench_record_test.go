@@ -659,6 +659,35 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr56.json",
+		pr:       56,
+		minPairs: map[string]int{"ref10_v2_tcp": 3, "proofs4_v2_tcp": 10, "wide16_v1_tcp": 3, "durable8_v2_disk": 3},
+		rows: []e2eGate{
+			// The claim: attackers that keep their trace, update and scratch
+			// across epochs, an aggregate written into the manager's spare
+			// global model and an arena that settles in one batch step at
+			// least halve the challenge-heavy epoch's allocation.
+			{"proofs4_v2_tcp", "alloc_mb_per_epoch", "claim<=", 0.50},
+			// Every workload runs both attackers and aggregates: each
+			// allocates less.
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "<=", 0.75},
+			{"wide16_v1_tcp", "alloc_mb_per_epoch", "<=", 0.80},
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "<=", 0.60},
+			// No bit moves: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

@@ -208,8 +208,9 @@ func verifyTrace(out io.Writer, path, schemeName string) (*rpol.VerifyOutcome, e
 
 	// Rebuild the submission from the recorded trace. Binding the final
 	// checkpoint reproduces exactly what the worker committed (see
-	// rpol.BindFinalCheckpoint).
-	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
+	// rpol.BindFinalCheckpoint). The decoded trace owns each of its
+	// checkpoints, so the final one is bound in place.
+	update, err := rpol.BindFinalCheckpoint(trace, p.Global, nil)
 	if err != nil {
 		return nil, err
 	}

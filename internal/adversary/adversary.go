@@ -25,12 +25,19 @@
 // honest workers. Each is internally consistent: it really commits to the
 // checkpoints it will open — the attacks target the re-execution and
 // binding checks, not the hash commitment itself.
+//
+// They keep rpol.HonestWorker's buffer contract. The result's Update, like
+// every checkpoint LastTrace and OpenCheckpoint hand out, is the attacker's
+// own buffer, valid until its next RunEpoch, which refills it. p.Global may
+// be one of those vectors: it is only read, and never refilled by the epoch
+// that forges from it.
 package adversary
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
@@ -46,8 +53,11 @@ import (
 //
 //	c_{i+1} = c_i + Σ_j λ^j (c_{i-j} − c_{i-j-1}) / Σ_j λ^j.
 //
-// It needs at least two checkpoints.
-func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
+// It needs at least two checkpoints. c_{i+1} is written into dst's storage
+// and the weighted delta sum accumulated in momentum's (each allocated when
+// nil or too small); dst is returned. Neither may alias a checkpoint of the
+// history.
+func Spoof(dst, momentum tensor.Vector, history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 	if len(history) < 2 {
 		return nil, errors.New("adversary: spoofing needs at least two checkpoints")
 	}
@@ -55,9 +65,11 @@ func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 		return nil, fmt.Errorf("adversary: lambda %v outside [0, 1]", lambda)
 	}
 	last := history[len(history)-1]
-	out := last.Clone()
+	out := tensor.Resize(dst, len(last))
+	copy(out, last)
 	var weightSum float64
-	momentum := tensor.NewVector(len(last))
+	momentum = tensor.Resize(momentum, len(last))
+	momentum.Zero()
 	for j := 0; j+1 < len(history); j++ {
 		newer := history[len(history)-1-j]
 		older := history[len(history)-2-j]
@@ -87,14 +99,45 @@ func Spoof(history []tensor.Vector, lambda float64) (tensor.Vector, error) {
 
 // attacker is what every forging adversary shares: its identity, its
 // registered hardware, the |D_w| it reports for Eq. (1) weighting, and the
-// last epoch's trace and commitment, which serves the verifier's openings.
+// buffers of its last epoch, which it keeps across epochs.
 type attacker struct {
 	id       string
 	profile  gpu.Profile
 	dataSize int
 
+	// lastTrace, its commitment (which serves the verifier's openings) and
+	// update, the result's Update, are the last epoch's; the next RunEpoch
+	// retires them and refills their vectors.
 	lastTrace  *rpol.Trace
 	lastCommit *rpol.EpochCommitment
+	update     tensor.Vector
+	// spare holds the checkpoint vectors of dead traces, which the next
+	// forged trace refills, and leafBuf is the commitment's leaf-encode
+	// scratch.
+	spare   tensor.Spares
+	leafBuf []byte
+}
+
+// retire opens an epoch by ending the last one. The last trace is dead, so its
+// checkpoints go back to be refilled — to trainer when the attacker trains
+// its trace through trainer.RunEpoch, else to the attacker's spares — except
+// one that is p.Global, which stays the caller's, as the update does when it
+// is p.Global.
+func (a *attacker) retire(p rpol.TaskParams, trainer *rpol.Trainer) {
+	if tr := a.lastTrace; tr != nil {
+		tr.Checkpoints = slices.DeleteFunc(tr.Checkpoints, func(v tensor.Vector) bool { return tensor.SameStorage(v, p.Global) })
+		if trainer != nil {
+			trainer.Recycle(tr)
+		} else {
+			a.spare.Put(tr.Checkpoints...)
+			clear(tr.Checkpoints)
+			tr.Checkpoints, tr.Steps = nil, nil
+		}
+	}
+	a.lastTrace, a.lastCommit = nil, nil
+	if tensor.SameStorage(a.update, p.Global) {
+		a.update = nil
+	}
 }
 
 // ID returns the attacker's identifier.
@@ -124,9 +167,9 @@ func (a *attacker) OpenProof(idx int) (rpol.LeafProof, error) {
 }
 
 // submit commits to trace and returns the epoch's submission of update,
-// retaining trace and commitment, which serves the openings. Adversaries forge
-// checkpoints, not the commitment construction itself: they always commit to
-// exactly what they will open.
+// retaining trace, commitment and update until the next RunEpoch. Adversaries
+// forge checkpoints, not the commitment construction itself: they always
+// commit to exactly what they will open.
 func (a *attacker) submit(p rpol.TaskParams, trace *rpol.Trace, update tensor.Vector) (*rpol.EpochResult, error) {
 	result := &rpol.EpochResult{
 		WorkerID:       a.id,
@@ -135,12 +178,12 @@ func (a *attacker) submit(p rpol.TaskParams, trace *rpol.Trace, update tensor.Ve
 		DataSize:       a.dataSize,
 		NumCheckpoints: len(trace.Checkpoints),
 	}
-	ec, err := rpol.CommitTrace(nil, trace.Checkpoints, p.LSH)
+	ec, err := rpol.CommitTrace(&a.leafBuf, trace.Checkpoints, p.LSH)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
 	ec.Apply(result)
-	a.lastTrace, a.lastCommit = trace, ec
+	a.lastTrace, a.lastCommit, a.update = trace, ec, update
 	return result, nil
 }
 
@@ -167,13 +210,16 @@ func (a *Adv1) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	a.retire(p, nil)
 	n := p.NumCheckpoints()
 	trace := &rpol.Trace{}
 	for i := 0; i < n; i++ {
-		trace.Checkpoints = append(trace.Checkpoints, p.Global.Clone())
+		trace.Checkpoints = append(trace.Checkpoints, a.spare.Copy(p.Global))
 		trace.Steps = append(trace.Steps, min(i*p.CheckpointEvery, p.Steps))
 	}
-	return a.submit(p, trace, tensor.NewVector(len(p.Global))) // zero update
+	update := tensor.Resize(a.update, len(p.Global))
+	update.Zero()
+	return a.submit(p, trace, update)
 }
 
 // Adv2 trains the first HonestIntervals checkpoint intervals honestly
@@ -181,6 +227,8 @@ func (a *Adv1) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 type Adv2 struct {
 	attacker
 	trainer *rpol.Trainer
+	// momentum is Spoof's delta-sum scratch.
+	momentum tensor.Vector
 	// HonestFraction is the fraction of checkpoint intervals trained
 	// honestly (the paper's Adv2 trains 10% of the steps; Fig. 5's attacker
 	// trains the first third of the checkpoints).
@@ -243,8 +291,10 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		honest = intervals
 	}
 
+	a.retire(p, nil)
+	n := len(p.Global)
 	trace := &rpol.Trace{
-		Checkpoints: []tensor.Vector{p.Global.Clone()},
+		Checkpoints: []tensor.Vector{a.spare.Copy(p.Global)},
 		Steps:       []int{0},
 	}
 	step := 0
@@ -257,7 +307,7 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		if interval <= 0 {
 			break
 		}
-		next, err := a.trainer.ExecuteInterval(trace.Final(), step, interval, p.Hyper, p.Nonce)
+		next, err := a.trainer.ExecuteInterval(a.spare.Get(n), trace.Final(), step, interval, p.Hyper, p.Nonce)
 		if err != nil {
 			return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 		}
@@ -266,8 +316,9 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		trace.Steps = append(trace.Steps, step)
 	}
 	// Spoofed suffix.
+	a.momentum = tensor.Resize(a.momentum, n)
 	for len(trace.Checkpoints) < p.NumCheckpoints() {
-		spoofed, err := Spoof(trace.Checkpoints, a.Lambda)
+		spoofed, err := Spoof(a.spare.Get(n), a.momentum, trace.Checkpoints, a.Lambda)
 		if err != nil {
 			return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 		}
@@ -280,7 +331,7 @@ func (a *Adv2) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 		trace.Steps = append(trace.Steps, step)
 	}
 
-	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
+	update, err := rpol.BindFinalCheckpoint(trace, p.Global, a.update)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
@@ -297,6 +348,8 @@ type WrongInit struct {
 	trainer *rpol.Trainer
 	// InitShift is added to the global model before training.
 	InitShift tensor.Vector
+	// shifted holds the substituted initialization, refilled every epoch.
+	shifted tensor.Vector
 }
 
 var _ rpol.Worker = (*WrongInit)(nil)
@@ -323,19 +376,21 @@ func (a *WrongInit) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	shifted := p.Global.Clone()
-	if err := shifted.AXPY(1, a.InitShift); err != nil {
+	a.retire(p, a.trainer)
+	a.shifted = tensor.Resize(a.shifted, len(p.Global))
+	copy(a.shifted, p.Global)
+	if err := a.shifted.AXPY(1, a.InitShift); err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
 	substituted := p
-	substituted.Global = shifted
+	substituted.Global = a.shifted
 	trace, err := a.trainer.RunEpoch(substituted)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
 	// The update is reported relative to the REAL global model so the
 	// submission looks plausible to aggregation.
-	update, err := trace.Final().Sub(p.Global)
+	update, err := trace.Final().SubInto(a.update, p.Global)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
@@ -378,11 +433,12 @@ func (a *UpdateScaler) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	a.retire(p, a.trainer)
 	trace, err := a.trainer.RunEpoch(p)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
-	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
+	update, err := rpol.BindFinalCheckpoint(trace, p.Global, a.update)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
@@ -428,7 +484,7 @@ func (a *Rebaser) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 // starts at the global model and the update reaches its end, so only the
 // verifier's check of the leaf count against the task's stands between it and
 // a full reward for a fraction of the work. With Intervals beyond the task's
-// it over-claims instead: the honest trace padded with repeats of its final
+// it over-claims instead: the honest trace padded with copies of its final
 // checkpoint.
 type Truncator struct {
 	attacker
@@ -464,24 +520,27 @@ func (a *Truncator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	a.retire(p, nil)
 	trace := &rpol.Trace{
-		Checkpoints: []tensor.Vector{p.Global.Clone()},
+		Checkpoints: []tensor.Vector{a.spare.Copy(p.Global)},
 		Steps:       []int{0},
 	}
 	for step := 0; len(trace.Checkpoints) <= a.Intervals; {
 		interval := min(p.CheckpointEvery, p.Steps-step)
-		next := trace.Final()
+		var next tensor.Vector
 		if interval > 0 {
 			var err error
-			if next, err = a.trainer.ExecuteInterval(next, step, interval, p.Hyper, p.Nonce); err != nil {
+			if next, err = a.trainer.ExecuteInterval(a.spare.Get(len(p.Global)), trace.Final(), step, interval, p.Hyper, p.Nonce); err != nil {
 				return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 			}
 			step += interval
+		} else {
+			next = a.spare.Copy(trace.Final())
 		}
 		trace.Checkpoints = append(trace.Checkpoints, next)
 		trace.Steps = append(trace.Steps, step)
 	}
-	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
+	update, err := rpol.BindFinalCheckpoint(trace, p.Global, a.update)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", a.id, err)
 	}
@@ -515,20 +574,23 @@ func (f *Fabricator) RunEpoch(p rpol.TaskParams) (*rpol.EpochResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	f.retire(p, nil)
 	n := p.NumCheckpoints()
 	trace := &rpol.Trace{
-		Checkpoints: []tensor.Vector{p.Global.Clone()},
+		Checkpoints: []tensor.Vector{f.spare.Copy(p.Global)},
 		Steps:       []int{0},
 	}
 	for i := 1; i < n; i++ {
-		fake, err := p.Global.Add(f.rng.NormalVector(len(p.Global), 0, f.scale))
-		if err != nil {
+		// The global model plus fresh noise, drawn into the checkpoint itself.
+		fake := f.spare.Get(len(p.Global))
+		f.rng.FillNormal(fake, 0, f.scale)
+		if _, err := p.Global.AddInto(fake, fake); err != nil {
 			return nil, fmt.Errorf("adversary %s: %w", f.id, err)
 		}
 		trace.Checkpoints = append(trace.Checkpoints, fake)
 		trace.Steps = append(trace.Steps, min(i*p.CheckpointEvery, p.Steps))
 	}
-	update, err := rpol.BindFinalCheckpoint(trace, p.Global)
+	update, err := rpol.BindFinalCheckpoint(trace, p.Global, f.update)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", f.id, err)
 	}

@@ -49,7 +49,7 @@ func advParams(global tensor.Vector) rpol.TaskParams {
 func TestSpoofExtrapolates(t *testing.T) {
 	// With a linear trajectory, Eq. (12) predicts the exact next point.
 	history := []tensor.Vector{{0, 0}, {1, 2}, {2, 4}}
-	next, err := Spoof(history, 0.5)
+	next, err := Spoof(nil, nil, history, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSpoofExtrapolates(t *testing.T) {
 func TestSpoofLambdaWeighting(t *testing.T) {
 	// λ = 0 uses only the most recent delta.
 	history := []tensor.Vector{{0}, {10}, {11}}
-	next, err := Spoof(history, 0)
+	next, err := Spoof(nil, nil, history, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSpoofLambdaWeighting(t *testing.T) {
 		t.Errorf("λ=0 spoof = %v, want [12]", next)
 	}
 	// λ = 1 averages both deltas: (1 + 10)/2 = 5.5.
-	next, err = Spoof(history, 1)
+	next, err = Spoof(nil, nil, history, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSpoofMatchesTwoCallForm(t *testing.T) {
 		if err := want.AXPY(1/weightSum, momentum); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Spoof(history, lambda)
+		got, err := Spoof(nil, nil, history, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,19 +116,19 @@ func TestSpoofMatchesTwoCallForm(t *testing.T) {
 			t.Errorf("λ=%v: fused spoof differs from Sub+AXPY", lambda)
 		}
 	}
-	if _, err := Spoof([]tensor.Vector{{1, 2}, {3}, {4, 5}}, 0.5); !errors.Is(err, tensor.ErrShapeMismatch) {
+	if _, err := Spoof(nil, nil, []tensor.Vector{{1, 2}, {3}, {4, 5}}, 0.5); !errors.Is(err, tensor.ErrShapeMismatch) {
 		t.Errorf("ragged history: err = %v, want ErrShapeMismatch", err)
 	}
 }
 
 func TestSpoofValidation(t *testing.T) {
-	if _, err := Spoof([]tensor.Vector{{1}}, 0.5); err == nil {
+	if _, err := Spoof(nil, nil, []tensor.Vector{{1}}, 0.5); err == nil {
 		t.Error("want error for single checkpoint")
 	}
-	if _, err := Spoof([]tensor.Vector{{1}, {2}}, -0.1); err == nil {
+	if _, err := Spoof(nil, nil, []tensor.Vector{{1}, {2}}, -0.1); err == nil {
 		t.Error("want error for negative lambda")
 	}
-	if _, err := Spoof([]tensor.Vector{{1}, {2}}, 1.1); err == nil {
+	if _, err := Spoof(nil, nil, []tensor.Vector{{1}, {2}}, 1.1); err == nil {
 		t.Error("want error for lambda > 1")
 	}
 }
@@ -319,7 +319,7 @@ func TestSpoofDistanceExceedsReproductionError(t *testing.T) {
 	// Spoof the final checkpoint from the honest history and measure its
 	// distance to the true final checkpoint.
 	hist := h1.LastTrace().Checkpoints
-	spoofed, err := Spoof(hist[:len(hist)-1], 0.5)
+	spoofed, err := Spoof(nil, nil, hist[:len(hist)-1], 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func fig5Task(name string, opts Fig5Options, res *Fig5Result) error {
 				if err != nil {
 					return err
 				}
-				reexec, err := verifier.ExecuteInterval(honest.Checkpoints[c], startStep, steps, p.Hyper, p.Nonce)
+				reexec, err := verifier.ExecuteInterval(nil, honest.Checkpoints[c], startStep, steps, p.Hyper, p.Nonce)
 				if err != nil {
 					return err
 				}
@@ -237,7 +237,7 @@ func fig5Task(name string, opts Fig5Options, res *Fig5Result) error {
 			spoofHist := make([]tensor.Vector, prefix)
 			copy(spoofHist, honest.Checkpoints[:prefix])
 			for c := prefix - 1; c+1 < len(honest.Checkpoints); c++ {
-				spoofed, err := adversary.Spoof(spoofHist, opts.SpoofLambda)
+				spoofed, err := adversary.Spoof(nil, nil, spoofHist, opts.SpoofLambda)
 				if err != nil {
 					return err
 				}

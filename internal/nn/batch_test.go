@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"rpol/internal/parallel"
@@ -309,11 +310,9 @@ func TestOracleLeavesArenaAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := &SGD{LR: 0.01}
-	// The arena grows in doublings, so a step may take two to settle it.
-	for i := 0; i < 2; i++ {
-		if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
-			t.Fatal(err)
-		}
+	// One step settles the arena (TestBatchArenaSettlesInOneStep).
+	if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
+		t.Fatal(err)
 	}
 	size := net.arena.Size()
 	if size == 0 {
@@ -335,6 +334,38 @@ func TestOracleLeavesArenaAlone(t *testing.T) {
 	}
 	if got := net.arena.Size(); got != size {
 		t.Errorf("the next batch step grew the arena from %d to %d floats", size, got)
+	}
+}
+
+// TestBatchArenaSettlesInOneStep: a fresh network's first batch step sizes
+// its arena for the whole step, so the second step neither grows the arena
+// nor allocates a slab: it allocates fewer bytes than the arena holds, where
+// a replacement slab would be at least twice that.
+func TestBatchArenaSettlesInOneStep(t *testing.T) {
+	for _, workers := range workerCounts {
+		xs, labels := batchData(16, 64, 13)
+		net := convNet(t, 13)
+		bt, err := NewBatchTrainer(net, poolOf(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := &SGD{LR: 0.01}
+		if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
+			t.Fatal(err)
+		}
+		size := net.arena.Size()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := bt.TrainBatch(xs, labels, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := net.arena.Size(); got != size {
+			t.Errorf("workers=%d: the second batch step grew the arena from %d to %d floats", workers, size, got)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(8*size) {
+			t.Errorf("workers=%d: the second batch step allocated %d bytes, an arena of %d floats: a slab", workers, bytes, size)
+		}
 	}
 }
 

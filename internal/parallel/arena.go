@@ -53,15 +53,11 @@ func (a *Arena) Grab(n int) []float64 {
 // grow replaces the slab so a further n floats fit. Outstanding slices keep
 // their own references into the old slab, which the garbage collector keeps
 // alive — Grab never invalidates previously grabbed buffers within one Reset
-// window, so there is nothing to copy.
+// window, so there is nothing to copy. The offset carries over: the new slab
+// is laid out as if it had held the whole window, so once a window has
+// grown it, the next window of the same Grabs fits without growing.
 func (a *Arena) grow(n int) {
-	need := a.off + n
-	capHint := 2 * len(a.slab)
-	if capHint < need {
-		capHint = need
-	}
-	a.slab = make([]float64, capHint)
-	a.off = 0
+	a.slab = make([]float64, max(2*len(a.slab), a.off+n))
 }
 
 // Reset recycles every buffer handed out since the last Reset. Slices from

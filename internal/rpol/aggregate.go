@@ -14,8 +14,10 @@ var ErrNothingToAggregate = errors.New("rpol: no accepted updates to aggregate")
 // accepted updates, where |D| is the total data size of the accepted
 // contributions (so that excluding detected cheaters re-normalizes the step
 // rather than shrinking it — submissions from detected dishonest workers are
-// simply not aggregated, Sec. VII-E).
-func Aggregate(global tensor.Vector, updates []*EpochResult, eta float64) (tensor.Vector, error) {
+// simply not aggregated, Sec. VII-E). θ_{t+1} is written into dst's storage
+// (allocated when nil or too small) and returned; dst may be global but must
+// not be one of the updates.
+func Aggregate(dst, global tensor.Vector, updates []*EpochResult, eta float64) (tensor.Vector, error) {
 	if len(updates) == 0 {
 		return nil, ErrNothingToAggregate
 	}
@@ -26,7 +28,8 @@ func Aggregate(global tensor.Vector, updates []*EpochResult, eta float64) (tenso
 		}
 		total += u.DataSize
 	}
-	next := global.Clone()
+	next := tensor.Resize(dst, len(global))
+	copy(next, global)
 	for _, u := range updates {
 		weight := eta * float64(u.DataSize) / float64(total)
 		if err := next.AXPY(weight, u.Update); err != nil {

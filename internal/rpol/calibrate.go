@@ -139,7 +139,7 @@ func (c *Calibrator) MeasureErrors(p TaskParams, top1, top2 gpu.Profile, probeSe
 	}
 	c.trainer.Shard, c.trainer.Steps = c.Shard, o.Counter("rpol_probe_steps_total")
 	for i, profile := range [2]gpu.Profile{top1, top2} {
-		c.trainer.recycle(c.probes[i])
+		c.trainer.Recycle(c.probes[i])
 		var err error
 		if c.devices[i] == nil {
 			c.devices[i], err = gpu.NewDevice(profile, probeSeeds[i])

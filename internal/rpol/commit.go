@@ -5,7 +5,6 @@ import (
 
 	"rpol/internal/commitment"
 	"rpol/internal/lsh"
-	"rpol/internal/parallel"
 	"rpol/internal/tensor"
 )
 
@@ -30,14 +29,19 @@ var _ ProofOpener = (*EpochCommitment)(nil)
 // pushed in order, then the tree is built once, so the two roots are
 // bit-identical. The checkpoints are aliased, not copied.
 //
-// The pool parameter is unused. It stays because benchmark/replay.go calls
-// CommitTrace by reflection with a zero first argument; ROADMAP item 1's
-// next change to the benchmark drops it.
-func CommitTrace(_ *parallel.Pool, checkpoints []tensor.Vector, fam *lsh.Family) (*EpochCommitment, error) {
+// buf, when not nil, is the caller's leaf-encode scratch (a v1 leaf encodes a
+// whole checkpoint): CommitTrace encodes into its storage and leaves it
+// holding the grown buffer, so a caller that commits every epoch keeps one.
+// A nil buf encodes into scratch of the call's own.
+func CommitTrace(buf *[]byte, checkpoints []tensor.Vector, fam *lsh.Family) (*EpochCommitment, error) {
 	if len(checkpoints) == 0 {
 		return nil, fmt.Errorf("rpol commitment: %w", commitment.ErrEmpty)
 	}
-	s := newStreamCommit(fam, len(checkpoints), nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	s := newStreamCommit(fam, len(checkpoints), *buf)
+	defer func() { *buf = s.buf }()
 	for i, cp := range checkpoints[:s.final] {
 		if err := s.push(i, cp); err != nil {
 			return nil, err

@@ -379,7 +379,7 @@ func driftedTrace(t *testing.T, s *storeSetup, at int) (*traceOpener, *EpochResu
 	trainer := &Trainer{Net: net, Shard: s.ds, Device: device}
 	trace := &Trace{Checkpoints: []tensor.Vector{s.p.Global.Clone()}, Steps: []int{0}}
 	for c := 0; c+1 < s.p.NumCheckpoints(); c++ {
-		next, err := trainer.ExecuteInterval(trace.Final(), c*s.p.CheckpointEvery, s.p.CheckpointEvery, s.p.Hyper, s.p.Nonce)
+		next, err := trainer.ExecuteInterval(nil, trace.Final(), c*s.p.CheckpointEvery, s.p.CheckpointEvery, s.p.Hyper, s.p.Nonce)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func driftedTrace(t *testing.T, s *storeSetup, at int) (*traceOpener, *EpochResu
 		trace.Checkpoints = append(trace.Checkpoints, next)
 		trace.Steps = append(trace.Steps, (c+1)*s.p.CheckpointEvery)
 	}
-	update, err := BindFinalCheckpoint(trace, s.p.Global)
+	update, err := BindFinalCheckpoint(trace, s.p.Global, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,10 @@ type Manager struct {
 	// may do what it likes with the task it is handed, and the verifier
 	// binds every submission against global, which no worker ever sees.
 	tasks []tensor.Vector
+	// next is the buffer an epoch's aggregate is written into. It and global
+	// swap when the epoch aggregates, so θ_t and θ_{t+1} are the manager's
+	// own two vectors, refilled in turn; nothing reads θ_t past its epoch.
+	next tensor.Vector
 }
 
 // EpochReport summarizes one coordinated epoch.
@@ -447,12 +451,12 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 
 	if len(accepted) > 0 {
 		aggSpan := m.obs.Start(epochSpan, "manager.aggregate", obs.Int("accepted", int64(len(accepted))))
-		next, err := Aggregate(m.global, accepted, 1.0)
+		next, err := Aggregate(m.next, m.global, accepted, 1.0)
 		aggSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("rpol manager: %w", err)
 		}
-		m.global = next
+		m.global, m.next = next, m.global
 		report.Phases.Add(obs.PhaseAggregation, obs.PhaseTotals{Count: int64(len(accepted))})
 	}
 	m.epoch++

@@ -94,7 +94,7 @@ func TestAggregateEquation1(t *testing.T) {
 		{WorkerID: "a", DataSize: 100, Update: tensor.Vector{2, 0}},
 		{WorkerID: "b", DataSize: 300, Update: tensor.Vector{0, 4}},
 	}
-	next, err := Aggregate(global, updates, 1.0)
+	next, err := Aggregate(nil, global, updates, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,20 @@ func TestAggregateEquation1(t *testing.T) {
 	if !next.Equal(tensor.Vector{1.5, 4}, 1e-12) {
 		t.Errorf("aggregate = %v", next)
 	}
+	// Written into caller storage — θ_t's own included — the bits are the
+	// same.
+	own := global.Clone()
+	for _, c := range []struct{ dst, global tensor.Vector }{{tensor.NewVector(2), global}, {own, own}} {
+		got, err := Aggregate(c.dst, c.global, updates, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.SameStorage(got, c.dst) || !got.Equal(next, 0) {
+			t.Errorf("aggregate into caller storage = %v, want %v in place", got, next)
+		}
+	}
 	// η scales the step.
-	half, err := Aggregate(global, updates, 0.5)
+	half, err := Aggregate(nil, global, updates, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +125,15 @@ func TestAggregateEquation1(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	if _, err := Aggregate(tensor.Vector{1}, nil, 1); !errors.Is(err, ErrNothingToAggregate) {
+	if _, err := Aggregate(nil, tensor.Vector{1}, nil, 1); !errors.Is(err, ErrNothingToAggregate) {
 		t.Errorf("err = %v", err)
 	}
 	bad := []*EpochResult{{WorkerID: "x", DataSize: 0, Update: tensor.Vector{1}}}
-	if _, err := Aggregate(tensor.Vector{1}, bad, 1); err == nil {
+	if _, err := Aggregate(nil, tensor.Vector{1}, bad, 1); err == nil {
 		t.Error("want error for zero data size")
 	}
 	mismatch := []*EpochResult{{WorkerID: "x", DataSize: 1, Update: tensor.Vector{1, 2}}}
-	if _, err := Aggregate(tensor.Vector{1}, mismatch, 1); err == nil {
+	if _, err := Aggregate(nil, tensor.Vector{1}, mismatch, 1); err == nil {
 		t.Error("want error for shape mismatch")
 	}
 }

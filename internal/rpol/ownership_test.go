@@ -71,7 +71,7 @@ func TestTraceOwnsItsCheckpoints(t *testing.T) {
 	for _, c := range trace.Checkpoints {
 		old[&c[0]] = true
 	}
-	trainer.recycle(trace)
+	trainer.Recycle(trace)
 	clear(seen)
 	next, err := trainer.RunEpoch(p2)
 	if err != nil {

@@ -136,7 +136,7 @@ func TestDenseProxiesOneRuntime(t *testing.T) {
 			for _, workers := range []int{0, 1, 4} {
 				setWorkers(t, workers)
 				replay := &Trainer{Net: trainer.Net, Shard: trainer.Shard}
-				got, err := replay.ExecuteInterval(trace.Checkpoints[1], trace.Steps[1], p.CheckpointEvery, p.Hyper, p.Nonce)
+				got, err := replay.ExecuteInterval(nil, trace.Checkpoints[1], trace.Steps[1], p.CheckpointEvery, p.Hyper, p.Nonce)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,7 +187,7 @@ func TestExecuteIntervalAllocsIndependentOfSteps(t *testing.T) {
 	trainer, trace, p := zooRun(t, spec, 0)
 	allocs := func(steps int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := trainer.ExecuteInterval(trace.Checkpoints[0], 0, steps, p.Hyper, p.Nonce); err != nil {
+			if _, err := trainer.ExecuteInterval(nil, trace.Checkpoints[0], 0, steps, p.Hyper, p.Nonce); err != nil {
 				t.Fatal(err)
 			}
 		})

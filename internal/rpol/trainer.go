@@ -2,7 +2,6 @@ package rpol
 
 import (
 	"fmt"
-	"slices"
 
 	"rpol/internal/dataset"
 	"rpol/internal/gpu"
@@ -65,38 +64,23 @@ type Trainer struct {
 	labels   []int
 
 	// spare holds the checkpoint vectors of traces the trainer's owner
-	// handed back (recycle); the next epoch refills them instead of
+	// handed back (Recycle); the next epoch refills them instead of
 	// allocating.
-	spare []tensor.Vector
+	spare tensor.Spares
 }
 
-// recycle takes back the checkpoint vectors of a trace this trainer produced
+// Recycle takes back the checkpoint vectors of a trace this trainer produced
 // so the next RunEpoch/ResumeEpoch refills them. Only the trace's owner calls
 // it, once the trace is dead: neither it nor any vector it holds may be read
 // afterwards, except a vector that is also the next task's Global, which
 // that epoch drops instead of refilling. A nil trace is a no-op.
-func (t *Trainer) recycle(tr *Trace) {
+func (t *Trainer) Recycle(tr *Trace) {
 	if tr == nil {
 		return
 	}
-	t.spare = append(t.spare, tr.Checkpoints...)
+	t.spare.Put(tr.Checkpoints...)
 	clear(tr.Checkpoints)
 	tr.Checkpoints, tr.Steps = nil, nil
-}
-
-// vector returns an n-element buffer for a new checkpoint: a recycled one
-// when the trainer holds one of that length, else a fresh one.
-func (t *Trainer) vector(n int) tensor.Vector {
-	for len(t.spare) > 0 {
-		last := len(t.spare) - 1
-		v := t.spare[last]
-		t.spare[last] = nil
-		t.spare = t.spare[:last]
-		if len(v) == n {
-			return v
-		}
-	}
-	return tensor.NewVector(n)
 }
 
 // optimizer returns the trainer's optimizer for h with its state reset,
@@ -151,17 +135,11 @@ func (t *Trainer) build() error {
 }
 
 // ExecuteInterval trains from `start` weights for `steps` steps beginning at
-// training step startStep, returning the resulting weights in a vector the
-// caller owns. start is only read. It is used both by workers (per
-// checkpoint interval) and by the manager when re-executing a sampled
-// interval during verification.
-func (t *Trainer) ExecuteInterval(start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
-	return t.executeInterval(make(tensor.Vector, 0, len(start)), start, startStep, steps, h, nonce)
-}
-
-// executeInterval is ExecuteInterval writing the resulting weights into
-// dst's storage (grown when too small) and returning it. dst may be start.
-func (t *Trainer) executeInterval(dst, start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
+// training step startStep, writing the resulting weights into dst's storage
+// (allocated when nil or too small) and returning it. start is only read, and
+// dst may be start. It is used both by workers (per checkpoint interval) and
+// by the manager when re-executing a sampled interval during verification.
+func (t *Trainer) ExecuteInterval(dst, start tensor.Vector, startStep, steps int, h Hyper, nonce prf.Nonce) (tensor.Vector, error) {
 	if err := t.build(); err != nil {
 		return nil, err
 	}
@@ -190,7 +168,7 @@ func (t *Trainer) executeInterval(dst, start tensor.Vector, startStep, steps int
 		}
 	}
 	t.Steps.Add(int64(steps))
-	return nn.FlattenParams(dst[:0], t.params), nil
+	return nn.FlattenParams(tensor.Resize(dst, len(start))[:0], t.params), nil
 }
 
 // RunEpoch trains a full epoch per the task parameters, snapshotting
@@ -212,7 +190,7 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 		return nil, err
 	}
 	// An epoch never writes the weights it trains from.
-	t.spare = slices.DeleteFunc(t.spare, func(v tensor.Vector) bool { return tensor.SameStorage(v, p.Global) })
+	t.spare.Drop(p.Global)
 	n := p.NumCheckpoints()
 	trace := &Trace{Checkpoints: make([]tensor.Vector, 0, n), Steps: make([]int, 0, n)}
 	if prefix != nil && len(prefix.Checkpoints) > 0 {
@@ -221,11 +199,11 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 				len(prefix.Checkpoints), len(prefix.Steps))
 		}
 		for i, w := range prefix.Checkpoints {
-			trace.Checkpoints = append(trace.Checkpoints, t.copyOf(w))
+			trace.Checkpoints = append(trace.Checkpoints, t.spare.Copy(w))
 			trace.Steps = append(trace.Steps, prefix.Steps[i])
 		}
 	} else {
-		trace.Checkpoints = append(trace.Checkpoints, t.copyOf(p.Global))
+		trace.Checkpoints = append(trace.Checkpoints, t.spare.Copy(p.Global))
 		trace.Steps = append(trace.Steps, 0)
 		if err := t.emit(trace); err != nil {
 			return nil, err
@@ -241,7 +219,7 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 			interval = p.Steps - step
 		}
 		start := trace.Final()
-		next, err := t.executeInterval(t.vector(len(start)), start, step, interval, p.Hyper, p.Nonce)
+		next, err := t.ExecuteInterval(t.spare.Get(len(start)), start, step, interval, p.Hyper, p.Nonce)
 		if err != nil {
 			return nil, err
 		}
@@ -253,13 +231,6 @@ func (t *Trainer) ResumeEpoch(p TaskParams, prefix *Trace) (*Trace, error) {
 		}
 	}
 	return trace, nil
-}
-
-// copyOf returns a copy of w in a checkpoint buffer (see vector).
-func (t *Trainer) copyOf(w tensor.Vector) tensor.Vector {
-	v := t.vector(len(w))
-	copy(v, w)
-	return v
 }
 
 // emit streams the trace's newest checkpoint to the Sink, if any.
@@ -292,8 +263,11 @@ func (tr *Trace) Update() (tensor.Vector, error) {
 	return tr.Final().Sub(tr.Checkpoints[0])
 }
 
-// BindFinalCheckpoint computes the update L = final − θ_t and rewrites the
-// trace's final checkpoint as θ_t + L before the trace is committed.
+// BindFinalCheckpoint computes the update L = final − θ_t into update's
+// storage (allocated when nil or too small) and rewrites the trace's final
+// checkpoint in place as θ_t + L before the trace is committed. The final
+// checkpoint must be a buffer of its own, appearing nowhere else in the
+// trace; a caller whose final checkpoint is shared binds a copy of it.
 //
 // The rewrite exists because the verifier binds the submitted update to the
 // commitment by reconstructing θ_t + L and hashing it — and floating-point
@@ -302,19 +276,7 @@ func (tr *Trace) Update() (tensor.Vector, error) {
 // makes the committed bytes identical to the verifier's reconstruction,
 // while perturbing the actual final weights by at most one ulp per element
 // — orders of magnitude below any reproduction-error tolerance β.
-func BindFinalCheckpoint(tr *Trace, global tensor.Vector) (tensor.Vector, error) {
-	if len(tr.Checkpoints) < 2 {
-		return nil, fmt.Errorf("rpol: trace has %d checkpoints", len(tr.Checkpoints))
-	}
-	tr.Checkpoints[len(tr.Checkpoints)-1] = tr.Final().Clone()
-	return bindFinal(tr, global, nil)
-}
-
-// bindFinal is BindFinalCheckpoint, same bits, for a trace whose final
-// checkpoint is its own buffer and appears nowhere else in it: the update is
-// written into update's storage (allocated when nil or too small) and the
-// final checkpoint is rewritten in place as θ_t + L.
-func bindFinal(tr *Trace, global, update tensor.Vector) (tensor.Vector, error) {
+func BindFinalCheckpoint(tr *Trace, global, update tensor.Vector) (tensor.Vector, error) {
 	if len(tr.Checkpoints) < 2 {
 		return nil, fmt.Errorf("rpol: trace has %d checkpoints", len(tr.Checkpoints))
 	}

@@ -186,7 +186,7 @@ func TestExecuteIntervalMatchesEpochSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := reexec.ExecuteInterval(trace.Checkpoints[j], startStep, steps, p.Hyper, p.Nonce)
+		got, err := reexec.ExecuteInterval(nil, trace.Checkpoints[j], startStep, steps, p.Hyper, p.Nonce)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestTrainersTakeTurnsOnOneNetwork(t *testing.T) {
 		tr := trainer(r, testNet(t, 30, 16), int64(i))
 		w := starts[i]
 		for k := 0; k < intervals; k++ {
-			if w, err = tr.ExecuteInterval(w, k*every, every, r.hyper, r.nonce); err != nil {
+			if w, err = tr.ExecuteInterval(nil, w, k*every, every, r.hyper, r.nonce); err != nil {
 				t.Fatal(err)
 			}
 			alone[i] = append(alone[i], w)
@@ -252,7 +252,7 @@ func TestTrainersTakeTurnsOnOneNetwork(t *testing.T) {
 	}
 	for k := 0; k < intervals; k++ {
 		for i, r := range roles {
-			if ws[i], err = trainers[i].ExecuteInterval(ws[i], k*every, every, r.hyper, r.nonce); err != nil {
+			if ws[i], err = trainers[i].ExecuteInterval(nil, ws[i], k*every, every, r.hyper, r.nonce); err != nil {
 				t.Fatal(err)
 			}
 			if !ws[i].Equal(alone[i][k], 0) {
@@ -308,7 +308,7 @@ func TestExecuteIntervalUnknownOptimizer(t *testing.T) {
 	net, ds := testTask(t, 7)
 	trainer := &Trainer{Net: net, Shard: ds}
 	h := Hyper{Optimizer: "nope", LR: 0.1, BatchSize: 4}
-	if _, err := trainer.ExecuteInterval(net.ParamVector(), 0, 1, h, 1); err == nil {
+	if _, err := trainer.ExecuteInterval(nil, net.ParamVector(), 0, 1, h, 1); err == nil {
 		t.Error("want error for unknown optimizer")
 	}
 }

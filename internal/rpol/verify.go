@@ -285,7 +285,7 @@ func (v *Verifier) replay(input tensor.Vector, p TaskParams, c int, parent *obs.
 	span := v.observer().Start(parent, "verify.reproduce",
 		obs.Int("checkpoint", int64(c)), obs.Int("steps", int64(r.steps)))
 	var err error
-	v.output, err = v.trainer.executeInterval(v.output, input, startStep, r.steps, p.Hyper, p.Nonce)
+	v.output, err = v.trainer.ExecuteInterval(v.output, input, startStep, r.steps, p.Hyper, p.Nonce)
 	span.End()
 	if err != nil {
 		return r, fmt.Errorf("rpol verify re-execution: %w", err)

@@ -516,7 +516,7 @@ func TestBindFinalCheckpoint(t *testing.T) {
 		Checkpoints: []tensor.Vector{global.Clone(), {1.5, 2.5, 3.5}},
 		Steps:       []int{0, 5},
 	}
-	update, err := BindFinalCheckpoint(tr, global)
+	update, err := BindFinalCheckpoint(tr, global, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,10 +533,10 @@ func TestBindFinalCheckpoint(t *testing.T) {
 		t.Error("binding perturbed the final weights materially")
 	}
 	short := &Trace{Checkpoints: []tensor.Vector{global}}
-	if _, err := BindFinalCheckpoint(short, global); err == nil {
+	if _, err := BindFinalCheckpoint(short, global, nil); err == nil {
 		t.Error("single-checkpoint trace accepted")
 	}
-	if _, err := BindFinalCheckpoint(tr, tensor.Vector{1}); err == nil {
+	if _, err := BindFinalCheckpoint(tr, tensor.Vector{1}, nil); err == nil {
 		t.Error("mismatched global accepted")
 	}
 }

@@ -132,7 +132,7 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 			return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 		}
 	}
-	w.trainer.recycle(w.lastTrace)
+	w.trainer.Recycle(w.lastTrace)
 	w.lastTrace, w.lastCommit, w.lastResult = nil, nil, nil
 	if tensor.SameStorage(w.update, p.Global) {
 		w.update = nil
@@ -151,7 +151,7 @@ func (w *HonestWorker) RunEpoch(p TaskParams) (*EpochResult, error) {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}
 	trainSpan.End(obs.Int("checkpoints", int64(len(trace.Checkpoints))))
-	update, err := bindFinal(trace, p.Global, w.update)
+	update, err := BindFinalCheckpoint(trace, p.Global, w.update)
 	if err != nil {
 		return nil, fmt.Errorf("rpol worker %s: %w", w.id, err)
 	}

@@ -49,10 +49,16 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 // standard deviation.
 func (r *RNG) NormalVector(n int, mean, std float64) Vector {
 	v := make(Vector, n)
+	r.FillNormal(v, mean, std)
+	return v
+}
+
+// FillNormal overwrites v with normal variates, the draws NormalVector makes
+// for a vector of v's length.
+func (r *RNG) FillNormal(v Vector, mean, std float64) {
 	for i := range v {
 		v[i] = mean + float64(std*r.src.NormFloat64())
 	}
-	return v
 }
 
 // UniformVector returns a vector of n uniform variates in [lo, hi).

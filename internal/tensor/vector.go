@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Vector is a dense one-dimensional array of float64 values. It is the
@@ -84,6 +85,42 @@ func (v Vector) SubInto(dst, w Vector) (Vector, error) {
 // handed back to them; it does not detect a partial overlap.
 func SameStorage(a, b Vector) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// Spares is an owner's free list of dead model vectors, which it refills
+// instead of allocating. A vector the owner must not refill — one it was
+// handed back as read-only input — leaves the list through Drop.
+type Spares []Vector
+
+// Put adds vs to the list.
+func (s *Spares) Put(vs ...Vector) { *s = append(*s, vs...) }
+
+// Get returns an n-element vector: the newest spare when it has n elements
+// (spares of another length are discarded on the way), else a fresh zeroed
+// one. A spare keeps its old contents.
+func (s *Spares) Get(n int) Vector {
+	for len(*s) > 0 {
+		last := len(*s) - 1
+		v := (*s)[last]
+		(*s)[last] = nil
+		*s = (*s)[:last]
+		if len(v) == n {
+			return v
+		}
+	}
+	return NewVector(n)
+}
+
+// Copy returns a copy of w in a vector from the list (see Get).
+func (s *Spares) Copy(w Vector) Vector {
+	v := s.Get(len(w))
+	copy(v, w)
+	return v
+}
+
+// Drop removes every spare that shares v's storage (see SameStorage).
+func (s *Spares) Drop(v Vector) {
+	*s = slices.DeleteFunc(*s, func(x Vector) bool { return SameStorage(x, v) })
 }
 
 // Resize returns dst resliced to n elements, or a fresh zeroed vector when

@@ -248,3 +248,27 @@ func TestDotLanesMatchesDot(t *testing.T) {
 		}
 	}
 }
+
+// TestSpares pins the free list's rules: Get hands back the newest spare of
+// the asked length as it is, discards newer spares of another length on the
+// way, allocates when none is left, and Drop removes a vector the owner must
+// not refill.
+func TestSpares(t *testing.T) {
+	a, b, c := Vector{1, 2}, Vector{3, 4, 5}, Vector{6, 7}
+	var s Spares
+	s.Put(a, b, c)
+	s.Drop(c[:1])
+	if got := s.Get(2); !SameStorage(got, a) || got[0] != 1 {
+		t.Fatalf("Get(2) = %v, want a, unchanged, past the dropped c and the discarded b", got)
+	}
+	if len(s) != 0 {
+		t.Fatalf("%d spares left, want none", len(s))
+	}
+	if got := s.Get(3); len(got) != 3 || SameStorage(got, b) || got.Norm2() != 0 {
+		t.Fatalf("Get(3) on an empty list = %v, want a fresh zeroed vector", got)
+	}
+	s.Put(c)
+	if got := s.Copy(a); !SameStorage(got, c) || !got.Equal(a, 0) {
+		t.Fatalf("Copy(a) = %v, want a's values in c's storage", got)
+	}
+}
