@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,7 +119,7 @@ func TestRunOnceAgainstLiveServer(t *testing.T) {
 	o.Gauge("pool_test_accuracy").Set(0.75)
 	o.Publish(obs.StreamEvent{Kind: obs.EventEpochSealed, Epoch: 1, Detail: "accuracy=0.7500"})
 
-	srv, err := obshttp.Serve("localhost:0", obshttp.Config{Observer: o})
+	srv, err := obshttp.Serve("localhost:0", obshttp.NewServer(obshttp.Config{Observer: o}).Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestRunOfflineFile(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("pool_epochs_total").Add(7)
 	reg.Gauge("pool_test_accuracy").Set(0.5)
-	data, err := reg.Snapshot().JSON()
+	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,9 +259,9 @@ func NewAdv2(id string, profile gpu.Profile, runSeed int64, net *nn.Network, sha
 	}, nil
 }
 
-// HonestSteps returns the number of training steps Adv2 actually executes
+// honestSteps returns the number of training steps Adv2 actually executes
 // under params p (for cost accounting).
-func (a *Adv2) HonestSteps(p rpol.TaskParams) int {
+func (a *Adv2) honestSteps(p rpol.TaskParams) int {
 	intervals := p.NumCheckpoints() - 1
 	honest := int(math.Ceil(a.HonestFraction * float64(intervals)))
 	if honest < 1 {
@@ -412,8 +412,8 @@ type UpdateScaler struct {
 
 var _ rpol.Worker = (*UpdateScaler)(nil)
 
-// NewUpdateScaler builds the update-scaling attacker.
-func NewUpdateScaler(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, factor float64) (*UpdateScaler, error) {
+// newUpdateScaler builds the update-scaling attacker.
+func newUpdateScaler(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, factor float64) (*UpdateScaler, error) {
 	if shard == nil || shard.Len() == 0 {
 		return nil, fmt.Errorf("adversary %s: empty shard", id)
 	}
@@ -461,8 +461,8 @@ type Rebaser struct {
 
 var _ rpol.Worker = (*Rebaser)(nil)
 
-// NewRebaser builds the task-rewriting attacker.
-func NewRebaser(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, factor float64) (*Rebaser, error) {
+// newRebaser builds the task-rewriting attacker.
+func newRebaser(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, factor float64) (*Rebaser, error) {
 	hw, err := rpol.NewHonestWorker(id, profile, runSeed, net, shard)
 	if err != nil {
 		return nil, fmt.Errorf("adversary %s: %w", id, err)
@@ -496,8 +496,8 @@ type Truncator struct {
 
 var _ rpol.Worker = (*Truncator)(nil)
 
-// NewTruncator builds the trace-truncating attacker.
-func NewTruncator(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, intervals int) (*Truncator, error) {
+// newTruncator builds the trace-truncating attacker.
+func newTruncator(id string, profile gpu.Profile, runSeed int64, net *nn.Network, shard *dataset.Dataset, intervals int) (*Truncator, error) {
 	if shard == nil || shard.Len() == 0 {
 		return nil, fmt.Errorf("adversary %s: empty shard", id)
 	}
@@ -557,9 +557,9 @@ type Fabricator struct {
 
 var _ rpol.Worker = (*Fabricator)(nil)
 
-// NewFabricator builds a random-weights cheater. scale controls the forged
+// newFabricator builds a random-weights cheater. scale controls the forged
 // weights' magnitude; claimedDataSize is the |D_w| it reports.
-func NewFabricator(id string, profile gpu.Profile, seed int64, scale float64, claimedDataSize int) *Fabricator {
+func newFabricator(id string, profile gpu.Profile, seed int64, scale float64, claimedDataSize int) *Fabricator {
 	if claimedDataSize < 1 {
 		claimedDataSize = 1
 	}

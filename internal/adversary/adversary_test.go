@@ -255,14 +255,14 @@ func TestAdv2HonestSteps(t *testing.T) {
 	}
 	p := advParams(net.ParamVector())
 	// 3 intervals, 10% honest rounds up to 1 interval = 5 steps.
-	if got := adv.HonestSteps(p); got != 5 {
-		t.Errorf("HonestSteps = %d, want 5", got)
+	if got := adv.honestSteps(p); got != 5 {
+		t.Errorf("honestSteps = %d, want 5", got)
 	}
 	full, err := NewAdv2("adv2b", gpu.GA10, 7, net, ds, 1.0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := full.HonestSteps(p); got != p.Steps {
+	if got := full.honestSteps(p); got != p.Steps {
 		t.Errorf("fully honest Adv2 steps = %d, want %d", got, p.Steps)
 	}
 }
@@ -340,7 +340,7 @@ func TestFabricatorCommitsConsistently(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.LSH = fam
-	fab := NewFabricator("fab", gpu.GT4, 9, 0.5, 50)
+	fab := newFabricator("fab", gpu.GT4, 9, 0.5, 50)
 	res, err := fab.RunEpoch(p)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestAdversariesErrorBeforeFirstEpoch(t *testing.T) {
 	if _, err := NewAdv1("a", gpu.GT4, 1).OpenCheckpoint(0); err == nil {
 		t.Error("Adv1: want error before first epoch")
 	}
-	if _, err := NewFabricator("f", gpu.GT4, 1, 1, 1).OpenCheckpoint(0); err == nil {
+	if _, err := newFabricator("f", gpu.GT4, 1, 1, 1).OpenCheckpoint(0); err == nil {
 		t.Error("Fabricator: want error before first epoch")
 	}
 }
@@ -382,7 +382,7 @@ func TestAdversariesRejectBadParams(t *testing.T) {
 	if _, err := adv2.RunEpoch(bad); err == nil {
 		t.Error("Adv2 accepted bad params")
 	}
-	if _, err := NewFabricator("c", gpu.GT4, 1, 1, 1).RunEpoch(bad); err == nil {
+	if _, err := newFabricator("c", gpu.GT4, 1, 1, 1).RunEpoch(bad); err == nil {
 		t.Error("Fabricator accepted bad params")
 	}
 }

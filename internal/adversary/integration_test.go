@@ -106,7 +106,7 @@ func TestVerifierCatchesFabricator(t *testing.T) {
 	net, ds := advTask(t, 40)
 	p := advParams(net.ParamVector())
 	verifier := buildVerifier(t, rpol.SchemeV2, &p)
-	fab := NewFabricator("fab", gpu.GT4, 62, 0.5, ds.Len())
+	fab := newFabricator("fab", gpu.GT4, 62, 0.5, ds.Len())
 	res, err := fab.RunEpoch(p)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestVerifierCatchesUpdateScaler(t *testing.T) {
 			p := advParams(net.ParamVector())
 			verifier := buildVerifier(t, scheme, &p)
 			advNet, _ := advTask(t, 40)
-			adv, err := NewUpdateScaler("scaler", gpu.GA10, 81, advNet, ds, 10)
+			adv, err := newUpdateScaler("scaler", gpu.GA10, 81, advNet, ds, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestUpdateScalerWithFactorOnePasses(t *testing.T) {
 	p := advParams(net.ParamVector())
 	verifier := buildVerifier(t, rpol.SchemeV2, &p)
 	advNet, _ := advTask(t, 40)
-	adv, err := NewUpdateScaler("unit", gpu.GA10, 82, advNet, ds, 1)
+	adv, err := newUpdateScaler("unit", gpu.GA10, 82, advNet, ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestVerifierCatchesTruncator(t *testing.T) {
 					name := fmt.Sprintf("%s/merkle=%v/workers=%d/intervals=%d", scheme, merkle, workers, claimed)
 					t.Run(name, func(t *testing.T) {
 						netA, _ := advTask(t, 40)
-						adv, err := NewTruncator("lazy", gpu.GT4, 71, netA, ds, claimed)
+						adv, err := newTruncator("lazy", gpu.GT4, 71, netA, ds, claimed)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -336,7 +336,7 @@ func TestManagerRejectsRebaser(t *testing.T) {
 					shardMap := map[string]*dataset.Dataset{"honest": shards[0], "rebaser": shards[1]}
 					if rebaser {
 						rebNet, _ := advTask(t, 40)
-						reb, err := NewRebaser("rebaser", gpu.GA10, 72, rebNet, shards[1], 3)
+						reb, err := newRebaser("rebaser", gpu.GA10, 72, rebNet, shards[1], 3)
 						if err != nil {
 							t.Fatal(err)
 						}

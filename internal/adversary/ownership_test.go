@@ -42,22 +42,22 @@ func attackerKinds(dim int) []attackerKind {
 			return must(t, w, err)
 		}},
 		{"Fabricator", func(t *testing.T, _ *nn.Network, shard *dataset.Dataset) rpol.Worker {
-			return NewFabricator("fab", gpu.GT4, 9, 0.5, shard.Len())
+			return newFabricator("fab", gpu.GT4, 9, 0.5, shard.Len())
 		}},
 		{"WrongInit", func(t *testing.T, net *nn.Network, shard *dataset.Dataset) rpol.Worker {
 			w, err := NewWrongInit("wrong", gpu.GA10, 7, net, shard, tensor.NewRNG(3).NormalVector(dim, 0, 0.01))
 			return must(t, w, err)
 		}},
 		{"UpdateScaler", func(t *testing.T, net *nn.Network, shard *dataset.Dataset) rpol.Worker {
-			w, err := NewUpdateScaler("scaler", gpu.GA10, 7, net, shard, 3)
+			w, err := newUpdateScaler("scaler", gpu.GA10, 7, net, shard, 3)
 			return must(t, w, err)
 		}},
 		{"Truncator", func(t *testing.T, net *nn.Network, shard *dataset.Dataset) rpol.Worker {
-			w, err := NewTruncator("trunc", gpu.GA10, 7, net, shard, 2)
+			w, err := newTruncator("trunc", gpu.GA10, 7, net, shard, 2)
 			return must(t, w, err)
 		}},
 		{"Truncator/over-claim", func(t *testing.T, net *nn.Network, shard *dataset.Dataset) rpol.Worker {
-			w, err := NewTruncator("over", gpu.GA10, 7, net, shard, 6)
+			w, err := newTruncator("over", gpu.GA10, 7, net, shard, 6)
 			return must(t, w, err)
 		}},
 	}

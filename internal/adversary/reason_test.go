@@ -39,7 +39,7 @@ func TestAdversaryRejectionReasons(t *testing.T) {
 			return a
 		}},
 		{"fabricator", func(t *testing.T, _ *nn.Network, ds *dataset.Dataset, _ rpol.TaskParams) rpol.Worker {
-			return NewFabricator("fab", gpu.GT4, 62, 0.5, ds.Len())
+			return newFabricator("fab", gpu.GT4, 62, 0.5, ds.Len())
 		}},
 		{"wronginit", func(t *testing.T, net *nn.Network, ds *dataset.Dataset, p rpol.TaskParams) rpol.Worker {
 			a, err := NewWrongInit("wronginit", gpu.GA10, 71, net, ds, tensor.NewRNG(77).NormalVector(len(p.Global), 0, 0.5))
@@ -47,17 +47,17 @@ func TestAdversaryRejectionReasons(t *testing.T) {
 			return a
 		}},
 		{"scaler", func(t *testing.T, net *nn.Network, ds *dataset.Dataset, _ rpol.TaskParams) rpol.Worker {
-			a, err := NewUpdateScaler("scaler", gpu.GA10, 81, net, ds, 10)
+			a, err := newUpdateScaler("scaler", gpu.GA10, 81, net, ds, 10)
 			fatal(t, err)
 			return a
 		}},
 		{"rebaser", func(t *testing.T, net *nn.Network, ds *dataset.Dataset, _ rpol.TaskParams) rpol.Worker {
-			a, err := NewRebaser("rebaser", gpu.GA10, 72, net, ds, 3)
+			a, err := newRebaser("rebaser", gpu.GA10, 72, net, ds, 3)
 			fatal(t, err)
 			return a
 		}},
 		{"truncator", func(t *testing.T, net *nn.Network, ds *dataset.Dataset, _ rpol.TaskParams) rpol.Worker {
-			a, err := NewTruncator("lazy", gpu.GT4, 71, net, ds, 1)
+			a, err := newTruncator("lazy", gpu.GT4, 71, net, ds, 1)
 			fatal(t, err)
 			return a
 		}},

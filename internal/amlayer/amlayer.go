@@ -99,10 +99,10 @@ func denseInner(address string, dim int, cfg Config) *nn.Dense {
 	return inner
 }
 
-// NewConv generates the convolutional-variant AMLayer for (channels, h, w)
+// newConv generates the convolutional-variant AMLayer for (channels, h, w)
 // inputs: a frozen residual block around a channel-preserving 3×3 same-
 // padding convolution, matching the shape of the paper's conv AMLayer.
-func NewConv(address string, channels, h, w int, cfg Config) (*nn.Residual, error) {
+func newConv(address string, channels, h, w int, cfg Config) (*nn.Residual, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -161,10 +161,10 @@ func VerifyDense(net *nn.Network, address string, cfg Config) error {
 	return nil
 }
 
-// ReplaceDense swaps the network's leading dense AMLayer for one encoding
+// replaceDense swaps the network's leading dense AMLayer for one encoding
 // attackerAddress — the address-replacing attack evaluated in Sec. VII-B.
 // It mutates net in place and returns an error if net has no dense AMLayer.
-func ReplaceDense(net *nn.Network, attackerAddress string, cfg Config) error {
+func replaceDense(net *nn.Network, attackerAddress string, cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
@@ -281,10 +281,10 @@ func ReplaceDenseStack(net *nn.Network, attackerAddress string, cfg Config) erro
 	return nil
 }
 
-// Invert recovers the input x from y = AMLayer(x) by fixed-point iteration
+// invert recovers the input x from y = AMLayer(x) by fixed-point iteration
 // x ← y − f(x), which converges because the inner map is a contraction
 // (Lipschitz constant c < 1). It demonstrates the layer's losslessness.
-func Invert(layer *nn.Residual, y tensor.Vector, iters int) (tensor.Vector, error) {
+func invert(layer *nn.Residual, y tensor.Vector, iters int) (tensor.Vector, error) {
 	if iters <= 0 {
 		iters = 100
 	}

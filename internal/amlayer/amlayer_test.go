@@ -95,7 +95,7 @@ func TestInvertibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Invert(layer, y, 200)
+	back, err := invert(layer, y, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReplaceDenseAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplaceDense(net, "attacker", cfg); err != nil {
+	if err := replaceDense(net, "attacker", cfg); err != nil {
 		t.Fatal(err)
 	}
 	// After replacement, verification binds the attacker's address...
@@ -177,7 +177,7 @@ func TestReplaceDenseOnPlainNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplaceDense(plain, "x", DefaultConfig()); !errors.Is(err, ErrNotFound) {
+	if err := replaceDense(plain, "x", DefaultConfig()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -206,7 +206,7 @@ func TestAMLayerIsFrozen(t *testing.T) {
 
 func TestNewConvAMLayer(t *testing.T) {
 	cfg := DefaultConfig()
-	layer, err := NewConv("addr", 3, 8, 8, cfg)
+	layer, err := newConv("addr", 3, 8, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestNewConvAMLayer(t *testing.T) {
 		t.Error("conv AMLayer must be frozen")
 	}
 	// Determinism.
-	layer2, err := NewConv("addr", 3, 8, 8, cfg)
+	layer2, err := newConv("addr", 3, 8, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestNewConvAMLayer(t *testing.T) {
 	if !a.W.Equal(b.W, 0) {
 		t.Error("conv AMLayer must be deterministic in the address")
 	}
-	if _, err := NewConv("addr", 3, 8, 8, Config{ScalingC: 2}); !errors.Is(err, ErrBadConfig) {
+	if _, err := newConv("addr", 3, 8, 8, Config{ScalingC: 2}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -374,7 +374,7 @@ func TestStackInvertible(t *testing.T) {
 		y = out
 	}
 	for i := len(stack) - 1; i >= 0; i-- {
-		back, err := Invert(stack[i], y, 500)
+		back, err := invert(stack[i], y, 500)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,11 +91,11 @@ func TestChainAppendVerify(t *testing.T) {
 	if err := c.Verify(); err != nil {
 		t.Errorf("valid chain rejected: %v", err)
 	}
-	got, err := c.Block(1)
+	got, err := c.block(1)
 	if err != nil || got.TaskID != "t1" {
 		t.Errorf("Block(1) = %+v, %v", got, err)
 	}
-	if _, err := c.Block(99); err == nil {
+	if _, err := c.block(99); err == nil {
 		t.Error("want error for out-of-range height")
 	}
 }
@@ -142,26 +142,26 @@ func TestBlockHashSensitivity(t *testing.T) {
 }
 
 func TestTaskPoolFIFO(t *testing.T) {
-	var p TaskPool
-	if _, ok := p.Pull(); ok {
+	var p taskPool
+	if _, ok := p.pull(); ok {
 		t.Error("empty pool must not yield tasks")
 	}
 	t1 := Task{ID: "t1", ModelSpec: "m", MinProposals: 1, Reward: 1}
 	t2 := Task{ID: "t2", ModelSpec: "m", MinProposals: 1, Reward: 1}
-	if err := p.Publish(t1); err != nil {
+	if err := p.publish(t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Publish(t2); err != nil {
+	if err := p.publish(t2); err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 2 {
-		t.Errorf("Len = %d", p.Len())
+	if p.len() != 2 {
+		t.Errorf("Len = %d", p.len())
 	}
-	got, ok := p.Pull()
+	got, ok := p.pull()
 	if !ok || got.ID != "t1" {
 		t.Errorf("Pull = %+v, %v", got, ok)
 	}
-	if err := p.Publish(Task{}); err == nil {
+	if err := p.publish(Task{}); err == nil {
 		t.Error("invalid task accepted")
 	}
 }

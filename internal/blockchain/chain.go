@@ -76,11 +76,8 @@ func (b Block) HashBlock() Hash {
 	return out
 }
 
-// Errors returned by chain operations.
-var (
-	ErrBadLink   = errors.New("blockchain: block does not extend the tip")
-	ErrEmptyName = errors.New("blockchain: empty chain")
-)
+// ErrBadLink is returned when a block does not extend the chain's tip.
+var ErrBadLink = errors.New("blockchain: block does not extend the tip")
 
 // Chain is an append-only chain of agreed blocks starting from a genesis
 // block at height 0.
@@ -100,8 +97,8 @@ func (c *Chain) Height() int { return len(c.blocks) - 1 }
 // Tip returns the latest block.
 func (c *Chain) Tip() Block { return c.blocks[len(c.blocks)-1] }
 
-// Block returns the block at the given height.
-func (c *Chain) Block(height int) (Block, error) {
+// block returns the block at the given height.
+func (c *Chain) block(height int) (Block, error) {
 	if height < 0 || height >= len(c.blocks) {
 		return Block{}, fmt.Errorf("blockchain: height %d of %d", height, len(c.blocks))
 	}
@@ -136,13 +133,13 @@ func (c *Chain) Verify() error {
 	return nil
 }
 
-// TaskPool is the queue of published training tasks (stage A of Fig. 2).
-type TaskPool struct {
+// taskPool is the queue of published training tasks (stage A of Fig. 2).
+type taskPool struct {
 	tasks []Task
 }
 
-// Publish validates and enqueues a task.
-func (p *TaskPool) Publish(t Task) error {
+// publish validates and enqueues a task.
+func (p *taskPool) publish(t Task) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -150,8 +147,8 @@ func (p *TaskPool) Publish(t Task) error {
 	return nil
 }
 
-// Pull dequeues the oldest task; ok is false when the pool is empty.
-func (p *TaskPool) Pull() (Task, bool) {
+// pull dequeues the oldest task; ok is false when the pool is empty.
+func (p *taskPool) pull() (Task, bool) {
 	if len(p.tasks) == 0 {
 		return Task{}, false
 	}
@@ -160,5 +157,5 @@ func (p *TaskPool) Pull() (Task, bool) {
 	return t, true
 }
 
-// Len returns the number of queued tasks.
-func (p *TaskPool) Len() int { return len(p.tasks) }
+// len returns the number of queued tasks.
+func (p *taskPool) len() int { return len(p.tasks) }

@@ -75,9 +75,6 @@ func (r *Round) Propose(c Candidate) error {
 	return nil
 }
 
-// Proposals returns the number of submitted candidates.
-func (r *Round) Proposals() int { return len(r.candidates) }
-
 // TestSetReleased reports whether enough proposals arrived to unseal the
 // test set.
 func (r *Round) TestSetReleased() bool {

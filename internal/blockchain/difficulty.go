@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// DifficultyController retargets a PoUW task's difficulty — the target test
+// difficultyController retargets a PoUW task's difficulty — the target test
 // accuracy that ends a round — so that block production time stays near a
 // desired interval. The paper flags this as the open knob for very large
 // models ("the difficulty level (test set accuracy) should be adjusted to
@@ -18,7 +18,7 @@ import (
 // more training than the first), so the controller moves the target by a
 // fixed accuracy step per doubling/halving of block time, clamped to a
 // sane range and a maximum per-retarget swing.
-type DifficultyController struct {
+type difficultyController struct {
 	// TargetBlockTime is the desired production interval.
 	TargetBlockTime time.Duration
 	// Step is the accuracy change applied per log2 unit of timing error
@@ -35,7 +35,7 @@ type DifficultyController struct {
 var ErrBadController = errors.New("blockchain: invalid difficulty controller")
 
 // Validate checks the controller's configuration.
-func (d DifficultyController) Validate() error {
+func (d difficultyController) Validate() error {
 	switch {
 	case d.TargetBlockTime <= 0:
 		return ErrBadController
@@ -47,10 +47,10 @@ func (d DifficultyController) Validate() error {
 	return nil
 }
 
-// Retarget returns the next round's target accuracy given the current
+// retarget returns the next round's target accuracy given the current
 // target and the last block's production time. Faster-than-target blocks
 // raise the bar; slower blocks lower it.
-func (d DifficultyController) Retarget(current float64, lastBlockTime time.Duration) (float64, error) {
+func (d difficultyController) retarget(current float64, lastBlockTime time.Duration) (float64, error) {
 	if err := d.Validate(); err != nil {
 		return 0, err
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-func controller() DifficultyController {
-	return DifficultyController{
+func controller() difficultyController {
+	return difficultyController{
 		TargetBlockTime: 10 * time.Minute,
 		Step:            0.02,
 		MinAccuracy:     0.5,
@@ -18,7 +18,7 @@ func controller() DifficultyController {
 
 func TestRetargetFastBlocksRaiseDifficulty(t *testing.T) {
 	d := controller()
-	next, err := d.Retarget(0.8, 5*time.Minute) // twice as fast
+	next, err := d.retarget(0.8, 5*time.Minute) // twice as fast
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRetargetFastBlocksRaiseDifficulty(t *testing.T) {
 
 func TestRetargetSlowBlocksLowerDifficulty(t *testing.T) {
 	d := controller()
-	next, err := d.Retarget(0.8, 20*time.Minute) // twice as slow
+	next, err := d.retarget(0.8, 20*time.Minute) // twice as slow
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRetargetSlowBlocksLowerDifficulty(t *testing.T) {
 
 func TestRetargetStableAtTarget(t *testing.T) {
 	d := controller()
-	next, err := d.Retarget(0.8, 10*time.Minute)
+	next, err := d.retarget(0.8, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRetargetStableAtTarget(t *testing.T) {
 func TestRetargetSwingCapped(t *testing.T) {
 	d := controller()
 	// A block 1000× too fast must move at most MaxSwing (= 4×Step).
-	next, err := d.Retarget(0.8, 600*time.Millisecond)
+	next, err := d.retarget(0.8, 600*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,14 @@ func TestRetargetSwingCapped(t *testing.T) {
 
 func TestRetargetClampedToRange(t *testing.T) {
 	d := controller()
-	hi, err := d.Retarget(0.985, time.Minute)
+	hi, err := d.retarget(0.985, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hi > d.MaxAccuracy {
 		t.Errorf("exceeded max: %v", hi)
 	}
-	lo, err := d.Retarget(0.51, 10*time.Hour)
+	lo, err := d.retarget(0.51, 10*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRetargetConverges(t *testing.T) {
 	acc := 0.6
 	for i := 0; i < 60; i++ {
 		blockTime := time.Duration(float64(d.TargetBlockTime) * acc / 0.8)
-		next, err := d.Retarget(acc, blockTime)
+		next, err := d.retarget(acc, blockTime)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,19 +99,19 @@ func TestRetargetConverges(t *testing.T) {
 }
 
 func TestControllerValidation(t *testing.T) {
-	bads := []DifficultyController{
+	bads := []difficultyController{
 		{TargetBlockTime: 0, Step: 0.1, MinAccuracy: 0.1, MaxAccuracy: 0.9},
 		{TargetBlockTime: time.Minute, Step: 0, MinAccuracy: 0.1, MaxAccuracy: 0.9},
 		{TargetBlockTime: time.Minute, Step: 0.1, MinAccuracy: 0.9, MaxAccuracy: 0.1},
 		{TargetBlockTime: time.Minute, Step: 0.1, MinAccuracy: 0.1, MaxAccuracy: 1.5},
 	}
 	for i, b := range bads {
-		if _, err := b.Retarget(0.5, time.Minute); !errors.Is(err, ErrBadController) {
+		if _, err := b.retarget(0.5, time.Minute); !errors.Is(err, ErrBadController) {
 			t.Errorf("bad controller %d accepted: %v", i, err)
 		}
 	}
 	d := controller()
-	if _, err := d.Retarget(0.5, 0); err == nil {
+	if _, err := d.retarget(0.5, 0); err == nil {
 		t.Error("zero block time accepted")
 	}
 }

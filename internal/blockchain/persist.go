@@ -17,9 +17,9 @@ const chainKind = 'B'
 // ErrCorruptChain is returned when a loaded chain fails validation.
 var ErrCorruptChain = errors.New("blockchain: corrupt chain file")
 
-// Save writes the chain (including the genesis block) to path. A saved
+// save writes the chain (including the genesis block) to path. A saved
 // chain re-validates on load, so on-disk tampering is detected.
-func (c *Chain) Save(path string) error {
+func (c *Chain) save(path string) error {
 	body := fsio.AppendBodyHeader(nil, chainKind)
 	body = fsio.AppendLen(body, len(c.blocks))
 	for _, b := range c.blocks {
@@ -41,9 +41,9 @@ func (c *Chain) Save(path string) error {
 // blockSize is the fewest body bytes one block takes.
 const blockSize = 1 + len(Hash{}) + 1 + 1 + len(Hash{}) + 8
 
-// Load reads a chain from path and verifies every link. A file of another
+// load reads a chain from path and verifies every link. A file of another
 // format is both fsio.ErrVersion and ErrCorruptChain.
-func Load(path string) (*Chain, error) {
+func load(path string) (*Chain, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("blockchain load: %w", err)

@@ -24,7 +24,7 @@ func savedChain(t *testing.T) (*Chain, string) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "chain.bin")
-	if err := c.Save(path); err != nil {
+	if err := c.save(path); err != nil {
 		t.Fatal(err)
 	}
 	return c, path
@@ -32,7 +32,7 @@ func savedChain(t *testing.T) (*Chain, string) {
 
 func TestChainSaveLoadRoundTrip(t *testing.T) {
 	orig, path := savedChain(t)
-	loaded, err := Load(path)
+	loaded, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,14 @@ func TestLoadDetectsTampering(t *testing.T) {
 	// only the chain's own links can catch it.
 	tampered := &Chain{blocks: append([]Block(nil), orig.blocks...)}
 	tampered.blocks[1].Accuracy = 0.9
-	if err := tampered.Save(path); err != nil {
+	if err := tampered.save(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, ErrCorruptChain) {
+	if _, err := load(path); !errors.Is(err, ErrCorruptChain) {
 		t.Errorf("tampered chain loaded: %v", err)
 	}
 	// Bit rot under the checksum is caught before any link is checked.
-	if err := orig.Save(path); err != nil {
+	if err := orig.save(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -87,14 +87,14 @@ func TestLoadDetectsTampering(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, fsio.ErrChecksum) || !errors.Is(err, ErrCorruptChain) {
+	if _, err := load(path); !errors.Is(err, fsio.ErrChecksum) || !errors.Is(err, ErrCorruptChain) {
 		t.Errorf("bit-rotted chain: %v", err)
 	}
 }
 
 func TestLoadValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Load(filepath.Join(dir, "missing.bin")); err == nil {
+	if _, err := load(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("missing file loaded")
 	}
 	_, saved := savedChain(t)
@@ -119,7 +119,7 @@ func TestLoadValidation(t *testing.T) {
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(path)
+		_, err := load(path)
 		if !errors.Is(err, ErrCorruptChain) || errors.Is(err, fsio.ErrVersion) != tc.version {
 			t.Errorf("%s: err = %v, want ErrCorruptChain (fsio.ErrVersion %v)", tc.name, err, tc.version)
 		}

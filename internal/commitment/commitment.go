@@ -83,8 +83,8 @@ func hashLeaves(payloads [][]byte) []Hash {
 	return leaves
 }
 
-// VerifyLeaf checks that payload is exactly what was committed at index i.
-func (h *HashList) VerifyLeaf(i int, payload []byte) error {
+// verifyLeaf checks that payload is exactly what was committed at index i.
+func (h *HashList) verifyLeaf(i int, payload []byte) error {
 	if i < 0 || i >= len(h.Leaves) {
 		return fmt.Errorf("index %d of %d: %w", i, len(h.Leaves), ErrOutOfRange)
 	}

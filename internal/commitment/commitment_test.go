@@ -25,7 +25,7 @@ func TestHashListCommitVerify(t *testing.T) {
 		t.Errorf("Size = %d", hl.Size())
 	}
 	for i, p := range ps {
-		if err := hl.VerifyLeaf(i, p); err != nil {
+		if err := hl.verifyLeaf(i, p); err != nil {
 			t.Errorf("leaf %d: %v", i, err)
 		}
 	}
@@ -36,11 +36,11 @@ func TestHashListRejectsTamperedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hl.VerifyLeaf(1, []byte("forged")); !errors.Is(err, ErrMismatch) {
+	if err := hl.verifyLeaf(1, []byte("forged")); !errors.Is(err, ErrMismatch) {
 		t.Errorf("err = %v, want ErrMismatch", err)
 	}
 	// Correct payload at wrong index must also fail.
-	if err := hl.VerifyLeaf(0, []byte("checkpoint-1")); !errors.Is(err, ErrMismatch) {
+	if err := hl.verifyLeaf(0, []byte("checkpoint-1")); !errors.Is(err, ErrMismatch) {
 		t.Errorf("err = %v, want ErrMismatch", err)
 	}
 }
@@ -50,10 +50,10 @@ func TestHashListIndexBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hl.VerifyLeaf(-1, nil); !errors.Is(err, ErrOutOfRange) {
+	if err := hl.verifyLeaf(-1, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("err = %v", err)
 	}
-	if err := hl.VerifyLeaf(2, nil); !errors.Is(err, ErrOutOfRange) {
+	if err := hl.verifyLeaf(2, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestConstructionsAgree(t *testing.T) {
 			return false
 		}
 		for i, p := range raw {
-			if hl.VerifyLeaf(i, p) != nil {
+			if hl.verifyLeaf(i, p) != nil {
 				return false
 			}
 			proof, err := mt.Prove(i)

@@ -174,13 +174,6 @@ func (f *FaultFS) Writes() uint64 {
 	return f.ord
 }
 
-// Down reports whether an injected crash has killed this filesystem.
-func (f *FaultFS) Down() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down
-}
-
 // prefixLen maps a fault's fraction to a strict prefix of an n-byte payload.
 func prefixLen(frac float64, n int) int {
 	keep := int(frac * float64(n))

@@ -199,7 +199,7 @@ func TestFaultFSCrashAtAtomicWrite(t *testing.T) {
 		t.Fatalf("after crash: %q, %v", data, err)
 	}
 	// The filesystem is permanently down.
-	if !ffs.Down() {
+	if !ffs.down {
 		t.Fatal("not down after crash")
 	}
 	if _, err := ffs.ReadFile(path); !errors.Is(err, ErrInjectedCrash) {
@@ -351,8 +351,8 @@ func TestFaultFSSyncIsACrashPointAndCloseIsNoBarrier(t *testing.T) {
 	if err := ap.Sync(); !errors.Is(err, ErrInjectedCrash) {
 		t.Fatalf("sync err = %v", err)
 	}
-	if !ffs.Down() || ffs.Writes() != 2 {
-		t.Fatalf("down=%t after %d ordinals", ffs.Down(), ffs.Writes())
+	if !ffs.down || ffs.Writes() != 2 {
+		t.Fatalf("down=%t after %d ordinals", ffs.down, ffs.Writes())
 	}
 	if err := ap.Close(); err != nil {
 		t.Fatal(err)

@@ -140,9 +140,6 @@ func (d *Device) Reset(profile Profile, runSeed int64) error {
 	return nil
 }
 
-// Profile returns the device's hardware profile.
-func (d *Device) Profile() Profile { return d.profile }
-
 // Seek moves the device to training step `step` of the parameter tensor
 // with the given ordinal, under the task key (a worker's nonce). It is O(1):
 // the noise at a position does not depend on the positions visited before.

@@ -223,15 +223,6 @@ func (s *State) ClearInFlight() {
 	s.Commits, s.Verdicts = nil, nil
 }
 
-// NextEpoch returns the epoch a resumed run should execute next: the
-// in-flight epoch when one exists, else the first unsealed epoch.
-func (s *State) NextEpoch() int {
-	if s.InFlight >= 0 {
-		return s.InFlight
-	}
-	return len(s.Sealed)
-}
-
 // Reconstruct folds a journal's intact records into a State. It fails on
 // structurally impossible histories (an epoch sealed twice with a gap) —
 // those indicate a bug or tampering, not a crash, and resuming from them

@@ -139,9 +139,8 @@ type Recovery struct {
 
 // Journal is an open append-only journal file, safe for concurrent use.
 type Journal struct {
-	fs   fsio.FS
-	path string
-	obs  *obs.Observer
+	fs  fsio.FS
+	obs *obs.Observer
 
 	mu      sync.Mutex
 	ap      fsio.Appender
@@ -164,7 +163,7 @@ func Create(fs fsio.FS, path string, o *obs.Observer) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal create: %w", err)
 	}
-	return &Journal{fs: fs, path: path, obs: o.OrDefault(), ap: ap, nextSeq: 1}, nil
+	return &Journal{fs: fs, obs: o.OrDefault(), ap: ap, nextSeq: 1}, nil
 }
 
 // Open recovers the journal at path — replaying the intact prefix,
@@ -212,7 +211,7 @@ func Open(fs fsio.FS, path string, o *obs.Observer) (*Journal, *Recovery, error)
 			Detail: fmt.Sprintf("replayed=%d tornBytes=%d dups=%d", len(recs), torn, dups),
 		})
 	}
-	j := &Journal{fs: fs, path: path, obs: o, ap: ap, nextSeq: nextSeq}
+	j := &Journal{fs: fs, obs: o, ap: ap, nextSeq: nextSeq}
 	return j, rec, nil
 }
 
@@ -261,9 +260,6 @@ func (j *Journal) flushLocked() error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close writes any batch still pending (without a barrier: a clean stop
 // loses nothing, a crash right after it may) and releases the append handle.

@@ -31,7 +31,7 @@ var fixtureCases = []struct {
 func loadFixture(t *testing.T, a *Analyzer, kind, pkgPath string) (findings, suppressed []Diagnostic) {
 	t.Helper()
 	dir := filepath.Join("testdata", a.Name, kind)
-	pkg, err := LoadDir(dir, pkgPath)
+	pkg, err := loadDir(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -161,7 +161,7 @@ func TestAnalyzerSuppressions(t *testing.T) {
 // TestMalformedDirectives checks that bad rpolvet:ignore comments are
 // reported instead of silently tolerated.
 func TestMalformedDirectives(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "directives", "bad"), "rpol/internal/rpol")
+	pkg, err := loadDir(filepath.Join("testdata", "directives", "bad"), "rpol/internal/rpol")
 	if err != nil {
 		t.Fatal(err)
 	}

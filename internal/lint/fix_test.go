@@ -13,7 +13,7 @@ import (
 // clean, so the engine never rewrites code into a state the analyzer still
 // rejects.
 func TestFixRoundTrip(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "durablewrite", "fixable"), "rpol/internal/journal")
+	pkg, err := loadDir(filepath.Join("testdata", "durablewrite", "fixable"), "rpol/internal/journal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFixRoundTrip(t *testing.T) {
 		t.Errorf("fix round-trip mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
-	fixedPkg, err := LoadDir(filepath.Join("testdata", "durablewrite", "fixed"), "rpol/internal/journal")
+	fixedPkg, err := loadDir(filepath.Join("testdata", "durablewrite", "fixed"), "rpol/internal/journal")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,15 +13,14 @@ import (
 // (SpanTree and the Clock implementations are offline/construction-time
 // helpers and are not part of the contract.)
 var obsNilSafeTypes = map[string]bool{
-	"Counter":      true,
-	"Gauge":        true,
-	"Histogram":    true,
-	"Registry":     true,
-	"Tracer":       true,
-	"Span":         true,
-	"Observer":     true,
-	"Events":       true,
-	"Subscription": true,
+	"Counter":   true,
+	"Gauge":     true,
+	"Histogram": true,
+	"Registry":  true,
+	"Tracer":    true,
+	"Span":      true,
+	"Observer":  true,
+	"Events":    true,
 }
 
 // NilSafeObs enforces the obs nil-safety contract established in PR 1:

@@ -9,7 +9,7 @@ import (
 // selfScanSuppressions is the audited budget of deliberate exceptions in
 // the repository. Adding a //rpolvet:ignore is a reviewed decision: bump
 // this count in the same change, with the justification in the directive.
-const selfScanSuppressions = 4
+const selfScanSuppressions = 3
 
 // TestRepositoryIsRPolvetClean loads the whole module and runs the full
 // analyzer suite over it: the repo must stay free of unsuppressed findings,

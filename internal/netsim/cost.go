@@ -4,7 +4,7 @@
 //
 // Two layers are provided:
 //
-//   - a closed-form cost model (TransferTime, FanOutTime, FanInTime) used by
+//   - a closed-form cost model (transferTime, FanOutTime, FanInTime) used by
 //     the Table II/III epoch-time and overhead calculations at paper scale,
 //   - a TCP message hub with per-endpoint byte metering used by the
 //     distributed deployments, so measured traffic and modelled traffic can
@@ -33,10 +33,10 @@ var (
 // ErrBadLink is returned for non-positive link capacities.
 var ErrBadLink = errors.New("netsim: link capacity must be positive")
 
-// TransferTime returns the time to move payloadBytes from a sender with
+// transferTime returns the time to move payloadBytes from a sender with
 // uplink senderUpBps to a receiver with downlink receiverDownBps: the
 // bottleneck link governs.
-func TransferTime(payloadBytes int64, senderUpBps, receiverDownBps float64) (time.Duration, error) {
+func transferTime(payloadBytes int64, senderUpBps, receiverDownBps float64) (time.Duration, error) {
 	if senderUpBps <= 0 || receiverDownBps <= 0 {
 		return 0, ErrBadLink
 	}

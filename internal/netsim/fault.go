@@ -92,14 +92,6 @@ func NewFaultPlan(seed int64, cfg FaultConfig) *FaultPlan {
 	return &FaultPlan{seed: seed, cfg: cfg}
 }
 
-// Seed returns the seed the plan was derived from.
-func (p *FaultPlan) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
 // Fault is one delivery's injected behaviour.
 type Fault struct {
 	// Drop loses the message in transit.

@@ -73,9 +73,6 @@ func TestFaultPlanNilSafe(t *testing.T) {
 	if p.WorkerDown("a", 3) {
 		t.Fatal("nil plan crashed a worker")
 	}
-	if p.Seed() != 0 {
-		t.Fatal("nil plan has a seed")
-	}
 }
 
 func TestFaultPlanWorkerDownWindows(t *testing.T) {
@@ -168,6 +165,7 @@ func TestBusFaultInjectionDrops(t *testing.T) {
 	}
 	run := func() []uint64 {
 		hub := startHub(t)
+		reg := observe(hub)
 		a := dial(t, hub, "a")
 		b := dial(t, hub, "b")
 		probe := dial(t, hub, "probe")
@@ -186,7 +184,7 @@ func TestBusFaultInjectionDrops(t *testing.T) {
 			}
 			got = append(got, msg.Seq)
 		}
-		if drops, _ := hub.Meter().Injected(); drops-barrierDrops != sent-int64(len(want)) {
+		if drops, _ := injected(reg); drops-barrierDrops != sent-int64(len(want)) {
 			t.Errorf("injected drops = %d, want %d", drops-barrierDrops, sent-len(want))
 		}
 		return got
@@ -212,8 +210,7 @@ func TestBusFaultDelayAdvancesClock(t *testing.T) {
 	prev := obs.Default()
 	obs.SetDefault(observer)
 	defer obs.SetDefault(prev)
-	sub := observer.Events().Subscribe()
-	defer sub.Close()
+	events := observer.Events()
 	clock := obs.NewSimClock(time.Microsecond)
 	before := clock.Now()
 	hub.InjectFaults(NewFaultPlan(5, FaultConfig{DelayRate: 1, MaxDelay: time.Millisecond}), clock)
@@ -228,7 +225,7 @@ func TestBusFaultDelayAdvancesClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, delays := hub.Meter().Injected(); delays != sent {
+	if _, delays := injected(reg); delays != sent {
 		t.Fatalf("%d injected delays at 100%% delay rate, want %d", delays, sent)
 	}
 	if got := reg.Counter("net_tcp_injected_delays_total").Value(); got != sent {
@@ -237,21 +234,21 @@ func TestBusFaultDelayAdvancesClock(t *testing.T) {
 	// The hub announces each fault once its delivery is queued, so the last
 	// announcement may trail the last receive.
 	announced := 0
-	for announced < sent {
-		select {
-		case <-sub.Ready():
-			evs, _ := sub.Poll()
-			for _, ev := range evs {
-				if ev.Kind != obs.EventFaultInjected || !strings.HasPrefix(ev.Detail, "delay ") {
-					t.Fatalf("unexpected event %+v", ev)
-				}
-				announced++
-			}
-		case <-time.After(10 * time.Second):
+	var cursor uint64
+	for deadline := time.Now().Add(10 * time.Second); announced < sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d injected delays announced", announced, sent)
 		}
+		var evs []obs.StreamEvent
+		evs, cursor, _ = events.Since(cursor)
+		for _, ev := range evs {
+			if ev.Kind != obs.EventFaultInjected || !strings.HasPrefix(ev.Detail, "delay ") {
+				t.Fatalf("unexpected event %+v", ev)
+			}
+			announced++
+		}
 	}
-	if evs, _ := sub.Poll(); announced != sent || len(evs) != 0 {
+	if evs, _, _ := events.Since(cursor); announced != sent || len(evs) != 0 {
 		t.Errorf("%d injected delays announced, want %d", announced+len(evs), sent)
 	}
 	// 50 deliveries all delayed: logical time must have advanced well past

@@ -60,7 +60,7 @@ func slowClient(t *testing.T, hub *TCPHub, name string) *bufio.Reader {
 // follow-up reaching a third endpoint proves it.
 func routedBarrier(t *testing.T, sender, probe *TCPEndpoint) {
 	t.Helper()
-	if err := sender.Send(probe.Name(), "barrier", nil); err != nil {
+	if err := sender.Send(probe.name, "barrier", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := probe.Recv(); err != nil {
@@ -73,9 +73,9 @@ func routedBarrier(t *testing.T, sender, probe *TCPEndpoint) {
 // returns how many it dropped.
 func faultedBarrier(t *testing.T, plan *FaultPlan, sender, probe *TCPEndpoint) (dropped int64) {
 	t.Helper()
-	for n := uint64(0); plan.Decide(sender.Name(), probe.Name(), n).Drop; n++ {
+	for n := uint64(0); plan.Decide(sender.name, probe.name, n).Drop; n++ {
 		dropped++
-		if err := sender.Send(probe.Name(), "barrier", nil); err != nil {
+		if err := sender.Send(probe.name, "barrier", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,6 +92,7 @@ func faultedBarrier(t *testing.T, plan *FaultPlan, sender, probe *TCPEndpoint) (
 // reuse accounts: the notices are not metered.
 func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 	hub := startHub(t)
+	reg := observe(hub)
 	plan := NewFaultPlan(7, FaultConfig{DropRate: 0.25})
 	hub.InjectFaults(plan, nil)
 	sender := dial(t, hub, "sender")
@@ -101,13 +102,13 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 
 	const burst = 64
 	lost := map[uint64]bool{} // sequence numbers the plan drops on their way to slow
-	var wantBytes, drops, dropBytes, injected int64
+	var wantBytes, drops, dropBytes, injectedDrops int64
 	for i := 0; i < burst; i++ {
 		size := 100 + (i%4)*48<<10 // 100 B … 144 KB, so buffers of every size get reused
 		payload := stamped(i, size)
 		if plan.Decide("sender", "slow", uint64(i)).Drop {
 			lost[uint64(i)] = true
-			injected++
+			injectedDrops++
 			drops++
 			dropBytes += Message{Payload: payload}.Size()
 		} else {
@@ -120,7 +121,7 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 		// destination, and its buffer is back in the pool at once.
 		ghost := stamped(i, 1+i*997)
 		if plan.Decide("sender", "ghost", uint64(i)).Drop {
-			injected++
+			injectedDrops++
 		}
 		drops++
 		dropBytes += Message{Payload: ghost}.Size()
@@ -132,7 +133,7 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 		t.Fatalf("the fault plan dropped %d of %d; pick a seed that exercises both paths", len(lost), burst)
 	}
 	barrierDrops := faultedBarrier(t, plan, sender, probe)
-	injected += barrierDrops
+	injectedDrops += barrierDrops
 	drops += barrierDrops
 	dropBytes += barrierDrops * Message{}.Size()
 
@@ -159,11 +160,11 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 	if got := meter.Total() - base; got != wantBytes+(Message{}).Size() {
 		t.Errorf("bytes delivered = %d, want the burst's %d and one barrier", got, wantBytes)
 	}
-	if msgs, bytes := meter.Dropped(); msgs != drops || bytes != dropBytes {
+	if msgs, bytes := dropped(reg); msgs != drops || bytes != dropBytes {
 		t.Errorf("dropped %d messages, %d bytes; want %d and %d", msgs, bytes, drops, dropBytes)
 	}
-	if got, _ := meter.Injected(); got != injected {
-		t.Errorf("injected drops = %d, want %d", got, injected)
+	if got, _ := injected(reg); got != injectedDrops {
+		t.Errorf("injected drops = %d, want %d", got, injectedDrops)
 	}
 }
 
@@ -173,6 +174,7 @@ func TestTCPHubQueuedFramesNeverRewritten(t *testing.T) {
 // buffers were recycled while it waited.
 func TestTCPHubQueueFullKeepsQueuedFrames(t *testing.T) {
 	hub := startHub(t)
+	reg := observe(hub)
 	sender := dial(t, hub, "sender")
 	probe := dial(t, hub, "probe")
 	slow := slowClient(t, hub, "slow")
@@ -195,18 +197,18 @@ func TestTCPHubQueueFullKeepsQueuedFrames(t *testing.T) {
 	routedBarrier(t, sender, probe)
 
 	meter := hub.Meter()
-	dropped, droppedBytes := meter.Dropped()
-	if dropped == 0 {
+	drops, droppedBytes := dropped(reg)
+	if drops == 0 {
 		t.Fatal("the queue never overflowed; the test needs more or larger frames")
 	}
 	if got := meter.ByKind()["flood"] + droppedBytes; got != sentBytes {
 		t.Errorf("delivered + dropped bytes = %d, want the %d sent", got, sentBytes)
 	}
 	last := int64(-1)
-	for n := int64(0); n < large+small-dropped; n++ {
+	for n := int64(0); n < large+small-drops; n++ {
 		msg, err := readFrame(slow, nil, nil)
 		if err != nil {
-			t.Fatalf("draining frame %d of %d: %v", n, large+small-dropped, err)
+			t.Fatalf("draining frame %d of %d: %v", n, large+small-drops, err)
 		}
 		if int64(msg.Seq) <= last {
 			t.Fatalf("frame %d arrived after frame %d", msg.Seq, last)

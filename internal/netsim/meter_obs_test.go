@@ -8,22 +8,20 @@ import (
 
 func TestMeterDropAccounting(t *testing.T) {
 	m := NewMeter()
-	m.Record("a", "b", "k", 100)
-	m.RecordDrop("a", "ghost", "k", 50)
-	m.RecordDrop("a", "ghost", "k", -1) // clamped to 0 bytes, still one drop
+	reg := obs.NewRegistry()
+	m.Attach(reg)
+	m.Record("k", 100)
+	m.RecordDrop(50)
+	m.RecordDrop(-1) // clamped to 0 bytes, still one drop
 	if got := m.Messages(); got != 1 {
 		t.Errorf("Messages = %d, want 1", got)
 	}
-	if msgs, bytes := m.Dropped(); msgs != 2 || bytes != 50 {
-		t.Errorf("Dropped = %d msgs, %d bytes; want 2 and 50", msgs, bytes)
+	if msgs, bytes := dropped(reg); msgs != 2 || bytes != 50 {
+		t.Errorf("dropped %d msgs, %d bytes; want 2 and 50", msgs, bytes)
 	}
 	// Dropped traffic must not pollute the delivered totals.
-	if m.Total() != 100 {
-		t.Errorf("Total = %d, want 100", m.Total())
-	}
-	m.Reset()
-	if msgs, bytes := m.Dropped(); msgs != 0 || bytes != 0 || m.Messages() != 0 {
-		t.Errorf("Reset left drops: %d msgs, %d bytes", msgs, bytes)
+	if m.Total() != 100 || m.ByKind()["k"] != 100 {
+		t.Errorf("Total = %d, ByKind = %v; want 100", m.Total(), m.ByKind())
 	}
 }
 
@@ -33,10 +31,10 @@ func TestMeterAttachMirrorsToRegistry(t *testing.T) {
 	m.Attach(reg)
 	m.Attach(nil) // nil registry must not clear the counters
 	m.Attach(reg)
-	m.Record("a", "b", "k", 100)
-	m.Record("a", "b", "k", 28)
-	m.RecordDrop("a", "ghost", "k", 64)
-	m.RecordInjectedDrop("a", "b", "k", 8)
+	m.Record("k", 100)
+	m.Record("k", 28)
+	m.RecordDrop(64)
+	m.RecordInjectedDrop(8)
 	m.RecordInjectedDelay()
 	m.RecordInjectedDelay()
 	s := reg.Snapshot()
@@ -59,11 +57,6 @@ func TestMeterAttachMirrorsToRegistry(t *testing.T) {
 	if got := s.Counters["net_tcp_injected_delays_total"]; got != 2 {
 		t.Errorf("net_tcp_injected_delays_total = %d", got)
 	}
-	// Meter.Reset leaves the cumulative obs counters alone.
-	m.Reset()
-	if got := reg.Counter("net_tcp_bytes_total").Value(); got != 128 {
-		t.Errorf("obs counter reset by Meter.Reset: %d", got)
-	}
 }
 
 // TestBusFullInboxRecordsDrop: once a destination's queue holds queueDepth
@@ -72,6 +65,8 @@ func TestBusFullInboxRecordsDrop(t *testing.T) {
 	h := &TCPHub{meter: NewMeter(), clients: map[string]*hubClient{
 		"sink": {name: "sink", out: make(chan hubFrame, queueDepth)},
 	}}
+	reg := obs.NewRegistry()
+	h.meter.Attach(reg)
 	frame := hubFrame{msg: Message{From: "a", To: "sink", Kind: "k"}}
 	for i := 0; i < queueDepth; i++ {
 		if !h.route(frame) {
@@ -81,7 +76,7 @@ func TestBusFullInboxRecordsDrop(t *testing.T) {
 	if h.route(frame) {
 		t.Fatal("overflow frame was queued")
 	}
-	if msgs, bytes := h.meter.Dropped(); msgs != 1 || bytes != 64 {
+	if msgs, bytes := dropped(reg); msgs != 1 || bytes != 64 {
 		t.Errorf("Dropped = %d msgs, %d bytes; want 1 and 64", msgs, bytes)
 	}
 	if got := h.meter.Messages(); got != queueDepth {
@@ -91,6 +86,7 @@ func TestBusFullInboxRecordsDrop(t *testing.T) {
 
 func TestTCPDropAccounting(t *testing.T) {
 	hub := startHub(t)
+	reg := observe(hub)
 	a := dial(t, hub, "a")
 	b := dial(t, hub, "b")
 	if err := a.Send("ghost", "x", nil); err != nil {
@@ -104,7 +100,7 @@ func TestTCPDropAccounting(t *testing.T) {
 	if _, err := b.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	if msgs, bytes := hub.Meter().Dropped(); msgs != 1 || bytes != 64 {
+	if msgs, bytes := dropped(reg); msgs != 1 || bytes != 64 {
 		t.Errorf("Dropped = %d msgs, %d bytes; want 1 and 64", msgs, bytes)
 	}
 }

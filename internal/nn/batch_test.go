@@ -18,11 +18,11 @@ func convNet(t *testing.T, seed int64) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := NewMaxPool2D(2, 8, 8, 2)
+	mp, err := newMaxPool2D(2, 8, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := NewLayerNorm(2 * 4 * 4)
+	ln, err := newLayerNorm(2 * 4 * 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ type LayerNorm struct {
 
 var _ Layer = (*LayerNorm)(nil)
 
-// NewLayerNorm returns a layer norm over vectors of length dim with γ = 1,
+// newLayerNorm returns a layer norm over vectors of length dim with γ = 1,
 // b = 0.
-func NewLayerNorm(dim int) (*LayerNorm, error) {
+func newLayerNorm(dim int) (*LayerNorm, error) {
 	if dim < 2 {
 		return nil, errors.New("nn: layernorm needs dim ≥ 2")
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLayerNormForwardNormalizes(t *testing.T) {
-	ln, err := NewLayerNorm(4)
+	ln, err := newLayerNorm(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestLayerNormForwardNormalizes(t *testing.T) {
 }
 
 func TestLayerNormAffine(t *testing.T) {
-	ln, err := NewLayerNorm(3)
+	ln, err := newLayerNorm(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestLayerNormAffine(t *testing.T) {
 
 func TestLayerNormGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(31)
-	ln, err := NewLayerNorm(6)
+	ln, err := newLayerNorm(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,10 @@ func TestLayerNormGradCheck(t *testing.T) {
 }
 
 func TestLayerNormValidation(t *testing.T) {
-	if _, err := NewLayerNorm(1); err == nil {
+	if _, err := newLayerNorm(1); err == nil {
 		t.Error("dim 1 accepted")
 	}
-	ln, err := NewLayerNorm(3)
+	ln, err := newLayerNorm(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLayerNormValidation(t *testing.T) {
 }
 
 func TestLayerNormFrozen(t *testing.T) {
-	ln, err := NewLayerNorm(4)
+	ln, err := newLayerNorm(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestLayerNormFrozen(t *testing.T) {
 
 func TestLayerNormTrainsInNetwork(t *testing.T) {
 	rng := tensor.NewRNG(32)
-	ln, err := NewLayerNorm(8)
+	ln, err := newLayerNorm(8)
 	if err != nil {
 		t.Fatal(err)
 	}

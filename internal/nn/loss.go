@@ -56,8 +56,8 @@ func SoftmaxCrossEntropyInto(grad, logits tensor.Vector, label int) (float64, er
 	return loss, nil
 }
 
-// Softmax returns the softmax probabilities of logits.
-func Softmax(logits tensor.Vector) tensor.Vector {
+// softmax returns the softmax probabilities of logits.
+func softmax(logits tensor.Vector) tensor.Vector {
 	if len(logits) == 0 {
 		return nil
 	}

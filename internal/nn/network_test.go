@@ -140,7 +140,7 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := Softmax(logits)
+	probs := softmax(logits)
 	if math.Abs(loss+math.Log(probs[2])) > 1e-9 {
 		t.Errorf("loss = %v, want %v", loss, -math.Log(probs[2]))
 	}
@@ -157,14 +157,14 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 }
 
 func TestSoftmaxStability(t *testing.T) {
-	probs := Softmax(tensor.Vector{1000, 1001, 1002})
+	probs := softmax(tensor.Vector{1000, 1001, 1002})
 	if !probs.IsFinite() {
 		t.Fatal("softmax overflowed")
 	}
 	if math.Abs(probs.Sum()-1) > 1e-9 {
 		t.Errorf("softmax sum = %v", probs.Sum())
 	}
-	if Softmax(nil) != nil {
+	if softmax(nil) != nil {
 		t.Error("softmax of empty must be nil")
 	}
 }

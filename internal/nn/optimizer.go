@@ -21,8 +21,6 @@ type Optimizer interface {
 	// change across a Reset (the first Step after it re-sizes the state);
 	// without one a layout change is ErrStateMismatch.
 	Reset()
-	// Name identifies the optimizer ("sgd", "sgdm", "rmsprop", "adam").
-	Name() string
 }
 
 // ErrStateMismatch is returned when Step is called with a parameter layout
@@ -104,9 +102,6 @@ func (o *SGD) Step(params, grads []tensor.Vector) error {
 // Reset is a no-op; SGD is stateless.
 func (o *SGD) Reset() {}
 
-// Name returns "sgd".
-func (o *SGD) Name() string { return "sgd" }
-
 // SGDM is SGD with classical momentum — the paper's default optimizer
 // (lr 0.1, momentum 0.9, Sec. VII-A).
 type SGDM struct {
@@ -137,9 +132,6 @@ func (o *SGDM) Step(params, grads []tensor.Vector) error {
 
 // Reset zeroes the momentum buffers.
 func (o *SGDM) Reset() { o.velocity.reset() }
-
-// Name returns "sgdm".
-func (o *SGDM) Name() string { return "sgdm" }
 
 // RMSprop divides the learning rate by a running RMS of recent gradients.
 type RMSprop struct {
@@ -177,9 +169,6 @@ func (o *RMSprop) Step(params, grads []tensor.Vector) error {
 
 // Reset zeroes the running squared-gradient buffers.
 func (o *RMSprop) Reset() { o.sq.reset() }
-
-// Name returns "rmsprop".
-func (o *RMSprop) Name() string { return "rmsprop" }
 
 // Adam combines momentum and RMS scaling with bias correction.
 type Adam struct {
@@ -233,9 +222,6 @@ func (o *Adam) Reset() {
 	o.v.reset()
 	o.timestep = 0
 }
-
-// Name returns "adam".
-func (o *Adam) Name() string { return "adam" }
 
 // NewOptimizer constructs an optimizer by name with the paper's default
 // hyper-parameters (Sec. VII-A: SGDM lr 0.1, momentum 0.9).

@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"rpol/internal/tensor"
@@ -79,10 +80,10 @@ func TestSGDMMomentumAccumulates(t *testing.T) {
 func TestOptimizerShapeErrors(t *testing.T) {
 	for _, opt := range []Optimizer{&SGD{LR: 0.1}, &SGDM{LR: 0.1}, &RMSprop{LR: 0.1, Decay: 0.9}, &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.99}} {
 		if err := opt.Step([]tensor.Vector{{1}}, nil); !errors.Is(err, ErrStateMismatch) {
-			t.Errorf("%s: err = %v, want ErrStateMismatch", opt.Name(), err)
+			t.Errorf("%T: err = %v, want ErrStateMismatch", opt, err)
 		}
 		if err := opt.Step([]tensor.Vector{{1, 2}}, []tensor.Vector{{1}}); !errors.Is(err, ErrStateMismatch) {
-			t.Errorf("%s: err = %v, want ErrStateMismatch", opt.Name(), err)
+			t.Errorf("%T: err = %v, want ErrStateMismatch", opt, err)
 		}
 	}
 }
@@ -110,16 +111,16 @@ func TestStatefulOptimizerLayoutChange(t *testing.T) {
 		// Different tensor count after state init must error, not corrupt.
 		err := opt.Step([]tensor.Vector{{1, 2}, {3}}, []tensor.Vector{{1, 1}, {1}})
 		if !errors.Is(err, ErrStateMismatch) {
-			t.Errorf("%s: err = %v, want ErrStateMismatch", opt.Name(), err)
+			t.Errorf("%T: err = %v, want ErrStateMismatch", opt, err)
 		}
 		// Same count but different size must error too.
 		err = opt.Step([]tensor.Vector{{1, 2, 3}}, []tensor.Vector{{1, 1, 1}})
 		if !errors.Is(err, ErrStateMismatch) {
-			t.Errorf("%s: err = %v, want ErrStateMismatch", opt.Name(), err)
+			t.Errorf("%T: err = %v, want ErrStateMismatch", opt, err)
 		}
 		// The original layout still steps: a refused Step leaves the state alone.
 		if err := opt.Step([]tensor.Vector{{1, 2}}, []tensor.Vector{{1, 1}}); err != nil {
-			t.Errorf("%s: original layout after refused steps: %v", opt.Name(), err)
+			t.Errorf("%T: original layout after refused steps: %v", opt, err)
 		}
 	}
 }
@@ -133,11 +134,11 @@ func TestResetClearsState(t *testing.T) {
 		opt.Reset()
 		// After reset, state layout may change freely...
 		if err := opt.Step([]tensor.Vector{{0, 0}}, []tensor.Vector{{1, 1}}); err != nil {
-			t.Errorf("%s: step after reset: %v", opt.Name(), err)
+			t.Errorf("%T: step after reset: %v", opt, err)
 		}
 		// ...once: the first Step after a Reset pins the new layout.
 		if err := opt.Step(p, []tensor.Vector{{1}}); !errors.Is(err, ErrStateMismatch) {
-			t.Errorf("%s: layout change without reset: err = %v, want ErrStateMismatch", opt.Name(), err)
+			t.Errorf("%T: layout change without reset: err = %v, want ErrStateMismatch", opt, err)
 		}
 	}
 }
@@ -198,8 +199,9 @@ func TestNewOptimizer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if opt.Name() != name {
-			t.Errorf("Name = %s, want %s", opt.Name(), name)
+		want := map[string]Optimizer{"sgd": &SGD{}, "sgdm": &SGDM{}, "rmsprop": &RMSprop{}, "adam": &Adam{}}[name]
+		if reflect.TypeOf(opt) != reflect.TypeOf(want) {
+			t.Errorf("NewOptimizer(%q) = %T, want %T", name, opt, want)
 		}
 	}
 	if _, err := NewOptimizer("adagrad", 0.1); err == nil {

@@ -31,8 +31,8 @@ type MaxPool2D struct {
 
 var _ Layer = (*MaxPool2D)(nil)
 
-// NewMaxPool2D returns a window×window max pool over (c, h, w) inputs.
-func NewMaxPool2D(c, h, w, window int) (*MaxPool2D, error) {
+// newMaxPool2D returns a window×window max pool over (c, h, w) inputs.
+func newMaxPool2D(c, h, w, window int) (*MaxPool2D, error) {
 	if c < 1 || h < 1 || w < 1 || window < 1 {
 		return nil, errors.New("nn: invalid maxpool geometry")
 	}

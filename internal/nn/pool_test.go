@@ -8,7 +8,7 @@ import (
 
 func TestMaxPoolForwardKnown(t *testing.T) {
 	// 1 channel, 4×4 input, 2×2 windows.
-	mp, err := NewMaxPool2D(1, 4, 4, 2)
+	mp, err := newMaxPool2D(1, 4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 }
 
 func TestMaxPoolBackwardRouting(t *testing.T) {
-	mp, err := NewMaxPool2D(1, 2, 2, 2)
+	mp, err := newMaxPool2D(1, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestMaxPoolBackwardRouting(t *testing.T) {
 }
 
 func TestMaxPoolValidation(t *testing.T) {
-	if _, err := NewMaxPool2D(0, 4, 4, 2); err == nil {
+	if _, err := newMaxPool2D(0, 4, 4, 2); err == nil {
 		t.Error("zero channels accepted")
 	}
-	if _, err := NewMaxPool2D(1, 5, 4, 2); err == nil {
+	if _, err := newMaxPool2D(1, 5, 4, 2); err == nil {
 		t.Error("non-dividing window accepted")
 	}
-	mp, err := NewMaxPool2D(1, 4, 4, 2)
+	mp, err := newMaxPool2D(1, 4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMaxPoolGradCheckInNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := NewMaxPool2D(2, 4, 4, 2)
+	mp, err := newMaxPool2D(2, 4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMaxPoolGradCheckInNetwork(t *testing.T) {
 }
 
 func TestMaxPoolMultiChannel(t *testing.T) {
-	mp, err := NewMaxPool2D(2, 2, 2, 2)
+	mp, err := newMaxPool2D(2, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,6 @@ type Delta struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Empty reports whether the delta carries no changes.
-func (d Delta) Empty() bool {
-	return len(d.Counters) == 0 && len(d.Gauges) == 0 && len(d.Histograms) == 0
-}
-
 // DiffSnapshots computes cur − prev: counters that grew (by the increment),
 // gauges whose bits changed (new value), and histograms that absorbed new
 // observations (per-bucket count increments, sum increment). Instruments

@@ -36,7 +36,7 @@ func TestDiffSnapshots(t *testing.T) {
 	}
 
 	// No changes → empty delta.
-	if d := DiffSnapshots(cur, reg.Snapshot()); !d.Empty() {
+	if d := DiffSnapshots(cur, reg.Snapshot()); len(d.Counters)+len(d.Gauges)+len(d.Histograms) != 0 {
 		t.Errorf("no-op delta = %+v", d)
 	}
 }

@@ -61,7 +61,6 @@ type Events struct {
 	ring    []StreamEvent
 	next    uint64 // next sequence number to assign (first is 1)
 	last    map[string]StreamEvent
-	subs    []*Subscription
 	dropped int64
 	cDrop   *Counter
 }
@@ -107,10 +106,9 @@ func (e *Events) Clock() Clock {
 	return e.clock
 }
 
-// Publish appends one event, assigning its sequence number and timestamp,
-// and wakes waiting subscribers. It never blocks beyond the log's own
-// short lock: slow consumers lose old events instead of stalling the
-// publisher.
+// Publish appends one event, assigning its sequence number and timestamp.
+// It never blocks beyond the log's own short lock: slow consumers lose old
+// events instead of stalling the publisher.
 func (e *Events) Publish(ev StreamEvent) {
 	if e == nil {
 		return
@@ -122,23 +120,6 @@ func (e *Events) Publish(ev StreamEvent) {
 	e.next++
 	e.ring[int((ev.Seq-1)%uint64(len(e.ring)))] = ev
 	e.last[ev.Kind] = ev
-	for _, s := range e.subs {
-		select {
-		case s.notify <- struct{}{}:
-		default: // already signalled; the pending wakeup covers this event
-		}
-	}
-}
-
-// LastSeq returns the sequence number of the most recent event (0 when
-// nothing has been published).
-func (e *Events) LastSeq() uint64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.next - 1
 }
 
 // Last returns the most recent event of the given kind.
@@ -152,17 +133,6 @@ func (e *Events) Last(kind string) (StreamEvent, bool) {
 	return ev, ok
 }
 
-// Dropped returns the total number of event deliveries lost to slow
-// consumers (ring overwrites observed as gaps at read time).
-func (e *Events) Dropped() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
-}
-
 // Since copies out every retained event with sequence number > since, in
 // order. latest is the newest sequence number assigned so far (pass it — or
 // the last returned event's Seq — as the next call's since). dropped counts
@@ -174,11 +144,6 @@ func (e *Events) Since(since uint64) (evs []StreamEvent, latest uint64, dropped 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sinceLocked(since)
-}
-
-// sinceLocked implements Since with e.mu held.
-func (e *Events) sinceLocked(since uint64) (evs []StreamEvent, latest uint64, dropped uint64) {
 	latest = e.next - 1
 	start := since + 1
 	oldest := uint64(1)
@@ -199,75 +164,4 @@ func (e *Events) sinceLocked(since uint64) (evs []StreamEvent, latest uint64, dr
 		evs = append(evs, e.ring[int((seq-1)%uint64(len(e.ring)))])
 	}
 	return evs, latest, dropped
-}
-
-// Subscribe registers a tailing consumer positioned at the current end of
-// the log. A nil log returns a nil subscription, which is itself inert.
-func (e *Events) Subscribe() *Subscription {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := &Subscription{events: e, cursor: e.next - 1, notify: make(chan struct{}, 1)}
-	e.subs = append(e.subs, s)
-	return s
-}
-
-// Subscription is one consumer's cursor into an Events log. Consumers
-// alternate Ready (wait for a wakeup) and Poll (drain everything new); a
-// consumer that polls too rarely loses the overwritten events and sees the
-// loss in Poll's dropped count. All methods are nil-safe.
-type Subscription struct {
-	events *Events
-	cursor uint64 // guarded by events.mu
-	notify chan struct{}
-	closed bool // guarded by events.mu
-}
-
-// Ready returns a channel that receives a token whenever events may be
-// pending. A nil subscription returns nil (which blocks forever — pair
-// with Poll in a select that has an exit path).
-func (s *Subscription) Ready() <-chan struct{} {
-	if s == nil {
-		return nil
-	}
-	return s.notify
-}
-
-// Poll drains every event published since the previous Poll, advancing the
-// cursor. dropped counts events lost to ring overwrite since then.
-func (s *Subscription) Poll() (evs []StreamEvent, dropped uint64) {
-	if s == nil {
-		return nil, 0
-	}
-	e := s.events
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s.closed {
-		return nil, 0
-	}
-	evs, latest, dropped := e.sinceLocked(s.cursor)
-	s.cursor = latest
-	return evs, dropped
-}
-
-// Close unregisters the subscription; further Polls return nothing.
-func (s *Subscription) Close() {
-	if s == nil {
-		return
-	}
-	e := s.events
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for i, sub := range e.subs {
-		if sub == s {
-			e.subs = append(e.subs[:i], e.subs[i+1:]...)
-			break
-		}
-	}
 }

@@ -55,68 +55,67 @@ func TestEventsDropOldestAccounting(t *testing.T) {
 	if len(evs) != 4 || evs[0].Seq != 7 || evs[3].Seq != 10 {
 		t.Fatalf("retained window = %+v", evs)
 	}
-	if got := e.Dropped(); got != 6 {
-		t.Errorf("Dropped() = %d", got)
+	if e.dropped != 6 {
+		t.Errorf("the log counts %d drops, want 6", e.dropped)
 	}
 	if got := reg.Counter("obs_events_dropped_total").Value(); got != 6 {
 		t.Errorf("obs_events_dropped_total = %d", got)
 	}
 }
 
+// TestEventsSlowSubscriber: two consumers tail one log through Since, each
+// with its own cursor; the one that reads too rarely loses the overwritten
+// events and sees the loss, and the other loses nothing it could have read.
 func TestEventsSlowSubscriber(t *testing.T) {
 	reg := NewRegistry()
 	e := NewEvents(4, nil)
 	e.Observe(reg)
-	fast := e.Subscribe()
-	slow := e.Subscribe()
+	var fast, slow uint64 // each consumer's cursor
 
 	e.Publish(StreamEvent{Kind: EventEpochSealed, Epoch: 0})
 	e.Publish(StreamEvent{Kind: EventEpochSealed, Epoch: 1})
-	if evs, dropped := fast.Poll(); len(evs) != 2 || dropped != 0 {
-		t.Fatalf("fast poll: %d events, dropped %d", len(evs), dropped)
+	evs, fast, dropped := e.Since(fast)
+	if len(evs) != 2 || dropped != 0 {
+		t.Fatalf("fast read: %d events, dropped %d", len(evs), dropped)
 	}
-	// The slow subscriber sleeps through 8 more publishes: the ring holds 4,
-	// so 6 of its 10 pending events are gone by the time it polls.
+	// The slow consumer sleeps through 8 more publishes: the ring holds 4,
+	// so 6 of its 10 pending events are gone by the time it reads.
 	for i := 2; i < 10; i++ {
 		e.Publish(StreamEvent{Kind: EventEpochSealed, Epoch: int64(i)})
 	}
-	evs, dropped := slow.Poll()
+	evs, slow, dropped = e.Since(slow)
 	if dropped != 6 {
-		t.Fatalf("slow subscriber dropped %d, want 6", dropped)
+		t.Fatalf("slow consumer dropped %d, want 6", dropped)
 	}
-	if len(evs) != 4 || evs[0].Seq != 7 {
-		t.Fatalf("slow subscriber events = %+v", evs)
+	if len(evs) != 4 || evs[0].Seq != 7 || slow != 10 {
+		t.Fatalf("slow consumer events = %+v, cursor %d", evs, slow)
 	}
 	if got := reg.Counter("obs_events_dropped_total").Value(); got != 6 {
 		t.Errorf("obs_events_dropped_total = %d", got)
 	}
-	// The fast subscriber missed nothing.
-	if evs, dropped := fast.Poll(); len(evs) != 4 || dropped != 4 {
-		// It polled after 2, then 8 more arrived into a 4-ring: 4 lost.
-		t.Fatalf("fast second poll: %d events, dropped %d", len(evs), dropped)
+	// It read after 2, then 8 more arrived into a 4-ring: 4 lost.
+	if evs, _, dropped := e.Since(fast); len(evs) != 4 || dropped != 4 {
+		t.Fatalf("fast second read: %d events, dropped %d", len(evs), dropped)
 	}
-	slow.Close()
-	if evs, _ := slow.Poll(); evs != nil {
-		t.Error("closed subscription still returns events")
+	// A caught-up cursor reads nothing more.
+	if evs, latest, dropped := e.Since(slow); evs != nil || latest != slow || dropped != 0 {
+		t.Errorf("caught-up read = %d events, latest %d, dropped %d", len(evs), latest, dropped)
 	}
 }
 
+// TestEventsSubscriptionWakeup: a tailing consumer positioned at the end of
+// the log reads nothing until the next publish, then exactly that event.
 func TestEventsSubscriptionWakeup(t *testing.T) {
 	e := NewEvents(8, nil)
-	s := e.Subscribe()
-	select {
-	case <-s.Ready():
-		t.Fatal("ready before any publish")
-	default:
+	e.Publish(StreamEvent{Kind: EventEpochSealed})
+	_, cursor, _ := e.Since(0)
+	if evs, latest, _ := e.Since(cursor); evs != nil || latest != cursor {
+		t.Fatalf("read %d events before any further publish", len(evs))
 	}
 	e.Publish(StreamEvent{Kind: EventJournalRecovery})
-	select {
-	case <-s.Ready():
-	default:
-		t.Fatal("no wakeup after publish")
-	}
-	if evs, _ := s.Poll(); len(evs) != 1 {
-		t.Fatalf("poll after wakeup = %d events", len(evs))
+	evs, latest, _ := e.Since(cursor)
+	if len(evs) != 1 || evs[0].Kind != EventJournalRecovery || latest != cursor+1 {
+		t.Fatalf("read after publish = %+v, latest %d", evs, latest)
 	}
 }
 
@@ -136,16 +135,8 @@ func TestEventsLastAndNilSafety(t *testing.T) {
 	if _, _, d := nilEv.Since(0); d != 0 {
 		t.Error("nil Since dropped != 0")
 	}
-	if nilEv.Subscribe() != nil {
-		t.Error("nil Subscribe != nil")
-	}
-	var nilSub *Subscription
-	nilSub.Close()
-	if evs, _ := nilSub.Poll(); evs != nil {
-		t.Error("nil subscription poll")
-	}
-	if nilSub.Ready() != nil {
-		t.Error("nil subscription Ready != nil")
+	if _, ok := nilEv.Last(EventEpochSealed); ok {
+		t.Error("nil Last found an event")
 	}
 
 	var nilObs *Observer
@@ -172,9 +163,9 @@ func TestEventsConcurrentPublishPoll(t *testing.T) {
 	e.Observe(reg)
 	const publishers, perPublisher = 4, 250
 
-	// Subscribed before any publisher starts, so every event is either
+	// The cursor starts before any publisher does, so every event is either
 	// tailed or counted as dropped.
-	sub := e.Subscribe()
+	var cursor uint64
 	var wg sync.WaitGroup
 	for p := 0; p < publishers; p++ {
 		wg.Add(1)
@@ -194,7 +185,8 @@ func TestEventsConcurrentPublishPoll(t *testing.T) {
 	var lastSeq uint64
 poll:
 	for {
-		evs, d := sub.Poll()
+		evs, latest, d := e.Since(cursor)
+		cursor = latest
 		tailed += uint64(len(evs))
 		dropped += d
 		for i := 1; i < len(evs); i++ {
@@ -213,14 +205,14 @@ poll:
 		default:
 		}
 	}
-	evs, d := sub.Poll()
+	evs, latest, d := e.Since(cursor)
 	tailed += uint64(len(evs))
 	dropped += d
 	if total := tailed + dropped; total != publishers*perPublisher {
 		t.Errorf("tailed %d + dropped %d = %d, want %d",
 			tailed, dropped, tailed+dropped, publishers*perPublisher)
 	}
-	if got := e.LastSeq(); got != publishers*perPublisher {
-		t.Errorf("LastSeq = %d", got)
+	if latest != publishers*perPublisher {
+		t.Errorf("latest = %d", latest)
 	}
 }

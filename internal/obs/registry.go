@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -150,9 +149,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered instrument (the instruments themselves stay
+// reset zeroes every registered instrument (the instruments themselves stay
 // registered, so cached handles remain valid).
-func (r *Registry) Reset() {
+func (r *Registry) reset() {
 	if r == nil {
 		return
 	}
@@ -264,11 +263,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Empty reports whether the snapshot holds no instruments at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
-}
-
 // WriteText writes the snapshot in a sorted, line-oriented exposition
 // format: one "kind name value" line per instrument.
 func (s Snapshot) WriteText(w io.Writer) error {
@@ -313,6 +307,3 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	return nil
 }
-
-// JSON returns the snapshot as deterministic (sorted-key) JSON.
-func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }

@@ -85,7 +85,7 @@ func TestResetKeepsInstrumentIdentity(t *testing.T) {
 	c.Add(7)
 	h := r.Histogram("h", []float64{1})
 	h.Observe(0.5)
-	r.Reset()
+	r.reset()
 	if c.Value() != 0 {
 		t.Errorf("counter after reset = %d", c.Value())
 	}
@@ -104,8 +104,8 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(1)
 	r.Histogram("h", []float64{1}).Observe(1)
-	r.Reset()
-	if !r.Snapshot().Empty() {
+	r.reset()
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Error("nil registry snapshot not empty")
 	}
 

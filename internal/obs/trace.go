@@ -178,9 +178,6 @@ func BuildSpanTree(events []Event) *SpanTree {
 	return t
 }
 
-// Name returns the span's name ("" when unknown).
-func (t *SpanTree) Name(id int64) string { return t.names[id] }
-
 // Ancestry returns the span names from id up to its root, starting with id's
 // own name.
 func (t *SpanTree) Ancestry(id int64) []string {

@@ -8,11 +8,9 @@
 package obscli
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof registers the profiling handlers
 	"os"
@@ -100,28 +98,6 @@ func (o *Options) ProtocolClock() obs.Clock {
 	return nil
 }
 
-// serveHTTP binds addr and serves handler in the background, returning the
-// bound address and a bounded-deadline stopper. Startup (bind) failures are
-// returned synchronously so a typo'd address fails the command instead of
-// a goroutine racing os.Exit.
-func serveHTTP(addr string, handler http.Handler) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: handler}
-	go func() { _ = srv.Serve(ln) }()
-	stop := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return srv.Close()
-		}
-		return nil
-	}
-	return ln.Addr().String(), stop, nil
-}
-
 // Setup builds the observer the options describe, installs it as the
 // process-wide default, and starts the exposition and pprof servers if
 // requested. The returned finish func must run after the workload: it
@@ -136,20 +112,20 @@ func (o *Options) Setup(out io.Writer) (*obs.Observer, func() error, error) {
 	if o.FaultSeed != 0 {
 		netsim.SetDefaultFaultPlan(netsim.NewFaultPlan(o.FaultSeed, netsim.DefaultFaultConfig()))
 	}
-	var stops []func() error
+	var stops []func(timeout time.Duration) error
 	if o.PprofAddr != "" {
-		addr, stop, err := serveHTTP(o.PprofAddr, http.DefaultServeMux)
+		run, err := obshttp.Serve(o.PprofAddr, http.DefaultServeMux)
 		if err != nil {
 			return nil, nil, fmt.Errorf("pprof: %w", err)
 		}
-		fmt.Fprintln(os.Stderr, "pprof listening on", addr)
-		o.BoundPprof = addr
-		stops = append(stops, stop)
+		fmt.Fprintln(os.Stderr, "pprof listening on", run.Addr)
+		o.BoundPprof = run.Addr
+		stops = append(stops, run.Shutdown)
 	}
 	stopAll := func() error {
 		var first error
 		for _, stop := range stops {
-			if err := stop(); err != nil && first == nil {
+			if err := stop(shutdownTimeout); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -181,16 +157,16 @@ func (o *Options) Setup(out io.Writer) (*obs.Observer, func() error, error) {
 		events := obs.NewEvents(0, obs.NewWallClock())
 		events.Observe(reg)
 		observer.AttachEvents(events)
-		addr, stop, err := serveHTTP(o.Serve, obshttp.NewServer(obshttp.Config{
+		run, err := obshttp.Serve(o.Serve, obshttp.NewServer(obshttp.Config{
 			Observer:   observer,
 			MaxSealAge: DefaultMaxSealAge,
 		}).Handler())
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: %w", err)
 		}
-		fmt.Fprintln(os.Stderr, "observability plane listening on", addr)
-		o.BoundServe = addr
-		stops = append(stops, stop)
+		fmt.Fprintln(os.Stderr, "observability plane listening on", run.Addr)
+		o.BoundServe = run.Addr
+		stops = append(stops, run.Shutdown)
 	}
 	obs.SetDefault(observer)
 

@@ -190,37 +190,30 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// Running is a bound, serving exposition endpoint.
+// Running is a bound, serving HTTP endpoint.
 type Running struct {
 	// Addr is the actual listen address (resolves ":0" ports).
 	Addr string
 	srv  *http.Server
 }
 
-// Serve binds addr and serves the exposition surface in a background
-// goroutine. The returned Running's Shutdown must be called to release the
+// Serve binds addr and serves h in a background goroutine. A bind failure
+// returns here, so a mistyped address fails the command instead of a
+// goroutine racing its exit. Shutdown must be called to release the
 // listener.
-func Serve(addr string, cfg Config) (*Running, error) {
+func Serve(addr string, h http.Handler) (*Running, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obshttp: %w", err)
+		return nil, err
 	}
-	srv := &http.Server{Handler: NewServer(cfg).Handler()}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			// The listener died under us; nothing to do but let scrapes fail.
-			_ = err
-		}
-	}()
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
 	return &Running{Addr: ln.Addr().String(), srv: srv}, nil
 }
 
 // Shutdown gracefully stops the server, waiting at most timeout for
-// in-flight scrapes, then force-closes. Safe to call more than once.
+// in-flight requests, then force-closes. Safe to call more than once.
 func (r *Running) Shutdown(timeout time.Duration) error {
-	if r == nil || r.srv == nil {
-		return nil
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	err := r.srv.Shutdown(ctx)

@@ -157,7 +157,7 @@ func TestNilObserverServesEmpty(t *testing.T) {
 	defer ts.Close()
 	var sr snapshotResponse
 	getJSON(t, ts.URL+"/snapshot", &sr)
-	if !sr.Snapshot.Empty() {
+	if s := sr.Snapshot; len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Errorf("nil observer snapshot = %+v", sr.Snapshot)
 	}
 	var er eventsResponse
@@ -177,7 +177,7 @@ func TestNilObserverServesEmpty(t *testing.T) {
 // Shutdown tears it down: the next request must fail to connect.
 func TestServeShutdownReleasesListener(t *testing.T) {
 	o, _ := newTestObserver(64)
-	run, err := Serve("localhost:0", Config{Observer: o})
+	run, err := Serve("localhost:0", NewServer(Config{Observer: o}).Handler())
 	if err != nil {
 		t.Fatal(err)
 	}

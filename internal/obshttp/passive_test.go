@@ -54,7 +54,7 @@ func TestServeIsPassive(t *testing.T) {
 	events := obs.NewEvents(1024, nil)
 	events.Observe(reg)
 	observed.Obs.AttachEvents(events)
-	srv, err := Serve("localhost:0", Config{Observer: observed.Obs})
+	srv, err := Serve("localhost:0", NewServer(Config{Observer: observed.Obs}).Handler())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,14 +121,6 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Run executes the given thunks, possibly concurrently, and blocks until all
-// finished. Determinism contract is the caller's: each thunk must own its
-// outputs (indexed slots), with any cross-thunk merge done afterwards in
-// index order.
-func (p *Pool) Run(fns ...func()) {
-	p.For(len(fns), 1, func(lo, _ int) { fns[lo]() })
-}
-
 // defaultWorkers is the process-wide worker budget commands install from
 // their -jobs flag. It is configuration (like GOMAXPROCS), not protocol
 // state: because every primitive is bit-deterministic in the worker count,

@@ -115,20 +115,21 @@ func TestOrderedReductionBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRun: For at grain 1 runs each index once, each owning its output
+// slot, and an empty range returns at once.
 func TestRun(t *testing.T) {
 	out := make([]int, 5)
-	fns := make([]func(), 5)
-	for i := range fns {
-		i := i
-		fns[i] = func() { out[i] = i * i }
-	}
-	New(3).Run(fns...)
+	New(3).For(len(out), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = i * i
+		}
+	})
 	for i, v := range out {
 		if v != i*i {
-			t.Errorf("thunk %d: got %d", i, v)
+			t.Errorf("index %d: got %d", i, v)
 		}
 	}
-	New(2).Run() // no thunks: must not deadlock
+	New(2).For(0, 1, func(lo, hi int) { t.Errorf("empty range ran [%d, %d)", lo, hi) })
 }
 
 func TestDefaultWorkersKnob(t *testing.T) {

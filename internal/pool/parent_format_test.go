@@ -157,7 +157,7 @@ func TestResumeParentFormatJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		if rec := p.Recovered(); len(rec) != 1 || sealSummary(rec[0]) != want[0] {
+		if rec := p.recovered; len(rec) != 1 || sealSummary(rec[0]) != want[0] {
 			t.Fatalf("recovered seals %+v, want epoch 0 %+v", rec, want[0])
 		}
 		stats, err := p.RunEpoch()

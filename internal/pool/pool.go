@@ -201,7 +201,7 @@ type Pool struct {
 	// Durability layer (nil/empty without Config.Journal).
 	fs        fsio.FS
 	journal   *journal.Journal
-	recovered []journal.Seal
+	recovered []journal.Seal // the seals a resumed pool replayed its position from
 
 	// encBuf is the reused global-model encode scratch for seal digests and
 	// resume checks, stateBuf and fileBuf the state snapshot's body and file;
@@ -609,12 +609,6 @@ func readState(fs fsio.FS, dir string) (*diskState, error) {
 // CompletedEpochs returns the number of sealed epochs (including recovered
 // ones after a resume).
 func (p *Pool) CompletedEpochs() int { return p.manager.Epoch() }
-
-// Recovered returns the seal records a resumed pool replayed its position
-// from (nil for a fresh pool).
-func (p *Pool) Recovered() []journal.Seal {
-	return append([]journal.Seal(nil), p.recovered...)
-}
 
 // Close releases the pool's durability resources (the journal's append
 // handle). Safe on a pool without a journal.

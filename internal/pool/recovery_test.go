@@ -280,7 +280,7 @@ func TestResumeAfterCleanStop(t *testing.T) {
 	if kinds[obs.EventPoolResumed] != 1 || kinds[obs.EventJournalRecovery] != 1 {
 		t.Errorf("resume published %v, want one %s and one %s", kinds, obs.EventPoolResumed, obs.EventJournalRecovery)
 	}
-	if rec := resumed.Recovered(); len(rec) != 1 || sealSummary(rec[0]) != got[0] {
+	if rec := resumed.recovered; len(rec) != 1 || sealSummary(rec[0]) != got[0] {
 		t.Fatalf("recovered seals %+v do not match the epoch actually run", rec)
 	}
 	for resumed.CompletedEpochs() < epochs {
@@ -515,7 +515,7 @@ func crashAndRecover(dir string, s sweep, epochs int, ord uint64, base baseline)
 	}
 	defer resumed.Close()
 	got := make([]epochSummary, 0, epochs)
-	for _, seal := range resumed.Recovered() {
+	for _, seal := range resumed.recovered {
 		got = append(got, sealSummary(seal))
 	}
 	for resumed.CompletedEpochs() < epochs {

@@ -27,7 +27,7 @@ type Nonce uint64
 var ErrEmptyDataset = errors.New("prf: empty dataset")
 
 // PRF is a keyed pseudo-random function based on HMAC-SHA256. The zero value
-// is not usable; construct with New. Eval, EvalBytes and DataIndex are safe
+// is not usable; construct with New. Eval, evalBytes and DataIndex are safe
 // for concurrent use; the batch-schedule methods share scratch and are not.
 type PRF struct {
 	key []byte
@@ -66,8 +66,8 @@ func (p *PRF) Eval(x uint64) uint64 {
 	return binary.BigEndian.Uint64(mac.Sum(nil))
 }
 
-// EvalBytes returns the full 32-byte PRF output for an arbitrary input.
-func (p *PRF) EvalBytes(input []byte) [32]byte {
+// evalBytes returns the full 32-byte PRF output for an arbitrary input.
+func (p *PRF) evalBytes(input []byte) [32]byte {
 	mac := hmac.New(sha256.New, p.key)
 	mac.Write(input)
 	var out [32]byte

@@ -180,14 +180,14 @@ func TestBatchCoverage(t *testing.T) {
 
 func TestEvalBytes(t *testing.T) {
 	p := New([]byte("k"))
-	a := p.EvalBytes([]byte("hello"))
-	b := p.EvalBytes([]byte("hello"))
+	a := p.evalBytes([]byte("hello"))
+	b := p.evalBytes([]byte("hello"))
 	if a != b {
-		t.Error("EvalBytes must be deterministic")
+		t.Error("evalBytes must be deterministic")
 	}
-	c := p.EvalBytes([]byte("world"))
+	c := p.evalBytes([]byte("world"))
 	if a == c {
-		t.Error("EvalBytes must differ across inputs")
+		t.Error("evalBytes must differ across inputs")
 	}
 }
 

@@ -87,10 +87,6 @@ type Manager struct {
 	verifier   *Verifier
 	calibrator *Calibrator
 
-	// lastCal is the most recent calibration (nil before the first
-	// calibrated epoch or under the baseline scheme).
-	lastCal *Calibration
-
 	// encBuf is the reused journal-digest encode scratch; RunEpoch drives
 	// the epoch sequentially, so one buffer serves every checksum.
 	encBuf []byte
@@ -170,8 +166,10 @@ func NewManager(cfg ManagerConfig, net *nn.Network, workers []Worker, shards map
 	}, nil
 }
 
-// Global returns a copy of the current global model weights.
-func (m *Manager) Global() tensor.Vector { return m.global.Clone() }
+// Global returns the current global model weights: the manager's own
+// vector, read-only, and valid until its next RunEpoch or Restore. A caller
+// that keeps θ across an epoch clones it.
+func (m *Manager) Global() tensor.Vector { return m.global }
 
 // Restore rewinds the manager to the state after `completed` epochs with
 // the given global model — crash recovery replaying a journal calls it
@@ -184,8 +182,7 @@ func (m *Manager) Restore(completed int, global tensor.Vector) error {
 		return fmt.Errorf("rpol manager restore: global has %d weights, want %d", len(global), len(m.global))
 	}
 	m.epoch = completed
-	m.global = global.Clone()
-	m.lastCal = nil
+	copy(m.global, global)
 	return nil
 }
 
@@ -197,9 +194,6 @@ func (m *Manager) epochSeed(label string, epoch int) int64 {
 
 // Epoch returns the number of completed epochs.
 func (m *Manager) Epoch() int { return m.epoch }
-
-// LastCalibration returns the most recent epoch's calibration, or nil.
-func (m *Manager) LastCalibration() *Calibration { return m.lastCal }
 
 // topTwoProfiles picks the two fastest GPU profiles registered by workers.
 // With fewer than two distinct registrations the manager's own profile
@@ -264,7 +258,6 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.lastCal = cal
 		report.Calibration = cal
 		m.verifier.Beta = cal.Beta
 		if m.cfg.Scheme == SchemeV2 {

@@ -254,9 +254,9 @@ func (tr *Trace) Final() tensor.Vector {
 	return tr.Checkpoints[len(tr.Checkpoints)-1]
 }
 
-// Update computes the local model update L = final − initial submitted for
+// update computes the local model update L = final − initial submitted for
 // aggregation (Eq. 1).
-func (tr *Trace) Update() (tensor.Vector, error) {
+func (tr *Trace) update() (tensor.Vector, error) {
 	if len(tr.Checkpoints) < 2 {
 		return nil, fmt.Errorf("rpol: trace has %d checkpoints", len(tr.Checkpoints))
 	}

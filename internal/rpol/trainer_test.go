@@ -278,7 +278,7 @@ func TestIntervalStepsBounds(t *testing.T) {
 
 func TestTraceUpdate(t *testing.T) {
 	tr := &Trace{Checkpoints: []tensor.Vector{{1, 1}, {3, 0}}}
-	u, err := tr.Update()
+	u, err := tr.update()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestTraceUpdate(t *testing.T) {
 		t.Errorf("Update = %v", u)
 	}
 	short := &Trace{Checkpoints: []tensor.Vector{{1}}}
-	if _, err := short.Update(); err == nil {
+	if _, err := short.update(); err == nil {
 		t.Error("want error for single-checkpoint trace")
 	}
 	if (&Trace{}).Final() != nil {

@@ -228,7 +228,7 @@ func lazySubmission(t *testing.T, fake *Trace, fam *lsh.Family, ds *dataset.Data
 	if err != nil {
 		t.Fatal(err)
 	}
-	update, err := fake.Update()
+	update, err := fake.update()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestHonestWorkerBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.ID() != "w" || w.GPUProfile().Name != "GA10" || w.ShardSize() != ds.Len() {
+	if w.ID() != "w" || w.GPUProfile().Name != "GA10" || w.trainer.Shard.Len() != ds.Len() {
 		t.Error("accessor mismatch")
 	}
 	if _, err := w.OpenCheckpoint(0); err == nil {

@@ -73,9 +73,6 @@ func (w *HonestWorker) ID() string { return w.id }
 // GPUProfile returns the registered hardware profile.
 func (w *HonestWorker) GPUProfile() gpu.Profile { return w.profile }
 
-// ShardSize returns |D_w|.
-func (w *HonestWorker) ShardSize() int { return w.trainer.Shard.Len() }
-
 // SetStore directs the worker to index its trace's checkpoints in st after
 // training; proof openings are then served through the store. The store
 // refers to the trace's own vectors, so the worker clears it before its next

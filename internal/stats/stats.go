@@ -122,9 +122,9 @@ func NormalCDF(x, mean, std float64) float64 {
 // StdNormalCDF returns Φ(z), the standard normal CDF.
 func StdNormalCDF(z float64) float64 { return NormalCDF(z, 0, 1) }
 
-// NormalQuantile returns the z with NormalCDF(z, mean, std) = p, computed by
+// normalQuantile returns the z with NormalCDF(z, mean, std) = p, computed by
 // bisection. p must lie strictly in (0, 1).
-func NormalQuantile(p, mean, std float64) (float64, error) {
+func normalQuantile(p, mean, std float64) (float64, error) {
 	if p <= 0 || p >= 1 {
 		return 0, errors.New("stats: quantile probability out of (0,1)")
 	}
@@ -248,9 +248,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return cov / math.Sqrt(vx*vy), nil
 }
 
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
+// histogram bins xs into n equal-width buckets over [min, max] and returns
 // the bucket edges (n+1 values) and counts (n values).
-func Histogram(xs []float64, n int) (edges []float64, counts []int, err error) {
+func histogram(xs []float64, n int) (edges []float64, counts []int, err error) {
 	if n <= 0 {
 		return nil, nil, errors.New("stats: histogram needs at least one bucket")
 	}

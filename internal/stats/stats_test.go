@@ -105,7 +105,7 @@ func TestNormalCDFDegenerate(t *testing.T) {
 
 func TestNormalQuantileInvertsCDF(t *testing.T) {
 	for _, p := range []float64{0.01, 0.05, 0.5, 0.95, 0.99} {
-		z, err := NormalQuantile(p, 3, 2)
+		z, err := normalQuantile(p, 3, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +113,10 @@ func TestNormalQuantileInvertsCDF(t *testing.T) {
 			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
 		}
 	}
-	if _, err := NormalQuantile(0, 0, 1); err == nil {
+	if _, err := normalQuantile(0, 0, 1); err == nil {
 		t.Error("want error for p=0")
 	}
-	if _, err := NormalQuantile(1, 0, 1); err == nil {
+	if _, err := normalQuantile(1, 0, 1); err == nil {
 		t.Error("want error for p=1")
 	}
 }
@@ -172,7 +172,7 @@ func TestKSTestSmallSample(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	edges, counts, err := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
+	edges, counts, err := histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +182,16 @@ func TestHistogram(t *testing.T) {
 	if counts[0]+counts[1] != 5 {
 		t.Errorf("histogram loses mass: %v", counts)
 	}
-	if _, _, err := Histogram(nil, 2); err == nil {
+	if _, _, err := histogram(nil, 2); err == nil {
 		t.Error("want error for empty sample")
 	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
+	if _, _, err := histogram([]float64{1}, 0); err == nil {
 		t.Error("want error for zero buckets")
 	}
 }
 
 func TestHistogramConstantSample(t *testing.T) {
-	_, counts, err := Histogram([]float64{2, 2, 2}, 3)
+	_, counts, err := histogram([]float64{2, 2, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // shapes and the flop target, never on the worker count. Inside a row block, a tile of gemmTile
 // output rows shares each streamed operand row (cache blocking), and the
 // per-tile accumulators live in registers (register tiling). The reduction
-// dimension is NEVER blocked: k (or the batch index, for AddOuterBatch) is
+// dimension is NEVER blocked: k (or the batch index, for AddOuterBatchPool) is
 // always the innermost ascending loop of each chain.
 
 // gemmTile is the register-tile height: how many independent accumulation
@@ -39,15 +39,8 @@ const gemmTile = 4
 // either vector tier starts on a packed tile.
 const laneTile = 8
 
-// MulMatInto computes dst = x · mᵀ without allocating: row b of dst is
-// m·x.Row(b), the batched form of MulVecInto. Shapes: x is batch×m.Cols,
-// dst is batch×m.Rows. Bit-identical to calling MulVecInto per row.
-func (m *Matrix) MulMatInto(dst, x *Matrix) error {
-	return m.MulMatScratch(dst, x, nil)
-}
-
 // MulMatPackSize returns the pack-scratch length (in float64s) that lets
-// MulMatScratch/MulMatPoolScratch take the host's vector kernel for a
+// MulMatPoolScratch take the host's vector kernel for a
 // batch×cols input: whole 8-row tiles on AVX-512 hosts, whole 4-row tiles on
 // AVX2 ones. Zero when the host has no vector path — callers Grab(0) and the
 // dispatch falls through to the portable kernel.
@@ -59,16 +52,6 @@ func MulMatPackSize(batch, cols int) int {
 		return (batch &^ (gemmTile - 1)) * cols
 	}
 	return 0
-}
-
-// MulMatScratch is MulMatInto with optional pack scratch. When the host
-// supports a vector kernel and pack has MulMatPackSize capacity, whole batch
-// tiles run vectorized: x is repacked lane-interleaved and each vector lane
-// advances one output element's ascending-k chain — the lanes are the
-// independent per-element chains of the portable kernel, so the result is
-// bit-identical either way (SIMD here is wall-clock only, never semantics).
-func (m *Matrix) MulMatScratch(dst, x *Matrix, pack Vector) error {
-	return m.MulMatPoolScratch(nil, dst, x, nil, pack)
 }
 
 func (m *Matrix) checkMulMat(dst, x *Matrix, bias Vector) error {
@@ -155,16 +138,20 @@ func addBias(dst *Matrix, bias Vector, lo, hi int) {
 	}
 }
 
-// MulMatPool is MulMatInto with dst rows chunked across the pool.
-// Bit-identical to the serial form for any worker count; a nil pool runs
-// serially with no closure overhead.
-func (m *Matrix) MulMatPool(p *parallel.Pool, dst, x *Matrix) error {
-	return m.MulMatPoolScratch(p, dst, x, nil, nil)
-}
-
-// MulMatPoolScratch computes dst = x·mᵀ + bias — bias, when non-nil, added
-// to every row after its chains, the bits of a per-row AXPY(1, bias) — with
-// dst rows chunked across the pool and pack as in MulMatScratch. The pack
+// MulMatPoolScratch computes dst = x·mᵀ + bias without allocating: row b of
+// dst is m·x.Row(b), the batched form of MulVecInto and bit-identical to
+// calling it per row, and bias, when non-nil, is added to every row after
+// its chains, the bits of a per-row AXPY(1, bias). Shapes: x is
+// batch×m.Cols, dst is batch×m.Rows.
+//
+// pack is optional scratch: when the host supports a vector kernel and pack
+// has MulMatPackSize capacity, whole batch tiles run vectorized. x is
+// repacked lane-interleaved and each vector lane advances one output
+// element's ascending-k chain — the lanes are the independent per-element
+// chains of the portable kernel, so the result is bit-identical either way
+// (SIMD here is wall-clock only, never semantics).
+//
+// dst rows are chunked across the pool; a nil pool runs serially. The pack
 // buffer is filled once up front and then only read by the chunks, so
 // sharing it is race-free; chunk grain is a whole number of batch tiles, so
 // every chunk keeps the vector path.
@@ -236,14 +223,6 @@ func (m *Matrix) mulMatRows(t kernelTier, dst, x *Matrix, bias, pack Vector, lo,
 	addBias(dst, bias, lo, hi)
 }
 
-// MulMatTInto computes dst = x · m without allocating: row b of dst is
-// mᵀ·x.Row(b), the batched form of MulVecTInto (backprop through a dense
-// layer for a whole batch). Shapes: x is batch×m.Rows, dst is batch×m.Cols.
-// Bit-identical to calling MulVecTInto per row.
-func (m *Matrix) MulMatTInto(dst, x *Matrix) error {
-	return m.MulMatTPool(nil, dst, x)
-}
-
 // outerTier picks the accumulation kernel for a dst row of cols columns
 // summed over n terms: AVX-512 for any non-empty shape (its column tail runs
 // under a mask), AVX2 from one whole 4-column vector up (its tail is
@@ -308,8 +287,11 @@ func (m *Matrix) mulMatTRange(dst, x *Matrix, lo, hi int) {
 	}
 }
 
-// MulMatTPool is MulMatTInto with dst rows chunked across the pool.
-// Bit-identical to the serial form for any worker count.
+// MulMatTPool computes dst = x · m without allocating: row b of dst is
+// mᵀ·x.Row(b), the batched form of MulVecTInto (backprop through a dense
+// layer for a whole batch) and bit-identical to calling it per row. Shapes:
+// x is batch×m.Rows, dst is batch×m.Cols. dst rows are chunked across the
+// pool, bit-identically for any worker count; a nil pool runs serially.
 func (m *Matrix) MulMatTPool(p *parallel.Pool, dst, x *Matrix) error {
 	if err := m.checkMulMatT(dst, x); err != nil {
 		return err
@@ -321,16 +303,6 @@ func (m *Matrix) MulMatTPool(p *parallel.Pool, dst, x *Matrix) error {
 	grain := tileGrain(dst.Rows, m.Rows*m.Cols)
 	p.For(dst.Rows, grain, func(lo, hi int) { m.mulMatTRows(dst, x, lo, hi) })
 	return nil
-}
-
-// AddOuterBatch performs m += alpha · Σ_b x.Row(b)·y.Row(b)ᵀ in place — the
-// batched form of calling AddOuter(alpha, x.Row(b), y.Row(b)) for b
-// ascending, and bit-identical to that loop: each m element accumulates its
-// per-example terms in ascending batch order on top of its existing value.
-// Shapes: x is batch×m.Rows, y is batch×m.Cols. This is the whole-batch
-// gradient accumulation for dense layers.
-func (m *Matrix) AddOuterBatch(alpha float64, x, y *Matrix) error {
-	return m.AddOuterBatchPool(nil, alpha, x, y)
 }
 
 func (m *Matrix) checkAddOuterBatch(x, y *Matrix) error {
@@ -389,10 +361,15 @@ func (m *Matrix) addOuterBatchRows(alpha float64, x, y *Matrix, lo, hi int) {
 	}
 }
 
-// AddOuterBatchPool is AddOuterBatch with m's rows chunked across the pool.
-// Each m row is updated only by its owning chunk, walking the batch in
-// ascending order, so the result is bit-identical to the serial form for any
-// worker count.
+// AddOuterBatchPool performs m += alpha · Σ_b x.Row(b)·y.Row(b)ᵀ in place —
+// the batched form of calling AddOuter(alpha, x.Row(b), y.Row(b)) for b
+// ascending, and bit-identical to that loop: each m element accumulates its
+// per-example terms in ascending batch order on top of its existing value.
+// Shapes: x is batch×m.Rows, y is batch×m.Cols. This is the whole-batch
+// gradient accumulation for dense layers. m's rows are chunked across the
+// pool; each is updated only by its owning chunk, walking the batch in
+// ascending order, so the result is bit-identical for any worker count and a
+// nil pool runs serially.
 func (m *Matrix) AddOuterBatchPool(p *parallel.Pool, alpha float64, x, y *Matrix) error {
 	if err := m.checkAddOuterBatch(x, y); err != nil {
 		return err

@@ -45,7 +45,7 @@ func TestMulMatIntoMatchesPerExample(t *testing.T) {
 		m := randMatrix(rng, s.rows, s.cols)
 		x := randMatrix(rng, s.batch, s.cols)
 		got := NewMatrix(s.batch, s.rows)
-		if err := m.MulMatInto(got, x); err != nil {
+		if err := m.MulMatPoolScratch(nil, got, x, nil, nil); err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
 		want := NewMatrix(s.batch, s.rows)
@@ -99,7 +99,7 @@ func TestMulMatTIntoMatchesPerExample(t *testing.T) {
 		for i := range got.Data {
 			got.Data[i] = math.NaN()
 		}
-		if err := m.MulMatTInto(got, x); err != nil {
+		if err := m.MulMatTPool(nil, got, x); err != nil {
 			t.Fatalf("%dx%d by batch %d: %v", m.Rows, m.Cols, x.Rows, err)
 		}
 		want := NewMatrix(x.Rows, m.Cols)
@@ -122,7 +122,7 @@ func TestMulMatTPortableVsSIMD(t *testing.T) {
 	}
 	mulMatTCases(func(m, x *Matrix) {
 		simd := NewMatrix(x.Rows, m.Cols)
-		if err := m.MulMatTInto(simd, x); err != nil {
+		if err := m.MulMatTPool(nil, simd, x); err != nil {
 			t.Fatal(err)
 		}
 		portable := NewMatrix(x.Rows, m.Cols)
@@ -139,11 +139,11 @@ func TestAddOuterBatchMatchesPerExample(t *testing.T) {
 		base := randMatrix(rng, s.rows, s.cols)
 		x := randMatrix(rng, s.batch, s.rows)
 		y := randMatrix(rng, s.batch, s.cols)
-		got := base.Clone()
-		if err := got.AddOuterBatch(0.25, x, y); err != nil {
+		got := base.clone()
+		if err := got.AddOuterBatchPool(nil, 0.25, x, y); err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
-		want := base.Clone()
+		want := base.clone()
 		for b := 0; b < s.batch; b++ {
 			if err := want.AddOuter(0.25, x.Row(b), y.Row(b)); err != nil {
 				t.Fatal(err)
@@ -169,14 +169,14 @@ func TestGEMMPoolBitIdentical(t *testing.T) {
 	type result struct{ fwd, bwd, acc Vector }
 	run := func(p *parallel.Pool) result {
 		fwd := NewMatrix(batch, rows)
-		if err := m.MulMatPool(p, fwd, x); err != nil {
+		if err := m.MulMatPoolScratch(p, fwd, x, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		bwd := NewMatrix(batch, cols)
 		if err := m.MulMatTPool(p, bwd, g); err != nil {
 			t.Fatal(err)
 		}
-		acc := grad.Clone()
+		acc := grad.clone()
 		if err := acc.AddOuterBatchPool(p, 1, g, x); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestMulMatScratchSIMDBitIdentical(t *testing.T) {
 		x := randMatrix(rng, s.batch, s.cols)
 		pack := NewVector(MulMatPackSize(s.batch, s.cols))
 		got := NewMatrix(s.batch, s.rows)
-		if err := m.MulMatScratch(got, x, pack); err != nil {
+		if err := m.MulMatPoolScratch(nil, got, x, nil, pack); err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
 		want := NewMatrix(s.batch, s.rows)
@@ -265,11 +265,11 @@ func TestAddOuterBatchPortableVsSIMD(t *testing.T) {
 		base := randMatrix(rng, s.rows, s.cols)
 		x := randMatrix(rng, s.batch, s.rows)
 		y := randMatrix(rng, s.batch, s.cols)
-		simd := base.Clone()
-		if err := simd.AddOuterBatch(0.5, x, y); err != nil {
+		simd := base.clone()
+		if err := simd.AddOuterBatchPool(nil, 0.5, x, y); err != nil {
 			t.Fatal(err)
 		}
-		portable := base.Clone()
+		portable := base.clone()
 		portable.addOuterBatchRange(0.5, x, y, 0, s.rows)
 		if !bitEqual(simd.Data, portable.Data) {
 			t.Errorf("%+v: SIMD accumulation differs from portable kernel", s)
@@ -282,19 +282,19 @@ func TestGEMMShapeErrors(t *testing.T) {
 	bad := NewMatrix(2, 5)
 	ok4 := NewMatrix(2, 4)
 	ok3 := NewMatrix(2, 3)
-	if err := m.MulMatInto(ok3, bad); err == nil {
-		t.Error("MulMatInto accepted mismatched x columns")
+	if err := m.MulMatPoolScratch(nil, ok3, bad, nil, nil); err == nil {
+		t.Error("MulMatPoolScratch accepted mismatched x columns")
 	}
-	if err := m.MulMatInto(bad, ok4); err == nil {
-		t.Error("MulMatInto accepted mismatched dst columns")
+	if err := m.MulMatPoolScratch(nil, bad, ok4, nil, nil); err == nil {
+		t.Error("MulMatPoolScratch accepted mismatched dst columns")
 	}
-	if err := m.MulMatTInto(ok4, bad); err == nil {
-		t.Error("MulMatTInto accepted mismatched x columns")
+	if err := m.MulMatTPool(nil, ok4, bad); err == nil {
+		t.Error("MulMatTPool accepted mismatched x columns")
 	}
-	if err := m.AddOuterBatch(1, bad, ok4); err == nil {
+	if err := m.AddOuterBatchPool(nil, 1, bad, ok4); err == nil {
 		t.Error("AddOuterBatch accepted mismatched x columns")
 	}
-	if err := m.AddOuterBatch(1, ok3, NewMatrix(3, 4)); err == nil {
+	if err := m.AddOuterBatchPool(nil, 1, ok3, NewMatrix(3, 4)); err == nil {
 		t.Error("AddOuterBatch accepted mismatched batch sizes")
 	}
 }
@@ -348,7 +348,7 @@ func BenchmarkGEMMForward(b *testing.B) {
 		pack := NewVector(MulMatPackSize(batch, cols))
 		b.SetBytes(int64(8 * batch * rows * cols))
 		for i := 0; i < b.N; i++ {
-			if err := m.MulMatScratch(dst, x, pack); err != nil {
+			if err := m.MulMatPoolScratch(nil, dst, x, nil, pack); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -364,7 +364,7 @@ func BenchmarkGEMMBackward(b *testing.B) {
 	g := randMatrix(rng, batch, rows)
 	x := randMatrix(rng, batch, cols)
 	dst := NewMatrix(batch, cols)
-	acc := m.Clone()
+	acc := m.clone()
 	for _, bench := range []struct {
 		name string
 		fn   func() error
@@ -398,7 +398,7 @@ func BenchmarkGEMMBackward(b *testing.B) {
 	benchTiers(b, "mulmatT/", func(b *testing.B) {
 		b.SetBytes(int64(8 * batch * rows * cols))
 		for i := 0; i < b.N; i++ {
-			if err := m.MulMatTInto(dst, g); err != nil {
+			if err := m.MulMatTPool(nil, dst, g); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -406,7 +406,7 @@ func BenchmarkGEMMBackward(b *testing.B) {
 	benchTiers(b, "addouter/", func(b *testing.B) {
 		b.SetBytes(int64(8 * batch * rows * cols))
 		for i := 0; i < b.N; i++ {
-			if err := acc.AddOuterBatch(1, g, x); err != nil {
+			if err := acc.AddOuterBatchPool(nil, 1, g, x); err != nil {
 				b.Fatal(err)
 			}
 		}

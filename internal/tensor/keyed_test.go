@@ -305,8 +305,6 @@ func BenchmarkFillNormalStream(b *testing.B) {
 	rng := NewRNG(1)
 	b.SetBytes(8 * benchDim)
 	for i := 0; i < b.N; i++ {
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
+		rng.FillNormal(v, 0, 1)
 	}
 }

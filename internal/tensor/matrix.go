@@ -16,39 +16,18 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: NewVector(rows * cols)}
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 {
-	return m.Data[i*m.Cols+j]
-}
-
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, x float64) {
-	m.Data[i*m.Cols+j] = x
-}
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
+// clone returns a deep copy of m.
+func (m *Matrix) clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
 }
 
-// MulVec computes y = m·x. x must have length m.Cols; the result has length
-// m.Rows.
-func (m *Matrix) MulVec(x Vector) (Vector, error) {
-	y := NewVector(m.Rows)
-	if err := m.MulVecInto(y, x); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
-// MulVecInto computes y = m·x without allocating; y must have length m.Rows.
-// It is the scratch-reusing form of MulVec: each output element is one
-// left-to-right dot product.
+// MulVecInto computes y = m·x without allocating; x must have length m.Cols
+// and y length m.Rows. Each output element is one left-to-right dot product.
 func (m *Matrix) MulVecInto(y, x Vector) error {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		return fmt.Errorf("mulvec into %dx%d by %d into %d: %w", m.Rows, m.Cols, len(x), len(y), ErrShapeMismatch)
@@ -68,19 +47,9 @@ func (m *Matrix) mulVec(y, x Vector) {
 	}
 }
 
-// MulVecT computes y = mᵀ·x. x must have length m.Rows; the result has length
-// m.Cols. Used for backpropagation through dense layers.
-func (m *Matrix) MulVecT(x Vector) (Vector, error) {
-	y := NewVector(m.Cols)
-	if err := m.MulVecTInto(y, x); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
-// MulVecTInto computes y = mᵀ·x without allocating; y must have length
-// m.Cols. It is the scratch-reusing form of MulVecT: each y[j] is one sum
-// over the rows in ascending order.
+// MulVecTInto computes y = mᵀ·x without allocating, the backpropagation
+// through a dense layer; x must have length m.Rows and y length m.Cols. Each
+// y[j] is one sum over the rows in ascending order.
 func (m *Matrix) MulVecTInto(y, x Vector) error {
 	if len(x) != m.Rows || len(y) != m.Cols {
 		return fmt.Errorf("mulvecT into %dx%d by %d into %d: %w", m.Rows, m.Cols, len(x), len(y), ErrShapeMismatch)

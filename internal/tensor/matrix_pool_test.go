@@ -15,7 +15,7 @@ func testMatrix(rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			m.Set(i, j, math.Sin(float64(i*cols+j))*math.Pow(10, float64((i+j)%9)-4))
+			m.Row(i)[j] = math.Sin(float64(i*cols+j)) * math.Pow(10, float64((i+j)%9)-4)
 		}
 	}
 	return m
@@ -65,7 +65,7 @@ func TestPoolKernelsBitIdentical(t *testing.T) {
 				if err := m.MulMatTPool(p, bwd, g); err != nil {
 					t.Fatal(err)
 				}
-				acc := m.Clone()
+				acc := m.clone()
 				if err := acc.AddOuterBatchPool(p, 0.37, g, x); err != nil {
 					t.Fatal(err)
 				}
@@ -86,14 +86,20 @@ func TestIntoKernels(t *testing.T) {
 	m := testMatrix(17, 23)
 	x := testVector(23)
 	xt := testVector(17)
-	want, _ := m.MulVec(x)
-	y := NewVector(17)
+	// The reference chains: one ascending sum per output element.
+	want, wantT := NewVector(17), NewVector(23)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			want[i] += float64(v * x[j])
+			wantT[j] += float64(v * xt[i])
+		}
+	}
+	// Dirty destinations: Into kernels must overwrite, not accumulate.
+	y := testVector(17)
 	if err := m.MulVecInto(y, x); err != nil {
 		t.Fatal(err)
 	}
 	bitsEqual(t, "MulVecInto", y, want)
-	wantT, _ := m.MulVecT(xt)
-	// Dirty destination: Into kernels must overwrite, not accumulate.
 	yt := testVector(23)
 	if err := m.MulVecTInto(yt, xt); err != nil {
 		t.Fatal(err)
@@ -123,7 +129,7 @@ func TestSpectralNormPoolBitIdentical(t *testing.T) {
 	// Diagonal matrix: spectral norm is the largest |entry|.
 	d := NewMatrix(4, 4)
 	for i := 0; i < 4; i++ {
-		d.Set(i, i, float64(i+1))
+		d.Row(i)[i] = float64(i + 1)
 	}
 	if got := d.SpectralNorm(50); math.Abs(got-4) > 1e-9 {
 		t.Errorf("diagonal spectral norm = %v, want 4", got)

@@ -8,26 +8,26 @@ import (
 
 func TestMatrixAtSetRow(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(1, 2, 7)
-	if got := m.At(1, 2); got != 7 {
-		t.Errorf("At(1,2) = %v, want 7", got)
+	m.Row(1)[2] = 7
+	if got := m.Data[1*3+2]; got != 7 {
+		t.Errorf("element (1,2) stored as %v, want 7: storage is row-major", got)
 	}
 	row := m.Row(1)
 	if row[2] != 7 {
 		t.Errorf("Row(1)[2] = %v, want 7", row[2])
 	}
 	row[0] = 5 // Row aliases storage.
-	if m.At(1, 0) != 5 {
+	if m.Row(1)[0] != 5 {
 		t.Error("Row must alias matrix storage")
 	}
 }
 
 func TestMatrixClone(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
+	m.Row(0)[0] = 1
+	c := m.clone()
+	c.Row(0)[0] = 9
+	if m.Row(0)[0] != 1 {
 		t.Error("Clone must not alias original")
 	}
 }
@@ -37,32 +37,32 @@ func TestMulVec(t *testing.T) {
 	// [1 2 3; 4 5 6]
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
-			m.Set(i, j, float64(i*3+j+1))
+			m.Row(i)[j] = float64(i*3 + j + 1)
 		}
 	}
-	y, err := m.MulVec(Vector{1, 1, 1})
-	if err != nil {
+	y := NewVector(2)
+	if err := m.MulVecInto(y, Vector{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !y.Equal(Vector{6, 15}, 1e-12) {
-		t.Errorf("MulVec = %v", y)
+		t.Errorf("MulVecInto = %v", y)
 	}
-	yt, err := m.MulVecT(Vector{1, 1})
-	if err != nil {
+	yt := NewVector(3)
+	if err := m.MulVecTInto(yt, Vector{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !yt.Equal(Vector{5, 7, 9}, 1e-12) {
-		t.Errorf("MulVecT = %v", yt)
+		t.Errorf("MulVecTInto = %v", yt)
 	}
 }
 
 func TestMulVecShapeErrors(t *testing.T) {
 	m := NewMatrix(2, 3)
-	if _, err := m.MulVec(Vector{1, 1}); !errors.Is(err, ErrShapeMismatch) {
-		t.Errorf("MulVec err = %v", err)
+	if err := m.MulVecInto(NewVector(2), Vector{1, 1}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("MulVecInto err = %v", err)
 	}
-	if _, err := m.MulVecT(Vector{1, 1, 1}); !errors.Is(err, ErrShapeMismatch) {
-		t.Errorf("MulVecT err = %v", err)
+	if err := m.MulVecTInto(NewVector(3), Vector{1, 1, 1}); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("MulVecTInto err = %v", err)
 	}
 	if err := m.AddOuter(1, Vector{1}, Vector{1, 1, 1}); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("AddOuter err = %v", err)
@@ -77,7 +77,7 @@ func TestAddOuter(t *testing.T) {
 	want := [][]float64{{6, 8}, {12, 16}}
 	for i := range want {
 		for j := range want[i] {
-			if got := m.At(i, j); got != want[i][j] {
+			if got := m.Row(i)[j]; got != want[i][j] {
 				t.Errorf("m[%d][%d] = %v, want %v", i, j, got, want[i][j])
 			}
 		}
@@ -86,9 +86,9 @@ func TestAddOuter(t *testing.T) {
 
 func TestSpectralNormDiagonal(t *testing.T) {
 	m := NewMatrix(3, 3)
-	m.Set(0, 0, 2)
-	m.Set(1, 1, 5)
-	m.Set(2, 2, 1)
+	m.Row(0)[0] = 2
+	m.Row(1)[1] = 5
+	m.Row(2)[2] = 1
 	got := m.SpectralNorm(50)
 	if math.Abs(got-5) > 1e-6 {
 		t.Errorf("SpectralNorm = %v, want 5", got)
@@ -123,8 +123,8 @@ func TestSpectralNormUpperBoundsMulVec(t *testing.T) {
 	sigma := m.SpectralNorm(100)
 	for trial := 0; trial < 20; trial++ {
 		x := rng.NormalVector(8, 0, 1)
-		y, err := m.MulVec(x)
-		if err != nil {
+		y := NewVector(10)
+		if err := m.MulVecInto(y, x); err != nil {
 			t.Fatal(err)
 		}
 		if xn := x.Norm2(); xn > 0 {

@@ -22,17 +22,11 @@ func NewRNG(seed int64) *RNG {
 // Seed rewinds r to the stream NewRNG(seed) starts, without allocating.
 func (r *RNG) Seed(seed int64) { r.src.Seed(seed) }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
-
 // Intn returns a uniform value in [0, n).
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
 func (r *RNG) Int63() int64 { return r.src.Int63() }
-
-// NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Uniform returns a value drawn uniformly from [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {

@@ -77,7 +77,7 @@ func runGEMMTier(t *testing.T, w, x, g, acc *Matrix, bias Vector, pool *parallel
 	batch := x.Rows
 	pack := NewVector(MulMatPackSize(batch, w.Cols))
 	fwd := NewMatrix(batch, w.Rows)
-	if err := w.MulMatScratch(fwd, x, pack); err != nil {
+	if err := w.MulMatPoolScratch(nil, fwd, x, nil, pack); err != nil {
 		t.Fatal(err)
 	}
 	fwdBias := NewMatrix(batch, w.Rows)
@@ -92,11 +92,11 @@ func runGEMMTier(t *testing.T, w, x, g, acc *Matrix, bias Vector, pool *parallel
 	for i := range dx.Data {
 		dx.Data[i] = math.NaN() // stale contents must not leak into the chains
 	}
-	if err := w.MulMatTInto(dx, g); err != nil {
+	if err := w.MulMatTPool(nil, dx, g); err != nil {
 		t.Fatal(err)
 	}
-	dw := acc.Clone()
-	if err := dw.AddOuterBatch(0.75, g, x); err != nil {
+	dw := acc.clone()
+	if err := dw.AddOuterBatchPool(nil, 0.75, g, x); err != nil {
 		t.Fatal(err)
 	}
 	db := acc.Data[:w.Rows].Clone()
@@ -181,7 +181,7 @@ func TestGEMMZeroShapes(t *testing.T) {
 							b = nil
 						}
 						fwd := NewMatrix(batch, out)
-						if err := w.MulMatScratch(fwd, x, NewVector(MulMatPackSize(batch, in))); err != nil {
+						if err := w.MulMatPoolScratch(nil, fwd, x, nil, NewVector(MulMatPackSize(batch, in))); err != nil {
 							t.Fatal(err)
 						}
 						fwdBias := NewMatrix(batch, out)
@@ -189,11 +189,11 @@ func TestGEMMZeroShapes(t *testing.T) {
 							t.Fatal(err)
 						}
 						dx := NewMatrix(batch, in)
-						if err := w.MulMatTInto(dx, g); err != nil {
+						if err := w.MulMatTPool(nil, dx, g); err != nil {
 							t.Fatal(err)
 						}
-						dw := acc.Clone()
-						if err := dw.AddOuterBatch(1, g, x); err != nil {
+						dw := acc.clone()
+						if err := dw.AddOuterBatchPool(nil, 1, g, x); err != nil {
 							t.Fatal(err)
 						}
 						db := NewVector(out)

@@ -187,8 +187,8 @@ func Distance(v, w Vector) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
-// MaxAbs returns the largest absolute element of v, or 0 for an empty vector.
-func (v Vector) MaxAbs() float64 {
+// maxAbs returns the largest absolute element of v, or 0 for an empty vector.
+func (v Vector) maxAbs() float64 {
 	var m float64
 	for _, x := range v {
 		if a := math.Abs(x); a > m {

@@ -103,7 +103,7 @@ func TestDistance(t *testing.T) {
 
 func TestMaxAbsSumFill(t *testing.T) {
 	v := Vector{-7, 2, 3}
-	if m := v.MaxAbs(); m != 7 {
+	if m := v.maxAbs(); m != 7 {
 		t.Errorf("MaxAbs = %v, want 7", m)
 	}
 	if s := v.Sum(); s != -2 {
@@ -177,7 +177,7 @@ func TestDistanceTriangleInequality(t *testing.T) {
 	f := func(a, b, c [8]float64) bool {
 		v, w, u := Vector(a[:]), Vector(b[:]), Vector(c[:])
 		for _, x := range [...]Vector{v, w, u} {
-			if !x.IsFinite() || x.MaxAbs() > 1e100 {
+			if !x.IsFinite() || x.maxAbs() > 1e100 {
 				return true
 			}
 		}
@@ -195,7 +195,7 @@ func TestDistanceTriangleInequality(t *testing.T) {
 func TestAddSubRoundTrip(t *testing.T) {
 	f := func(a, b [6]float64) bool {
 		v, w := Vector(a[:]), Vector(b[:])
-		if !v.IsFinite() || !w.IsFinite() || v.MaxAbs() > 1e150 || w.MaxAbs() > 1e150 {
+		if !v.IsFinite() || !w.IsFinite() || v.maxAbs() > 1e150 || w.maxAbs() > 1e150 {
 			return true
 		}
 		sum, err := v.Add(w)
@@ -206,7 +206,7 @@ func TestAddSubRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return back.Equal(v, 1e-9*(1+v.MaxAbs()+w.MaxAbs()))
+		return back.Equal(v, 1e-9*(1+v.maxAbs()+w.maxAbs()))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

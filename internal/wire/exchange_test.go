@@ -142,7 +142,7 @@ func TestSlowServerNeverTimesOut(t *testing.T) {
 			if got, want := hub.Meter().ByKind()[KindTask], calls*(netsim.Message{Payload: []byte{0}}).Size(); got != want {
 				t.Errorf("GOMAXPROCS=%d: %d task bytes, want %d: one frame per call", procs, got, want)
 			}
-			if _, delays := hub.Meter().Injected(); delays == 0 {
+			if delays := observer.Counter("net_tcp_injected_delays_total").Value(); delays == 0 {
 				t.Errorf("GOMAXPROCS=%d: the plan delayed nothing", procs)
 			}
 			hub.Close()

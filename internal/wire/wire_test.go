@@ -268,9 +268,6 @@ func TestManagerOverBusEndToEnd(t *testing.T) {
 	if meter.Total() == 0 {
 		t.Fatal("no bytes metered")
 	}
-	if meter.SentBy("manager") == 0 || meter.ReceivedBy("manager") == 0 {
-		t.Error("manager traffic not metered")
-	}
 	byKind := meter.ByKind()
 	for _, kind := range []string{KindTask, KindResult, KindOpenRequest, KindOpenResponse} {
 		if byKind[kind] == 0 {
