@@ -688,6 +688,34 @@ var e2eGates = []struct {
 			{"*", "final_accuracy", ">=", 0.90},
 		},
 	},
+	{
+		file:     "BENCH_pr59.json",
+		pr:       59,
+		minPairs: map[string]int{"ref10_v2_tcp": 3, "proofs4_v2_tcp": 3, "wide16_v1_tcp": 3, "durable8_v2_disk": 10},
+		rows: []e2eGate{
+			// The claim: a batch arena that grows by exactly what a window
+			// lacks and a second calibration probe that walks one vector
+			// take at least 15 % off the durable epoch's allocation.
+			{"durable8_v2_disk", "alloc_mb_per_epoch", "claim<=", 0.85},
+			// Every workload trains through arenas and calibrates: each
+			// allocates less.
+			{"wide16_v1_tcp", "alloc_mb_per_epoch", "<=", 0.92},
+			{"ref10_v2_tcp", "alloc_mb_per_epoch", "<=", 0.92},
+			{"proofs4_v2_tcp", "alloc_mb_per_epoch", "<=", 0.95},
+			// No bit moves: same bytes, verdicts and model at equal work.
+			{"*", "io_bytes_per_epoch", "==", 0},
+			{"*", "adv_detect_rate", "==", 0},
+			{"*", "final_accuracy", "==", 0},
+			// Nothing worse than BENCHMARK.json's bound, anywhere.
+			{"*", "alloc_mb_per_epoch", "<=", 1.01},
+			{"*", "setup_s", "<=", 1.25},
+			{"*", "epoch_s_p50", "<=", 1.25},
+			{"*", "submissions_per_s", ">=", 0.75},
+			{"*", "io_bytes_per_epoch", "<=", 1.05},
+			{"*", "adv_detect_rate", ">=", 0.85},
+			{"*", "final_accuracy", ">=", 0.90},
+		},
+	},
 }
 
 // quantileOf is the linear-interpolation quantile benchmark/stats.go uses.

@@ -3,9 +3,9 @@
 // runs behind a WorkerServer in its own goroutine (in a real deployment,
 // its own machine), streams its checkpoints into an append-only segment on
 // disk, and the unmodified rpol.Manager coordinates and verifies everything
-// through RemoteWorker proxies. The hub meters every byte, so the printout
-// compares measured verification traffic against the cost model's
-// prediction.
+// through RemoteWorker proxies. The hub meters every byte and mirrors its
+// totals into the net_tcp_* counters of a registry, so the printout compares
+// measured verification traffic against the cost model's prediction.
 //
 // Run with:
 //
@@ -25,21 +25,33 @@ import (
 	"rpol/internal/gpu"
 	"rpol/internal/modelzoo"
 	"rpol/internal/netsim"
+	"rpol/internal/obs"
 	"rpol/internal/rpol"
 	"rpol/internal/wire"
 )
 
+// kinds are the message kinds the hub meters: each client's registration
+// handshake, then the pool's protocol, where RPoLv2 pulls Merkle proofs
+// beside the raw checkpoint openings.
+var kinds = []string{
+	netsim.KindRegister, netsim.KindRegistered,
+	wire.KindTask, wire.KindResult, wire.KindOpenRequest, wire.KindOpenResponse, wire.KindProofRequest, wire.KindProofResponse,
+}
+
 func main() {
-	if err := run(); err != nil {
+	if _, err := run(obs.NewRegistry()); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run drives the pool, mirroring the hub's traffic into reg's net_tcp_*
+// counters, and returns the hub's meter.
+func run(reg *obs.Registry) (*netsim.Meter, error) {
 	hub, err := netsim.NewTCPHub("127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
+	hub.Observe(reg)
 	// Shutdown order matters: closing the hub is what unblocks the worker
 	// servers, so it must happen before waiting for them.
 	var wg sync.WaitGroup
@@ -51,32 +63,32 @@ func run() error {
 
 	spec, err := modelzoo.Get("resnet18-cifar10")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_, train, _, err := spec.BuildProxy(21)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	const n = 4
 	shards, err := train.Partition(n + 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	ckptRoot, err := os.MkdirTemp("", "rpol-checkpoints-")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() { _ = os.RemoveAll(ckptRoot) }()
 
 	managerConn, err := netsim.DialHub(hub.Addr(), "manager")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() { _ = managerConn.Close() }()
 	port, err := wire.NewManagerPort(managerConn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	profiles := gpu.Profiles()
@@ -88,26 +100,26 @@ func run() error {
 		profile := profiles[i%len(profiles)]
 		net, err := spec.BuildProxyNet(22)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		local, err := rpol.NewHonestWorker(id, profile, int64(500+i), net, shards[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		seg, err := checkpoint.NewSegment(fsio.OS, filepath.Join(ckptRoot, id))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		local.SetSegment(seg)
 		locals = append(locals, local)
 
 		conn, err := netsim.DialHub(hub.Addr(), id)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		server, err := wire.NewWorkerServer(conn, local)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wg.Add(1)
 		go func() {
@@ -119,7 +131,7 @@ func run() error {
 
 		remote, err := wire.NewRemoteWorker(id, profile, port)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		workers = append(workers, remote)
 		shardMap[id] = shards[i]
@@ -127,7 +139,7 @@ func run() error {
 
 	managerNet, err := spec.BuildProxyNet(22)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	manager, err := rpol.NewManager(rpol.ManagerConfig{
 		Address:         "distributed-manager",
@@ -141,17 +153,19 @@ func run() error {
 		Seed:            23,
 	}, managerNet, workers, shardMap, shards[n])
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	for epoch := 0; epoch < 3; epoch++ {
 		report, err := manager.RunEpoch()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("epoch %d: accepted %d/%d, verification proofs %.1f KB (cost model), hub metered %.1f KB total\n",
+		tcp := reg.Snapshot().Counters
+		fmt.Printf("epoch %d: accepted %d/%d, verification proofs %.1f KB (cost model), hub metered %.1f KB in %d messages (net_tcp_bytes_total %.1f KB, net_tcp_messages_total %d)\n",
 			report.Epoch, report.Accepted, report.Accepted+report.Rejected,
-			float64(report.VerifyCommBytes)/1024, float64(hub.Meter().Total())/1024)
+			float64(report.VerifyCommBytes)/1024, float64(hub.Meter().Total())/1024, hub.Meter().Messages(),
+			float64(tcp["net_tcp_bytes_total"])/1024, tcp["net_tcp_messages_total"])
 	}
 
 	var stored int64
@@ -162,8 +176,8 @@ func run() error {
 		float64(stored)/1024, ckptRoot)
 	byKind := hub.Meter().ByKind()
 	fmt.Println("traffic by message kind:")
-	for _, kind := range []string{wire.KindTask, wire.KindResult, wire.KindOpenRequest, wire.KindOpenResponse} {
+	for _, kind := range kinds {
 		fmt.Printf("  %-14s %8.1f KB\n", kind, float64(byKind[kind])/1024)
 	}
-	return nil
+	return hub.Meter(), nil
 }

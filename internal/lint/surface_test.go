@@ -113,7 +113,6 @@ var surfaceTable = map[string]surfaceReason{
 	"internal/checkpoint.NewMemoryStore":  frozenBenchmark,
 	"internal/checkpoint.Store.Len":       frozenBenchmark,
 	"internal/lsh.Digest.Encode":          frozenBenchmark,
-	"internal/netsim.Meter.Messages":      frozenBenchmark,
 	"internal/netsim.TCPEndpoint.Send":    frozenBenchmark,
 	"internal/nn.Network.TrainBatch":      frozenBenchmark,
 	"internal/pool.Pool.Manager":          frozenBenchmark,
@@ -153,11 +152,9 @@ var surfaceTable = map[string]surfaceReason{
 	"internal/tensor.Vector.Sum":          testSeam,
 
 	// Methods of the types the root facade aliases that a library user
-	// calls: mirroring a hub's traffic into a registry, predicting with a
-	// trained network, and giving a manager's port the RetryPolicy the
-	// facade exports and the observer its net_retries_total and
-	// net_timeouts_total counters go to.
-	"internal/netsim.TCPHub.Observe":           publicAPI,
+	// calls: predicting with a trained network, and giving a manager's port
+	// the RetryPolicy the facade exports and the observer its
+	// net_retries_total and net_timeouts_total counters go to.
 	"internal/nn.Network.Predict":              publicAPI,
 	"internal/wire.ManagerPort.SetObserver":    publicAPI,
 	"internal/wire.ManagerPort.SetRetryPolicy": publicAPI,

@@ -9,7 +9,7 @@ import (
 
 // TestTrainStepSteadyStateAllocFree pins the training runtime at zero
 // steady-state allocations, on a dense stack and on a stack of every layer
-// kind: after warmup (arena slabs grown, optimizer state built) a training
+// kind: after warmup (arena chunks grown, optimizer state built) a training
 // step must not touch the heap. An alloc regression on the hot path then
 // fails here in CI rather than surfacing later as a mystery in a benchmark
 // re-record.

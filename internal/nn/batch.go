@@ -9,14 +9,11 @@ import (
 )
 
 // attach readies the network's one layer graph for a batch entry point: it
-// makes the network's arena on the first call and installs it on every layer,
-// a layer swapped in since the last call included. The entry point defers
-// setScratch(nil), so the per-example methods never grab from the arena.
+// installs the network's arena on every layer, a layer swapped in since the
+// last call included. The entry point defers setScratch(nil), so the
+// per-example methods never grab from the arena.
 func (n *Network) attach() {
-	if n.arena == nil {
-		n.arena = parallel.NewArena(0)
-	}
-	n.setScratch(n.arena)
+	n.setScratch(&n.arena)
 }
 
 func (n *Network) setScratch(a *parallel.Arena) {

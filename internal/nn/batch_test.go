@@ -339,8 +339,7 @@ func TestOracleLeavesArenaAlone(t *testing.T) {
 
 // TestBatchArenaSettlesInOneStep: a fresh network's first batch step sizes
 // its arena for the whole step, so the second step neither grows the arena
-// nor allocates a slab: it allocates fewer bytes than the arena holds, where
-// a replacement slab would be at least twice that.
+// nor allocates a chunk: it allocates fewer bytes than the arena holds.
 func TestBatchArenaSettlesInOneStep(t *testing.T) {
 	for _, workers := range workerCounts {
 		xs, labels := batchData(16, 64, 13)
@@ -364,8 +363,37 @@ func TestBatchArenaSettlesInOneStep(t *testing.T) {
 			t.Errorf("workers=%d: the second batch step grew the arena from %d to %d floats", workers, size, got)
 		}
 		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(8*size) {
-			t.Errorf("workers=%d: the second batch step allocated %d bytes, an arena of %d floats: a slab", workers, bytes, size)
+			t.Errorf("workers=%d: the second batch step allocated %d bytes, an arena of %d floats: a chunk", workers, bytes, size)
 		}
+	}
+}
+
+// TestBatchArenaServesBothShapes: a network's arena serves two window
+// shapes, the training batch and Accuracy's 64-row tile with its shorter last
+// tile. Once each has run, the two take turns without growing the arena.
+func TestBatchArenaServesBothShapes(t *testing.T) {
+	xs, labels := batchData(150, 64, 14)
+	net := convNet(t, 14)
+	bt, err := NewBatchTrainer(net, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := &SGD{LR: 0.01}
+	round := func() {
+		if _, err := bt.TrainBatch(xs[:16], labels[:16], opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Accuracy(xs, labels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	size := net.arena.Size()
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	if got := net.arena.Size(); got != size {
+		t.Errorf("batch steps and evaluation taking turns grew the arena from %d to %d floats", size, got)
 	}
 }
 

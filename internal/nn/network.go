@@ -20,9 +20,9 @@ import (
 type Network struct {
 	Layers []Layer
 
-	// arena holds the batch entry points' buffers, made on the first one and
-	// reset by each; xb is the matrix the batch is packed into.
-	arena *parallel.Arena
+	// arena holds the batch entry points' buffers, reset by each batch; xb
+	// is the matrix the batch is packed into.
+	arena parallel.Arena
 	xb    tensor.Matrix
 }
 

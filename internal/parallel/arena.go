@@ -1,37 +1,40 @@
 package parallel
 
 // Arena is a bump allocator for transient float64 scratch buffers. Grab
-// returns a zeroed slice carved out of a growing slab; Reset makes the whole
-// slab reusable without freeing it. Hot loops that previously did
-// make([]float64, n) per step (conv activations, layer-norm scratch,
-// ParamVector staging) Grab from an arena instead and Reset once per
-// iteration, so steady-state allocation drops to zero.
+// returns a zeroed slice carved out of the arena's chunks; Reset makes every
+// chunk reusable without freeing it. Hot loops that would do
+// make([]float64, n) per step (conv activations, layer-norm scratch, batch
+// matrices) Grab from an arena instead and Reset once per iteration, so
+// steady-state allocation drops to zero. The Grabs between two Resets are a
+// window; slices from one window stay valid and disjoint until the next
+// Reset.
 //
-// An Arena is single-owner state — one goroutine, no sharing. In the
-// parallel runtime each worker chunk owns its own arena, which keeps the
-// no-lock bump pointer correct and the buffers chunk-private (For's
-// disjointness contract).
+// The arena grows by exactly what a window lacks and never throws memory
+// away mid-window: a Grab walks the chunks in order from where the last one
+// stopped and takes the first with room, and when none has room it appends
+// a chunk of exactly its own size. So a window allocates at most what it
+// grabs, a window repeated after Reset allocates nothing, and windows of a
+// few shapes taking turns (a training batch, evaluation tiles) each
+// allocate only the first time. Reset keeps the arena within twice the
+// largest window it has served: past that it trades the chunks for one of
+// that window's size.
 //
-// A nil *Arena is valid: Grab falls back to make, Reset is a no-op. That
-// lets layers take an optional arena without conditionals at every call
-// site.
+// An Arena is single-owner state — one goroutine, no sharing; nn.Network
+// owns one for its batch entry points. The zero Arena is ready to use. A nil
+// *Arena is valid too: Grab falls back to make, Reset is a no-op. That lets
+// layers take an optional arena without conditionals at every call site.
 type Arena struct {
-	slab []float64
-	off  int
+	chunks [][]float64
+	cur    int // the chunk the next Grab tries first
+	off    int // floats of chunks[cur] handed out this window
+	used   int // floats handed out this window
+	peak   int // the largest window served
+	held   int // floats in all chunks
 }
 
-// NewArena returns an arena pre-sized to hold capacity float64s before its
-// first grow. capacity <= 0 starts empty and grows on demand.
-func NewArena(capacity int) *Arena {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Arena{slab: make([]float64, capacity)}
-}
-
-// Grab returns a zeroed []float64 of length n backed by the arena's slab.
-// The slice is valid until the next Reset; callers must not retain it past
-// that point. A nil arena allocates fresh memory instead.
+// Grab returns a zeroed []float64 of length n backed by the arena. The slice
+// is valid until the next Reset; callers must not retain it past that point.
+// A nil arena allocates fresh memory instead.
 func (a *Arena) Grab(n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -39,40 +42,44 @@ func (a *Arena) Grab(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
 	}
-	if a.off+n > len(a.slab) {
-		a.grow(n)
+	for a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
+		a.cur, a.off = a.cur+1, 0
 	}
-	s := a.slab[a.off : a.off+n : a.off+n]
+	a.used += n
+	if a.cur == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]float64, n))
+		a.held += n
+		a.off = n
+		return a.chunks[a.cur]
+	}
+	s := a.chunks[a.cur][a.off : a.off+n : a.off+n]
 	a.off += n
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
-}
-
-// grow replaces the slab so a further n floats fit. Outstanding slices keep
-// their own references into the old slab, which the garbage collector keeps
-// alive — Grab never invalidates previously grabbed buffers within one Reset
-// window, so there is nothing to copy. The offset carries over: the new slab
-// is laid out as if it had held the whole window, so once a window has
-// grown it, the next window of the same Grabs fits without growing.
-func (a *Arena) grow(n int) {
-	a.slab = make([]float64, max(2*len(a.slab), a.off+n))
 }
 
 // Reset recycles every buffer handed out since the last Reset. Slices from
 // earlier Grabs must not be used afterwards: the next Grab will re-hand the
-// same memory.
+// same memory. When the chunks hold more than twice the largest window
+// served, Reset replaces them with one chunk of that window's size, which
+// any window served so far fits.
 func (a *Arena) Reset() {
-	if a != nil {
-		a.off = 0
+	if a == nil {
+		return
+	}
+	a.peak = max(a.peak, a.used)
+	a.cur, a.off, a.used = 0, 0, 0
+	if a.held > 2*a.peak {
+		clear(a.chunks)
+		a.chunks = append(a.chunks[:0], make([]float64, a.peak))
+		a.held = a.peak
 	}
 }
 
-// Size reports the slab capacity in float64s (diagnostics/tests).
+// Size reports the floats the arena holds (diagnostics/tests).
 func (a *Arena) Size() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.slab)
+	return a.held
 }

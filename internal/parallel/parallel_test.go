@@ -153,68 +153,6 @@ func TestDefaultWorkersKnob(t *testing.T) {
 	}
 }
 
-func TestArena(t *testing.T) {
-	a := NewArena(8)
-	b1 := a.Grab(4)
-	b2 := a.Grab(4)
-	if len(b1) != 4 || len(b2) != 4 {
-		t.Fatalf("lengths %d, %d", len(b1), len(b2))
-	}
-	for i := range b1 {
-		b1[i] = 1
-		b2[i] = 2
-	}
-	if b1[3] != 1 || b2[0] != 2 {
-		t.Fatal("buffers alias each other")
-	}
-	// Grow while b1/b2 outstanding: they must stay intact and disjoint from
-	// the new slab.
-	b3 := a.Grab(100)
-	b3[0] = 3
-	if b1[0] != 1 || b2[0] != 2 {
-		t.Fatal("grow corrupted outstanding buffers")
-	}
-	a.Reset()
-	b4 := a.Grab(100)
-	for i, v := range b4 {
-		if v != 0 {
-			t.Fatalf("Grab after Reset not zeroed at %d: %v", i, v)
-		}
-	}
-	if a.Size() < 100 {
-		t.Errorf("arena size %d after grow, want >= 100", a.Size())
-	}
-
-	var nilArena *Arena
-	nb := nilArena.Grab(3)
-	if len(nb) != 3 {
-		t.Fatalf("nil arena Grab len %d", len(nb))
-	}
-	nilArena.Reset() // must not panic
-	if nilArena.Size() != 0 {
-		t.Errorf("nil arena Size = %d", nilArena.Size())
-	}
-	if a.Grab(0) != nil || a.Grab(-1) != nil {
-		t.Error("Grab(<=0) should return nil")
-	}
-}
-
-// TestArenaZeroed verifies Grab always zeroes recycled memory, which layer
-// code relies on for gradient-style accumulators.
-func TestArenaZeroed(t *testing.T) {
-	a := NewArena(16)
-	for round := 0; round < 3; round++ {
-		b := a.Grab(16)
-		for i := range b {
-			if b[i] != 0 {
-				t.Fatalf("round %d: dirty at %d", round, i)
-			}
-			b[i] = float64(round + 1)
-		}
-		a.Reset()
-	}
-}
-
 func BenchmarkOrderedSumOverhead(b *testing.B) {
 	p := New(4)
 	xs := make([]float64, 4096)

@@ -43,13 +43,15 @@ type Calibrator struct {
 	Trace *obs.Span
 
 	// trainer runs every probe for the calibrator's lifetime: its runtime is
-	// built once, on the first step. devices and probes are the last
-	// calibration's two probe devices and traces, reset and handed back to
-	// trainer by the next one, and fam is the LSH family the last Calibrate
-	// returned, rebuilt in place by the next.
+	// built once, on the first step. devices are the two probe devices, reset
+	// by each calibration. probe is the last calibration's first-probe trace,
+	// handed back to trainer by the next one; walk is the one vector the
+	// second probe trains through, interval by interval. fam is the LSH
+	// family the last Calibrate returned, rebuilt in place by the next.
 	trainer *Trainer
 	devices [2]*gpu.Device
-	probes  [2]*Trace
+	probe   *Trace
+	walk    tensor.Vector
 	fam     *lsh.Family
 }
 
@@ -132,14 +134,18 @@ func (c *Calibrator) calibrate(p TaskParams, top1, top2 gpu.Profile, probeSeeds 
 
 // MeasureErrors runs the probe sub-task twice (once per profile) and
 // returns the Euclidean reproduction errors of all comparable checkpoints.
+// The first probe keeps its trace; the second walks one vector through the
+// same intervals and is measured against the first after each, which gives
+// TraceDistances of the two traces without keeping the second.
 func (c *Calibrator) MeasureErrors(p TaskParams, top1, top2 gpu.Profile, probeSeeds [2]int64) ([]float64, error) {
 	o := c.Obs.OrDefault()
 	if c.trainer == nil || c.trainer.Net != c.Net {
 		c.trainer = &Trainer{Net: c.Net}
 	}
 	c.trainer.Shard, c.trainer.Steps = c.Shard, o.Counter("rpol_probe_steps_total")
+	c.trainer.Recycle(c.probe)
+	var out []float64
 	for i, profile := range [2]gpu.Profile{top1, top2} {
-		c.trainer.Recycle(c.probes[i])
 		var err error
 		if c.devices[i] == nil {
 			c.devices[i], err = gpu.NewDevice(profile, probeSeeds[i])
@@ -151,13 +157,45 @@ func (c *Calibrator) MeasureErrors(p TaskParams, top1, top2 gpu.Profile, probeSe
 		}
 		c.trainer.Device = c.devices[i]
 		probeSpan := o.Start(c.Trace, "calibrate.probe", obs.String("gpu", profile.Name))
-		c.probes[i], err = c.trainer.RunEpoch(p)
+		if i == 0 {
+			c.probe, err = c.trainer.RunEpoch(p)
+		} else {
+			out, err = c.walkProbe(p)
+		}
 		probeSpan.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	return TraceDistances(c.probes[0], c.probes[1])
+	return out, nil
+}
+
+// walkProbe runs the second probe through the first probe's intervals in
+// c.walk and returns the distance to the first probe's checkpoint after
+// each interval.
+func (c *Calibrator) walkProbe(p TaskParams) ([]float64, error) {
+	cps := c.probe.Checkpoints
+	if len(cps) < 2 {
+		return nil, ErrNoErrors
+	}
+	out := make([]float64, 0, len(cps)-1)
+	start := cps[0]
+	for k := 1; k < len(cps); k++ {
+		step, steps, err := c.probe.IntervalSteps(k - 1)
+		if err != nil {
+			return nil, err
+		}
+		if c.walk, err = c.trainer.ExecuteInterval(c.walk, start, step, steps, p.Hyper, p.Nonce); err != nil {
+			return nil, err
+		}
+		start = c.walk
+		d, err := tensor.Distance(cps[k], c.walk)
+		if err != nil {
+			return nil, fmt.Errorf("rpol trace distance %d: %w", k, err)
+		}
+		out = append(out, d)
+	}
+	return out, nil
 }
 
 // TraceDistances returns the per-checkpoint Euclidean distances between two
